@@ -62,7 +62,7 @@ from .limits import (
     ks_statistic,
     variance_profile,
 )
-from .paths import SamplePath, all_plus_path, forced_path, prefix_sums, running_sup
+from .paths import SamplePath, all_plus_path, forced_path, running_sup
 from .zeros import SignScanReport, certified_sign, certify_no_zeros, scan
 
 __all__ = [
@@ -106,7 +106,6 @@ __all__ = [
     "mellin_discrepancy",
     "partial_sum",
     "partial_sum_table",
-    "prefix_sums",
     "run_bu_event_experiment",
     "run_exceedance_experiment",
     "run_experiment",

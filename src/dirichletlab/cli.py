@@ -67,8 +67,12 @@ def _parse_value(text: str):
 
 
 def read_config_file(path: str) -> dict:
+    try:
+        text = Path(path).read_text()
+    except (OSError, ValueError) as exc:  # missing, unreadable, not text
+        raise ValidationError(f"cannot read config {path}: {exc}") from None
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -458,7 +462,12 @@ def _cmd_exceedance(v, workers):
 def _cmd_report(v, workers):
     if not v["input"]:
         raise ValidationError("report needs --input pointing at a report file")
-    data = json.loads(Path(v["input"]).read_text())
+    try:
+        data = json.loads(Path(v["input"]).read_text())
+    except (OSError, ValueError) as exc:  # missing, unreadable, not JSON
+        raise ValidationError(f"cannot read report {v['input']}: {exc}") from None
+    if not isinstance(data, dict):
+        raise ValidationError(f"{v['input']} does not hold a report object")
     kind = data.get("kind", "?")
     keys = sorted(data.get("aggregates", {}).keys()) or sorted(data.keys())
     summary = f"report {v['input']}: kind={kind}, fields: {', '.join(keys)}"

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceBudgetError, ValidationError
-from .frequencies import FrequencySequence, sequence_spec
+from .frequencies import FrequencySequence
 from .paths import SamplePath
 from .summation import compensated_sum
 
@@ -32,15 +32,17 @@ HEURISTIC = "heuristic"
 # ---------------------------------------------------------------------------
 # Weight cache: p**-sigma arrays are path-independent and reused heavily
 # across Monte Carlo trials.  Bounded by total float count, per process.
+# Keyed on the frozen sequence itself, so sequences that differ only in
+# start_index never share an array.
 
-_WEIGHT_CACHE: dict[tuple[str, float], np.ndarray] = {}
+_WEIGHT_CACHE: dict[tuple[FrequencySequence, float], np.ndarray] = {}
 _WEIGHT_CACHE_LIMIT = 120_000_000
 
 
 def _weights(seq: FrequencySequence, sigma: float, cutoff: float,
              budget: int | None = None) -> np.ndarray:
     count = seq.counting_function(cutoff)
-    key = (sequence_spec(seq), float(sigma))
+    key = (seq, float(sigma))
     cached = _WEIGHT_CACHE.get(key)
     if cached is not None and cached.size >= count:
         return cached[:count]
@@ -53,6 +55,17 @@ def _weights(seq: FrequencySequence, sigma: float, cutoff: float,
     if w.size <= _WEIGHT_CACHE_LIMIT:
         _WEIGHT_CACHE[key] = w
     return w
+
+
+def _signed_sums(signs: np.ndarray, weights) -> list[float]:
+    """Compensated sum of ``signs * w`` over the leading ``w.size`` signs,
+    for each weight array ``w`` (taken one at a time from any iterable).
+
+    The one kernel behind every partial sum: a path's sign vector is
+    generated once and evaluated at as many exponents and cutoffs as
+    needed.
+    """
+    return [compensated_sum(signs[: w.size] * w) for w in weights]
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +161,7 @@ def partial_sum(
         raise ValidationError("cutoff must be >= 1")
     w = _weights(path.seq, sigma, cutoff, budget=budget)
     signs = path.signs_up_to(cutoff, budget=budget)
-    return compensated_sum(signs * w)
+    return _signed_sums(signs, [w])[0]
 
 
 def partial_sum_table(
@@ -161,10 +174,37 @@ def partial_sum_table(
         return []
     max_cutoff = max(c for _, c in points)
     signs = path.signs_up_to(max_cutoff, budget=budget)
+    return _signed_sums(
+        signs, (_weights(path.seq, s, c, budget=budget) for s, c in points)
+    )
+
+
+def _certified_values(
+    path: SamplePath, sigmas: list[float], cert: TailCertificate, signs: np.ndarray
+) -> list[CertifiedValue]:
+    """``evaluate`` at each exponent in ``sigmas`` from one sign vector.
+
+    ``signs`` are the path's signs up to at least ``cert.cutoff``, so a
+    caller evaluating many exponents generates them once.
+    """
+    for sigma in sigmas:
+        if sigma < cert.sigma0:
+            raise ValidationError(
+                f"sigma={sigma} below certificate base exponent {cert.sigma0}"
+            )
+    if cert.cutoff < 1:
+        raise ValidationError("cutoff must be >= 1")
+    weights = (_weights(path.seq, s, cert.cutoff) for s in sigmas)
     out = []
-    for sigma, cutoff in points:
-        w = _weights(path.seq, sigma, cutoff, budget=budget)
-        out.append(compensated_sum(signs[: w.size] * w))
+    for sigma, value in zip(sigmas, _signed_sums(signs, weights)):
+        if cert.exhausted:
+            out.append(CertifiedValue(sigma, value, cert.cutoff, 0.0, EXACT))
+            continue
+        radius = cert.threshold * cert.cutoff ** (-(sigma - cert.sigma0))
+        out.append(CertifiedValue(
+            sigma, value, cert.cutoff, radius, PROBABILISTIC,
+            eta=cert.eta, sigma0=cert.sigma0,
+        ))
     return out
 
 
@@ -174,18 +214,8 @@ def evaluate(path: SamplePath, sigma: float, cert: TailCertificate) -> Certified
     The radius is threshold * cutoff**-(sigma - sigma0); the truncation
     identity behind it carries implied constant exactly 1.
     """
-    if sigma < cert.sigma0:
-        raise ValidationError(
-            f"sigma={sigma} below certificate base exponent {cert.sigma0}"
-        )
-    value = partial_sum(path, sigma, cert.cutoff)
-    if cert.exhausted:
-        return CertifiedValue(sigma, value, cert.cutoff, 0.0, EXACT)
-    radius = cert.threshold * cert.cutoff ** (-(sigma - cert.sigma0))
-    return CertifiedValue(
-        sigma, value, cert.cutoff, radius, PROBABILISTIC,
-        eta=cert.eta, sigma0=cert.sigma0,
-    )
+    signs = path.signs_up_to(cert.cutoff)
+    return _certified_values(path, [sigma], cert, signs)[0]
 
 
 def heuristic_cutoff(sigma: float) -> float:

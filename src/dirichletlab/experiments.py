@@ -38,14 +38,14 @@ from ._version import VERSION
 from .bounds import wilson_interval
 from .errors import ValidationError
 from .evaluation import (
+    _signed_sums,
+    _weights,
     excursion_probability_bound,
     partial_sum_table,
     tail_certificate,
-    _weights,
 )
 from .frequencies import make_sequence
 from .paths import SamplePath, all_plus_path
-from .summation import compensated_sum
 from .zeros import certify_no_zeros
 
 SCHEMA_VERSION = 1
@@ -339,19 +339,15 @@ def _sign_change_trial(cfg: SignChangeConfig, i: int) -> dict:
     signs = path.signs_for_indices(
         np.arange(start, start + st["max_count"], dtype=np.uint64)
     )
-    combined: list[int] = []
-    decided: list[bool] = []
-    for j, _sigma in enumerate(st["grid"]):
-        cw = st["cert_weights"][j]
-        cert_value = compensated_sum(signs[: cw.size] * cw)
-        if abs(cert_value) > st["radii"][j]:
-            combined.append(1 if cert_value > 0 else -1)
-            decided.append(True)
-        else:
-            w = st["weights"][j]
-            hv = compensated_sum(signs[: w.size] * w)
-            combined.append(1 if hv >= 0 else -1)
-            decided.append(False)
+    values = _signed_sums(signs, st["cert_weights"])
+    decided = [abs(v) > r for v, r in zip(values, st["radii"])]
+    # the heuristic sum stands in wherever the certified one is undecided;
+    # a decided value is nonzero, so one sign rule serves both
+    undecided = [j for j, d in enumerate(decided) if not d]
+    heuristic = _signed_sums(signs, (st["weights"][j] for j in undecided))
+    for j, v in zip(undecided, heuristic):
+        values[j] = v
+    combined = [1 if v >= 0 else -1 for v in values]
     m = len(combined)
     combined_counts = []
     certified_counts = []

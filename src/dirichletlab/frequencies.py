@@ -423,22 +423,6 @@ class Explicit(_SequenceOps):
         return 0.0, 0.0
 
 
-class SummatoryCache:
-    """Memoized counting function and power sums at a fixed cutoff."""
-
-    def __init__(self, seq: _SequenceOps, cutoff: float):
-        self.seq = seq
-        self.cutoff = float(cutoff)
-        self.count = seq.counting_function(cutoff)
-        self._sums: dict[float, float] = {}
-
-    def power_sum(self, sigma: float) -> float:
-        key = float(sigma)
-        if key not in self._sums:
-            self._sums[key] = self.seq.power_sum(key, self.cutoff)
-        return self._sums[key]
-
-
 # ---------------------------------------------------------------------------
 # Factory used by configs/CLI so sequences round-trip through plain strings.
 

@@ -1,4 +1,4 @@
-"""Deterministic seed-derived sign paths and their prefix sums.
+"""Deterministic seed-derived sign paths.
 
 Signs are produced by a counter-mode SplitMix64-style generator keyed by
 (master_seed, trial_index, element index), so any sign is random-access:
@@ -62,20 +62,29 @@ class SamplePath:
     def __post_init__(self):
         if self.trial_index < 0:
             raise ValidationError("trial_index must be >= 0")
+        pins: dict[int, int] = {}
         for idx, sign in self.forced:
             if sign not in (-1, 1):
                 raise ValidationError(f"forced sign for index {idx} must be +-1")
             if idx < self.seq.start_index:
                 raise ValidationError(f"forced index {idx} precedes start_index")
+            if pins.setdefault(idx, sign) != sign:
+                raise ValidationError(f"conflicting forced signs for index {idx}")
+        # sorted pin arrays, so one binary search places every pin
+        order = sorted(pins)
+        object.__setattr__(self, "_pin_index", np.array(order, dtype=np.uint64))
+        object.__setattr__(
+            self, "_pin_sign", np.array([pins[i] for i in order], dtype=np.float64)
+        )
 
     # ---- sign access --------------------------------------------------
 
     def sign_at(self, index: int) -> int:
         if index < self.seq.start_index:
             raise ValidationError(f"index {index} precedes start_index")
-        for idx, sign in self.forced:
-            if idx == index:
-                return sign
+        pos = int(np.searchsorted(self._pin_index, np.uint64(index)))
+        if pos < self._pin_index.size and int(self._pin_index[pos]) == index:
+            return int(self._pin_sign[pos])
         key = _stream_key(self.master_seed, self.trial_index)
         z = _mix64((key + index * _GAMMA) & _MASK)
         return 1 if (z >> 63) else -1
@@ -86,13 +95,11 @@ class SamplePath:
         key = np.uint64(_stream_key(self.master_seed, self.trial_index))
         z = _mix64_array(key + idx * np.uint64(_GAMMA))
         signs = (z >> np.uint64(63)).astype(np.float64) * 2.0 - 1.0
-        if self.forced and signs.size:
-            # index arrays are served in increasing order throughout the
-            # package, which makes the pin lookup a binary search
-            for fidx, fsign in self.forced:
-                pos = int(np.searchsorted(idx, np.uint64(fidx)))
-                if pos < signs.size and int(idx[pos]) == fidx:
-                    signs[pos] = float(fsign)
+        if self._pin_index.size and signs.size:
+            pos = np.searchsorted(self._pin_index, idx)
+            np.minimum(pos, self._pin_index.size - 1, out=pos)
+            hit = self._pin_index[pos] == idx
+            signs[hit] = self._pin_sign[pos[hit]]
         return signs
 
     def signs_up_to(self, cutoff: float, budget: int | None = None) -> np.ndarray:
@@ -146,39 +153,3 @@ def running_sup(
     signs = path.signs_for_indices(np.arange(start, start + elems.size, dtype=np.uint64))
     prefix = np.cumsum(signs * elems ** (-float(sigma0)))
     return float(np.max(np.abs(prefix)))
-
-
-@dataclass
-class PrefixSums:
-    """Step-function data of a path up to a cutoff.
-
-    ``sign_prefix[i]`` is the running sum of signs over elements
-    ``elements[:i+1]``; ``weighted[s][i]`` the running weighted sum with
-    weight p**-s.
-    """
-
-    cutoff: float
-    elements: np.ndarray
-    signs: np.ndarray
-    sign_prefix: np.ndarray
-    weighted: dict[float, np.ndarray]
-
-
-def prefix_sums(
-    path: SamplePath,
-    cutoff: float,
-    sigmas: tuple[float, ...] = (),
-    budget: int | None = None,
-) -> PrefixSums:
-    elems = path.seq.elements_up_to(cutoff, budget=budget)
-    signs = path.signs_up_to(cutoff, budget=budget)
-    weighted = {
-        float(s): np.cumsum(signs * elems ** (-float(s))) for s in sigmas
-    }
-    return PrefixSums(
-        cutoff=float(cutoff),
-        elements=elems,
-        signs=signs,
-        sign_prefix=np.cumsum(signs),
-        weighted=weighted,
-    )

@@ -22,7 +22,15 @@ def compensated_sum(values) -> float:
     """Sum a 1-d array of floats with compensated accumulation.
 
     Deterministic for a fixed input array regardless of worker/thread
-    count.  Accurate to a few ulps of the exact sum.
+    count.  Up to ``_CHUNK`` (2**16) terms this is ``math.fsum``, the
+    correctly rounded exact sum.  Above that, each 2**16-term chunk is
+    reduced by numpy's pairwise summation and only the chunk totals (plus
+    the exactly summed remainder) are combined by ``math.fsum``.  The error
+    is then bounded by the rounding errors of the pairwise chunk sums, not
+    by a few ulps of the exact total: numpy sums runs of up to 128 terms in
+    8 interleaved accumulators and halves pairwise above that, so each
+    chunk contributes about (16 + 9) * u * sum(|x|) over the chunk at most,
+    with u the unit roundoff.
     """
     arr = np.ascontiguousarray(values, dtype=np.float64)
     if arr.size == 0:
@@ -35,37 +43,3 @@ def compensated_sum(values) -> float:
     if tail.size:
         partials.append(math.fsum(tail.tolist()))
     return math.fsum(partials)
-
-
-def compensated_dot(x, w) -> float:
-    """Compensated sum of an elementwise product."""
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    w = np.ascontiguousarray(w, dtype=np.float64)
-    if x.shape != w.shape:
-        raise ValueError("shape mismatch in compensated_dot")
-    return compensated_sum(x * w)
-
-
-class NeumaierAccumulator:
-    """Running compensated sum for streamed scalars/segments."""
-
-    __slots__ = ("_sum", "_comp")
-
-    def __init__(self) -> None:
-        self._sum = 0.0
-        self._comp = 0.0
-
-    def add(self, value: float) -> None:
-        t = self._sum + value
-        if abs(self._sum) >= abs(value):
-            self._comp += (self._sum - t) + value
-        else:
-            self._comp += (value - t) + self._sum
-        self._sum = t
-
-    def add_array(self, values) -> None:
-        self.add(compensated_sum(values))
-
-    @property
-    def value(self) -> float:
-        return self._sum + self._comp

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 from .errors import ValidationError
 from .evaluation import (
-    CertifiedValue,
     TailCertificate,
+    _certified_values,
     evaluate,
     tail_certificate,
 )
@@ -137,10 +137,15 @@ def scan(
         sigma0 = (sigma_lo + 0.5) / 2.0 if sigma_lo > 0.5 else sigma_lo
     cert = tail_certificate(seq, sigma0, cutoff, eta_budget, head_terms=head_terms)
 
-    grid = _initial_grid(sigma_lo, sigma_hi, initial_grid)
-    signs: dict[float, int | None] = {
-        s: certified_sign(path, s, cert) for s in grid
-    }
+    # one sign vector serves every grid point of every refinement round
+    path_signs = path.signs_up_to(cert.cutoff)
+    signs: dict[float, int | None] = {}
+
+    def certify(sigmas: list[float]) -> None:
+        for cv in _certified_values(path, sigmas, cert, path_signs):
+            signs[cv.sigma] = cv.decided_sign
+
+    certify(_initial_grid(sigma_lo, sigma_hi, initial_grid))
     rounds = 0
     for rounds in range(1, max_refinement + 1):
         pts = sorted(signs)
@@ -154,8 +159,7 @@ def scan(
         if not new_points or len(signs) + len(new_points) > _MAX_GRID_POINTS:
             rounds -= 1
             break
-        for s in new_points:
-            signs[s] = certified_sign(path, s, cert)
+        certify(new_points)
 
     pts = sorted(signs)
     decided = [signs[s] for s in pts]

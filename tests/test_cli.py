@@ -96,6 +96,8 @@ def test_read_config_file_errors(tmp_path):
     p.write_text("just a line without equals\n")
     with pytest.raises(ValidationError, match="broken.cfg:1"):
         read_config_file(str(p))
+    with pytest.raises(ValidationError, match="missing.cfg"):
+        read_config_file(str(tmp_path / "missing.cfg"))
 
 
 def test_dry_run_prints_plan_without_output(tmp_path, capsys):
@@ -132,6 +134,16 @@ def test_report_subcommand(tmp_path, capsys):
     f = sorted(tmp_path.glob("exceedance_*.json"))[0]
     assert main(["report", "--input", str(f), "--out", str(tmp_path)]) == 0
     assert "kind=exceedance" in capsys.readouterr().out
+
+
+def test_report_bad_input_is_validation_error(tmp_path, capsys):
+    garbled = tmp_path / "garbled.json"
+    garbled.write_text("{not json")
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    for path in (tmp_path / "missing.json", garbled, listed):
+        assert main(["report", "--input", str(path)]) == 1
+        assert "validation error" in capsys.readouterr().err
 
 
 def test_svg_emission(tmp_path):

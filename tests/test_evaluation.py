@@ -14,6 +14,7 @@ from dirichletlab import (
     ValidationError,
     WeightedNaturals,
 )
+from dirichletlab import evaluation
 from dirichletlab.evaluation import (
     EXACT,
     HEURISTIC,
@@ -59,6 +60,19 @@ def test_partial_sum_table_consistent():
     table = partial_sum_table(path, points)
     for (s, c), v in zip(points, table):
         assert v == partial_sum(path, s, c)
+
+
+def test_weight_cache_separates_start_indices():
+    # Naturals(start_index=5) and Naturals() share a spec string; the
+    # weight cache must still never hand one of them the other's weights
+    shifted = SamplePath(Naturals(start_index=5), 1, 0)
+    evaluation._WEIGHT_CACHE.clear()
+    cold = partial_sum(shifted, 0.8, 100)
+    partial_sum(SamplePath(Naturals(), 1, 0), 0.8, 1000)
+    warm = partial_sum(shifted, 0.8, 100)
+    assert warm == cold
+    oracle = math.fsum(shifted.sign_at(i) * i ** -0.8 for i in range(5, 101))
+    assert cold == pytest.approx(oracle, abs=1e-14)
 
 
 def test_tail_certificate_second_moment_matches_zeta_oracle():

@@ -16,7 +16,6 @@ from dirichletlab import (
     make_sequence,
     sequence_spec,
 )
-from dirichletlab.frequencies import SummatoryCache
 
 from conftest import zeta_em
 
@@ -203,15 +202,6 @@ def test_make_sequence_rejects_unknown():
         make_sequence("fibonacci")
     with pytest.raises(ValidationError):
         make_sequence("weighted:abc")
-
-
-def test_summatory_cache_memoizes():
-    seq = Naturals()
-    cache = SummatoryCache(seq, 1000)
-    assert cache.count == 1000
-    v1 = cache.power_sum(1.5)
-    assert v1 == seq.power_sum(1.5, 1000)
-    assert cache.power_sum(1.5) is not None  # memo path
 
 
 @given(st.integers(1, 5000))

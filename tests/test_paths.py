@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dirichletlab import Naturals, Primes, SamplePath, ValidationError
-from dirichletlab.paths import all_plus_path, forced_path, prefix_sums, running_sup
+from dirichletlab.paths import all_plus_path, forced_path, running_sup
 
 
 def test_sign_values_and_determinism():
@@ -71,6 +71,15 @@ def test_forced_path_validation():
         SamplePath(Naturals(start_index=4), 3, 0, forced=((2, 1),))
 
 
+def test_forced_duplicates():
+    # a repeated pin with the same sign is harmless; conflicting ones have
+    # no defined winner and are rejected
+    same = SamplePath(Naturals(), 3, 0, forced=((5, 1), (5, 1)))
+    assert same.sign_at(5) == 1 and same.signs_up_to(6)[4] == 1.0
+    with pytest.raises(ValidationError, match="conflicting"):
+        SamplePath(Naturals(), 3, 0, forced=((5, 1), (7, 1), (5, -1)))
+
+
 def test_all_plus_path():
     p = all_plus_path(Naturals(), 1, 0, 50)
     assert p.signs_up_to(50).tolist() == [1.0] * 50
@@ -94,15 +103,6 @@ def test_running_sup_empty_range():
     assert running_sup(path, 0.5, 23.0, 28.0) == 0.0
 
 
-def test_prefix_sums_structure():
-    path = SamplePath(Naturals(), 4, 0)
-    ps = prefix_sums(path, 100, sigmas=(0.5, 1.0))
-    assert ps.elements.size == 100
-    assert ps.sign_prefix[-1] == pytest.approx(float(np.sum(ps.signs)))
-    manual = np.cumsum(ps.signs * ps.elements ** -1.0)
-    assert np.allclose(ps.weighted[1.0], manual)
-
-
 @given(st.integers(0, 2 ** 63 - 1), st.integers(0, 1000))
 @settings(max_examples=80, deadline=None)
 def test_property_scalar_vector_agree(seed, trial):
@@ -111,3 +111,26 @@ def test_property_scalar_vector_agree(seed, trial):
     assert path.signs_for_indices(idx).tolist() == [
         float(path.sign_at(i)) for i in range(1, 40)
     ]
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(1, 200), st.sampled_from((-1, 1))),
+        max_size=40,
+        unique_by=lambda pin: pin[0],
+    ),
+    st.integers(1, 120),
+    st.integers(0, 80),
+    st.integers(0, 2 ** 63 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_property_pinned_vector_matches_scalar(pins, lo, n, seed):
+    # pins fall below, inside and beyond [lo, lo + n) and arrive unsorted
+    path = SamplePath(Naturals(), seed, 2, forced=tuple(pins))
+    base = SamplePath(Naturals(), seed, 2)
+    pinned = dict(pins)
+    oracle = [float(pinned.get(i, base.sign_at(i))) for i in range(lo, lo + n)]
+    assert [float(path.sign_at(i)) for i in range(lo, lo + n)] == oracle
+    idx = np.arange(lo, lo + n, dtype=np.uint64)
+    assert path.signs_for_indices(idx).tolist() == oracle
+    assert path.signs_for_indices(idx[::-1]).tolist() == oracle[::-1]

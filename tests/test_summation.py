@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirichletlab.summation import NeumaierAccumulator, compensated_dot, compensated_sum
+from dirichletlab.summation import compensated_sum
 
 
 def test_matches_fsum_small():
@@ -27,22 +27,6 @@ def test_cancellation_heavy():
     big = np.full(10_000, 1e12)
     arr = np.concatenate([big, -big, np.full(10, 1e-6)])
     assert abs(compensated_sum(arr) - 1e-5) < 1e-18
-
-
-def test_dot_matches_explicit_product():
-    rng = np.random.default_rng(1)
-    x = rng.standard_normal(5000)
-    w = rng.standard_normal(5000)
-    assert abs(compensated_dot(x, w) - math.fsum((x * w).tolist())) < 1e-12
-
-
-def test_accumulator_streaming_equals_batch():
-    rng = np.random.default_rng(2)
-    x = rng.standard_normal(70_000)
-    acc = NeumaierAccumulator()
-    for chunk in np.array_split(x, 13):
-        acc.add_array(chunk)
-    assert abs(acc.value - math.fsum(x.tolist())) < 1e-9
 
 
 @given(st.lists(st.floats(-1e6, 1e6), min_size=0, max_size=200))

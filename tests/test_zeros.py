@@ -37,6 +37,22 @@ def bisect_root(f, lo, hi, iters=80):
     return 0.5 * (lo + hi)
 
 
+def test_scan_generates_signs_once(monkeypatch):
+    # every grid point and refinement round reuses one sign vector
+    calls = []
+    original = SamplePath.signs_for_indices
+
+    def counting(self, indices):
+        calls.append(len(indices))
+        return original(self, indices)
+
+    monkeypatch.setattr(SamplePath, "signs_for_indices", counting)
+    path = SamplePath(WeightedNaturals(2.0), 3, 1)
+    rep = scan(path, 0.6, 2.0, cutoff=1e4, max_refinement=4)
+    assert rep.refinement_rounds >= 1 and len(rep.sigma_grid) > 16
+    assert calls == [WeightedNaturals(2.0).counting_function(1e4)]
+
+
 def test_three_term_sign_change_brackets_bisection_oracle():
     # signs (+,-,-): f(s) = 2**-s - 3**-s - 4**-s crosses zero once
     seq = quiet_explicit([2.0, 3.0, 4.0])
