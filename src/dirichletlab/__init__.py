@@ -24,11 +24,9 @@ from .errors import (
 from .evaluation import (
     CertifiedValue,
     TailCertificate,
-    domination_certificate,
     evaluate,
     excursion_probability_bound,
     heuristic_cutoff,
-    heuristic_evaluate,
     mellin_discrepancy,
     partial_sum,
     partial_sum_table,
@@ -40,11 +38,7 @@ from .experiments import (
     ExperimentReport,
     NoZeroConfig,
     SignChangeConfig,
-    run_bu_event_experiment,
-    run_exceedance_experiment,
     run_experiment,
-    run_no_zero_experiment,
-    run_sign_change_experiment,
 )
 from .frequencies import (
     Explicit,
@@ -62,8 +56,8 @@ from .limits import (
     ks_statistic,
     variance_profile,
 )
-from .paths import SamplePath, all_plus_path, forced_path, running_sup
-from .zeros import SignScanReport, certified_sign, certify_no_zeros, scan
+from .paths import SamplePath, all_plus_path
+from .zeros import SignScanReport, certify_no_zeros, scan
 
 __all__ = [
     "__version__",
@@ -88,17 +82,13 @@ __all__ = [
     "WeightedNaturals",
     "WeightedRademacherInstance",
     "all_plus_path",
-    "certified_sign",
     "certify_no_zeros",
     "char_function",
     "clt_sample",
-    "domination_certificate",
     "evaluate",
     "exact_tail",
     "excursion_probability_bound",
-    "forced_path",
     "heuristic_cutoff",
-    "heuristic_evaluate",
     "hoeffding_bound",
     "ks_statistic",
     "levy_bound",
@@ -106,12 +96,7 @@ __all__ = [
     "mellin_discrepancy",
     "partial_sum",
     "partial_sum_table",
-    "run_bu_event_experiment",
-    "run_exceedance_experiment",
     "run_experiment",
-    "run_no_zero_experiment",
-    "run_sign_change_experiment",
-    "running_sup",
     "scan",
     "sequence_spec",
     "tail_certificate",

@@ -120,6 +120,8 @@ def _svg_polyline(xs, ys, title: str, width=640, height=400) -> str:
 # ---------------------------------------------------------------------------
 # Option tables: dest -> (cast, default, help).  Casts run on both config
 # file values and CLI strings, so file keys and flags behave identically.
+# The experiment subcommands take their defaults from the config
+# dataclasses, so a run without flags is the dataclass's default config.
 
 _COMMON = {
     "seq": (str, "naturals", "sequence spec, e.g. naturals, primes, weighted:2.0"),
@@ -146,24 +148,29 @@ _OPTIONS: dict[str, dict] = {
         "resolution": (float, 1e-3, "refinement resolution"),
     },
     "no-zeros": {
-        "seq": (str, "weighted:2.0", "sequence spec"),
-        "seed": (int, 1, "master seed"),
-        "trials": (int, 500, "Monte Carlo trials"),
-        "sigma_lo": (float, 0.6, "left endpoint of the certified half-line"),
-        "cutoff": (float, 1e5, "truncation cutoff"),
-        "eta": (float, 1e-3, "per-trial failure budget"),
-        "forced": (lambda v: str(v).lower() != "false", True,
+        "seq": (str, NoZeroConfig.seq, "sequence spec"),
+        "seed": (int, NoZeroConfig.master_seed, "master seed"),
+        "trials": (int, NoZeroConfig.trials, "Monte Carlo trials"),
+        "sigma_lo": (float, NoZeroConfig.sigma_lo,
+                     "left endpoint of the certified half-line"),
+        "cutoff": (float, NoZeroConfig.cutoff, "truncation cutoff"),
+        "eta": (float, NoZeroConfig.eta, "per-trial failure budget"),
+        "forced": (lambda v: str(v).lower() != "false",
+                   NoZeroConfig.include_forced,
                    "also run the all-plus conditioned variant"),
     },
     "sign-changes": {
-        **_COMMON,
-        "trials": (int, 200, "Monte Carlo trials"),
-        "ladder": (_floats, (0.70, 0.62, 0.56, 0.53), "descending sigma ladder"),
-        "sigma_hi": (float, 2.0, "right endpoint"),
-        "grid_points": (int, 28, "shared grid size"),
-        "cert_cutoff": (float, 1e5, "certificate cutoff"),
-        "eta": (float, 0.01, "certificate failure budget"),
-        "max_cutoff": (float, 2e7, "heuristic cutoff budget"),
+        "seq": (str, SignChangeConfig.seq, _COMMON["seq"][2]),
+        "seed": (int, SignChangeConfig.master_seed, "master seed"),
+        "trials": (int, SignChangeConfig.trials, "Monte Carlo trials"),
+        "ladder": (_floats, SignChangeConfig.ladder, "descending sigma ladder"),
+        "sigma_hi": (float, SignChangeConfig.sigma_hi, "right endpoint"),
+        "grid_points": (int, SignChangeConfig.grid_points, "shared grid size"),
+        "cert_cutoff": (float, SignChangeConfig.cert_cutoff,
+                        "certificate cutoff"),
+        "eta": (float, SignChangeConfig.eta, "certificate failure budget"),
+        "max_cutoff": (float, SignChangeConfig.heuristic_max_cutoff,
+                       "heuristic cutoff budget"),
     },
     "clt": {
         **_COMMON,
@@ -189,20 +196,22 @@ _OPTIONS: dict[str, dict] = {
         "lambdas": (int, 20, "threshold grid size per instance"),
     },
     "bu-event": {
-        "seq": (str, "weighted:2.0", "sequence spec"),
-        "seed": (int, 1, "master seed"),
-        "trials": (int, 2000, "Monte Carlo trials"),
-        "ladder": (_floats, (100.0, 1e3, 1e4, 3e4), "cutoff ladder"),
-        "horizon": (float, 1e3, "horizon factor"),
-        "threshold": (float, 0.1, "excursion threshold"),
-        "bound_counts": (lambda v: tuple(int(x) for x in _floats(v)), (),
+        "seq": (str, BuEventConfig.seq, "sequence spec"),
+        "seed": (int, BuEventConfig.master_seed, "master seed"),
+        "trials": (int, BuEventConfig.trials, "Monte Carlo trials"),
+        "ladder": (_floats, BuEventConfig.cutoff_ladder, "cutoff ladder"),
+        "horizon": (float, BuEventConfig.horizon_factor, "horizon factor"),
+        "threshold": (float, BuEventConfig.threshold, "excursion threshold"),
+        "bound_counts": (lambda v: tuple(int(x) for x in _floats(v)),
+                         BuEventConfig.bound_count_ladder,
                          "extra leading-term counts for bound-only ladder"),
     },
     "exceedance": {
-        **_COMMON,
-        "trials": (int, 1000, "Monte Carlo trials"),
-        "scales": (_floats, (100.0, 1e3, 1e4), "increasing scale list"),
-        "level": (float, 1.0, "exceedance level"),
+        "seq": (str, ExceedanceConfig.seq, _COMMON["seq"][2]),
+        "seed": (int, ExceedanceConfig.master_seed, "master seed"),
+        "trials": (int, ExceedanceConfig.trials, "Monte Carlo trials"),
+        "scales": (_floats, ExceedanceConfig.scales, "increasing scale list"),
+        "level": (float, ExceedanceConfig.level, "exceedance level"),
     },
     "report": {
         "input": (str, "", "path of a report JSON file to summarize"),

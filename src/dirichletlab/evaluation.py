@@ -1,15 +1,15 @@
 """Evaluation of the random series at real exponents with error control.
 
-Four certificate grades are produced:
+Two certificate grades are produced:
 
 * exact        -- the sequence is finite and fully summed; radius 0.
-* deterministic -- a triangle-inequality tail bound (domination).
 * probabilistic -- a maximal-inequality tail certificate: with failure
   probability at most eta over the path's randomness, simultaneously for
   every exponent above the certificate's base exponent, the truncation
   error is below threshold * cutoff**-(sigma - sigma0).
-* heuristic    -- no bound; only produced in the near-critical regime
-  where rigorous radii are vacuous, and clearly flagged.
+
+Below the certifiable range the near-critical rule ``heuristic_cutoff``
+picks a truncation scale for partial sums that carry no error bound.
 """
 
 from __future__ import annotations
@@ -19,15 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResourceBudgetError, ValidationError
+from .errors import ValidationError
 from .frequencies import FrequencySequence
 from .paths import SamplePath
 from .summation import compensated_sum
 
 EXACT = "exact"
-DETERMINISTIC = "deterministic"
 PROBABILISTIC = "probabilistic"
-HEURISTIC = "heuristic"
 
 # ---------------------------------------------------------------------------
 # Weight cache: p**-sigma arrays are path-independent and reused heavily
@@ -223,62 +221,6 @@ def heuristic_cutoff(sigma: float) -> float:
     if sigma <= 0.5:
         raise ValidationError("heuristic cutoff rule needs sigma > 1/2")
     return math.exp(1.0 / (2.0 * sigma - 1.0))
-
-
-def heuristic_evaluate(
-    path: SamplePath,
-    sigma: float,
-    min_cutoff: float = 10_000.0,
-    max_cutoff: float = 50_000_000.0,
-) -> CertifiedValue:
-    """Unbounded-error evaluation with cutoff at least the near-critical rule.
-
-    Raises ResourceBudgetError, naming the minimal feasible sigma, when the
-    rule demands more terms than max_cutoff allows.
-    """
-    rule = heuristic_cutoff(sigma)
-    if rule > max_cutoff:
-        sigma_min = 0.5 + 0.5 / math.log(max_cutoff)
-        raise ResourceBudgetError(
-            f"cutoff rule needs {rule:.3g} terms > budget {max_cutoff:.3g}; "
-            f"minimal feasible sigma is {sigma_min:.6f}"
-        )
-    cutoff = min(max(rule, min_cutoff), max_cutoff)
-    value = partial_sum(path, sigma, cutoff)
-    return CertifiedValue(sigma, value, cutoff, math.inf, HEURISTIC)
-
-
-def domination_certificate(
-    path: SamplePath,
-    sigma: float,
-    max_block: int = 4096,
-) -> int | None:
-    """Deterministic sign certificate from a leading block beating the tail.
-
-    Tests geometrically growing leading blocks; succeeds when the block's
-    partial sum exceeds the rigorous upper tail bound (valid because every
-    coefficient has modulus 1).  None means undecided, a legitimate result.
-    """
-    seq = path.seq
-    if not seq.tail_converges(sigma):
-        raise ValidationError(
-            f"domination needs absolute summability; sigma={sigma} too small"
-        )
-    start = seq.start_index
-    values = getattr(seq, "values", None)
-    n_avail = None if values is None else len(values) - start + 1
-    block = 1
-    while block <= max_block:
-        b = block if n_avail is None else min(block, n_avail)
-        cutoff = seq.element(start + b - 1)
-        s = partial_sum(path, sigma, cutoff)
-        _, tail_hi = seq.tail_power_sum(sigma, cutoff)
-        if abs(s) > tail_hi:
-            return 1 if s > 0 else -1
-        if n_avail is not None and b == n_avail:
-            break
-        block *= 2
-    return None
 
 
 def mellin_discrepancy(path: SamplePath, sigma: float, upper_limit: float) -> float:

@@ -30,7 +30,7 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -38,9 +38,11 @@ from ._version import VERSION
 from .bounds import wilson_interval
 from .errors import ValidationError
 from .evaluation import (
+    _certified_values,
     _signed_sums,
     _weights,
     excursion_probability_bound,
+    heuristic_cutoff,
     partial_sum_table,
     tail_certificate,
 )
@@ -272,11 +274,6 @@ def _aggregate_no_zero(cfg: NoZeroConfig, rows: list[dict]) -> dict:
     return agg
 
 
-def run_no_zero_experiment(cfg: NoZeroConfig, workers: int = 1) -> ExperimentReport:
-    _validate_no_zero(cfg)
-    return _run(cfg, _no_zero_trial, _aggregate_no_zero, workers)
-
-
 # ---------------------------------------------------------------------------
 # sign_change
 
@@ -300,7 +297,7 @@ def _sign_change_setup(cfg: SignChangeConfig) -> dict:
     )
     cutoffs = []
     for s in grid:
-        rule = math.exp(1.0 / (2.0 * s - 1.0))
+        rule = heuristic_cutoff(s)
         cutoffs.append(min(max(rule, cfg.heuristic_min_cutoff),
                            cfg.heuristic_max_cutoff))
     sigma0 = 0.5 + 0.5 * (sigma_min - 0.5)
@@ -309,21 +306,15 @@ def _sign_change_setup(cfg: SignChangeConfig) -> dict:
     counts = [seq.counting_function(c) for c in cutoffs]
     cert_count = seq.counting_function(cfg.cert_cutoff)
     weights = [_weights(seq, s, c) for s, c in zip(grid, cutoffs)]
-    cert_weights = [_weights(seq, s, cfg.cert_cutoff) for s in grid]
-    radii = [cert.threshold * cert.cutoff ** (-(s - cert.sigma0)) for s in grid]
     rung_start = [next(j for j, s in enumerate(grid) if s >= rv - 1e-12)
                   for rv in ladder]
     setup = {
         "seq": seq,
         "grid": grid,
-        "counts": counts,
-        "cert_count": cert_count,
         "weights": weights,
-        "cert_weights": cert_weights,
-        "radii": radii,
+        "cert": cert,
         "ladder": ladder,
         "rung_start": rung_start,
-        "eta": cert.eta,
         "max_count": max(counts + [cert_count]),
     }
     _SIGN_CHANGE_SETUP.clear()
@@ -339,15 +330,15 @@ def _sign_change_trial(cfg: SignChangeConfig, i: int) -> dict:
     signs = path.signs_for_indices(
         np.arange(start, start + st["max_count"], dtype=np.uint64)
     )
-    values = _signed_sums(signs, st["cert_weights"])
-    decided = [abs(v) > r for v, r in zip(values, st["radii"])]
-    # the heuristic sum stands in wherever the certified one is undecided;
-    # a decided value is nonzero, so one sign rule serves both
+    certified = _certified_values(path, st["grid"], st["cert"], signs)
+    combined = [cv.decided_sign for cv in certified]
+    decided = [s is not None for s in combined]
+    # the heuristic sum's sign stands in wherever the certified one is
+    # undecided
     undecided = [j for j, d in enumerate(decided) if not d]
     heuristic = _signed_sums(signs, (st["weights"][j] for j in undecided))
     for j, v in zip(undecided, heuristic):
-        values[j] = v
-    combined = [1 if v >= 0 else -1 for v in values]
+        combined[j] = 1 if v >= 0 else -1
     m = len(combined)
     combined_counts = []
     certified_counts = []
@@ -390,27 +381,24 @@ def _aggregate_sign_change(cfg: SignChangeConfig, rows: list[dict]) -> dict:
         "ladder_descending": list(st["ladder"]),
         "per_rung": per_rung,
         "mean_decided_fraction": math.fsum(r["decided_fraction"] for r in rows) / n,
-        "eta_per_trial": st["eta"],
+        "eta_per_trial": st["cert"].eta,
         "includes_heuristic_signs": True,
     }
 
 
-def run_sign_change_experiment(
-    cfg: SignChangeConfig, workers: int = 1
-) -> ExperimentReport:
+def _validate_sign_change(cfg: SignChangeConfig) -> None:
     if cfg.trials < 1:
         raise ValidationError("trials must be >= 1")
     if min(cfg.ladder) <= 0.5:
         raise ValidationError("ladder values must exceed 1/2")
     if cfg.grid_points < 2:
         raise ValidationError("grid_points must be >= 2")
-    rule = math.exp(1.0 / (2.0 * min(cfg.ladder) - 1.0))
+    rule = heuristic_cutoff(min(cfg.ladder))
     if rule > cfg.heuristic_max_cutoff:
         raise ValidationError(
             f"smallest ladder value needs cutoff {rule:.3g} > "
             f"heuristic_max_cutoff {cfg.heuristic_max_cutoff:.3g}"
         )
-    return _run(cfg, _sign_change_trial, _aggregate_sign_change, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +460,7 @@ def _aggregate_bu(cfg: BuEventConfig, rows: list[dict]) -> dict:
     return agg
 
 
-def run_bu_event_experiment(cfg: BuEventConfig, workers: int = 1) -> ExperimentReport:
+def _validate_bu(cfg: BuEventConfig) -> None:
     seq = _seq(cfg.seq)
     if cfg.trials < 1:
         raise ValidationError("trials must be >= 1")
@@ -484,7 +472,6 @@ def run_bu_event_experiment(cfg: BuEventConfig, workers: int = 1) -> ExperimentR
         raise ValidationError("threshold must be positive")
     if cfg.horizon_factor <= 1:
         raise ValidationError("horizon_factor must exceed 1")
-    return _run(cfg, _bu_trial, _aggregate_bu, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -524,41 +511,39 @@ def _aggregate_exceedance(cfg: ExceedanceConfig, rows: list[dict]) -> dict:
     }
 
 
-def run_exceedance_experiment(
-    cfg: ExceedanceConfig, workers: int = 1
-) -> ExperimentReport:
+def _validate_exceedance(cfg: ExceedanceConfig) -> None:
     if cfg.trials < 1:
         raise ValidationError("trials must be >= 1")
     if list(cfg.scales) != sorted(set(cfg.scales)):
         raise ValidationError("scales must be strictly increasing")
-    return _run(cfg, _exceedance_trial, _aggregate_exceedance, workers)
 
 
 # ---------------------------------------------------------------------------
-# Runner plumbing
+# Runner: kind -> (validate, trial, aggregate)
 
-_TRIAL_FNS = {
-    "no_zero": _no_zero_trial,
-    "sign_change": _sign_change_trial,
-    "bu_event": _bu_trial,
-    "exceedance": _exceedance_trial,
+_KINDS = {
+    "no_zero": (_validate_no_zero, _no_zero_trial, _aggregate_no_zero),
+    "sign_change": (_validate_sign_change, _sign_change_trial,
+                    _aggregate_sign_change),
+    "bu_event": (_validate_bu, _bu_trial, _aggregate_bu),
+    "exceedance": (_validate_exceedance, _exceedance_trial,
+                   _aggregate_exceedance),
 }
 
 
-def _trial_entry(args) -> dict:
-    kind, cfg, i = args
-    return _TRIAL_FNS[kind](cfg, i)
-
-
-def _run(cfg, trial_fn, aggregate_fn, workers: int) -> ExperimentReport:
+def run_experiment(cfg, workers: int = 1) -> ExperimentReport:
+    """Validate, run every trial (in a process pool when workers > 1) and
+    aggregate, dispatching on the config's kind field."""
+    validate, trial_fn, aggregate_fn = _KINDS[cfg.kind]
+    validate(cfg)
     t0 = time.monotonic()
     if workers <= 1:
         rows = [trial_fn(cfg, i) for i in range(cfg.trials)]
     else:
-        args = [(cfg.kind, cfg, i) for i in range(cfg.trials)]
         chunk = max(1, cfg.trials // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            rows = list(ex.map(_trial_entry, args, chunksize=chunk))
+            rows = list(ex.map(partial(trial_fn, cfg), range(cfg.trials),
+                               chunksize=chunk))
     agg = aggregate_fn(cfg, rows)
     cd = _config_dict(cfg)
     return ExperimentReport(
@@ -570,16 +555,3 @@ def _run(cfg, trial_fn, aggregate_fn, workers: int) -> ExperimentReport:
         aggregates=agg,
         wall_time_s=time.monotonic() - t0,
     )
-
-
-_RUNNERS = {
-    "no_zero": run_no_zero_experiment,
-    "sign_change": run_sign_change_experiment,
-    "bu_event": run_bu_event_experiment,
-    "exceedance": run_exceedance_experiment,
-}
-
-
-def run_experiment(cfg, workers: int = 1) -> ExperimentReport:
-    """Dispatch on the config's kind field."""
-    return _RUNNERS[cfg.kind](cfg, workers=workers)

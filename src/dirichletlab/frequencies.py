@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -404,6 +404,7 @@ class Explicit(_SequenceOps):
         return np.asarray(self.values, dtype=np.float64)
 
     def elements_up_to(self, cutoff: float, budget: int | None = None) -> np.ndarray:
+        _check_budget(self.counting_function(cutoff), budget)
         arr = self._array()[self.start_index - 1 :]
         return arr[arr <= cutoff]
 
@@ -433,9 +434,21 @@ def make_sequence(spec: str) -> _SequenceOps:
     """Build a sequence from a spec string.
 
     Formats: ``naturals``, ``primes``, ``weighted:<exponent>``,
-    ``explicit:v1,v2,...``, ``explicit@/path/to/file``.
+    ``explicit:v1,v2,...``, ``explicit@/path/to/file``, each optionally
+    followed by ``;start=<n>`` to serve from index n instead of the kind's
+    default start_index.
     """
     spec = spec.strip()
+    base, sep, start = spec.rpartition(";start=")
+    if sep:
+        seq = make_sequence(base)
+        try:
+            start_index = int(start)
+        except ValueError:
+            raise ValidationError(f"bad start index in {spec!r}") from None
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return replace(seq, start_index=start_index)
     if spec == "naturals":
         return Naturals()
     if spec == "primes":
@@ -467,11 +480,15 @@ def make_sequence(spec: str) -> _SequenceOps:
 def sequence_spec(seq: _SequenceOps) -> str:
     """Canonical spec string for a sequence (inverse of make_sequence)."""
     if isinstance(seq, Naturals):
-        return "naturals"
-    if isinstance(seq, Primes):
-        return "primes"
-    if isinstance(seq, WeightedNaturals):
-        return f"weighted:{seq.exponent!r}"
-    if isinstance(seq, Explicit):
-        return "explicit:" + ",".join(repr(v) for v in seq.values)
-    raise ValidationError(f"unknown sequence type {type(seq).__name__}")
+        spec = "naturals"
+    elif isinstance(seq, Primes):
+        spec = "primes"
+    elif isinstance(seq, WeightedNaturals):
+        spec = f"weighted:{seq.exponent!r}"
+    elif isinstance(seq, Explicit):
+        spec = "explicit:" + ",".join(repr(v) for v in seq.values)
+    else:
+        raise ValidationError(f"unknown sequence type {type(seq).__name__}")
+    if seq.start_index != type(seq).start_index:  # the kind's default
+        spec += f";start={seq.start_index}"
+    return spec

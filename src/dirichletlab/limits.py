@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, ResourceBudgetError, ValidationError
+from .evaluation import heuristic_cutoff
 from .frequencies import (
     DEFAULT_TAIL_HEAD_TERMS,
     DEFAULT_TERM_BUDGET,
@@ -168,7 +169,7 @@ def variance_profile(
     """
     if not 0.5 < sigma <= 1.0:
         raise ValidationError("variance profile needs 1/2 < sigma <= 1")
-    scale = math.exp(1.0 / (2.0 * sigma - 1.0))
+    scale = heuristic_cutoff(sigma)
     limit = DEFAULT_TERM_BUDGET if budget is None else budget
     count = seq.counting_function(scale) if scale < 1e18 else limit + 1
     if count > limit:

@@ -9,8 +9,7 @@ is the top bit of the mixed 64-bit word, mapped to {-1, +1}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,16 +111,6 @@ class SamplePath:
         return self.signs_for_indices(np.arange(start, start + count, dtype=np.uint64))
 
 
-def forced_path(assignment: Mapping[int, int], default: SamplePath) -> SamplePath:
-    """A path agreeing with ``assignment`` where given, ``default`` elsewhere."""
-    merged = dict(default.forced)
-    for idx, sign in assignment.items():
-        if sign not in (-1, 1):
-            raise ValidationError(f"sign for index {idx} must be -1 or +1")
-        merged[int(idx)] = int(sign)
-    return replace(default, forced=tuple(sorted(merged.items())))
-
-
 def all_plus_path(
     seq: FrequencySequence, master_seed: int, trial_index: int, cutoff: float
 ) -> SamplePath:
@@ -131,25 +120,3 @@ def all_plus_path(
     forced = tuple((i, 1) for i in range(start, start + count))
     return SamplePath(seq, master_seed, trial_index, forced=forced)
 
-
-def running_sup(
-    path: SamplePath,
-    sigma0: float,
-    from_cutoff: float,
-    to_cutoff: float,
-    budget: int | None = None,
-) -> float:
-    """max over x in (from_cutoff, to_cutoff] of |sum of X_p * p**-sigma0|.
-
-    Exact over the finite range (up to float rounding of the prefix sums).
-    """
-    if not from_cutoff < to_cutoff:
-        raise ValidationError("from_cutoff must be < to_cutoff")
-    elems = path.seq.elements_between(from_cutoff, to_cutoff, budget=budget)
-    if elems.size == 0:
-        return 0.0
-    lo_count = path.seq.counting_function(from_cutoff)
-    start = path.seq.start_index + lo_count
-    signs = path.signs_for_indices(np.arange(start, start + elems.size, dtype=np.uint64))
-    prefix = np.cumsum(signs * elems ** (-float(sigma0)))
-    return float(np.max(np.abs(prefix)))

@@ -15,23 +15,13 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
-from .evaluation import (
-    TailCertificate,
-    _certified_values,
-    evaluate,
-    tail_certificate,
-)
+from .evaluation import _certified_values, tail_certificate
 from .frequencies import Explicit, sequence_spec
 from .paths import SamplePath
 
 SCHEMA_VERSION = 1
 
 _MAX_GRID_POINTS = 20_000
-
-
-def certified_sign(path: SamplePath, sigma: float, cert: TailCertificate) -> int | None:
-    """+1 / -1 when the partial sum beats the radius, None when undecided."""
-    return evaluate(path, sigma, cert).decided_sign
 
 
 @dataclass

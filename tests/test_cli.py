@@ -4,8 +4,15 @@ import sys
 
 import pytest
 
+from dirichletlab import cli
 from dirichletlab.cli import main, read_config_file
 from dirichletlab.errors import ValidationError
+from dirichletlab.experiments import (
+    BuEventConfig,
+    ExceedanceConfig,
+    NoZeroConfig,
+    SignChangeConfig,
+)
 
 
 def run_cli(tmp_path, *args):
@@ -106,6 +113,29 @@ def test_dry_run_prints_plan_without_output(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "dry-run" in out and '"trials": 99' in out
     assert not list(tmp_path.glob("no-zeros_*"))
+
+
+@pytest.mark.parametrize("subcommand, default", [
+    ("no-zeros", NoZeroConfig()),
+    ("sign-changes", SignChangeConfig()),
+    ("bu-event", BuEventConfig()),
+    ("exceedance", ExceedanceConfig()),
+])
+def test_experiment_defaults_are_config_defaults(
+    tmp_path, monkeypatch, subcommand, default
+):
+    handed = []
+
+    class Stop(Exception):
+        pass
+
+    def fake_run(cfg, workers=1):
+        handed.append(cfg)
+        raise Stop  # the run itself is not under test
+
+    monkeypatch.setattr(cli, "run_experiment", fake_run)
+    assert run_cli(tmp_path, subcommand) == 3
+    assert handed == [default]
 
 
 def test_same_invocation_same_payload(tmp_path):

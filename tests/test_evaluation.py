@@ -17,19 +17,16 @@ from dirichletlab import (
 from dirichletlab import evaluation
 from dirichletlab.evaluation import (
     EXACT,
-    HEURISTIC,
     PROBABILISTIC,
-    domination_certificate,
     evaluate,
     excursion_probability_bound,
     heuristic_cutoff,
-    heuristic_evaluate,
     mellin_discrepancy,
     partial_sum,
     partial_sum_table,
     tail_certificate,
 )
-from dirichletlab.paths import forced_path
+from dirichletlab.limits import variance_profile
 
 from conftest import zeta_em
 
@@ -40,9 +37,9 @@ def quiet_explicit(values):
 
 def test_partial_sum_trivial_cases():
     seq = quiet_explicit([2.0, 3.0])
-    plus = forced_path({1: 1, 2: 1}, SamplePath(seq, 0, 0))
+    plus = SamplePath(seq, 0, 0, forced=((1, 1), (2, 1)))
     assert partial_sum(plus, 1.0, 10.0) == pytest.approx(1 / 2 + 1 / 3)
-    mixed = forced_path({1: 1, 2: -1}, SamplePath(seq, 0, 0))
+    mixed = SamplePath(seq, 0, 0, forced=((1, 1), (2, -1)))
     assert partial_sum(mixed, 1.0, 10.0) == pytest.approx(1 / 2 - 1 / 3)
 
 
@@ -137,38 +134,14 @@ def test_decided_sign_logic():
 
 def test_heuristic_cutoff_rule_and_budget_error():
     assert heuristic_cutoff(1.0) == pytest.approx(math.e)
-    path = SamplePath(Naturals(), 1, 0)
-    cv = heuristic_evaluate(path, 0.8)
-    assert cv.kind == HEURISTIC and cv.cutoff == 10_000.0
-    assert math.isinf(cv.error_radius)
-    with pytest.raises(ResourceBudgetError, match="minimal feasible sigma"):
-        heuristic_evaluate(path, 0.51, max_cutoff=1e6)
-
-
-def test_domination_matches_zeta_oracle():
-    # at exponent 1.8 the first term dominates: zeta(1.8) - 1 < 1
-    assert zeta_em(1.8) - 1.0 < 1.0
-    for trial in range(12):
-        path = SamplePath(Naturals(), 77, trial)
-        sign = domination_certificate(path, 1.8)
-        if sign is not None and abs(partial_sum(path, 1.8, 1.0)) == 1.0:
-            pass  # any decided sign must match a huge reference sum
-        ref = partial_sum(path, 1.8, 2_000_000)
-        if sign is not None:
-            assert sign == (1 if ref > 0 else -1)
-
-
-def test_domination_handles_finite_sequences():
-    seq = quiet_explicit([2.0, 3.0])
-    plus = forced_path({1: 1, 2: 1}, SamplePath(seq, 0, 0))
-    assert domination_certificate(plus, 1.0) == 1
-    minus = forced_path({1: -1, 2: -1}, SamplePath(seq, 0, 0))
-    assert domination_certificate(minus, 1.0) == -1
-
-
-def test_domination_requires_summability():
+    assert heuristic_cutoff(0.75) == math.exp(2.0)
     with pytest.raises(ValidationError):
-        domination_certificate(SamplePath(Naturals(), 1, 0), 0.9)
+        heuristic_cutoff(0.5)
+    # the variance profile's scale is the rule; past the budget it names
+    # the smallest exponent whose scale fits
+    assert variance_profile(Naturals(), 0.8).scale == heuristic_cutoff(0.8)
+    with pytest.raises(ResourceBudgetError, match="minimal feasible sigma"):
+        variance_profile(Naturals(), 0.51, budget=1_000_000)
 
 
 def test_mellin_identity_small():

@@ -11,7 +11,15 @@ from dirichletlab import (
     ValidationError,
     run_experiment,
 )
-from dirichletlab.experiments import config_hash, _config_dict
+from dirichletlab.evaluation import evaluate, tail_certificate
+from dirichletlab.experiments import (
+    _bu_trial,
+    _config_dict,
+    _sign_change_setup,
+    config_hash,
+)
+from dirichletlab.frequencies import make_sequence
+from dirichletlab.paths import SamplePath
 
 from conftest import normal_cdf
 
@@ -121,6 +129,24 @@ def test_sign_change_convergent_sequence_counts_stay_flat():
     assert max(means) - min(means) < 0.5
 
 
+def test_sign_change_decided_fraction_matches_evaluate():
+    cfg = SignChangeConfig(ladder=(0.9, 0.8), trials=3, grid_points=8,
+                           cert_cutoff=1e4, heuristic_max_cutoff=1e6)
+    rep = run_experiment(cfg)
+    seq = make_sequence(cfg.seq)
+    cert = tail_certificate(seq, 0.5 + 0.5 * (0.8 - 0.5), cfg.cert_cutoff,
+                            cfg.eta, head_terms=cfg.head_terms)
+    grid = _sign_change_setup(cfg)["grid"]
+    assert grid[0] == 0.8 and grid[-1] == cfg.sigma_hi
+    fractions = []
+    for row in rep.per_trial:
+        path = SamplePath(seq, cfg.master_seed, row["trial"])
+        decided = [evaluate(path, s, cert).decided_sign is not None for s in grid]
+        assert row["decided_fraction"] == sum(decided) / len(grid)
+        fractions.append(row["decided_fraction"])
+    assert 0.0 < min(fractions) < 1.0
+
+
 def test_sign_change_validation():
     with pytest.raises(ValidationError):
         run_experiment(SignChangeConfig(ladder=(0.5, 0.7), trials=1))
@@ -166,6 +192,24 @@ def test_bu_event_wilson_contains_fraction():
     rep = run_experiment(cfg)
     for row in rep.aggregates["per_cutoff"]:
         assert row["wilson_lo"] <= row["fraction"] <= row["wilson_hi"]
+
+
+def test_bu_trial_sups_match_brute_force():
+    # sup over x in (U, U*h] of |sum over U < p <= x of X_p p**-1/2|,
+    # including a cutoff whose window holds no element
+    cfg = BuEventConfig(cutoff_ladder=(1.0, 100.0), horizon_factor=2.0)
+    seq = make_sequence(cfg.seq)
+    row = _bu_trial(cfg, 2)
+    path = SamplePath(seq, cfg.master_seed, 2)
+    for u, sup in zip(cfg.cutoff_ladder, row["sups"]):
+        acc, best = 0.0, 0.0
+        for i in range(seq.start_index, seq.start_index + 200):
+            p = seq.element(i)
+            if u < p <= u * cfg.horizon_factor:
+                acc += path.sign_at(i) * p ** -0.5
+                best = max(best, abs(acc))
+        assert sup == pytest.approx(best, rel=1e-12)
+    assert row["sups"][0] == 0.0 < row["sups"][1]
 
 
 def test_bu_event_validation():

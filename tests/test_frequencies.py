@@ -58,6 +58,10 @@ def test_budget_enforced():
         Naturals().elements_up_to(1e9, budget=1000)
     with pytest.raises(ResourceBudgetError):
         Naturals().power_sum(2.0, 1e12)
+    explicit = quiet_explicit([2.0, 3.0, 5.0, 7.0])
+    assert explicit.elements_up_to(3.0, budget=2).tolist() == [2.0, 3.0]
+    with pytest.raises(ResourceBudgetError):
+        explicit.elements_up_to(7.0, budget=3)
 
 
 # ---------------------------------------------------------------------------
@@ -188,13 +192,17 @@ def test_explicit_from_file(tmp_path):
 
 @pytest.mark.parametrize(
     "spec", ["naturals", "primes", "weighted:2.0", "weighted:1.5",
-             "explicit:2.0,3.0,5.5"]
+             "explicit:2.0,3.0,5.5", "naturals;start=5", "primes;start=3",
+             "weighted:1.5;start=7", "explicit:2.0,3.0,5.5;start=2"]
 )
 def test_spec_round_trip(spec):
     seq = make_sequence(spec)
     again = make_sequence(sequence_spec(seq))
     assert type(again) is type(seq)
     assert sequence_spec(again) == sequence_spec(seq)
+    # canonical specs come back byte for byte; the suffix only when the
+    # start index is not the kind's default
+    assert again == seq and sequence_spec(seq) == spec
 
 
 def test_make_sequence_rejects_unknown():
@@ -202,6 +210,10 @@ def test_make_sequence_rejects_unknown():
         make_sequence("fibonacci")
     with pytest.raises(ValidationError):
         make_sequence("weighted:abc")
+    with pytest.raises(ValidationError):
+        make_sequence("naturals;start=x")
+    with pytest.raises(ValidationError):
+        make_sequence("explicit:2.0,3.0;start=3")
 
 
 @given(st.integers(1, 5000))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dirichletlab import Naturals, Primes, SamplePath, ValidationError
-from dirichletlab.paths import all_plus_path, forced_path, running_sup
+from dirichletlab.paths import all_plus_path
 
 
 def test_sign_values_and_determinism():
@@ -54,7 +54,7 @@ def test_normalized_sums_have_unit_variance():
 
 def test_forced_path_pins_only_requested_indices():
     base = SamplePath(Naturals(), 3, 0)
-    pinned = forced_path({5: 1, 9: -1}, base)
+    pinned = SamplePath(Naturals(), 3, 0, forced=((5, 1), (9, -1)))
     assert pinned.sign_at(5) == 1
     assert pinned.sign_at(9) == -1
     for i in (1, 2, 3, 4, 6, 7, 8, 10, 11):
@@ -64,9 +64,8 @@ def test_forced_path_pins_only_requested_indices():
 
 
 def test_forced_path_validation():
-    base = SamplePath(Naturals(), 3, 0)
     with pytest.raises(ValidationError):
-        forced_path({5: 2}, base)
+        SamplePath(Naturals(), 3, 0, forced=((5, 2),))
     with pytest.raises(ValidationError):
         SamplePath(Naturals(start_index=4), 3, 0, forced=((2, 1),))
 
@@ -86,21 +85,6 @@ def test_all_plus_path():
     # beyond the forced range the generator takes over
     tail = [p.sign_at(i) for i in range(51, 200)]
     assert -1 in tail
-
-
-def test_running_sup_matches_brute_force():
-    path = SamplePath(Naturals(), 11, 2)
-    sup = running_sup(path, 0.6, 10.0, 500.0)
-    acc, best = 0.0, 0.0
-    for i in range(11, 501):
-        acc += path.sign_at(i) * i ** -0.6
-        best = max(best, abs(acc))
-    assert sup == pytest.approx(best, rel=1e-12)
-
-
-def test_running_sup_empty_range():
-    path = SamplePath(Primes(), 1, 0)
-    assert running_sup(path, 0.5, 23.0, 28.0) == 0.0
 
 
 @given(st.integers(0, 2 ** 63 - 1), st.integers(0, 1000))

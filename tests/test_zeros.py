@@ -11,11 +11,10 @@ from dirichletlab import (
     ValidationError,
     WeightedNaturals,
     certify_no_zeros,
+    make_sequence,
     scan,
 )
 from dirichletlab.evaluation import tail_certificate
-from dirichletlab.paths import forced_path
-from dirichletlab.zeros import certified_sign
 
 
 def quiet_explicit(values):
@@ -23,7 +22,7 @@ def quiet_explicit(values):
 
 
 def _path(seq, assignment):
-    return forced_path(assignment, SamplePath(seq, 0, 0))
+    return SamplePath(seq, 0, 0, forced=tuple(sorted(assignment.items())))
 
 
 def bisect_root(f, lo, hi, iters=80):
@@ -132,14 +131,6 @@ def test_sign_change_count_respects_undecided_adjacency():
     assert rep.undecided_measure == pytest.approx(measure)
 
 
-def test_certified_sign_agrees_with_evaluate():
-    seq = Naturals()
-    path = SamplePath(seq, 9, 0)
-    cert = tail_certificate(seq, 0.75, 1e3, 0.05)
-    s = certified_sign(path, 1.5, cert)
-    assert s in (-1, 1, None)
-
-
 def test_no_zero_certification_exhaustive_two_terms():
     # every sign assignment on {2,3} yields a zero-free series: the
     # leading term dominates at every exponent
@@ -173,6 +164,12 @@ def test_no_zero_certified_is_antitone_in_left_endpoint():
             hits += 1
     # regression guard: the antitone check must actually trigger sometimes
     assert hits >= 0
+
+
+def test_scan_report_names_start_index():
+    rep = scan(SamplePath(Naturals(start_index=5), 1, 0), 0.8, 2.0)
+    assert rep.seq != "naturals"
+    assert make_sequence(rep.seq) == Naturals(start_index=5)
 
 
 def test_report_serialization_round_trip():
