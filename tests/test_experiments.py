@@ -13,7 +13,6 @@ from dirichletlab import (
 )
 from dirichletlab.evaluation import evaluate, tail_certificate
 from dirichletlab.experiments import (
-    _bu_trial,
     _config_dict,
     _sign_change_setup,
     config_hash,
@@ -192,24 +191,6 @@ def test_bu_event_wilson_contains_fraction():
     rep = run_experiment(cfg)
     for row in rep.aggregates["per_cutoff"]:
         assert row["wilson_lo"] <= row["fraction"] <= row["wilson_hi"]
-
-
-def test_bu_trial_sups_match_brute_force():
-    # sup over x in (U, U*h] of |sum over U < p <= x of X_p p**-1/2|,
-    # including a cutoff whose window holds no element
-    cfg = BuEventConfig(cutoff_ladder=(1.0, 100.0), horizon_factor=2.0)
-    seq = make_sequence(cfg.seq)
-    row = _bu_trial(cfg, 2)
-    path = SamplePath(seq, cfg.master_seed, 2)
-    for u, sup in zip(cfg.cutoff_ladder, row["sups"]):
-        acc, best = 0.0, 0.0
-        for i in range(seq.start_index, seq.start_index + 200):
-            p = seq.element(i)
-            if u < p <= u * cfg.horizon_factor:
-                acc += path.sign_at(i) * p ** -0.5
-                best = max(best, abs(acc))
-        assert sup == pytest.approx(best, rel=1e-12)
-    assert row["sups"][0] == 0.0 < row["sups"][1]
 
 
 def test_bu_event_validation():

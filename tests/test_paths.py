@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dirichletlab import Naturals, Primes, SamplePath, ValidationError
+from dirichletlab.experiments import BuEventConfig, _bu_trial
+from dirichletlab.frequencies import make_sequence
 from dirichletlab.paths import all_plus_path
 
 
@@ -85,6 +87,36 @@ def test_all_plus_path():
     # beyond the forced range the generator takes over
     tail = [p.sign_at(i) for i in range(51, 200)]
     assert -1 in tail
+
+
+def _brute_force_sup(path, seq, lo, hi, sigma0, terms):
+    # max over x in (lo, hi] of |sum over lo < p <= x of X_p p**-sigma0|
+    acc, best = 0.0, 0.0
+    for i in range(seq.start_index, seq.start_index + terms):
+        p = seq.element(i)
+        if lo < p <= hi:
+            acc += path.sign_at(i) * p ** -sigma0
+            best = max(best, abs(acc))
+    return best
+
+
+def test_running_sup_matches_brute_force():
+    # the running sup of the bu_event trial's prefix windows
+    cfg = BuEventConfig(cutoff_ladder=(10.0, 100.0), horizon_factor=2.0)
+    seq = make_sequence(cfg.seq)
+    row = _bu_trial(cfg, 2)
+    path = SamplePath(seq, cfg.master_seed, 2)
+    for u, sup in zip(cfg.cutoff_ladder, row["sups"]):
+        best = _brute_force_sup(path, seq, u, u * cfg.horizon_factor, 0.5, 200)
+        assert sup == pytest.approx(best, rel=1e-12)
+        assert sup > 0.0
+
+
+def test_running_sup_empty_range():
+    cfg = BuEventConfig(cutoff_ladder=(1.0,), horizon_factor=2.0)
+    seq = make_sequence(cfg.seq)
+    assert seq.elements_between(1.0, 2.0).size == 0
+    assert _bu_trial(cfg, 0)["sups"] == [0.0]
 
 
 @given(st.integers(0, 2 ** 63 - 1), st.integers(0, 1000))
