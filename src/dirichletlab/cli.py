@@ -34,6 +34,7 @@ from .experiments import (
     NoZeroConfig,
     SignChangeConfig,
     config_hash,
+    rows_to_csv,
     run_experiment,
 )
 from .frequencies import make_sequence
@@ -41,32 +42,15 @@ from .limits import (
     char_function,
     clt_sample,
     ks_statistic,
-    samples_to_csv,
     variance_profile,
 )
 from .paths import SamplePath
-from .zeros import certify_no_zeros, scan
-
-_SENTINEL = object()
+from .zeros import scan
 
 
-def _parse_value(text: str):
-    """Typed parse of a config-file value: bool, int, float, list, or str."""
-    t = text.strip()
-    low = t.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    if "," in t:
-        return tuple(_parse_value(x) for x in t.split(",") if x.strip())
-    for cast in (int, float):
-        try:
-            return cast(t)
-        except ValueError:
-            pass
-    return t
-
-
-def read_config_file(path: str) -> dict:
+def read_config_file(path: str) -> dict[str, str]:
+    """Raw ``key = value`` text; the subcommand's casts parse the values,
+    exactly as they parse the same values given as flags."""
     try:
         text = Path(path).read_text()
     except (OSError, ValueError) as exc:  # missing, unreadable, not text
@@ -79,14 +63,22 @@ def read_config_file(path: str) -> dict:
         if "=" not in line:
             raise ValidationError(f"{path}:{lineno}: expected 'key = value'")
         key, _, val = line.partition("=")
-        values[key.strip().replace("-", "_")] = _parse_value(val)
+        values[key.strip().replace("-", "_")] = val.strip()
     return values
 
 
-def _floats(text) -> tuple[float, ...]:
-    if isinstance(text, tuple):
-        return tuple(float(x) for x in text)
-    return tuple(float(x) for x in str(text).split(",") if x.strip())
+def _floats(text: str) -> tuple[float, ...]:
+    values = tuple(float(x) for x in text.split(",") if x.strip())
+    if not values:
+        raise ValueError("expected a comma-separated list of numbers")
+    return values
+
+
+def _count(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise ValueError("must be >= 1")
+    return n
 
 
 def _svg_polyline(xs, ys, title: str, width=640, height=400) -> str:
@@ -118,150 +110,8 @@ def _svg_polyline(xs, ys, title: str, width=640, height=400) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Option tables: dest -> (cast, default, help).  Casts run on both config
-# file values and CLI strings, so file keys and flags behave identically.
-# The experiment subcommands take their defaults from the config
-# dataclasses, so a run without flags is the dataclass's default config.
-
-_COMMON = {
-    "seq": (str, "naturals", "sequence spec, e.g. naturals, primes, weighted:2.0"),
-    "seed": (int, 1, "master seed"),
-}
-
-_OPTIONS: dict[str, dict] = {
-    "eval": {
-        **_COMMON,
-        "trial": (int, 0, "trial index"),
-        "sigma": (float, 1.0, "evaluation exponent"),
-        "sigma0": (float, 0.75, "certificate base exponent"),
-        "cutoff": (float, 1e4, "truncation cutoff"),
-        "eta": (float, 0.05, "certificate failure budget"),
-    },
-    "scan": {
-        **_COMMON,
-        "trial": (int, 0, "trial index"),
-        "sigma_lo": (float, 0.6, "left endpoint"),
-        "sigma_hi": (float, 2.0, "right endpoint"),
-        "cutoff": (float, 1e4, "truncation cutoff"),
-        "eta": (float, 0.05, "certificate failure budget"),
-        "grid": (int, 16, "initial grid points"),
-        "resolution": (float, 1e-3, "refinement resolution"),
-    },
-    "no-zeros": {
-        "seq": (str, NoZeroConfig.seq, "sequence spec"),
-        "seed": (int, NoZeroConfig.master_seed, "master seed"),
-        "trials": (int, NoZeroConfig.trials, "Monte Carlo trials"),
-        "sigma_lo": (float, NoZeroConfig.sigma_lo,
-                     "left endpoint of the certified half-line"),
-        "cutoff": (float, NoZeroConfig.cutoff, "truncation cutoff"),
-        "eta": (float, NoZeroConfig.eta, "per-trial failure budget"),
-        "forced": (lambda v: str(v).lower() != "false",
-                   NoZeroConfig.include_forced,
-                   "also run the all-plus conditioned variant"),
-    },
-    "sign-changes": {
-        "seq": (str, SignChangeConfig.seq, _COMMON["seq"][2]),
-        "seed": (int, SignChangeConfig.master_seed, "master seed"),
-        "trials": (int, SignChangeConfig.trials, "Monte Carlo trials"),
-        "ladder": (_floats, SignChangeConfig.ladder, "descending sigma ladder"),
-        "sigma_hi": (float, SignChangeConfig.sigma_hi, "right endpoint"),
-        "grid_points": (int, SignChangeConfig.grid_points, "shared grid size"),
-        "cert_cutoff": (float, SignChangeConfig.cert_cutoff,
-                        "certificate cutoff"),
-        "eta": (float, SignChangeConfig.eta, "certificate failure budget"),
-        "max_cutoff": (float, SignChangeConfig.heuristic_max_cutoff,
-                       "heuristic cutoff budget"),
-    },
-    "clt": {
-        **_COMMON,
-        "sigma": (float, 0.6, "exponent"),
-        "cutoff": (float, 1e6, "truncation cutoff"),
-        "trials": (int, 2000, "sample size"),
-    },
-    "char-fn": {
-        "seq": (str, "naturals", "sequence spec"),
-        "sigma": (float, 0.6, "exponent"),
-        "cutoff": (float, 1e6, "truncation cutoff"),
-        "t_max": (float, 1.0, "grid endpoint"),
-        "t_points": (int, 41, "grid size on [-t_max, t_max]"),
-    },
-    "variance-profile": {
-        "seq": (str, "primes", "sequence spec"),
-        "sigmas": (_floats, (0.75, 0.65, 0.6, 0.57), "exponent sweep"),
-    },
-    "inequalities": {
-        "n": (int, 16, "maximum weight count per instance"),
-        "instances": (int, 200, "random instances"),
-        "seed": (int, 1, "RNG seed for instances"),
-        "lambdas": (int, 20, "threshold grid size per instance"),
-    },
-    "bu-event": {
-        "seq": (str, BuEventConfig.seq, "sequence spec"),
-        "seed": (int, BuEventConfig.master_seed, "master seed"),
-        "trials": (int, BuEventConfig.trials, "Monte Carlo trials"),
-        "ladder": (_floats, BuEventConfig.cutoff_ladder, "cutoff ladder"),
-        "horizon": (float, BuEventConfig.horizon_factor, "horizon factor"),
-        "threshold": (float, BuEventConfig.threshold, "excursion threshold"),
-        "bound_counts": (lambda v: tuple(int(x) for x in _floats(v)),
-                         BuEventConfig.bound_count_ladder,
-                         "extra leading-term counts for bound-only ladder"),
-    },
-    "exceedance": {
-        "seq": (str, ExceedanceConfig.seq, _COMMON["seq"][2]),
-        "seed": (int, ExceedanceConfig.master_seed, "master seed"),
-        "trials": (int, ExceedanceConfig.trials, "Monte Carlo trials"),
-        "scales": (_floats, ExceedanceConfig.scales, "increasing scale list"),
-        "level": (float, ExceedanceConfig.level, "exceedance level"),
-    },
-    "report": {
-        "input": (str, "", "path of a report JSON file to summarize"),
-    },
-}
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dirichletlab",
-        description="numerical laboratory for random sign Dirichlet series",
-    )
-    parser.add_argument("--version", action="version", version=VERSION)
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, opts in _OPTIONS.items():
-        p = sub.add_parser(name)
-        p.add_argument("--config", default=None, help="flat key=value config file")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--dry-run", action="store_true")
-        p.add_argument("--csv", action="store_true", help="also write CSV extract")
-        p.add_argument("--svg", action="store_true", help="also write an SVG chart")
-        for dest, (_cast, _default, help_text) in opts.items():
-            p.add_argument(
-                "--" + dest.replace("_", "-"), dest=dest, default=None,
-                help=help_text,
-            )
-    return parser
-
-
-def _resolve(args: argparse.Namespace) -> dict:
-    """defaults < config file < explicit flags, all run through the casts."""
-    opts = _OPTIONS[args.subcommand]
-    values = {dest: default for dest, (_c, default, _h) in opts.items()}
-    if args.config:
-        for key, val in read_config_file(args.config).items():
-            if key not in opts:
-                raise ValidationError(
-                    f"unknown config key {key!r} for {args.subcommand}"
-                )
-            values[key] = opts[key][0](val)
-    for dest in opts:
-        flag = getattr(args, dest, None)
-        if flag is not None:
-            values[dest] = opts[dest][0](flag)
-    return values
-
-
-# ---------------------------------------------------------------------------
-# Subcommand bodies.  Each returns (summary, payload, extra_files, ok).
+# Subcommand bodies.  Each takes the resolved option values and the worker
+# count and returns (summary, payload, extra_files, ok).
 
 
 def _cmd_eval(v, workers):
@@ -299,41 +149,7 @@ def _cmd_scan(v, workers):
         f"sign changes, undecided measure {rep.undecided_measure:.3g}, "
         f"eta={rep.eta_total:g}"
     )
-    extra = {}
-    return summary, rep.to_dict(), extra, True
-
-
-def _cmd_no_zeros(v, workers):
-    cfg = NoZeroConfig(
-        seq=v["seq"], sigma_lo=v["sigma_lo"], cutoff=v["cutoff"],
-        eta=v["eta"], trials=v["trials"], master_seed=v["seed"],
-        include_forced=v["forced"],
-    )
-    rep = run_experiment(cfg, workers=workers)
-    c = rep.aggregates["certified"]
-    summary = (
-        f"no-zeros: certified {c['count']}/{c['trials']} "
-        f"(Wilson [{c['wilson_lo']:.4f}, {c['wilson_hi']:.4f}])"
-    )
-    return summary, rep.payload_dict(), {"csv": rep.per_trial_csv()}, True
-
-
-def _cmd_sign_changes(v, workers):
-    cfg = SignChangeConfig(
-        seq=v["seq"], ladder=v["ladder"], sigma_hi=v["sigma_hi"],
-        trials=v["trials"], master_seed=v["seed"],
-        grid_points=v["grid_points"], cert_cutoff=v["cert_cutoff"],
-        eta=v["eta"], heuristic_max_cutoff=v["max_cutoff"],
-    )
-    rep = run_experiment(cfg, workers=workers)
-    means = [r["mean_count"] for r in rep.aggregates["per_rung"]]
-    sigmas = [r["sigma"] for r in rep.aggregates["per_rung"]]
-    summary = "sign-changes mean counts: " + ", ".join(
-        f"sigma={s:g}: {m:.3f}" for s, m in zip(sigmas, means)
-    )
-    extra = {"csv": rep.per_trial_csv()}
-    extra["svg"] = _svg_polyline(sigmas, means, "mean sign-change count vs sigma")
-    return summary, rep.payload_dict(), extra, True
+    return summary, rep.to_dict(), {}, True
 
 
 def _cmd_clt(v, workers):
@@ -348,63 +164,48 @@ def _cmd_clt(v, workers):
         "sample_var": float(np.var(samples)),
     }
     summary = f"clt: n={v['trials']}, KS distance to N(0,1) = {ks:.4f}"
-    return summary, payload, {"csv": samples_to_csv(samples)}, True
+    csv = rows_to_csv([{"sample": float(x)} for x in samples])
+    return summary, payload, {"csv": csv}, True
 
 
 def _cmd_char_fn(v, workers):
     seq = make_sequence(v["seq"])
-    ts = np.linspace(-v["t_max"], v["t_max"], v["t_points"])
-    rows = []
-    for t in ts:
-        phi = char_function(seq, v["sigma"], float(t), v["cutoff"])
-        rows.append((float(t), phi, math.exp(-0.5 * float(t) ** 2)))
-    gap = max(abs(p - g) for _, p, g in rows)
+    grid = []
+    for t in np.linspace(-v["t_max"], v["t_max"], v["t_points"]):
+        t = float(t)
+        phi = char_function(seq, v["sigma"], t, v["cutoff"])
+        grid.append({"t": t, "phi": phi, "gaussian": math.exp(-0.5 * t ** 2)})
+    gap = max(abs(r["phi"] - r["gaussian"]) for r in grid)
     payload = {
         "kind": "char_fn",
         "config": v,
         "sup_gap_to_gaussian": gap,
-        "grid": [{"t": t, "phi": p, "gaussian": g} for t, p, g in rows],
+        "grid": grid,
     }
-    csv = "t,phi,gaussian\n" + "\n".join(
-        f"{t!r},{p!r},{g!r}" for t, p, g in rows
-    ) + "\n"
-    svg = _svg_polyline([r[0] for r in rows], [r[1] for r in rows],
+    svg = _svg_polyline([r["t"] for r in grid], [r["phi"] for r in grid],
                         f"char fn, sigma={v['sigma']:g}")
     summary = f"char-fn: sup |phi - gaussian| = {gap:.5f} on |t| <= {v['t_max']:g}"
-    return summary, payload, {"csv": csv, "svg": svg}, True
+    return summary, payload, {"csv": rows_to_csv(grid), "svg": svg}, True
 
 
 def _cmd_variance_profile(v, workers):
     seq = make_sequence(v["seq"])
-    rows = []
-    for s in v["sigmas"]:
-        prof = variance_profile(seq, s)
-        rows.append(prof)
+    profiles = [variance_profile(seq, s) for s in v["sigmas"]]
+    rows = [{k: getattr(p, k) for k in ("sigma", "scale", "head_variance",
+                                        "tail_variance_lo", "tail_variance_hi")}
+            for p in profiles]
     payload = {
         "kind": "variance_profile",
         "config": v,
-        "profiles": [
-            {
-                "sigma": p.sigma,
-                "scale": p.scale,
-                "head_count": p.head_count,
-                "head_variance": p.head_variance,
-                "tail_variance_lo": p.tail_variance_lo,
-                "tail_variance_hi": p.tail_variance_hi,
-            }
-            for p in rows
-        ],
+        "profiles": [{**r, "head_count": p.head_count}
+                     for r, p in zip(rows, profiles)],
     }
-    csv = "sigma,scale,head_variance,tail_variance_lo,tail_variance_hi\n" + \
-        "\n".join(
-            f"{p.sigma!r},{p.scale!r},{p.head_variance!r},"
-            f"{p.tail_variance_lo!r},{p.tail_variance_hi!r}"
-            for p in rows
-        ) + "\n"
-    svg = _svg_polyline([p.sigma for p in rows], [p.head_variance for p in rows],
+    csv = rows_to_csv(rows)
+    svg = _svg_polyline([p.sigma for p in profiles],
+                        [p.head_variance for p in profiles],
                         "head variance vs sigma")
     summary = "variance-profile: " + ", ".join(
-        f"V({p.sigma:g})={p.head_variance:.4f}" for p in rows
+        f"V({p.sigma:g})={p.head_variance:.4f}" for p in profiles
     )
     return summary, payload, {"csv": csv, "svg": svg}, True
 
@@ -439,35 +240,6 @@ def _cmd_inequalities(v, workers):
     return summary, payload, {}, ok
 
 
-def _cmd_bu_event(v, workers):
-    cfg = BuEventConfig(
-        seq=v["seq"], cutoff_ladder=v["ladder"], horizon_factor=v["horizon"],
-        threshold=v["threshold"], trials=v["trials"], master_seed=v["seed"],
-        bound_count_ladder=v["bound_counts"],
-    )
-    rep = run_experiment(cfg, workers=workers)
-    parts = [
-        f"U={r['cutoff']:g}: freq {r['fraction']:.4f} vs bound {r['bound']:.4f}"
-        for r in rep.aggregates["per_cutoff"]
-    ]
-    summary = "bu-event: " + "; ".join(parts)
-    return summary, rep.payload_dict(), {"csv": rep.per_trial_csv()}, True
-
-
-def _cmd_exceedance(v, workers):
-    cfg = ExceedanceConfig(
-        seq=v["seq"], scales=v["scales"], level=v["level"],
-        trials=v["trials"], master_seed=v["seed"],
-    )
-    rep = run_experiment(cfg, workers=workers)
-    last = rep.aggregates["cumulative"][-1]
-    summary = (
-        f"exceedance: level {cfg.level:g}, fraction {last['fraction']:.4f} "
-        f"using all {last['scales_used']} scales"
-    )
-    return summary, rep.payload_dict(), {"csv": rep.per_trial_csv()}, True
-
-
 def _cmd_report(v, workers):
     if not v["input"]:
         raise ValidationError("report needs --input pointing at a report file")
@@ -483,19 +255,179 @@ def _cmd_report(v, workers):
     return summary, None, {}, True
 
 
-_COMMANDS = {
-    "eval": _cmd_eval,
-    "scan": _cmd_scan,
-    "no-zeros": _cmd_no_zeros,
-    "sign-changes": _cmd_sign_changes,
-    "clt": _cmd_clt,
-    "char-fn": _cmd_char_fn,
-    "variance-profile": _cmd_variance_profile,
-    "inequalities": _cmd_inequalities,
-    "bu-event": _cmd_bu_event,
-    "exceedance": _cmd_exceedance,
-    "report": _cmd_report,
+# ---------------------------------------------------------------------------
+# The subcommand table: name -> (options, body), options dest -> (cast,
+# default, help).  Casts run on config-file text and flag text alike, so
+# file keys and flags behave identically.
+
+
+def _experiment(cls, rows: dict, summarize, chart=None):
+    """(options, body) of an experiment subcommand from rows flag ->
+    (config field, cast, help).  Defaults are the dataclass's, so a run
+    without flags is its default config; the body runs ``cls(**fields)``
+    and summarizes the aggregates in one line (and, given ``chart``, an
+    SVG)."""
+    options = {flag: (cast, getattr(cls, name), help_text)
+               for flag, (name, cast, help_text) in rows.items()}
+
+    def body(v, workers):
+        cfg = cls(**{name: v[flag] for flag, (name, _c, _h) in rows.items()})
+        rep = run_experiment(cfg, workers=workers)
+        extra = {"csv": rep.per_trial_csv()}
+        if chart is not None:
+            extra["svg"] = chart(rep.aggregates)
+        return summarize(rep.aggregates), rep.payload_dict(), extra, True
+
+    return options, body
+
+
+_SEQ_HELP = "sequence spec, e.g. naturals, primes, weighted:2.0"
+
+_COMMON = {
+    "seq": (str, "naturals", _SEQ_HELP),
+    "seed": (int, 1, "master seed"),
 }
+
+_SUBCOMMANDS: dict[str, tuple[dict, object]] = {
+    "eval": ({
+        **_COMMON,
+        "trial": (int, 0, "trial index"),
+        "sigma": (float, 1.0, "evaluation exponent"),
+        "sigma0": (float, 0.75, "certificate base exponent"),
+        "cutoff": (float, 1e4, "truncation cutoff"),
+        "eta": (float, 0.05, "certificate failure budget"),
+    }, _cmd_eval),
+    "scan": ({
+        **_COMMON,
+        "trial": (int, 0, "trial index"),
+        "sigma_lo": (float, 0.6, "left endpoint"),
+        "sigma_hi": (float, 2.0, "right endpoint"),
+        "cutoff": (float, 1e4, "truncation cutoff"),
+        "eta": (float, 0.05, "certificate failure budget"),
+        "grid": (int, 16, "initial grid points"),
+        "resolution": (float, 1e-3, "refinement resolution"),
+    }, _cmd_scan),
+    "no-zeros": _experiment(NoZeroConfig, {
+        "seq": ("seq", str, "sequence spec"),
+        "seed": ("master_seed", int, "master seed"),
+        "trials": ("trials", int, "Monte Carlo trials"),
+        "sigma_lo": ("sigma_lo", float,
+                     "left endpoint of the certified half-line"),
+        "cutoff": ("cutoff", float, "truncation cutoff"),
+        "eta": ("eta", float, "per-trial failure budget"),
+        "forced": ("include_forced", lambda v: v.lower() != "false",
+                   "also run the all-plus conditioned variant"),
+    }, lambda agg: "no-zeros: certified {count}/{trials} (Wilson [{wilson_lo:.4f}, "
+                   "{wilson_hi:.4f}])".format(**agg["certified"])),
+    "sign-changes": _experiment(SignChangeConfig, {
+        "seq": ("seq", str, _SEQ_HELP),
+        "seed": ("master_seed", int, "master seed"),
+        "trials": ("trials", int, "Monte Carlo trials"),
+        "ladder": ("ladder", _floats, "descending sigma ladder"),
+        "sigma_hi": ("sigma_hi", float, "right endpoint"),
+        "grid_points": ("grid_points", int, "shared grid size"),
+        "cert_cutoff": ("cert_cutoff", float, "certificate cutoff"),
+        "eta": ("eta", float, "certificate failure budget"),
+        "max_cutoff": ("heuristic_max_cutoff", float, "heuristic cutoff budget"),
+    }, lambda agg: "sign-changes mean counts: " + ", ".join(
+        "sigma={sigma:g}: {mean_count:.3f}".format(**r) for r in agg["per_rung"]
+    ), lambda agg: _svg_polyline([r["sigma"] for r in agg["per_rung"]],
+                                 [r["mean_count"] for r in agg["per_rung"]],
+                                 "mean sign-change count vs sigma")),
+    "clt": ({
+        **_COMMON,
+        "sigma": (float, 0.6, "exponent"),
+        "cutoff": (float, 1e6, "truncation cutoff"),
+        "trials": (int, 2000, "sample size"),
+    }, _cmd_clt),
+    "char-fn": ({
+        "seq": (str, "naturals", "sequence spec"),
+        "sigma": (float, 0.6, "exponent"),
+        "cutoff": (float, 1e6, "truncation cutoff"),
+        "t_max": (float, 1.0, "grid endpoint"),
+        "t_points": (_count, 41, "grid size on [-t_max, t_max]"),
+    }, _cmd_char_fn),
+    "variance-profile": ({
+        "seq": (str, "primes", "sequence spec"),
+        "sigmas": (_floats, (0.75, 0.65, 0.6, 0.57), "exponent sweep"),
+    }, _cmd_variance_profile),
+    "inequalities": ({
+        "n": (_count, 16, "maximum weight count per instance"),
+        "instances": (int, 200, "random instances"),
+        "seed": (int, 1, "RNG seed for instances"),
+        "lambdas": (int, 20, "threshold grid size per instance"),
+    }, _cmd_inequalities),
+    "bu-event": _experiment(BuEventConfig, {
+        "seq": ("seq", str, "sequence spec"),
+        "seed": ("master_seed", int, "master seed"),
+        "trials": ("trials", int, "Monte Carlo trials"),
+        "ladder": ("cutoff_ladder", _floats, "cutoff ladder"),
+        "horizon": ("horizon_factor", float, "horizon factor"),
+        "threshold": ("threshold", float, "excursion threshold"),
+        "bound_counts": ("bound_count_ladder",
+                         lambda v: tuple(int(float(x)) for x in v.split(",")
+                                         if x.strip()),
+                         "extra leading-term counts for bound-only ladder"),
+    }, lambda agg: "bu-event: " + "; ".join(
+        "U={cutoff:g}: freq {fraction:.4f} vs bound {bound:.4f}".format(**r)
+        for r in agg["per_cutoff"]
+    )),
+    "exceedance": _experiment(ExceedanceConfig, {
+        "seq": ("seq", str, _SEQ_HELP),
+        "seed": ("master_seed", int, "master seed"),
+        "trials": ("trials", int, "Monte Carlo trials"),
+        "scales": ("scales", _floats, "increasing scale list"),
+        "level": ("level", float, "exceedance level"),
+    }, lambda agg: "exceedance: level {level:g}, fraction {fraction:.4f} using all "
+                   "{scales_used} scales".format(level=agg["level"],
+                                                 **agg["cumulative"][-1])),
+    "report": ({
+        "input": (str, "", "path of a report JSON file to summarize"),
+    }, _cmd_report),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="dirichletlab",
+        description="numerical laboratory for random sign Dirichlet series",
+    )
+    parser.add_argument("--version", action="version", version=VERSION)
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (opts, _body) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name)
+        p.add_argument("--config", default=None, help="flat key=value config file")
+        p.add_argument("--out", default=None, help="output directory")
+        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--dry-run", action="store_true")
+        p.add_argument("--csv", action="store_true", help="also write CSV extract")
+        p.add_argument("--svg", action="store_true", help="also write an SVG chart")
+        for dest, (_cast, _default, help_text) in opts.items():
+            p.add_argument(
+                "--" + dest.replace("_", "-"), dest=dest, default=None,
+                help=help_text,
+            )
+    return parser
+
+
+def _resolve(args: argparse.Namespace) -> dict:
+    """defaults < config file < explicit flags; file and flag text both go
+    through the option's cast, and a failed cast names its key."""
+    opts = _SUBCOMMANDS[args.subcommand][0]
+    given = read_config_file(args.config) if args.config else {}
+    given.update((dest, getattr(args, dest)) for dest in opts
+                 if getattr(args, dest) is not None)
+    values = {dest: default for dest, (_c, default, _h) in opts.items()}
+    for key, text in given.items():
+        if key not in opts:
+            raise ValidationError(
+                f"unknown config key {key!r} for {args.subcommand}"
+            )
+        try:
+            values[key] = opts[key][0](text)
+        except ValueError as exc:
+            raise ValidationError(f"bad value {text!r} for {key}: {exc}") from None
+    return values
 
 
 def main(argv=None) -> int:
@@ -512,7 +444,7 @@ def main(argv=None) -> int:
             plan = json.dumps(values, sort_keys=True, default=list)
             print(f"dry-run {args.subcommand}: {plan}")
             return 0
-        summary, payload, extra, ok = _COMMANDS[args.subcommand](
+        summary, payload, extra, ok = _SUBCOMMANDS[args.subcommand][1](
             values, args.workers
         )
         if payload is not None:
@@ -523,10 +455,9 @@ def main(argv=None) -> int:
                 json.dumps(payload, sort_keys=True, separators=(",", ":"),
                            default=list) + "\n"
             )
-            if args.csv and "csv" in extra:
-                base.with_suffix(".csv").write_text(extra["csv"])
-            if args.svg and "svg" in extra:
-                base.with_suffix(".svg").write_text(extra["svg"])
+            for ext in ("csv", "svg"):
+                if getattr(args, ext) and ext in extra:
+                    base.with_suffix("." + ext).write_text(extra[ext])
         print(summary)
         return 0 if ok else 1
     except ValidationError as exc:

@@ -29,7 +29,8 @@ PROBABILISTIC = "probabilistic"
 
 # ---------------------------------------------------------------------------
 # Weight cache: p**-sigma arrays are path-independent and reused heavily
-# across Monte Carlo trials.  Bounded by total float count, per process.
+# across Monte Carlo trials.  Bounded by total float count, per process;
+# the oldest entries are evicted first.
 # Keyed on the frozen sequence itself, so sequences that differ only in
 # start_index never share an array.
 
@@ -48,8 +49,7 @@ def _weights(seq: FrequencySequence, sigma: float, cutoff: float,
     w = elems ** (-float(sigma))
     total = sum(a.size for a in _WEIGHT_CACHE.values()) + w.size
     while total > _WEIGHT_CACHE_LIMIT and _WEIGHT_CACHE:
-        _, dropped = _WEIGHT_CACHE.popitem()
-        total -= dropped.size
+        total -= _WEIGHT_CACHE.pop(next(iter(_WEIGHT_CACHE))).size
     if w.size <= _WEIGHT_CACHE_LIMIT:
         _WEIGHT_CACHE[key] = w
     return w

@@ -29,7 +29,7 @@ import math
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache, partial
 
 import numpy as np
@@ -64,6 +64,29 @@ def _canonical_json(obj) -> str:
 
 def config_hash(config_dict: dict) -> str:
     return hashlib.sha256(_canonical_json(config_dict).encode()).hexdigest()
+
+
+def rows_to_csv(rows: list[dict]) -> str:
+    """CSV of dict rows: columns in first-seen key order, floats as repr,
+    list cells as quoted canonical JSON, missing cells empty."""
+    cols: list[str] = []
+    for row in rows:
+        for k in row:
+            if k not in cols:
+                cols.append(k)
+    lines = [",".join(cols)]
+    for row in rows:
+        cells = []
+        for k in cols:
+            v = row.get(k, "")
+            if isinstance(v, (list, tuple)):
+                cells.append('"' + _canonical_json(list(v)) + '"')
+            elif isinstance(v, float):
+                cells.append(repr(v))
+            else:
+                cells.append(str(v))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
 
 
 def _config_dict(cfg) -> dict:
@@ -153,16 +176,9 @@ class ExperimentReport:
 
     def payload_dict(self) -> dict:
         """Everything except wall time: the reproducible part."""
-        return {
-            "kind": self.kind,
-            "schema_version": self.schema_version,
-            "code_version": self.code_version,
-            "config": self.config,
-            "config_hash": self.config_hash,
-            "master_seed": self.master_seed,
-            "per_trial": self.per_trial,
-            "aggregates": self.aggregates,
-        }
+        payload = asdict(self)
+        del payload["wall_time_s"]
+        return payload
 
     def payload_json(self) -> str:
         return _canonical_json(self.payload_dict())
@@ -171,24 +187,7 @@ class ExperimentReport:
         return hashlib.sha256(self.payload_json().encode()).hexdigest()
 
     def per_trial_csv(self) -> str:
-        cols: list[str] = []
-        for row in self.per_trial:
-            for k in row:
-                if k not in cols:
-                    cols.append(k)
-        lines = [",".join(cols)]
-        for row in self.per_trial:
-            cells = []
-            for k in cols:
-                v = row.get(k, "")
-                if isinstance(v, (list, tuple)):
-                    cells.append('"' + _canonical_json(list(v)) + '"')
-                elif isinstance(v, float):
-                    cells.append(repr(v))
-                else:
-                    cells.append(str(v))
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+        return rows_to_csv(self.per_trial)
 
 
 def _fraction_entry(successes: int, trials: int, confidence: float = 0.95) -> dict:
@@ -278,13 +277,8 @@ def _aggregate_no_zero(cfg: NoZeroConfig, rows: list[dict]) -> dict:
 # sign_change
 
 
-_SIGN_CHANGE_SETUP: dict[SignChangeConfig, dict] = {}
-
-
+@lru_cache(maxsize=1)
 def _sign_change_setup(cfg: SignChangeConfig) -> dict:
-    setup = _SIGN_CHANGE_SETUP.get(cfg)
-    if setup is not None:
-        return setup
     seq = _seq(cfg.seq)
     ladder = sorted(cfg.ladder, reverse=True)
     sigma_min = ladder[-1]
@@ -308,7 +302,7 @@ def _sign_change_setup(cfg: SignChangeConfig) -> dict:
     weights = [_weights(seq, s, c) for s, c in zip(grid, cutoffs)]
     rung_start = [next(j for j, s in enumerate(grid) if s >= rv - 1e-12)
                   for rv in ladder]
-    setup = {
+    return {
         "seq": seq,
         "grid": grid,
         "weights": weights,
@@ -317,9 +311,6 @@ def _sign_change_setup(cfg: SignChangeConfig) -> dict:
         "rung_start": rung_start,
         "max_count": max(counts + [cert_count]),
     }
-    _SIGN_CHANGE_SETUP.clear()
-    _SIGN_CHANGE_SETUP[cfg] = setup
-    return setup
 
 
 def _sign_change_trial(cfg: SignChangeConfig, i: int) -> dict:

@@ -198,10 +198,3 @@ def variance_profile(
         truncated_second_moment=second,
         second_moment_cutoff=float(second_moment_cutoff),
     )
-
-
-def samples_to_csv(samples: np.ndarray) -> str:
-    """One normalized draw per line with a header, for external plotting."""
-    lines = ["sample"]
-    lines.extend(repr(float(x)) for x in samples)
-    return "\n".join(lines) + "\n"

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .errors import ValidationError
 from .evaluation import _certified_values, tail_certificate
@@ -47,25 +47,7 @@ class SignScanReport:
     kind: str = field(default="sign_scan")
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "schema_version": self.schema_version,
-            "seq": self.seq,
-            "master_seed": self.master_seed,
-            "trial_index": self.trial_index,
-            "sigma_lo": self.sigma_lo,
-            "sigma_hi": self.sigma_hi,
-            "sigma_grid": self.sigma_grid,
-            "decided_signs": self.decided_signs,
-            "sign_changes": self.sign_changes,
-            "undecided_measure": self.undecided_measure,
-            "no_zero_certified": self.no_zero_certified,
-            "eta_total": self.eta_total,
-            "certificate": self.certificate,
-            "refinement_rounds": self.refinement_rounds,
-            "resolution": self.resolution,
-            "domination_sigma": self.domination_sigma,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -70,6 +72,20 @@ def test_exit_codes(tmp_path, capsys):
                    "--sigmas", "0.505") == 2
     # unknown flag -> validation, not resource
     assert main(["eval", "--bogus-flag"]) == 1
+    capsys.readouterr()
+    # malformed or out-of-range values -> validation naming the key
+    for args in (
+        ["exceedance", "--trials", "abc"],
+        ["exceedance", "--trials", "2.7"],
+        ["char-fn", "--t-points", "0"],
+        ["inequalities", "--n", "0"],
+        ["variance-profile", "--sigmas", ""],
+    ):
+        assert run_cli(tmp_path, *args) == 1
+        key = args[1][2:].replace("-", "_")
+        assert f"validation error: bad value {args[2]!r} for {key}" in (
+            capsys.readouterr().err
+        )
 
 
 def test_config_file_and_flag_override(tmp_path, capsys):
@@ -90,6 +106,45 @@ def test_config_file_and_flag_override(tmp_path, capsys):
     assert data["config"]["trials"] == 5  # flag wins
     assert data["config"]["level"] == 1.5  # file wins over default
     assert data["config"]["scales"] == [100.0, 1000.0]
+
+
+# one non-default text value per option of any subcommand
+_OPTION_TEXT = {
+    "seq": "explicit:1,2,3", "seed": "7", "trial": "3", "trials": "9",
+    "sigma": "0.9", "sigma0": "0.8", "sigma_lo": "0.7", "sigma_hi": "1.5",
+    "cutoff": "5000", "cert_cutoff": "4000", "max_cutoff": "1e6",
+    "eta": "0.02", "grid": "8", "grid_points": "12", "resolution": "0.01",
+    "forced": "false", "ladder": "0.8,0.7", "scales": "10,100",
+    "sigmas": "0.9,0.8", "t_max": "2", "t_points": "5", "n": "4",
+    "instances": "3", "lambdas": "5", "horizon": "10", "threshold": "0.5",
+    "bound_counts": "1,2", "level": "0.5", "input": "report.json",
+}
+
+
+@pytest.mark.parametrize("subcommand", list(cli._SUBCOMMANDS))
+def test_config_file_and_flags_parse_alike(tmp_path, capsys, subcommand):
+    opts = cli._SUBCOMMANDS[subcommand][0]
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("".join(f"{key} = {_OPTION_TEXT[key]}\n" for key in opts))
+    flags = [x for key in opts
+             for x in ("--" + key.replace("_", "-"), _OPTION_TEXT[key])]
+    plans = []
+    for args in (["--config", str(cfg)], flags, []):
+        assert main([subcommand, "--dry-run", *args]) == 0
+        plans.append(capsys.readouterr().out)
+    assert plans[0] == plans[1] != plans[2]
+
+
+def test_config_file_values_are_not_retyped(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("seq = explicit:1,2,3\n")
+    assert run_cli(tmp_path, "eval", "--config", str(cfg)) == 0
+    assert only_json(tmp_path, "eval")["config"]["seq"] == "explicit:1,2,3"
+    cfg.write_text("trials = 2.7\n")  # rejected, not truncated to 2
+    assert run_cli(tmp_path, "exceedance", "--config", str(cfg)) == 1
+    assert "validation error: bad value '2.7' for trials" in (
+        capsys.readouterr().err
+    )
 
 
 def test_config_file_rejects_unknown_key(tmp_path, capsys):
@@ -187,9 +242,12 @@ def test_svg_emission(tmp_path):
 
 
 def test_console_script_version():
+    # the child imports the package this test imported, installed or not
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-m", "dirichletlab.cli", "--version"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert out.returncode == 0
     assert out.stdout.strip() == "0.1.0"

@@ -72,6 +72,14 @@ def test_weight_cache_separates_start_indices():
     assert cold == pytest.approx(oracle, abs=1e-14)
 
 
+def test_weight_cache_evicts_oldest(monkeypatch):
+    monkeypatch.setattr(evaluation, "_WEIGHT_CACHE", {})
+    monkeypatch.setattr(evaluation, "_WEIGHT_CACHE_LIMIT", 2500)
+    for sigma in (0.6, 0.7, 0.8, 0.9):  # 1000 weights each
+        evaluation._weights(Naturals(), sigma, 1000)
+    assert [s for _, s in evaluation._WEIGHT_CACHE] == [0.8, 0.9]
+
+
 def test_tail_certificate_second_moment_matches_zeta_oracle():
     # doubled exponent 1.5 beyond cutoff 10**3 on the naturals
     cert = tail_certificate(Naturals(), 0.75, 1e3, 0.05)

@@ -16,6 +16,7 @@ from dirichletlab.experiments import (
     _config_dict,
     _sign_change_setup,
     config_hash,
+    rows_to_csv,
 )
 from dirichletlab.frequencies import make_sequence
 from dirichletlab.paths import SamplePath
@@ -236,3 +237,11 @@ def test_per_trial_csv_shape():
     lines = csv.strip().split("\n")
     assert lines[0].split(",")[0] == "trial"
     assert len(lines) == 6
+
+
+def test_rows_to_csv_round_trip():
+    samples = [0.25, -1.5, 3.0]
+    csv = rows_to_csv([{"sample": x} for x in samples])
+    lines = csv.strip().split("\n")
+    assert lines[0] == "sample"
+    assert [float(x) for x in lines[1:]] == samples

@@ -14,7 +14,7 @@ from dirichletlab import (
     ks_statistic,
     variance_profile,
 )
-from dirichletlab.limits import char_function_gaussian_gap, normal_cdf, samples_to_csv
+from dirichletlab.limits import char_function_gaussian_gap, normal_cdf
 
 from conftest import normal_cdf as oracle_cdf
 
@@ -137,11 +137,3 @@ def test_variance_profile_validation():
         variance_profile(Naturals(), 0.5)
     with pytest.raises(ValidationError):
         variance_profile(Naturals(), 1.2)
-
-
-def test_samples_to_csv_round_trip():
-    arr = np.array([0.25, -1.5, 3.0])
-    csv = samples_to_csv(arr)
-    lines = csv.strip().split("\n")
-    assert lines[0] == "sample"
-    assert [float(x) for x in lines[1:]] == arr.tolist()
