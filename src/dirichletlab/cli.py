@@ -81,6 +81,21 @@ def _count(text: str) -> int:
     return n
 
 
+def _whole_numbers(text: str) -> tuple[int, ...]:
+    """Comma-separated whole numbers; float notation such as 1e3 is fine."""
+    values = tuple(float(x) for x in text.split(",") if x.strip())
+    if not all(v.is_integer() for v in values):
+        raise ValueError("expected whole numbers")
+    return tuple(int(v) for v in values)
+
+
+def _bool(text: str) -> bool:
+    value = text.lower()
+    if value not in ("true", "false"):
+        raise ValueError("expected true or false")
+    return value == "true"
+
+
 def _svg_polyline(xs, ys, title: str, width=640, height=400) -> str:
     """Self-contained SVG line chart, enough for a sigma sweep."""
     pad = 50
@@ -315,7 +330,7 @@ _SUBCOMMANDS: dict[str, tuple[dict, object]] = {
                      "left endpoint of the certified half-line"),
         "cutoff": ("cutoff", float, "truncation cutoff"),
         "eta": ("eta", float, "per-trial failure budget"),
-        "forced": ("include_forced", lambda v: v.lower() != "false",
+        "forced": ("include_forced", _bool,
                    "also run the all-plus conditioned variant"),
     }, lambda agg: "no-zeros: certified {count}/{trials} (Wilson [{wilson_lo:.4f}, "
                    "{wilson_hi:.4f}])".format(**agg["certified"])),
@@ -364,9 +379,7 @@ _SUBCOMMANDS: dict[str, tuple[dict, object]] = {
         "ladder": ("cutoff_ladder", _floats, "cutoff ladder"),
         "horizon": ("horizon_factor", float, "horizon factor"),
         "threshold": ("threshold", float, "excursion threshold"),
-        "bound_counts": ("bound_count_ladder",
-                         lambda v: tuple(int(float(x)) for x in v.split(",")
-                                         if x.strip()),
+        "bound_counts": ("bound_count_ladder", _whole_numbers,
                          "extra leading-term counts for bound-only ladder"),
     }, lambda agg: "bu-event: " + "; ".join(
         "U={cutoff:g}: freq {fraction:.4f} vs bound {bound:.4f}".format(**r)

@@ -6,6 +6,14 @@ sigma > 1.  Three built-in families are served (naturals, primes, and
 log-weighted naturals whose reciprocal sum converges), plus arbitrary
 explicit finite sequences loaded from text files.
 
+Each kind supplies two primitives over its own 1-based numbering:
+``_values(first, count)``, elements first .. first+count-1 as float64
+(fewer, or none, past the end of a finite sequence), and ``_count_leq(x)``,
+the number of elements <= x counted from index 1.  The base class derives
+``element``, ``counting_function``, ``elements_up_to`` and
+``next_elements`` from them once, so every operation maps indices to values
+by the same rule; ``start_index`` only decides which elements are served.
+
 All operations are pure and deterministic; sequence objects are immutable
 and safe to share across threads and worker processes.
 """
@@ -36,34 +44,60 @@ def _check_budget(count: int, budget: int | None) -> None:
 
 
 class _SequenceOps:
-    """Shared summatory operations; concrete kinds fill in the primitives."""
+    """Operations derived from each kind's two primitives (module docstring)."""
+
+    start_index: int
+
+    def __post_init__(self):
+        if self.start_index < 1:
+            raise ValidationError("start_index must be >= 1")
 
     # ---- primitives implemented by each kind -------------------------
 
-    def element(self, index: int) -> float:
+    def _values(self, first: int, count: int) -> np.ndarray:
         raise NotImplementedError
+
+    def _count_leq(self, x: float) -> int:
+        raise NotImplementedError
+
+    def tail_converges(self, sigma: float) -> bool:
+        raise NotImplementedError
+
+    def _remainder_enclosure(
+        self, sigma: float, head: np.ndarray
+    ) -> tuple[float, float]:
+        raise NotImplementedError
+
+    # ---- derived operations ------------------------------------------
+
+    def element(self, index: int) -> float:
+        if index < self.start_index:
+            raise ValidationError(f"index {index} precedes start_index")
+        values = self._values(index, 1)
+        if values.size == 0:
+            raise ValidationError(f"sequence exhausted before index {index}")
+        return float(values[0])
 
     def counting_function(self, x: float) -> int:
-        raise NotImplementedError
+        """Number of served elements <= x."""
+        return max(0, self._count_leq(x) - self.start_index + 1)
 
     def elements_up_to(self, cutoff: float, budget: int | None = None) -> np.ndarray:
-        raise NotImplementedError
+        n = self.counting_function(cutoff)
+        _check_budget(n, budget)
+        return self._values(self.start_index, n)
 
     def next_elements(self, cutoff: float, count: int) -> np.ndarray:
         """The next ``count`` served elements strictly above ``cutoff``.
 
         May return fewer for finite sequences.
         """
-        raise NotImplementedError
-
-    def tail_converges(self, sigma: float) -> bool:
-        raise NotImplementedError
+        first = max(self._count_leq(cutoff) + 1, self.start_index)
+        return self._values(first, count)
 
     @property
     def reciprocal_sum_converges(self) -> bool:
-        raise NotImplementedError
-
-    # ---- derived operations ------------------------------------------
+        return self.tail_converges(1.0)
 
     def elements_between(
         self, lo: float, hi: float, budget: int | None = None
@@ -109,11 +143,6 @@ class _SequenceOps:
         rem_lo, rem_hi = self._remainder_enclosure(sigma, head)
         return (head_sum + rem_lo, head_sum + rem_hi)
 
-    def _remainder_enclosure(
-        self, sigma: float, head: np.ndarray
-    ) -> tuple[float, float]:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class Naturals(_SequenceOps):
@@ -121,35 +150,14 @@ class Naturals(_SequenceOps):
 
     start_index: int = 1
 
-    def __post_init__(self):
-        if self.start_index < 1:
-            raise ValidationError("start_index must be >= 1")
-
-    def element(self, index: int) -> float:
-        if index < self.start_index:
-            raise ValidationError(f"index {index} precedes start_index")
-        return float(index)
-
-    def counting_function(self, x: float) -> int:
-        if x < self.start_index:
-            return 0
-        return int(math.floor(x)) - self.start_index + 1
-
-    def elements_up_to(self, cutoff: float, budget: int | None = None) -> np.ndarray:
-        n = self.counting_function(cutoff)
-        _check_budget(n, budget)
-        return np.arange(self.start_index, self.start_index + n, dtype=np.float64)
-
-    def next_elements(self, cutoff: float, count: int) -> np.ndarray:
-        first = max(int(math.floor(cutoff)) + 1, self.start_index)
+    def _values(self, first, count):
         return np.arange(first, first + count, dtype=np.float64)
+
+    def _count_leq(self, x):
+        return max(0, int(math.floor(x)))
 
     def tail_converges(self, sigma: float) -> bool:
         return sigma > 1.0
-
-    @property
-    def reciprocal_sum_converges(self) -> bool:
-        return False
 
     def _remainder_enclosure(self, sigma, head):
         n2 = head[-1]  # last exactly-summed integer
@@ -164,35 +172,14 @@ class Primes(_SequenceOps):
 
     start_index: int = 1
 
-    def __post_init__(self):
-        if self.start_index < 1:
-            raise ValidationError("start_index must be >= 1")
+    def _values(self, first, count):
+        return sieve.primes_slice(first, count).astype(np.float64)
 
-    def element(self, index: int) -> float:
-        if index < self.start_index:
-            raise ValidationError(f"index {index} precedes start_index")
-        return float(sieve.nth_prime(index))
-
-    def counting_function(self, x: float) -> int:
-        return max(0, sieve.prime_count(x) - self.start_index + 1)
-
-    def elements_up_to(self, cutoff: float, budget: int | None = None) -> np.ndarray:
-        total = sieve.prime_count(cutoff)
-        n = max(0, total - self.start_index + 1)
-        _check_budget(n, budget)
-        primes = sieve.primes_up_to(int(math.floor(cutoff)))
-        return primes[self.start_index - 1 :].astype(np.float64)
-
-    def next_elements(self, cutoff: float, count: int) -> np.ndarray:
-        global_idx = max(sieve.prime_count(cutoff), self.start_index - 1)
-        return sieve.primes_slice(global_idx + 1, count).astype(np.float64)
+    def _count_leq(self, x):
+        return sieve.prime_count(x)
 
     def tail_converges(self, sigma: float) -> bool:
         return sigma > 1.0
-
-    @property
-    def reciprocal_sum_converges(self) -> bool:
-        return False
 
     def _remainder_enclosure(self, sigma, head):
         # Chebyshev-type bounds: x/log x < pi(x) < 1.26 x/log x, the lower
@@ -227,27 +214,22 @@ class WeightedNaturals(_SequenceOps):
     def __post_init__(self):
         if not self.exponent > 1.0:
             raise ValidationError("weighted-naturals exponent must be > 1")
-        if self.start_index < 1:
-            raise ValidationError("start_index must be >= 1")
-        if self._value(self.start_index) < 1.0:
+        super().__post_init__()
+        if self.element(self.start_index) < 1.0:
             raise ValidationError(
                 "first served element falls below 1; raise start_index"
             )
 
-    def _value(self, n: int) -> float:
-        return n * math.log(n + 1) ** self.exponent
+    def _values(self, first, count):
+        idx = np.arange(first, first + count, dtype=np.float64)
+        return idx * np.log(idx + 1.0) ** self.exponent
 
     def _log_value(self, n: int) -> float:
         return math.log(n) + self.exponent * math.log(math.log(n + 1))
 
-    def element(self, index: int) -> float:
-        if index < self.start_index:
-            raise ValidationError(f"index {index} precedes start_index")
-        return self._value(index)
-
-    def _last_underlying_leq(self, x) -> int:
+    def _count_leq(self, x):
         """Largest n with n*log(n+1)**a <= x; 0 if none.  Handles huge x."""
-        if x < self._value(1):
+        if x < math.log(2.0) ** self.exponent:  # the n=1 element
             return 0
         # ulp-scale slack so an element exactly equal to x still counts;
         # consecutive elements are far wider apart than this at any n the
@@ -267,28 +249,8 @@ class WeightedNaturals(_SequenceOps):
                 hi = mid
         return lo
 
-    def counting_function(self, x: float) -> int:
-        if x < 1:
-            return 0
-        return max(0, self._last_underlying_leq(x) - self.start_index + 1)
-
-    def elements_up_to(self, cutoff: float, budget: int | None = None) -> np.ndarray:
-        n = self.counting_function(cutoff)
-        _check_budget(n, budget)
-        idx = np.arange(self.start_index, self.start_index + n, dtype=np.float64)
-        return idx * np.log(idx + 1.0) ** self.exponent
-
-    def next_elements(self, cutoff: float, count: int) -> np.ndarray:
-        first = max(self._last_underlying_leq(cutoff) + 1, self.start_index)
-        idx = np.arange(first, first + count, dtype=np.float64)
-        return idx * np.log(idx + 1.0) ** self.exponent
-
     def tail_converges(self, sigma: float) -> bool:
         return sigma >= 1.0
-
-    @property
-    def reciprocal_sum_converges(self) -> bool:
-        return True
 
     def _remainder_enclosure(self, sigma, head):
         a = self.exponent
@@ -351,8 +313,12 @@ class Explicit(_SequenceOps):
             if prev is not None and v <= prev:
                 raise ValidationError(f"element {i + 1} breaks strict increase")
             prev = v
-        if self.start_index < 1 or self.start_index > len(self.values):
+        super().__post_init__()
+        if self.start_index > len(self.values):
             raise ValidationError("start_index out of range")
+        array = np.array(self.values, dtype=np.float64)
+        array.flags.writeable = False  # slices of it are served as views
+        object.__setattr__(self, "_array", array)
         if not self._quiet:
             warnings.warn(
                 "explicit sequences are accepted as-is; the abscissa-of-"
@@ -386,38 +352,13 @@ class Explicit(_SequenceOps):
             raise ValidationError(f"{path}: no elements found")
         return cls(tuple(values))
 
-    def element(self, index: int) -> float:
-        if index < self.start_index:
-            raise ValidationError(f"index {index} precedes start_index")
-        if index > len(self.values):
-            raise ValidationError(
-                f"explicit sequence exhausted: index {index} > {len(self.values)}"
-            )
-        return float(self.values[index - 1])
+    def _values(self, first, count):
+        return self._array[first - 1 : first - 1 + count]
 
-    def counting_function(self, x: float) -> int:
-        arr = self._array()
-        total = int(np.searchsorted(arr, x, side="right"))
-        return max(0, total - self.start_index + 1)
-
-    def _array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=np.float64)
-
-    def elements_up_to(self, cutoff: float, budget: int | None = None) -> np.ndarray:
-        _check_budget(self.counting_function(cutoff), budget)
-        arr = self._array()[self.start_index - 1 :]
-        return arr[arr <= cutoff]
-
-    def next_elements(self, cutoff: float, count: int) -> np.ndarray:
-        arr = self._array()[self.start_index - 1 :]
-        arr = arr[arr > cutoff]
-        return arr[:count]
+    def _count_leq(self, x):
+        return int(np.searchsorted(self._array, x, side="right"))
 
     def tail_converges(self, sigma: float) -> bool:
-        return True  # finite
-
-    @property
-    def reciprocal_sum_converges(self) -> bool:
         return True  # finite
 
     def _remainder_enclosure(self, sigma, head):

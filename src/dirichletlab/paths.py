@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResourceBudgetError, ValidationError
-from .frequencies import DEFAULT_TERM_BUDGET, FrequencySequence
+from .errors import ValidationError
+from .frequencies import FrequencySequence, _check_budget
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -104,9 +104,7 @@ class SamplePath:
     def signs_up_to(self, cutoff: float, budget: int | None = None) -> np.ndarray:
         """Signs of all served elements <= cutoff, in element order."""
         count = self.seq.counting_function(cutoff)
-        limit = DEFAULT_TERM_BUDGET if budget is None else budget
-        if count > limit:
-            raise ResourceBudgetError(f"{count} signs exceed budget {limit}")
+        _check_budget(count, budget)
         start = self.seq.start_index
         return self.signs_for_indices(np.arange(start, start + count, dtype=np.uint64))
 

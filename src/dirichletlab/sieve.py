@@ -75,21 +75,19 @@ def nth_prime(n: int) -> int:
     """The n-th prime, 1-indexed (nth_prime(1) == 2)."""
     if n < 1:
         raise ValueError("prime index must be >= 1")
-    # Rosser-Schoenfeld style upper bound, valid for n >= 6.
-    if n < 6:
-        return [2, 3, 5, 7, 11][n - 1]
-    bound = int(n * (math.log(n) + math.log(math.log(n)))) + 10
-    with _lock:
-        _extend(bound)
-        while _primes.size < n:
-            bound *= 2
-            _extend(bound)
-        return int(_primes[n - 1])
+    return int(primes_slice(n, 1)[0])
 
 
 def primes_slice(first_index: int, count: int) -> np.ndarray:
-    """``count`` consecutive primes starting at 1-based ``first_index``."""
+    """``count`` consecutive primes starting at 1-based ``first_index``.
+
+    The cache is extended only while it holds fewer primes than needed."""
     last = first_index + count - 1
-    nth_prime(last)  # grow cache
+    # Rosser-Schoenfeld upper bound on the m-th prime, valid for m >= 6.
+    m = max(last, 6)
+    bound = int(m * (math.log(m) + math.log(math.log(m)))) + 10
     with _lock:
+        while _primes.size < last:
+            _extend(bound)
+            bound *= 2
         return _primes[first_index - 1 : last]

@@ -80,6 +80,8 @@ def test_exit_codes(tmp_path, capsys):
         ["char-fn", "--t-points", "0"],
         ["inequalities", "--n", "0"],
         ["variance-profile", "--sigmas", ""],
+        ["no-zeros", "--forced", "no"],
+        ["bu-event", "--bound-counts", "2.7"],
     ):
         assert run_cli(tmp_path, *args) == 1
         key = args[1][2:].replace("-", "_")
@@ -168,6 +170,11 @@ def test_dry_run_prints_plan_without_output(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "dry-run" in out and '"trials": 99' in out
     assert not list(tmp_path.glob("no-zeros_*"))
+    # the strict casts still take every valid spelling
+    assert run_cli(tmp_path, "no-zeros", "--forced", "FALSE", "--dry-run") == 0
+    assert '"forced": false' in capsys.readouterr().out
+    assert run_cli(tmp_path, "bu-event", "--bound-counts", "1e3", "--dry-run") == 0
+    assert '"bound_counts": [1000]' in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("subcommand, default", [

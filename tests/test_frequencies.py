@@ -11,6 +11,7 @@ from dirichletlab import (
     Naturals,
     Primes,
     ResourceBudgetError,
+    SamplePath,
     ValidationError,
     WeightedNaturals,
     make_sequence,
@@ -62,6 +63,8 @@ def test_budget_enforced():
     assert explicit.elements_up_to(3.0, budget=2).tolist() == [2.0, 3.0]
     with pytest.raises(ResourceBudgetError):
         explicit.elements_up_to(7.0, budget=3)
+    with pytest.raises(ResourceBudgetError):
+        SamplePath(Naturals(), 1, 0).signs_up_to(1e9, budget=1000)
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +187,38 @@ def test_explicit_from_file(tmp_path):
     dec.write_text("3.0\n2.0\n")
     with pytest.raises(ValidationError, match="dec.txt:2"):
         Explicit.from_file(dec)
+
+
+# ---------------------------------------------------------------------------
+# One index <-> value rule for every kind
+
+
+_EXPLICIT_SPEC = "explicit:" + ",".join(str(1.5 * k * k) for k in range(1, 41))
+
+
+@pytest.mark.parametrize(
+    "spec", ["naturals", "primes", "weighted:2.0", "weighted:3.0",
+             _EXPLICIT_SPEC, "primes;start=3", "weighted:3.0;start=5"]
+)
+def test_element_counting_and_slicing_agree(spec):
+    seq = make_sequence(spec)  # quiet for explicit specs
+    start = seq.start_index
+    last = len(seq.values) if isinstance(seq, Explicit) else start + 299
+    for i in range(start, last + 1):
+        x = seq.element(i)
+        assert seq.elements_up_to(x)[-1] == x  # bit-equal
+        assert seq.counting_function(x) == i - start + 1
+    everything = seq.elements_up_to(seq.element(last) * 2.0)
+    for c in (0.5, seq.element(start), seq.element(start + 7) + 0.25,
+              seq.element(last - 3)):
+        for k in (1, 5, 16):
+            expected = everything[everything > c][:k]
+            assert np.array_equal(seq.next_elements(c, k), expected)
+    with pytest.raises(ValidationError):
+        seq.element(start - 1)
+    if isinstance(seq, Explicit):
+        with pytest.raises(ValidationError):
+            seq.element(last + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -31,3 +31,15 @@ def test_nth_prime(small_primes):
 def test_primes_slice(small_primes):
     got = sieve.primes_slice(10, 7).tolist()
     assert got == small_primes[9:16]
+
+
+def test_cold_cache_serves_small_indices_and_reuses_the_cache(
+    monkeypatch, small_primes
+):
+    monkeypatch.setattr(sieve, "_primes", np.empty(0, dtype=np.int64))
+    monkeypatch.setattr(sieve, "_sieved_to", 1)
+    assert sieve.primes_slice(1, 3).tolist() == [2, 3, 5]
+    sieve.primes_up_to(10_000)
+    extent = sieve._sieved_to
+    assert sieve.nth_prime(1229) == small_primes[1228]  # the last prime <= 10**4
+    assert sieve._sieved_to == extent
