@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .frequencies import FrequencySequence
+from .frequencies import FrequencySequence, _check_budget
 from .paths import SamplePath
-from .summation import compensated_sum
+from .summation import _CHUNK
 
 EXACT = "exact"
 PROBABILISTIC = "probabilistic"
@@ -33,6 +33,8 @@ PROBABILISTIC = "probabilistic"
 # the oldest entries are evicted first.
 # Keyed on the frozen sequence itself, so sequences that differ only in
 # start_index never share an array.
+# A plain module-level dict without a lock: each worker process fills its
+# own, and it is not safe to share between threads.
 
 _WEIGHT_CACHE: dict[tuple[FrequencySequence, float], np.ndarray] = {}
 _WEIGHT_CACHE_LIMIT = 120_000_000
@@ -40,7 +42,11 @@ _WEIGHT_CACHE_LIMIT = 120_000_000
 
 def _weights(seq: FrequencySequence, sigma: float, cutoff: float,
              budget: int | None = None) -> np.ndarray:
+    """``p**-sigma`` over the served elements ``p <= cutoff``, through the
+    per-process ``_WEIGHT_CACHE``, which has no lock and so is not
+    thread-safe.  ``budget`` is checked on hits and misses alike."""
     count = seq.counting_function(cutoff)
+    _check_budget(count, budget)
     key = (seq, float(sigma))
     cached = _WEIGHT_CACHE.get(key)
     if cached is not None and cached.size >= count:
@@ -55,15 +61,38 @@ def _weights(seq: FrequencySequence, sigma: float, cutoff: float,
     return w
 
 
-def _signed_sums(signs: np.ndarray, weights) -> list[float]:
-    """Compensated sum of ``signs * w`` over the leading ``w.size`` signs,
-    for each weight array ``w`` (taken one at a time from any iterable).
+def _signed_sums(source: SamplePath | np.ndarray, weights) -> list[float]:
+    """``compensated_sum(signs[:w.size] * w)`` for each weight array ``w``,
+    bit for bit, where ``signs`` are the signs of ``source``.
 
-    The one kernel behind every partial sum: a path's sign vector is
-    generated once and evaluated at as many exponents and cutoffs as
-    needed.
+    The one kernel behind every partial sum.  ``source`` is a path, whose
+    signs are streamed ``_CHUNK`` at a time and never held in full, or a
+    sign vector generated once by a caller that evaluates it many times.
+    Each product is formed one chunk at a time, and its partials are those
+    of ``compensated_sum``: ``fsum`` of the whole product up to ``_CHUNK``
+    terms; above that, numpy's pairwise sum of each full chunk and ``fsum``
+    of the remainder; ``fsum`` over the partials.  The loop calls numpy and
+    ``math.fsum`` directly, so one sum is not one ``compensated_sum`` call.
     """
-    return [compensated_sum(signs[: w.size] * w) for w in weights]
+    weights = list(weights)
+    count = max((w.size for w in weights), default=0)
+    if isinstance(source, np.ndarray):
+        chunks = ((lo, source[lo:lo + _CHUNK]) for lo in range(0, count, _CHUNK))
+    else:
+        chunks = source._sign_chunks(count, _CHUNK)
+    partials: list[list[float]] = [[] for _ in weights]
+    prod = np.empty(min(count, _CHUNK))
+    for lo, signs in chunks:
+        for w, parts in zip(weights, partials):
+            m = min(w.size - lo, _CHUNK)
+            if m <= 0:
+                continue
+            np.multiply(signs[:m], w[lo:lo + m], out=prod[:m])
+            if m == _CHUNK and w.size > _CHUNK:
+                parts.append(float(prod.sum()))
+            else:
+                parts.append(math.fsum(prod[:m].tolist()))
+    return [math.fsum(parts) for parts in partials]
 
 
 # ---------------------------------------------------------------------------
@@ -157,9 +186,7 @@ def partial_sum(
     deterministic for fixed inputs regardless of worker count."""
     if cutoff < 1:
         raise ValidationError("cutoff must be >= 1")
-    w = _weights(path.seq, sigma, cutoff, budget=budget)
-    signs = path.signs_up_to(cutoff, budget=budget)
-    return _signed_sums(signs, [w])[0]
+    return _signed_sums(path, [_weights(path.seq, sigma, cutoff, budget=budget)])[0]
 
 
 def partial_sum_table(
@@ -168,22 +195,22 @@ def partial_sum_table(
     budget: int | None = None,
 ) -> list[float]:
     """Partial sums for many (sigma, cutoff) pairs, sharing one sign pass."""
-    if not points:
-        return []
-    max_cutoff = max(c for _, c in points)
-    signs = path.signs_up_to(max_cutoff, budget=budget)
     return _signed_sums(
-        signs, (_weights(path.seq, s, c, budget=budget) for s, c in points)
+        path, [_weights(path.seq, s, c, budget=budget) for s, c in points]
     )
 
 
 def _certified_values(
-    path: SamplePath, sigmas: list[float], cert: TailCertificate, signs: np.ndarray
+    path: SamplePath,
+    sigmas: list[float],
+    cert: TailCertificate,
+    signs: np.ndarray | None = None,
 ) -> list[CertifiedValue]:
-    """``evaluate`` at each exponent in ``sigmas`` from one sign vector.
+    """``evaluate`` at each exponent in ``sigmas`` in one pass over the signs.
 
-    ``signs`` are the path's signs up to at least ``cert.cutoff``, so a
-    caller evaluating many exponents generates them once.
+    ``signs``, if given, are the path's signs up to at least
+    ``cert.cutoff``, so a caller evaluating many batches generates them
+    once; otherwise they are streamed from ``path``.
     """
     for sigma in sigmas:
         if sigma < cert.sigma0:
@@ -192,9 +219,10 @@ def _certified_values(
             )
     if cert.cutoff < 1:
         raise ValidationError("cutoff must be >= 1")
-    weights = (_weights(path.seq, s, cert.cutoff) for s in sigmas)
+    weights = [_weights(path.seq, s, cert.cutoff) for s in sigmas]
+    source = path if signs is None else signs
     out = []
-    for sigma, value in zip(sigmas, _signed_sums(signs, weights)):
+    for sigma, value in zip(sigmas, _signed_sums(source, weights)):
         if cert.exhausted:
             out.append(CertifiedValue(sigma, value, cert.cutoff, 0.0, EXACT))
             continue
@@ -212,8 +240,7 @@ def evaluate(path: SamplePath, sigma: float, cert: TailCertificate) -> Certified
     The radius is threshold * cutoff**-(sigma - sigma0); the truncation
     identity behind it carries implied constant exactly 1.
     """
-    signs = path.signs_up_to(cert.cutoff)
-    return _certified_values(path, [sigma], cert, signs)[0]
+    return _certified_values(path, [sigma], cert)[0]
 
 
 def heuristic_cutoff(sigma: float) -> float:

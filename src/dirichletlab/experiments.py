@@ -297,8 +297,6 @@ def _sign_change_setup(cfg: SignChangeConfig) -> dict:
     sigma0 = 0.5 + 0.5 * (sigma_min - 0.5)
     cert = tail_certificate(seq, sigma0, cfg.cert_cutoff, cfg.eta,
                             head_terms=cfg.head_terms)
-    counts = [seq.counting_function(c) for c in cutoffs]
-    cert_count = seq.counting_function(cfg.cert_cutoff)
     weights = [_weights(seq, s, c) for s, c in zip(grid, cutoffs)]
     rung_start = [next(j for j, s in enumerate(grid) if s >= rv - 1e-12)
                   for rv in ladder]
@@ -309,25 +307,21 @@ def _sign_change_setup(cfg: SignChangeConfig) -> dict:
         "cert": cert,
         "ladder": ladder,
         "rung_start": rung_start,
-        "max_count": max(counts + [cert_count]),
     }
 
 
 def _sign_change_trial(cfg: SignChangeConfig, i: int) -> dict:
     st = _sign_change_setup(cfg)
-    seq = st["seq"]
-    path = SamplePath(seq, cfg.master_seed, i)
-    start = seq.start_index
-    signs = path.signs_for_indices(
-        np.arange(start, start + st["max_count"], dtype=np.uint64)
-    )
-    certified = _certified_values(path, st["grid"], st["cert"], signs)
+    path = SamplePath(st["seq"], cfg.master_seed, i)
+    # both passes stream the path's signs: the certified one stops at the
+    # certificate cutoff, the heuristic one at the longest undecided sum
+    certified = _certified_values(path, st["grid"], st["cert"])
     combined = [cv.decided_sign for cv in certified]
     decided = [s is not None for s in combined]
     # the heuristic sum's sign stands in wherever the certified one is
     # undecided
     undecided = [j for j, d in enumerate(decided) if not d]
-    heuristic = _signed_sums(signs, (st["weights"][j] for j in undecided))
+    heuristic = _signed_sums(path, [st["weights"][j] for j in undecided])
     for j, v in zip(undecided, heuristic):
         combined[j] = 1 if v >= 0 else -1
     m = len(combined)

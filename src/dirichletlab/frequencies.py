@@ -13,6 +13,8 @@ the number of elements <= x counted from index 1.  The base class derives
 ``element``, ``counting_function``, ``elements_up_to`` and
 ``next_elements`` from them once, so every operation maps indices to values
 by the same rule; ``start_index`` only decides which elements are served.
+Every cutoff reaches ``_count_leq`` through one check that rejects
+infinite and NaN values.
 
 All operations are pure and deterministic; sequence objects are immutable
 and safe to share across threads and worker processes.
@@ -78,9 +80,15 @@ class _SequenceOps:
             raise ValidationError(f"sequence exhausted before index {index}")
         return float(values[0])
 
+    def _finite_count_leq(self, x: float) -> int:
+        """``_count_leq`` behind the check that every cutoff passes."""
+        if not math.isfinite(x):
+            raise ValidationError(f"cutoff must be finite, got {x}")
+        return self._count_leq(x)
+
     def counting_function(self, x: float) -> int:
         """Number of served elements <= x."""
-        return max(0, self._count_leq(x) - self.start_index + 1)
+        return max(0, self._finite_count_leq(x) - self.start_index + 1)
 
     def elements_up_to(self, cutoff: float, budget: int | None = None) -> np.ndarray:
         n = self.counting_function(cutoff)
@@ -92,7 +100,7 @@ class _SequenceOps:
 
         May return fewer for finite sequences.
         """
-        first = max(self._count_leq(cutoff) + 1, self.start_index)
+        first = max(self._finite_count_leq(cutoff) + 1, self.start_index)
         return self._values(first, count)
 
     @property

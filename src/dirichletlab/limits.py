@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, ResourceBudgetError, ValidationError
-from .evaluation import heuristic_cutoff
+from .evaluation import _signed_sums, heuristic_cutoff
 from .frequencies import (
     DEFAULT_TAIL_HEAD_TERMS,
     DEFAULT_TERM_BUDGET,
@@ -115,8 +115,7 @@ def clt_sample(
     out = np.empty(trials, dtype=np.float64)
     for i in range(trials):
         path = SamplePath(seq, master_seed, i)
-        signs = path.signs_up_to(cutoff, budget=budget)
-        out[i] = compensated_sum(signs * w) / sd
+        out[i] = _signed_sums(path, [w])[0] / sd
     return out
 
 

@@ -19,6 +19,10 @@ from .frequencies import FrequencySequence, _check_budget
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _TRIAL_GAMMA = 0xBF58476D1CE4E5B9
+_M1 = np.uint64(0xBF58476D1CE4E5B9)
+_M2 = np.uint64(0x94D049BB133111EB)
+_SIGN_BIT = np.uint64(1 << 63)
+_ONE_BITS = np.float64(1.0).view(np.uint64)
 
 
 def _mix64(z: int) -> int:
@@ -29,14 +33,26 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix64_array(z: np.ndarray) -> np.ndarray:
-    z = z.astype(np.uint64, copy=True)
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
-    return z
+def _signs_in_place(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Signs of the counters ``z``, computed in place.
+
+    ``z`` is run through the finalizer of ``_mix64``; ``scratch`` is a
+    uint64 buffer of the same size that it overwrites.  The sign is the
+    mixed word's top bit (set -> +1.0, clear -> -1.0), written straight into
+    the IEEE-754 bits of ``z``, whose float64 view is returned.
+    """
+    np.right_shift(z, np.uint64(30), out=scratch)
+    z ^= scratch
+    z *= _M1
+    np.right_shift(z, np.uint64(27), out=scratch)
+    z ^= scratch
+    z *= _M2
+    np.right_shift(z, np.uint64(31), out=scratch)
+    z ^= scratch
+    np.invert(z, out=z)
+    z &= _SIGN_BIT
+    z |= _ONE_BITS
+    return z.view(np.float64)
 
 
 def _stream_key(master_seed: int, trial_index: int) -> int:
@@ -91,15 +107,42 @@ class SamplePath:
     def signs_for_indices(self, indices: np.ndarray) -> np.ndarray:
         """Vectorized signs (float64 in {-1.0, +1.0}) for an index array."""
         idx = np.ascontiguousarray(indices, dtype=np.uint64)
-        key = np.uint64(_stream_key(self.master_seed, self.trial_index))
-        z = _mix64_array(key + idx * np.uint64(_GAMMA))
-        signs = (z >> np.uint64(63)).astype(np.float64) * 2.0 - 1.0
+        z = idx * np.uint64(_GAMMA)
+        z += np.uint64(_stream_key(self.master_seed, self.trial_index))
+        signs = _signs_in_place(z, np.empty_like(z))
         if self._pin_index.size and signs.size:
             pos = np.searchsorted(self._pin_index, idx)
             np.minimum(pos, self._pin_index.size - 1, out=pos)
             hit = self._pin_index[pos] == idx
             signs[hit] = self._pin_sign[pos[hit]]
         return signs
+
+    def _sign_chunks(self, count: int, chunk: int):
+        """Yield ``(offset, signs)`` over the first ``count`` served signs,
+        ``chunk`` at a time, equal to ``signs_up_to``'s vector sliced at
+        the same offsets.
+
+        Every ``signs`` is a view into one buffer that the next chunk
+        overwrites, so a stream of any length holds O(chunk) memory.
+        """
+        size = min(count, chunk)
+        steps = np.arange(size, dtype=np.uint64) * np.uint64(_GAMMA)
+        z = np.empty(size, dtype=np.uint64)
+        scratch = np.empty_like(z)
+        key = _stream_key(self.master_seed, self.trial_index)
+        pins = self._pin_index
+        for offset in range(0, count, chunk):
+            m = min(chunk, count - offset)
+            first = self.seq.start_index + offset
+            # key + (first + j) * gamma, mod 2**64, for j < m
+            np.add(steps[:m], np.uint64((key + first * _GAMMA) & _MASK), out=z[:m])
+            signs = _signs_in_place(z[:m], scratch[:m])
+            if pins.size:
+                lo, hi = np.searchsorted(pins, np.array([first, first + m], np.uint64))
+                signs[(pins[lo:hi] - np.uint64(first)).astype(np.intp)] = (
+                    self._pin_sign[lo:hi]
+                )
+            yield offset, signs
 
     def signs_up_to(self, cutoff: float, budget: int | None = None) -> np.ndarray:
         """Signs of all served elements <= cutoff, in element order."""

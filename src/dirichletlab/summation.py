@@ -31,6 +31,10 @@ def compensated_sum(values) -> float:
     8 interleaved accumulators and halves pairwise above that, so each
     chunk contributes about (16 + 9) * u * sum(|x|) over the chunk at most,
     with u the unit roundoff.
+
+    ``evaluation._signed_sums`` reproduces this chunk for chunk on products
+    it never materializes in full, so its sums are bit-identical to this
+    function's on the same terms.
     """
     arr = np.ascontiguousarray(values, dtype=np.float64)
     if arr.size == 0:

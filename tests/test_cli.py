@@ -88,6 +88,16 @@ def test_exit_codes(tmp_path, capsys):
         assert f"validation error: bad value {args[2]!r} for {key}" in (
             capsys.readouterr().err
         )
+    # non-finite cutoffs -> validation, not a hang or an internal error
+    for args in (
+        ["eval", "--seq", "weighted:2.0", "--cutoff", "inf"],
+        ["eval", "--seq", "naturals", "--cutoff", "inf"],
+        ["eval", "--seq", "naturals", "--cutoff", "nan"],
+        ["clt", "--cutoff", "inf"],
+        ["scan", "--seq", "primes", "--cutoff", "inf"],
+    ):
+        assert run_cli(tmp_path, *args) == 1
+        assert "validation error: cutoff must be finite" in capsys.readouterr().err
 
 
 def test_config_file_and_flag_override(tmp_path, capsys):

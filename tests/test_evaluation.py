@@ -27,6 +27,7 @@ from dirichletlab.evaluation import (
     tail_certificate,
 )
 from dirichletlab.limits import variance_profile
+from dirichletlab.summation import compensated_sum
 
 from conftest import zeta_em
 
@@ -57,6 +58,45 @@ def test_partial_sum_table_consistent():
     table = partial_sum_table(path, points)
     for (s, c), v in zip(points, table):
         assert v == partial_sum(path, s, c)
+
+
+_CH = 1 << 16
+# term counts on both sides of the chunk edges of the summation kernel
+_KERNEL_LENGTHS = [0, 1, _CH - 1, _CH, _CH + 1, 3 * _CH + 7]
+# pin offsets below, on and past each chunk edge, inside a chunk and
+# beyond the longest sum
+_PIN_OFFSETS = sorted(
+    {e + d for e in (0, _CH, 2 * _CH, 3 * _CH) for d in (-2, -1, 0, 1, 2)
+     if e + d >= 0}
+    | {_CH // 2, 3 * _CH + 6, 3 * _CH + 7, 3 * _CH + 500}
+)
+
+
+@given(
+    lengths=st.lists(st.sampled_from(_KERNEL_LENGTHS), min_size=1, max_size=4),
+    start=st.sampled_from([1, 2, 7, 1 << 40]),
+    pins=st.lists(
+        st.tuples(st.sampled_from(_PIN_OFFSETS), st.sampled_from([-1, 1])),
+        max_size=8, unique_by=lambda p: p[0],
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=25, deadline=None)
+def test_property_streamed_sums_match_compensated_sum(lengths, start, pins, seed):
+    # the kernel never builds the full product, yet each sum must equal
+    # compensated_sum over the materialized signs bit for bit
+    rng = np.random.default_rng(seed)
+    # signed terms over many magnitudes, so any other chunking or order of
+    # reduction would round differently
+    weights = [rng.standard_normal(n) * 10.0 ** rng.uniform(-6, 6, n)
+               for n in lengths]
+    forced = tuple((start + off, sign) for off, sign in pins)
+    path = SamplePath(Naturals(start_index=start), seed, 3, forced=forced)
+    signs = path.signs_up_to(start - 1 + max(lengths))
+    expected = [compensated_sum(signs[:w.size] * w) for w in weights]
+    for source in (path, signs):
+        got = evaluation._signed_sums(source, weights)
+        assert [x.hex() for x in got] == [x.hex() for x in expected]
 
 
 def test_weight_cache_separates_start_indices():

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -15,6 +16,7 @@ from dirichletlab.evaluation import evaluate, tail_certificate
 from dirichletlab.experiments import (
     _config_dict,
     _sign_change_setup,
+    _sign_change_trial,
     config_hash,
     rows_to_csv,
 )
@@ -145,6 +147,24 @@ def test_sign_change_decided_fraction_matches_evaluate():
         assert row["decided_fraction"] == sum(decided) / len(grid)
         fractions.append(row["decided_fraction"])
     assert 0.0 < min(fractions) < 1.0
+
+
+def test_sign_change_trial_streams_its_signs():
+    # a warm trial streams the path's signs through the sums a chunk at a
+    # time: its peak allocation stays far below one full-length float64
+    # sign vector (8 bytes per term of the longest heuristic sum)
+    cfg = SignChangeConfig(ladder=(0.70, 0.62, 0.535), trials=2,
+                           grid_points=8, heuristic_max_cutoff=2e6)
+    max_count = max(w.size for w in _sign_change_setup(cfg)["weights"])
+    assert max_count > 1_000_000
+    _sign_change_trial(cfg, 0)
+    tracemalloc.start()
+    try:
+        _sign_change_trial(cfg, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * max_count / 2
 
 
 def test_sign_change_validation():

@@ -25,6 +25,28 @@ def quiet_explicit(values, **kw):
     return Explicit(tuple(values), _quiet=True, **kw)
 
 
+@pytest.mark.parametrize("cutoff", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize(
+    "seq",
+    [Naturals(), Primes(), WeightedNaturals(2.0),
+     quiet_explicit([2.0, 3.0, 5.0])],
+    ids=["naturals", "primes", "weighted", "explicit"],
+)
+def test_non_finite_cutoffs_rejected(seq, cutoff):
+    # every cutoff reaches the kind's count through one finiteness check,
+    # which raises instead of hanging or overflowing
+    calls = [
+        lambda: seq.counting_function(cutoff),
+        lambda: seq.elements_up_to(cutoff),
+        lambda: seq.next_elements(cutoff, 3),
+        lambda: seq.tail_power_sum(2.0, cutoff),
+        lambda: SamplePath(seq, 1, 0).signs_up_to(cutoff),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match="finite"):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # Naturals
 
