@@ -56,7 +56,7 @@ from .limits import (
     ks_statistic,
     variance_profile,
 )
-from .paths import SamplePath, all_plus_path
+from .paths import SamplePath
 from .zeros import SignScanReport, certify_no_zeros, scan
 
 __all__ = [
@@ -81,7 +81,6 @@ __all__ = [
     "VarianceProfile",
     "WeightedNaturals",
     "WeightedRademacherInstance",
-    "all_plus_path",
     "certify_no_zeros",
     "char_function",
     "clt_sample",

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ValidationError
 from .frequencies import FrequencySequence, _check_budget
 from .paths import SamplePath
-from .summation import _CHUNK
+from .summation import _CHUNK, _chunk_partial
 
 EXACT = "exact"
 PROBABILISTIC = "probabilistic"
@@ -68,18 +68,16 @@ def _signed_sums(source: SamplePath | np.ndarray, weights) -> list[float]:
     The one kernel behind every partial sum.  ``source`` is a path, whose
     signs are streamed ``_CHUNK`` at a time and never held in full, or a
     sign vector generated once by a caller that evaluates it many times.
-    Each product is formed one chunk at a time, and its partials are those
-    of ``compensated_sum``: ``fsum`` of the whole product up to ``_CHUNK``
-    terms; above that, numpy's pairwise sum of each full chunk and ``fsum``
-    of the remainder; ``fsum`` over the partials.  The loop calls numpy and
-    ``math.fsum`` directly, so one sum is not one ``compensated_sum`` call.
+    Each product is formed one chunk at a time and reduced by
+    ``compensated_sum``'s own ``_chunk_partial``; ``fsum`` over the
+    partials gives the sum.  One sum is not one ``compensated_sum`` call.
     """
     weights = list(weights)
     count = max((w.size for w in weights), default=0)
     if isinstance(source, np.ndarray):
         chunks = ((lo, source[lo:lo + _CHUNK]) for lo in range(0, count, _CHUNK))
     else:
-        chunks = source._sign_chunks(count, _CHUNK)
+        chunks = source._sign_chunks(count)
     partials: list[list[float]] = [[] for _ in weights]
     prod = np.empty(min(count, _CHUNK))
     for lo, signs in chunks:
@@ -88,10 +86,7 @@ def _signed_sums(source: SamplePath | np.ndarray, weights) -> list[float]:
             if m <= 0:
                 continue
             np.multiply(signs[:m], w[lo:lo + m], out=prod[:m])
-            if m == _CHUNK and w.size > _CHUNK:
-                parts.append(float(prod.sum()))
-            else:
-                parts.append(math.fsum(prod[:m].tolist()))
+            parts.append(_chunk_partial(prod[:m], w.size))
     return [math.fsum(parts) for parts in partials]
 
 

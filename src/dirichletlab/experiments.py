@@ -3,9 +3,11 @@
 Four studies are provided:
 
 * no_zero      -- per-trial no-zero certification on a half-line, with an
-  additional all-plus conditioned variant whose exact conditioning
-  probability 2**-pi(U) turns the conditional certified fraction into a
-  constructive lower bound on the unconditional no-zero probability.
+  additional all-plus conditioned variant: the same path with a forced
+  +1 prefix over the pi(U) elements up to the cutoff U.  Its exact
+  conditioning probability 2**-pi(U) turns the conditional certified
+  fraction into a constructive lower bound on the unconditional no-zero
+  probability.
 * sign_change  -- certified sign-change counts on nested intervals
   [sigma_k, sigma_hi] for a descending ladder of left endpoints,
   supplemented by heuristic signs below the certifiable range.
@@ -47,7 +49,7 @@ from .evaluation import (
     tail_certificate,
 )
 from .frequencies import make_sequence
-from .paths import SamplePath, all_plus_path
+from .paths import SamplePath
 from .zeros import certify_no_zeros
 
 SCHEMA_VERSION = 1
@@ -227,8 +229,9 @@ def _no_zero_trial(cfg: NoZeroConfig, i: int) -> dict:
         "eta_total": rep.eta_total,
     }
     if cfg.include_forced:
-        fp = all_plus_path(seq, cfg.master_seed, i, cfg.cutoff)
-        frep = certify_no_zeros(fp, cfg.sigma_lo, **kwargs)
+        forced = SamplePath(seq, cfg.master_seed, i,
+                            forced_prefix=seq.counting_function(cfg.cutoff))
+        frep = certify_no_zeros(forced, cfg.sigma_lo, **kwargs)
         out["forced_certified"] = bool(frep.no_zero_certified)
     return out
 
@@ -526,7 +529,8 @@ def run_experiment(cfg, workers: int = 1) -> ExperimentReport:
         rows = [trial_fn(cfg, i) for i in range(cfg.trials)]
     else:
         chunk = max(1, cfg.trials // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as ex:
+        # the pool starts all its workers up front, so none beyond the trials
+        with ProcessPoolExecutor(max_workers=min(workers, cfg.trials)) as ex:
             rows = list(ex.map(partial(trial_fn, cfg), range(cfg.trials),
                                chunksize=chunk))
     agg = aggregate_fn(cfg, rows)

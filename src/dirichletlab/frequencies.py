@@ -107,12 +107,6 @@ class _SequenceOps:
     def reciprocal_sum_converges(self) -> bool:
         return self.tail_converges(1.0)
 
-    def elements_between(
-        self, lo: float, hi: float, budget: int | None = None
-    ) -> np.ndarray:
-        arr = self.elements_up_to(hi, budget=budget)
-        return arr[arr > lo]
-
     def power_sum(self, sigma: float, cutoff: float, budget: int | None = None) -> float:
         """sum(p**-sigma for served p <= cutoff), compensated."""
         if cutoff < 1:

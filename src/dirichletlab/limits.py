@@ -28,11 +28,6 @@ from .paths import SamplePath
 from .summation import compensated_sum
 
 
-def normal_cdf(x: float) -> float:
-    """Standard normal CDF via erf (double-precision accurate)."""
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
-
-
 def char_function(
     seq: FrequencySequence,
     sigma: float,

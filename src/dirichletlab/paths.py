@@ -5,6 +5,10 @@ Signs are produced by a counter-mode SplitMix64-style generator keyed by
 no stream state, bit-identical results from any thread or worker, and
 distinct trial indices give statistically independent streams.  The sign
 is the top bit of the mixed 64-bit word, mapped to {-1, +1}.
+
+A path may force a prefix: its first ``forced_prefix`` served elements
+carry +1, which realizes conditioning events such as "every sign up to a
+cutoff is +1"; beyond the prefix the generator decides.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .frequencies import FrequencySequence, _check_budget
+from .summation import _CHUNK
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -23,6 +28,8 @@ _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 _SIGN_BIT = np.uint64(1 << 63)
 _ONE_BITS = np.float64(1.0).view(np.uint64)
+# j * gamma mod 2**64 for the j-th position of a chunk
+_STEPS = np.arange(_CHUNK, dtype=np.uint64) * np.uint64(_GAMMA)
 
 
 def _mix64(z: int) -> int:
@@ -64,100 +71,65 @@ def _stream_key(master_seed: int, trial_index: int) -> int:
 class SamplePath:
     """An assignment of a sign in {-1,+1} to every index of a sequence.
 
-    ``forced`` pins finitely many indices to fixed signs (used to realize
-    conditioning events such as "all signs +1 up to a cutoff"); everywhere
-    else the counter generator decides.
+    The first ``forced_prefix`` served elements are +1; everywhere else
+    the counter generator decides.
     """
 
     seq: FrequencySequence
     master_seed: int
     trial_index: int = 0
-    forced: tuple[tuple[int, int], ...] = ()
+    forced_prefix: int = 0
 
     def __post_init__(self):
         if self.trial_index < 0:
             raise ValidationError("trial_index must be >= 0")
-        pins: dict[int, int] = {}
-        for idx, sign in self.forced:
-            if sign not in (-1, 1):
-                raise ValidationError(f"forced sign for index {idx} must be +-1")
-            if idx < self.seq.start_index:
-                raise ValidationError(f"forced index {idx} precedes start_index")
-            if pins.setdefault(idx, sign) != sign:
-                raise ValidationError(f"conflicting forced signs for index {idx}")
-        # sorted pin arrays, so one binary search places every pin
-        order = sorted(pins)
-        object.__setattr__(self, "_pin_index", np.array(order, dtype=np.uint64))
+        if self.forced_prefix < 0:
+            raise ValidationError("forced_prefix must be >= 0")
         object.__setattr__(
-            self, "_pin_sign", np.array([pins[i] for i in order], dtype=np.float64)
+            self, "_key", _stream_key(self.master_seed, self.trial_index)
         )
 
-    # ---- sign access --------------------------------------------------
+    def _fill_signs(self, offset: int, z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """Signs of the served positions ``[offset, offset + z.size)``.
+
+        The one sign generator: ``z`` (at most ``_CHUNK`` entries) and
+        ``scratch`` (at least as long) are uint64 buffers it overwrites;
+        the signs land in ``z``, whose float64 view is returned.
+        """
+        m = z.size
+        first = self.seq.start_index + offset
+        # key + (first + j) * gamma, mod 2**64, for j < m
+        np.add(_STEPS[:m], np.uint64((self._key + first * _GAMMA) & _MASK), out=z)
+        signs = _signs_in_place(z, scratch[:m])
+        signs[:max(self.forced_prefix - offset, 0)] = 1.0
+        return signs
 
     def sign_at(self, index: int) -> int:
         if index < self.seq.start_index:
             raise ValidationError(f"index {index} precedes start_index")
-        pos = int(np.searchsorted(self._pin_index, np.uint64(index)))
-        if pos < self._pin_index.size and int(self._pin_index[pos]) == index:
-            return int(self._pin_sign[pos])
-        key = _stream_key(self.master_seed, self.trial_index)
-        z = _mix64((key + index * _GAMMA) & _MASK)
-        return 1 if (z >> 63) else -1
+        z = np.empty(1, dtype=np.uint64)
+        return int(self._fill_signs(index - self.seq.start_index, z, np.empty_like(z))[0])
 
-    def signs_for_indices(self, indices: np.ndarray) -> np.ndarray:
-        """Vectorized signs (float64 in {-1.0, +1.0}) for an index array."""
-        idx = np.ascontiguousarray(indices, dtype=np.uint64)
-        z = idx * np.uint64(_GAMMA)
-        z += np.uint64(_stream_key(self.master_seed, self.trial_index))
-        signs = _signs_in_place(z, np.empty_like(z))
-        if self._pin_index.size and signs.size:
-            pos = np.searchsorted(self._pin_index, idx)
-            np.minimum(pos, self._pin_index.size - 1, out=pos)
-            hit = self._pin_index[pos] == idx
-            signs[hit] = self._pin_sign[pos[hit]]
-        return signs
-
-    def _sign_chunks(self, count: int, chunk: int):
+    def _sign_chunks(self, count: int):
         """Yield ``(offset, signs)`` over the first ``count`` served signs,
-        ``chunk`` at a time, equal to ``signs_up_to``'s vector sliced at
+        ``_CHUNK`` at a time, equal to ``signs_up_to``'s vector sliced at
         the same offsets.
 
         Every ``signs`` is a view into one buffer that the next chunk
-        overwrites, so a stream of any length holds O(chunk) memory.
+        overwrites, so a stream of any length holds O(_CHUNK) memory.
         """
-        size = min(count, chunk)
-        steps = np.arange(size, dtype=np.uint64) * np.uint64(_GAMMA)
-        z = np.empty(size, dtype=np.uint64)
+        z = np.empty(min(count, _CHUNK), dtype=np.uint64)
         scratch = np.empty_like(z)
-        key = _stream_key(self.master_seed, self.trial_index)
-        pins = self._pin_index
-        for offset in range(0, count, chunk):
-            m = min(chunk, count - offset)
-            first = self.seq.start_index + offset
-            # key + (first + j) * gamma, mod 2**64, for j < m
-            np.add(steps[:m], np.uint64((key + first * _GAMMA) & _MASK), out=z[:m])
-            signs = _signs_in_place(z[:m], scratch[:m])
-            if pins.size:
-                lo, hi = np.searchsorted(pins, np.array([first, first + m], np.uint64))
-                signs[(pins[lo:hi] - np.uint64(first)).astype(np.intp)] = (
-                    self._pin_sign[lo:hi]
-                )
-            yield offset, signs
+        for offset in range(0, count, _CHUNK):
+            yield offset, self._fill_signs(offset, z[:count - offset], scratch)
 
     def signs_up_to(self, cutoff: float, budget: int | None = None) -> np.ndarray:
-        """Signs of all served elements <= cutoff, in element order."""
+        """Signs (float64 in {-1.0, +1.0}) of all served elements <= cutoff,
+        in element order."""
         count = self.seq.counting_function(cutoff)
         _check_budget(count, budget)
-        start = self.seq.start_index
-        return self.signs_for_indices(np.arange(start, start + count, dtype=np.uint64))
-
-
-def all_plus_path(
-    seq: FrequencySequence, master_seed: int, trial_index: int, cutoff: float
-) -> SamplePath:
-    """Path forced to +1 on every element <= cutoff, random beyond."""
-    count = seq.counting_function(cutoff)
-    start = seq.start_index
-    forced = tuple((i, 1) for i in range(start, start + count))
-    return SamplePath(seq, master_seed, trial_index, forced=forced)
-
+        z = np.empty(count, dtype=np.uint64)
+        scratch = np.empty(min(count, _CHUNK), dtype=np.uint64)
+        for offset in range(0, count, _CHUNK):
+            self._fill_signs(offset, z[offset:offset + _CHUNK], scratch)
+        return z.view(np.float64)

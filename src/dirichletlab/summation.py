@@ -32,18 +32,19 @@ def compensated_sum(values) -> float:
     chunk contributes about (16 + 9) * u * sum(|x|) over the chunk at most,
     with u the unit roundoff.
 
-    ``evaluation._signed_sums`` reproduces this chunk for chunk on products
-    it never materializes in full, so its sums are bit-identical to this
-    function's on the same terms.
+    ``evaluation._signed_sums`` takes the same ``_chunk_partial`` of each
+    chunk of products it never materializes in full, so its sums are
+    bit-identical to this function's on the same terms.
     """
     arr = np.ascontiguousarray(values, dtype=np.float64)
-    if arr.size == 0:
-        return 0.0
-    if arr.size <= _CHUNK:
-        return math.fsum(arr.tolist())
-    nfull = arr.size - arr.size % _CHUNK
-    partials = arr[:nfull].reshape(-1, _CHUNK).sum(axis=1).tolist()
-    tail = arr[nfull:]
-    if tail.size:
-        partials.append(math.fsum(tail.tolist()))
-    return math.fsum(partials)
+    return math.fsum(_chunk_partial(arr[lo:lo + _CHUNK], arr.size)
+                     for lo in range(0, arr.size, _CHUNK))
+
+
+def _chunk_partial(chunk: np.ndarray, total: int) -> float:
+    """The partial that ``compensated_sum`` takes of one ``_CHUNK``-aligned
+    chunk of a ``total``-term sum: numpy's pairwise sum of a full chunk of
+    a sum longer than ``_CHUNK``, else ``math.fsum`` of the chunk."""
+    if chunk.size == _CHUNK and total > _CHUNK:
+        return float(chunk.sum())
+    return math.fsum(chunk.tolist())

@@ -2,15 +2,19 @@
 
 These are deliberately implemented from scratch (trial division, an
 Euler-Maclaurin zeta evaluation) so they share no code with the package
-under test.
+under test.  ``path_with_signs`` is the exception: it finds, through the
+public path API, a path that carries prescribed signs.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+
+from dirichletlab import SamplePath
 
 
 def trial_division_primes(limit: int) -> list[int]:
@@ -30,6 +34,16 @@ def zeta_em(s: float, n_terms: int = 64) -> float:
     tail += s * n ** (-s - 1.0) / 12.0
     tail -= s * (s + 1.0) * (s + 2.0) * n ** (-s - 3.0) / 720.0
     return head + tail
+
+
+def path_with_signs(seq, signs, master_seed: int = 0) -> SamplePath:
+    """The path of ``seq`` with the least trial index whose leading served
+    signs are ``signs``; a pattern of k signs takes about 2**k draws."""
+    start = seq.start_index
+    for trial in itertools.count():
+        path = SamplePath(seq, master_seed, trial)
+        if all(path.sign_at(start + k) == s for k, s in enumerate(signs)):
+            return path
 
 
 def normal_cdf(x: float) -> float:

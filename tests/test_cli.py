@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,9 @@ from dirichletlab.experiments import (
     NoZeroConfig,
     SignChangeConfig,
 )
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(tmp_path, *args):
@@ -268,3 +272,21 @@ def test_console_script_version():
     )
     assert out.returncode == 0
     assert out.stdout.strip() == "0.1.0"
+
+
+def _readme_commands():
+    """The argument lists of the ``dirichletlab ...`` lines in the README's
+    CLI code block."""
+    block = README.read_text(encoding="utf-8").split("## CLI", 1)[1].split("```")[1]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("dirichletlab ")]
+
+
+def test_readme_commands_run(tmp_path, capsys):
+    # the documented commands parse and resolve: a renamed or dropped flag
+    # fails here instead of silently breaking the docs
+    commands = _readme_commands()
+    assert {args[0] for args in commands} == set(cli._SUBCOMMANDS)
+    for args in commands:
+        assert run_cli(tmp_path, *args, "--dry-run") == 0, args
+        assert capsys.readouterr().out.startswith(f"dry-run {args[0]}: ")

@@ -29,7 +29,7 @@ from dirichletlab.evaluation import (
 from dirichletlab.limits import variance_profile
 from dirichletlab.summation import compensated_sum
 
-from conftest import zeta_em
+from conftest import path_with_signs, zeta_em
 
 
 def quiet_explicit(values):
@@ -38,9 +38,9 @@ def quiet_explicit(values):
 
 def test_partial_sum_trivial_cases():
     seq = quiet_explicit([2.0, 3.0])
-    plus = SamplePath(seq, 0, 0, forced=((1, 1), (2, 1)))
+    plus = SamplePath(seq, 0, 0, forced_prefix=2)
     assert partial_sum(plus, 1.0, 10.0) == pytest.approx(1 / 2 + 1 / 3)
-    mixed = SamplePath(seq, 0, 0, forced=((1, 1), (2, -1)))
+    mixed = path_with_signs(seq, [1, -1])
     assert partial_sum(mixed, 1.0, 10.0) == pytest.approx(1 / 2 - 1 / 3)
 
 
@@ -63,8 +63,8 @@ def test_partial_sum_table_consistent():
 _CH = 1 << 16
 # term counts on both sides of the chunk edges of the summation kernel
 _KERNEL_LENGTHS = [0, 1, _CH - 1, _CH, _CH + 1, 3 * _CH + 7]
-# pin offsets below, on and past each chunk edge, inside a chunk and
-# beyond the longest sum
+# forced prefixes that end below, on and past each chunk edge, inside a
+# chunk and beyond the longest sum
 _PIN_OFFSETS = sorted(
     {e + d for e in (0, _CH, 2 * _CH, 3 * _CH) for d in (-2, -1, 0, 1, 2)
      if e + d >= 0}
@@ -75,14 +75,11 @@ _PIN_OFFSETS = sorted(
 @given(
     lengths=st.lists(st.sampled_from(_KERNEL_LENGTHS), min_size=1, max_size=4),
     start=st.sampled_from([1, 2, 7, 1 << 40]),
-    pins=st.lists(
-        st.tuples(st.sampled_from(_PIN_OFFSETS), st.sampled_from([-1, 1])),
-        max_size=8, unique_by=lambda p: p[0],
-    ),
+    prefix=st.sampled_from(_PIN_OFFSETS),
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=25, deadline=None)
-def test_property_streamed_sums_match_compensated_sum(lengths, start, pins, seed):
+def test_property_streamed_sums_match_compensated_sum(lengths, start, prefix, seed):
     # the kernel never builds the full product, yet each sum must equal
     # compensated_sum over the materialized signs bit for bit
     rng = np.random.default_rng(seed)
@@ -90,8 +87,7 @@ def test_property_streamed_sums_match_compensated_sum(lengths, start, pins, seed
     # reduction would round differently
     weights = [rng.standard_normal(n) * 10.0 ** rng.uniform(-6, 6, n)
                for n in lengths]
-    forced = tuple((start + off, sign) for off, sign in pins)
-    path = SamplePath(Naturals(start_index=start), seed, 3, forced=forced)
+    path = SamplePath(Naturals(start_index=start), seed, 3, forced_prefix=prefix)
     signs = path.signs_up_to(start - 1 + max(lengths))
     expected = [compensated_sum(signs[:w.size] * w) for w in weights]
     for source in (path, signs):

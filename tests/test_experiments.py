@@ -12,6 +12,7 @@ from dirichletlab import (
     ValidationError,
     run_experiment,
 )
+from dirichletlab import experiments
 from dirichletlab.evaluation import evaluate, tail_certificate
 from dirichletlab.experiments import (
     _config_dict,
@@ -49,6 +50,30 @@ def test_reports_identical_across_worker_counts():
     r2 = run_experiment(cfg, workers=4)
     assert r1.payload_json() == r2.payload_json()
     assert r1.report_hash() == r2.report_hash()
+
+
+def test_pool_starts_no_more_workers_than_trials(monkeypatch):
+    # a pool starts all its workers up front, so it must ask for no idle ones
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    run_experiment(NoZeroConfig(trials=1), workers=64)
+    run_experiment(ExceedanceConfig(trials=3), workers=2)
+    run_experiment(ExceedanceConfig(trials=3), workers=8)
+    assert asked == [1, 2, 3]
 
 
 def test_rerun_is_bit_identical():

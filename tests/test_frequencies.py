@@ -56,7 +56,7 @@ def test_naturals_basics():
     assert seq.element(1) == 1.0
     assert seq.counting_function(10.5) == 10
     assert seq.elements_up_to(5).tolist() == [1, 2, 3, 4, 5]
-    assert seq.elements_between(3, 6).tolist() == [4, 5, 6]
+    assert seq.elements_up_to(6)[seq.counting_function(3):].tolist() == [4, 5, 6]
     assert not seq.reciprocal_sum_converges
     assert seq.tail_converges(1.5) and not seq.tail_converges(1.0)
 
@@ -107,7 +107,7 @@ def test_primes_tail_enclosure_brackets_brute_force():
     for s, cutoff in ((2.0, 100.0), (1.5, 1000.0)):
         lo, hi = seq.tail_power_sum(s, cutoff)
         # brute force far enough out that the missing remainder is tiny
-        elems = seq.elements_between(cutoff, 2_000_000)
+        elems = seq.elements_up_to(2_000_000)[seq.counting_function(cutoff):]
         brute = float(np.sum(elems ** (-s)))
         missing = 2_000_000.0 ** (1.0 - s) / (s - 1.0)
         assert lo <= brute + missing
@@ -144,7 +144,7 @@ def test_weighted_reciprocal_sum_converges_but_abscissa_is_one():
 def test_weighted_tail_enclosure_brackets_brute_force():
     seq = WeightedNaturals(exponent=2.0)
     lo, hi = seq.tail_power_sum(1.0, 1000.0, head_terms=200)
-    elems = seq.elements_between(1000.0, 5_000_000.0)
+    elems = seq.elements_up_to(5_000_000.0)[seq.counting_function(1000.0):]
     brute = float(np.sum(1.0 / elems))
     assert brute <= hi
     assert lo <= brute + 1.0 / math.log(5_000_000.0)  # crude remainder room
@@ -155,8 +155,8 @@ def test_weighted_count_bound_dominates_brute_force():
     seq = WeightedNaturals(exponent=2.0)
     count = 500
     bound = seq.tail_reciprocal_upper_for_count(count)
-    last = seq.element(seq.start_index + count - 1)
-    elems = seq.elements_between(last, 10_000_000.0)
+    # every element past the first count
+    elems = seq.elements_up_to(10_000_000.0)[count:]
     brute = float(np.sum(1.0 / elems))
     assert brute < bound
     # the analytic bound accepts astronomically large counts and decays

@@ -14,18 +14,13 @@ from dirichletlab import (
     ks_statistic,
     variance_profile,
 )
-from dirichletlab.limits import char_function_gaussian_gap, normal_cdf
+from dirichletlab.limits import char_function_gaussian_gap
 
 from conftest import normal_cdf as oracle_cdf
 
 
 def quiet_explicit(values):
     return Explicit(tuple(values), _quiet=True)
-
-
-def test_normal_cdf_matches_oracle():
-    for x in (-3.0, -1.0, 0.0, 0.5, 2.0):
-        assert normal_cdf(x) == pytest.approx(oracle_cdf(x), abs=1e-15)
 
 
 def test_char_function_matches_cos_product_oracle():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from dirichletlab import Naturals, Primes, SamplePath, ValidationError
 from dirichletlab.experiments import BuEventConfig, _bu_trial
 from dirichletlab.frequencies import make_sequence
-from dirichletlab.paths import all_plus_path
 
 
 def test_sign_values_and_determinism():
@@ -22,9 +22,22 @@ def test_sign_values_and_determinism():
 
 def test_vectorized_matches_scalar():
     path = SamplePath(Primes(), master_seed=9, trial_index=1)
-    idx = np.arange(1, 500, dtype=np.uint64)
-    vec = path.signs_for_indices(idx)
+    vec = path.signs_up_to(path.seq.element(499))
     assert vec.tolist() == [float(path.sign_at(i)) for i in range(1, 500)]
+
+
+def _sha(signs):
+    return hashlib.sha256(signs.tobytes()).hexdigest()
+
+
+def test_generator_bits_are_pinned():
+    # golden digests: any change to the generator's bits changes payloads
+    assert _sha(SamplePath(Naturals(), 7, 0).signs_up_to(10**5)) == (
+        "9baee6a4f9a92beeb322a0172e5326daad070b5c137f4f952a6ed4bae066c00c")
+    signs = SamplePath(make_sequence("weighted:2.0"), 1, 0).signs_up_to(1e5)
+    assert signs.size == 1782
+    assert _sha(signs) == (
+        "c4f3cdbcbfb11912db0c7db72f8daf1d89d0a2eb65d751ee35b1454021b0bea8")
 
 
 def test_streams_differ_across_trials_and_seeds():
@@ -56,33 +69,28 @@ def test_normalized_sums_have_unit_variance():
 
 def test_forced_path_pins_only_requested_indices():
     base = SamplePath(Naturals(), 3, 0)
-    pinned = SamplePath(Naturals(), 3, 0, forced=((5, 1), (9, -1)))
-    assert pinned.sign_at(5) == 1
-    assert pinned.sign_at(9) == -1
-    for i in (1, 2, 3, 4, 6, 7, 8, 10, 11):
-        assert pinned.sign_at(i) == base.sign_at(i)
-    vec = pinned.signs_up_to(12)
-    assert vec[4] == 1.0 and vec[8] == -1.0
+    forced = SamplePath(Naturals(), 3, 0, forced_prefix=5)
+    assert [forced.sign_at(i) for i in range(1, 6)] == [1] * 5
+    for i in range(6, 40):
+        assert forced.sign_at(i) == base.sign_at(i)
+    vec = forced.signs_up_to(39)
+    assert vec[:5].tolist() == [1.0] * 5
+    assert vec[5:].tolist() == base.signs_up_to(39)[5:].tolist()
 
 
 def test_forced_path_validation():
     with pytest.raises(ValidationError):
-        SamplePath(Naturals(), 3, 0, forced=((5, 2),))
+        SamplePath(Naturals(), 3, 0, forced_prefix=-1)
     with pytest.raises(ValidationError):
-        SamplePath(Naturals(start_index=4), 3, 0, forced=((2, 1),))
-
-
-def test_forced_duplicates():
-    # a repeated pin with the same sign is harmless; conflicting ones have
-    # no defined winner and are rejected
-    same = SamplePath(Naturals(), 3, 0, forced=((5, 1), (5, 1)))
-    assert same.sign_at(5) == 1 and same.signs_up_to(6)[4] == 1.0
-    with pytest.raises(ValidationError, match="conflicting"):
-        SamplePath(Naturals(), 3, 0, forced=((5, 1), (7, 1), (5, -1)))
+        SamplePath(Naturals(), 3, -1)
+    with pytest.raises(ValidationError):
+        SamplePath(Naturals(start_index=4), 3, 0).sign_at(2)
 
 
 def test_all_plus_path():
-    p = all_plus_path(Naturals(), 1, 0, 50)
+    # the no_zero study's conditioned path: +1 on every element <= 50
+    seq = Naturals()
+    p = SamplePath(seq, 1, 0, forced_prefix=seq.counting_function(50))
     assert p.signs_up_to(50).tolist() == [1.0] * 50
     # beyond the forced range the generator takes over
     tail = [p.sign_at(i) for i in range(51, 200)]
@@ -115,38 +123,46 @@ def test_running_sup_matches_brute_force():
 def test_running_sup_empty_range():
     cfg = BuEventConfig(cutoff_ladder=(1.0,), horizon_factor=2.0)
     seq = make_sequence(cfg.seq)
-    assert seq.elements_between(1.0, 2.0).size == 0
+    assert seq.elements_up_to(2.0)[seq.counting_function(1.0):].size == 0
     assert _bu_trial(cfg, 0)["sups"] == [0.0]
 
 
-@given(st.integers(0, 2 ** 63 - 1), st.integers(0, 1000))
-@settings(max_examples=80, deadline=None)
-def test_property_scalar_vector_agree(seed, trial):
-    path = SamplePath(Naturals(), seed, trial)
-    idx = np.arange(1, 40, dtype=np.uint64)
-    assert path.signs_for_indices(idx).tolist() == [
-        float(path.sign_at(i)) for i in range(1, 40)
-    ]
+_CH = 1 << 16
+# prefixes that end below, on and past each chunk edge
+_PREFIXES = [0, 1] + [e + d for e in (_CH, 2 * _CH) for d in (-1, 0, 1)]
 
 
 @given(
-    st.lists(
-        st.tuples(st.integers(1, 200), st.sampled_from((-1, 1))),
-        max_size=40,
-        unique_by=lambda pin: pin[0],
-    ),
-    st.integers(1, 120),
-    st.integers(0, 80),
+    st.sampled_from([1, 2, 7, 1 << 40]),
+    st.sampled_from(_PREFIXES),
+    st.sampled_from([0, 1, _CH - 1, _CH, _CH + 1, 2 * _CH + 3]),
     st.integers(0, 2 ** 63 - 1),
+    st.integers(0, 1000),
 )
+@settings(max_examples=40, deadline=None)
+def test_property_scalar_vector_agree(start, prefix, count, seed, trial):
+    # the three accessors of the one generator serve the same signs
+    path = SamplePath(Naturals(start_index=start), seed, trial, forced_prefix=prefix)
+    vec = path.signs_up_to(start - 1 + count)
+    chunks = [(off, signs.copy()) for off, signs in path._sign_chunks(count)]
+    assert [off for off, _ in chunks] == list(range(0, count, _CH))
+    streamed = np.concatenate([np.empty(0)] + [signs for _, signs in chunks])
+    assert vec.size == count
+    assert vec.tobytes() == streamed.tobytes()
+    edges = {0, count - 1, prefix - 1, prefix} | {e + d for e in (_CH, 2 * _CH)
+                                                   for d in (-1, 0)}
+    for k in sorted(k for k in edges if 0 <= k < count):
+        assert float(path.sign_at(start + k)) == vec[k]
+
+
+@given(st.integers(0, 120), st.integers(1, 120), st.integers(0, 80),
+       st.integers(0, 2 ** 63 - 1))
 @settings(max_examples=100, deadline=None)
-def test_property_pinned_vector_matches_scalar(pins, lo, n, seed):
-    # pins fall below, inside and beyond [lo, lo + n) and arrive unsorted
-    path = SamplePath(Naturals(), seed, 2, forced=tuple(pins))
+def test_property_pinned_vector_matches_scalar(prefix, lo, n, seed):
+    # the prefix ends below, inside and beyond [lo, lo + n)
+    path = SamplePath(Naturals(), seed, 2, forced_prefix=prefix)
     base = SamplePath(Naturals(), seed, 2)
-    pinned = dict(pins)
-    oracle = [float(pinned.get(i, base.sign_at(i))) for i in range(lo, lo + n)]
+    oracle = [1.0 if i <= prefix else float(base.sign_at(i))
+              for i in range(lo, lo + n)]
     assert [float(path.sign_at(i)) for i in range(lo, lo + n)] == oracle
-    idx = np.arange(lo, lo + n, dtype=np.uint64)
-    assert path.signs_for_indices(idx).tolist() == oracle
-    assert path.signs_for_indices(idx[::-1]).tolist() == oracle[::-1]
+    assert path.signs_up_to(lo + n - 1)[lo - 1:].tolist() == oracle

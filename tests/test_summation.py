@@ -33,3 +33,18 @@ def test_cancellation_heavy():
 @settings(max_examples=100, deadline=None)
 def test_property_matches_fsum(vals):
     assert compensated_sum(np.array(vals, dtype=float)) == math.fsum(vals)
+
+
+def test_chunk_rule_matches_reshaped_partials():
+    # up to 2**16 terms: fsum; above: pairwise sums of the full chunks,
+    # reduced as one 2-d array, plus fsum of the remainder, combined by fsum
+    ch = 1 << 16
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(ch) * 10.0 ** rng.uniform(-8, 8, ch)
+    assert compensated_sum(x) == math.fsum(x.tolist())
+    for n in (ch + 1, 3 * ch, 3 * ch + 7, 10 ** 6):
+        x = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)
+        full = n - n % ch
+        partials = x[:full].reshape(-1, ch).sum(axis=1).tolist()
+        partials.append(math.fsum(x[full:].tolist()))
+        assert compensated_sum(x).hex() == math.fsum(partials).hex()

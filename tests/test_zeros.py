@@ -16,13 +16,18 @@ from dirichletlab import (
 )
 from dirichletlab.evaluation import tail_certificate
 
+from conftest import path_with_signs
+
 
 def quiet_explicit(values):
     return Explicit(tuple(values), _quiet=True)
 
 
-def _path(seq, assignment):
-    return SamplePath(seq, 0, 0, forced=tuple(sorted(assignment.items())))
+def _path(seq, signs):
+    """A path of ``seq`` whose leading signs are ``signs``."""
+    if all(s == 1 for s in signs):
+        return SamplePath(seq, 0, 0, forced_prefix=len(signs))
+    return path_with_signs(seq, signs)
 
 
 def bisect_root(f, lo, hi, iters=80):
@@ -39,13 +44,14 @@ def bisect_root(f, lo, hi, iters=80):
 def test_scan_generates_signs_once(monkeypatch):
     # every grid point and refinement round reuses one sign vector
     calls = []
-    original = SamplePath.signs_for_indices
+    original = SamplePath.signs_up_to
 
-    def counting(self, indices):
-        calls.append(len(indices))
-        return original(self, indices)
+    def counting(self, cutoff, budget=None):
+        signs = original(self, cutoff, budget)
+        calls.append(signs.size)
+        return signs
 
-    monkeypatch.setattr(SamplePath, "signs_for_indices", counting)
+    monkeypatch.setattr(SamplePath, "signs_up_to", counting)
     path = SamplePath(WeightedNaturals(2.0), 3, 1)
     rep = scan(path, 0.6, 2.0, cutoff=1e4, max_refinement=4)
     assert rep.refinement_rounds >= 1 and len(rep.sigma_grid) > 16
@@ -58,7 +64,7 @@ def test_three_term_sign_change_brackets_bisection_oracle():
     f = lambda s: 2.0 ** -s - 3.0 ** -s - 4.0 ** -s
     root = bisect_root(f, 0.2, 3.0)
     assert root == pytest.approx(1.2932, abs=1e-3)
-    path = _path(seq, {1: 1, 2: -1, 3: -1})
+    path = _path(seq, [1, -1, -1])
     rep = scan(path, 0.2, 3.0, resolution=1e-4, max_refinement=12)
     assert rep.eta_total == 0.0  # exact certificates
     assert rep.sign_changes == 1
@@ -81,12 +87,11 @@ def test_scan_counts_match_dense_oracle_on_random_finite_paths():
         vals = np.sort(rng.uniform(1.5, 30.0, size=5))
         vals += np.arange(5) * 1e-3  # enforce strict increase
         seq = quiet_explicit([float(v) for v in vals])
-        assignment = {i + 1: int(s) for i, s in
-                      enumerate(rng.choice([-1, 1], size=5))}
+        assignment = [int(s) for s in rng.choice([-1, 1], size=5)]
         path = _path(seq, assignment)
         rep = scan(path, 0.05, 4.0, resolution=1e-4, max_refinement=14)
         dense = np.linspace(0.05, 4.0, 20_001)
-        w = np.array([assignment[i + 1] for i in range(5)], dtype=float)
+        w = np.array(assignment, dtype=float)
         f = (vals[None, :] ** (-dense[:, None]) * w).sum(axis=1)
         signs = np.sign(f)
         oracle = int(np.sum(signs[:-1] != signs[1:]))
@@ -95,7 +100,7 @@ def test_scan_counts_match_dense_oracle_on_random_finite_paths():
 
 def test_refinement_monotonicity():
     seq = quiet_explicit([2.0, 3.0, 4.0, 5.0, 6.0])
-    path = _path(seq, {1: 1, 2: -1, 3: -1, 4: 1, 5: -1})
+    path = _path(seq, [1, -1, -1, 1, -1])
     prev = -1
     for rounds in (0, 2, 4, 8):
         rep = scan(path, 0.05, 4.0, resolution=1e-5, max_refinement=rounds)
@@ -137,7 +142,7 @@ def test_no_zero_certification_exhaustive_two_terms():
     seq = quiet_explicit([2.0, 3.0])
     for s1 in (1, -1):
         for s2 in (1, -1):
-            rep = certify_no_zeros(_path(seq, {1: s1, 2: s2}), 0.1)
+            rep = certify_no_zeros(_path(seq, [s1, s2]), 0.1)
             assert rep.no_zero_certified
             assert rep.sign_changes == 0
             assert rep.eta_total == 0.0
@@ -147,7 +152,7 @@ def test_no_zero_certification_exhaustive_two_terms():
 def test_no_zero_certification_detects_change():
     # (+,-,-) on {2,3,4} has a real zero, so certification must refuse
     seq = quiet_explicit([2.0, 3.0, 4.0])
-    rep = certify_no_zeros(_path(seq, {1: 1, 2: -1, 3: -1}), 0.2)
+    rep = certify_no_zeros(_path(seq, [1, -1, -1]), 0.2)
     assert not rep.no_zero_certified
     assert rep.sign_changes >= 1
 
@@ -174,7 +179,7 @@ def test_scan_report_names_start_index():
 
 def test_report_serialization_round_trip():
     seq = quiet_explicit([2.0, 3.0, 4.0])
-    rep = scan(_path(seq, {1: 1, 2: 1, 3: 1}), 0.3, 2.0)
+    rep = scan(_path(seq, [1, 1, 1]), 0.3, 2.0)
     blob = rep.to_json()
     data = json.loads(blob)
     assert data["kind"] == "sign_scan"
