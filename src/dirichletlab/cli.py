@@ -185,11 +185,10 @@ def _cmd_clt(v, workers):
 
 def _cmd_char_fn(v, workers):
     seq = make_sequence(v["seq"])
-    grid = []
-    for t in np.linspace(-v["t_max"], v["t_max"], v["t_points"]):
-        t = float(t)
-        phi = char_function(seq, v["sigma"], t, v["cutoff"])
-        grid.append({"t": t, "phi": phi, "gaussian": math.exp(-0.5 * t ** 2)})
+    ts = np.linspace(-v["t_max"], v["t_max"], v["t_points"])
+    phis = char_function(seq, v["sigma"], ts, v["cutoff"])
+    grid = [{"t": t, "phi": phi, "gaussian": math.exp(-0.5 * t ** 2)}
+            for t, phi in zip(ts.tolist(), phis)]
     gap = max(abs(r["phi"] - r["gaussian"]) for r in grid)
     payload = {
         "kind": "char_fn",

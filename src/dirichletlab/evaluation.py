@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .frequencies import FrequencySequence, _check_budget
+from .frequencies import FrequencySequence, _check_budget, _check_finite
 from .paths import SamplePath
-from .summation import _CHUNK, _chunk_partial
+from .summation import _CHUNK, _chunk_partial, exact_sum
 
 EXACT = "exact"
 PROBABILISTIC = "probabilistic"
@@ -45,6 +45,7 @@ def _weights(seq: FrequencySequence, sigma: float, cutoff: float,
     """``p**-sigma`` over the served elements ``p <= cutoff``, through the
     per-process ``_WEIGHT_CACHE``, which has no lock and so is not
     thread-safe.  ``budget`` is checked on hits and misses alike."""
+    _check_finite("sigma", sigma)
     count = seq.counting_function(cutoff)
     _check_budget(count, budget)
     key = (seq, float(sigma))
@@ -137,6 +138,7 @@ def tail_certificate(
     """
     if not 0.0 < eta < 1.0:
         raise ValidationError("eta must lie in (0,1)")
+    _check_finite("sigma0", sigma0)
     _, t_upper = seq.tail_power_sum(2.0 * sigma0, cutoff, head_terms=head_terms)
     t_upper = float(t_upper)
     exhausted = t_upper == 0.0
@@ -265,6 +267,6 @@ def mellin_discrepancy(path: SamplePath, sigma: float, upper_limit: float) -> fl
     nxt[:-1] = pows[1:]
     nxt[-1] = upper_limit ** (-s)
     left_terms = prefix * (pows - nxt)
-    left = math.fsum(left_terms.tolist()) + float(prefix[-1]) * upper_limit ** (-s)
-    right = math.fsum((signs * pows).tolist())
+    left = exact_sum(left_terms) + float(prefix[-1]) * upper_limit ** (-s)
+    right = exact_sum(signs * pows)
     return abs(left - right)

@@ -45,6 +45,13 @@ def _check_budget(count: int, budget: int | None) -> None:
         )
 
 
+def _check_finite(name: str, *values: float) -> None:
+    """Reject an infinite or NaN argument, naming it."""
+    for value in values:
+        if not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value}")
+
+
 class _SequenceOps:
     """Operations derived from each kind's two primitives (module docstring)."""
 
@@ -82,8 +89,7 @@ class _SequenceOps:
 
     def _finite_count_leq(self, x: float) -> int:
         """``_count_leq`` behind the check that every cutoff passes."""
-        if not math.isfinite(x):
-            raise ValidationError(f"cutoff must be finite, got {x}")
+        _check_finite("cutoff", x)
         return self._count_leq(x)
 
     def counting_function(self, x: float) -> int:

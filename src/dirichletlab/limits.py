@@ -23,26 +23,35 @@ from .frequencies import (
     DEFAULT_TAIL_HEAD_TERMS,
     DEFAULT_TERM_BUDGET,
     FrequencySequence,
+    _check_finite,
 )
 from .paths import SamplePath
-from .summation import compensated_sum
+from .summation import compensated_sum, exact_sum
 
 
 def char_function(
     seq: FrequencySequence,
     sigma: float,
-    t: float,
+    t: float | np.ndarray,
     cutoff: float,
     normalization: float | None = None,
     budget: int | None = None,
-) -> float:
+) -> float | list[float]:
     """Characteristic function of the normalized truncated value at t.
 
     Equals the product over served p <= cutoff of cos(t * p**-sigma / V),
     where V defaults to the truncated standard deviation.  Evaluated in
     log space with explicit sign tracking so products of thousands of
-    factors neither underflow nor lose the sign.
+    factors neither underflow nor lose the sign.  ``t`` is a float, giving
+    a float, or a 1-d grid, giving a list with one value per t; the
+    elements, weights and normalization are computed once per call.
     """
+    _check_finite("sigma", sigma)
+    ts = np.asarray(t, dtype=float)
+    if ts.ndim > 1:
+        raise ValidationError("t must be a float or a 1-d grid")
+    points = ts.ravel().tolist()
+    _check_finite("t", *points)
     elems = seq.elements_up_to(cutoff, budget=budget)
     if elems.size == 0:
         raise ValidationError("no elements at or below cutoff")
@@ -51,11 +60,20 @@ def char_function(
         normalization = math.sqrt(compensated_sum(w * w))
     if normalization <= 0:
         raise ValidationError("normalization must be positive")
-    c = np.cos(float(t) * w / normalization)
-    if np.any(c == 0.0):
-        return 0.0
-    sign = 1.0 if int(np.count_nonzero(c < 0)) % 2 == 0 else -1.0
-    return sign * math.exp(math.fsum(np.log(np.abs(c)).tolist()))
+    values = []
+    c = np.empty_like(w)
+    for tk in points:
+        np.multiply(tk, w, out=c)
+        c /= normalization
+        np.cos(c, out=c)
+        if np.any(c == 0.0):
+            values.append(0.0)
+            continue
+        sign = 1.0 if int(np.count_nonzero(c < 0)) % 2 == 0 else -1.0
+        np.abs(c, out=c)
+        np.log(c, out=c)
+        values.append(sign * math.exp(exact_sum(c)))
+    return values[0] if ts.ndim == 0 else values
 
 
 def char_function_gaussian_gap(
@@ -66,12 +84,12 @@ def char_function_gaussian_gap(
     budget: int | None = None,
 ) -> float:
     """sup over the grid of |char_function(t) - exp(-t**2/2)|."""
-    gaps = [
-        abs(char_function(seq, sigma, float(t), cutoff, budget=budget)
-            - math.exp(-0.5 * float(t) ** 2))
-        for t in np.asarray(t_grid, dtype=float)
-    ]
-    return max(gaps)
+    ts = np.asarray(t_grid, dtype=float)
+    if ts.ndim != 1 or ts.size == 0:
+        raise ValidationError("t_grid must be a non-empty 1-d grid")
+    phis = char_function(seq, sigma, ts, cutoff, budget=budget)
+    return max(abs(phi - math.exp(-0.5 * t ** 2))
+               for t, phi in zip(ts.tolist(), phis))
 
 
 def clt_sample(
@@ -91,6 +109,7 @@ def clt_sample(
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
+    _check_finite("sigma", sigma)
     elems = seq.elements_up_to(cutoff, budget=budget)
     if elems.size == 0:
         raise ValidationError("no elements at or below cutoff")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shlex
@@ -102,6 +103,19 @@ def test_exit_codes(tmp_path, capsys):
     ):
         assert run_cli(tmp_path, *args) == 1
         assert "validation error: cutoff must be finite" in capsys.readouterr().err
+    # non-finite exponents and t -> validation, not a NaN payload
+    for args, name in (
+        (["eval", "--sigma", "nan"], "sigma"),
+        (["eval", "--sigma0", "nan"], "sigma0"),
+        (["clt", "--sigma", "nan"], "sigma"),
+        (["clt", "--sigma", "inf"], "sigma"),
+        (["char-fn", "--sigma", "nan"], "sigma"),
+        (["char-fn", "--t-max", "inf"], "t"),
+        (["char-fn", "--t-max", "nan"], "t"),
+    ):
+        assert run_cli(tmp_path, *args) == 1
+        assert f"validation error: {name} must be finite" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.json"))
 
 
 def test_config_file_and_flag_override(tmp_path, capsys):
@@ -212,6 +226,14 @@ def test_experiment_defaults_are_config_defaults(
     monkeypatch.setattr(cli, "run_experiment", fake_run)
     assert run_cli(tmp_path, subcommand) == 3
     assert handed == [default]
+
+
+def test_char_fn_payload_golden(tmp_path):
+    # sha256 of the report captured before char_function took whole grids
+    assert run_cli(tmp_path, "char-fn", "--seq", "primes") == 0
+    (report,) = tmp_path.glob("char-fn_*.json")
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == (
+        "7b6b9d5df991052089d124143e68f848b730ee18c7fa41b02e78c25880c5018a")
 
 
 def test_same_invocation_same_payload(tmp_path):

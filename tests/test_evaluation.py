@@ -188,6 +188,28 @@ def test_heuristic_cutoff_rule_and_budget_error():
         variance_profile(Naturals(), 0.51, budget=1_000_000)
 
 
+def test_partial_sum_golden():
+    # captured before the chunk partials were summed by exact_sum
+    got = partial_sum(SamplePath(Naturals(), 7, 0), 0.75, 1e5)
+    assert got.hex() == "-0x1.01b5a965cf71cp+0"
+
+
+def test_non_finite_exponents_rejected():
+    seq = Naturals()
+    path = SamplePath(seq, 1, 0)
+    cert = tail_certificate(seq, 0.8, 1e4, 0.01)
+    for call in (
+        lambda: tail_certificate(seq, math.nan, 1e4, 0.01),
+        lambda: tail_certificate(seq, math.inf, 1e4, 0.01),
+        lambda: evaluate(path, math.nan, cert),
+        lambda: evaluate(path, math.inf, cert),
+        lambda: partial_sum(path, math.nan, 1e4),
+        lambda: partial_sum_table(path, [(0.9, 1e3), (math.nan, 1e3)]),
+    ):
+        with pytest.raises(ValidationError, match="must be finite"):
+            call()
+
+
 def test_mellin_identity_small():
     path = SamplePath(Naturals(), 13, 4)
     for s in (0.7, 1.0, 2.3):

@@ -15,6 +15,7 @@ from dirichletlab import (
     variance_profile,
 )
 from dirichletlab.limits import char_function_gaussian_gap
+from dirichletlab.summation import compensated_sum
 
 from conftest import normal_cdf as oracle_cdf
 
@@ -132,3 +133,56 @@ def test_variance_profile_validation():
         variance_profile(Naturals(), 0.5)
     with pytest.raises(ValidationError):
         variance_profile(Naturals(), 1.2)
+
+
+def test_char_function_golden():
+    # captured before the characteristic function took whole grids
+    assert char_function(Primes(), 0.6, 0.5, 1e6).hex() == "0x1.c38507337677ep-1"
+    gap = char_function_gaussian_gap(Primes(), 0.55, 1e7, np.linspace(-1, 1, 21))
+    assert gap.hex() == "0x1.3695b459ac280p-8"
+
+
+def reference_char_function(seq, sigma, t, cutoff, normalization=None):
+    """One t at a time, summed by fsum over a list."""
+    w = seq.elements_up_to(cutoff) ** (-float(sigma))
+    if normalization is None:
+        normalization = math.sqrt(compensated_sum(w * w))
+    c = np.cos(float(t) * w / normalization)
+    if np.any(c == 0.0):
+        return 0.0
+    sign = 1.0 if int(np.count_nonzero(c < 0)) % 2 == 0 else -1.0
+    return sign * math.exp(math.fsum(np.log(np.abs(c)).tolist()))
+
+
+@pytest.mark.parametrize("seq, sigma, cutoff, normalization", [
+    (Primes(), 0.55, 1e6, None),
+    (Naturals(), 0.7, 3e4, None),
+    (Naturals(), 1.0, 2000.0, 0.25),
+    (quiet_explicit([2.0, 3.0, 7.0]), 0.8, 10.0, None),
+])
+def test_char_function_grid_matches_scalar_calls(seq, sigma, cutoff, normalization):
+    ts = np.concatenate([np.linspace(-3.0, 3.0, 13), [0.0, -0.0, 1e-300, 40.0]])
+    grid = char_function(seq, sigma, ts, cutoff, normalization=normalization)
+    assert isinstance(grid, list) and len(grid) == ts.size
+    scalar = [char_function(seq, sigma, float(t), cutoff, normalization=normalization)
+              for t in ts]
+    oracle = [reference_char_function(seq, sigma, t, cutoff, normalization)
+              for t in ts]
+    assert [v.hex() for v in grid] == [v.hex() for v in scalar]
+    assert [v.hex() for v in grid] == [v.hex() for v in oracle]
+
+
+def test_non_finite_sigma_and_t_rejected():
+    seq = Naturals()
+    for call in (
+        lambda: clt_sample(seq, math.nan, 1e4, master_seed=1, trials=3),
+        lambda: clt_sample(seq, math.inf, 1e4, master_seed=1, trials=3),
+        lambda: char_function(seq, math.nan, 0.5, 1e4),
+        lambda: char_function(seq, 0.6, math.inf, 1e4),
+        lambda: char_function(seq, 0.6, [0.0, math.nan], 1e4),
+        lambda: char_function(seq, 0.6, np.zeros((2, 2)), 1e4),
+        lambda: char_function_gaussian_gap(seq, 0.6, 1e4, []),
+        lambda: char_function_gaussian_gap(seq, 0.6, 1e4, [math.nan]),
+    ):
+        with pytest.raises(ValidationError):
+            call()

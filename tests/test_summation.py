@@ -1,10 +1,12 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirichletlab.summation import compensated_sum
+from dirichletlab import Primes
+from dirichletlab.summation import compensated_sum, exact_sum
 
 
 def test_matches_fsum_small():
@@ -48,3 +50,108 @@ def test_chunk_rule_matches_reshaped_partials():
         partials = x[:full].reshape(-1, ch).sum(axis=1).tolist()
         partials.append(math.fsum(x[full:].tolist()))
         assert compensated_sum(x).hex() == math.fsum(partials).hex()
+
+
+def test_compensated_sum_golden():
+    # captured before the exact kernel replaced fsum over lists
+    x = np.random.default_rng(0).standard_normal(100_003)
+    assert compensated_sum(x).hex() == "-0x1.6814848b71746p+6"
+
+
+# --- exact_sum: equal to math.fsum(x.tolist()) by float.hex, or raising
+# the same exception.  Lengths 2**k - 1 put the plane sums closest to
+# 2**53, where one bit too many per plane would round.
+
+_LENGTHS = (0, 1, 2, 511, 512, 1023, 4095, (1 << 16) - 1, 1 << 16, (1 << 16) + 1)
+
+
+def assert_matches_fsum(x):
+    try:
+        want = math.fsum(x.tolist())
+    except (OverflowError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            exact_sum(x)
+        return
+    assert exact_sum(x).hex() == want.hex()
+
+
+@given(
+    n=st.sampled_from(_LENGTHS),
+    lo=st.integers(-1080, 60),
+    width=st.sampled_from([0, 1, 3, 10, 30, 100, 300, 1140]),
+    signs=st.sampled_from(["mixed", "positive", "negative"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_property_exact_sum_matches_fsum(n, lo, width, signs, seed):
+    # magnitudes 2**e * [1, 2) with e uniform in [lo, lo + width], clipped
+    # to [2**-1074, 2**60]: subnormals (5e-324 included) up to 2**60.
+    # Narrow ranges need few digit planes, so each plane shows in the sum.
+    rng = np.random.default_rng(seed)
+    hi = min(lo + width, 59)
+    e = rng.integers(min(lo, hi), hi + 1, n)
+    x = np.ldexp(rng.uniform(1.0, 2.0, n), e)
+    x[x == 0.0] = 5e-324
+    x[rng.random(n) < 0.01] = 5e-324
+    if signs == "mixed":
+        x *= rng.choice([-1.0, 1.0], n)
+    elif signs == "negative":
+        x = -x
+    assert_matches_fsum(x)
+
+
+@given(
+    n=st.sampled_from(_LENGTHS[1:]),
+    zeros=st.sampled_from(["+0", "-0", "mixed"]),
+    residue=st.sampled_from([0.0, 5e-324, -1e-300, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_property_exact_sum_zeros_and_cancellation(n, zeros, residue, seed):
+    rng = np.random.default_rng(seed)
+    z = {"+0": np.zeros(n), "-0": np.full(n, -0.0),
+         "mixed": rng.choice([0.0, -0.0], n)}[zeros]
+    assert_matches_fsum(z)
+    # x with -x, shuffled, sums to exactly zero; plus one residue
+    half = np.ldexp(rng.uniform(1.0, 2.0, n), rng.integers(-200, 50, n))
+    x = np.concatenate([half, -half, [residue]])
+    rng.shuffle(x)
+    assert_matches_fsum(x)
+
+
+@given(
+    n=st.sampled_from(_LENGTHS[1:]),
+    bad=st.sampled_from([
+        [math.inf], [-math.inf], [math.nan], [math.inf, -math.inf],
+        [math.inf, math.nan], [1e308, 1e308, -1e308], [-1e308, -1e308],
+        [2.0 ** 60], [1.7e308],
+    ]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_property_exact_sum_non_finite_and_overflow(n, bad, seed):
+    rng = np.random.default_rng(seed)
+    x = np.concatenate([rng.standard_normal(n), bad])
+    rng.shuffle(x)
+    assert_matches_fsum(x)
+    assert_matches_fsum(np.array(bad))
+
+
+def test_exact_sum_full_planes():
+    # every term within a factor 4/3 of the largest: each plane's integer
+    # sum nears n * 2**B <= 2**52, the most the kernel allows; with two
+    # bits more per plane, the plane sums pass 2**53 and round
+    rng = np.random.default_rng(5)
+    for n in (1023, 4095, (1 << 16) - 1):
+        for _ in range(16):
+            x = rng.uniform(1.5, 2.0, n)
+            assert_matches_fsum(x)
+            assert_matches_fsum(-x)
+
+
+def test_exact_sum_log_cosines():
+    # the characteristic function's sum: 664,579 log-cosines, primes to 1e7
+    w = Primes().elements_up_to(1e7) ** -0.55
+    x = np.log(np.abs(np.cos(0.9 * w / math.sqrt(compensated_sum(w * w)))))
+    assert x.size == 664_579
+    assert_matches_fsum(x)
