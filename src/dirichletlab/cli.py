@@ -37,7 +37,7 @@ from .experiments import (
     rows_to_csv,
     run_experiment,
 )
-from .frequencies import make_sequence
+from .frequencies import _check_finite, make_sequence
 from .limits import (
     char_function,
     clt_sample,
@@ -185,6 +185,7 @@ def _cmd_clt(v, workers):
 
 def _cmd_char_fn(v, workers):
     seq = make_sequence(v["seq"])
+    _check_finite("t_max", v["t_max"])
     ts = np.linspace(-v["t_max"], v["t_max"], v["t_points"])
     phis = char_function(seq, v["sigma"], ts, v["cutoff"])
     grid = [{"t": t, "phi": phi, "gaussian": math.exp(-0.5 * t ** 2)}

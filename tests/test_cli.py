@@ -104,17 +104,20 @@ def test_exit_codes(tmp_path, capsys):
         assert run_cli(tmp_path, *args) == 1
         assert "validation error: cutoff must be finite" in capsys.readouterr().err
     # non-finite exponents and t -> validation, not a NaN payload
-    for args, name in (
-        (["eval", "--sigma", "nan"], "sigma"),
-        (["eval", "--sigma0", "nan"], "sigma0"),
-        (["clt", "--sigma", "nan"], "sigma"),
-        (["clt", "--sigma", "inf"], "sigma"),
-        (["char-fn", "--sigma", "nan"], "sigma"),
-        (["char-fn", "--t-max", "inf"], "t"),
-        (["char-fn", "--t-max", "nan"], "t"),
+    for args in (
+        ["eval", "--sigma", "nan"],
+        ["eval", "--sigma0", "nan"],
+        ["clt", "--sigma", "nan"],
+        ["clt", "--sigma", "inf"],
+        ["char-fn", "--sigma", "nan"],
+        ["char-fn", "--t-max", "inf"],
+        ["char-fn", "--t-max", "nan"],
     ):
         assert run_cli(tmp_path, *args) == 1
-        assert f"validation error: {name} must be finite" in capsys.readouterr().err
+        key = args[1][2:].replace("-", "_")
+        assert f"validation error: {key} must be finite, got {args[2]}" in (
+            capsys.readouterr().err
+        )
     assert not list(tmp_path.glob("*.json"))
 
 

@@ -142,7 +142,7 @@ def test_exact_sum_full_planes():
     # sum nears n * 2**B <= 2**52, the most the kernel allows; with two
     # bits more per plane, the plane sums pass 2**53 and round
     rng = np.random.default_rng(5)
-    for n in (1023, 4095, (1 << 16) - 1):
+    for n in (1, 3, 511, 1023, 4095, (1 << 16) - 1):
         for _ in range(16):
             x = rng.uniform(1.5, 2.0, n)
             assert_matches_fsum(x)
