@@ -57,7 +57,7 @@ from .limits import (
     variance_profile,
 )
 from .paths import SamplePath
-from .zeros import SignScanReport, certify_no_zeros, scan
+from .zeros import SignScanReport, certify_no_zeros, scan, scan_certificate
 
 __all__ = [
     "__version__",
@@ -97,6 +97,7 @@ __all__ = [
     "partial_sum_table",
     "run_experiment",
     "scan",
+    "scan_certificate",
     "sequence_spec",
     "tail_certificate",
     "variance_profile",

@@ -45,7 +45,7 @@ from .limits import (
     variance_profile,
 )
 from .paths import SamplePath
-from .zeros import scan
+from .zeros import scan, scan_certificate
 
 
 def read_config_file(path: str) -> dict[str, str]:
@@ -133,7 +133,7 @@ def _cmd_eval(v, workers):
     seq = make_sequence(v["seq"])
     path = SamplePath(seq, v["seed"], v["trial"])
     cert = tail_certificate(seq, v["sigma0"], v["cutoff"], v["eta"])
-    cv = evaluate(path, v["sigma"], cert)
+    cv = evaluate(path, [v["sigma"]], cert)[0]
     payload = {
         "kind": "eval",
         "config": v,
@@ -154,11 +154,9 @@ def _cmd_eval(v, workers):
 def _cmd_scan(v, workers):
     seq = make_sequence(v["seq"])
     path = SamplePath(seq, v["seed"], v["trial"])
-    rep = scan(
-        path, v["sigma_lo"], v["sigma_hi"],
-        initial_grid=v["grid"], eta_budget=v["eta"],
-        cutoff=v["cutoff"], resolution=v["resolution"],
-    )
+    cert = scan_certificate(seq, v["sigma_lo"], v["cutoff"], v["eta"])
+    rep = scan(path, v["sigma_lo"], v["sigma_hi"], cert,
+               initial_grid=v["grid"], resolution=v["resolution"])
     summary = (
         f"scan [{rep.sigma_lo:g},{rep.sigma_hi:g}]: {rep.sign_changes} certified "
         f"sign changes, undecided measure {rep.undecided_measure:.3g}, "

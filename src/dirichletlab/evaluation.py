@@ -20,7 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .frequencies import FrequencySequence, _check_budget, _check_finite
+from .frequencies import (
+    DEFAULT_TAIL_HEAD_TERMS,
+    FrequencySequence,
+    _check_budget,
+    _check_finite,
+)
 from .paths import SamplePath
 from .summation import _CHUNK, _chunk_partial, exact_sum
 
@@ -62,26 +67,21 @@ def _weights(seq: FrequencySequence, sigma: float, cutoff: float,
     return w
 
 
-def _signed_sums(source: SamplePath | np.ndarray, weights) -> list[float]:
+def _signed_sums(path: SamplePath, weights) -> list[float]:
     """``compensated_sum(signs[:w.size] * w)`` for each weight array ``w``,
-    bit for bit, where ``signs`` are the signs of ``source``.
+    bit for bit, where ``signs`` are the signs of ``path``.
 
-    The one kernel behind every partial sum.  ``source`` is a path, whose
-    signs are streamed ``_CHUNK`` at a time and never held in full, or a
-    sign vector generated once by a caller that evaluates it many times.
+    The one kernel behind every partial sum.  The path's signs are
+    streamed ``_CHUNK`` at a time in one pass and never held in full.
     Each product is formed one chunk at a time and reduced by
     ``compensated_sum``'s own ``_chunk_partial``; ``fsum`` over the
     partials gives the sum.  One sum is not one ``compensated_sum`` call.
     """
     weights = list(weights)
     count = max((w.size for w in weights), default=0)
-    if isinstance(source, np.ndarray):
-        chunks = ((lo, source[lo:lo + _CHUNK]) for lo in range(0, count, _CHUNK))
-    else:
-        chunks = source._sign_chunks(count)
     partials: list[list[float]] = [[] for _ in weights]
     prod = np.empty(min(count, _CHUNK))
-    for lo, signs in chunks:
+    for lo, signs in path._sign_chunks(count):
         for w, parts in zip(weights, partials):
             m = min(w.size - lo, _CHUNK)
             if m <= 0:
@@ -128,7 +128,7 @@ def tail_certificate(
     sigma0: float,
     cutoff: float,
     eta: float,
-    head_terms: int = 10_000,
+    head_terms: int = DEFAULT_TAIL_HEAD_TERMS,
 ) -> TailCertificate:
     """Certificate at base exponent sigma0 with failure probability eta.
 
@@ -197,18 +197,17 @@ def partial_sum_table(
     )
 
 
-def _certified_values(
-    path: SamplePath,
-    sigmas: list[float],
-    cert: TailCertificate,
-    signs: np.ndarray | None = None,
+def evaluate(
+    path: SamplePath, sigmas: list[float], cert: TailCertificate
 ) -> list[CertifiedValue]:
-    """``evaluate`` at each exponent in ``sigmas`` in one pass over the signs.
+    """Certified values at every exponent in ``sigmas``, each at least the
+    certificate's base exponent, from one pass over the path's signs.
 
-    ``signs``, if given, are the path's signs up to at least
-    ``cert.cutoff``, so a caller evaluating many batches generates them
-    once; otherwise they are streamed from ``path``.
+    The radius is threshold * cutoff**-(sigma - sigma0); the truncation
+    identity behind it carries implied constant exactly 1.
     """
+    if cert.seq != path.seq:
+        raise ValidationError("certificate was built for another sequence")
     for sigma in sigmas:
         if sigma < cert.sigma0:
             raise ValidationError(
@@ -217,9 +216,8 @@ def _certified_values(
     if cert.cutoff < 1:
         raise ValidationError("cutoff must be >= 1")
     weights = [_weights(path.seq, s, cert.cutoff) for s in sigmas]
-    source = path if signs is None else signs
     out = []
-    for sigma, value in zip(sigmas, _signed_sums(source, weights)):
+    for sigma, value in zip(sigmas, _signed_sums(path, weights)):
         if cert.exhausted:
             out.append(CertifiedValue(sigma, value, cert.cutoff, 0.0, EXACT))
             continue
@@ -229,15 +227,6 @@ def _certified_values(
             eta=cert.eta, sigma0=cert.sigma0,
         ))
     return out
-
-
-def evaluate(path: SamplePath, sigma: float, cert: TailCertificate) -> CertifiedValue:
-    """Certified evaluation at sigma >= the certificate's base exponent.
-
-    The radius is threshold * cutoff**-(sigma - sigma0); the truncation
-    identity behind it carries implied constant exactly 1.
-    """
-    return _certified_values(path, [sigma], cert)[0]
 
 
 def heuristic_cutoff(sigma: float) -> float:

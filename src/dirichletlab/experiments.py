@@ -40,9 +40,9 @@ from ._version import VERSION
 from .bounds import wilson_interval
 from .errors import ValidationError
 from .evaluation import (
-    _certified_values,
     _signed_sums,
     _weights,
+    evaluate,
     excursion_probability_bound,
     heuristic_cutoff,
     partial_sum_table,
@@ -50,7 +50,7 @@ from .evaluation import (
 )
 from .frequencies import make_sequence
 from .paths import SamplePath
-from .zeros import certify_no_zeros
+from .zeros import certify_no_zeros, scan_certificate
 
 SCHEMA_VERSION = 1
 
@@ -208,19 +208,21 @@ def _fraction_entry(successes: int, trials: int, confidence: float = 0.95) -> di
 # no_zero
 
 
+@lru_cache(maxsize=1)
+def _no_zero_certify(cfg: NoZeroConfig):
+    """``certify_no_zeros`` with every path-independent argument of the
+    config bound, its tail certificate included: built once per config."""
+    cert = scan_certificate(_seq(cfg.seq), cfg.sigma_lo, cfg.cutoff, cfg.eta,
+                            cfg.sigma0, cfg.head_terms)
+    return partial(certify_no_zeros, sigma_lo=cfg.sigma_lo, cert=cert,
+                   sigma_switch=cfg.sigma_switch, initial_grid=cfg.initial_grid,
+                   max_refinement=cfg.max_refinement, resolution=cfg.resolution)
+
+
 def _no_zero_trial(cfg: NoZeroConfig, i: int) -> dict:
     seq = _seq(cfg.seq)
-    kwargs = dict(
-        sigma_switch=cfg.sigma_switch,
-        initial_grid=cfg.initial_grid,
-        max_refinement=cfg.max_refinement,
-        eta_budget=cfg.eta,
-        cutoff=cfg.cutoff,
-        sigma0=cfg.sigma0,
-        resolution=cfg.resolution,
-        head_terms=cfg.head_terms,
-    )
-    rep = certify_no_zeros(SamplePath(seq, cfg.master_seed, i), cfg.sigma_lo, **kwargs)
+    certify = _no_zero_certify(cfg)
+    rep = certify(SamplePath(seq, cfg.master_seed, i))
     out = {
         "trial": i,
         "certified": bool(rep.no_zero_certified),
@@ -231,24 +233,14 @@ def _no_zero_trial(cfg: NoZeroConfig, i: int) -> dict:
     if cfg.include_forced:
         forced = SamplePath(seq, cfg.master_seed, i,
                             forced_prefix=seq.counting_function(cfg.cutoff))
-        frep = certify_no_zeros(forced, cfg.sigma_lo, **kwargs)
-        out["forced_certified"] = bool(frep.no_zero_certified)
+        out["forced_certified"] = bool(certify(forced).no_zero_certified)
     return out
 
 
 def _validate_no_zero(cfg: NoZeroConfig) -> None:
-    seq = _seq(cfg.seq)
-    if cfg.trials < 1:
-        raise ValidationError("trials must be >= 1")
-    if not 0.0 < cfg.eta < 1.0:
-        raise ValidationError("eta must lie in (0,1)")
-    from .frequencies import Explicit
-
-    if cfg.sigma_lo <= 0.5 and not isinstance(seq, Explicit):
-        raise ValidationError(
-            "sigma_lo at or below 1/2 needs a finite sequence summed exactly"
-        )
-    if not seq.reciprocal_sum_converges:
+    # building the certificate checks eta and the sigma_lo <= 1/2 rule
+    _no_zero_certify(cfg)
+    if not _seq(cfg.seq).reciprocal_sum_converges:
         warnings.warn(
             "reciprocal sum diverges: no-zero certification is expected to "
             "fail on most trials in this regime",
@@ -318,7 +310,7 @@ def _sign_change_trial(cfg: SignChangeConfig, i: int) -> dict:
     path = SamplePath(st["seq"], cfg.master_seed, i)
     # both passes stream the path's signs: the certified one stops at the
     # certificate cutoff, the heuristic one at the longest undecided sum
-    certified = _certified_values(path, st["grid"], st["cert"])
+    certified = evaluate(path, st["grid"], st["cert"])
     combined = [cv.decided_sign for cv in certified]
     decided = [s is not None for s in combined]
     # the heuristic sum's sign stands in wherever the certified one is
@@ -375,8 +367,6 @@ def _aggregate_sign_change(cfg: SignChangeConfig, rows: list[dict]) -> dict:
 
 
 def _validate_sign_change(cfg: SignChangeConfig) -> None:
-    if cfg.trials < 1:
-        raise ValidationError("trials must be >= 1")
     if min(cfg.ladder) <= 0.5:
         raise ValidationError("ladder values must exceed 1/2")
     if cfg.grid_points < 2:
@@ -400,7 +390,6 @@ def _bu_trial(cfg: BuEventConfig, i: int) -> dict:
     w = _weights(seq, 0.5, max_hi)  # critical-exponent weights, cached
     signs = path.signs_up_to(max_hi)
     prefix = np.cumsum(signs * w)
-    start = seq.start_index
     sups = []
     for u in cfg.cutoff_ladder:
         a = seq.counting_function(u)
@@ -449,10 +438,7 @@ def _aggregate_bu(cfg: BuEventConfig, rows: list[dict]) -> dict:
 
 
 def _validate_bu(cfg: BuEventConfig) -> None:
-    seq = _seq(cfg.seq)
-    if cfg.trials < 1:
-        raise ValidationError("trials must be >= 1")
-    if not seq.reciprocal_sum_converges:
+    if not _seq(cfg.seq).reciprocal_sum_converges:
         raise ValidationError(
             "excursion study needs a convergent reciprocal sum"
         )
@@ -500,8 +486,6 @@ def _aggregate_exceedance(cfg: ExceedanceConfig, rows: list[dict]) -> dict:
 
 
 def _validate_exceedance(cfg: ExceedanceConfig) -> None:
-    if cfg.trials < 1:
-        raise ValidationError("trials must be >= 1")
     if list(cfg.scales) != sorted(set(cfg.scales)):
         raise ValidationError("scales must be strictly increasing")
 
@@ -523,6 +507,8 @@ def run_experiment(cfg, workers: int = 1) -> ExperimentReport:
     """Validate, run every trial (in a process pool when workers > 1) and
     aggregate, dispatching on the config's kind field."""
     validate, trial_fn, aggregate_fn = _KINDS[cfg.kind]
+    if cfg.trials < 1:
+        raise ValidationError("trials must be >= 1")
     validate(cfg)
     t0 = time.monotonic()
     if workers <= 1:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -309,7 +309,6 @@ class Explicit(_SequenceOps):
 
     values: tuple[float, ...]
     start_index: int = 1
-    _quiet: bool = field(default=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.values:
@@ -327,12 +326,11 @@ class Explicit(_SequenceOps):
         array = np.array(self.values, dtype=np.float64)
         array.flags.writeable = False  # slices of it are served as views
         object.__setattr__(self, "_array", array)
-        if not self._quiet:
-            warnings.warn(
-                "explicit sequences are accepted as-is; the abscissa-of-"
-                "convergence condition is the caller's responsibility",
-                stacklevel=3,
-            )
+        warnings.warn(
+            "explicit sequences are accepted as-is; the abscissa-of-"
+            "convergence condition is the caller's responsibility",
+            stacklevel=3,
+        )
 
     @classmethod
     def from_file(cls, path) -> "Explicit":

@@ -13,10 +13,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 
 from .errors import ValidationError
-from .evaluation import _certified_values, tail_certificate
-from .frequencies import Explicit, sequence_spec
+from .evaluation import TailCertificate, evaluate, tail_certificate
+from .frequencies import DEFAULT_TAIL_HEAD_TERMS, Explicit, sequence_spec
 from .paths import SamplePath
 
 SCHEMA_VERSION = 1
@@ -57,7 +58,6 @@ def _initial_grid(sigma_lo: float, sigma_hi: float, points: int) -> list[float]:
     """Geometric in (sigma - 1/2) when possible: the action accumulates
     toward the critical exponent.  Falls back to uniform spacing when the
     interval starts at or below 1/2 (exact-certificate scans allow that)."""
-    points = max(int(points), 2)
     if sigma_lo > 0.5:
         d_lo, d_hi = sigma_lo - 0.5, sigma_hi - 0.5
         ratio = (d_hi / d_lo) ** (1.0 / (points - 1))
@@ -75,31 +75,20 @@ def _sign_str(sign: int | None) -> str:
     return "+" if sign > 0 else "-"
 
 
-def scan(
-    path: SamplePath,
+def scan_certificate(
+    seq,
     sigma_lo: float,
-    sigma_hi: float,
-    initial_grid: int = 16,
-    max_refinement: int = 6,
-    eta_budget: float = 0.05,
-    *,
-    cutoff: float = 10_000.0,
+    cutoff: float,
+    eta: float,
     sigma0: float | None = None,
-    resolution: float = 1e-3,
-    head_terms: int = 10_000,
-) -> SignScanReport:
-    """Certified signs on an adaptive grid plus a conservative change count.
+    head_terms: int = DEFAULT_TAIL_HEAD_TERMS,
+) -> TailCertificate:
+    """The tail certificate for scans of ``seq`` from ``sigma_lo`` up.
 
-    One tail certificate at (sigma0, cutoff) covers every grid point, so
-    the whole scan spends eta_budget once.  Undecided or sign-change
-    intervals are bisected down to ``resolution`` for up to
-    ``max_refinement`` rounds.
+    Its base exponent ``sigma0`` defaults to (sigma_lo + 1/2)/2, halfway
+    to the critical line.  Below 1/2 only a finite sequence summed to its
+    end can be certified, with an exact certificate based at sigma_lo.
     """
-    if not sigma_lo < sigma_hi:
-        raise ValidationError("need sigma_lo < sigma_hi")
-    if not 0.0 < eta_budget < 1.0:
-        raise ValidationError("eta_budget must lie in (0,1)")
-    seq = path.seq
     exact_possible = isinstance(seq, Explicit) and cutoff >= seq.values[-1]
     if sigma_lo <= 0.5 and not exact_possible:
         raise ValidationError(
@@ -107,14 +96,35 @@ def scan(
         )
     if sigma0 is None:
         sigma0 = (sigma_lo + 0.5) / 2.0 if sigma_lo > 0.5 else sigma_lo
-    cert = tail_certificate(seq, sigma0, cutoff, eta_budget, head_terms=head_terms)
+    return tail_certificate(seq, sigma0, cutoff, eta, head_terms=head_terms)
 
-    # one sign vector serves every grid point of every refinement round
-    path_signs = path.signs_up_to(cert.cutoff)
+
+def scan(
+    path: SamplePath,
+    sigma_lo: float,
+    sigma_hi: float,
+    cert: TailCertificate,
+    initial_grid: int = 16,
+    max_refinement: int = 6,
+    resolution: float = 1e-3,
+) -> SignScanReport:
+    """Certified signs on an adaptive grid plus a conservative change count.
+
+    The one certificate ``cert`` (see ``scan_certificate``) covers every
+    grid point, so the whole scan spends its eta once.  Undecided or
+    sign-change intervals are bisected down to ``resolution`` for up to
+    ``max_refinement`` rounds; each round is one ``evaluate`` call.
+    """
+    if not sigma_lo < sigma_hi:
+        raise ValidationError("need sigma_lo < sigma_hi")
+    if not 2 <= initial_grid <= _MAX_GRID_POINTS:
+        raise ValidationError(
+            f"initial_grid must lie in [2, {_MAX_GRID_POINTS}], got {initial_grid}"
+        )
     signs: dict[float, int | None] = {}
 
     def certify(sigmas: list[float]) -> None:
-        for cv in _certified_values(path, sigmas, cert, path_signs):
+        for cv in evaluate(path, sigmas, cert):
             signs[cv.sigma] = cv.decided_sign
 
     certify(_initial_grid(sigma_lo, sigma_hi, initial_grid))
@@ -146,7 +156,7 @@ def scan(
         if x is None or y is None
     )
     return SignScanReport(
-        seq=sequence_spec(seq),
+        seq=sequence_spec(path.seq),
         master_seed=path.master_seed,
         trial_index=path.trial_index,
         sigma_lo=float(sigma_lo),
@@ -169,10 +179,12 @@ def scan(
     )
 
 
+@lru_cache(maxsize=32)
 def _single_term_domination_sigma(seq, sigma_start: float, sigma_max: float = 64.0):
     """Smallest ladder exponent where the first element alone beats the
     rigorous upper tail bound.  Termwise monotonicity then makes the
-    domination persist for every larger exponent."""
+    domination persist for every larger exponent.  Path-independent, so
+    memoized on the frozen sequence."""
     p1 = seq.element(seq.start_index)
     sigma = sigma_start
     while sigma <= sigma_max:
@@ -186,15 +198,12 @@ def _single_term_domination_sigma(seq, sigma_start: float, sigma_max: float = 64
 def certify_no_zeros(
     path: SamplePath,
     sigma_lo: float,
+    cert: TailCertificate,
     *,
     sigma_switch: float = 2.0,
     initial_grid: int = 16,
     max_refinement: int = 6,
-    eta_budget: float = 1e-3,
-    cutoff: float = 10_000.0,
-    sigma0: float | None = None,
     resolution: float = 1e-3,
-    head_terms: int = 10_000,
 ) -> SignScanReport:
     """Attempt to certify that the series has no zero on [sigma_lo, inf).
 
@@ -208,18 +217,8 @@ def certify_no_zeros(
     seq = path.seq
     dom_sigma = _single_term_domination_sigma(seq, max(sigma_switch, sigma_lo + 1e-9))
     hi = dom_sigma if dom_sigma is not None else max(sigma_switch, sigma_lo + 1.0)
-    report = scan(
-        path,
-        sigma_lo,
-        hi,
-        initial_grid=initial_grid,
-        max_refinement=max_refinement,
-        eta_budget=eta_budget,
-        cutoff=cutoff,
-        sigma0=sigma0,
-        resolution=resolution,
-        head_terms=head_terms,
-    )
+    report = scan(path, sigma_lo, hi, cert, initial_grid=initial_grid,
+                  max_refinement=max_refinement, resolution=resolution)
     report.domination_sigma = dom_sigma
     if dom_sigma is None:
         return report

@@ -3,18 +3,20 @@
 These are deliberately implemented from scratch (trial division, an
 Euler-Maclaurin zeta evaluation) so they share no code with the package
 under test.  ``path_with_signs`` is the exception: it finds, through the
-public path API, a path that carries prescribed signs.
+public path API, a path that carries prescribed signs.  ``explicit``
+builds an ``Explicit`` sequence without its construction warning.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from dirichletlab import SamplePath
+from dirichletlab import Explicit, SamplePath
 
 
 def trial_division_primes(limit: int) -> list[int]:
@@ -44,6 +46,14 @@ def path_with_signs(seq, signs, master_seed: int = 0) -> SamplePath:
         path = SamplePath(seq, master_seed, trial)
         if all(path.sign_at(start + k) == s for k, s in enumerate(signs)):
             return path
+
+
+def explicit(values, **kw) -> Explicit:
+    """``Explicit(values)`` with its construction warning silenced, so it
+    can also be built where no ``recwarn`` captures it (parametrize lists)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return Explicit(tuple(values), **kw)
 
 
 def normal_cdf(x: float) -> float:

@@ -87,7 +87,7 @@ def test_criterion_2_summatory_transform_identity():
         size = int(rng.integers(10, 10_001))
         gaps = rng.exponential(scale=1.0, size=size)
         values = 1.0 + np.cumsum(gaps)
-        seq = Explicit(tuple(float(v) for v in values), _quiet=True)
+        seq = Explicit(tuple(float(v) for v in values))
         path = SamplePath(seq, master_seed=k, trial_index=0)
         upper = float(values[-1]) + 1.0
         for s in (0.7, 1.0, 1.5, 2.3):

@@ -72,6 +72,14 @@ def test_clt_csv(tmp_path, capsys):
 def test_exit_codes(tmp_path, capsys):
     # validation error -> 1
     assert run_cli(tmp_path, "scan", "--sigma-lo", "3.0", "--sigma-hi", "1.0") == 1
+    # an initial grid outside [2, 20000] -> validation, not a silent clamp
+    assert run_cli(tmp_path, "scan", "--grid", "0") == 1
+    assert run_cli(tmp_path, "scan", "--grid", "-3") == 1
+    # at or below 1/2 a divergent sequence is refused before its certificate
+    # is built, so no divergence error (exit 3) reaches the user
+    assert run_cli(tmp_path, "scan", "--seq", "naturals", "--sigma-lo", "0.4") == 1
+    assert run_cli(tmp_path, "no-zeros", "--seq", "naturals", "--sigma-lo", "0.4",
+                   "--trials", "2") == 1
     # resource budget error -> 2 (scale rule far past any term budget)
     assert run_cli(tmp_path, "variance-profile", "--seq", "naturals",
                    "--sigmas", "0.505") == 2
@@ -237,6 +245,19 @@ def test_char_fn_payload_golden(tmp_path):
     (report,) = tmp_path.glob("char-fn_*.json")
     assert hashlib.sha256(report.read_bytes()).hexdigest() == (
         "7b6b9d5df991052089d124143e68f848b730ee18c7fa41b02e78c25880c5018a")
+
+
+@pytest.mark.parametrize("args, digest", [
+    (["scan", "--seq", "weighted:2.0", "--seed", "3"],
+     "f322515bfbae68e974688b9779f87308b6c2cb541c5f3a7187aff2262f6894d6"),
+    (["eval", "--seq", "naturals"],
+     "a269b79b98441e2a69633ac48ff0a3e477e0025f52cdb71806de54f31f19e5b5"),
+])
+def test_scan_and_eval_payload_golden(tmp_path, args, digest):
+    # sha256 of the reports captured before scans took their certificate
+    assert run_cli(tmp_path, *args) == 0
+    (report,) = tmp_path.glob(f"{args[0]}_*.json")
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
 
 
 def test_same_invocation_same_payload(tmp_path):

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dirichletlab import (
-    Explicit,
     Naturals,
     Primes,
     ResourceBudgetError,
@@ -29,15 +28,11 @@ from dirichletlab.evaluation import (
 from dirichletlab.limits import variance_profile
 from dirichletlab.summation import compensated_sum
 
-from conftest import path_with_signs, zeta_em
-
-
-def quiet_explicit(values):
-    return Explicit(tuple(values), _quiet=True)
+from conftest import explicit, path_with_signs, zeta_em
 
 
 def test_partial_sum_trivial_cases():
-    seq = quiet_explicit([2.0, 3.0])
+    seq = explicit([2.0, 3.0])
     plus = SamplePath(seq, 0, 0, forced_prefix=2)
     assert partial_sum(plus, 1.0, 10.0) == pytest.approx(1 / 2 + 1 / 3)
     mixed = path_with_signs(seq, [1, -1])
@@ -90,9 +85,8 @@ def test_property_streamed_sums_match_compensated_sum(lengths, start, prefix, se
     path = SamplePath(Naturals(start_index=start), seed, 3, forced_prefix=prefix)
     signs = path.signs_up_to(start - 1 + max(lengths))
     expected = [compensated_sum(signs[:w.size] * w) for w in weights]
-    for source in (path, signs):
-        got = evaluation._signed_sums(source, weights)
-        assert [x.hex() for x in got] == [x.hex() for x in expected]
+    got = evaluation._signed_sums(path, weights)
+    assert [x.hex() for x in got] == [x.hex() for x in expected]
 
 
 def test_weight_cache_separates_start_indices():
@@ -149,20 +143,19 @@ def test_fixed_threshold_instance_round_trip():
 def test_evaluate_radius_scales_with_exponent_gap():
     path = SamplePath(Naturals(), 3, 0)
     cert = tail_certificate(Naturals(), 0.75, 1e3, 0.05)
-    v1 = evaluate(path, 0.75, cert)
-    v2 = evaluate(path, 1.75, cert)
+    v1, v2 = evaluate(path, [0.75, 1.75], cert)
     assert v1.kind == v2.kind == PROBABILISTIC
     assert v1.error_radius == pytest.approx(cert.threshold)
     assert v2.error_radius == pytest.approx(cert.threshold / 1e3)
     with pytest.raises(ValidationError):
-        evaluate(path, 0.7, cert)
+        evaluate(path, [0.7], cert)
 
 
 def test_evaluate_exact_for_exhausted_finite_sequence():
-    seq = quiet_explicit([2.0, 3.0, 4.0])
+    seq = explicit([2.0, 3.0, 4.0])
     cert = tail_certificate(seq, 0.2, 10.0, 0.5)
     assert cert.exhausted and cert.eta == 0.0
-    cv = evaluate(SamplePath(seq, 1, 0), 0.2, cert)
+    cv = evaluate(SamplePath(seq, 1, 0), [0.2], cert)[0]
     assert cv.kind == EXACT
     assert cv.error_radius == 0.0
     assert cv.decided_sign in (-1, 1)
@@ -201,8 +194,8 @@ def test_non_finite_exponents_rejected():
     for call in (
         lambda: tail_certificate(seq, math.nan, 1e4, 0.01),
         lambda: tail_certificate(seq, math.inf, 1e4, 0.01),
-        lambda: evaluate(path, math.nan, cert),
-        lambda: evaluate(path, math.inf, cert),
+        lambda: evaluate(path, [math.nan], cert),
+        lambda: evaluate(path, [math.inf], cert),
         lambda: partial_sum(path, math.nan, 1e4),
         lambda: partial_sum_table(path, [(0.9, 1e3), (math.nan, 1e3)]),
     ):

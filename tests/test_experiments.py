@@ -12,7 +12,7 @@ from dirichletlab import (
     ValidationError,
     run_experiment,
 )
-from dirichletlab import experiments
+from dirichletlab import experiments, zeros
 from dirichletlab.evaluation import evaluate, tail_certificate
 from dirichletlab.experiments import (
     _config_dict,
@@ -50,6 +50,35 @@ def test_reports_identical_across_worker_counts():
     r2 = run_experiment(cfg, workers=4)
     assert r1.payload_json() == r2.payload_json()
     assert r1.report_hash() == r2.report_hash()
+
+
+@pytest.mark.parametrize("cfg, digest", [
+    (NoZeroConfig(trials=8, master_seed=1),
+     "5ca94017c753f3ea40cede7192f749dc7e615fa720e9cdb6c61be5a3dbc71b22"),
+    (NoZeroConfig(trials=4, master_seed=2, cutoff=1e4, sigma0=0.58),
+     "2f4392d2ca71e62e9a18fb76ddfa1287d79c744fc718a3682a4474bd338db910"),
+    (SignChangeConfig(trials=2, master_seed=1),
+     "28ade5039c9d62d0f74797f4106519bfb8b0c004cfbb0577ebe3f35f1dacabae"),
+])
+def test_experiment_payload_golden(cfg, digest):
+    # captured before no-zero trials shared one certificate per config
+    assert run_experiment(cfg).report_hash() == digest
+
+
+def test_no_zero_builds_one_certificate_per_config(monkeypatch):
+    # the certificate depends on the config alone, so the eight scans of
+    # four trials (plain and forced paths) share one
+    built = []
+    original = zeros.tail_certificate
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(zeros, "tail_certificate", counting)
+    experiments._no_zero_certify.cache_clear()
+    run_experiment(NoZeroConfig(trials=4, cutoff=1e4))
+    assert len(built) == 1
 
 
 def test_pool_starts_no_more_workers_than_trials(monkeypatch):
@@ -168,7 +197,7 @@ def test_sign_change_decided_fraction_matches_evaluate():
     fractions = []
     for row in rep.per_trial:
         path = SamplePath(seq, cfg.master_seed, row["trial"])
-        decided = [evaluate(path, s, cert).decided_sign is not None for s in grid]
+        decided = [cv.decided_sign is not None for cv in evaluate(path, grid, cert)]
         assert row["decided_fraction"] == sum(decided) / len(grid)
         fractions.append(row["decided_fraction"])
     assert 0.0 < min(fractions) < 1.0

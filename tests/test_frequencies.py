@@ -18,18 +18,14 @@ from dirichletlab import (
     sequence_spec,
 )
 
-from conftest import zeta_em
-
-
-def quiet_explicit(values, **kw):
-    return Explicit(tuple(values), _quiet=True, **kw)
+from conftest import explicit, zeta_em
 
 
 @pytest.mark.parametrize("cutoff", [math.inf, -math.inf, math.nan])
 @pytest.mark.parametrize(
     "seq",
     [Naturals(), Primes(), WeightedNaturals(2.0),
-     quiet_explicit([2.0, 3.0, 5.0])],
+     explicit([2.0, 3.0, 5.0])],
     ids=["naturals", "primes", "weighted", "explicit"],
 )
 def test_non_finite_cutoffs_rejected(seq, cutoff):
@@ -81,10 +77,10 @@ def test_budget_enforced():
         Naturals().elements_up_to(1e9, budget=1000)
     with pytest.raises(ResourceBudgetError):
         Naturals().power_sum(2.0, 1e12)
-    explicit = quiet_explicit([2.0, 3.0, 5.0, 7.0])
-    assert explicit.elements_up_to(3.0, budget=2).tolist() == [2.0, 3.0]
+    finite = explicit([2.0, 3.0, 5.0, 7.0])
+    assert finite.elements_up_to(3.0, budget=2).tolist() == [2.0, 3.0]
     with pytest.raises(ResourceBudgetError):
-        explicit.elements_up_to(7.0, budget=3)
+        finite.elements_up_to(7.0, budget=3)
     with pytest.raises(ResourceBudgetError):
         SamplePath(Naturals(), 1, 0).signs_up_to(1e9, budget=1000)
 
@@ -176,11 +172,11 @@ def test_weighted_exponent_validation():
 
 def test_explicit_validation():
     with pytest.raises(ValidationError):
-        quiet_explicit([2.0, 2.0])
+        explicit([2.0, 2.0])
     with pytest.raises(ValidationError):
-        quiet_explicit([0.5, 2.0])
+        explicit([0.5, 2.0])
     with pytest.raises(ValidationError):
-        quiet_explicit([])
+        explicit([])
 
 
 def test_explicit_warns_on_construction():
@@ -189,7 +185,7 @@ def test_explicit_warns_on_construction():
 
 
 def test_explicit_exact_tail():
-    seq = quiet_explicit([2.0, 3.0, 4.0])
+    seq = explicit([2.0, 3.0, 4.0])
     lo, hi = seq.tail_power_sum(0.3, 2.5)
     exact = 3.0 ** -0.3 + 4.0 ** -0.3
     assert lo == hi == pytest.approx(exact, abs=1e-15)

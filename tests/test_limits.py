@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from dirichletlab import (
-    Explicit,
     Naturals,
     Primes,
     ResourceBudgetError,
@@ -17,15 +16,11 @@ from dirichletlab import (
 from dirichletlab.limits import char_function_gaussian_gap
 from dirichletlab.summation import compensated_sum
 
-from conftest import normal_cdf as oracle_cdf
-
-
-def quiet_explicit(values):
-    return Explicit(tuple(values), _quiet=True)
+from conftest import explicit, normal_cdf as oracle_cdf
 
 
 def test_char_function_matches_cos_product_oracle():
-    seq = quiet_explicit([2.0, 3.0, 7.0])
+    seq = explicit([2.0, 3.0, 7.0])
     sigma, t = 0.8, 1.7
     w = np.array([2.0, 3.0, 7.0]) ** -sigma
     v = math.sqrt(float(np.sum(w * w)))
@@ -35,7 +30,7 @@ def test_char_function_matches_cos_product_oracle():
 
 def test_char_function_tracks_negative_sign():
     # one factor with argument in (pi/2, pi): the product must go negative
-    seq = quiet_explicit([2.0])
+    seq = explicit([2.0])
     val = char_function(seq, 1.0, 2.0, 10.0, normalization=1.0 / 2.5)
     assert val == pytest.approx(math.cos(2.0 * (2.0 ** -1.0) * 2.5), rel=1e-12)
     assert val < 0
@@ -158,7 +153,7 @@ def reference_char_function(seq, sigma, t, cutoff, normalization=None):
     (Primes(), 0.55, 1e6, None),
     (Naturals(), 0.7, 3e4, None),
     (Naturals(), 1.0, 2000.0, 0.25),
-    (quiet_explicit([2.0, 3.0, 7.0]), 0.8, 10.0, None),
+    (explicit([2.0, 3.0, 7.0]), 0.8, 10.0, None),
 ])
 def test_char_function_grid_matches_scalar_calls(seq, sigma, cutoff, normalization):
     ts = np.concatenate([np.linspace(-3.0, 3.0, 13), [0.0, -0.0, 1e-300, 40.0]])
