@@ -8,6 +8,12 @@ Two certificate grades are produced:
   every exponent above the certificate's base exponent, the truncation
   error is below threshold * cutoff**-(sigma - sigma0).
 
+Only the decision |S| > radius reaches a scan's payload, so ``decide``
+filters: a floating-point dot product with an a-priori error bound settles
+every point whose bound clears the radius, and the exact sum runs only for
+the few whose bound straddles it.  The decisions equal those of the exact
+values that ``evaluate`` returns.
+
 Below the certifiable range the near-critical rule ``heuristic_cutoff``
 picks a truncation scale for partial sums that carry no error bound.
 """
@@ -46,13 +52,16 @@ _WEIGHT_CACHE_LIMIT = 120_000_000
 
 
 def _weights(seq: FrequencySequence, sigma: float, cutoff: float,
-             budget: int | None = None) -> np.ndarray:
+             budget: int | None = None, count: int | None = None) -> np.ndarray:
     """``p**-sigma`` over the served elements ``p <= cutoff``, through the
     per-process ``_WEIGHT_CACHE``, which has no lock and so is not
-    thread-safe.  ``budget`` is checked on hits and misses alike."""
+    thread-safe.  ``budget`` is checked on hits and misses alike.  A caller
+    that already holds ``count = seq.counting_function(cutoff)``, checked
+    against the budget, passes it to skip the count."""
     _check_finite("sigma", sigma)
-    count = seq.counting_function(cutoff)
-    _check_budget(count, budget)
+    if count is None:
+        count = seq.counting_function(cutoff)
+        _check_budget(count, budget)
     key = (seq, float(sigma))
     cached = _WEIGHT_CACHE.get(key)
     if cached is not None and cached.size >= count:
@@ -169,11 +178,16 @@ class CertifiedValue:
     @property
     def decided_sign(self) -> int | None:
         """+1/-1 when the partial sum beats the radius, else None."""
-        if self.partial_sum > self.error_radius:
-            return 1
-        if self.partial_sum < -self.error_radius:
-            return -1
-        return None
+        return _sign_beyond(self.partial_sum, self.error_radius)
+
+
+def _sign_beyond(value: float, radius: float) -> int | None:
+    """+1/-1 when ``value`` lies beyond ``radius`` on that side, else None."""
+    if value > radius:
+        return 1
+    if value < -radius:
+        return -1
+    return None
 
 
 def partial_sum(
@@ -197,14 +211,16 @@ def partial_sum_table(
     )
 
 
-def evaluate(
+def _certified_weights(
     path: SamplePath, sigmas: list[float], cert: TailCertificate
-) -> list[CertifiedValue]:
-    """Certified values at every exponent in ``sigmas``, each at least the
-    certificate's base exponent, from one pass over the path's signs.
+) -> tuple[list[np.ndarray], list[float]]:
+    """The weights and radii of ``evaluate`` and ``decide``, after their
+    one validation.  The certificate's terms are counted once per call,
+    not once per exponent: every exponent shares the cutoff.
 
-    The radius is threshold * cutoff**-(sigma - sigma0); the truncation
-    identity behind it carries implied constant exactly 1.
+    The radius is threshold * cutoff**-(sigma - sigma0), or 0 for an
+    exhausted certificate; the truncation identity behind it carries
+    implied constant exactly 1.
     """
     if cert.seq != path.seq:
         raise ValidationError("certificate was built for another sequence")
@@ -215,17 +231,84 @@ def evaluate(
             )
     if cert.cutoff < 1:
         raise ValidationError("cutoff must be >= 1")
-    weights = [_weights(path.seq, s, cert.cutoff) for s in sigmas]
+    count = path.seq.counting_function(cert.cutoff)
+    _check_budget(count, None)
+    weights = [_weights(path.seq, s, cert.cutoff, count=count) for s in sigmas]
+    if cert.exhausted:
+        return weights, [0.0] * len(sigmas)
+    radii = [cert.threshold * cert.cutoff ** (-(s - cert.sigma0)) for s in sigmas]
+    return weights, radii
+
+
+def evaluate(
+    path: SamplePath, sigmas: list[float], cert: TailCertificate
+) -> list[CertifiedValue]:
+    """Certified values at every exponent in ``sigmas``, each at least the
+    certificate's base exponent, from one pass over the path's signs.
+    Each partial sum is exact (see ``_signed_sums``)."""
+    weights, radii = _certified_weights(path, sigmas, cert)
+    values = _signed_sums(path, weights)
+    if cert.exhausted:
+        return [CertifiedValue(s, v, cert.cutoff, 0.0, EXACT)
+                for s, v in zip(sigmas, values)]
+    return [
+        CertifiedValue(s, v, cert.cutoff, r, PROBABILISTIC,
+                       eta=cert.eta, sigma0=cert.sigma0)
+        for s, v, r in zip(sigmas, values, radii)
+    ]
+
+
+# (n - 1) * _DOT_SLACK * fl(sum(w)), rounded up, bounds the error of any
+# n-term float64 sum of the exact products +-w.  In any summation order
+# that error is at most gamma_{n-1} * sum(w), with gamma_k = ku / (1 - ku)
+# and u = 2**-53 (Higham, Accuracy and Stability of Numerical Algorithms,
+# sec. 4.2), and fl(sum(w)) >= (1 - gamma_{n-1}) * sum(w) by the same
+# bound.  For n <= 2**16 the two denominators together stay below
+# 1 + 2**-35, so the factor 1 + 2**-30 covers them, and (n - 1) times it
+# is exact in float64.
+_DOT_SLACK = 2.0 ** -53 * (1.0 + 2.0 ** -30)
+
+
+def decide(
+    path: SamplePath, sigmas: list[float], cert: TailCertificate
+) -> list[int | None]:
+    """``[cv.decided_sign for cv in evaluate(path, sigmas, cert)]``, with
+    the same validation, from one pass over the path's signs, without
+    summing every point exactly.
+
+    Sums of at most ``_CHUNK`` terms, where the exact sum is the correctly
+    rounded one, are filtered.  The signs are +-1, so ``np.dot(signs, w)``
+    forms every product exactly, and it lies within ``err`` (see
+    ``_DOT_SLACK``) of the exact sum S in any summation order.  Rounding
+    is monotone and the radius r is a float, so fl(S) lies in [lo, hi],
+    the floats just outside dot -+ err.  When lo > r, hi < -r, or both
+    lie in [-r, r], that interval settles the decision; otherwise the
+    exact ``_chunk_partial`` sums the point.  Longer sums go through
+    ``_signed_sums`` as in ``evaluate``.
+    """
+    weights, radii = _certified_weights(path, sigmas, cert)
+    count = weights[0].size if weights else 0
+    if not 0 < count <= _CHUNK:
+        return [_sign_beyond(v, r) for v, r in zip(_signed_sums(path, weights), radii)]
+    (_, signs), = path._sign_chunks(count)
+    slack = (count - 1) * _DOT_SLACK
+    prod = np.empty(count)
     out = []
-    for sigma, value in zip(sigmas, _signed_sums(path, weights)):
-        if cert.exhausted:
-            out.append(CertifiedValue(sigma, value, cert.cutoff, 0.0, EXACT))
-            continue
-        radius = cert.threshold * cert.cutoff ** (-(sigma - cert.sigma0))
-        out.append(CertifiedValue(
-            sigma, value, cert.cutoff, radius, PROBABILISTIC,
-            eta=cert.eta, sigma0=cert.sigma0,
-        ))
+    for w, radius in zip(weights, radii):
+        dot = float(np.dot(signs, w))
+        err = math.nextafter(slack * float(w.sum()), math.inf)
+        lo = math.nextafter(dot - err, -math.inf)
+        hi = math.nextafter(dot + err, math.inf)
+        # a NaN or infinite bound fails every test and falls through
+        if lo > radius:
+            out.append(1)
+        elif hi < -radius:
+            out.append(-1)
+        elif -radius <= lo and hi <= radius:
+            out.append(None)
+        else:
+            np.multiply(signs, w, out=prod)
+            out.append(_sign_beyond(_chunk_partial(prod, count), radius))
     return out
 
 

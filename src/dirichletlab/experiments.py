@@ -42,7 +42,7 @@ from .errors import ValidationError
 from .evaluation import (
     _signed_sums,
     _weights,
-    evaluate,
+    decide,
     excursion_probability_bound,
     heuristic_cutoff,
     partial_sum_table,
@@ -310,8 +310,7 @@ def _sign_change_trial(cfg: SignChangeConfig, i: int) -> dict:
     path = SamplePath(st["seq"], cfg.master_seed, i)
     # both passes stream the path's signs: the certified one stops at the
     # certificate cutoff, the heuristic one at the longest undecided sum
-    certified = evaluate(path, st["grid"], st["cert"])
-    combined = [cv.decided_sign for cv in certified]
+    combined = decide(path, st["grid"], st["cert"])
     decided = [s is not None for s in combined]
     # the heuristic sum's sign stands in wherever the certified one is
     # undecided

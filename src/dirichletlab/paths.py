@@ -27,7 +27,7 @@ _TRIAL_GAMMA = 0xBF58476D1CE4E5B9
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 _SIGN_BIT = np.uint64(1 << 63)
-_ONE_BITS = np.float64(1.0).view(np.uint64)
+_MINUS_ONE_BITS = np.float64(-1.0).view(np.uint64)
 # j * gamma mod 2**64 for the j-th position of a chunk
 _STEPS = np.arange(_CHUNK, dtype=np.uint64) * np.uint64(_GAMMA)
 
@@ -43,10 +43,12 @@ def _mix64(z: int) -> int:
 def _signs_in_place(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """Signs of the counters ``z``, computed in place.
 
-    ``z`` is run through the finalizer of ``_mix64``; ``scratch`` is a
+    ``z`` is run through the finalizer of ``_mix64`` but for its last
+    ``z ^= z >> 31``, which leaves the top bit as it is; ``scratch`` is a
     uint64 buffer of the same size that it overwrites.  The sign is the
     mixed word's top bit (set -> +1.0, clear -> -1.0), written straight into
-    the IEEE-754 bits of ``z``, whose float64 view is returned.
+    the IEEE-754 bits of ``z``, whose float64 view is returned: the top bit
+    alone, xored with the bits of -1.0, gives +1.0 or -1.0.
     """
     np.right_shift(z, np.uint64(30), out=scratch)
     z ^= scratch
@@ -54,11 +56,8 @@ def _signs_in_place(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     np.right_shift(z, np.uint64(27), out=scratch)
     z ^= scratch
     z *= _M2
-    np.right_shift(z, np.uint64(31), out=scratch)
-    z ^= scratch
-    np.invert(z, out=z)
     z &= _SIGN_BIT
-    z |= _ONE_BITS
+    z ^= _MINUS_ONE_BITS
     return z.view(np.float64)
 
 

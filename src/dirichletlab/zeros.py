@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
 from .errors import ValidationError
-from .evaluation import TailCertificate, evaluate, tail_certificate
+from .evaluation import TailCertificate, decide, tail_certificate
 from .frequencies import DEFAULT_TAIL_HEAD_TERMS, Explicit, sequence_spec
 from .paths import SamplePath
 
@@ -113,7 +113,7 @@ def scan(
     The one certificate ``cert`` (see ``scan_certificate``) covers every
     grid point, so the whole scan spends its eta once.  Undecided or
     sign-change intervals are bisected down to ``resolution`` for up to
-    ``max_refinement`` rounds; each round is one ``evaluate`` call.
+    ``max_refinement`` rounds; each round is one ``decide`` call.
     """
     if not sigma_lo < sigma_hi:
         raise ValidationError("need sigma_lo < sigma_hi")
@@ -124,8 +124,7 @@ def scan(
     signs: dict[float, int | None] = {}
 
     def certify(sigmas: list[float]) -> None:
-        for cv in evaluate(path, sigmas, cert):
-            signs[cv.sigma] = cv.decided_sign
+        signs.update(zip(sigmas, decide(path, sigmas, cert)))
 
     certify(_initial_grid(sigma_lo, sigma_hi, initial_grid))
     rounds = 0

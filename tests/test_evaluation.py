@@ -1,8 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dirichletlab import (
@@ -17,6 +18,8 @@ from dirichletlab import evaluation
 from dirichletlab.evaluation import (
     EXACT,
     PROBABILISTIC,
+    TailCertificate,
+    decide,
     evaluate,
     excursion_probability_bound,
     heuristic_cutoff,
@@ -159,6 +162,81 @@ def test_evaluate_exact_for_exhausted_finite_sequence():
     assert cv.kind == EXACT
     assert cv.error_radius == 0.0
     assert cv.decided_sign in (-1, 1)
+
+
+def _cert_at(path, sigmas, cutoff, ulps, exhausted):
+    """A certificate based at min(sigmas) whose radius there is the exact
+    sum's magnitude moved ``ulps`` floats up (or down, not below 0), or an
+    exhausted one with radius 0."""
+    sigma0 = min(sigmas)
+    cert = TailCertificate(path.seq, sigma0, cutoff, threshold=1.0, eta=0.5,
+                           tail_second_moment=1.0)
+    if exhausted:
+        return dataclasses.replace(cert, threshold=0.0, eta=0.0, exhausted=True)
+    radius = abs(evaluate(path, [sigma0], cert)[0].partial_sum)
+    for _ in range(abs(ulps)):
+        radius = math.nextafter(radius, math.inf if ulps > 0 else 0.0)
+    return dataclasses.replace(cert, threshold=radius)
+
+
+# one 1.0 and fourteen weights just under half an ulp of 1: summed left to
+# right (numpy's dot does so below 16 terms) every small term is lost, so
+# the dot product errs by about 12.6 ulps of 1 of the 14 its bound allows
+_STAIR = explicit([1.0] + [1e16 + 4.0 * k for k in range(14)])
+
+
+@given(
+    seq=st.one_of(
+        st.sampled_from([Naturals(), Primes(), WeightedNaturals(2.0)]),
+        st.lists(st.floats(1.0, 1e4), min_size=1, max_size=40, unique=True)
+        .map(sorted).map(explicit),
+    ),
+    cutoff=st.floats(1.0, 3000.0),
+    sigmas=st.lists(st.floats(0.55, 3.0), min_size=1, max_size=4),
+    prefix=st.sampled_from([0, 1, 3, 40, 10**6]),
+    seed=st.integers(0, 2**32 - 1),
+    ulps=st.integers(-3, 3),
+    exhausted=st.booleans(),
+)
+@example(seq=_STAIR, cutoff=2e16, sigmas=[1.0], prefix=15, seed=0, ulps=-1,
+         exhausted=False)
+@example(seq=Naturals(), cutoff=70_000.0, sigmas=[0.6, 0.9], prefix=0, seed=5,
+         ulps=1, exhausted=False)
+@settings(max_examples=80, deadline=None)
+def test_property_decide_equals_exact_decisions(
+    seq, cutoff, sigmas, prefix, seed, ulps, exhausted
+):
+    # radii at the exact sum and a few floats either side put the fast
+    # value inside its error band, so the exact fallback runs as well
+    path = SamplePath(seq, seed, 2, forced_prefix=prefix)
+    cert = _cert_at(path, sigmas, cutoff, ulps, exhausted)
+    expected = [cv.decided_sign for cv in evaluate(path, sigmas, cert)]
+    assert decide(path, sigmas, cert) == expected
+
+
+def test_decide_falls_back_to_the_exact_sum_near_the_radius(monkeypatch):
+    calls = []
+    original = evaluation._chunk_partial
+
+    def counting(chunk, total):
+        calls.append(total)
+        return original(chunk, total)
+
+    monkeypatch.setattr(evaluation, "_chunk_partial", counting)
+    path = SamplePath(WeightedNaturals(2.0), 1, 0)
+    sigmas = [0.8, 1.1, 1.7]
+    # radius exactly at the sum's magnitude: no error band can clear it
+    at_sum = _cert_at(path, [0.8], 1e4, 0, False)
+    calls.clear()
+    assert decide(path, [0.8], at_sum) == [None]
+    assert calls == [path.seq.counting_function(1e4)]
+    # far radii leave every decision to the dot product
+    for threshold in (0.0, 1e-6, 1e6):
+        cert = dataclasses.replace(at_sum, threshold=threshold)
+        calls.clear()
+        got = decide(path, sigmas, cert)
+        assert calls == []
+        assert got == [cv.decided_sign for cv in evaluate(path, sigmas, cert)]
 
 
 def test_decided_sign_logic():

@@ -14,6 +14,7 @@ from dirichletlab import (
     scan,
     scan_certificate,
 )
+from dirichletlab.frequencies import FrequencySequence
 from dirichletlab.zeros import _MAX_GRID_POINTS
 
 from conftest import explicit, path_with_signs
@@ -53,6 +54,27 @@ def test_scan_streams_signs_once_per_evaluate(monkeypatch):
     rep = scan(SamplePath(seq, 3, 1), 0.6, 2.0, cert, max_refinement=4)
     assert rep.refinement_rounds >= 1 and len(rep.sigma_grid) > 16
     assert calls == [seq.counting_function(1e4)] * (1 + rep.refinement_rounds)
+
+
+def test_scan_counts_terms_once_per_round(monkeypatch):
+    # the initial grid and each refinement round count the certificate's
+    # terms once, however many exponents they hold; a first scan fills the
+    # weight cache, whose misses read (and so count) the elements again
+    seq = WeightedNaturals(2.0)
+    cert = scan_certificate(seq, 0.6, 1e4, 0.05)
+    path = SamplePath(seq, 3, 1)
+    scan(path, 0.6, 2.0, cert, max_refinement=4)
+    counted = []
+    original = FrequencySequence.counting_function
+
+    def counting(self, x):
+        counted.append(x)
+        return original(self, x)
+
+    monkeypatch.setattr(FrequencySequence, "counting_function", counting)
+    rep = scan(path, 0.6, 2.0, cert, max_refinement=4)
+    assert len(rep.sigma_grid) > 2 * (1 + rep.refinement_rounds)
+    assert counted == [cert.cutoff] * (1 + rep.refinement_rounds)
 
 
 def test_scan_rejects_initial_grid_outside_cap():
