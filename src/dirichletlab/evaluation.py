@@ -57,7 +57,8 @@ def _weights(seq: FrequencySequence, sigma: float, cutoff: float,
     per-process ``_WEIGHT_CACHE``, which has no lock and so is not
     thread-safe.  ``budget`` is checked on hits and misses alike.  A caller
     that already holds ``count = seq.counting_function(cutoff)``, checked
-    against the budget, passes it to skip the count."""
+    against the budget, passes it to skip the count; a miss then reads
+    the ``count`` served elements without counting them again."""
     _check_finite("sigma", sigma)
     if count is None:
         count = seq.counting_function(cutoff)
@@ -66,8 +67,7 @@ def _weights(seq: FrequencySequence, sigma: float, cutoff: float,
     cached = _WEIGHT_CACHE.get(key)
     if cached is not None and cached.size >= count:
         return cached[:count]
-    elems = seq.elements_up_to(cutoff, budget=budget)
-    w = elems ** (-float(sigma))
+    w = seq._values(seq.start_index, count) ** (-float(sigma))
     total = sum(a.size for a in _WEIGHT_CACHE.values()) + w.size
     while total > _WEIGHT_CACHE_LIMIT and _WEIGHT_CACHE:
         total -= _WEIGHT_CACHE.pop(next(iter(_WEIGHT_CACHE))).size

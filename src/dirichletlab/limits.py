@@ -26,7 +26,7 @@ from .frequencies import (
     _check_finite,
 )
 from .paths import SamplePath
-from .summation import compensated_sum, exact_sum
+from .summation import _CHUNK, _BlockSum, compensated_sum, exact_sum
 
 
 def char_function(
@@ -45,6 +45,14 @@ def char_function(
     factors neither underflow nor lose the sign.  ``t`` is a float, giving
     a float, or a 1-d grid, giving a list with one value per t; the
     elements, weights and normalization are computed once per call.
+
+    Each t runs one blocked pass: ``_CHUNK`` factors at a time are formed,
+    checked for a zero, counted for sign, turned into log-magnitudes and
+    added to one exact ``_BlockSum``, so no full-length array of cosines is
+    held and the sum equals ``exact_sum`` of all the log-magnitudes.  phi
+    is even, and exactly so in floating point (-t * w / V is the negated
+    argument, and ``np.cos`` is bitwise even), so a t whose mirror -t (or
+    +-0) was already evaluated in the call reuses that value.
     """
     _check_finite("sigma", sigma)
     ts = np.asarray(t, dtype=float)
@@ -60,20 +68,39 @@ def char_function(
         normalization = math.sqrt(compensated_sum(w * w))
     if normalization <= 0:
         raise ValidationError("normalization must be positive")
-    values = []
-    c = np.empty_like(w)
+    acc = _BlockSum(min(w.size, _CHUNK))
+    buf = np.empty(min(w.size, _CHUNK))
+    known: dict[float, float] = {}
     for tk in points:
-        np.multiply(tk, w, out=c)
+        if abs(tk) not in known:
+            known[abs(tk)] = _char_value(tk, w, normalization, acc, buf)
+    values = [known[abs(tk)] for tk in points]
+    return values[0] if ts.ndim == 0 else values
+
+
+def _char_value(tk: float, w: np.ndarray, normalization: float,
+                acc: _BlockSum, buf: np.ndarray) -> float:
+    """prod cos(tk * w / normalization), one ``_CHUNK`` block at a time."""
+    acc.clear()
+    negatives = 0
+    exact = True
+    for lo in range(0, w.size, _CHUNK):
+        c = buf[:min(w.size - lo, _CHUNK)]
+        np.multiply(tk, w[lo:lo + c.size], out=c)
         c /= normalization
         np.cos(c, out=c)
         if np.any(c == 0.0):
-            values.append(0.0)
-            continue
-        sign = 1.0 if int(np.count_nonzero(c < 0)) % 2 == 0 else -1.0
+            return 0.0
+        negatives += int(np.count_nonzero(c < 0))
         np.abs(c, out=c)
         np.log(c, out=c)
-        values.append(sign * math.exp(exact_sum(c)))
-    return values[0] if ts.ndim == 0 else values
+        # past a block the kernel cannot take (a NaN factor) only a zero
+        # can still change the value; the sum then goes to exact_sum whole
+        exact = exact and acc.add(c)
+    sign = 1.0 if negatives % 2 == 0 else -1.0
+    if exact:
+        return sign * math.exp(acc.value())
+    return sign * math.exp(exact_sum(np.log(np.abs(np.cos(tk * w / normalization)))))
 
 
 def char_function_gaussian_gap(

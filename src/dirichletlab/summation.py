@@ -4,7 +4,11 @@ Large runs accumulate up to 10**8 terms; naive left-to-right float64
 accumulation loses several digits there.  ``exact_sum`` is the exact
 summation: the correctly rounded sum of an array, equal bit for bit to
 ``math.fsum`` of its elements as a Python list, but computed with numpy
-passes instead of a list.  ``compensated_sum`` reduces long arrays
+passes instead of a list.  It works in ``_CHUNK``-term blocks that stay in
+cache: ``_BlockSum`` turns each block into an exact (int, shift) pair with
+35-bit digit planes (more for a shorter block), adds the pairs as Python
+ints and rounds the total once; ``limits.char_function`` feeds it the
+blocks it computes.  ``compensated_sum`` reduces long arrays
 chunk-by-chunk with numpy's pairwise summation, sums short inputs and the
 remainder chunk exactly, and combines the chunk totals with ``math.fsum``.
 Everything below is independent of thread count and of BLAS builds.
@@ -25,39 +29,81 @@ def exact_sum(values) -> float:
     """The correctly rounded sum of a float64 array, equal bit for bit to
     ``math.fsum`` over ``values.tolist()``.
 
-    With n terms and B = 52 - n.bit_length() bits per digit plane, the
-    input is scaled by a power of two so that every |y| < 2**B, which is
-    exact.  Each plane takes the integer parts q = trunc(y), whose sum is
-    exact in any order because every partial sum is an integer below
-    n * 2**B <= 2**52; the fractions are shifted up B bits for the next
-    plane until none is left.  The plane sums, accumulated in a Python
-    int, hold the exact total, which one int true division rounds
-    correctly (half-even).  Non-finite or all-zero input, and
-    max|x| >= 2**B, where scaling could round, go to ``math.fsum`` itself,
-    so its results and exceptions carry over.
+    The input is summed in ``_CHUNK``-term blocks by ``_BlockSum``, which
+    keeps each block in cache and adds it exactly: a full block gets 35
+    bits per digit plane, an input of at most ``_CHUNK`` terms is one block.
+    One int true division rounds the exact total (half-even).  A block with
+    a non-finite value or one too large to scale exactly, and an exact zero
+    total, whose sign only ``math.fsum`` knows, send the whole input to
+    ``math.fsum`` itself, so its results and exceptions carry over.
     """
     arr = np.asarray(values, dtype=np.float64).ravel()
     n = arr.size
-    bits = 52 - n.bit_length()
-    plane = 2.0 ** bits
-    top = max(float(arr.max()), -float(arr.min())) if n else 0.0
-    if not 0.0 < top < plane:
-        # empty, non-finite, all zero, or too large to scale exactly
-        terms = arr.tolist()
-        return math.fsum(terms)
-    shift = bits - math.frexp(top)[1]
-    y = np.ldexp(arr, shift)
-    q = np.empty_like(y)
-    total = 0
-    while True:
-        np.trunc(y, out=q)
-        total += int(q.sum())
-        y -= q
-        if not y.any():
-            return total / (1 << shift)
-        y *= plane
-        total <<= bits
-        shift += bits
+    acc = _BlockSum(min(n, _CHUNK))
+    if all(acc.add(arr[lo:lo + _CHUNK]) for lo in range(0, n, _CHUNK)) and acc.total:
+        return acc.value()
+    # empty, non-finite, too large to scale exactly, or exactly zero
+    return math.fsum(arr.tolist())
+
+
+class _BlockSum:
+    """The exact running sum of float64 blocks of at most ``_CHUNK`` terms.
+
+    ``add`` turns a block of m terms into an exact pair: with
+    B = 52 - m.bit_length() bits per digit plane (35 for a full block),
+    the block is scaled by its own power of two so that every |y| < 2**B,
+    which is exact.  Each plane takes the integer parts q = trunc(y), whose
+    sum is exact in any order because every partial sum is an integer below
+    m * 2**B <= 2**52; the fractions are shifted up B bits for the next
+    plane until none is left.  The plane sums give the block's sum as
+    total / 2**shift with Python ints, and the pairs of all blocks are
+    aligned to the largest shift and added.  ``value`` rounds once.  The
+    plane loop runs in two reused ``_CHUNK``-float buffers that stay in
+    cache.
+    """
+
+    def __init__(self, size: int):
+        self._y = np.empty(size)
+        self._q = np.empty(size)
+        self.clear()
+
+    def clear(self) -> None:
+        self.total = 0
+        self.shift = 0
+
+    def add(self, block: np.ndarray) -> bool:
+        """Add a non-empty block exactly; False, adding nothing, when it
+        holds a non-finite value or one with |x| >= 2**B."""
+        m = block.size
+        bits = 52 - m.bit_length()
+        plane = 2.0 ** bits
+        top = max(float(block.max()), -float(block.min()))
+        if not top < plane:
+            return False
+        if top == 0.0:
+            return True
+        shift = bits - math.frexp(top)[1]
+        y = np.ldexp(block, shift, out=self._y[:m])
+        q = self._q[:m]
+        total = 0
+        while True:
+            np.trunc(y, out=q)
+            total += int(q.sum())
+            y -= q
+            if not y.any():
+                break
+            y *= plane
+            total <<= bits
+            shift += bits
+        if shift > self.shift:
+            self.total <<= shift - self.shift
+            self.shift = shift
+        self.total += total << (self.shift - shift)
+        return True
+
+    def value(self) -> float:
+        """The running sum, correctly rounded (half-even)."""
+        return self.total / (1 << self.shift)
 
 
 def compensated_sum(values) -> float:

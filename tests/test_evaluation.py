@@ -28,6 +28,7 @@ from dirichletlab.evaluation import (
     partial_sum_table,
     tail_certificate,
 )
+from dirichletlab.frequencies import FrequencySequence
 from dirichletlab.limits import variance_profile
 from dirichletlab.summation import compensated_sum
 
@@ -111,6 +112,27 @@ def test_weight_cache_evicts_oldest(monkeypatch):
     for sigma in (0.6, 0.7, 0.8, 0.9):  # 1000 weights each
         evaluation._weights(Naturals(), sigma, 1000)
     assert [s for _, s in evaluation._WEIGHT_CACHE] == [0.8, 0.9]
+
+
+def test_weight_cache_miss_reads_elements_without_counting(monkeypatch):
+    monkeypatch.setattr(evaluation, "_WEIGHT_CACHE", {})
+    seq = WeightedNaturals(2.0)
+    count = seq.counting_function(1e4)
+    elems = seq.elements_up_to(1e4)
+    counted = []
+    original = FrequencySequence.counting_function
+
+    def counting(self, x):
+        counted.append(x)
+        return original(self, x)
+
+    monkeypatch.setattr(FrequencySequence, "counting_function", counting)
+    given_count = evaluation._weights(seq, 0.8, 1e4, count=count)
+    assert counted == []
+    counted_here = evaluation._weights(seq, 0.9, 1e4)
+    assert counted == [1e4]
+    assert np.array_equal(given_count, elems ** -0.8)
+    assert np.array_equal(counted_here, elems ** -0.9)
 
 
 def test_tail_certificate_second_moment_matches_zeta_oracle():

@@ -13,6 +13,7 @@ from dirichletlab import (
     ks_statistic,
     variance_profile,
 )
+from dirichletlab import limits
 from dirichletlab.limits import char_function_gaussian_gap
 from dirichletlab.summation import compensated_sum
 
@@ -181,3 +182,66 @@ def test_non_finite_sigma_and_t_rejected():
     ):
         with pytest.raises(ValidationError):
             call()
+
+
+# --- phi is even bit for bit: -t * w / V is the negated argument and
+# np.cos is bitwise even, so a mirrored t may reuse a computed value.
+
+_EVEN_CASES = [
+    (Primes(), 0.55, 1e6, None),
+    (Naturals(), 0.7, 3e4, None),
+    (Naturals(), 1.0, 2000.0, 0.25),
+    (explicit([2.0, 3.0, 7.0]), 0.8, 10.0, None),
+]
+
+
+@pytest.mark.parametrize("seq, sigma, cutoff, normalization", _EVEN_CASES)
+def test_char_function_even_bit_for_bit(seq, sigma, cutoff, normalization):
+    for t in (0.9, 1.0, 2.5, 1e-300, 40.0):
+        plus = char_function(seq, sigma, t, cutoff, normalization=normalization)
+        minus = char_function(seq, sigma, -t, cutoff, normalization=normalization)
+        assert minus.hex() == plus.hex()
+
+
+def test_numpy_cos_is_bitwise_even_on_prime_arguments():
+    w = Primes().elements_up_to(1e7) ** -0.55
+    x = 1.0 * w / math.sqrt(compensated_sum(w * w))
+    assert x.size == 664_579
+    assert np.array_equal(np.cos(-x).view(np.int64), np.cos(x).view(np.int64))
+
+
+@pytest.mark.parametrize("seq, sigma, cutoff, normalization", _EVEN_CASES)
+def test_symmetric_grid_with_signed_zeros_matches_scalar_calls(
+        seq, sigma, cutoff, normalization):
+    ts = np.concatenate([np.linspace(-1.0, 1.0, 21), [0.0, -0.0, 0.35, -0.35]])
+    grid = char_function(seq, sigma, ts, cutoff, normalization=normalization)
+    scalar = [char_function(seq, sigma, float(t), cutoff, normalization=normalization)
+              for t in ts]
+    assert [v.hex() for v in grid] == [v.hex() for v in scalar]
+
+
+def test_symmetric_grid_evaluates_each_magnitude_once(monkeypatch):
+    calls = []
+    original = limits._char_value
+
+    def counting(tk, *args):
+        calls.append(tk)
+        return original(tk, *args)
+
+    monkeypatch.setattr(limits, "_char_value", counting)
+    ts = np.concatenate([np.linspace(-1.0, 1.0, 21), [0.0, -0.0]])
+    char_function(Naturals(), 0.7, ts, 3e4)
+    assert sorted(abs(t) for t in calls) == sorted(set(abs(ts).tolist()))
+
+
+@pytest.mark.parametrize("t", [1e308, -1e308])
+def test_char_function_overflowing_argument_matches_reference(t):
+    # t * w / V overflows to inf for the first factors, whose cosine is NaN
+    seq = Naturals()
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = char_function(seq, 1.0, t, 2000.0, normalization=0.25)
+        want = reference_char_function(seq, 1.0, t, 2000.0, 0.25)
+        grid = char_function(seq, 1.0, [t, -t, 1.0], 2000.0, normalization=0.25)
+    assert math.isnan(got) and math.isnan(want)
+    assert got.hex() == want.hex() == grid[0].hex() == grid[1].hex()
+    assert grid[2].hex() == reference_char_function(seq, 1.0, 1.0, 2000.0, 0.25).hex()

@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dirichletlab import Primes
-from dirichletlab.summation import compensated_sum, exact_sum
+from dirichletlab.summation import _CHUNK, compensated_sum, exact_sum
 
 
 def test_matches_fsum_small():
@@ -155,3 +155,111 @@ def test_exact_sum_log_cosines():
     x = np.log(np.abs(np.cos(0.9 * w / math.sqrt(compensated_sum(w * w)))))
     assert x.size == 664_579
     assert_matches_fsum(x)
+
+
+# --- exact_sum over several _CHUNK-term blocks: each block takes its own
+# scale and plane count, so the blocks' exact totals must be aligned to one
+# shift before the one rounding.
+
+_BLOCK_LENGTHS = tuple(k * _CHUNK + d for k in (1, 2, 3) for d in (-1, 0, 1))
+
+
+def _blocks_of(n, exponents, rng, signs="mixed"):
+    """n terms 2**e * [1, 2), e the block's entry of ``exponents`` plus a
+    spread of up to 8, with random signs when ``signs`` is mixed."""
+    e = np.repeat(exponents, _CHUNK)[:n] + rng.integers(0, 9, n)
+    x = np.ldexp(rng.uniform(1.0, 2.0, n), np.clip(e, -1074, 1023))
+    if signs == "mixed":
+        x *= rng.choice([-1.0, 1.0], n)
+    return x
+
+
+@given(
+    n=st.sampled_from(_BLOCK_LENGTHS),
+    exponents=st.lists(st.sampled_from([-1074, -1000, -120, -60, 0, 25]),
+                       min_size=4, max_size=4),
+    signs=st.sampled_from(["mixed", "positive"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=3 * _CHUNK + 1, exponents=[0, -60, -120, -60], signs="mixed", seed=0)
+@example(n=2 * _CHUNK, exponents=[-60, 0, 0, 0], signs="positive", seed=1)
+@settings(max_examples=60, deadline=None)
+def test_property_exact_sum_across_blocks(n, exponents, signs, seed):
+    rng = np.random.default_rng(seed)
+    assert_matches_fsum(_blocks_of(n, exponents, rng, signs))
+
+
+@pytest.mark.parametrize("n", [_CHUNK + 1, 2 * _CHUNK, 3 * _CHUNK - 1])
+def test_exact_sum_blocks_with_different_shifts(n):
+    # block magnitudes 1, 2**-60, 2**60 (down to the first bits past a
+    # lower block's plane), so every block scales by its own power of two
+    rng = np.random.default_rng(n)
+    for exponents in ([0, -60, 0, -60], [-60, 0, 0, 0], [0, 0, -60, 0],
+                      [-1000, -1060, -940, -1000], [-30, 30, -30, 30]):
+        x = _blocks_of(n, exponents, rng)
+        assert_matches_fsum(x)
+        assert_matches_fsum(-np.abs(x))
+
+
+def test_exact_sum_zero_blocks_and_signed_zeros():
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal(3 * _CHUNK + 5)
+    x[_CHUNK:2 * _CHUNK] = 0.0  # an all-zero block between nonzero ones
+    assert_matches_fsum(x)
+    x[_CHUNK:2 * _CHUNK] = -0.0
+    assert_matches_fsum(x)
+    for n in _BLOCK_LENGTHS:
+        assert_matches_fsum(np.full(n, -0.0))
+        assert_matches_fsum(np.zeros(n))
+
+
+@pytest.mark.parametrize("n", _BLOCK_LENGTHS)
+def test_exact_sum_cancels_across_blocks_to_zero(n):
+    # each term's negation sits in another block; the total is exactly 0.0
+    rng = np.random.default_rng(n)
+    half = np.ldexp(rng.uniform(1.0, 2.0, n // 2), rng.integers(-200, 30, n // 2))
+    x = np.concatenate([half, -half[::-1], [0.0] * (n % 2)])
+    assert exact_sum(x).hex() == math.fsum(x.tolist()).hex() == "0x0.0p+0"
+    assert_matches_fsum(np.append(x, 5e-324))
+
+
+@pytest.mark.parametrize("n", _BLOCK_LENGTHS)
+@pytest.mark.parametrize("bad", [-math.inf, math.nan, 2.0 ** 35, 1e308])
+def test_exact_sum_bad_value_in_last_block_only(n, bad):
+    x = np.random.default_rng(n).standard_normal(n)
+    x[-1] = bad
+    assert_matches_fsum(x)
+    x[-1] = 0.5
+    x[(n - 1) // _CHUNK * _CHUNK] = bad  # the last block's first term
+    assert_matches_fsum(x)
+
+
+def test_exact_sum_intermediate_overflow_across_blocks():
+    for n in (_CHUNK + 1, 2 * _CHUNK, 3 * _CHUNK - 1):
+        for bad in ([1e308, 1e308], [-1e308, -1e308], [1e308, 1e308, -1e308],
+                    [1.7e308, -1.7e308], [math.inf, -math.inf]):
+            x = np.zeros(n)
+            x[np.linspace(0, n - 1, len(bad)).astype(int)] = bad
+            assert_matches_fsum(x)
+
+
+def test_exact_sum_scales_full_blocks_at_35_bits(monkeypatch):
+    # a full block holds values up to just below 2**35 without math.fsum;
+    # 2**35 itself, in any full block, sends the whole input there
+    rng = np.random.default_rng(3)
+    x = rng.uniform(2.0 ** 34, 2.0 ** 35, 3 * _CHUNK + 1)
+    x *= rng.choice([-1.0, 1.0], x.size)
+    want = math.fsum(x.tolist())
+    fsum = math.fsum
+    calls = []
+
+    def counting(terms):
+        calls.append(1)
+        return fsum(terms)
+
+    monkeypatch.setattr(math, "fsum", counting)
+    assert exact_sum(x).hex() == want.hex()
+    assert calls == []
+    x[_CHUNK + 7] = 2.0 ** 35
+    assert exact_sum(x).hex() == fsum(x.tolist()).hex()
+    assert calls == [1]

@@ -14,6 +14,7 @@ from dirichletlab import (
     scan,
     scan_certificate,
 )
+from dirichletlab import evaluation
 from dirichletlab.frequencies import FrequencySequence
 from dirichletlab.zeros import _MAX_GRID_POINTS
 
@@ -59,7 +60,7 @@ def test_scan_streams_signs_once_per_evaluate(monkeypatch):
 def test_scan_counts_terms_once_per_round(monkeypatch):
     # the initial grid and each refinement round count the certificate's
     # terms once, however many exponents they hold; a first scan fills the
-    # weight cache, whose misses read (and so count) the elements again
+    # weight cache (the cold scan is the next test)
     seq = WeightedNaturals(2.0)
     cert = scan_certificate(seq, 0.6, 1e4, 0.05)
     path = SamplePath(seq, 3, 1)
@@ -74,6 +75,26 @@ def test_scan_counts_terms_once_per_round(monkeypatch):
     monkeypatch.setattr(FrequencySequence, "counting_function", counting)
     rep = scan(path, 0.6, 2.0, cert, max_refinement=4)
     assert len(rep.sigma_grid) > 2 * (1 + rep.refinement_rounds)
+    assert counted == [cert.cutoff] * (1 + rep.refinement_rounds)
+
+
+def test_scan_counts_terms_once_per_round_on_a_cold_cache(monkeypatch):
+    # weight-cache misses read the elements by the count the round holds,
+    # so a scan that fills the cache counts no more than a warm one
+    monkeypatch.setattr(evaluation, "_WEIGHT_CACHE", {})
+    seq = WeightedNaturals(2.0)
+    cert = scan_certificate(seq, 0.6, 1e4, 0.05)
+    counted = []
+    original = FrequencySequence.counting_function
+
+    def counting(self, x):
+        counted.append(x)
+        return original(self, x)
+
+    monkeypatch.setattr(FrequencySequence, "counting_function", counting)
+    rep = scan(SamplePath(seq, 3, 1), 0.6, 2.0, cert, max_refinement=4)
+    assert len(rep.sigma_grid) > 2 * (1 + rep.refinement_rounds)
+    assert len(evaluation._WEIGHT_CACHE) == len(rep.sigma_grid)
     assert counted == [cert.cutoff] * (1 + rep.refinement_rounds)
 
 
