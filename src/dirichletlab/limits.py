@@ -26,7 +26,7 @@ from .frequencies import (
     _check_finite,
 )
 from .paths import SamplePath
-from .summation import _CHUNK, _BlockSum, compensated_sum, exact_sum
+from .summation import _CHUNK, _sum_blocks, compensated_sum
 
 
 def char_function(
@@ -48,11 +48,15 @@ def char_function(
 
     Each t runs one blocked pass: ``_CHUNK`` factors at a time are formed,
     checked for a zero, counted for sign, turned into log-magnitudes and
-    added to one exact ``_BlockSum``, so no full-length array of cosines is
-    held and the sum equals ``exact_sum`` of all the log-magnitudes.  phi
-    is even, and exactly so in floating point (-t * w / V is the negated
-    argument, and ``np.cos`` is bitwise even), so a t whose mirror -t (or
-    +-0) was already evaluated in the call reuses that value.
+    handed to ``summation._sum_blocks``, so no full-length array of cosines
+    is held and the sum equals ``exact_sum`` of all the log-magnitudes.
+    phi is even, and exactly so in floating point: -t * w / V is the
+    negated argument, and ``np.cos`` is bitwise even.  So a t whose mirror
+    -t (or +-0) was already evaluated in the call reuses that value.  numpy
+    does not promise an even ``cos`` (it may pick another implementation on
+    another CPU); the reuse is right only where
+    ``test_numpy_cos_is_bitwise_even_on_prime_arguments`` passes, and a
+    failure there means that assumption broke, not a flaky test.
     """
     _check_finite("sigma", sigma)
     ts = np.asarray(t, dtype=float)
@@ -68,39 +72,45 @@ def char_function(
         normalization = math.sqrt(compensated_sum(w * w))
     if normalization <= 0:
         raise ValidationError("normalization must be positive")
-    acc = _BlockSum(min(w.size, _CHUNK))
     buf = np.empty(min(w.size, _CHUNK))
     known: dict[float, float] = {}
     for tk in points:
         if abs(tk) not in known:
-            known[abs(tk)] = _char_value(tk, w, normalization, acc, buf)
+            known[abs(tk)] = _char_value(tk, w, normalization, buf)
     values = [known[abs(tk)] for tk in points]
     return values[0] if ts.ndim == 0 else values
 
 
 def _char_value(tk: float, w: np.ndarray, normalization: float,
-                acc: _BlockSum, buf: np.ndarray) -> float:
+                buf: np.ndarray) -> float:
     """prod cos(tk * w / normalization), one ``_CHUNK`` block at a time."""
-    acc.clear()
+    zero = False
     negatives = 0
-    exact = True
-    for lo in range(0, w.size, _CHUNK):
-        c = buf[:min(w.size - lo, _CHUNK)]
-        np.multiply(tk, w[lo:lo + c.size], out=c)
-        c /= normalization
-        np.cos(c, out=c)
-        if np.any(c == 0.0):
-            return 0.0
-        negatives += int(np.count_nonzero(c < 0))
-        np.abs(c, out=c)
-        np.log(c, out=c)
-        # past a block the kernel cannot take (a NaN factor) only a zero
-        # can still change the value; the sum then goes to exact_sum whole
-        exact = exact and acc.add(c)
+
+    def log_blocks():
+        nonlocal zero, negatives
+        for lo in range(0, w.size, _CHUNK):
+            c = buf[:min(w.size - lo, _CHUNK)]
+            np.multiply(tk, w[lo:lo + c.size], out=c)
+            c /= normalization
+            np.cos(c, out=c)
+            if np.any(c == 0.0):
+                zero = True
+                return
+            negatives += int(np.count_nonzero(c < 0))
+            np.abs(c, out=c)
+            np.log(c, out=c)
+            yield c
+
+    total = _sum_blocks(log_blocks(), buf.size)
+    if zero:
+        return 0.0
+    if total is None:
+        # a log-magnitude is at most 0 and far above -2**35, and a zero
+        # factor returned above, so only a NaN factor fails a block
+        return math.nan
     sign = 1.0 if negatives % 2 == 0 else -1.0
-    if exact:
-        return sign * math.exp(acc.value())
-    return sign * math.exp(exact_sum(np.log(np.abs(np.cos(tk * w / normalization)))))
+    return sign * math.exp(total)
 
 
 def char_function_gaussian_gap(

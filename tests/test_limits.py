@@ -210,16 +210,6 @@ def test_numpy_cos_is_bitwise_even_on_prime_arguments():
     assert np.array_equal(np.cos(-x).view(np.int64), np.cos(x).view(np.int64))
 
 
-@pytest.mark.parametrize("seq, sigma, cutoff, normalization", _EVEN_CASES)
-def test_symmetric_grid_with_signed_zeros_matches_scalar_calls(
-        seq, sigma, cutoff, normalization):
-    ts = np.concatenate([np.linspace(-1.0, 1.0, 21), [0.0, -0.0, 0.35, -0.35]])
-    grid = char_function(seq, sigma, ts, cutoff, normalization=normalization)
-    scalar = [char_function(seq, sigma, float(t), cutoff, normalization=normalization)
-              for t in ts]
-    assert [v.hex() for v in grid] == [v.hex() for v in scalar]
-
-
 def test_symmetric_grid_evaluates_each_magnitude_once(monkeypatch):
     calls = []
     original = limits._char_value
