@@ -41,7 +41,10 @@ PROBABILISTIC = "probabilistic"
 # ---------------------------------------------------------------------------
 # Weight cache: p**-sigma arrays are path-independent and reused heavily
 # across Monte Carlo trials.  Bounded by total float count, per process;
-# the oldest entries are evicted first.
+# the oldest entries are evicted first.  A miss fills its array with
+# ``_powers``, one ``_CHUNK`` of elements at a time, so it holds about
+# 8 bytes per term while it runs, not 16.  A longer array for a cached
+# key replaces the shorter one, which does not count toward the limit.
 # Keyed on the frozen sequence itself, so sequences that differ only in
 # start_index never share an array.
 # A plain module-level dict without a lock: each worker process fills its
@@ -57,17 +60,18 @@ def _weights(seq: FrequencySequence, sigma: float, cutoff: float,
     per-process ``_WEIGHT_CACHE``, which has no lock and so is not
     thread-safe.  ``budget`` is checked on hits and misses alike.  A caller
     that already holds ``count = seq.counting_function(cutoff)``, checked
-    against the budget, passes it to skip the count; a miss then reads
-    the ``count`` served elements without counting them again."""
+    against the budget, passes it to skip the count; a miss then computes
+    the ``count`` weights with ``seq._powers`` without counting again, and
+    holds no element array beside them."""
     _check_finite("sigma", sigma)
     if count is None:
-        count = seq.counting_function(cutoff)
-        _check_budget(count, budget)
+        count = seq._count_up_to(cutoff, budget)
     key = (seq, float(sigma))
     cached = _WEIGHT_CACHE.get(key)
     if cached is not None and cached.size >= count:
         return cached[:count]
-    w = seq._values(seq.start_index, count) ** (-float(sigma))
+    _WEIGHT_CACHE.pop(key, None)  # a shorter array is replaced, not counted
+    w = seq._powers(seq.start_index, count, -float(sigma))
     total = sum(a.size for a in _WEIGHT_CACHE.values()) + w.size
     while total > _WEIGHT_CACHE_LIMIT and _WEIGHT_CACHE:
         total -= _WEIGHT_CACHE.pop(next(iter(_WEIGHT_CACHE))).size

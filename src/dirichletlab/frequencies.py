@@ -14,7 +14,10 @@ the number of elements <= x counted from index 1.  The base class derives
 ``next_elements`` from them once, so every operation maps indices to values
 by the same rule; ``start_index`` only decides which elements are served.
 Every cutoff reaches ``_count_leq`` through one check that rejects
-infinite and NaN values.
+infinite and NaN values.  Powers ``p**e`` of served elements are formed
+by ``_powers``, ``_CHUNK`` elements at a time, so no element array is held
+beside them; only ``evaluation.mellin_discrepancy``, which needs the
+elements too, raises an element array to a power itself.
 
 All operations are pure and deterministic; sequence objects are immutable
 and safe to share across threads and worker processes.
@@ -31,7 +34,7 @@ import numpy as np
 
 from . import sieve
 from .errors import DivergenceError, ResourceBudgetError, ValidationError
-from .summation import compensated_sum
+from .summation import _CHUNK, compensated_sum
 
 DEFAULT_TERM_BUDGET = 60_000_000
 DEFAULT_TAIL_HEAD_TERMS = 10_000
@@ -96,18 +99,44 @@ class _SequenceOps:
         """Number of served elements <= x."""
         return max(0, self._finite_count_leq(x) - self.start_index + 1)
 
-    def elements_up_to(self, cutoff: float, budget: int | None = None) -> np.ndarray:
+    def _count_up_to(self, cutoff: float, budget: int | None = None) -> int:
+        """``counting_function(cutoff)``, checked against the term budget."""
         n = self.counting_function(cutoff)
         _check_budget(n, budget)
-        return self._values(self.start_index, n)
+        return n
+
+    def elements_up_to(self, cutoff: float, budget: int | None = None) -> np.ndarray:
+        return self._values(self.start_index, self._count_up_to(cutoff, budget))
+
+    def _first_above(self, cutoff: float) -> int:
+        """Index of the first served element strictly above ``cutoff``."""
+        return max(self._finite_count_leq(cutoff) + 1, self.start_index)
 
     def next_elements(self, cutoff: float, count: int) -> np.ndarray:
         """The next ``count`` served elements strictly above ``cutoff``.
 
         May return fewer for finite sequences.
         """
-        first = max(self._finite_count_leq(cutoff) + 1, self.start_index)
-        return self._values(first, count)
+        return self._values(self._first_above(cutoff), count)
+
+    def _powers(self, first: int, count: int, exponent: float) -> np.ndarray:
+        """``self._values(first, count) ** exponent``, bit for bit.
+
+        The result is allocated once and filled ``_CHUNK`` elements at a
+        time, so only one chunk of elements is held beside it.  What
+        ``_values`` returns is only read, never written: ``Explicit``
+        serves views of its own array.  Fewer powers, or none, past the
+        end of a finite sequence.
+        """
+        exponent = float(exponent)
+        out = np.empty(count)
+        for lo in range(0, count, _CHUNK):
+            m = min(count - lo, _CHUNK)
+            values = self._values(first + lo, m)
+            np.power(values, exponent, out=out[lo:lo + values.size])
+            if values.size < m:  # a finite sequence ran out
+                return out[:lo + values.size].copy()
+        return out
 
     @property
     def reciprocal_sum_converges(self) -> bool:
@@ -117,10 +146,10 @@ class _SequenceOps:
         """sum(p**-sigma for served p <= cutoff), compensated."""
         if cutoff < 1:
             raise ValidationError("cutoff must be >= 1")
-        elems = self.elements_up_to(cutoff, budget=budget)
-        if elems.size == 0:
+        n = self._count_up_to(cutoff, budget)
+        if n == 0:
             return 0.0
-        return compensated_sum(elems ** (-float(sigma)))
+        return compensated_sum(self._powers(self.start_index, n, -float(sigma)))
 
     def tail_power_sum(
         self,
@@ -136,18 +165,19 @@ class _SequenceOps:
         """
         sigma = float(sigma)
         head_terms = max(int(head_terms), 16)
-        head = self.next_elements(cutoff, head_terms)
+        first = self._first_above(cutoff)
+        head = self._values(first, head_terms)
         if head.size < head_terms:
             # Finite sequence exhausted: the tail is an exact finite sum.
             if head.size == 0:
                 return (0.0, 0.0)
-            exact = compensated_sum(head ** (-sigma))
+            exact = compensated_sum(self._powers(first, head.size, -sigma))
             return (exact, exact)
         if not self.tail_converges(sigma):
             raise DivergenceError(
                 f"tail diverges at exponent {sigma} for {type(self).__name__}"
             )
-        head_sum = compensated_sum(head ** (-sigma))
+        head_sum = compensated_sum(self._powers(first, head.size, -sigma))
         rem_lo, rem_hi = self._remainder_enclosure(sigma, head)
         return (head_sum + rem_lo, head_sum + rem_hi)
 

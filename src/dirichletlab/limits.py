@@ -44,7 +44,9 @@ def char_function(
     log space with explicit sign tracking so products of thousands of
     factors neither underflow nor lose the sign.  ``t`` is a float, giving
     a float, or a 1-d grid, giving a list with one value per t; the
-    elements, weights and normalization are computed once per call.
+    weights (``seq._powers``, filled a chunk at a time) and the
+    normalization are computed once per call.  A normalization, given or
+    computed, must be finite and positive.
 
     Each t runs one blocked pass: ``_CHUNK`` factors at a time are formed,
     checked for a zero, counted for sign, turned into log-magnitudes and
@@ -56,7 +58,9 @@ def char_function(
     does not promise an even ``cos`` (it may pick another implementation on
     another CPU); the reuse is right only where
     ``test_numpy_cos_is_bitwise_even_on_prime_arguments`` passes, and a
-    failure there means that assumption broke, not a flaky test.
+    failure there means that assumption broke, not a flaky test.  At
+    t = +-0 with finite weights every factor is exactly cos(+-0) = 1, so
+    1.0 is returned without a pass.
     """
     _check_finite("sigma", sigma)
     ts = np.asarray(t, dtype=float)
@@ -64,12 +68,13 @@ def char_function(
         raise ValidationError("t must be a float or a 1-d grid")
     points = ts.ravel().tolist()
     _check_finite("t", *points)
-    elems = seq.elements_up_to(cutoff, budget=budget)
-    if elems.size == 0:
+    n = seq._count_up_to(cutoff, budget)
+    if n == 0:
         raise ValidationError("no elements at or below cutoff")
-    w = elems ** (-float(sigma))
+    w = seq._powers(seq.start_index, n, -float(sigma))
     if normalization is None:
         normalization = math.sqrt(compensated_sum(w * w))
+    _check_finite("normalization", normalization)
     if normalization <= 0:
         raise ValidationError("normalization must be positive")
     buf = np.empty(min(w.size, _CHUNK))
@@ -83,7 +88,13 @@ def char_function(
 
 def _char_value(tk: float, w: np.ndarray, normalization: float,
                 buf: np.ndarray) -> float:
-    """prod cos(tk * w / normalization), one ``_CHUNK`` block at a time."""
+    """prod cos(tk * w / normalization), one ``_CHUNK`` block at a time.
+
+    ``normalization`` is finite and positive, so at tk = +-0 every factor
+    with a finite weight is exactly 1, and so is the pass's result.
+    """
+    if tk == 0.0 and math.isfinite(w.max()):
+        return 1.0
     zero = False
     negatives = 0
 
@@ -147,10 +158,10 @@ def clt_sample(
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     _check_finite("sigma", sigma)
-    elems = seq.elements_up_to(cutoff, budget=budget)
-    if elems.size == 0:
+    n = seq._count_up_to(cutoff, budget)
+    if n == 0:
         raise ValidationError("no elements at or below cutoff")
-    w = elems ** (-float(sigma))
+    w = seq._powers(seq.start_index, n, -float(sigma))
     var = compensated_sum(w * w)
     if var <= 0.0:
         raise ValidationError("zero truncated variance")
@@ -230,18 +241,19 @@ def variance_profile(
             f"elements > budget {limit}; minimal feasible sigma is about "
             f"{sigma_min:.6f}"
         )
-    elems = seq.elements_up_to(scale, budget=budget)
-    gaps = elems ** (-float(sigma)) - elems ** (-0.5)
+    gaps = seq._powers(seq.start_index, count, -float(sigma))
+    gaps -= seq._powers(seq.start_index, count, -0.5)
     head = compensated_sum(gaps * gaps)
     if not seq.tail_converges(2.0 * sigma):
         raise DivergenceError("tail variance diverges at the doubled exponent")
     t_lo, t_hi = seq.tail_power_sum(2.0 * sigma, scale, head_terms=head_terms)
-    w = seq.elements_up_to(second_moment_cutoff, budget=budget) ** (-float(sigma))
+    w = seq._powers(seq.start_index, seq._count_up_to(second_moment_cutoff, budget),
+                    -float(sigma))
     second = compensated_sum(w * w)
     return VarianceProfile(
         sigma=float(sigma),
         scale=scale,
-        head_count=int(elems.size),
+        head_count=int(gaps.size),
         head_variance=head,
         tail_variance_lo=t_lo,
         tail_variance_hi=t_hi,

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -314,3 +315,29 @@ def test_mellin_identity_small():
 def test_property_mellin_identity(seed, s):
     path = SamplePath(Primes(), seed, 0)
     assert mellin_discrepancy(path, s, 500.0) < 1e-12
+
+
+def test_weight_cache_replacement_counts_only_other_entries(monkeypatch):
+    # a longer array for a cached (seq, sigma) replaces the shorter one, so
+    # only the other entries count toward the limit: 1000 + 1200 <= 2500
+    monkeypatch.setattr(evaluation, "_WEIGHT_CACHE", {})
+    monkeypatch.setattr(evaluation, "_WEIGHT_CACHE_LIMIT", 2500)
+    for sigma, cutoff in ((0.7, 1000), (0.6, 1000), (0.6, 1200)):
+        evaluation._weights(Naturals(), sigma, cutoff)
+    assert [(s, a.size) for (_, s), a in evaluation._WEIGHT_CACHE.items()] == [
+        (0.7, 1000), (0.6, 1200)]
+
+
+def test_weight_cache_miss_holds_no_element_array(monkeypatch):
+    # a cold miss fills its weights a chunk at a time: it allocates the
+    # 8-byte-per-term result and a few chunks, not the elements beside it
+    monkeypatch.setattr(evaluation, "_WEIGHT_CACHE", {})
+    count = 2_000_000
+    tracemalloc.start()
+    try:
+        w = evaluation._weights(Naturals(), 0.53, float(count))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w.size == count
+    assert 8 * count <= peak < 8 * count + 4 * 8 * 2 ** 16

@@ -293,3 +293,44 @@ def test_property_tail_decreases_in_cutoff(sigma, cutoff):
     lo2, hi2 = seq.tail_power_sum(sigma, cutoff * 2.0)
     assert hi2 <= hi1
     assert lo2 <= hi1
+
+
+# --- _powers: every p**e the package forms from a count, chunk by chunk
+
+_BLOCK = 2 ** 16
+_POWER_COUNTS = (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5)
+_LONG_EXPLICIT = explicit((np.arange(1.0, 4 * _BLOCK + 1.0) * 1.5 + 0.25).tolist())
+
+
+@pytest.mark.parametrize("seq", [Naturals(), Primes(), WeightedNaturals(2.0),
+                                 _LONG_EXPLICIT], ids=lambda s: type(s).__name__)
+@pytest.mark.parametrize("exponent", [-0.5, -0.53, -0.8, -1.0, -1.2, -2.0])
+def test_powers_match_whole_array_power_bit_for_bit(seq, exponent):
+    # a numpy SIMD path that rounded differently by position in the array
+    # would break payload hashes; pin chunked against whole-array `**`
+    for first in (seq.start_index, seq.start_index + 12_345):
+        for count in _POWER_COUNTS:
+            got = seq._powers(first, count, exponent)
+            want = seq._values(first, count) ** exponent
+            assert got.dtype == np.float64 and got.size == want.size == count
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_powers_past_the_end_of_an_explicit_sequence():
+    seq = _LONG_EXPLICIT
+    size = len(seq.values)
+    for first, count in ((size - 4, 10), (size - _BLOCK - 3, 2 * _BLOCK),
+                         (size + 1, 5)):
+        got = seq._powers(first, count, -0.53)
+        want = seq._values(first, count) ** -0.53
+        assert got.size == want.size == max(0, size - first + 1)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_powers_leave_an_explicit_sequence_unchanged():
+    seq = explicit(np.arange(2.0, 3 * _BLOCK + 9.0).tolist())
+    before = seq._array.copy()
+    seq._powers(1, 3 * _BLOCK + 7, -0.53)
+    seq._powers(5, _BLOCK + 1, -0.5)
+    assert np.array_equal(seq._array.view(np.uint64), before.view(np.uint64))
+    assert seq._array.tolist() == list(seq.values)

@@ -235,3 +235,34 @@ def test_char_function_overflowing_argument_matches_reference(t):
     assert math.isnan(got) and math.isnan(want)
     assert got.hex() == want.hex() == grid[0].hex() == grid[1].hex()
     assert grid[2].hex() == reference_char_function(seq, 1.0, 1.0, 2000.0, 0.25).hex()
+
+
+def test_char_function_rejects_non_finite_normalization():
+    seq = Naturals()
+    for given in (math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            char_function(seq, 0.7, 0.5, 1e3, normalization=given)
+    # computed: the weights n**200 overflow, and so does their square sum
+    with pytest.raises(ValidationError):
+        char_function(seq, -200.0, 0.5, 100.0)
+
+
+def test_char_function_at_zero_skips_the_pass(monkeypatch):
+    passes = []
+    original = limits._sum_blocks
+
+    def counting(blocks, size):
+        passes.append(size)
+        return original(blocks, size)
+
+    monkeypatch.setattr(limits, "_sum_blocks", counting)
+    seq = Naturals()
+    values = char_function(seq, 0.7, [0.0, -0.0, 0.5], 3e4)
+    assert values[:2] == [1.0, 1.0] and len(passes) == 1
+    assert values[2].hex() == reference_char_function(seq, 0.7, 0.5, 3e4).hex()
+    # infinite weights make 0 * w a NaN, so the pass runs and agrees with
+    # the reference instead of reading 1.0
+    passes.clear()
+    got = char_function(seq, -200.0, 0.0, 100.0, normalization=1.0)
+    assert len(passes) == 1
+    assert got.hex() == reference_char_function(seq, -200.0, 0.0, 100.0, 1.0).hex()
