@@ -89,13 +89,6 @@ def _whole_numbers(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in values)
 
 
-def _bool(text: str) -> bool:
-    value = text.lower()
-    if value not in ("true", "false"):
-        raise ValueError("expected true or false")
-    return value == "true"
-
-
 def _svg_polyline(xs, ys, title: str, width=640, height=400) -> str:
     """Self-contained SVG line chart, enough for a sigma sweep."""
     pad = 50
@@ -328,8 +321,6 @@ _SUBCOMMANDS: dict[str, tuple[dict, object]] = {
                      "left endpoint of the certified half-line"),
         "cutoff": ("cutoff", float, "truncation cutoff"),
         "eta": ("eta", float, "per-trial failure budget"),
-        "forced": ("include_forced", _bool,
-                   "also run the all-plus conditioned variant"),
     }, lambda agg: "no-zeros: certified {count}/{trials} (Wilson [{wilson_lo:.4f}, "
                    "{wilson_hi:.4f}])".format(**agg["certified"])),
     "sign-changes": _experiment(SignChangeConfig, {
@@ -366,9 +357,9 @@ _SUBCOMMANDS: dict[str, tuple[dict, object]] = {
     }, _cmd_variance_profile),
     "inequalities": ({
         "n": (_count, 16, "maximum weight count per instance"),
-        "instances": (int, 200, "random instances"),
+        "instances": (_count, 200, "random instances"),
         "seed": (int, 1, "RNG seed for instances"),
-        "lambdas": (int, 20, "threshold grid size per instance"),
+        "lambdas": (_count, 20, "threshold grid size per instance"),
     }, _cmd_inequalities),
     "bu-event": _experiment(BuEventConfig, {
         "seq": ("seq", str, "sequence spec"),

@@ -129,6 +129,7 @@ class TailCertificate:
 
 def excursion_probability_bound(tail_second_moment: float, threshold: float) -> float:
     """6 * exp(-threshold**2 / (18 * T)): failure bound at a fixed threshold."""
+    _check_finite("threshold", threshold)
     if threshold <= 0:
         raise ValidationError("threshold must be positive")
     if tail_second_moment == 0.0:

@@ -2,12 +2,10 @@
 
 Four studies are provided:
 
-* no_zero      -- per-trial no-zero certification on a half-line, with an
-  additional all-plus conditioned variant: the same path with a forced
-  +1 prefix over the pi(U) elements up to the cutoff U.  Its exact
-  conditioning probability 2**-pi(U) turns the conditional certified
-  fraction into a constructive lower bound on the unconditional no-zero
-  probability.
+* no_zero      -- per-trial no-zero certification on the half-line
+  [sigma_lo, inf), one certified scan per trial, and from the certified
+  count a lower bound on the probability of "no zero on [sigma_lo, inf)",
+  the finite-scale surrogate of "no real zero".
 * sign_change  -- certified sign-change counts on nested intervals
   [sigma_k, sigma_hi] for a descending ladder of left endpoints,
   supplemented by heuristic signs below the certifiable range.
@@ -48,11 +46,11 @@ from .evaluation import (
     partial_sum_table,
     tail_certificate,
 )
-from .frequencies import make_sequence
+from .frequencies import _check_finite, make_sequence
 from .paths import SamplePath
-from .zeros import certify_no_zeros, scan_certificate
+from .zeros import _initial_grid, certify_no_zeros, scan_certificate
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @lru_cache(maxsize=32)
@@ -117,7 +115,6 @@ class NoZeroConfig:
     resolution: float = 2e-3
     sigma_switch: float = 2.0
     head_terms: int = 20_000
-    include_forced: bool = True
     kind: str = field(default="no_zero", init=False)
 
 
@@ -220,21 +217,14 @@ def _no_zero_certify(cfg: NoZeroConfig):
 
 
 def _no_zero_trial(cfg: NoZeroConfig, i: int) -> dict:
-    seq = _seq(cfg.seq)
-    certify = _no_zero_certify(cfg)
-    rep = certify(SamplePath(seq, cfg.master_seed, i))
-    out = {
+    rep = _no_zero_certify(cfg)(SamplePath(_seq(cfg.seq), cfg.master_seed, i))
+    return {
         "trial": i,
         "certified": bool(rep.no_zero_certified),
         "sign_changes": rep.sign_changes,
         "undecided_measure": rep.undecided_measure,
         "eta_total": rep.eta_total,
     }
-    if cfg.include_forced:
-        forced = SamplePath(seq, cfg.master_seed, i,
-                            forced_prefix=seq.counting_function(cfg.cutoff))
-        out["forced_certified"] = bool(certify(forced).no_zero_certified)
-    return out
 
 
 def _validate_no_zero(cfg: NoZeroConfig) -> None:
@@ -249,23 +239,23 @@ def _validate_no_zero(cfg: NoZeroConfig) -> None:
 
 
 def _aggregate_no_zero(cfg: NoZeroConfig, rows: list[dict]) -> dict:
-    n = len(rows)
-    certified = sum(1 for r in rows if r["certified"])
-    agg = {"certified": _fraction_entry(certified, n)}
-    seq = _seq(cfg.seq)
-    pi_u = seq.counting_function(cfg.cutoff)
-    agg["conditioning_count"] = pi_u
-    agg["log2_conditioning_probability"] = -pi_u
-    if cfg.include_forced:
-        forced = sum(1 for r in rows if r["forced_certified"])
-        agg["forced_certified"] = _fraction_entry(forced, n)
-        if forced > 0:
-            agg["no_zero_probability_log2_lower_bound"] = (
-                math.log2(forced / n) - pi_u
-            )
-        else:
-            agg["no_zero_probability_log2_lower_bound"] = None
-    return agg
+    """The certified fraction, and log2 of a lower bound on the probability
+    of "no zero on [sigma_lo, inf)", the finite-scale surrogate of "no real
+    zero".
+
+    A certified trial has no zero there unless its certificate failed, an
+    event of probability at most eta (0 for an exhausted certificate), so
+    that probability is at least wilson_lo - eta at the Wilson confidence.
+    The bound is None when that difference is not positive.
+    """
+    certified = _fraction_entry(sum(1 for r in rows if r["certified"]), len(rows))
+    margin = certified["wilson_lo"] - max(r["eta_total"] for r in rows)
+    return {
+        "certified": certified,
+        "no_zero_probability_log2_lower_bound": (
+            math.log2(margin) if margin > 0 else None
+        ),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -277,13 +267,8 @@ def _sign_change_setup(cfg: SignChangeConfig) -> dict:
     seq = _seq(cfg.seq)
     ladder = sorted(cfg.ladder, reverse=True)
     sigma_min = ladder[-1]
-    d_lo, d_hi = sigma_min - 0.5, cfg.sigma_hi - 0.5
-    ratio = (d_hi / d_lo) ** (1.0 / (cfg.grid_points - 1))
-    grid = sorted(
-        set([0.5 + d_lo * ratio ** i for i in range(cfg.grid_points)])
-        | set(float(s) for s in cfg.ladder)
-        | {float(cfg.sigma_hi)}
-    )
+    grid = sorted(set(_initial_grid(sigma_min, cfg.sigma_hi, cfg.grid_points))
+                  | set(float(s) for s in ladder))
     cutoffs = []
     for s in grid:
         rule = heuristic_cutoff(s)
@@ -366,8 +351,10 @@ def _aggregate_sign_change(cfg: SignChangeConfig, rows: list[dict]) -> dict:
 
 
 def _validate_sign_change(cfg: SignChangeConfig) -> None:
-    if min(cfg.ladder) <= 0.5:
-        raise ValidationError("ladder values must exceed 1/2")
+    if not all(0.5 < s < cfg.sigma_hi for s in cfg.ladder):
+        raise ValidationError(
+            f"ladder values must lie in (1/2, sigma_hi = {cfg.sigma_hi:g})"
+        )
     if cfg.grid_points < 2:
         raise ValidationError("grid_points must be >= 2")
     rule = heuristic_cutoff(min(cfg.ladder))
@@ -441,6 +428,7 @@ def _validate_bu(cfg: BuEventConfig) -> None:
         raise ValidationError(
             "excursion study needs a convergent reciprocal sum"
         )
+    _check_finite("threshold", cfg.threshold)
     if cfg.threshold <= 0:
         raise ValidationError("threshold must be positive")
     if cfg.horizon_factor <= 1:
@@ -485,6 +473,7 @@ def _aggregate_exceedance(cfg: ExceedanceConfig, rows: list[dict]) -> dict:
 
 
 def _validate_exceedance(cfg: ExceedanceConfig) -> None:
+    _check_finite("level", cfg.level)
     if list(cfg.scales) != sorted(set(cfg.scales)):
         raise ValidationError("scales must be strictly increasing")
 

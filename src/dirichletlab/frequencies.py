@@ -332,7 +332,7 @@ class WeightedNaturals(_SequenceOps):
 class Explicit(_SequenceOps):
     """A finite, strictly increasing sequence supplied by the caller.
 
-    Condition P1 (elements >= 1) is enforced; whether the power sums have
+    Condition P1 (elements >= 1) is checked; whether the power sums have
     the right abscissa of convergence is the caller's responsibility and a
     warning is emitted on construction.
     """

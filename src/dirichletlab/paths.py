@@ -5,10 +5,6 @@ Signs are produced by a counter-mode SplitMix64-style generator keyed by
 no stream state, bit-identical results from any thread or worker, and
 distinct trial indices give statistically independent streams.  The sign
 is the top bit of the mixed 64-bit word, mapped to {-1, +1}.
-
-A path may force a prefix: its first ``forced_prefix`` served elements
-carry +1, which realizes conditioning events such as "every sign up to a
-cutoff is +1"; beyond the prefix the generator decides.
 """
 
 from __future__ import annotations
@@ -68,22 +64,16 @@ def _stream_key(master_seed: int, trial_index: int) -> int:
 
 @dataclass(frozen=True)
 class SamplePath:
-    """An assignment of a sign in {-1,+1} to every index of a sequence.
-
-    The first ``forced_prefix`` served elements are +1; everywhere else
-    the counter generator decides.
-    """
+    """An assignment of a sign in {-1,+1} to every index of a sequence,
+    decided by the counter generator."""
 
     seq: FrequencySequence
     master_seed: int
     trial_index: int = 0
-    forced_prefix: int = 0
 
     def __post_init__(self):
         if self.trial_index < 0:
             raise ValidationError("trial_index must be >= 0")
-        if self.forced_prefix < 0:
-            raise ValidationError("forced_prefix must be >= 0")
         object.__setattr__(
             self, "_key", _stream_key(self.master_seed, self.trial_index)
         )
@@ -99,9 +89,7 @@ class SamplePath:
         first = self.seq.start_index + offset
         # key + (first + j) * gamma, mod 2**64, for j < m
         np.add(_STEPS[:m], np.uint64((self._key + first * _GAMMA) & _MASK), out=z)
-        signs = _signs_in_place(z, scratch[:m])
-        signs[:max(self.forced_prefix - offset, 0)] = 1.0
-        return signs
+        return _signs_in_place(z, scratch[:m])
 
     def sign_at(self, index: int) -> int:
         if index < self.seq.start_index:

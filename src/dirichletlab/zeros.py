@@ -17,7 +17,12 @@ from functools import lru_cache
 
 from .errors import ValidationError
 from .evaluation import TailCertificate, decide, tail_certificate
-from .frequencies import DEFAULT_TAIL_HEAD_TERMS, Explicit, sequence_spec
+from .frequencies import (
+    DEFAULT_TAIL_HEAD_TERMS,
+    Explicit,
+    _check_finite,
+    sequence_spec,
+)
 from .paths import SamplePath
 
 SCHEMA_VERSION = 1
@@ -117,6 +122,9 @@ def scan(
     """
     if not sigma_lo < sigma_hi:
         raise ValidationError("need sigma_lo < sigma_hi")
+    _check_finite("resolution", resolution)
+    if resolution <= 0:
+        raise ValidationError("resolution must be positive")
     if not 2 <= initial_grid <= _MAX_GRID_POINTS:
         raise ValidationError(
             f"initial_grid must lie in [2, {_MAX_GRID_POINTS}], got {initial_grid}"

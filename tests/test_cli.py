@@ -93,7 +93,8 @@ def test_exit_codes(tmp_path, capsys):
         ["char-fn", "--t-points", "0"],
         ["inequalities", "--n", "0"],
         ["variance-profile", "--sigmas", ""],
-        ["no-zeros", "--forced", "no"],
+        ["inequalities", "--instances", "-1"],
+        ["inequalities", "--lambdas", "0"],
         ["bu-event", "--bound-counts", "2.7"],
     ):
         assert run_cli(tmp_path, *args) == 1
@@ -120,12 +121,25 @@ def test_exit_codes(tmp_path, capsys):
         ["char-fn", "--sigma", "nan"],
         ["char-fn", "--t-max", "inf"],
         ["char-fn", "--t-max", "nan"],
+        ["bu-event", "--threshold", "nan"],
+        ["bu-event", "--threshold", "inf"],
+        ["exceedance", "--level", "nan"],
+        ["scan", "--resolution", "nan"],
     ):
         assert run_cli(tmp_path, *args) == 1
         key = args[1][2:].replace("-", "_")
         assert f"validation error: {key} must be finite, got {args[2]}" in (
             capsys.readouterr().err
         )
+    # out-of-range values that parse -> validation naming the rule
+    for args, message in (
+        (["scan", "--resolution", "-1"], "resolution must be positive"),
+        (["sign-changes", "--ladder", "2.5"], "ladder values must lie in"),
+        (["sign-changes", "--sigma-hi", "0.6", "--ladder", "0.7"],
+         "ladder values must lie in"),
+    ):
+        assert run_cli(tmp_path, *args) == 1
+        assert f"validation error: {message}" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.json"))
 
 
@@ -155,7 +169,7 @@ _OPTION_TEXT = {
     "sigma": "0.9", "sigma0": "0.8", "sigma_lo": "0.7", "sigma_hi": "1.5",
     "cutoff": "5000", "cert_cutoff": "4000", "max_cutoff": "1e6",
     "eta": "0.02", "grid": "8", "grid_points": "12", "resolution": "0.01",
-    "forced": "false", "ladder": "0.8,0.7", "scales": "10,100",
+    "ladder": "0.8,0.7", "scales": "10,100",
     "sigmas": "0.9,0.8", "t_max": "2", "t_points": "5", "n": "4",
     "instances": "3", "lambdas": "5", "horizon": "10", "threshold": "0.5",
     "bound_counts": "1,2", "level": "0.5", "input": "report.json",
@@ -210,8 +224,6 @@ def test_dry_run_prints_plan_without_output(tmp_path, capsys):
     assert "dry-run" in out and '"trials": 99' in out
     assert not list(tmp_path.glob("no-zeros_*"))
     # the strict casts still take every valid spelling
-    assert run_cli(tmp_path, "no-zeros", "--forced", "FALSE", "--dry-run") == 0
-    assert '"forced": false' in capsys.readouterr().out
     assert run_cli(tmp_path, "bu-event", "--bound-counts", "1e3", "--dry-run") == 0
     assert '"bound_counts": [1000]' in capsys.readouterr().out
 

@@ -54,20 +54,20 @@ def test_reports_identical_across_worker_counts():
 
 @pytest.mark.parametrize("cfg, digest", [
     (NoZeroConfig(trials=8, master_seed=1),
-     "5ca94017c753f3ea40cede7192f749dc7e615fa720e9cdb6c61be5a3dbc71b22"),
+     "063ca7d35d3fc64b41d02bf254f86e07c6f449c3cda11e16b11352acfade05df"),
     (NoZeroConfig(trials=4, master_seed=2, cutoff=1e4, sigma0=0.58),
-     "2f4392d2ca71e62e9a18fb76ddfa1287d79c744fc718a3682a4474bd338db910"),
+     "9ed34f05b35535177621ab85c0a96fc6ede0fe25302f82f47bae33e69c5d021d"),
     (SignChangeConfig(trials=2, master_seed=1),
-     "28ade5039c9d62d0f74797f4106519bfb8b0c004cfbb0577ebe3f35f1dacabae"),
+     "e7061d220be9b4cf6cbc8f57f6cef245b6b663f701a91b4b6b28574f6533ea83"),
 ])
 def test_experiment_payload_golden(cfg, digest):
-    # captured before no-zero trials shared one certificate per config
+    # report hashes at experiments schema 2
     assert run_experiment(cfg).report_hash() == digest
 
 
 def test_no_zero_builds_one_certificate_per_config(monkeypatch):
-    # the certificate depends on the config alone, so the eight scans of
-    # four trials (plain and forced paths) share one
+    # the certificate depends on the config alone, so the scans of four
+    # trials share one
     built = []
     original = zeros.tail_certificate
 
@@ -117,33 +117,32 @@ def test_rerun_is_bit_identical():
 
 
 def test_no_zero_finite_sequence_certifies_every_assignment():
-    cfg = NoZeroConfig(
-        seq="explicit:2.0,3.0", sigma_lo=0.1, trials=4, include_forced=False
-    )
+    cfg = NoZeroConfig(seq="explicit:2.0,3.0", sigma_lo=0.1, trials=4)
     rep = run_experiment(cfg)
     assert rep.aggregates["certified"]["fraction"] == 1.0
     assert all(r["eta_total"] == 0.0 for r in rep.per_trial)
 
 
-def test_no_zero_forced_variant_certifies_fully():
-    cfg = NoZeroConfig(trials=6, cutoff=1e4)
+@pytest.mark.parametrize("cfg, eta, finite", [
+    # a probabilistic certificate: the bound pays its eta
+    (NoZeroConfig(trials=10, cutoff=1e4, sigma_lo=0.8, eta=0.2), 0.2, True),
+    # wilson_lo of 10 trials is at most 0.72, so no certified count clears
+    # an eta of 0.9
+    (NoZeroConfig(trials=10, cutoff=1e4, sigma_lo=0.8, eta=0.9), 0.9, False),
+    # an exhausted certificate fails never: the bound is log2(wilson_lo)
+    (NoZeroConfig(seq="explicit:2.0,3.0", sigma_lo=0.1, trials=4), 0.0, True),
+])
+def test_no_zero_lower_bound_is_wilson_lo_minus_eta(cfg, eta, finite):
     rep = run_experiment(cfg)
-    agg = rep.aggregates
-    assert agg["forced_certified"]["fraction"] == 1.0
-    assert agg["conditioning_count"] > 0
-    assert agg["log2_conditioning_probability"] == -agg["conditioning_count"]
-    assert agg["no_zero_probability_log2_lower_bound"] == pytest.approx(
-        -agg["conditioning_count"]
-    )
-
-
-def test_no_zero_conditioning_decomposition_consistent():
-    cfg = NoZeroConfig(trials=25, cutoff=1e4)
-    rep = run_experiment(cfg)
-    agg = rep.aggregates
-    p_forced = 2.0 ** agg["log2_conditioning_probability"]
-    lower = p_forced * agg["forced_certified"]["fraction"]
-    assert lower <= agg["certified"]["wilson_hi"] + p_forced
+    assert {r["eta_total"] for r in rep.per_trial} == {eta}
+    certified = rep.aggregates["certified"]
+    assert certified["count"] > 0
+    bound = rep.aggregates["no_zero_probability_log2_lower_bound"]
+    if finite:
+        assert bound == math.log2(certified["wilson_lo"] - eta)
+    else:
+        assert certified["wilson_lo"] <= eta
+        assert bound is None
 
 
 def test_no_zero_validation_and_divergence_warning():
@@ -151,10 +150,14 @@ def test_no_zero_validation_and_divergence_warning():
         run_experiment(NoZeroConfig(trials=0))
     with pytest.raises(ValidationError):
         run_experiment(NoZeroConfig(seq="naturals", sigma_lo=0.4, trials=1))
+    # the scan checks the refinement resolution of every trial
+    for resolution in (math.nan, 0.0, -1.0):
+        with pytest.raises(ValidationError, match="resolution must be"):
+            run_experiment(NoZeroConfig(resolution=resolution, trials=1,
+                                        cutoff=1e4))
     with pytest.warns(UserWarning, match="diverges"):
         run_experiment(
-            NoZeroConfig(seq="naturals", trials=1, cutoff=1e3,
-                         include_forced=False)
+            NoZeroConfig(seq="naturals", trials=1, cutoff=1e3)
         )
 
 
@@ -203,6 +206,16 @@ def test_sign_change_decided_fraction_matches_evaluate():
     assert 0.0 < min(fractions) < 1.0
 
 
+def test_sign_change_grid_is_the_scan_grid_plus_the_ladder():
+    # one geometric grid formula, so sigma_hi is its top point, once
+    cfg = SignChangeConfig(ladder=(0.8, 0.7), trials=1, grid_points=28,
+                           cert_cutoff=1e4, heuristic_max_cutoff=1e6)
+    grid = _sign_change_setup(cfg)["grid"]
+    assert grid == sorted(set(zeros._initial_grid(0.7, 2.0, 28)) | {0.8})
+    assert len(grid) == 29 and grid[-1] == cfg.sigma_hi
+    assert min(b - a for a, b in zip(grid, grid[1:])) > 1e-9
+
+
 def test_sign_change_trial_streams_its_signs():
     # a warm trial streams the path's signs through the sums a chunk at a
     # time: its peak allocation stays far below one full-length float64
@@ -224,6 +237,11 @@ def test_sign_change_trial_streams_its_signs():
 def test_sign_change_validation():
     with pytest.raises(ValidationError):
         run_experiment(SignChangeConfig(ladder=(0.5, 0.7), trials=1))
+    # every rung lies below sigma_hi
+    for ladder, sigma_hi in (((2.5,), 2.0), ((0.7,), 0.6), ((0.7,), 0.7)):
+        with pytest.raises(ValidationError, match="ladder values must lie in"):
+            run_experiment(SignChangeConfig(ladder=ladder, sigma_hi=sigma_hi,
+                                            trials=1))
     with pytest.raises(ValidationError):
         run_experiment(
             SignChangeConfig(ladder=(0.53,), heuristic_max_cutoff=1e5, trials=1)
@@ -273,6 +291,9 @@ def test_bu_event_validation():
         run_experiment(BuEventConfig(seq="naturals", trials=1))
     with pytest.raises(ValidationError):
         run_experiment(BuEventConfig(threshold=0.0, trials=1))
+    for threshold in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="threshold must be finite"):
+            run_experiment(BuEventConfig(threshold=threshold, trials=1))
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +324,9 @@ def test_exceedance_degenerate_level_flagged():
 def test_exceedance_validation():
     with pytest.raises(ValidationError):
         run_experiment(ExceedanceConfig(scales=(100.0, 100.0), trials=1))
+    for level in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError, match="level must be finite"):
+            run_experiment(ExceedanceConfig(level=level, trials=1))
 
 
 def test_per_trial_csv_shape():

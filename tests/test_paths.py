@@ -10,6 +10,8 @@ from dirichletlab import Naturals, Primes, SamplePath, ValidationError
 from dirichletlab.experiments import BuEventConfig, _bu_trial
 from dirichletlab.frequencies import make_sequence
 
+from conftest import path_with_signs
+
 
 def test_sign_values_and_determinism():
     path = SamplePath(Naturals(), master_seed=42, trial_index=3)
@@ -67,34 +69,11 @@ def test_normalized_sums_have_unit_variance():
     assert 0.8 < var < 1.2
 
 
-def test_forced_path_pins_only_requested_indices():
-    base = SamplePath(Naturals(), 3, 0)
-    forced = SamplePath(Naturals(), 3, 0, forced_prefix=5)
-    assert [forced.sign_at(i) for i in range(1, 6)] == [1] * 5
-    for i in range(6, 40):
-        assert forced.sign_at(i) == base.sign_at(i)
-    vec = forced.signs_up_to(39)
-    assert vec[:5].tolist() == [1.0] * 5
-    assert vec[5:].tolist() == base.signs_up_to(39)[5:].tolist()
-
-
 def test_forced_path_validation():
-    with pytest.raises(ValidationError):
-        SamplePath(Naturals(), 3, 0, forced_prefix=-1)
     with pytest.raises(ValidationError):
         SamplePath(Naturals(), 3, -1)
     with pytest.raises(ValidationError):
         SamplePath(Naturals(start_index=4), 3, 0).sign_at(2)
-
-
-def test_all_plus_path():
-    # the no_zero study's conditioned path: +1 on every element <= 50
-    seq = Naturals()
-    p = SamplePath(seq, 1, 0, forced_prefix=seq.counting_function(50))
-    assert p.signs_up_to(50).tolist() == [1.0] * 50
-    # beyond the forced range the generator takes over
-    tail = [p.sign_at(i) for i in range(51, 200)]
-    assert -1 in tail
 
 
 def _brute_force_sup(path, seq, lo, hi, sigma0, terms):
@@ -128,41 +107,26 @@ def test_running_sup_empty_range():
 
 
 _CH = 1 << 16
-# prefixes that end below, on and past each chunk edge
-_PREFIXES = [0, 1] + [e + d for e in (_CH, 2 * _CH) for d in (-1, 0, 1)]
 
 
 @given(
     st.sampled_from([1, 2, 7, 1 << 40]),
-    st.sampled_from(_PREFIXES),
+    st.lists(st.sampled_from([-1, 1]), max_size=4),
     st.sampled_from([0, 1, _CH - 1, _CH, _CH + 1, 2 * _CH + 3]),
     st.integers(0, 2 ** 63 - 1),
-    st.integers(0, 1000),
 )
 @settings(max_examples=40, deadline=None)
-def test_property_scalar_vector_agree(start, prefix, count, seed, trial):
+def test_property_scalar_vector_agree(start, lead, count, seed):
     # the three accessors of the one generator serve the same signs
-    path = SamplePath(Naturals(start_index=start), seed, trial, forced_prefix=prefix)
+    path = path_with_signs(Naturals(start_index=start), lead, seed)
     vec = path.signs_up_to(start - 1 + count)
     chunks = [(off, signs.copy()) for off, signs in path._sign_chunks(count)]
     assert [off for off, _ in chunks] == list(range(0, count, _CH))
     streamed = np.concatenate([np.empty(0)] + [signs for _, signs in chunks])
     assert vec.size == count
     assert vec.tobytes() == streamed.tobytes()
-    edges = {0, count - 1, prefix - 1, prefix} | {e + d for e in (_CH, 2 * _CH)
-                                                   for d in (-1, 0)}
+    assert vec[:len(lead)].tolist() == [float(s) for s in lead][:count]
+    edges = {0, count - 1, len(lead)} | {e + d for e in (_CH, 2 * _CH)
+                                         for d in (-1, 0)}
     for k in sorted(k for k in edges if 0 <= k < count):
         assert float(path.sign_at(start + k)) == vec[k]
-
-
-@given(st.integers(0, 120), st.integers(1, 120), st.integers(0, 80),
-       st.integers(0, 2 ** 63 - 1))
-@settings(max_examples=100, deadline=None)
-def test_property_pinned_vector_matches_scalar(prefix, lo, n, seed):
-    # the prefix ends below, inside and beyond [lo, lo + n)
-    path = SamplePath(Naturals(), seed, 2, forced_prefix=prefix)
-    base = SamplePath(Naturals(), seed, 2)
-    oracle = [1.0 if i <= prefix else float(base.sign_at(i))
-              for i in range(lo, lo + n)]
-    assert [float(path.sign_at(i)) for i in range(lo, lo + n)] == oracle
-    assert path.signs_up_to(lo + n - 1)[lo - 1:].tolist() == oracle

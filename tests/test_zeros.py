@@ -21,13 +21,6 @@ from dirichletlab.zeros import _MAX_GRID_POINTS
 from conftest import explicit, path_with_signs
 
 
-def _path(seq, signs):
-    """A path of ``seq`` whose leading signs are ``signs``."""
-    if all(s == 1 for s in signs):
-        return SamplePath(seq, 0, 0, forced_prefix=len(signs))
-    return path_with_signs(seq, signs)
-
-
 def bisect_root(f, lo, hi, iters=80):
     flo = f(lo)
     for _ in range(iters):
@@ -120,7 +113,7 @@ def test_three_term_sign_change_brackets_bisection_oracle():
     f = lambda s: 2.0 ** -s - 3.0 ** -s - 4.0 ** -s
     root = bisect_root(f, 0.2, 3.0)
     assert root == pytest.approx(1.2932, abs=1e-3)
-    path = _path(seq, [1, -1, -1])
+    path = path_with_signs(seq, [1, -1, -1])
     rep = scan(path, 0.2, 3.0, scan_certificate(seq, 0.2, 1e4, 0.05),
                resolution=1e-4, max_refinement=12)
     assert rep.eta_total == 0.0  # exact certificates
@@ -145,7 +138,7 @@ def test_scan_counts_match_dense_oracle_on_random_finite_paths():
         vals += np.arange(5) * 1e-3  # enforce strict increase
         seq = explicit([float(v) for v in vals])
         assignment = [int(s) for s in rng.choice([-1, 1], size=5)]
-        path = _path(seq, assignment)
+        path = path_with_signs(seq, assignment)
         rep = scan(path, 0.05, 4.0, scan_certificate(seq, 0.05, 1e4, 0.05),
                    resolution=1e-4, max_refinement=14)
         dense = np.linspace(0.05, 4.0, 20_001)
@@ -158,7 +151,7 @@ def test_scan_counts_match_dense_oracle_on_random_finite_paths():
 
 def test_refinement_monotonicity():
     seq = explicit([2.0, 3.0, 4.0, 5.0, 6.0])
-    path = _path(seq, [1, -1, -1, 1, -1])
+    path = path_with_signs(seq, [1, -1, -1, 1, -1])
     cert = scan_certificate(seq, 0.05, 1e4, 0.05)
     prev = -1
     for rounds in (0, 2, 4, 8):
@@ -201,7 +194,7 @@ def test_no_zero_certification_exhaustive_two_terms():
     seq = explicit([2.0, 3.0])
     for s1 in (1, -1):
         for s2 in (1, -1):
-            rep = certify_no_zeros(_path(seq, [s1, s2]), 0.1,
+            rep = certify_no_zeros(path_with_signs(seq, [s1, s2]), 0.1,
                                    scan_certificate(seq, 0.1, 1e4, 1e-3))
             assert rep.no_zero_certified
             assert rep.sign_changes == 0
@@ -212,7 +205,7 @@ def test_no_zero_certification_exhaustive_two_terms():
 def test_no_zero_certification_detects_change():
     # (+,-,-) on {2,3,4} has a real zero, so certification must refuse
     seq = explicit([2.0, 3.0, 4.0])
-    rep = certify_no_zeros(_path(seq, [1, -1, -1]), 0.2,
+    rep = certify_no_zeros(path_with_signs(seq, [1, -1, -1]), 0.2,
                            scan_certificate(seq, 0.2, 1e4, 1e-3))
     assert not rep.no_zero_certified
     assert rep.sign_changes >= 1
@@ -243,7 +236,8 @@ def test_scan_report_names_start_index():
 
 def test_report_serialization_round_trip():
     seq = explicit([2.0, 3.0, 4.0])
-    rep = scan(_path(seq, [1, 1, 1]), 0.3, 2.0, scan_certificate(seq, 0.3, 1e4, 0.05))
+    rep = scan(path_with_signs(seq, [1, 1, 1]), 0.3, 2.0,
+               scan_certificate(seq, 0.3, 1e4, 0.05))
     blob = rep.to_json()
     data = json.loads(blob)
     assert data["kind"] == "sign_scan"
