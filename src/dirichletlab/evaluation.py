@@ -8,11 +8,15 @@ Two certificate grades are produced:
   every exponent above the certificate's base exponent, the truncation
   error is below threshold * cutoff**-(sigma - sigma0).
 
-Only the decision |S| > radius reaches a scan's payload, so ``decide``
-filters: a floating-point dot product with an a-priori error bound settles
-every point whose bound clears the radius, and the exact sum runs only for
-the few whose bound straddles it.  The decisions equal those of the exact
-values that ``evaluate`` returns.
+Only signs of partial sums reach the payloads of scans and sign-change
+counts, so every kept sign goes through one filter, ``_filtered_signs``: a
+floating-point dot product per streamed chunk, with an a-priori bound on
+its distance from the value ``_signed_sums`` would return, settles every
+sum whose bracket clears the radius, and only the few whose bracket
+straddles it are summed again by ``_signed_sums``.  ``decide`` runs it at
+the certified radii, and the heuristic pass of a sign-change trial at
+radius 0.  The signs equal those of the values that ``_signed_sums``
+returns, at any length.
 
 Below the certifiable range the near-critical rule ``heuristic_cutoff``
 picks a truncation scale for partial sums that carry no error bound.
@@ -46,11 +50,16 @@ PROBABILISTIC = "probabilistic"
 # 8 bytes per term while it runs, not 16.  A longer array for a cached
 # key replaces the shorter one, which does not count toward the limit.
 # Keyed on the frozen sequence itself, so sequences that differ only in
-# start_index never share an array.
-# A plain module-level dict without a lock: each worker process fills its
-# own, and it is not safe to share between threads.
+# start_index never share an array.  ``_WEIGHT_TOTALS`` keeps, under the
+# same key and evicted with it, the size of the cached array and a float at
+# least its sum: the weights are positive, so it bounds the sum of every
+# prefix, and the size makes it a pure function of the key whatever the
+# cache holds.
+# Plain module-level dicts without a lock: each worker process fills its
+# own, and they are not safe to share between threads.
 
 _WEIGHT_CACHE: dict[tuple[FrequencySequence, float], np.ndarray] = {}
+_WEIGHT_TOTALS: dict[tuple[FrequencySequence, float], tuple[int, float]] = {}
 _WEIGHT_CACHE_LIMIT = 120_000_000
 
 
@@ -71,13 +80,37 @@ def _weights(seq: FrequencySequence, sigma: float, cutoff: float,
     if cached is not None and cached.size >= count:
         return cached[:count]
     _WEIGHT_CACHE.pop(key, None)  # a shorter array is replaced, not counted
+    _WEIGHT_TOTALS.pop(key, None)
     w = seq._powers(seq.start_index, count, -float(sigma))
     total = sum(a.size for a in _WEIGHT_CACHE.values()) + w.size
     while total > _WEIGHT_CACHE_LIMIT and _WEIGHT_CACHE:
-        total -= _WEIGHT_CACHE.pop(next(iter(_WEIGHT_CACHE))).size
+        oldest = next(iter(_WEIGHT_CACHE))
+        _WEIGHT_TOTALS.pop(oldest, None)
+        total -= _WEIGHT_CACHE.pop(oldest).size
     if w.size <= _WEIGHT_CACHE_LIMIT:
         _WEIGHT_CACHE[key] = w
+        _WEIGHT_TOTALS[key] = (w.size, _upper_sum(w))
     return w
+
+
+def _upper_sum(w: np.ndarray) -> float:
+    """A float at least the exact sum of the positive array ``w``.
+
+    Summed in any order, the float sum s of n positive terms satisfies
+    s >= (1 - gamma_{n-1}) * sum(w), so sum(w) <= s * (1 + 2(n-1)u) while
+    2(n-1)u <= 1/2 (u = 2**-53); the factor 1 + n * 2**-51 is exact and
+    larger, and the float just above the rounded product is above s times
+    it.
+    """
+    return math.nextafter(float(w.sum()) * (1.0 + w.size * 2.0 ** -51), math.inf)
+
+
+def _weight_bound(seq: FrequencySequence, sigma: float, w: np.ndarray) -> float:
+    """A float at least ``sum(w)``, for ``w`` the first ``w.size`` weights
+    of ``(seq, sigma)`` (as ``_weights`` returns them): the cached bound of
+    an array at least as long, else ``_upper_sum(w)``."""
+    size, bound = _WEIGHT_TOTALS.get((seq, float(sigma)), (-1, 0.0))
+    return bound if size >= w.size else _upper_sum(w)
 
 
 def _signed_sums(path: SamplePath, weights) -> list[float]:
@@ -263,15 +296,61 @@ def evaluate(
     ]
 
 
-# (n - 1) * _DOT_SLACK * fl(sum(w)), rounded up, bounds the error of any
-# n-term float64 sum of the exact products +-w.  In any summation order
-# that error is at most gamma_{n-1} * sum(w), with gamma_k = ku / (1 - ku)
-# and u = 2**-53 (Higham, Accuracy and Stability of Numerical Algorithms,
-# sec. 4.2), and fl(sum(w)) >= (1 - gamma_{n-1}) * sum(w) by the same
-# bound.  For n <= 2**16 the two denominators together stay below
-# 1 + 2**-35, so the factor 1 + 2**-30 covers them, and (n - 1) times it
-# is exact in float64.
+# (n - 1) * _DOT_SLACK bounds gamma_{n-1} = (n-1)u / (1 - (n-1)u), with
+# u = 2**-53, for every n <= 2**17: there (n-1)u < 2**-36, so the
+# denominator stays above 1 - 2**-36 and the factor 1 + 2**-30 covers it,
+# and (n - 1) times it is exact in float64.
 _DOT_SLACK = 2.0 ** -53 * (1.0 + 2.0 ** -30)
+
+
+def _band_slack(n: int) -> float:
+    """The float c such that c * sum(w) bounds the distance from the filter
+    value of an n-term sum to the value ``_signed_sums`` returns; see
+    ``decide``."""
+    if n <= _CHUNK:
+        return max(n - 1, 0) * _DOT_SLACK
+    return (2 * _CHUNK - 1) * _DOT_SLACK
+
+
+def _filtered_signs(path: SamplePath, weights, bounds,
+                    radii) -> list[int | None]:
+    """``[_sign_beyond(v, r) for v, r in zip(_signed_sums(path, weights),
+    radii)]``, from one pass over the path's signs plus a second,
+    ``_signed_sums`` itself, over only the sums that the filter leaves
+    open.  ``bounds[j]`` is a float at least ``sum(weights[j])``.
+
+    Every streamed chunk of signs is dotted with each weight array
+    (``np.dot``, any summation order), and ``math.fsum`` of a sum's dots
+    is its filter value, bracketed by ``_band_slack`` times its bound; see
+    ``decide`` for why the bracket holds the exact path's value.
+    """
+    count = max((w.size for w in weights), default=0)
+    dots: list[list[float]] = [[] for _ in weights]
+    for lo, signs in path._sign_chunks(count):
+        for w, parts in zip(weights, dots):
+            if lo < w.size:
+                parts.append(np.dot(signs[:w.size - lo], w[lo:lo + _CHUNK]))
+    out: list[int | None] = []
+    open_ = []
+    for j, (w, parts, bound, r) in enumerate(zip(weights, dots, bounds, radii)):
+        value = math.fsum(parts)
+        err = math.nextafter(_band_slack(w.size) * bound, math.inf)
+        lo = math.nextafter(value - err, -math.inf)
+        hi = math.nextafter(value + err, math.inf)
+        # a NaN or infinite bound fails every test and goes to the exact sum
+        if lo > r:
+            out.append(1)
+        elif hi < -r:
+            out.append(-1)
+        else:
+            out.append(None)
+            if not (-r <= lo and hi <= r):
+                open_.append(j)
+    if open_:
+        exact = _signed_sums(path, [weights[j] for j in open_])
+        for j, v in zip(open_, exact):
+            out[j] = _sign_beyond(v, radii[j])
+    return out
 
 
 def decide(
@@ -279,42 +358,45 @@ def decide(
 ) -> list[int | None]:
     """``[cv.decided_sign for cv in evaluate(path, sigmas, cert)]``, with
     the same validation, from one pass over the path's signs, without
-    summing every point exactly.
+    summing every point exactly: ``_filtered_signs`` at the certified
+    radii, with each sum's weight bound from the weight cache.
 
-    Sums of at most ``_CHUNK`` terms, where the exact sum is the correctly
-    rounded one, are filtered.  The signs are +-1, so ``np.dot(signs, w)``
-    forms every product exactly, and it lies within ``err`` (see
-    ``_DOT_SLACK``) of the exact sum S in any summation order.  Rounding
-    is monotone and the radius r is a float, so fl(S) lies in [lo, hi],
-    the floats just outside dot -+ err.  When lo > r, hi < -r, or both
-    lie in [-r, r], that interval settles the decision; otherwise the
-    exact ``_chunk_partial`` sums the point.  Longer sums go through
-    ``_signed_sums`` as in ``evaluate``.
+    Why the filter's decisions are the exact path's.  Write a sum of n
+    terms as chunks c of m_c <= ``_CHUNK`` terms, with S_c the exact sum
+    of the chunk's products x_i = s_i * w_i, W_c = sum of its w_i, W the
+    sum over all chunks and B >= W the weight bound.  The signs are +-1,
+    so every product is exact, and any float summation order leaves an
+    m-term sum within gamma_{m-1} * W_c of S_c (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, sec. 4.2), with gamma_k =
+    ku / (1 - ku) and u = 2**-53.  So each chunk's dot d_c is within
+    gamma_{m_c-1} * W_c of S_c.
+
+    * n <= ``_CHUNK``: one chunk, the filter value D is d, and the exact
+      path returns fl(S), the correctly rounded S.  |D - S| <=
+      gamma_{n-1} * B, which ``_band_slack`` covers.
+    * n > ``_CHUNK``: the exact path is ``compensated_sum``'s, V =
+      fl(sum of p_c), with p_c the pairwise sum of a full chunk or the
+      correctly rounded sum of the last one, each within
+      gamma_{m_c-1} * W_c of S_c (a one-term chunk is exact).  So the
+      dots and the partials are within 2 * gamma_{K-1} * W of each other
+      in total, with K = ``_CHUNK`` (gamma grows with m).  D is the
+      correctly rounded sum of the dots, which is at most
+      (1 + gamma_{K-1}) * W in magnitude, so it adds at most
+      u * (1 + gamma_{K-1}) * W, and |D - P| <= (2 * gamma_{K-1} + u *
+      (1 + gamma_{K-1})) * B with P the exact sum of the partials.  That
+      is below (2K - 1) * ``_DOT_SLACK`` * B, ``_band_slack`` above
+      ``_CHUNK``.
+
+    In both cases the value that is rounded once (S, or P) lies within
+    err of D, where err is the float just above the rounded product of
+    the slack and B.  Rounding is monotone and the radius r is a float,
+    so the exact path's value lies in [lo, hi], the floats just outside
+    D -+ err.  When lo > r, hi < -r, or both lie in [-r, r], that bracket
+    settles the decision; otherwise ``_signed_sums`` sums the point.
     """
     weights, radii = _certified_weights(path, sigmas, cert)
-    count = weights[0].size if weights else 0
-    if not 0 < count <= _CHUNK:
-        return [_sign_beyond(v, r) for v, r in zip(_signed_sums(path, weights), radii)]
-    (_, signs), = path._sign_chunks(count)
-    slack = (count - 1) * _DOT_SLACK
-    prod = np.empty(count)
-    out = []
-    for w, radius in zip(weights, radii):
-        dot = float(np.dot(signs, w))
-        err = math.nextafter(slack * float(w.sum()), math.inf)
-        lo = math.nextafter(dot - err, -math.inf)
-        hi = math.nextafter(dot + err, math.inf)
-        # a NaN or infinite bound fails every test and falls through
-        if lo > radius:
-            out.append(1)
-        elif hi < -radius:
-            out.append(-1)
-        elif -radius <= lo and hi <= radius:
-            out.append(None)
-        else:
-            np.multiply(signs, w, out=prod)
-            out.append(_sign_beyond(_chunk_partial(prod, count), radius))
-    return out
+    bounds = [_weight_bound(path.seq, s, w) for s, w in zip(sigmas, weights)]
+    return _filtered_signs(path, weights, bounds, radii)
 
 
 def heuristic_cutoff(sigma: float) -> float:

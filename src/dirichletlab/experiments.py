@@ -38,7 +38,8 @@ from ._version import VERSION
 from .bounds import wilson_interval
 from .errors import ValidationError
 from .evaluation import (
-    _signed_sums,
+    _filtered_signs,
+    _weight_bound,
     _weights,
     decide,
     excursion_probability_bound,
@@ -278,12 +279,14 @@ def _sign_change_setup(cfg: SignChangeConfig) -> dict:
     cert = tail_certificate(seq, sigma0, cfg.cert_cutoff, cfg.eta,
                             head_terms=cfg.head_terms)
     weights = [_weights(seq, s, c) for s, c in zip(grid, cutoffs)]
+    bounds = [_weight_bound(seq, s, w) for s, w in zip(grid, weights)]
     rung_start = [next(j for j, s in enumerate(grid) if s >= rv - 1e-12)
                   for rv in ladder]
     return {
         "seq": seq,
         "grid": grid,
         "weights": weights,
+        "bounds": bounds,
         "cert": cert,
         "ladder": ladder,
         "rung_start": rung_start,
@@ -298,11 +301,13 @@ def _sign_change_trial(cfg: SignChangeConfig, i: int) -> dict:
     combined = decide(path, st["grid"], st["cert"])
     decided = [s is not None for s in combined]
     # the heuristic sum's sign stands in wherever the certified one is
-    # undecided
+    # undecided: the filter at radius 0, where a zero sum counts as +1
     undecided = [j for j, d in enumerate(decided) if not d]
-    heuristic = _signed_sums(path, [st["weights"][j] for j in undecided])
-    for j, v in zip(undecided, heuristic):
-        combined[j] = 1 if v >= 0 else -1
+    heuristic = _filtered_signs(path, [st["weights"][j] for j in undecided],
+                                [st["bounds"][j] for j in undecided],
+                                [0.0] * len(undecided))
+    for j, sign in zip(undecided, heuristic):
+        combined[j] = 1 if sign is None else sign
     m = len(combined)
     combined_counts = []
     certified_counts = []

@@ -29,6 +29,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -265,8 +266,12 @@ class WeightedNaturals(_SequenceOps):
     def _log_value(self, n: int) -> float:
         return math.log(n) + self.exponent * math.log(math.log(n + 1))
 
+    @lru_cache(maxsize=64)
     def _count_leq(self, x):
-        """Largest n with n*log(n+1)**a <= x; 0 if none.  Handles huge x."""
+        """Largest n with n*log(n+1)**a <= x; 0 if none.  Handles huge x.
+
+        A bisection in Python, memoized per (sequence, x): a certificate's
+        cutoff is counted once, not once per certified round."""
         if x < math.log(2.0) ** self.exponent:  # the n=1 element
             return 0
         # ulp-scale slack so an element exactly equal to x still counts;

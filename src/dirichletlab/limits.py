@@ -26,7 +26,7 @@ from .frequencies import (
     _check_finite,
 )
 from .paths import SamplePath
-from .summation import _CHUNK, _sum_blocks, compensated_sum
+from .summation import _CHUNK, _sum_blocks, _sum_of_squares
 
 
 def char_function(
@@ -73,7 +73,7 @@ def char_function(
         raise ValidationError("no elements at or below cutoff")
     w = seq._powers(seq.start_index, n, -float(sigma))
     if normalization is None:
-        normalization = math.sqrt(compensated_sum(w * w))
+        normalization = math.sqrt(_sum_of_squares(w))
     _check_finite("normalization", normalization)
     if normalization <= 0:
         raise ValidationError("normalization must be positive")
@@ -162,7 +162,7 @@ def clt_sample(
     if n == 0:
         raise ValidationError("no elements at or below cutoff")
     w = seq._powers(seq.start_index, n, -float(sigma))
-    var = compensated_sum(w * w)
+    var = _sum_of_squares(w)
     if var <= 0.0:
         raise ValidationError("zero truncated variance")
     if seq.tail_converges(2.0 * sigma):
@@ -243,13 +243,13 @@ def variance_profile(
         )
     gaps = seq._powers(seq.start_index, count, -float(sigma))
     gaps -= seq._powers(seq.start_index, count, -0.5)
-    head = compensated_sum(gaps * gaps)
+    head = _sum_of_squares(gaps)
     if not seq.tail_converges(2.0 * sigma):
         raise DivergenceError("tail variance diverges at the doubled exponent")
     t_lo, t_hi = seq.tail_power_sum(2.0 * sigma, scale, head_terms=head_terms)
     w = seq._powers(seq.start_index, seq._count_up_to(second_moment_cutoff, budget),
                     -float(sigma))
-    second = compensated_sum(w * w)
+    second = _sum_of_squares(w)
     return VarianceProfile(
         sigma=float(sigma),
         scale=scale,

@@ -12,7 +12,8 @@ iterable of blocks: ``exact_sum`` gives it slices of its input and
 ``limits.char_function`` the log-cosine blocks it computes.
 ``compensated_sum`` reduces long arrays chunk-by-chunk with numpy's
 pairwise summation, sums short inputs and the remainder chunk exactly,
-and combines the chunk totals with ``math.fsum``.
+and combines the chunk totals with ``math.fsum``; ``_sum_of_squares`` does
+the same for the squares of an array, one chunk of squares at a time.
 Everything below is independent of thread count and of BLAS builds.
 """
 
@@ -137,12 +138,24 @@ def compensated_sum(values) -> float:
     roundoff.
 
     ``evaluation._signed_sums`` takes the same ``_chunk_partial`` of each
-    chunk of products it never materializes in full, so its sums are
+    chunk of products it never materializes in full, and
+    ``_sum_of_squares`` of each chunk of squares, so their sums are
     bit-identical to this function's on the same terms.
     """
     arr = np.ascontiguousarray(values, dtype=np.float64)
     return math.fsum(_chunk_partial(arr[lo:lo + _CHUNK], arr.size)
                      for lo in range(0, arr.size, _CHUNK))
+
+
+def _sum_of_squares(values) -> float:
+    """``compensated_sum(values * values)``, bit for bit, without the
+    array of squares: each ``_CHUNK`` is squared into one reused buffer
+    and reduced by ``_chunk_partial``."""
+    arr = np.ascontiguousarray(values, dtype=np.float64)
+    buf = np.empty(min(arr.size, _CHUNK))
+    chunks = (arr[lo:lo + _CHUNK] for lo in range(0, arr.size, _CHUNK))
+    return math.fsum(_chunk_partial(np.multiply(c, c, out=buf[:c.size]), arr.size)
+                     for c in chunks)
 
 
 def _chunk_partial(chunk: np.ndarray, total: int) -> float:

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -254,6 +255,154 @@ def test_decide_falls_back_to_the_exact_sum_near_the_radius(monkeypatch):
         got = decide(path, sigmas, cert)
         assert calls == []
         assert got == [cv.decided_sign for cv in evaluate(path, sigmas, cert)]
+
+
+_LONG = 1 << 16
+
+
+@given(
+    seq=st.sampled_from([Naturals(), WeightedNaturals(2.0)]),
+    n=st.integers(_LONG + 1, 3 * _LONG),
+    sigmas=st.lists(st.sampled_from([0.55, 0.6, 0.75, 1.0, 1.6]),
+                    min_size=1, max_size=3),
+    plus=st.sampled_from([0, 1, 3]),
+    seed=st.integers(0, 2**32 - 1),
+    ulps=st.integers(-3, 3),
+    exhausted=st.booleans(),
+)
+@example(seq=Naturals(), n=_LONG + 1, sigmas=[0.55], plus=0, seed=2, ulps=0,
+         exhausted=False)
+@example(seq=Naturals(), n=3 * _LONG, sigmas=[1.6, 0.6], plus=3, seed=7,
+         ulps=-3, exhausted=True)
+@settings(max_examples=25, deadline=None)
+def test_property_decide_equals_exact_decisions_past_one_chunk(
+    seq, n, sigmas, plus, seed, ulps, exhausted
+):
+    # sums of more than one chunk, where the exact path is compensated_sum's
+    # chunked one: radii at that sum and up to three floats either side
+    path = path_with_signs(seq, [1] * plus, seed)
+    cutoff = seq.element(seq.start_index + n - 1)
+    assert seq.counting_function(cutoff) == n
+    cert = _cert_at(path, sigmas, cutoff, ulps, exhausted)
+    expected = [cv.decided_sign for cv in evaluate(path, sigmas, cert)]
+    assert decide(path, sigmas, cert) == expected
+
+
+def _cancelling_ones(path, n, excess):
+    """Weights 1.0 but for a last one chosen so that the path's signed sum
+    of the first ``n'' >= n`` terms is exactly ``excess`` (a multiple of
+    2**-40 below 1 in magnitude), with ``n'`` the first length where that
+    last weight comes out positive."""
+    while True:
+        signs = path.signs_up_to(n)
+        head = int(signs[:-1].sum())
+        last = signs[-1]
+        if head != 0 and (head > 0) != (last > 0):
+            w = np.ones(n)
+            w[-1] = abs(head) + excess * last
+            return w
+        n += 1
+
+
+@pytest.mark.parametrize("n", [1000, _LONG + 1000])
+def test_heuristic_signs_equal_compensated_sum_signs(monkeypatch, n):
+    # the heuristic pass keeps sign(v) with v >= 0 counted as +1; the filter
+    # at radius 0 gives the same signs, long sums included, and sums that
+    # come out within the band of 0 (here exactly 0 and +-2**-40) are
+    # settled by the exact sums it falls back to
+    seq = Naturals()
+    path = SamplePath(seq, 11, 2)
+    weights = [_cancelling_ones(path, n, e) for e in (0.0, 2.0**-40, -(2.0**-40))]
+    weights += [evaluation._weights(seq, s, c)
+                for s, c in ((0.53, 3 * _LONG), (0.75, _LONG + 7), (1.2, 900))]
+    fallbacks = []
+    original = evaluation._signed_sums
+
+    def counting(p, ws):
+        ws = list(ws)
+        fallbacks.append(len(ws))
+        return original(p, ws)
+
+    monkeypatch.setattr(evaluation, "_signed_sums", counting)
+    bounds = [evaluation._upper_sum(w) for w in weights]
+    got = evaluation._filtered_signs(path, weights, bounds, [0.0] * len(weights))
+    signs = path.signs_up_to(max(w.size for w in weights))
+    sums = [compensated_sum(signs[:w.size] * w) for w in weights]
+    assert sums[:3] == [0.0, 2.0**-40, -(2.0**-40)]
+    assert [1 if g is None else g for g in got] == [1 if v >= 0 else -1 for v in sums]
+    assert fallbacks == [3]
+
+
+def test_decide_runs_no_pairwise_pass_for_far_radii_on_a_long_sum(monkeypatch):
+    # a 10**5-term sum: the far radii are settled by the chunked dot
+    # products alone, and a radius at the sum re-streams it through
+    # _signed_sums, one pairwise full chunk and one exact remainder
+    calls = []
+    original = evaluation._chunk_partial
+
+    def counting(chunk, total):
+        calls.append(chunk.size)
+        return original(chunk, total)
+
+    monkeypatch.setattr(evaluation, "_chunk_partial", counting)
+    path = SamplePath(Naturals(), 3, 0)
+    sigmas = [0.6, 0.8, 1.3]
+    at_sum = _cert_at(path, [0.6], 1e5, 0, False)
+    calls.clear()
+    assert decide(path, [0.6], at_sum) == [None]
+    assert calls == [_LONG, 100_000 - _LONG]
+    for threshold in (0.0, 1e-6, 1e6):
+        cert = dataclasses.replace(at_sum, threshold=threshold)
+        calls.clear()
+        got = decide(path, sigmas, cert)
+        assert calls == []
+        assert got == [cv.decided_sign for cv in evaluate(path, sigmas, cert)]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 15, 1000, _LONG, _LONG + 1, 3 * _LONG, 10**8])
+def test_band_slack_covers_the_proven_error_bound(n):
+    # the bounds of decide's docstring, in exact rational arithmetic:
+    # gamma_{n-1} up to one chunk, and past it twice gamma_{K-1} (dots and
+    # pairwise partials) plus the rounding of the fsum of the dots
+    u = Fraction(1, 2**53)
+
+    def gamma(k):
+        return k * u / (1 - k * u)
+
+    if n <= _LONG:
+        proven = gamma(max(n - 1, 0))
+    else:
+        proven = 2 * gamma(_LONG - 1) + u * (1 + gamma(_LONG - 1))
+    assert Fraction(evaluation._band_slack(n)) >= proven
+
+
+@pytest.mark.parametrize("small", [2.0**-53, 2.0**-54 * 1.5, 1e-17])
+def test_upper_sum_bounds_the_exact_sum(small):
+    # a 1.0 in front of many terms at or below half an ulp of 1: the
+    # accumulator that holds the 1.0 drops them, so the float sum falls
+    # short of the exact one, which the bound must still cover
+    for n in (2, 17, 1000, _LONG + 3):
+        w = np.full(n, small)
+        w[0] = 1.0
+        exact = sum(Fraction(x) for x in (1.0, small)) + (n - 2) * Fraction(small)
+        assert Fraction(evaluation._upper_sum(w)) >= exact
+    rng = np.random.default_rng(4)
+    w = rng.uniform(0.0, 1.0, 5000) ** 8
+    assert Fraction(evaluation._upper_sum(w)) >= sum(map(Fraction, w.tolist()))
+
+
+def test_weight_bound_never_reads_a_shorter_arrays_total(monkeypatch):
+    # the cached bound is tied to the size it was summed over, so a swapped
+    # cache that holds a shorter array for the key cannot lend its smaller
+    # total to a longer prefix
+    seq = Naturals()
+    long_w = evaluation._weights(seq, 0.7, 5000)
+    monkeypatch.setattr(evaluation, "_WEIGHT_CACHE", {})
+    evaluation._weights(seq, 0.7, 100)
+    bound = evaluation._weight_bound(seq, 0.7, long_w)
+    assert Fraction(bound) >= sum(map(Fraction, long_w.tolist()))
+    assert evaluation._weight_bound(seq, 0.7, long_w[:50]) == evaluation._WEIGHT_TOTALS[
+        (seq, 0.7)][1]
 
 
 def test_decided_sign_logic():

@@ -23,6 +23,7 @@ from dirichletlab.experiments import (
 )
 from dirichletlab.frequencies import make_sequence
 from dirichletlab.paths import SamplePath
+from dirichletlab.summation import compensated_sum
 
 from conftest import normal_cdf
 
@@ -204,6 +205,34 @@ def test_sign_change_decided_fraction_matches_evaluate():
         assert row["decided_fraction"] == sum(decided) / len(grid)
         fractions.append(row["decided_fraction"])
     assert 0.0 < min(fractions) < 1.0
+
+
+def test_sign_change_rows_match_the_exact_sums():
+    # every kept sign is the sign of the exact path's value: evaluate's
+    # decided sign where the certified sum beats its radius, else the sign
+    # of compensated_sum over the heuristic cutoff (a zero sum counts +1);
+    # the 1e5-term certified sums and the 2e5-term heuristic sums near 0.53
+    # span more than one chunk
+    cfg = SignChangeConfig(ladder=(0.7, 0.53), trials=3, grid_points=10,
+                           heuristic_max_cutoff=2e5)
+    st = _sign_change_setup(cfg)
+    assert max(w.size for w in st["weights"]) == 200_000
+    for i in range(cfg.trials):
+        path = SamplePath(st["seq"], cfg.master_seed, i)
+        signs = path.signs_up_to(200_000)
+        certified = [cv.decided_sign for cv in evaluate(path, st["grid"], st["cert"])]
+        combined = [
+            s if s is not None
+            else 1 if compensated_sum(signs[:w.size] * w) >= 0 else -1
+            for s, w in zip(certified, st["weights"])
+        ]
+        row = _sign_change_trial(cfg, i)
+        assert row["decided_fraction"] == sum(
+            s is not None for s in certified) / len(certified)
+        assert row["combined_counts"] == [
+            sum(1 for a, b in zip(combined[j0:], combined[j0 + 1:]) if a != b)
+            for j0 in st["rung_start"]
+        ]
 
 
 def test_sign_change_grid_is_the_scan_grid_plus_the_ladder():

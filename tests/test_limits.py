@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -60,6 +61,23 @@ def test_clt_sample_deterministic_and_normalized():
     assert np.array_equal(a, b)
     assert abs(float(np.mean(a))) < 0.15
     assert 0.7 < float(np.var(a)) < 1.3
+
+
+def test_clt_sample_holds_one_weight_array():
+    # the variance squares one chunk at a time, so the draws hold the
+    # 8-byte-per-term weights and a few chunk buffers, not a second
+    # full-length array of squares
+    primes = Primes()
+    n = primes.counting_function(1e7)
+    # a first draw builds the sieve and the tail enclosure outside the trace
+    clt_sample(primes, 0.6, 1e7, 1, 1)
+    tracemalloc.start()
+    try:
+        clt_sample(primes, 0.6, 1e7, 1, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 8 * n <= peak < 8 * n + 6 * 8 * 2 ** 16
 
 
 def test_clt_sample_warns_when_cutoff_starves_variance():

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dirichletlab import Primes
-from dirichletlab.summation import _CHUNK, compensated_sum, exact_sum
+from dirichletlab.summation import _CHUNK, _sum_of_squares, compensated_sum, exact_sum
 
 
 def test_matches_fsum_small():
@@ -263,3 +263,10 @@ def test_exact_sum_scales_full_blocks_at_35_bits(monkeypatch):
     x[_CHUNK + 7] = 2.0 ** 35
     assert exact_sum(x).hex() == fsum(x.tolist()).hex()
     assert calls == [1]
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
+def test_sum_of_squares_is_compensated_sum_of_the_squares(n):
+    rng = np.random.default_rng(n)
+    w = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)
+    assert _sum_of_squares(w).hex() == compensated_sum(w * w).hex()
