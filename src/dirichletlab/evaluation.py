@@ -33,7 +33,6 @@ from .errors import ValidationError
 from .frequencies import (
     DEFAULT_TAIL_HEAD_TERMS,
     FrequencySequence,
-    _check_budget,
     _check_finite,
 )
 from .paths import SamplePath
@@ -44,53 +43,59 @@ PROBABILISTIC = "probabilistic"
 
 # ---------------------------------------------------------------------------
 # Weight cache: p**-sigma arrays are path-independent and reused heavily
-# across Monte Carlo trials.  Bounded by total float count, per process;
-# the oldest entries are evicted first.  A miss fills its array with
-# ``_powers``, one ``_CHUNK`` of elements at a time, so it holds about
-# 8 bytes per term while it runs, not 16.  A longer array for a cached
-# key replaces the shorter one, which does not count toward the limit.
-# Keyed on the frozen sequence itself, so sequences that differ only in
-# start_index never share an array.  ``_WEIGHT_TOTALS`` keeps, under the
-# same key and evicted with it, the size of the cached array and a float at
-# least its sum: the weights are positive, so it bounds the sum of every
-# prefix, and the size makes it a pure function of the key whatever the
-# cache holds.
-# Plain module-level dicts without a lock: each worker process fills its
-# own, and they are not safe to share between threads.
+# across Monte Carlo trials.  One entry per key ``(seq, sigma)``: the array
+# and a float at least its sum, stored and read together, so a bound always
+# belongs to the array it is stored with; the weights are positive, so it
+# bounds the sum of every prefix.  Keyed on the frozen sequence itself, so
+# sequences that differ only in start_index never share an entry.  Bounded
+# by total float count, per process; the oldest entries are evicted first.
+# A miss fills its array with ``_powers``, one ``_CHUNK`` of elements at a
+# time, so it holds about 8 bytes per term while it runs, not 16.  A longer
+# array for a cached key replaces the shorter one, which does not count
+# toward the limit.
+# A plain module-level dict without a lock: each worker process fills its
+# own, and threads must not share it (a concurrent miss can compute an
+# entry twice, or raise while it sizes or evicts the cache).  An entry is
+# one tuple, stored and read in one dict operation, so no race can pair an
+# array with another array's bound.
 
-_WEIGHT_CACHE: dict[tuple[FrequencySequence, float], np.ndarray] = {}
-_WEIGHT_TOTALS: dict[tuple[FrequencySequence, float], tuple[int, float]] = {}
+_WEIGHT_CACHE: dict[tuple[FrequencySequence, float], tuple[np.ndarray, float]] = {}
 _WEIGHT_CACHE_LIMIT = 120_000_000
 
 
-def _weights(seq: FrequencySequence, sigma: float, cutoff: float,
-             budget: int | None = None, count: int | None = None) -> np.ndarray:
-    """``p**-sigma`` over the served elements ``p <= cutoff``, through the
-    per-process ``_WEIGHT_CACHE``, which has no lock and so is not
-    thread-safe.  ``budget`` is checked on hits and misses alike.  A caller
-    that already holds ``count = seq.counting_function(cutoff)``, checked
-    against the budget, passes it to skip the count; a miss then computes
-    the ``count`` weights with ``seq._powers`` without counting again, and
-    holds no element array beside them."""
+def _weight_entry(seq: FrequencySequence, sigma: float,
+                  count: int) -> tuple[np.ndarray, float]:
+    """``(w, bound)``: the first ``count`` weights ``p**-sigma`` of ``seq``
+    and a float at least ``sum(w)``.
+
+    ``count`` is ``seq.counting_function(cutoff)``, already checked against
+    the budget.  A hit is one ``_WEIGHT_CACHE`` read and returns a slice of
+    the cached array with the bound of the whole array; a miss computes the
+    ``count`` weights with ``seq._powers`` and returns the new array itself.
+    """
     _check_finite("sigma", sigma)
-    if count is None:
-        count = seq._count_up_to(cutoff, budget)
     key = (seq, float(sigma))
-    cached = _WEIGHT_CACHE.get(key)
-    if cached is not None and cached.size >= count:
-        return cached[:count]
+    entry = _WEIGHT_CACHE.get(key)
+    if entry is not None and entry[0].size >= count:
+        w, bound = entry
+        return w[:count], bound
     _WEIGHT_CACHE.pop(key, None)  # a shorter array is replaced, not counted
-    _WEIGHT_TOTALS.pop(key, None)
     w = seq._powers(seq.start_index, count, -float(sigma))
-    total = sum(a.size for a in _WEIGHT_CACHE.values()) + w.size
+    entry = (w, _upper_sum(w))
+    total = sum(a.size for a, _ in _WEIGHT_CACHE.values()) + w.size
     while total > _WEIGHT_CACHE_LIMIT and _WEIGHT_CACHE:
-        oldest = next(iter(_WEIGHT_CACHE))
-        _WEIGHT_TOTALS.pop(oldest, None)
-        total -= _WEIGHT_CACHE.pop(oldest).size
+        total -= _WEIGHT_CACHE.pop(next(iter(_WEIGHT_CACHE)))[0].size
     if w.size <= _WEIGHT_CACHE_LIMIT:
-        _WEIGHT_CACHE[key] = w
-        _WEIGHT_TOTALS[key] = (w.size, _upper_sum(w))
-    return w
+        _WEIGHT_CACHE[key] = entry
+    return entry
+
+
+def _weights(seq: FrequencySequence, sigma: float, cutoff: float,
+             budget: int | None = None) -> np.ndarray:
+    """``p**-sigma`` over the served elements ``p <= cutoff``, counted and
+    checked against ``budget``, through ``_weight_entry``: a hit is a slice
+    of the cached array, a miss a new array."""
+    return _weight_entry(seq, sigma, seq._count_up_to(cutoff, budget))[0]
 
 
 def _upper_sum(w: np.ndarray) -> float:
@@ -103,14 +108,6 @@ def _upper_sum(w: np.ndarray) -> float:
     it.
     """
     return math.nextafter(float(w.sum()) * (1.0 + w.size * 2.0 ** -51), math.inf)
-
-
-def _weight_bound(seq: FrequencySequence, sigma: float, w: np.ndarray) -> float:
-    """A float at least ``sum(w)``, for ``w`` the first ``w.size`` weights
-    of ``(seq, sigma)`` (as ``_weights`` returns them): the cached bound of
-    an array at least as long, else ``_upper_sum(w)``."""
-    size, bound = _WEIGHT_TOTALS.get((seq, float(sigma)), (-1, 0.0))
-    return bound if size >= w.size else _upper_sum(w)
 
 
 def _signed_sums(path: SamplePath, weights) -> list[float]:
@@ -233,9 +230,7 @@ def partial_sum(
 ) -> float:
     """sum(X_p * p**-sigma for served p <= cutoff), compensated and
     deterministic for fixed inputs regardless of worker count."""
-    if cutoff < 1:
-        raise ValidationError("cutoff must be >= 1")
-    return _signed_sums(path, [_weights(path.seq, sigma, cutoff, budget=budget)])[0]
+    return partial_sum_table(path, [(sigma, cutoff)], budget)[0]
 
 
 def partial_sum_table(
@@ -244,6 +239,8 @@ def partial_sum_table(
     budget: int | None = None,
 ) -> list[float]:
     """Partial sums for many (sigma, cutoff) pairs, sharing one sign pass."""
+    if any(c < 1 for _, c in points):
+        raise ValidationError("cutoff must be >= 1")
     return _signed_sums(
         path, [_weights(path.seq, s, c, budget=budget) for s, c in points]
     )
@@ -251,10 +248,11 @@ def partial_sum_table(
 
 def _certified_weights(
     path: SamplePath, sigmas: list[float], cert: TailCertificate
-) -> tuple[list[np.ndarray], list[float]]:
-    """The weights and radii of ``evaluate`` and ``decide``, after their
-    one validation.  The certificate's terms are counted once per call,
-    not once per exponent: every exponent shares the cutoff.
+) -> tuple[list[tuple[np.ndarray, float]], list[float]]:
+    """The weight entries (see ``_weight_entry``) and radii of ``evaluate``
+    and ``decide``, after their one validation.  The certificate's terms
+    are counted once per call, not once per exponent: every exponent shares
+    the cutoff.
 
     The radius is threshold * cutoff**-(sigma - sigma0), or 0 for an
     exhausted certificate; the truncation identity behind it carries
@@ -269,13 +267,12 @@ def _certified_weights(
             )
     if cert.cutoff < 1:
         raise ValidationError("cutoff must be >= 1")
-    count = path.seq.counting_function(cert.cutoff)
-    _check_budget(count, None)
-    weights = [_weights(path.seq, s, cert.cutoff, count=count) for s in sigmas]
+    count = path.seq._count_up_to(cert.cutoff)
+    entries = [_weight_entry(path.seq, s, count) for s in sigmas]
     if cert.exhausted:
-        return weights, [0.0] * len(sigmas)
+        return entries, [0.0] * len(sigmas)
     radii = [cert.threshold * cert.cutoff ** (-(s - cert.sigma0)) for s in sigmas]
-    return weights, radii
+    return entries, radii
 
 
 def evaluate(
@@ -284,8 +281,8 @@ def evaluate(
     """Certified values at every exponent in ``sigmas``, each at least the
     certificate's base exponent, from one pass over the path's signs.
     Each partial sum is exact (see ``_signed_sums``)."""
-    weights, radii = _certified_weights(path, sigmas, cert)
-    values = _signed_sums(path, weights)
+    entries, radii = _certified_weights(path, sigmas, cert)
+    values = _signed_sums(path, [w for w, _ in entries])
     if cert.exhausted:
         return [CertifiedValue(s, v, cert.cutoff, 0.0, EXACT)
                 for s, v in zip(sigmas, values)]
@@ -312,27 +309,26 @@ def _band_slack(n: int) -> float:
     return (2 * _CHUNK - 1) * _DOT_SLACK
 
 
-def _filtered_signs(path: SamplePath, weights, bounds,
-                    radii) -> list[int | None]:
+def _filtered_signs(path: SamplePath, entries, radii) -> list[int | None]:
     """``[_sign_beyond(v, r) for v, r in zip(_signed_sums(path, weights),
-    radii)]``, from one pass over the path's signs plus a second,
-    ``_signed_sums`` itself, over only the sums that the filter leaves
-    open.  ``bounds[j]`` is a float at least ``sum(weights[j])``.
+    radii)]`` for the weight entries ``(w, bound)`` of ``_weight_entry``,
+    from one pass over the path's signs plus a second, ``_signed_sums``
+    itself, over only the sums that the filter leaves open.
 
     Every streamed chunk of signs is dotted with each weight array
     (``np.dot``, any summation order), and ``math.fsum`` of a sum's dots
     is its filter value, bracketed by ``_band_slack`` times its bound; see
     ``decide`` for why the bracket holds the exact path's value.
     """
-    count = max((w.size for w in weights), default=0)
-    dots: list[list[float]] = [[] for _ in weights]
+    count = max((w.size for w, _ in entries), default=0)
+    dots: list[list[float]] = [[] for _ in entries]
     for lo, signs in path._sign_chunks(count):
-        for w, parts in zip(weights, dots):
+        for (w, _), parts in zip(entries, dots):
             if lo < w.size:
                 parts.append(np.dot(signs[:w.size - lo], w[lo:lo + _CHUNK]))
     out: list[int | None] = []
     open_ = []
-    for j, (w, parts, bound, r) in enumerate(zip(weights, dots, bounds, radii)):
+    for j, ((w, bound), parts, r) in enumerate(zip(entries, dots, radii)):
         value = math.fsum(parts)
         err = math.nextafter(_band_slack(w.size) * bound, math.inf)
         lo = math.nextafter(value - err, -math.inf)
@@ -347,7 +343,7 @@ def _filtered_signs(path: SamplePath, weights, bounds,
             if not (-r <= lo and hi <= r):
                 open_.append(j)
     if open_:
-        exact = _signed_sums(path, [weights[j] for j in open_])
+        exact = _signed_sums(path, [entries[j][0] for j in open_])
         for j, v in zip(open_, exact):
             out[j] = _sign_beyond(v, radii[j])
     return out
@@ -359,7 +355,7 @@ def decide(
     """``[cv.decided_sign for cv in evaluate(path, sigmas, cert)]``, with
     the same validation, from one pass over the path's signs, without
     summing every point exactly: ``_filtered_signs`` at the certified
-    radii, with each sum's weight bound from the weight cache.
+    radii, over the weight entries, each array with its own bound.
 
     Why the filter's decisions are the exact path's.  Write a sum of n
     terms as chunks c of m_c <= ``_CHUNK`` terms, with S_c the exact sum
@@ -394,9 +390,7 @@ def decide(
     D -+ err.  When lo > r, hi < -r, or both lie in [-r, r], that bracket
     settles the decision; otherwise ``_signed_sums`` sums the point.
     """
-    weights, radii = _certified_weights(path, sigmas, cert)
-    bounds = [_weight_bound(path.seq, s, w) for s, w in zip(sigmas, weights)]
-    return _filtered_signs(path, weights, bounds, radii)
+    return _filtered_signs(path, *_certified_weights(path, sigmas, cert))
 
 
 def heuristic_cutoff(sigma: float) -> float:

@@ -39,13 +39,12 @@ from .bounds import wilson_interval
 from .errors import ValidationError
 from .evaluation import (
     _filtered_signs,
-    _weight_bound,
+    _weight_entry,
     _weights,
     decide,
     excursion_probability_bound,
     heuristic_cutoff,
     partial_sum_table,
-    tail_certificate,
 )
 from .frequencies import _check_finite, make_sequence
 from .paths import SamplePath
@@ -267,26 +266,23 @@ def _aggregate_no_zero(cfg: NoZeroConfig, rows: list[dict]) -> dict:
 def _sign_change_setup(cfg: SignChangeConfig) -> dict:
     seq = _seq(cfg.seq)
     ladder = sorted(cfg.ladder, reverse=True)
-    sigma_min = ladder[-1]
-    grid = sorted(set(_initial_grid(sigma_min, cfg.sigma_hi, cfg.grid_points))
+    grid = sorted(set(_initial_grid(ladder[-1], cfg.sigma_hi, cfg.grid_points))
                   | set(float(s) for s in ladder))
     cutoffs = []
     for s in grid:
         rule = heuristic_cutoff(s)
         cutoffs.append(min(max(rule, cfg.heuristic_min_cutoff),
                            cfg.heuristic_max_cutoff))
-    sigma0 = 0.5 + 0.5 * (sigma_min - 0.5)
-    cert = tail_certificate(seq, sigma0, cfg.cert_cutoff, cfg.eta,
+    cert = scan_certificate(seq, ladder[-1], cfg.cert_cutoff, cfg.eta,
                             head_terms=cfg.head_terms)
-    weights = [_weights(seq, s, c) for s, c in zip(grid, cutoffs)]
-    bounds = [_weight_bound(seq, s, w) for s, w in zip(grid, weights)]
+    entries = [_weight_entry(seq, s, seq._count_up_to(c))
+               for s, c in zip(grid, cutoffs)]
     rung_start = [next(j for j, s in enumerate(grid) if s >= rv - 1e-12)
                   for rv in ladder]
     return {
         "seq": seq,
         "grid": grid,
-        "weights": weights,
-        "bounds": bounds,
+        "entries": entries,
         "cert": cert,
         "ladder": ladder,
         "rung_start": rung_start,
@@ -303,8 +299,7 @@ def _sign_change_trial(cfg: SignChangeConfig, i: int) -> dict:
     # the heuristic sum's sign stands in wherever the certified one is
     # undecided: the filter at radius 0, where a zero sum counts as +1
     undecided = [j for j, d in enumerate(decided) if not d]
-    heuristic = _filtered_signs(path, [st["weights"][j] for j in undecided],
-                                [st["bounds"][j] for j in undecided],
+    heuristic = _filtered_signs(path, [st["entries"][j] for j in undecided],
                                 [0.0] * len(undecided))
     for j, sign in zip(undecided, heuristic):
         combined[j] = 1 if sign is None else sign
@@ -356,6 +351,8 @@ def _aggregate_sign_change(cfg: SignChangeConfig, rows: list[dict]) -> dict:
 
 
 def _validate_sign_change(cfg: SignChangeConfig) -> None:
+    if not cfg.ladder:
+        raise ValidationError("ladder must not be empty")
     if not all(0.5 < s < cfg.sigma_hi for s in cfg.ladder):
         raise ValidationError(
             f"ladder values must lie in (1/2, sigma_hi = {cfg.sigma_hi:g})"
@@ -438,6 +435,8 @@ def _validate_bu(cfg: BuEventConfig) -> None:
         raise ValidationError("threshold must be positive")
     if cfg.horizon_factor <= 1:
         raise ValidationError("horizon_factor must exceed 1")
+    if not cfg.cutoff_ladder:
+        raise ValidationError("cutoff_ladder must not be empty")
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +478,8 @@ def _aggregate_exceedance(cfg: ExceedanceConfig, rows: list[dict]) -> dict:
 
 def _validate_exceedance(cfg: ExceedanceConfig) -> None:
     _check_finite("level", cfg.level)
+    if not cfg.scales:
+        raise ValidationError("scales must not be empty")
     if list(cfg.scales) != sorted(set(cfg.scales)):
         raise ValidationError("scales must be strictly increasing")
 

@@ -59,6 +59,12 @@ def test_partial_sum_table_consistent():
     table = partial_sum_table(path, points)
     for (s, c), v in zip(points, table):
         assert v == partial_sum(path, s, c)
+    # a cutoff below 1 is rejected by the table as by the scalar call
+    for call in (lambda: partial_sum(path, 0.8, 0.5),
+                 lambda: partial_sum_table(path, [(0.8, 0.5)]),
+                 lambda: partial_sum_table(path, points + [(0.8, 0.5)])):
+        with pytest.raises(ValidationError, match="cutoff must be >= 1"):
+            call()
 
 
 _CH = 1 << 16
@@ -122,7 +128,7 @@ def test_weight_cache_miss_reads_elements_without_counting(monkeypatch):
         return original(self, x)
 
     monkeypatch.setattr(FrequencySequence, "counting_function", counting)
-    given_count = evaluation._weights(seq, 0.8, 1e4, count=count)
+    given_count, _ = evaluation._weight_entry(seq, 0.8, count)
     assert counted == []
     counted_here = evaluation._weights(seq, 0.9, 1e4)
     assert counted == [1e4]
@@ -324,8 +330,8 @@ def test_heuristic_signs_equal_compensated_sum_signs(monkeypatch, n):
         return original(p, ws)
 
     monkeypatch.setattr(evaluation, "_signed_sums", counting)
-    bounds = [evaluation._upper_sum(w) for w in weights]
-    got = evaluation._filtered_signs(path, weights, bounds, [0.0] * len(weights))
+    entries = [(w, evaluation._upper_sum(w)) for w in weights]
+    got = evaluation._filtered_signs(path, entries, [0.0] * len(weights))
     signs = path.signs_up_to(max(w.size for w in weights))
     sums = [compensated_sum(signs[:w.size] * w) for w in weights]
     assert sums[:3] == [0.0, 2.0**-40, -(2.0**-40)]
@@ -391,18 +397,58 @@ def test_upper_sum_bounds_the_exact_sum(small):
     assert Fraction(evaluation._upper_sum(w)) >= sum(map(Fraction, w.tolist()))
 
 
-def test_weight_bound_never_reads_a_shorter_arrays_total(monkeypatch):
-    # the cached bound is tied to the size it was summed over, so a swapped
+def test_weight_entry_never_reads_a_shorter_arrays_total(monkeypatch):
+    # a bound is stored with the array it was summed over, so a swapped
     # cache that holds a shorter array for the key cannot lend its smaller
-    # total to a longer prefix
+    # total to a longer prefix, and a shorter prefix reads the stored one
     seq = Naturals()
     long_w = evaluation._weights(seq, 0.7, 5000)
     monkeypatch.setattr(evaluation, "_WEIGHT_CACHE", {})
     evaluation._weights(seq, 0.7, 100)
-    bound = evaluation._weight_bound(seq, 0.7, long_w)
+    w, bound = evaluation._weight_entry(seq, 0.7, long_w.size)
+    assert np.array_equal(w, long_w)
     assert Fraction(bound) >= sum(map(Fraction, long_w.tolist()))
-    assert evaluation._weight_bound(seq, 0.7, long_w[:50]) == evaluation._WEIGHT_TOTALS[
+    assert evaluation._weight_entry(seq, 0.7, 50)[1] == evaluation._WEIGHT_CACHE[
         (seq, 0.7)][1]
+
+
+class _CountingDict(dict):
+    """A dict that counts its reads by key."""
+
+    reads = 0
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.reads += 1
+        return super().__contains__(key)
+
+    def pop(self, key, *default):
+        self.reads += 1
+        return super().pop(key, *default)
+
+
+def test_decide_reads_the_weight_cache_once_per_exponent(monkeypatch):
+    # each certified point reads one entry, array and bound together: every
+    # module-level weight-cache dict is swapped for a counting copy of
+    # itself, so a bound kept in a dict of its own would count too
+    seq = WeightedNaturals(2.0)
+    path = SamplePath(seq, 5, 0)
+    sigmas = [0.7, 0.9, 1.1, 1.6, 2.4]
+    cert = tail_certificate(seq, 0.65, 1e4, 0.01)
+    expected = decide(path, sigmas, cert)  # warms the cache
+    caches = {name: _CountingDict(value) for name, value in vars(evaluation).items()
+              if name.startswith("_WEIGHT") and isinstance(value, dict)}
+    for name, cache in caches.items():
+        monkeypatch.setattr(evaluation, name, cache)
+    assert decide(path, sigmas, cert) == expected
+    assert sum(cache.reads for cache in caches.values()) == len(sigmas)
 
 
 def test_decided_sign_logic():
@@ -467,7 +513,7 @@ def test_weight_cache_replacement_counts_only_other_entries(monkeypatch):
     monkeypatch.setattr(evaluation, "_WEIGHT_CACHE_LIMIT", 2500)
     for sigma, cutoff in ((0.7, 1000), (0.6, 1000), (0.6, 1200)):
         evaluation._weights(Naturals(), sigma, cutoff)
-    assert [(s, a.size) for (_, s), a in evaluation._WEIGHT_CACHE.items()] == [
+    assert [(s, a.size) for (_, s), (a, _) in evaluation._WEIGHT_CACHE.items()] == [
         (0.7, 1000), (0.6, 1200)]
 
 

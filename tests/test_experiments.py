@@ -216,7 +216,8 @@ def test_sign_change_rows_match_the_exact_sums():
     cfg = SignChangeConfig(ladder=(0.7, 0.53), trials=3, grid_points=10,
                            heuristic_max_cutoff=2e5)
     st = _sign_change_setup(cfg)
-    assert max(w.size for w in st["weights"]) == 200_000
+    weights = [w for w, _ in st["entries"]]
+    assert max(w.size for w in weights) == 200_000
     for i in range(cfg.trials):
         path = SamplePath(st["seq"], cfg.master_seed, i)
         signs = path.signs_up_to(200_000)
@@ -224,7 +225,7 @@ def test_sign_change_rows_match_the_exact_sums():
         combined = [
             s if s is not None
             else 1 if compensated_sum(signs[:w.size] * w) >= 0 else -1
-            for s, w in zip(certified, st["weights"])
+            for s, w in zip(certified, weights)
         ]
         row = _sign_change_trial(cfg, i)
         assert row["decided_fraction"] == sum(
@@ -251,7 +252,7 @@ def test_sign_change_trial_streams_its_signs():
     # sign vector (8 bytes per term of the longest heuristic sum)
     cfg = SignChangeConfig(ladder=(0.70, 0.62, 0.535), trials=2,
                            grid_points=8, heuristic_max_cutoff=2e6)
-    max_count = max(w.size for w in _sign_change_setup(cfg)["weights"])
+    max_count = max(w.size for w, _ in _sign_change_setup(cfg)["entries"])
     assert max_count > 1_000_000
     _sign_change_trial(cfg, 0)
     tracemalloc.start()
@@ -275,6 +276,8 @@ def test_sign_change_validation():
         run_experiment(
             SignChangeConfig(ladder=(0.53,), heuristic_max_cutoff=1e5, trials=1)
         )
+    with pytest.raises(ValidationError, match="ladder must not be empty"):
+        run_experiment(SignChangeConfig(ladder=(), trials=1))
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +326,8 @@ def test_bu_event_validation():
     for threshold in (math.nan, math.inf):
         with pytest.raises(ValidationError, match="threshold must be finite"):
             run_experiment(BuEventConfig(threshold=threshold, trials=1))
+    with pytest.raises(ValidationError, match="cutoff_ladder must not be empty"):
+        run_experiment(BuEventConfig(cutoff_ladder=(), trials=1))
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +361,8 @@ def test_exceedance_validation():
     for level in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValidationError, match="level must be finite"):
             run_experiment(ExceedanceConfig(level=level, trials=1))
+    with pytest.raises(ValidationError, match="scales must not be empty"):
+        run_experiment(ExceedanceConfig(scales=(), trials=1))
 
 
 def test_per_trial_csv_shape():
