@@ -89,9 +89,9 @@ def _whole_numbers(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in values)
 
 
-def _svg_polyline(xs, ys, title: str, width=640, height=400) -> str:
+def _svg_polyline(xs, ys, title: str) -> str:
     """Self-contained SVG line chart, enough for a sigma sweep."""
-    pad = 50
+    width, height, pad = 640, 400, 50
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
     if x1 == x0:

@@ -68,7 +68,7 @@ def _weight_entry(seq: FrequencySequence, sigma: float,
     """``(w, bound)``: the first ``count`` weights ``p**-sigma`` of ``seq``
     and a float at least ``sum(w)``.
 
-    ``count`` is ``seq.counting_function(cutoff)``, already checked against
+    ``count`` is ``seq._count_up_to(cutoff)``, already checked against
     the budget.  A hit is one ``_WEIGHT_CACHE`` read and returns a slice of
     the cached array with the bound of the whole array; a miss computes the
     ``count`` weights with ``seq._powers`` and returns the new array itself.
@@ -90,12 +90,11 @@ def _weight_entry(seq: FrequencySequence, sigma: float,
     return entry
 
 
-def _weights(seq: FrequencySequence, sigma: float, cutoff: float,
-             budget: int | None = None) -> np.ndarray:
-    """``p**-sigma`` over the served elements ``p <= cutoff``, counted and
-    checked against ``budget``, through ``_weight_entry``: a hit is a slice
+def _weights(seq: FrequencySequence, sigma: float, cutoff: float) -> np.ndarray:
+    """``p**-sigma`` over the served elements ``p <= cutoff``, counted by
+    ``_count_up_to`` and read through ``_weight_entry``: a hit is a slice
     of the cached array, a miss a new array."""
-    return _weight_entry(seq, sigma, seq._count_up_to(cutoff, budget))[0]
+    return _weight_entry(seq, sigma, seq._count_up_to(cutoff))[0]
 
 
 def _upper_sum(w: np.ndarray) -> float:
@@ -225,25 +224,19 @@ def _sign_beyond(value: float, radius: float) -> int | None:
     return None
 
 
-def partial_sum(
-    path: SamplePath, sigma: float, cutoff: float, budget: int | None = None
-) -> float:
+def partial_sum(path: SamplePath, sigma: float, cutoff: float) -> float:
     """sum(X_p * p**-sigma for served p <= cutoff), compensated and
     deterministic for fixed inputs regardless of worker count."""
-    return partial_sum_table(path, [(sigma, cutoff)], budget)[0]
+    return partial_sum_table(path, [(sigma, cutoff)])[0]
 
 
 def partial_sum_table(
-    path: SamplePath,
-    points: list[tuple[float, float]],
-    budget: int | None = None,
+    path: SamplePath, points: list[tuple[float, float]]
 ) -> list[float]:
     """Partial sums for many (sigma, cutoff) pairs, sharing one sign pass."""
     if any(c < 1 for _, c in points):
         raise ValidationError("cutoff must be >= 1")
-    return _signed_sums(
-        path, [_weights(path.seq, s, c, budget=budget) for s, c in points]
-    )
+    return _signed_sums(path, [_weights(path.seq, s, c) for s, c in points])
 
 
 def _certified_weights(
@@ -410,12 +403,12 @@ def mellin_discrepancy(path: SamplePath, sigma: float, upper_limit: float) -> fl
     if upper_limit < 1:
         raise ValidationError("upper_limit must be >= 1")
     s = float(sigma)
-    elems = path.seq.elements_up_to(upper_limit)
-    if elems.size == 0:
+    n = path.seq._count_up_to(upper_limit)
+    if n == 0:
         return 0.0
     signs = path.signs_up_to(upper_limit)
     prefix = np.cumsum(signs)
-    pows = elems ** (-s)
+    pows = path.seq._powers(path.seq.start_index, n, -s)
     nxt = np.empty_like(pows)
     nxt[:-1] = pows[1:]
     nxt[-1] = upper_limit ** (-s)

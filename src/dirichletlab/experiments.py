@@ -189,13 +189,13 @@ class ExperimentReport:
         return rows_to_csv(self.per_trial)
 
 
-def _fraction_entry(successes: int, trials: int, confidence: float = 0.95) -> dict:
-    lo, hi = wilson_interval(successes, trials, confidence)
+def _fraction_entry(successes: int, trials: int) -> dict:
+    lo, hi = wilson_interval(successes, trials, 0.95)
     return {
         "count": successes,
         "trials": trials,
         "fraction": successes / trials,
-        "wilson_confidence": confidence,
+        "wilson_confidence": 0.95,
         "wilson_lo": lo,
         "wilson_hi": hi,
     }
@@ -277,8 +277,7 @@ def _sign_change_setup(cfg: SignChangeConfig) -> dict:
                             head_terms=cfg.head_terms)
     entries = [_weight_entry(seq, s, seq._count_up_to(c))
                for s, c in zip(grid, cutoffs)]
-    rung_start = [next(j for j, s in enumerate(grid) if s >= rv - 1e-12)
-                  for rv in ladder]
+    rung_start = [grid.index(float(rv)) for rv in ladder]  # every rung is in grid
     return {
         "seq": seq,
         "grid": grid,

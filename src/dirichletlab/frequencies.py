@@ -14,10 +14,11 @@ the number of elements <= x counted from index 1.  The base class derives
 ``next_elements`` from them once, so every operation maps indices to values
 by the same rule; ``start_index`` only decides which elements are served.
 Every cutoff reaches ``_count_leq`` through one check that rejects
-infinite and NaN values.  Powers ``p**e`` of served elements are formed
-by ``_powers``, ``_CHUNK`` elements at a time, so no element array is held
-beside them; only ``evaluation.mellin_discrepancy``, which needs the
-elements too, raises an element array to a power itself.
+infinite and NaN values, and every operation that reads terms counts them
+through ``_count_up_to``, the one gate against ``DEFAULT_TERM_BUDGET``
+(``ResourceBudgetError`` past it); ``Primes`` refuses there before it
+sieves.  Powers ``p**e`` of served elements are formed by ``_powers``,
+``_CHUNK`` elements at a time, so no element array is held beside them.
 
 All operations are pure and deterministic; sequence objects are immutable
 and safe to share across threads and worker processes.
@@ -39,14 +40,6 @@ from .summation import _CHUNK, compensated_sum
 
 DEFAULT_TERM_BUDGET = 60_000_000
 DEFAULT_TAIL_HEAD_TERMS = 10_000
-
-
-def _check_budget(count: int, budget: int | None) -> None:
-    limit = DEFAULT_TERM_BUDGET if budget is None else budget
-    if count > limit:
-        raise ResourceBudgetError(
-            f"operation needs {count} terms, exceeding the budget of {limit}"
-        )
 
 
 def _check_finite(name: str, *values: float) -> None:
@@ -100,14 +93,16 @@ class _SequenceOps:
         """Number of served elements <= x."""
         return max(0, self._finite_count_leq(x) - self.start_index + 1)
 
-    def _count_up_to(self, cutoff: float, budget: int | None = None) -> int:
+    def _count_up_to(self, cutoff: float) -> int:
         """``counting_function(cutoff)``, checked against the term budget."""
         n = self.counting_function(cutoff)
-        _check_budget(n, budget)
+        if n > DEFAULT_TERM_BUDGET:
+            raise ResourceBudgetError(f"operation needs {n} terms, exceeding "
+                                      f"the budget of {DEFAULT_TERM_BUDGET}")
         return n
 
-    def elements_up_to(self, cutoff: float, budget: int | None = None) -> np.ndarray:
-        return self._values(self.start_index, self._count_up_to(cutoff, budget))
+    def elements_up_to(self, cutoff: float) -> np.ndarray:
+        return self._values(self.start_index, self._count_up_to(cutoff))
 
     def _first_above(self, cutoff: float) -> int:
         """Index of the first served element strictly above ``cutoff``."""
@@ -143,11 +138,11 @@ class _SequenceOps:
     def reciprocal_sum_converges(self) -> bool:
         return self.tail_converges(1.0)
 
-    def power_sum(self, sigma: float, cutoff: float, budget: int | None = None) -> float:
+    def power_sum(self, sigma: float, cutoff: float) -> float:
         """sum(p**-sigma for served p <= cutoff), compensated."""
         if cutoff < 1:
             raise ValidationError("cutoff must be >= 1")
-        n = self._count_up_to(cutoff, budget)
+        n = self._count_up_to(cutoff)
         if n == 0:
             return 0.0
         return compensated_sum(self._powers(self.start_index, n, -float(sigma)))
@@ -215,6 +210,12 @@ class Primes(_SequenceOps):
         return sieve.primes_slice(first, count).astype(np.float64)
 
     def _count_leq(self, x):
+        # pi(x) > x/log x for x >= 17 (Rosser-Schoenfeld 1962): refuse a
+        # cutoff past the budget before sieving to it
+        if x >= 17 and x / math.log(x) > DEFAULT_TERM_BUDGET:
+            raise ResourceBudgetError(
+                f"more than {x / math.log(x):.3g} primes up to {x:g}, exceeding "
+                f"the budget of {DEFAULT_TERM_BUDGET}")
         return sieve.prime_count(x)
 
     def tail_converges(self, sigma: float) -> bool:

@@ -6,7 +6,9 @@ weights flatten and the law approaches a standard normal.  This module
 provides the exact characteristic function of the (truncated) value, a
 Monte Carlo sampler of the normalized value, a Kolmogorov-Smirnov
 distance against the standard normal, and the variance profile at the
-near-critical truncation scale.
+near-critical truncation scale.  Each counts its terms through
+``_count_up_to``, so one term budget bounds every operation; the variance
+profile's second moment is truncated at ``SECOND_MOMENT_CUTOFF``.
 """
 
 from __future__ import annotations
@@ -19,14 +21,11 @@ import numpy as np
 
 from .errors import DivergenceError, ResourceBudgetError, ValidationError
 from .evaluation import _signed_sums, heuristic_cutoff
-from .frequencies import (
-    DEFAULT_TAIL_HEAD_TERMS,
-    DEFAULT_TERM_BUDGET,
-    FrequencySequence,
-    _check_finite,
-)
+from .frequencies import DEFAULT_TERM_BUDGET, FrequencySequence, _check_finite
 from .paths import SamplePath
 from .summation import _CHUNK, _sum_blocks, _sum_of_squares
+
+SECOND_MOMENT_CUTOFF = 1_000_000.0
 
 
 def char_function(
@@ -35,7 +34,6 @@ def char_function(
     t: float | np.ndarray,
     cutoff: float,
     normalization: float | None = None,
-    budget: int | None = None,
 ) -> float | list[float]:
     """Characteristic function of the normalized truncated value at t.
 
@@ -68,7 +66,7 @@ def char_function(
         raise ValidationError("t must be a float or a 1-d grid")
     points = ts.ravel().tolist()
     _check_finite("t", *points)
-    n = seq._count_up_to(cutoff, budget)
+    n = seq._count_up_to(cutoff)
     if n == 0:
         raise ValidationError("no elements at or below cutoff")
     w = seq._powers(seq.start_index, n, -float(sigma))
@@ -125,30 +123,19 @@ def _char_value(tk: float, w: np.ndarray, normalization: float,
 
 
 def char_function_gaussian_gap(
-    seq: FrequencySequence,
-    sigma: float,
-    cutoff: float,
-    t_grid: np.ndarray,
-    budget: int | None = None,
+    seq: FrequencySequence, sigma: float, cutoff: float, t_grid: np.ndarray
 ) -> float:
     """sup over the grid of |char_function(t) - exp(-t**2/2)|."""
     ts = np.asarray(t_grid, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
         raise ValidationError("t_grid must be a non-empty 1-d grid")
-    phis = char_function(seq, sigma, ts, cutoff, budget=budget)
+    phis = char_function(seq, sigma, ts, cutoff)
     return max(abs(phi - math.exp(-0.5 * t ** 2))
                for t, phi in zip(ts.tolist(), phis))
 
 
-def clt_sample(
-    seq: FrequencySequence,
-    sigma: float,
-    cutoff: float,
-    master_seed: int,
-    trials: int,
-    budget: int | None = None,
-    head_terms: int = DEFAULT_TAIL_HEAD_TERMS,
-) -> np.ndarray:
+def clt_sample(seq: FrequencySequence, sigma: float, cutoff: float,
+               master_seed: int, trials: int) -> np.ndarray:
     """Monte Carlo draws of the truncated value over its truncated sd.
 
     Warns when the truncated variance captures less than 90% of the full
@@ -158,7 +145,7 @@ def clt_sample(
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     _check_finite("sigma", sigma)
-    n = seq._count_up_to(cutoff, budget)
+    n = seq._count_up_to(cutoff)
     if n == 0:
         raise ValidationError("no elements at or below cutoff")
     w = seq._powers(seq.start_index, n, -float(sigma))
@@ -166,7 +153,7 @@ def clt_sample(
     if var <= 0.0:
         raise ValidationError("zero truncated variance")
     if seq.tail_converges(2.0 * sigma):
-        _, tail_hi = seq.tail_power_sum(2.0 * sigma, cutoff, head_terms=head_terms)
+        _, tail_hi = seq.tail_power_sum(2.0 * sigma, cutoff)
         if var < 0.9 * (var + tail_hi):
             warnings.warn(
                 f"truncated variance captures only "
@@ -215,13 +202,7 @@ class VarianceProfile:
     second_moment_cutoff: float
 
 
-def variance_profile(
-    seq: FrequencySequence,
-    sigma: float,
-    second_moment_cutoff: float = 1_000_000.0,
-    budget: int | None = None,
-    head_terms: int = DEFAULT_TAIL_HEAD_TERMS,
-) -> VarianceProfile:
+def variance_profile(seq: FrequencySequence, sigma: float) -> VarianceProfile:
     """Head/tail variance decomposition at scale exp(1/(2*sigma - 1)).
 
     Valid for 1/2 < sigma <= 1.  Raises ResourceBudgetError, naming the
@@ -231,23 +212,22 @@ def variance_profile(
     if not 0.5 < sigma <= 1.0:
         raise ValidationError("variance profile needs 1/2 < sigma <= 1")
     scale = heuristic_cutoff(sigma)
-    limit = DEFAULT_TERM_BUDGET if budget is None else budget
-    count = seq.counting_function(scale) if scale < 1e18 else limit + 1
-    if count > limit:
+    try:
+        count = seq._count_up_to(scale)
+    except ResourceBudgetError as exc:
         # invert the scale rule at the budget to name the smallest workable sigma
-        sigma_min = 0.5 + 0.5 / math.log(float(limit))
+        sigma_min = 0.5 + 0.5 / math.log(float(DEFAULT_TERM_BUDGET))
         raise ResourceBudgetError(
-            f"scale {scale:.3g} needs {count if count <= limit else 'too many'} "
-            f"elements > budget {limit}; minimal feasible sigma is about "
+            f"scale {scale:.3g}: {exc}; minimal feasible sigma is about "
             f"{sigma_min:.6f}"
-        )
+        ) from None
     gaps = seq._powers(seq.start_index, count, -float(sigma))
     gaps -= seq._powers(seq.start_index, count, -0.5)
     head = _sum_of_squares(gaps)
     if not seq.tail_converges(2.0 * sigma):
         raise DivergenceError("tail variance diverges at the doubled exponent")
-    t_lo, t_hi = seq.tail_power_sum(2.0 * sigma, scale, head_terms=head_terms)
-    w = seq._powers(seq.start_index, seq._count_up_to(second_moment_cutoff, budget),
+    t_lo, t_hi = seq.tail_power_sum(2.0 * sigma, scale)
+    w = seq._powers(seq.start_index, seq._count_up_to(SECOND_MOMENT_CUTOFF),
                     -float(sigma))
     second = _sum_of_squares(w)
     return VarianceProfile(
@@ -258,5 +238,5 @@ def variance_profile(
         tail_variance_lo=t_lo,
         tail_variance_hi=t_hi,
         truncated_second_moment=second,
-        second_moment_cutoff=float(second_moment_cutoff),
+        second_moment_cutoff=SECOND_MOMENT_CUTOFF,
     )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .frequencies import FrequencySequence, _check_budget
+from .frequencies import FrequencySequence
 from .summation import _CHUNK
 
 _MASK = (1 << 64) - 1
@@ -110,11 +110,10 @@ class SamplePath:
         for offset in range(0, count, _CHUNK):
             yield offset, self._fill_signs(offset, z[:count - offset], scratch)
 
-    def signs_up_to(self, cutoff: float, budget: int | None = None) -> np.ndarray:
+    def signs_up_to(self, cutoff: float) -> np.ndarray:
         """Signs (float64 in {-1.0, +1.0}) of all served elements <= cutoff,
         in element order."""
-        count = self.seq.counting_function(cutoff)
-        _check_budget(count, budget)
+        count = self.seq._count_up_to(cutoff)
         z = np.empty(count, dtype=np.uint64)
         scratch = np.empty(min(count, _CHUNK), dtype=np.uint64)
         for offset in range(0, count, _CHUNK):

@@ -187,14 +187,14 @@ def scan(
 
 
 @lru_cache(maxsize=32)
-def _single_term_domination_sigma(seq, sigma_start: float, sigma_max: float = 64.0):
-    """Smallest ladder exponent where the first element alone beats the
-    rigorous upper tail bound.  Termwise monotonicity then makes the
+def _single_term_domination_sigma(seq, sigma_start: float):
+    """Smallest ladder exponent up to 64 where the first element alone
+    beats the rigorous upper tail bound.  Termwise monotonicity then makes the
     domination persist for every larger exponent.  Path-independent, so
     memoized on the frozen sequence."""
     p1 = seq.element(seq.start_index)
     sigma = sigma_start
-    while sigma <= sigma_max:
+    while sigma <= 64.0:
         _, tail_hi = seq.tail_power_sum(sigma, p1)
         if tail_hi < p1 ** (-sigma):
             return sigma

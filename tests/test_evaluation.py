@@ -468,7 +468,7 @@ def test_heuristic_cutoff_rule_and_budget_error():
     # the smallest exponent whose scale fits
     assert variance_profile(Naturals(), 0.8).scale == heuristic_cutoff(0.8)
     with pytest.raises(ResourceBudgetError, match="minimal feasible sigma"):
-        variance_profile(Naturals(), 0.51, budget=1_000_000)
+        variance_profile(Naturals(), 0.51)
 
 
 def test_partial_sum_golden():

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dirichletlab
 from dirichletlab import (
     DivergenceError,
     Explicit,
@@ -17,6 +19,10 @@ from dirichletlab import (
     make_sequence,
     sequence_spec,
 )
+from dirichletlab import frequencies, sieve
+from dirichletlab.evaluation import decide, partial_sum_table
+from dirichletlab.limits import char_function, clt_sample
+from dirichletlab.zeros import scan, scan_certificate
 
 from conftest import explicit, zeta_em
 
@@ -72,17 +78,69 @@ def test_naturals_tail_diverges():
         Naturals().tail_power_sum(1.0, 100)
 
 
-def test_budget_enforced():
+def test_budget_enforced(monkeypatch):
     with pytest.raises(ResourceBudgetError):
-        Naturals().elements_up_to(1e9, budget=1000)
+        Naturals().elements_up_to(1e9)
     with pytest.raises(ResourceBudgetError):
         Naturals().power_sum(2.0, 1e12)
     finite = explicit([2.0, 3.0, 5.0, 7.0])
-    assert finite.elements_up_to(3.0, budget=2).tolist() == [2.0, 3.0]
+    monkeypatch.setattr(frequencies, "DEFAULT_TERM_BUDGET", 2)
+    assert finite.elements_up_to(3.0).tolist() == [2.0, 3.0]
+    monkeypatch.setattr(frequencies, "DEFAULT_TERM_BUDGET", 3)
     with pytest.raises(ResourceBudgetError):
-        finite.elements_up_to(7.0, budget=3)
+        finite.elements_up_to(7.0)
+    monkeypatch.undo()
     with pytest.raises(ResourceBudgetError):
-        SamplePath(Naturals(), 1, 0).signs_up_to(1e9, budget=1000)
+        SamplePath(Naturals(), 1, 0).signs_up_to(1e9)
+
+
+def _budget_calls():
+    seq = Naturals()
+    cert = scan_certificate(seq, 0.75, 1e4, 0.05)
+    path = SamplePath(seq, 1, 0)
+    return {
+        "decide": lambda: decide(path, [1.0], cert),
+        "scan": lambda: scan(path, 0.75, 2.0, cert),
+        "partial_sum_table": lambda: partial_sum_table(path, [(1.0, 1e4)]),
+        "char_function": lambda: char_function(seq, 0.75, 0.5, 1e4),
+        "clt_sample": lambda: clt_sample(seq, 0.75, 1e4, 1, 2),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_budget_calls()))
+def test_every_operation_counts_through_the_budget(monkeypatch, name):
+    # certified and sampling paths alike count their terms through the one
+    # gate, so a smaller budget refuses each of them at cutoff 1e4
+    call = _budget_calls()[name]
+    monkeypatch.setattr(frequencies, "DEFAULT_TERM_BUDGET", 1000)
+    with pytest.raises(ResourceBudgetError):
+        call()
+
+
+def test_primes_refuse_before_sieving(monkeypatch):
+    # pi(x) > x/log x past 17, so a cutoff whose bound exceeds the budget is
+    # refused before the sieve is asked for a single prime
+    def no_sieving(limit):
+        raise AssertionError(f"sieved to {limit}")
+
+    monkeypatch.setattr(sieve, "_extend", no_sieving)
+    with pytest.raises(ResourceBudgetError):
+        Primes().elements_up_to(1e12)
+    with pytest.raises(ResourceBudgetError):
+        Primes().counting_function(1e12)
+
+
+def test_no_public_callable_takes_a_budget():
+    # one term budget, DEFAULT_TERM_BUDGET, applies per operation; no public
+    # function or method lets a caller move it
+    for name in dirichletlab.__all__:
+        obj = getattr(dirichletlab, name)
+        if inspect.isclass(obj):
+            fns = [f for _, f in inspect.getmembers(obj, inspect.isfunction)]
+        else:
+            fns = [obj] if inspect.isfunction(obj) else []
+        for fn in fns:
+            assert "budget" not in inspect.signature(fn).parameters, (name, fn)
 
 
 # ---------------------------------------------------------------------------

@@ -139,7 +139,7 @@ def test_variance_profile_tail_brackets_brute_force():
 
 def test_variance_profile_budget_error_names_feasible_sigma():
     with pytest.raises(ResourceBudgetError, match="minimal feasible sigma"):
-        variance_profile(Naturals(), 0.51, budget=1_000_000)
+        variance_profile(Naturals(), 0.51)
 
 
 def test_variance_profile_validation():
