@@ -4,7 +4,8 @@ Config files are flat ``key = value`` text ('#' comments); command-line
 flags override file keys.  Every subcommand writes a JSON report whose
 payload is byte-identical for identical configs regardless of worker
 count, prints a one-line summary, and exits 0 on success, 1 on a
-validation error, 2 on a resource/budget error, 3 on an internal error.
+validation error or a request where the series diverges, 2 on a
+resource/budget error, 3 on an internal error.
 Optional CSV and self-contained SVG line charts accompany sweeps.
 """
 
@@ -26,7 +27,7 @@ from .bounds import (
     hoeffding_bound,
     levy_bound,
 )
-from .errors import ResourceBudgetError, ValidationError
+from .errors import DivergenceError, ResourceBudgetError, ValidationError
 from .evaluation import evaluate, tail_certificate
 from .experiments import (
     BuEventConfig,
@@ -462,7 +463,7 @@ def main(argv=None) -> int:
                     base.with_suffix("." + ext).write_text(extra[ext])
         print(summary)
         return 0 if ok else 1
-    except ValidationError as exc:
+    except (ValidationError, DivergenceError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1
     except ResourceBudgetError as exc:

@@ -276,14 +276,10 @@ def evaluate(
     Each partial sum is exact (see ``_signed_sums``)."""
     entries, radii = _certified_weights(path, sigmas, cert)
     values = _signed_sums(path, [w for w, _ in entries])
-    if cert.exhausted:
-        return [CertifiedValue(s, v, cert.cutoff, 0.0, EXACT)
-                for s, v in zip(sigmas, values)]
-    return [
-        CertifiedValue(s, v, cert.cutoff, r, PROBABILISTIC,
-                       eta=cert.eta, sigma0=cert.sigma0)
-        for s, v, r in zip(sigmas, values, radii)
-    ]
+    kind = EXACT if cert.exhausted else PROBABILISTIC
+    sigma0 = None if cert.exhausted else cert.sigma0
+    return [CertifiedValue(s, v, cert.cutoff, r, kind, eta=cert.eta, sigma0=sigma0)
+            for s, v, r in zip(sigmas, values, radii)]
 
 
 # (n - 1) * _DOT_SLACK bounds gamma_{n-1} = (n-1)u / (1 - (n-1)u), with
@@ -387,10 +383,14 @@ def decide(
 
 
 def heuristic_cutoff(sigma: float) -> float:
-    """Near-critical truncation rule exp(1/(2*sigma - 1))."""
+    """Near-critical truncation rule exp(1/(2*sigma - 1)); inf where that
+    overflows a float, within about 7e-4 of 1/2."""
     if sigma <= 0.5:
         raise ValidationError("heuristic cutoff rule needs sigma > 1/2")
-    return math.exp(1.0 / (2.0 * sigma - 1.0))
+    try:
+        return math.exp(1.0 / (2.0 * sigma - 1.0))
+    except OverflowError:
+        return math.inf
 
 
 def mellin_discrepancy(path: SamplePath, sigma: float, upper_limit: float) -> float:

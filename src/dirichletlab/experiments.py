@@ -48,7 +48,7 @@ from .evaluation import (
 )
 from .frequencies import _check_finite, make_sequence
 from .paths import SamplePath
-from .zeros import _initial_grid, certify_no_zeros, scan_certificate
+from .zeros import _certified_changes, _initial_grid, certify_no_zeros, scan_certificate
 
 SCHEMA_VERSION = 2
 
@@ -293,34 +293,23 @@ def _sign_change_trial(cfg: SignChangeConfig, i: int) -> dict:
     path = SamplePath(st["seq"], cfg.master_seed, i)
     # both passes stream the path's signs: the certified one stops at the
     # certificate cutoff, the heuristic one at the longest undecided sum
-    combined = decide(path, st["grid"], st["cert"])
-    decided = [s is not None for s in combined]
+    certified = decide(path, st["grid"], st["cert"])
     # the heuristic sum's sign stands in wherever the certified one is
     # undecided: the filter at radius 0, where a zero sum counts as +1
-    undecided = [j for j, d in enumerate(decided) if not d]
+    undecided = [j for j, s in enumerate(certified) if s is None]
     heuristic = _filtered_signs(path, [st["entries"][j] for j in undecided],
                                 [0.0] * len(undecided))
+    combined = list(certified)
     for j, sign in zip(undecided, heuristic):
         combined[j] = 1 if sign is None else sign
     m = len(combined)
-    combined_counts = []
-    certified_counts = []
-    for j0 in st["rung_start"]:
-        combined_counts.append(
-            sum(1 for j in range(j0, m - 1) if combined[j] != combined[j + 1])
-        )
-        certified_counts.append(
-            sum(
-                1
-                for j in range(j0, m - 1)
-                if decided[j] and decided[j + 1] and combined[j] != combined[j + 1]
-            )
-        )
     return {
         "trial": i,
-        "combined_counts": combined_counts,
-        "certified_counts": certified_counts,
-        "decided_fraction": sum(decided) / m,
+        "combined_counts": [_certified_changes(combined[j0:])
+                            for j0 in st["rung_start"]],
+        "certified_counts": [_certified_changes(certified[j0:])
+                             for j0 in st["rung_start"]],
+        "decided_fraction": (m - len(undecided)) / m,
     }
 
 

@@ -23,7 +23,7 @@ from .errors import DivergenceError, ResourceBudgetError, ValidationError
 from .evaluation import _signed_sums, heuristic_cutoff
 from .frequencies import DEFAULT_TERM_BUDGET, FrequencySequence, _check_finite
 from .paths import SamplePath
-from .summation import _CHUNK, _sum_blocks, _sum_of_squares
+from .summation import _CHUNK, _BlockSum, _sum_of_squares
 
 SECOND_MOMENT_CUTOFF = 1_000_000.0
 
@@ -48,8 +48,9 @@ def char_function(
 
     Each t runs one blocked pass: ``_CHUNK`` factors at a time are formed,
     checked for a zero, counted for sign, turned into log-magnitudes and
-    handed to ``summation._sum_blocks``, so no full-length array of cosines
-    is held and the sum equals ``exact_sum`` of all the log-magnitudes.
+    added to one ``summation._BlockSum``, so no full-length array of
+    cosines is held and the sum equals ``exact_sum`` of all the
+    log-magnitudes.
     phi is even, and exactly so in floating point: -t * w / V is the
     negated argument, and ``np.cos`` is bitwise even.  So a t whose mirror
     -t (or +-0) was already evaluated in the call reuses that value.  numpy
@@ -93,33 +94,27 @@ def _char_value(tk: float, w: np.ndarray, normalization: float,
     """
     if tk == 0.0 and math.isfinite(w.max()):
         return 1.0
-    zero = False
+    acc = _BlockSum(buf.size)
+    exact = True
     negatives = 0
-
-    def log_blocks():
-        nonlocal zero, negatives
-        for lo in range(0, w.size, _CHUNK):
-            c = buf[:min(w.size - lo, _CHUNK)]
-            np.multiply(tk, w[lo:lo + c.size], out=c)
-            c /= normalization
-            np.cos(c, out=c)
-            if np.any(c == 0.0):
-                zero = True
-                return
+    for lo in range(0, w.size, _CHUNK):
+        c = buf[:min(w.size - lo, _CHUNK)]
+        np.multiply(tk, w[lo:lo + c.size], out=c)
+        c /= normalization
+        np.cos(c, out=c)
+        if np.any(c == 0.0):
+            return 0.0
+        if exact:
             negatives += int(np.count_nonzero(c < 0))
             np.abs(c, out=c)
             np.log(c, out=c)
-            yield c
-
-    total = _sum_blocks(log_blocks(), buf.size)
-    if zero:
-        return 0.0
-    if total is None:
+            exact = acc.add(c)
+    if not exact:
         # a log-magnitude is at most 0 and far above -2**35, and a zero
         # factor returned above, so only a NaN factor fails a block
         return math.nan
     sign = 1.0 if negatives % 2 == 0 else -1.0
-    return sign * math.exp(total)
+    return sign * math.exp(acc.value())
 
 
 def char_function_gaussian_gap(
@@ -213,6 +208,8 @@ def variance_profile(seq: FrequencySequence, sigma: float) -> VarianceProfile:
         raise ValidationError("variance profile needs 1/2 < sigma <= 1")
     scale = heuristic_cutoff(sigma)
     try:
+        if math.isinf(scale):
+            raise ResourceBudgetError("the scale overflows a float")
         count = seq._count_up_to(scale)
     except ResourceBudgetError as exc:
         # invert the scale rule at the budget to name the smallest workable sigma

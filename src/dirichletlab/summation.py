@@ -7,9 +7,9 @@ summation: the correctly rounded sum of an array, equal bit for bit to
 passes instead of a list.  It works in ``_CHUNK``-term blocks that stay in
 cache: ``_BlockSum`` turns each block into an exact (int, shift) pair with
 35-bit digit planes (more for a shorter block), adds the pairs as Python
-ints and rounds the total once.  ``_sum_blocks`` runs that loop over any
-iterable of blocks: ``exact_sum`` gives it slices of its input and
-``limits.char_function`` the log-cosine blocks it computes.
+ints and rounds the total once.  ``exact_sum`` adds slices of its input
+to one ``_BlockSum`` and ``limits.char_function`` the log-cosine blocks it
+computes.
 ``compensated_sum`` reduces long arrays chunk-by-chunk with numpy's
 pairwise summation, sums short inputs and the remainder chunk exactly,
 and combines the chunk totals with ``math.fsum``; ``_sum_of_squares`` does
@@ -41,28 +41,14 @@ def exact_sum(values) -> float:
     ``math.fsum`` itself, so its results and exceptions carry over.
     """
     arr = np.asarray(values, dtype=np.float64).ravel()
-    n = arr.size
-    total = _sum_blocks((arr[lo:lo + _CHUNK] for lo in range(0, n, _CHUNK)),
-                       min(n, _CHUNK))
-    if total:
-        return total
+    acc = _BlockSum(min(arr.size, _CHUNK))
+    if all(acc.add(arr[lo:lo + _CHUNK]) for lo in range(0, arr.size, _CHUNK)):
+        # a nonzero exact total never rounds to zero
+        total = acc.value()
+        if total:
+            return total
     # empty, non-finite, too large to scale exactly, or exactly zero
     return math.fsum(arr.tolist())
-
-
-def _sum_blocks(blocks, size: int) -> float | None:
-    """The correctly rounded sum of an iterable of float64 blocks of at
-    most ``size`` (and at most ``_CHUNK``) terms each, added exactly by one
-    ``_BlockSum``; None when a block holds a non-finite value or one too
-    large to scale exactly.  Every block is drawn, also after such a one,
-    so a generator of blocks runs to its end.  A nonzero exact total never
-    rounds to zero, so 0.0 means the total is exactly zero.
-    """
-    acc = _BlockSum(size)
-    exact = True
-    for block in blocks:
-        exact = exact and acc.add(block)
-    return acc.value() if exact else None
 
 
 class _BlockSum:

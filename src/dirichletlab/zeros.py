@@ -80,6 +80,12 @@ def _sign_str(sign: int | None) -> str:
     return "+" if sign > 0 else "-"
 
 
+def _certified_changes(signs: list[int | None]) -> int:
+    """Sign changes between adjacent grid points that are both decided."""
+    return sum(1 for x, y in zip(signs, signs[1:])
+               if x is not None and y is not None and x != y)
+
+
 def scan_certificate(
     seq,
     sigma_lo: float,
@@ -136,7 +142,7 @@ def scan(
 
     certify(_initial_grid(sigma_lo, sigma_hi, initial_grid))
     rounds = 0
-    for rounds in range(1, max_refinement + 1):
+    while rounds < max_refinement:
         pts = sorted(signs)
         new_points = []
         for a, b in zip(pts, pts[1:]):
@@ -146,17 +152,12 @@ def scan(
             if sa is None or sb is None or sa != sb:
                 new_points.append(0.5 * (a + b))
         if not new_points or len(signs) + len(new_points) > _MAX_GRID_POINTS:
-            rounds -= 1
             break
         certify(new_points)
+        rounds += 1
 
     pts = sorted(signs)
     decided = [signs[s] for s in pts]
-    changes = sum(
-        1
-        for x, y in zip(decided, decided[1:])
-        if x is not None and y is not None and x != y
-    )
     undecided_measure = math.fsum(
         b - a
         for (a, b, x, y) in zip(pts, pts[1:], decided, decided[1:])
@@ -170,7 +171,7 @@ def scan(
         sigma_hi=float(sigma_hi),
         sigma_grid=[float(s) for s in pts],
         decided_signs=[_sign_str(s) for s in decided],
-        sign_changes=changes,
+        sign_changes=_certified_changes(decided),
         undecided_measure=float(undecided_measure),
         no_zero_certified=False,
         eta_total=cert.eta,
@@ -227,13 +228,8 @@ def certify_no_zeros(
     report = scan(path, sigma_lo, hi, cert, initial_grid=initial_grid,
                   max_refinement=max_refinement, resolution=resolution)
     report.domination_sigma = dom_sigma
-    if dom_sigma is None:
-        return report
-    decided = set(report.decided_signs)
-    clean = "undecided" not in decided and len(decided) == 1
-    if not clean:
-        return report
-    common = 1 if report.decided_signs[0] == "+" else -1
-    leading = path.sign_at(seq.start_index)
-    report.no_zero_certified = common == leading and report.sign_changes == 0
+    # one decided sign everywhere, the leading element's: no certified
+    # change, and a failed probabilistic certificate shows as a mismatch
+    report.no_zero_certified = dom_sigma is not None and set(
+        report.decided_signs) == {_sign_str(path.sign_at(seq.start_index))}
     return report

@@ -83,6 +83,12 @@ def test_exit_codes(tmp_path, capsys):
     # resource budget error -> 2 (scale rule far past any term budget)
     assert run_cli(tmp_path, "variance-profile", "--seq", "naturals",
                    "--sigmas", "0.505") == 2
+    # a scale that overflows a float is over budget too, and names the
+    # smallest workable sigma instead of an internal OverflowError
+    capsys.readouterr()
+    assert run_cli(tmp_path, "variance-profile", "--seq", "naturals",
+                   "--sigmas", "0.5001") == 2
+    assert "minimal feasible sigma is about 0.527918" in capsys.readouterr().err
     # unknown flag -> validation, not resource
     assert main(["eval", "--bogus-flag"]) == 1
     capsys.readouterr()
@@ -133,6 +139,13 @@ def test_exit_codes(tmp_path, capsys):
         )
     # out-of-range values that parse -> validation naming the rule
     for args, message in (
+        # a certificate where the tail diverges is bad input, not a crash
+        (["eval", "--seq", "naturals", "--sigma0", "0.5"],
+         "tail diverges at exponent 1.0"),
+        (["eval", "--seq", "primes", "--sigma0", "0.5"],
+         "tail diverges at exponent 1.0"),
+        (["sign-changes", "--ladder", "0.5001", "--trials", "1"],
+         "smallest ladder value needs cutoff inf > heuristic_max_cutoff"),
         (["scan", "--resolution", "-1"], "resolution must be positive"),
         (["sign-changes", "--ladder", "2.5"], "ladder values must lie in"),
         (["sign-changes", "--sigma-hi", "0.6", "--ladder", "0.7"],

@@ -462,6 +462,8 @@ def test_decided_sign_logic():
 def test_heuristic_cutoff_rule_and_budget_error():
     assert heuristic_cutoff(1.0) == pytest.approx(math.e)
     assert heuristic_cutoff(0.75) == math.exp(2.0)
+    # exp(1/(2*sigma - 1)) overflows a float this close to 1/2
+    assert heuristic_cutoff(0.5 + 1e-4) == math.inf
     with pytest.raises(ValidationError):
         heuristic_cutoff(0.5)
     # the variance profile's scale is the rule; past the budget it names

@@ -234,6 +234,12 @@ def test_sign_change_rows_match_the_exact_sums():
             sum(1 for a, b in zip(combined[j0:], combined[j0 + 1:]) if a != b)
             for j0 in st["rung_start"]
         ]
+        # a certified change needs both neighbours decided by the certificate
+        assert row["certified_counts"] == [
+            sum(1 for a, b in zip(certified[j0:], certified[j0 + 1:])
+                if a is not None and b is not None and a != b)
+            for j0 in st["rung_start"]
+        ]
 
 
 def test_sign_change_grid_is_the_scan_grid_plus_the_ladder():

@@ -267,13 +267,13 @@ def test_char_function_rejects_non_finite_normalization():
 
 def test_char_function_at_zero_skips_the_pass(monkeypatch):
     passes = []
-    original = limits._sum_blocks
+    original = limits._BlockSum
 
-    def counting(blocks, size):
+    def counting(size):
         passes.append(size)
-        return original(blocks, size)
+        return original(size)
 
-    monkeypatch.setattr(limits, "_sum_blocks", counting)
+    monkeypatch.setattr(limits, "_BlockSum", counting)
     seq = Naturals()
     values = char_function(seq, 0.7, [0.0, -0.0, 0.5], 3e4)
     assert values[:2] == [1.0, 1.0] and len(passes) == 1
