@@ -28,7 +28,6 @@ from .evaluation import (
     excursion_probability_bound,
     heuristic_cutoff,
     mellin_discrepancy,
-    partial_sum,
     partial_sum_table,
     tail_certificate,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "levy_bound",
     "make_sequence",
     "mellin_discrepancy",
-    "partial_sum",
     "partial_sum_table",
     "run_experiment",
     "scan",

@@ -61,12 +61,13 @@ def hoeffding_bound(instance: WeightedRademacherInstance, lam: float) -> float:
     return min(1.0, 2.0 * math.exp(-(lam * lam) / (2.0 * ss)))
 
 
-def _subset_sums(weights: tuple[float, ...]) -> np.ndarray:
-    """All 2^n achievable values of sum(+-a_k), by array doubling."""
+def _prefix_sums(weights: tuple[float, ...]):
+    """For m = 1..n, the 2^m achievable values of S_m = sum(+-a_k, k <= m),
+    by array doubling: the first half negates a_m, the second adds it."""
     sums = np.zeros(1, dtype=np.float64)
     for a in weights:
         sums = np.concatenate([sums - a, sums + a])
-    return sums
+        yield sums
 
 
 def exact_tail(
@@ -80,16 +81,14 @@ def exact_tail(
     if lam <= 0:
         raise ValidationError("lam must be positive")
     _check_cap(instance.n)
-    if mode == "sum":
-        stat = np.abs(_subset_sums(instance.weights))
-    elif mode == "max_prefix_abs":
-        cur = np.zeros(1, dtype=np.float64)
-        stat = np.full(1, -np.inf)
-        for a in instance.weights:
-            cur = np.concatenate([cur - a, cur + a])
-            stat = np.maximum(np.concatenate([stat, stat]), np.abs(cur))
-    else:
+    if mode not in ("sum", "max_prefix_abs"):
         raise ValidationError(f"unknown mode {mode!r}")
+    stat = np.full(1, -np.inf)
+    for sums in _prefix_sums(instance.weights):
+        # |S_n| is the last |S_m|; the running max pairs each path with
+        # both of its extensions, as the doubling does
+        stat = (np.abs(sums) if mode == "sum" else
+                np.maximum(np.concatenate([stat, stat]), np.abs(sums)))
     count = int(np.count_nonzero(stat >= lam))
     return Fraction(count, 2 ** instance.n)
 
@@ -101,13 +100,8 @@ def prefix_tail_probabilities(
     if threshold <= 0:
         raise ValidationError("threshold must be positive")
     _check_cap(instance.n)
-    probs: list[Fraction] = []
-    cur = np.zeros(1, dtype=np.float64)
-    for m, a in enumerate(instance.weights, start=1):
-        cur = np.concatenate([cur - a, cur + a])
-        count = int(np.count_nonzero(np.abs(cur) >= threshold))
-        probs.append(Fraction(count, 2 ** m))
-    return probs
+    return [Fraction(int(np.count_nonzero(np.abs(sums) >= threshold)), 2 ** m)
+            for m, sums in enumerate(_prefix_sums(instance.weights), start=1)]
 
 
 def levy_bound(

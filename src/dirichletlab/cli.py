@@ -34,6 +34,7 @@ from .experiments import (
     ExceedanceConfig,
     NoZeroConfig,
     SignChangeConfig,
+    _canonical_json,
     config_hash,
     rows_to_csv,
     run_experiment,
@@ -451,13 +452,9 @@ def main(argv=None) -> int:
             values, args.workers
         )
         if payload is not None:
-            tag = config_hash(json.loads(json.dumps(values, default=list)))[:12]
-            base = Path(out_dir) / f"{args.subcommand}_{tag}"
+            base = Path(out_dir) / f"{args.subcommand}_{config_hash(values)[:12]}"
             base.parent.mkdir(parents=True, exist_ok=True)
-            base.with_suffix(".json").write_text(
-                json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                           default=list) + "\n"
-            )
+            base.with_suffix(".json").write_text(_canonical_json(payload) + "\n")
             for ext in ("csv", "svg"):
                 if getattr(args, ext) and ext in extra:
                     base.with_suffix("." + ext).write_text(extra[ext])

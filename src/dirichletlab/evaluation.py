@@ -90,13 +90,6 @@ def _weight_entry(seq: FrequencySequence, sigma: float,
     return entry
 
 
-def _weights(seq: FrequencySequence, sigma: float, cutoff: float) -> np.ndarray:
-    """``p**-sigma`` over the served elements ``p <= cutoff``, counted by
-    ``_count_up_to`` and read through ``_weight_entry``: a hit is a slice
-    of the cached array, a miss a new array."""
-    return _weight_entry(seq, sigma, seq._count_up_to(cutoff))[0]
-
-
 def _upper_sum(w: np.ndarray) -> float:
     """A float at least the exact sum of the positive array ``w``.
 
@@ -224,19 +217,17 @@ def _sign_beyond(value: float, radius: float) -> int | None:
     return None
 
 
-def partial_sum(path: SamplePath, sigma: float, cutoff: float) -> float:
-    """sum(X_p * p**-sigma for served p <= cutoff), compensated and
-    deterministic for fixed inputs regardless of worker count."""
-    return partial_sum_table(path, [(sigma, cutoff)])[0]
-
-
 def partial_sum_table(
     path: SamplePath, points: list[tuple[float, float]]
 ) -> list[float]:
-    """Partial sums for many (sigma, cutoff) pairs, sharing one sign pass."""
+    """sum(X_p * p**-sigma for served p <= cutoff) for each (sigma,
+    cutoff) pair, compensated, deterministic for fixed inputs regardless
+    of worker count, and sharing one sign pass."""
     if any(c < 1 for _, c in points):
         raise ValidationError("cutoff must be >= 1")
-    return _signed_sums(path, [_weights(path.seq, s, c) for s, c in points])
+    seq = path.seq
+    return _signed_sums(path, [_weight_entry(seq, s, seq._count_up_to(c))[0]
+                               for s, c in points])
 
 
 def _certified_weights(
@@ -247,9 +238,10 @@ def _certified_weights(
     are counted once per call, not once per exponent: every exponent shares
     the cutoff.
 
-    The radius is threshold * cutoff**-(sigma - sigma0), or 0 for an
-    exhausted certificate; the truncation identity behind it carries
-    implied constant exactly 1.
+    The radius is threshold * cutoff**-(sigma - sigma0), +0.0 for an
+    exhausted certificate, whose threshold is sqrt(18 * 0 * ln(6/eta)) =
+    0.0; the truncation identity behind it carries implied constant
+    exactly 1.
     """
     if cert.seq != path.seq:
         raise ValidationError("certificate was built for another sequence")
@@ -262,8 +254,6 @@ def _certified_weights(
         raise ValidationError("cutoff must be >= 1")
     count = path.seq._count_up_to(cert.cutoff)
     entries = [_weight_entry(path.seq, s, count) for s in sigmas]
-    if cert.exhausted:
-        return entries, [0.0] * len(sigmas)
     radii = [cert.threshold * cert.cutoff ** (-(s - cert.sigma0)) for s in sigmas]
     return entries, radii
 

@@ -40,13 +40,12 @@ from .errors import ValidationError
 from .evaluation import (
     _filtered_signs,
     _weight_entry,
-    _weights,
     decide,
     excursion_probability_bound,
     heuristic_cutoff,
     partial_sum_table,
 )
-from .frequencies import _check_finite, make_sequence
+from .frequencies import WeightedNaturals, _check_finite, make_sequence
 from .paths import SamplePath
 from .zeros import _certified_changes, _initial_grid, certify_no_zeros, scan_certificate
 
@@ -363,7 +362,8 @@ def _bu_trial(cfg: BuEventConfig, i: int) -> dict:
     seq = _seq(cfg.seq)
     path = SamplePath(seq, cfg.master_seed, i)
     max_hi = max(cfg.cutoff_ladder) * cfg.horizon_factor
-    w = _weights(seq, 0.5, max_hi)  # critical-exponent weights, cached
+    # critical-exponent weights, cached
+    w = _weight_entry(seq, 0.5, seq._count_up_to(max_hi))[0]
     signs = path.signs_up_to(max_hi)
     prefix = np.cumsum(signs * w)
     sups = []
@@ -395,13 +395,9 @@ def _aggregate_bu(cfg: BuEventConfig, rows: list[dict]) -> dict:
                 **_fraction_entry(exceed, n),
             }
         )
-    agg = {"threshold": cfg.threshold, "per_cutoff": per_cutoff}
     ladder = []
-    count_bound = getattr(seq, "tail_reciprocal_upper_for_count", None)
     for c in cfg.bound_count_ladder:
-        if count_bound is None:
-            break
-        t_upper = count_bound(int(c))
+        t_upper = seq.tail_reciprocal_upper_for_count(int(c))
         ladder.append(
             {
                 "leading_count": int(c),
@@ -409,15 +405,22 @@ def _aggregate_bu(cfg: BuEventConfig, rows: list[dict]) -> dict:
                 "bound": excursion_probability_bound(t_upper, cfg.threshold),
             }
         )
-    agg["bound_count_ladder"] = ladder
-    return agg
+    return {"threshold": cfg.threshold, "per_cutoff": per_cutoff,
+            "bound_count_ladder": ladder}
 
 
 def _validate_bu(cfg: BuEventConfig) -> None:
-    if not _seq(cfg.seq).reciprocal_sum_converges:
+    seq = _seq(cfg.seq)
+    if not seq.reciprocal_sum_converges:
         raise ValidationError(
             "excursion study needs a convergent reciprocal sum"
         )
+    # the ladder's analytic bound is a weighted sequence's; each count must
+    # pass it before any trial runs
+    if cfg.bound_count_ladder and not isinstance(seq, WeightedNaturals):
+        raise ValidationError("bound_count_ladder needs a weighted sequence")
+    for c in cfg.bound_count_ladder:
+        seq.tail_reciprocal_upper_for_count(int(c))
     _check_finite("threshold", cfg.threshold)
     if cfg.threshold <= 0:
         raise ValidationError("threshold must be positive")
@@ -431,15 +434,18 @@ def _validate_bu(cfg: BuEventConfig) -> None:
 # exceedance
 
 
+@lru_cache(maxsize=1)
+def _exceedance_norms(cfg: ExceedanceConfig) -> list[float]:
+    """The path-independent normalizers sqrt(sum(1/p, p <= y)), once per
+    config."""
+    return [math.sqrt(_seq(cfg.seq).power_sum(1.0, y)) for y in cfg.scales]
+
+
 def _exceedance_trial(cfg: ExceedanceConfig, i: int) -> dict:
-    seq = _seq(cfg.seq)
-    path = SamplePath(seq, cfg.master_seed, i)
+    path = SamplePath(_seq(cfg.seq), cfg.master_seed, i)
     sums = partial_sum_table(path, [(0.5, y) for y in cfg.scales])
-    normalized = []
-    for y, s in zip(cfg.scales, sums):
-        norm = math.sqrt(seq.power_sum(1.0, y))
-        normalized.append(s / norm)
-    return {"trial": i, "normalized": normalized}
+    return {"trial": i, "normalized": [s / norm for s, norm in
+                                       zip(sums, _exceedance_norms(cfg))]}
 
 
 def _aggregate_exceedance(cfg: ExceedanceConfig, rows: list[dict]) -> dict:

@@ -122,7 +122,10 @@ class _SequenceOps:
         time, so only one chunk of elements is held beside it.  What
         ``_values`` returns is only read, never written: ``Explicit``
         serves views of its own array.  Fewer powers, or none, past the
-        end of a finite sequence.
+        end of a finite sequence.  Raises ValidationError unless every
+        power is finite, which the last one settles: the elements are
+        >= 1 and increasing, so for a positive exponent it is the largest,
+        and for any other every power is at most 1.
         """
         exponent = float(exponent)
         out = np.empty(count)
@@ -131,7 +134,10 @@ class _SequenceOps:
             values = self._values(first + lo, m)
             np.power(values, exponent, out=out[lo:lo + values.size])
             if values.size < m:  # a finite sequence ran out
-                return out[:lo + values.size].copy()
+                out = out[:lo + values.size].copy()
+                break
+        if out.size and not math.isfinite(out[-1]):
+            raise ValidationError(f"the powers p**{exponent:g} are not finite")
         return out
 
     @property

@@ -28,23 +28,36 @@ from .summation import _CHUNK, _BlockSum, _sum_of_squares
 SECOND_MOMENT_CUTOFF = 1_000_000.0
 
 
+def _weights_and_variance(seq: FrequencySequence, sigma: float,
+                          cutoff: float) -> tuple[np.ndarray, float]:
+    """The weights ``p**-sigma`` over the served ``p <= cutoff`` and their
+    sum of squares, the truncated variance, checked finite and positive."""
+    _check_finite("sigma", sigma)
+    n = seq._count_up_to(cutoff)
+    if n == 0:
+        raise ValidationError("no elements at or below cutoff")
+    w = seq._powers(seq.start_index, n, -float(sigma))
+    var = _sum_of_squares(w)
+    if not 0.0 < var < math.inf:
+        raise ValidationError(
+            f"truncated variance must be finite and positive, got {var}")
+    return w, var
+
+
 def char_function(
     seq: FrequencySequence,
     sigma: float,
     t: float | np.ndarray,
     cutoff: float,
-    normalization: float | None = None,
 ) -> float | list[float]:
     """Characteristic function of the normalized truncated value at t.
 
     Equals the product over served p <= cutoff of cos(t * p**-sigma / V),
-    where V defaults to the truncated standard deviation.  Evaluated in
-    log space with explicit sign tracking so products of thousands of
-    factors neither underflow nor lose the sign.  ``t`` is a float, giving
-    a float, or a 1-d grid, giving a list with one value per t; the
-    weights (``seq._powers``, filled a chunk at a time) and the
-    normalization are computed once per call.  A normalization, given or
-    computed, must be finite and positive.
+    with V the truncated standard deviation.  Evaluated in log space with
+    explicit sign tracking so products of thousands of factors neither
+    underflow nor lose the sign.  ``t`` is a float, giving a float, or a
+    1-d grid, giving a list with one value per t; the weights and V come
+    from ``_weights_and_variance`` once per call.
 
     Each t runs one blocked pass: ``_CHUNK`` factors at a time are formed,
     checked for a zero, counted for sign, turned into log-magnitudes and
@@ -57,42 +70,29 @@ def char_function(
     does not promise an even ``cos`` (it may pick another implementation on
     another CPU); the reuse is right only where
     ``test_numpy_cos_is_bitwise_even_on_prime_arguments`` passes, and a
-    failure there means that assumption broke, not a flaky test.  At
-    t = +-0 with finite weights every factor is exactly cos(+-0) = 1, so
-    1.0 is returned without a pass.
+    failure there means that assumption broke, not a flaky test.  The
+    weights and V are finite, so at t = +-0 every factor is exactly
+    cos(+-0) = 1, and 1.0 is returned without a pass.
     """
-    _check_finite("sigma", sigma)
     ts = np.asarray(t, dtype=float)
     if ts.ndim > 1:
         raise ValidationError("t must be a float or a 1-d grid")
     points = ts.ravel().tolist()
     _check_finite("t", *points)
-    n = seq._count_up_to(cutoff)
-    if n == 0:
-        raise ValidationError("no elements at or below cutoff")
-    w = seq._powers(seq.start_index, n, -float(sigma))
-    if normalization is None:
-        normalization = math.sqrt(_sum_of_squares(w))
-    _check_finite("normalization", normalization)
-    if normalization <= 0:
-        raise ValidationError("normalization must be positive")
+    w, var = _weights_and_variance(seq, sigma, cutoff)
+    sd = math.sqrt(var)
     buf = np.empty(min(w.size, _CHUNK))
     known: dict[float, float] = {}
     for tk in points:
         if abs(tk) not in known:
-            known[abs(tk)] = _char_value(tk, w, normalization, buf)
+            known[abs(tk)] = _char_value(tk, w, sd, buf)
     values = [known[abs(tk)] for tk in points]
     return values[0] if ts.ndim == 0 else values
 
 
-def _char_value(tk: float, w: np.ndarray, normalization: float,
-                buf: np.ndarray) -> float:
-    """prod cos(tk * w / normalization), one ``_CHUNK`` block at a time.
-
-    ``normalization`` is finite and positive, so at tk = +-0 every factor
-    with a finite weight is exactly 1, and so is the pass's result.
-    """
-    if tk == 0.0 and math.isfinite(w.max()):
+def _char_value(tk: float, w: np.ndarray, sd: float, buf: np.ndarray) -> float:
+    """prod cos(tk * w / sd), one ``_CHUNK`` block at a time."""
+    if tk == 0.0:
         return 1.0
     acc = _BlockSum(buf.size)
     exact = True
@@ -100,7 +100,7 @@ def _char_value(tk: float, w: np.ndarray, normalization: float,
     for lo in range(0, w.size, _CHUNK):
         c = buf[:min(w.size - lo, _CHUNK)]
         np.multiply(tk, w[lo:lo + c.size], out=c)
-        c /= normalization
+        c /= sd
         np.cos(c, out=c)
         if np.any(c == 0.0):
             return 0.0
@@ -139,14 +139,7 @@ def clt_sample(seq: FrequencySequence, sigma: float, cutoff: float,
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
-    _check_finite("sigma", sigma)
-    n = seq._count_up_to(cutoff)
-    if n == 0:
-        raise ValidationError("no elements at or below cutoff")
-    w = seq._powers(seq.start_index, n, -float(sigma))
-    var = _sum_of_squares(w)
-    if var <= 0.0:
-        raise ValidationError("zero truncated variance")
+    w, var = _weights_and_variance(seq, sigma, cutoff)
     if seq.tail_converges(2.0 * sigma):
         _, tail_hi = seq.tail_power_sum(2.0 * sigma, cutoff)
         if var < 0.9 * (var + tail_hi):
@@ -218,9 +211,14 @@ def variance_profile(seq: FrequencySequence, sigma: float) -> VarianceProfile:
             f"scale {scale:.3g}: {exc}; minimal feasible sigma is about "
             f"{sigma_min:.6f}"
         ) from None
+    # the critical powers are subtracted one chunk at a time, so only the
+    # gaps are held in full, and they are freed before the second moment
     gaps = seq._powers(seq.start_index, count, -float(sigma))
-    gaps -= seq._powers(seq.start_index, count, -0.5)
-    head = _sum_of_squares(gaps)
+    for lo in range(0, gaps.size, _CHUNK):
+        gaps[lo:lo + _CHUNK] -= seq._powers(seq.start_index + lo,
+                                            min(gaps.size - lo, _CHUNK), -0.5)
+    head_count, head = gaps.size, _sum_of_squares(gaps)
+    del gaps
     if not seq.tail_converges(2.0 * sigma):
         raise DivergenceError("tail variance diverges at the doubled exponent")
     t_lo, t_hi = seq.tail_power_sum(2.0 * sigma, scale)
@@ -230,7 +228,7 @@ def variance_profile(seq: FrequencySequence, sigma: float) -> VarianceProfile:
     return VarianceProfile(
         sigma=float(sigma),
         scale=scale,
-        head_count=int(gaps.size),
+        head_count=head_count,
         head_variance=head,
         tail_variance_lo=t_lo,
         tail_variance_hi=t_hi,

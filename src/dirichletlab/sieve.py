@@ -71,13 +71,6 @@ def prime_count(x: float) -> int:
     return int(primes_up_to(int(math.floor(x))).size)
 
 
-def nth_prime(n: int) -> int:
-    """The n-th prime, 1-indexed (nth_prime(1) == 2)."""
-    if n < 1:
-        raise ValueError("prime index must be >= 1")
-    return int(primes_slice(n, 1)[0])
-
-
 def primes_slice(first_index: int, count: int) -> np.ndarray:
     """``count`` consecutive primes starting at 1-based ``first_index``.
 

@@ -10,7 +10,6 @@ normally spends its budget exactly once.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
@@ -54,9 +53,6 @@ class SignScanReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
 def _initial_grid(sigma_lo: float, sigma_hi: float, points: int) -> list[float]:

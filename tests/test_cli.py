@@ -6,9 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from dirichletlab import cli
+from dirichletlab import cli, experiments
 from dirichletlab.cli import main, read_config_file
 from dirichletlab.errors import ValidationError
 from dirichletlab.experiments import (
@@ -150,6 +151,40 @@ def test_exit_codes(tmp_path, capsys):
         (["sign-changes", "--ladder", "2.5"], "ladder values must lie in"),
         (["sign-changes", "--sigma-hi", "0.6", "--ladder", "0.7"],
          "ladder values must lie in"),
+        # weights that overflow a float are bad input, not an internal error
+        (["clt", "--sigma", "-200", "--cutoff", "100", "--trials", "3"],
+         "the powers p**200 are not finite"),
+        (["eval", "--seq", "explicit:2,3,5", "--sigma", "-2000", "--sigma0",
+          "-2000", "--cutoff", "10"], "the powers p**2000 are not finite"),
+        (["scan", "--seq", "explicit:2,3,5", "--sigma-lo", "-2000",
+          "--sigma-hi", "1", "--cutoff", "10"],
+         "the powers p**2000 are not finite"),
+        (["clt", "--seq", "explicit:2,3,5", "--sigma", "-2000", "--cutoff",
+          "10", "--trials", "2"], "the powers p**2000 are not finite"),
+    ):
+        with np.errstate(over="ignore"):
+            assert run_cli(tmp_path, *args) == 1
+        assert f"validation error: {message}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.json"))
+
+
+def test_bu_event_bound_ladder_is_checked_before_any_trial(
+    tmp_path, capsys, monkeypatch
+):
+    # a ladder the sequence has no analytic bound for, and a count below
+    # the bound's range, are refused before the first trial runs
+    def no_trial(cfg, i):
+        raise AssertionError("a trial ran")
+
+    validate, _trial, aggregate = experiments._KINDS["bu_event"]
+    monkeypatch.setitem(experiments._KINDS, "bu_event",
+                        (validate, no_trial, aggregate))
+    for args, message in (
+        (["bu-event", "--seq", "explicit:2,3,5,7,11", "--bound-counts",
+          "10,100", "--trials", "3"],
+         "bound_count_ladder needs a weighted sequence"),
+        (["bu-event", "--bound-counts", "1", "--trials", "200"],
+         "count too small for the analytic bound"),
     ):
         assert run_cli(tmp_path, *args) == 1
         assert f"validation error: {message}" in capsys.readouterr().err

@@ -26,7 +26,6 @@ from dirichletlab.evaluation import (
     excursion_probability_bound,
     heuristic_cutoff,
     mellin_discrepancy,
-    partial_sum,
     partial_sum_table,
     tail_certificate,
 )
@@ -40,14 +39,14 @@ from conftest import explicit, path_with_signs, zeta_em
 def test_partial_sum_trivial_cases():
     seq = explicit([2.0, 3.0])
     plus = path_with_signs(seq, [1, 1])
-    assert partial_sum(plus, 1.0, 10.0) == pytest.approx(1 / 2 + 1 / 3)
+    assert partial_sum_table(plus, [(1.0, 10.0)])[0] == pytest.approx(1 / 2 + 1 / 3)
     mixed = path_with_signs(seq, [1, -1])
-    assert partial_sum(mixed, 1.0, 10.0) == pytest.approx(1 / 2 - 1 / 3)
+    assert partial_sum_table(mixed, [(1.0, 10.0)])[0] == pytest.approx(1 / 2 - 1 / 3)
 
 
 def test_partial_sum_matches_order_reversed_oracle():
     path = SamplePath(Naturals(), 21, 0)
-    value = partial_sum(path, 0.8, 50_000)
+    value = partial_sum_table(path, [(0.8, 50_000)])[0]
     terms = [path.sign_at(i) * i ** -0.8 for i in range(1, 50_001)]
     oracle = math.fsum(reversed(terms))
     assert value == pytest.approx(oracle, abs=1e-11)
@@ -58,10 +57,9 @@ def test_partial_sum_table_consistent():
     points = [(0.7, 1000.0), (1.0, 5000.0), (1.5, 100.0)]
     table = partial_sum_table(path, points)
     for (s, c), v in zip(points, table):
-        assert v == partial_sum(path, s, c)
-    # a cutoff below 1 is rejected by the table as by the scalar call
-    for call in (lambda: partial_sum(path, 0.8, 0.5),
-                 lambda: partial_sum_table(path, [(0.8, 0.5)]),
+        assert v == partial_sum_table(path, [(s, c)])[0]
+    # a cutoff below 1 is rejected alone or among valid points
+    for call in (lambda: partial_sum_table(path, [(0.8, 0.5)]),
                  lambda: partial_sum_table(path, points + [(0.8, 0.5)])):
         with pytest.raises(ValidationError, match="cutoff must be >= 1"):
             call()
@@ -99,9 +97,9 @@ def test_weight_cache_separates_start_indices():
     # weight cache must still never hand one of them the other's weights
     shifted = SamplePath(Naturals(start_index=5), 1, 0)
     evaluation._WEIGHT_CACHE.clear()
-    cold = partial_sum(shifted, 0.8, 100)
-    partial_sum(SamplePath(Naturals(), 1, 0), 0.8, 1000)
-    warm = partial_sum(shifted, 0.8, 100)
+    cold = partial_sum_table(shifted, [(0.8, 100)])[0]
+    partial_sum_table(SamplePath(Naturals(), 1, 0), [(0.8, 1000)])
+    warm = partial_sum_table(shifted, [(0.8, 100)])[0]
     assert warm == cold
     oracle = math.fsum(shifted.sign_at(i) * i ** -0.8 for i in range(5, 101))
     assert cold == pytest.approx(oracle, abs=1e-14)
@@ -111,7 +109,7 @@ def test_weight_cache_evicts_oldest(monkeypatch):
     monkeypatch.setattr(evaluation, "_WEIGHT_CACHE", {})
     monkeypatch.setattr(evaluation, "_WEIGHT_CACHE_LIMIT", 2500)
     for sigma in (0.6, 0.7, 0.8, 0.9):  # 1000 weights each
-        evaluation._weights(Naturals(), sigma, 1000)
+        evaluation._weight_entry(Naturals(), sigma, 1000)
     assert [s for _, s in evaluation._WEIGHT_CACHE] == [0.8, 0.9]
 
 
@@ -128,12 +126,9 @@ def test_weight_cache_miss_reads_elements_without_counting(monkeypatch):
         return original(self, x)
 
     monkeypatch.setattr(FrequencySequence, "counting_function", counting)
-    given_count, _ = evaluation._weight_entry(seq, 0.8, count)
+    w, _ = evaluation._weight_entry(seq, 0.8, count)
     assert counted == []
-    counted_here = evaluation._weights(seq, 0.9, 1e4)
-    assert counted == [1e4]
-    assert np.array_equal(given_count, elems ** -0.8)
-    assert np.array_equal(counted_here, elems ** -0.9)
+    assert np.array_equal(w, elems ** -0.8)
 
 
 def test_tail_certificate_second_moment_matches_zeta_oracle():
@@ -319,8 +314,8 @@ def test_heuristic_signs_equal_compensated_sum_signs(monkeypatch, n):
     seq = Naturals()
     path = SamplePath(seq, 11, 2)
     weights = [_cancelling_ones(path, n, e) for e in (0.0, 2.0**-40, -(2.0**-40))]
-    weights += [evaluation._weights(seq, s, c)
-                for s, c in ((0.53, 3 * _LONG), (0.75, _LONG + 7), (1.2, 900))]
+    weights += [evaluation._weight_entry(seq, s, n)[0]
+                for s, n in ((0.53, 3 * _LONG), (0.75, _LONG + 7), (1.2, 900))]
     fallbacks = []
     original = evaluation._signed_sums
 
@@ -402,9 +397,9 @@ def test_weight_entry_never_reads_a_shorter_arrays_total(monkeypatch):
     # cache that holds a shorter array for the key cannot lend its smaller
     # total to a longer prefix, and a shorter prefix reads the stored one
     seq = Naturals()
-    long_w = evaluation._weights(seq, 0.7, 5000)
+    long_w, _ = evaluation._weight_entry(seq, 0.7, 5000)
     monkeypatch.setattr(evaluation, "_WEIGHT_CACHE", {})
-    evaluation._weights(seq, 0.7, 100)
+    evaluation._weight_entry(seq, 0.7, 100)
     w, bound = evaluation._weight_entry(seq, 0.7, long_w.size)
     assert np.array_equal(w, long_w)
     assert Fraction(bound) >= sum(map(Fraction, long_w.tolist()))
@@ -475,7 +470,7 @@ def test_heuristic_cutoff_rule_and_budget_error():
 
 def test_partial_sum_golden():
     # captured before the chunk partials were summed by exact_sum
-    got = partial_sum(SamplePath(Naturals(), 7, 0), 0.75, 1e5)
+    got = partial_sum_table(SamplePath(Naturals(), 7, 0), [(0.75, 1e5)])[0]
     assert got.hex() == "-0x1.01b5a965cf71cp+0"
 
 
@@ -488,7 +483,7 @@ def test_non_finite_exponents_rejected():
         lambda: tail_certificate(seq, math.inf, 1e4, 0.01),
         lambda: evaluate(path, [math.nan], cert),
         lambda: evaluate(path, [math.inf], cert),
-        lambda: partial_sum(path, math.nan, 1e4),
+        lambda: partial_sum_table(path, [(math.nan, 1e4)]),
         lambda: partial_sum_table(path, [(0.9, 1e3), (math.nan, 1e3)]),
     ):
         with pytest.raises(ValidationError, match="must be finite"):
@@ -513,8 +508,8 @@ def test_weight_cache_replacement_counts_only_other_entries(monkeypatch):
     # only the other entries count toward the limit: 1000 + 1200 <= 2500
     monkeypatch.setattr(evaluation, "_WEIGHT_CACHE", {})
     monkeypatch.setattr(evaluation, "_WEIGHT_CACHE_LIMIT", 2500)
-    for sigma, cutoff in ((0.7, 1000), (0.6, 1000), (0.6, 1200)):
-        evaluation._weights(Naturals(), sigma, cutoff)
+    for sigma, count in ((0.7, 1000), (0.6, 1000), (0.6, 1200)):
+        evaluation._weight_entry(Naturals(), sigma, count)
     assert [(s, a.size) for (_, s), (a, _) in evaluation._WEIGHT_CACHE.items()] == [
         (0.7, 1000), (0.6, 1200)]
 
@@ -526,7 +521,7 @@ def test_weight_cache_miss_holds_no_element_array(monkeypatch):
     count = 2_000_000
     tracemalloc.start()
     try:
-        w = evaluation._weights(Naturals(), 0.53, float(count))
+        w, _ = evaluation._weight_entry(Naturals(), 0.53, count)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

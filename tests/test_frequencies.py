@@ -131,8 +131,9 @@ def test_primes_refuse_before_sieving(monkeypatch):
 
 
 def test_no_public_callable_takes_a_budget():
-    # one term budget, DEFAULT_TERM_BUDGET, applies per operation; no public
-    # function or method lets a caller move it
+    # one term budget, DEFAULT_TERM_BUDGET, applies per operation, and the
+    # characteristic function always normalizes by the truncated standard
+    # deviation; no public function or method lets a caller move either
     for name in dirichletlab.__all__:
         obj = getattr(dirichletlab, name)
         if inspect.isclass(obj):
@@ -140,7 +141,9 @@ def test_no_public_callable_takes_a_budget():
         else:
             fns = [obj] if inspect.isfunction(obj) else []
         for fn in fns:
-            assert "budget" not in inspect.signature(fn).parameters, (name, fn)
+            params = inspect.signature(fn).parameters
+            assert "budget" not in params, (name, fn)
+            assert "normalization" not in params, (name, fn)
 
 
 # ---------------------------------------------------------------------------

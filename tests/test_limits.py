@@ -31,10 +31,11 @@ def test_char_function_matches_cos_product_oracle():
 
 
 def test_char_function_tracks_negative_sign():
-    # one factor with argument in (pi/2, pi): the product must go negative
+    # one factor, so V is its weight and the argument is t = 2 in
+    # (pi/2, pi): the product must go negative
     seq = explicit([2.0])
-    val = char_function(seq, 1.0, 2.0, 10.0, normalization=1.0 / 2.5)
-    assert val == pytest.approx(math.cos(2.0 * (2.0 ** -1.0) * 2.5), rel=1e-12)
+    val = char_function(seq, 1.0, 2.0, 10.0)
+    assert val == pytest.approx(math.cos(2.0), rel=1e-12)
     assert val < 0
 
 
@@ -137,6 +138,22 @@ def test_variance_profile_tail_brackets_brute_force():
     assert prof.tail_variance_lo <= brute + missing
 
 
+def test_variance_profile_holds_one_head_length_array():
+    # the critical powers are subtracted a chunk at a time and the gaps are
+    # freed before the 10**6 second-moment weights, so the call holds about
+    # 8 bytes per head term, not a second head-length array
+    seq = Naturals()
+    variance_profile(seq, 0.535)  # the tail enclosure's caches, outside the trace
+    tracemalloc.start()
+    try:
+        prof = variance_profile(seq, 0.535)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert prof.head_count == 1_600_320
+    assert peak <= 10 * prof.head_count
+
+
 def test_variance_profile_budget_error_names_feasible_sigma():
     with pytest.raises(ResourceBudgetError, match="minimal feasible sigma"):
         variance_profile(Naturals(), 0.51)
@@ -156,32 +173,35 @@ def test_char_function_golden():
     assert gap.hex() == "0x1.3695b459ac280p-8"
 
 
-def reference_char_function(seq, sigma, t, cutoff, normalization=None):
+def reference_char_function(seq, sigma, t, cutoff):
     """One t at a time, summed by fsum over a list."""
     w = seq.elements_up_to(cutoff) ** (-float(sigma))
-    if normalization is None:
-        normalization = math.sqrt(compensated_sum(w * w))
-    c = np.cos(float(t) * w / normalization)
+    c = np.cos(float(t) * w / math.sqrt(compensated_sum(w * w)))
     if np.any(c == 0.0):
         return 0.0
     sign = 1.0 if int(np.count_nonzero(c < 0)) % 2 == 0 else -1.0
     return sign * math.exp(math.fsum(np.log(np.abs(c)).tolist()))
 
 
-@pytest.mark.parametrize("seq, sigma, cutoff, normalization", [
+# The last column is the unit of the t grid (None: 1).  A unit of 0.25
+# stretches the grid fourfold, so that with the computed V ~ 1.28 the
+# arguments t * w / V pass pi/2 and many factors go negative.
+_CASES = [
     (Primes(), 0.55, 1e6, None),
     (Naturals(), 0.7, 3e4, None),
     (Naturals(), 1.0, 2000.0, 0.25),
     (explicit([2.0, 3.0, 7.0]), 0.8, 10.0, None),
-])
-def test_char_function_grid_matches_scalar_calls(seq, sigma, cutoff, normalization):
+]
+
+
+@pytest.mark.parametrize("seq, sigma, cutoff, unit", _CASES)
+def test_char_function_grid_matches_scalar_calls(seq, sigma, cutoff, unit):
     ts = np.concatenate([np.linspace(-3.0, 3.0, 13), [0.0, -0.0, 1e-300, 40.0]])
-    grid = char_function(seq, sigma, ts, cutoff, normalization=normalization)
+    ts /= unit or 1.0
+    grid = char_function(seq, sigma, ts, cutoff)
     assert isinstance(grid, list) and len(grid) == ts.size
-    scalar = [char_function(seq, sigma, float(t), cutoff, normalization=normalization)
-              for t in ts]
-    oracle = [reference_char_function(seq, sigma, t, cutoff, normalization)
-              for t in ts]
+    scalar = [char_function(seq, sigma, float(t), cutoff) for t in ts]
+    oracle = [reference_char_function(seq, sigma, t, cutoff) for t in ts]
     assert [v.hex() for v in grid] == [v.hex() for v in scalar]
     assert [v.hex() for v in grid] == [v.hex() for v in oracle]
 
@@ -205,19 +225,13 @@ def test_non_finite_sigma_and_t_rejected():
 # --- phi is even bit for bit: -t * w / V is the negated argument and
 # np.cos is bitwise even, so a mirrored t may reuse a computed value.
 
-_EVEN_CASES = [
-    (Primes(), 0.55, 1e6, None),
-    (Naturals(), 0.7, 3e4, None),
-    (Naturals(), 1.0, 2000.0, 0.25),
-    (explicit([2.0, 3.0, 7.0]), 0.8, 10.0, None),
-]
 
-
-@pytest.mark.parametrize("seq, sigma, cutoff, normalization", _EVEN_CASES)
-def test_char_function_even_bit_for_bit(seq, sigma, cutoff, normalization):
+@pytest.mark.parametrize("seq, sigma, cutoff, unit", _CASES)
+def test_char_function_even_bit_for_bit(seq, sigma, cutoff, unit):
     for t in (0.9, 1.0, 2.5, 1e-300, 40.0):
-        plus = char_function(seq, sigma, t, cutoff, normalization=normalization)
-        minus = char_function(seq, sigma, -t, cutoff, normalization=normalization)
+        t /= unit or 1.0
+        plus = char_function(seq, sigma, t, cutoff)
+        minus = char_function(seq, sigma, -t, cutoff)
         assert minus.hex() == plus.hex()
 
 
@@ -244,25 +258,29 @@ def test_symmetric_grid_evaluates_each_magnitude_once(monkeypatch):
 
 @pytest.mark.parametrize("t", [1e308, -1e308])
 def test_char_function_overflowing_argument_matches_reference(t):
-    # t * w / V overflows to inf for the first factors, whose cosine is NaN
+    # the weights n**0.5 reach 2 from n = 4 on, so t * w overflows to inf
+    # before the division by V, and those factors' cosines are NaN
     seq = Naturals()
     with np.errstate(over="ignore", invalid="ignore"):
-        got = char_function(seq, 1.0, t, 2000.0, normalization=0.25)
-        want = reference_char_function(seq, 1.0, t, 2000.0, 0.25)
-        grid = char_function(seq, 1.0, [t, -t, 1.0], 2000.0, normalization=0.25)
+        got = char_function(seq, -0.5, t, 2000.0)
+        want = reference_char_function(seq, -0.5, t, 2000.0)
+        grid = char_function(seq, -0.5, [t, -t, 1.0], 2000.0)
     assert math.isnan(got) and math.isnan(want)
     assert got.hex() == want.hex() == grid[0].hex() == grid[1].hex()
-    assert grid[2].hex() == reference_char_function(seq, 1.0, 1.0, 2000.0, 0.25).hex()
+    assert grid[2].hex() == reference_char_function(seq, -0.5, 1.0, 2000.0).hex()
 
 
 def test_char_function_rejects_non_finite_normalization():
     seq = Naturals()
-    for given in (math.nan, math.inf):
-        with pytest.raises(ValidationError):
-            char_function(seq, 0.7, 0.5, 1e3, normalization=given)
-    # computed: the weights n**200 overflow, and so does their square sum
-    with pytest.raises(ValidationError):
+    # the weights n**200 overflow
+    with pytest.raises(ValidationError, match="are not finite"):
         char_function(seq, -200.0, 0.5, 100.0)
+    # the weights n**150 are finite, but their square sum overflows
+    with pytest.raises(ValidationError, match="must be finite and positive"):
+        char_function(seq, -150.0, 0.5, 100.0)
+    # the weights 2**-1100 underflow to 0, and so does the variance
+    with pytest.raises(ValidationError, match="must be finite and positive"):
+        char_function(explicit([2.0]), 1100.0, 0.5, 10.0)
 
 
 def test_char_function_at_zero_skips_the_pass(monkeypatch):
@@ -278,9 +296,3 @@ def test_char_function_at_zero_skips_the_pass(monkeypatch):
     values = char_function(seq, 0.7, [0.0, -0.0, 0.5], 3e4)
     assert values[:2] == [1.0, 1.0] and len(passes) == 1
     assert values[2].hex() == reference_char_function(seq, 0.7, 0.5, 3e4).hex()
-    # infinite weights make 0 * w a NaN, so the pass runs and agrees with
-    # the reference instead of reading 1.0
-    passes.clear()
-    got = char_function(seq, -200.0, 0.0, 100.0, normalization=1.0)
-    assert len(passes) == 1
-    assert got.hex() == reference_char_function(seq, -200.0, 0.0, 100.0, 1.0).hex()

@@ -25,7 +25,7 @@ def test_prime_count(small_primes):
 
 def test_nth_prime(small_primes):
     for n in (1, 2, 5, 6, 25, 168, 1229):
-        assert sieve.nth_prime(n) == small_primes[n - 1]
+        assert sieve.primes_slice(n, 1).tolist() == [small_primes[n - 1]]
 
 
 def test_primes_slice(small_primes):
@@ -41,5 +41,6 @@ def test_cold_cache_serves_small_indices_and_reuses_the_cache(
     assert sieve.primes_slice(1, 3).tolist() == [2, 3, 5]
     sieve.primes_up_to(10_000)
     extent = sieve._sieved_to
-    assert sieve.nth_prime(1229) == small_primes[1228]  # the last prime <= 10**4
+    # the last prime <= 10**4
+    assert sieve.primes_slice(1229, 1).tolist() == [small_primes[1228]]
     assert sieve._sieved_to == extent

@@ -238,8 +238,7 @@ def test_report_serialization_round_trip():
     seq = explicit([2.0, 3.0, 4.0])
     rep = scan(path_with_signs(seq, [1, 1, 1]), 0.3, 2.0,
                scan_certificate(seq, 0.3, 1e4, 0.05))
-    blob = rep.to_json()
-    data = json.loads(blob)
+    data = json.loads(json.dumps(rep.to_dict()))
     assert data["kind"] == "sign_scan"
     assert data["schema_version"] == 1
     assert data["seq"].startswith("explicit:")
