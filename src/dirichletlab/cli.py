@@ -39,7 +39,7 @@ from .experiments import (
     rows_to_csv,
     run_experiment,
 )
-from .frequencies import _check_finite, make_sequence
+from .frequencies import _check_finite, _text_lines, make_sequence
 from .limits import (
     char_function,
     clt_sample,
@@ -53,15 +53,8 @@ from .zeros import scan, scan_certificate
 def read_config_file(path: str) -> dict[str, str]:
     """Raw ``key = value`` text; the subcommand's casts parse the values,
     exactly as they parse the same values given as flags."""
-    try:
-        text = Path(path).read_text()
-    except (OSError, ValueError) as exc:  # missing, unreadable, not text
-        raise ValidationError(f"cannot read config {path}: {exc}") from None
     values = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _text_lines(path):
         if "=" not in line:
             raise ValidationError(f"{path}:{lineno}: expected 'key = value'")
         key, _, val = line.partition("=")

@@ -52,11 +52,6 @@ from .zeros import _certified_changes, _initial_grid, certify_no_zeros, scan_cer
 SCHEMA_VERSION = 2
 
 
-@lru_cache(maxsize=32)
-def _seq(spec: str):
-    return make_sequence(spec)
-
-
 def _canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -204,21 +199,26 @@ def _fraction_entry(successes: int, trials: int) -> dict:
 # no_zero
 
 
-@lru_cache(maxsize=1)
-def _no_zero_certify(cfg: NoZeroConfig):
+def _no_zero_setup(cfg: NoZeroConfig, seq):
     """``certify_no_zeros`` with every path-independent argument of the
-    config bound, its tail certificate included: built once per config."""
-    cert = scan_certificate(_seq(cfg.seq), cfg.sigma_lo, cfg.cutoff, cfg.eta,
+    config bound, its tail certificate included."""
+    # building the certificate checks eta and the sigma_lo <= 1/2 rule
+    cert = scan_certificate(seq, cfg.sigma_lo, cfg.cutoff, cfg.eta,
                             cfg.sigma0, cfg.head_terms)
+    if not seq.reciprocal_sum_converges:
+        warnings.warn(
+            "reciprocal sum diverges: no-zero certification is expected to "
+            "fail on most trials in this regime",
+            stacklevel=2,
+        )
     return partial(certify_no_zeros, sigma_lo=cfg.sigma_lo, cert=cert,
                    sigma_switch=cfg.sigma_switch, initial_grid=cfg.initial_grid,
                    max_refinement=cfg.max_refinement, resolution=cfg.resolution)
 
 
-def _no_zero_trial(cfg: NoZeroConfig, i: int) -> dict:
-    rep = _no_zero_certify(cfg)(SamplePath(_seq(cfg.seq), cfg.master_seed, i))
+def _no_zero_trial(cfg: NoZeroConfig, certify, path: SamplePath) -> dict:
+    rep = certify(path)
     return {
-        "trial": i,
         "certified": bool(rep.no_zero_certified),
         "sign_changes": rep.sign_changes,
         "undecided_measure": rep.undecided_measure,
@@ -226,18 +226,7 @@ def _no_zero_trial(cfg: NoZeroConfig, i: int) -> dict:
     }
 
 
-def _validate_no_zero(cfg: NoZeroConfig) -> None:
-    # building the certificate checks eta and the sigma_lo <= 1/2 rule
-    _no_zero_certify(cfg)
-    if not _seq(cfg.seq).reciprocal_sum_converges:
-        warnings.warn(
-            "reciprocal sum diverges: no-zero certification is expected to "
-            "fail on most trials in this regime",
-            stacklevel=2,
-        )
-
-
-def _aggregate_no_zero(cfg: NoZeroConfig, rows: list[dict]) -> dict:
+def _aggregate_no_zero(cfg: NoZeroConfig, certify, rows: list[dict]) -> dict:
     """The certified fraction, and log2 of a lower bound on the probability
     of "no zero on [sigma_lo, inf)", the finite-scale surrogate of "no real
     zero".
@@ -261,24 +250,34 @@ def _aggregate_no_zero(cfg: NoZeroConfig, rows: list[dict]) -> dict:
 # sign_change
 
 
-@lru_cache(maxsize=1)
-def _sign_change_setup(cfg: SignChangeConfig) -> dict:
-    seq = _seq(cfg.seq)
+def _sign_change_setup(cfg: SignChangeConfig, seq) -> dict:
+    if not cfg.ladder:
+        raise ValidationError("ladder must not be empty")
+    if not all(0.5 < s < cfg.sigma_hi for s in cfg.ladder):
+        raise ValidationError(
+            f"ladder values must lie in (1/2, sigma_hi = {cfg.sigma_hi:g})"
+        )
+    if cfg.grid_points < 2:
+        raise ValidationError("grid_points must be >= 2")
+    _check_finite("heuristic_min_cutoff", cfg.heuristic_min_cutoff)
+    _check_finite("heuristic_max_cutoff", cfg.heuristic_max_cutoff)
     ladder = sorted(cfg.ladder, reverse=True)
+    rule = heuristic_cutoff(ladder[-1])
+    if rule > cfg.heuristic_max_cutoff:
+        raise ValidationError(
+            f"smallest ladder value needs cutoff {rule:.3g} > "
+            f"heuristic_max_cutoff {cfg.heuristic_max_cutoff:.3g}"
+        )
     grid = sorted(set(_initial_grid(ladder[-1], cfg.sigma_hi, cfg.grid_points))
                   | set(float(s) for s in ladder))
-    cutoffs = []
-    for s in grid:
-        rule = heuristic_cutoff(s)
-        cutoffs.append(min(max(rule, cfg.heuristic_min_cutoff),
-                           cfg.heuristic_max_cutoff))
+    cutoffs = [min(max(heuristic_cutoff(s), cfg.heuristic_min_cutoff),
+                   cfg.heuristic_max_cutoff) for s in grid]
     cert = scan_certificate(seq, ladder[-1], cfg.cert_cutoff, cfg.eta,
                             head_terms=cfg.head_terms)
     entries = [_weight_entry(seq, s, seq._count_up_to(c))
                for s, c in zip(grid, cutoffs)]
     rung_start = [grid.index(float(rv)) for rv in ladder]  # every rung is in grid
     return {
-        "seq": seq,
         "grid": grid,
         "entries": entries,
         "cert": cert,
@@ -287,9 +286,7 @@ def _sign_change_setup(cfg: SignChangeConfig) -> dict:
     }
 
 
-def _sign_change_trial(cfg: SignChangeConfig, i: int) -> dict:
-    st = _sign_change_setup(cfg)
-    path = SamplePath(st["seq"], cfg.master_seed, i)
+def _sign_change_trial(cfg: SignChangeConfig, st: dict, path: SamplePath) -> dict:
     # both passes stream the path's signs: the certified one stops at the
     # certificate cutoff, the heuristic one at the longest undecided sum
     certified = decide(path, st["grid"], st["cert"])
@@ -303,7 +300,6 @@ def _sign_change_trial(cfg: SignChangeConfig, i: int) -> dict:
         combined[j] = 1 if sign is None else sign
     m = len(combined)
     return {
-        "trial": i,
         "combined_counts": [_certified_changes(combined[j0:])
                             for j0 in st["rung_start"]],
         "certified_counts": [_certified_changes(certified[j0:])
@@ -312,8 +308,8 @@ def _sign_change_trial(cfg: SignChangeConfig, i: int) -> dict:
     }
 
 
-def _aggregate_sign_change(cfg: SignChangeConfig, rows: list[dict]) -> dict:
-    st = _sign_change_setup(cfg)
+def _aggregate_sign_change(cfg: SignChangeConfig, st: dict,
+                           rows: list[dict]) -> dict:
     n = len(rows)
     per_rung = []
     for k, sigma_k in enumerate(st["ladder"]):
@@ -337,80 +333,13 @@ def _aggregate_sign_change(cfg: SignChangeConfig, rows: list[dict]) -> dict:
     }
 
 
-def _validate_sign_change(cfg: SignChangeConfig) -> None:
-    if not cfg.ladder:
-        raise ValidationError("ladder must not be empty")
-    if not all(0.5 < s < cfg.sigma_hi for s in cfg.ladder):
-        raise ValidationError(
-            f"ladder values must lie in (1/2, sigma_hi = {cfg.sigma_hi:g})"
-        )
-    if cfg.grid_points < 2:
-        raise ValidationError("grid_points must be >= 2")
-    rule = heuristic_cutoff(min(cfg.ladder))
-    if rule > cfg.heuristic_max_cutoff:
-        raise ValidationError(
-            f"smallest ladder value needs cutoff {rule:.3g} > "
-            f"heuristic_max_cutoff {cfg.heuristic_max_cutoff:.3g}"
-        )
-
-
 # ---------------------------------------------------------------------------
 # bu_event
 
 
-def _bu_trial(cfg: BuEventConfig, i: int) -> dict:
-    seq = _seq(cfg.seq)
-    path = SamplePath(seq, cfg.master_seed, i)
-    max_hi = max(cfg.cutoff_ladder) * cfg.horizon_factor
-    # critical-exponent weights, cached
-    w = _weight_entry(seq, 0.5, seq._count_up_to(max_hi))[0]
-    signs = path.signs_up_to(max_hi)
-    prefix = np.cumsum(signs * w)
-    sups = []
-    for u in cfg.cutoff_ladder:
-        a = seq.counting_function(u)
-        b = seq.counting_function(u * cfg.horizon_factor)
-        if b <= a:
-            sups.append(0.0)
-            continue
-        base = prefix[a - 1] if a > 0 else 0.0
-        window = prefix[a:b] - base
-        sups.append(float(np.max(np.abs(window))))
-    return {"trial": i, "sups": sups}
-
-
-def _aggregate_bu(cfg: BuEventConfig, rows: list[dict]) -> dict:
-    seq = _seq(cfg.seq)
-    n = len(rows)
-    per_cutoff = []
-    for k, u in enumerate(cfg.cutoff_ladder):
-        exceed = sum(1 for r in rows if r["sups"][k] >= cfg.threshold)
-        _, t_upper = seq.tail_power_sum(1.0, u, head_terms=cfg.head_terms)
-        per_cutoff.append(
-            {
-                "cutoff": u,
-                "horizon": u * cfg.horizon_factor,
-                "tail_reciprocal_upper": t_upper,
-                "bound": excursion_probability_bound(t_upper, cfg.threshold),
-                **_fraction_entry(exceed, n),
-            }
-        )
-    ladder = []
-    for c in cfg.bound_count_ladder:
-        t_upper = seq.tail_reciprocal_upper_for_count(int(c))
-        ladder.append(
-            {
-                "leading_count": int(c),
-                "tail_reciprocal_upper": t_upper,
-                "bound": excursion_probability_bound(t_upper, cfg.threshold),
-            }
-        )
-    return {"threshold": cfg.threshold, "per_cutoff": per_cutoff,
-            "bound_count_ladder": ladder}
-
-
-def _validate_bu(cfg: BuEventConfig) -> None:
-    seq = _seq(cfg.seq)
+def _bu_setup(cfg: BuEventConfig, seq) -> dict:
+    """The critical weights up to the largest horizon, each cutoff's index
+    window (a, b] and its bound, and the bound-only ladder."""
     if not seq.reciprocal_sum_converges:
         raise ValidationError(
             "excursion study needs a convergent reciprocal sum"
@@ -419,36 +348,78 @@ def _validate_bu(cfg: BuEventConfig) -> None:
     # pass it before any trial runs
     if cfg.bound_count_ladder and not isinstance(seq, WeightedNaturals):
         raise ValidationError("bound_count_ladder needs a weighted sequence")
-    for c in cfg.bound_count_ladder:
-        seq.tail_reciprocal_upper_for_count(int(c))
-    _check_finite("threshold", cfg.threshold)
-    if cfg.threshold <= 0:
-        raise ValidationError("threshold must be positive")
     if cfg.horizon_factor <= 1:
         raise ValidationError("horizon_factor must exceed 1")
     if not cfg.cutoff_ladder:
         raise ValidationError("cutoff_ladder must not be empty")
+    per_cutoff, windows = [], []
+    for u in cfg.cutoff_ladder:
+        horizon = u * cfg.horizon_factor
+        windows.append((seq.counting_function(u), seq.counting_function(horizon)))
+        _, t_upper = seq.tail_power_sum(1.0, u, head_terms=cfg.head_terms)
+        # the bound checks the threshold
+        per_cutoff.append({"cutoff": u, "horizon": horizon,
+                           "tail_reciprocal_upper": t_upper,
+                           "bound": excursion_probability_bound(t_upper, cfg.threshold)})
+    ladder = []
+    for c in cfg.bound_count_ladder:
+        t_upper = seq.tail_reciprocal_upper_for_count(int(c))
+        ladder.append({"leading_count": int(c), "tail_reciprocal_upper": t_upper,
+                       "bound": excursion_probability_bound(t_upper, cfg.threshold)})
+    count = seq._count_up_to(max(cfg.cutoff_ladder) * cfg.horizon_factor)
+    return {"weights": _weight_entry(seq, 0.5, count)[0], "windows": windows,
+            "per_cutoff": per_cutoff, "bound_count_ladder": ladder}
+
+
+def _bu_trial(cfg: BuEventConfig, st: dict, path: SamplePath) -> dict:
+    w = st["weights"]
+    prefix = np.empty(w.size)  # the signed weights, then their running sums
+    for lo, signs in path._sign_chunks(w.size):
+        np.multiply(signs, w[lo:lo + signs.size], out=prefix[lo:lo + signs.size])
+    np.cumsum(prefix, out=prefix)
+    sups = []
+    for a, b in st["windows"]:
+        if b <= a:
+            sups.append(0.0)
+            continue
+        base = prefix[a - 1] if a > 0 else 0.0
+        window = prefix[a:b] - base
+        sups.append(float(np.max(np.abs(window))))
+    return {"sups": sups}
+
+
+def _aggregate_bu(cfg: BuEventConfig, st: dict, rows: list[dict]) -> dict:
+    n = len(rows)
+    per_cutoff = []
+    for k, entry in enumerate(st["per_cutoff"]):
+        exceed = sum(1 for r in rows if r["sups"][k] >= cfg.threshold)
+        per_cutoff.append({**entry, **_fraction_entry(exceed, n)})
+    return {"threshold": cfg.threshold, "per_cutoff": per_cutoff,
+            "bound_count_ladder": [dict(e) for e in st["bound_count_ladder"]]}
 
 
 # ---------------------------------------------------------------------------
 # exceedance
 
 
-@lru_cache(maxsize=1)
-def _exceedance_norms(cfg: ExceedanceConfig) -> list[float]:
-    """The path-independent normalizers sqrt(sum(1/p, p <= y)), once per
-    config."""
-    return [math.sqrt(_seq(cfg.seq).power_sum(1.0, y)) for y in cfg.scales]
+def _exceedance_setup(cfg: ExceedanceConfig, seq) -> list[float]:
+    """The path-independent normalizers sqrt(sum(1/p, p <= y))."""
+    _check_finite("level", cfg.level)
+    if not cfg.scales:
+        raise ValidationError("scales must not be empty")
+    if list(cfg.scales) != sorted(set(cfg.scales)):
+        raise ValidationError("scales must be strictly increasing")
+    return [math.sqrt(seq.power_sum(1.0, y)) for y in cfg.scales]
 
 
-def _exceedance_trial(cfg: ExceedanceConfig, i: int) -> dict:
-    path = SamplePath(_seq(cfg.seq), cfg.master_seed, i)
+def _exceedance_trial(cfg: ExceedanceConfig, norms: list[float],
+                      path: SamplePath) -> dict:
     sums = partial_sum_table(path, [(0.5, y) for y in cfg.scales])
-    return {"trial": i, "normalized": [s / norm for s, norm in
-                                       zip(sums, _exceedance_norms(cfg))]}
+    return {"normalized": [s / norm for s, norm in zip(sums, norms)]}
 
 
-def _aggregate_exceedance(cfg: ExceedanceConfig, rows: list[dict]) -> dict:
+def _aggregate_exceedance(cfg: ExceedanceConfig, norms: list[float],
+                          rows: list[dict]) -> dict:
     n = len(rows)
     m = len(cfg.scales)
     cumulative = []
@@ -470,44 +441,59 @@ def _aggregate_exceedance(cfg: ExceedanceConfig, rows: list[dict]) -> dict:
     }
 
 
-def _validate_exceedance(cfg: ExceedanceConfig) -> None:
-    _check_finite("level", cfg.level)
-    if not cfg.scales:
-        raise ValidationError("scales must not be empty")
-    if list(cfg.scales) != sorted(set(cfg.scales)):
-        raise ValidationError("scales must be strictly increasing")
-
-
 # ---------------------------------------------------------------------------
-# Runner: kind -> (validate, trial, aggregate)
+# Runner: kind -> (setup, trial, aggregate).  setup(cfg, seq) validates the
+# config and builds what its trials share; trial(cfg, shared, path) returns
+# one row without the trial index; aggregate(cfg, shared, rows).
 
 _KINDS = {
-    "no_zero": (_validate_no_zero, _no_zero_trial, _aggregate_no_zero),
-    "sign_change": (_validate_sign_change, _sign_change_trial,
+    "no_zero": (_no_zero_setup, _no_zero_trial, _aggregate_no_zero),
+    "sign_change": (_sign_change_setup, _sign_change_trial,
                     _aggregate_sign_change),
-    "bu_event": (_validate_bu, _bu_trial, _aggregate_bu),
-    "exceedance": (_validate_exceedance, _exceedance_trial,
+    "bu_event": (_bu_setup, _bu_trial, _aggregate_bu),
+    "exceedance": (_exceedance_setup, _exceedance_trial,
                    _aggregate_exceedance),
 }
 
 
+@lru_cache(maxsize=1)
+def _setup(cfg):
+    """``(seq, shared, caught)``: the config's sequence, its kind's setup
+    and the warnings building them raised, once per config and process."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        seq = make_sequence(cfg.seq)
+        shared = _KINDS[cfg.kind][0](cfg, seq)
+    return seq, shared, caught
+
+
+def _trial(cfg, i: int) -> dict:
+    """Row ``i``: the trial index, then the kind's trial on path ``i``."""
+    seq, shared, _ = _setup(cfg)
+    row = _KINDS[cfg.kind][1](cfg, shared, SamplePath(seq, cfg.master_seed, i))
+    return {"trial": i, **row}
+
+
 def run_experiment(cfg, workers: int = 1) -> ExperimentReport:
-    """Validate, run every trial (in a process pool when workers > 1) and
-    aggregate, dispatching on the config's kind field."""
-    validate, trial_fn, aggregate_fn = _KINDS[cfg.kind]
+    """Build the config's setup, run every trial (in a process pool when
+    workers > 1) and aggregate, dispatching on the config's kind field."""
     if cfg.trials < 1:
         raise ValidationError("trials must be >= 1")
-    validate(cfg)
+    # built here before any pool starts, so forked workers inherit it; its
+    # warnings are raised on every call, cached or not
+    _, shared, caught = _setup(cfg)
+    for w in caught:
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
     t0 = time.monotonic()
     if workers <= 1:
-        rows = [trial_fn(cfg, i) for i in range(cfg.trials)]
+        rows = [_trial(cfg, i) for i in range(cfg.trials)]
     else:
         chunk = max(1, cfg.trials // (4 * workers))
         # the pool starts all its workers up front, so none beyond the trials
         with ProcessPoolExecutor(max_workers=min(workers, cfg.trials)) as ex:
-            rows = list(ex.map(partial(trial_fn, cfg), range(cfg.trials),
+            rows = list(ex.map(partial(_trial, cfg), range(cfg.trials),
                                chunksize=chunk))
-    agg = aggregate_fn(cfg, rows)
+    agg = _KINDS[cfg.kind][2](cfg, shared, rows)
     cd = _config_dict(cfg)
     return ExperimentReport(
         kind=cfg.kind,

@@ -29,8 +29,10 @@ from __future__ import annotations
 import math
 import sys
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -47,6 +49,20 @@ def _check_finite(name: str, *values: float) -> None:
     for value in values:
         if not math.isfinite(value):
             raise ValidationError(f"{name} must be finite, got {value}")
+
+
+def _text_lines(path):
+    """Yield ``(lineno, text)`` for each line of a text file that is not
+    blank once its '#' comment is cut, stripped.  Raises ValidationError
+    when the file cannot be read as UTF-8 text."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, ValueError) as exc:  # missing, a directory, not text
+        raise ValidationError(f"cannot read {path}: {exc}") from None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
 
 
 class _SequenceOps:
@@ -129,13 +145,16 @@ class _SequenceOps:
         """
         exponent = float(exponent)
         out = np.empty(count)
-        for lo in range(0, count, _CHUNK):
-            m = min(count - lo, _CHUNK)
-            values = self._values(first + lo, m)
-            np.power(values, exponent, out=out[lo:lo + values.size])
-            if values.size < m:  # a finite sequence ran out
-                out = out[:lo + values.size].copy()
-                break
+        # only a positive exponent can overflow, which the check below
+        # reports without numpy's warning
+        with np.errstate(over="ignore") if exponent > 0 else nullcontext():
+            for lo in range(0, count, _CHUNK):
+                m = min(count - lo, _CHUNK)
+                values = self._values(first + lo, m)
+                np.power(values, exponent, out=out[lo:lo + values.size])
+                if values.size < m:  # a finite sequence ran out
+                    out = out[:lo + values.size].copy()
+                    break
         if out.size and not math.isfinite(out[-1]):
             raise ValidationError(f"the powers p**{exponent:g} are not finite")
         return out
@@ -258,6 +277,7 @@ class WeightedNaturals(_SequenceOps):
     start_index: int = 2
 
     def __post_init__(self):
+        _check_finite("weighted-naturals exponent", self.exponent)
         if not self.exponent > 1.0:
             raise ValidationError("weighted-naturals exponent must be > 1")
         super().__post_init__()
@@ -378,24 +398,20 @@ class Explicit(_SequenceOps):
     def from_file(cls, path) -> "Explicit":
         """Load one positive real per line; '#' starts a comment."""
         values = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                try:
-                    v = float(line)
-                except ValueError:
-                    raise ValidationError(
-                        f"{path}:{lineno}: not a real number: {line!r}"
-                    ) from None
-                if not math.isfinite(v) or v < 1.0:
-                    raise ValidationError(f"{path}:{lineno}: element {v} is below 1")
-                if values and v <= values[-1]:
-                    raise ValidationError(
-                        f"{path}:{lineno}: sequence not strictly increasing"
-                    )
-                values.append(v)
+        for lineno, line in _text_lines(path):
+            try:
+                v = float(line)
+            except ValueError:
+                raise ValidationError(
+                    f"{path}:{lineno}: not a real number: {line!r}"
+                ) from None
+            if not math.isfinite(v) or v < 1.0:
+                raise ValidationError(f"{path}:{lineno}: element {v} is below 1")
+            if values and v <= values[-1]:
+                raise ValidationError(
+                    f"{path}:{lineno}: sequence not strictly increasing"
+                )
+            values.append(v)
         if not values:
             raise ValidationError(f"{path}: no elements found")
         return cls(tuple(values))

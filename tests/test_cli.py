@@ -4,9 +4,9 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from dirichletlab import cli, experiments
@@ -151,6 +151,14 @@ def test_exit_codes(tmp_path, capsys):
         (["sign-changes", "--ladder", "2.5"], "ladder values must lie in"),
         (["sign-changes", "--sigma-hi", "0.6", "--ladder", "0.7"],
          "ladder values must lie in"),
+        # non-finite values that would reach the report as NaN or Infinity,
+        # which JSON has no spelling for, or a NaN index
+        (["sign-changes", "--max-cutoff", "nan", "--trials", "1", "--ladder",
+          "0.8,0.7"], "heuristic_max_cutoff must be finite, got nan"),
+        (["sign-changes", "--max-cutoff", "inf", "--trials", "1", "--ladder",
+          "0.8,0.7"], "heuristic_max_cutoff must be finite, got inf"),
+        (["eval", "--seq", "weighted:inf"],
+         "weighted-naturals exponent must be finite, got inf"),
         # weights that overflow a float are bad input, not an internal error
         (["clt", "--sigma", "-200", "--cutoff", "100", "--trials", "3"],
          "the powers p**200 are not finite"),
@@ -162,10 +170,45 @@ def test_exit_codes(tmp_path, capsys):
         (["clt", "--seq", "explicit:2,3,5", "--sigma", "-2000", "--cutoff",
           "10", "--trials", "2"], "the powers p**2000 are not finite"),
     ):
-        with np.errstate(over="ignore"):
+        # an overflow is reported as the validation error alone, without a
+        # numpy warning ahead of it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             assert run_cli(tmp_path, *args) == 1
         assert f"validation error: {message}" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.json"))
+
+
+def test_explicit_sequence_file(tmp_path, capsys):
+    # one positive real per line; '#' comments and blank lines are skipped
+    seq_file = tmp_path / "seq.txt"
+    seq_file.write_text("# the first primes\n2\n\n3  # odd\n5\n")
+    assert run_cli(tmp_path, "eval", "--seq", f"explicit@{seq_file}") == 0
+    assert "F(1) = 0.633333 +- 0 [exact, eta=0]" in capsys.readouterr().out
+    # a file that cannot be read as text is bad input, not an internal error
+    utf16 = tmp_path / "utf16.txt"
+    utf16.write_bytes(b"\xff\xfe2\x003\x00")
+    for bad in (tmp_path / "missing.txt", tmp_path, utf16):
+        assert run_cli(tmp_path, "eval", "--seq", f"explicit@{bad}") == 1
+        assert f"validation error: cannot read {bad}" in capsys.readouterr().err
+    assert len(list(tmp_path.glob("eval_*.json"))) == 1
+
+
+@pytest.mark.parametrize("args, summary, written", [
+    (["no-zeros", "--trials", "2", "--cutoff", "1e4"],
+     "no-zeros: certified ", ("json",)),
+    (["sign-changes", "--trials", "1", "--ladder", "0.8,0.7", "--max-cutoff",
+      "1e6", "--svg", "--csv"],
+     "sign-changes mean counts: sigma=0.8: ", ("csv", "json", "svg")),
+    (["bu-event", "--trials", "3"], "bu-event: U=100: freq ", ("json",)),
+])
+def test_experiment_summaries(tmp_path, capsys, args, summary, written):
+    assert run_cli(tmp_path, *args) == 0
+    assert capsys.readouterr().out.startswith(summary)
+    files = sorted(tmp_path.glob(f"{args[0]}_*"))
+    assert [f.suffix[1:] for f in files] == list(written)
+    if "svg" in written:
+        assert files[-1].read_text().startswith("<svg")
 
 
 def test_bu_event_bound_ladder_is_checked_before_any_trial(
@@ -173,12 +216,12 @@ def test_bu_event_bound_ladder_is_checked_before_any_trial(
 ):
     # a ladder the sequence has no analytic bound for, and a count below
     # the bound's range, are refused before the first trial runs
-    def no_trial(cfg, i):
+    def no_trial(cfg, shared, path):
         raise AssertionError("a trial ran")
 
-    validate, _trial, aggregate = experiments._KINDS["bu_event"]
+    setup, _trial, aggregate = experiments._KINDS["bu_event"]
     monkeypatch.setitem(experiments._KINDS, "bu_event",
-                        (validate, no_trial, aggregate))
+                        (setup, no_trial, aggregate))
     for args, message in (
         (["bu-event", "--seq", "explicit:2,3,5,7,11", "--bound-counts",
           "10,100", "--trials", "3"],

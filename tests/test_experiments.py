@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import tracemalloc
 
 import pytest
@@ -16,12 +17,12 @@ from dirichletlab import experiments, zeros
 from dirichletlab.evaluation import evaluate, tail_certificate
 from dirichletlab.experiments import (
     _config_dict,
-    _sign_change_setup,
-    _sign_change_trial,
+    _setup,
+    _trial,
     config_hash,
     rows_to_csv,
 )
-from dirichletlab.frequencies import make_sequence
+from dirichletlab.frequencies import WeightedNaturals, make_sequence
 from dirichletlab.paths import SamplePath
 from dirichletlab.summation import compensated_sum
 
@@ -77,7 +78,7 @@ def test_no_zero_builds_one_certificate_per_config(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(zeros, "tail_certificate", counting)
-    experiments._no_zero_certify.cache_clear()
+    _setup.cache_clear()
     run_experiment(NoZeroConfig(trials=4, cutoff=1e4))
     assert len(built) == 1
 
@@ -104,6 +105,48 @@ def test_pool_starts_no_more_workers_than_trials(monkeypatch):
     run_experiment(ExceedanceConfig(trials=3), workers=2)
     run_experiment(ExceedanceConfig(trials=3), workers=8)
     assert asked == [1, 2, 3]
+
+
+def test_pooled_run_builds_its_setup_once_before_the_pool(monkeypatch):
+    # the setup is built in the calling process before the pool starts, so
+    # forked workers and the aggregate share it instead of building their own
+    events = []
+    setup, trial, aggregate = experiments._KINDS["sign_change"]
+
+    def recording_setup(cfg, seq):
+        events.append(("setup", os.getpid()))
+        return setup(cfg, seq)
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            events.append(("pool", max_workers))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setitem(experiments._KINDS, "sign_change",
+                        (recording_setup, trial, aggregate))
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    _setup.cache_clear()
+    cfg = SignChangeConfig(ladder=(0.9, 0.8), trials=3, grid_points=8,
+                           cert_cutoff=1e4, heuristic_max_cutoff=1e6)
+    assert len(run_experiment(cfg, workers=2).per_trial) == 3
+    assert events == [("setup", os.getpid()), ("pool", 2)]
+
+
+def test_setup_warnings_are_raised_on_every_run():
+    # a cached setup raises the warnings of its build again
+    cfg = NoZeroConfig(seq="naturals", trials=1, cutoff=1e3)
+    for _ in range(2):
+        with pytest.warns(UserWarning, match="diverges") as caught:
+            run_experiment(cfg)
+        assert len(caught) == 1
 
 
 def test_rerun_is_bit_identical():
@@ -196,7 +239,7 @@ def test_sign_change_decided_fraction_matches_evaluate():
     seq = make_sequence(cfg.seq)
     cert = tail_certificate(seq, 0.5 + 0.5 * (0.8 - 0.5), cfg.cert_cutoff,
                             cfg.eta, head_terms=cfg.head_terms)
-    grid = _sign_change_setup(cfg)["grid"]
+    grid = _setup(cfg)[1]["grid"]
     assert grid[0] == 0.8 and grid[-1] == cfg.sigma_hi
     fractions = []
     for row in rep.per_trial:
@@ -211,15 +254,15 @@ def test_sign_change_rows_match_the_exact_sums():
     # every kept sign is the sign of the exact path's value: evaluate's
     # decided sign where the certified sum beats its radius, else the sign
     # of compensated_sum over the heuristic cutoff (a zero sum counts +1);
-    # the 1e5-term certified sums and the 2e5-term heuristic sums near 0.53
-    # span more than one chunk
-    cfg = SignChangeConfig(ladder=(0.7, 0.53), trials=3, grid_points=10,
-                           heuristic_max_cutoff=2e5)
-    st = _sign_change_setup(cfg)
+    # the 1e5-term certified sums and the 2e5-term heuristic sums, every
+    # one clamped to 2e5 terms, span more than one chunk
+    cfg = SignChangeConfig(ladder=(0.7, 0.56), trials=3, grid_points=10,
+                           heuristic_min_cutoff=2e5, heuristic_max_cutoff=2e5)
+    seq, st, _ = _setup(cfg)
     weights = [w for w, _ in st["entries"]]
     assert max(w.size for w in weights) == 200_000
     for i in range(cfg.trials):
-        path = SamplePath(st["seq"], cfg.master_seed, i)
+        path = SamplePath(seq, cfg.master_seed, i)
         signs = path.signs_up_to(200_000)
         certified = [cv.decided_sign for cv in evaluate(path, st["grid"], st["cert"])]
         combined = [
@@ -227,7 +270,7 @@ def test_sign_change_rows_match_the_exact_sums():
             else 1 if compensated_sum(signs[:w.size] * w) >= 0 else -1
             for s, w in zip(certified, weights)
         ]
-        row = _sign_change_trial(cfg, i)
+        row = _trial(cfg, i)
         assert row["decided_fraction"] == sum(
             s is not None for s in certified) / len(certified)
         assert row["combined_counts"] == [
@@ -246,7 +289,7 @@ def test_sign_change_grid_is_the_scan_grid_plus_the_ladder():
     # one geometric grid formula, so sigma_hi is its top point, once
     cfg = SignChangeConfig(ladder=(0.8, 0.7), trials=1, grid_points=28,
                            cert_cutoff=1e4, heuristic_max_cutoff=1e6)
-    grid = _sign_change_setup(cfg)["grid"]
+    grid = _setup(cfg)[1]["grid"]
     assert grid == sorted(set(zeros._initial_grid(0.7, 2.0, 28)) | {0.8})
     assert len(grid) == 29 and grid[-1] == cfg.sigma_hi
     assert min(b - a for a, b in zip(grid, grid[1:])) > 1e-9
@@ -258,12 +301,12 @@ def test_sign_change_trial_streams_its_signs():
     # sign vector (8 bytes per term of the longest heuristic sum)
     cfg = SignChangeConfig(ladder=(0.70, 0.62, 0.535), trials=2,
                            grid_points=8, heuristic_max_cutoff=2e6)
-    max_count = max(w.size for w, _ in _sign_change_setup(cfg)["entries"])
+    max_count = max(w.size for w, _ in _setup(cfg)[1]["entries"])
     assert max_count > 1_000_000
-    _sign_change_trial(cfg, 0)
+    _trial(cfg, 0)
     tracemalloc.start()
     try:
-        _sign_change_trial(cfg, 1)
+        _trial(cfg, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -314,6 +357,26 @@ def test_bu_event_bound_ladder_decays_below_half():
     bounds = [b["bound"] for b in rep.aggregates["bound_count_ladder"]]
     assert all(x > y for x, y in zip(bounds, bounds[1:]))
     assert bounds[-1] < 0.5
+
+
+def test_bu_event_counts_its_windows_once_per_config(monkeypatch):
+    # the weights' count and each cutoff's index window are path-independent:
+    # a run's counting_function calls do not grow with its trials
+    calls = []
+    original = WeightedNaturals.counting_function
+
+    def counting(self, x):
+        calls.append(x)
+        return original(self, x)
+
+    monkeypatch.setattr(WeightedNaturals, "counting_function", counting)
+    _setup.cache_clear()
+    counts = []
+    for trials in (1, 5):
+        calls.clear()
+        run_experiment(BuEventConfig(trials=trials))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 2 * len(BuEventConfig().cutoff_ladder) + 1
 
 
 def test_bu_event_wilson_contains_fraction():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dirichletlab import Naturals, Primes, SamplePath, ValidationError
-from dirichletlab.experiments import BuEventConfig, _bu_trial
+from dirichletlab.experiments import BuEventConfig, _trial
 from dirichletlab.frequencies import make_sequence
 
 from conftest import path_with_signs
@@ -91,7 +91,7 @@ def test_running_sup_matches_brute_force():
     # the running sup of the bu_event trial's prefix windows
     cfg = BuEventConfig(cutoff_ladder=(10.0, 100.0), horizon_factor=2.0)
     seq = make_sequence(cfg.seq)
-    row = _bu_trial(cfg, 2)
+    row = _trial(cfg, 2)
     path = SamplePath(seq, cfg.master_seed, 2)
     for u, sup in zip(cfg.cutoff_ladder, row["sups"]):
         best = _brute_force_sup(path, seq, u, u * cfg.horizon_factor, 0.5, 200)
@@ -103,7 +103,7 @@ def test_running_sup_empty_range():
     cfg = BuEventConfig(cutoff_ladder=(1.0,), horizon_factor=2.0)
     seq = make_sequence(cfg.seq)
     assert seq.elements_up_to(2.0)[seq.counting_function(1.0):].size == 0
-    assert _bu_trial(cfg, 0)["sups"] == [0.0]
+    assert _trial(cfg, 0)["sups"] == [0.0]
 
 
 _CH = 1 << 16
