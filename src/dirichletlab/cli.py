@@ -395,7 +395,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="flat key=value config file")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=_count, default=1)
         p.add_argument("--dry-run", action="store_true")
         p.add_argument("--csv", action="store_true", help="also write CSV extract")
         p.add_argument("--svg", action="store_true", help="also write an SVG chart")

@@ -26,13 +26,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from . import frequencies
 from .errors import ValidationError
 from .frequencies import (
     DEFAULT_TAIL_HEAD_TERMS,
     FrequencySequence,
+    _check_budget,
     _check_finite,
 )
 from .paths import SamplePath
@@ -43,51 +46,51 @@ PROBABILISTIC = "probabilistic"
 
 # ---------------------------------------------------------------------------
 # Weight cache: p**-sigma arrays are path-independent and reused heavily
-# across Monte Carlo trials.  One entry per key ``(seq, sigma)``: the array
-# and a float at least its sum, stored and read together, so a bound always
-# belongs to the array it is stored with; the weights are positive, so it
-# bounds the sum of every prefix.  Keyed on the frozen sequence itself, so
-# sequences that differ only in start_index never share an entry.  Bounded
-# by total float count, per process; the oldest entries are evicted first.
-# A miss fills its array with ``_powers``, one ``_CHUNK`` of elements at a
-# time, so it holds about 8 bytes per term while it runs, not 16.  A longer
-# array for a cached key replaces the shorter one, which does not count
-# toward the limit.
+# across Monte Carlo trials.  One entry per key ``(seq, sigma, count)``, all
+# that determines the array: the array and ``_upper_sum`` of it, stored and
+# read together.  Keyed on the frozen sequence itself, so sequences that
+# differ only in start_index never share an entry.  The arrays hold at most
+# ``DEFAULT_TERM_BUDGET`` floats in total, per process; the oldest entries
+# are evicted first.  A miss fills its array with ``_powers``, so it holds
+# about 8 bytes per term while it runs, not 16.
 # A plain module-level dict without a lock: each worker process fills its
 # own, and threads must not share it (a concurrent miss can compute an
-# entry twice, or raise while it sizes or evicts the cache).  An entry is
-# one tuple, stored and read in one dict operation, so no race can pair an
-# array with another array's bound.
+# entry twice, or raise while it evicts).  An entry is one tuple, stored
+# and read in one dict operation, so no race can pair an array with
+# another array's bound.
 
-_WEIGHT_CACHE: dict[tuple[FrequencySequence, float], tuple[np.ndarray, float]] = {}
-_WEIGHT_CACHE_LIMIT = 120_000_000
+_WEIGHT_CACHE: dict[tuple[FrequencySequence, float, int],
+                    tuple[np.ndarray, float]] = {}
 
 
 def _weight_entry(seq: FrequencySequence, sigma: float,
                   count: int) -> tuple[np.ndarray, float]:
     """``(w, bound)``: the first ``count`` weights ``p**-sigma`` of ``seq``
-    and a float at least ``sum(w)``.
+    and ``_upper_sum(w)``, a float at least ``sum(w)``.
 
-    ``count`` is ``seq._count_up_to(cutoff)``, already checked against
-    the budget.  A hit is one ``_WEIGHT_CACHE`` read and returns a slice of
-    the cached array with the bound of the whole array; a miss computes the
-    ``count`` weights with ``seq._powers`` and returns the new array itself.
+    ``count`` is a term count that already passed the budget.  A hit is
+    one ``_WEIGHT_CACHE`` read; a miss checks ``sigma``, so every cached
+    key is finite, and computes the weights with ``seq._powers``.
     """
-    _check_finite("sigma", sigma)
-    key = (seq, float(sigma))
+    key = (seq, float(sigma), count)
     entry = _WEIGHT_CACHE.get(key)
-    if entry is not None and entry[0].size >= count:
-        w, bound = entry
-        return w[:count], bound
-    _WEIGHT_CACHE.pop(key, None)  # a shorter array is replaced, not counted
+    if entry is not None:
+        return entry
+    _check_finite("sigma", sigma)
     w = seq._powers(seq.start_index, count, -float(sigma))
-    entry = (w, _upper_sum(w))
-    total = sum(a.size for a, _ in _WEIGHT_CACHE.values()) + w.size
-    while total > _WEIGHT_CACHE_LIMIT and _WEIGHT_CACHE:
+    entry = _WEIGHT_CACHE[key] = (w, _upper_sum(w))
+    total = sum(a.size for a, _ in _WEIGHT_CACHE.values())
+    while total > frequencies.DEFAULT_TERM_BUDGET:
         total -= _WEIGHT_CACHE.pop(next(iter(_WEIGHT_CACHE)))[0].size
-    if w.size <= _WEIGHT_CACHE_LIMIT:
-        _WEIGHT_CACHE[key] = entry
     return entry
+
+
+def _weight_entries(seq: FrequencySequence, requests) -> list[tuple[np.ndarray, float]]:
+    """``[_weight_entry(seq, s, n) for s, n in requests]`` for a list of
+    ``(sigma, count)`` pairs, after one check of their total count against
+    the term budget, before any array is formed."""
+    _check_budget(sum(n for _, n in requests))
+    return [_weight_entry(seq, s, n) for s, n in requests]
 
 
 def _upper_sum(w: np.ndarray) -> float:
@@ -147,6 +150,11 @@ class TailCertificate:
     eta: float
     tail_second_moment: float
     exhausted: bool = False
+
+    @cached_property
+    def count(self) -> int:
+        """The served terms up to the cutoff, counted once."""
+        return self.seq._count_up_to(self.cutoff)
 
 
 def excursion_probability_bound(tail_second_moment: float, threshold: float) -> float:
@@ -226,17 +234,16 @@ def partial_sum_table(
     if any(c < 1 for _, c in points):
         raise ValidationError("cutoff must be >= 1")
     seq = path.seq
-    return _signed_sums(path, [_weight_entry(seq, s, seq._count_up_to(c))[0]
-                               for s, c in points])
+    entries = _weight_entries(seq, [(s, seq._count_up_to(c)) for s, c in points])
+    return _signed_sums(path, [w for w, _ in entries])
 
 
 def _certified_weights(
     path: SamplePath, sigmas: list[float], cert: TailCertificate
 ) -> tuple[list[tuple[np.ndarray, float]], list[float]]:
-    """The weight entries (see ``_weight_entry``) and radii of ``evaluate``
-    and ``decide``, after their one validation.  The certificate's terms
-    are counted once per call, not once per exponent: every exponent shares
-    the cutoff.
+    """The weight entries (see ``_weight_entries``) and radii of
+    ``evaluate`` and ``decide``, after their one validation.  Every
+    exponent shares the certificate's cutoff and so its ``count``.
 
     The radius is threshold * cutoff**-(sigma - sigma0), +0.0 for an
     exhausted certificate, whose threshold is sqrt(18 * 0 * ln(6/eta)) =
@@ -252,8 +259,7 @@ def _certified_weights(
             )
     if cert.cutoff < 1:
         raise ValidationError("cutoff must be >= 1")
-    count = path.seq._count_up_to(cert.cutoff)
-    entries = [_weight_entry(path.seq, s, count) for s in sigmas]
+    entries = _weight_entries(path.seq, [(s, cert.count) for s in sigmas])
     radii = [cert.threshold * cert.cutoff ** (-(s - cert.sigma0)) for s in sigmas]
     return entries, radii
 
@@ -290,7 +296,7 @@ def _band_slack(n: int) -> float:
 
 def _filtered_signs(path: SamplePath, entries, radii) -> list[int | None]:
     """``[_sign_beyond(v, r) for v, r in zip(_signed_sums(path, weights),
-    radii)]`` for the weight entries ``(w, bound)`` of ``_weight_entry``,
+    radii)]`` for the weight entries ``(w, bound)`` of ``_weight_entries``,
     from one pass over the path's signs plus a second, ``_signed_sums``
     itself, over only the sums that the filter leaves open.
 

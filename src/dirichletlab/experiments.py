@@ -39,11 +39,12 @@ from .bounds import wilson_interval
 from .errors import ValidationError
 from .evaluation import (
     _filtered_signs,
+    _signed_sums,
+    _weight_entries,
     _weight_entry,
     decide,
     excursion_probability_bound,
     heuristic_cutoff,
-    partial_sum_table,
 )
 from .frequencies import WeightedNaturals, _check_finite, make_sequence
 from .paths import SamplePath
@@ -253,6 +254,7 @@ def _aggregate_no_zero(cfg: NoZeroConfig, certify, rows: list[dict]) -> dict:
 def _sign_change_setup(cfg: SignChangeConfig, seq) -> dict:
     if not cfg.ladder:
         raise ValidationError("ladder must not be empty")
+    _check_finite("sigma_hi", cfg.sigma_hi)
     if not all(0.5 < s < cfg.sigma_hi for s in cfg.ladder):
         raise ValidationError(
             f"ladder values must lie in (1/2, sigma_hi = {cfg.sigma_hi:g})"
@@ -274,8 +276,8 @@ def _sign_change_setup(cfg: SignChangeConfig, seq) -> dict:
                    cfg.heuristic_max_cutoff) for s in grid]
     cert = scan_certificate(seq, ladder[-1], cfg.cert_cutoff, cfg.eta,
                             head_terms=cfg.head_terms)
-    entries = [_weight_entry(seq, s, seq._count_up_to(c))
-               for s, c in zip(grid, cutoffs)]
+    entries = _weight_entries(seq, [(s, seq._count_up_to(c))
+                                    for s, c in zip(grid, cutoffs)])
     rung_start = [grid.index(float(rv)) for rv in ladder]  # every rung is in grid
     return {
         "grid": grid,
@@ -348,6 +350,7 @@ def _bu_setup(cfg: BuEventConfig, seq) -> dict:
     # pass it before any trial runs
     if cfg.bound_count_ladder and not isinstance(seq, WeightedNaturals):
         raise ValidationError("bound_count_ladder needs a weighted sequence")
+    _check_finite("horizon_factor", cfg.horizon_factor)
     if cfg.horizon_factor <= 1:
         raise ValidationError("horizon_factor must exceed 1")
     if not cfg.cutoff_ladder:
@@ -402,23 +405,25 @@ def _aggregate_bu(cfg: BuEventConfig, st: dict, rows: list[dict]) -> dict:
 # exceedance
 
 
-def _exceedance_setup(cfg: ExceedanceConfig, seq) -> list[float]:
-    """The path-independent normalizers sqrt(sum(1/p, p <= y))."""
+def _exceedance_setup(cfg: ExceedanceConfig, seq) -> dict:
+    """The critical weights up to each scale and the path-independent
+    normalizers sqrt(sum(1/p, p <= y))."""
     _check_finite("level", cfg.level)
     if not cfg.scales:
         raise ValidationError("scales must not be empty")
     if list(cfg.scales) != sorted(set(cfg.scales)):
         raise ValidationError("scales must be strictly increasing")
-    return [math.sqrt(seq.power_sum(1.0, y)) for y in cfg.scales]
+    norms = [math.sqrt(seq.power_sum(1.0, y)) for y in cfg.scales]
+    entries = _weight_entries(seq, [(0.5, seq._count_up_to(y)) for y in cfg.scales])
+    return {"weights": [w for w, _ in entries], "norms": norms}
 
 
-def _exceedance_trial(cfg: ExceedanceConfig, norms: list[float],
-                      path: SamplePath) -> dict:
-    sums = partial_sum_table(path, [(0.5, y) for y in cfg.scales])
-    return {"normalized": [s / norm for s, norm in zip(sums, norms)]}
+def _exceedance_trial(cfg: ExceedanceConfig, st: dict, path: SamplePath) -> dict:
+    sums = _signed_sums(path, st["weights"])
+    return {"normalized": [s / norm for s, norm in zip(sums, st["norms"])]}
 
 
-def _aggregate_exceedance(cfg: ExceedanceConfig, norms: list[float],
+def _aggregate_exceedance(cfg: ExceedanceConfig, st: dict,
                           rows: list[dict]) -> dict:
     n = len(rows)
     m = len(cfg.scales)

@@ -15,8 +15,9 @@ the number of elements <= x counted from index 1.  The base class derives
 by the same rule; ``start_index`` only decides which elements are served.
 Every cutoff reaches ``_count_leq`` through one check that rejects
 infinite and NaN values, and every operation that reads terms counts them
-through ``_count_up_to``, the one gate against ``DEFAULT_TERM_BUDGET``
-(``ResourceBudgetError`` past it); ``Primes`` refuses there before it
+through ``_count_up_to``.  ``_check_budget`` behind it is the one gate
+against ``DEFAULT_TERM_BUDGET`` (``ResourceBudgetError`` past it), also for
+the total of the weight arrays one call holds; ``Primes`` refuses before it
 sieves.  Powers ``p**e`` of served elements are formed by ``_powers``,
 ``_CHUNK`` elements at a time, so no element array is held beside them.
 
@@ -31,7 +32,6 @@ import sys
 import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +49,15 @@ def _check_finite(name: str, *values: float) -> None:
     for value in values:
         if not math.isfinite(value):
             raise ValidationError(f"{name} must be finite, got {value}")
+
+
+def _check_budget(n: int) -> int:
+    """``n``, the number of terms an operation reads or holds, checked
+    against ``DEFAULT_TERM_BUDGET`` (read at call time)."""
+    if n > DEFAULT_TERM_BUDGET:
+        raise ResourceBudgetError(f"operation needs {n} terms, exceeding "
+                                  f"the budget of {DEFAULT_TERM_BUDGET}")
+    return n
 
 
 def _text_lines(path):
@@ -111,11 +120,7 @@ class _SequenceOps:
 
     def _count_up_to(self, cutoff: float) -> int:
         """``counting_function(cutoff)``, checked against the term budget."""
-        n = self.counting_function(cutoff)
-        if n > DEFAULT_TERM_BUDGET:
-            raise ResourceBudgetError(f"operation needs {n} terms, exceeding "
-                                      f"the budget of {DEFAULT_TERM_BUDGET}")
-        return n
+        return _check_budget(self.counting_function(cutoff))
 
     def elements_up_to(self, cutoff: float) -> np.ndarray:
         return self._values(self.start_index, self._count_up_to(cutoff))
@@ -293,12 +298,8 @@ class WeightedNaturals(_SequenceOps):
     def _log_value(self, n: int) -> float:
         return math.log(n) + self.exponent * math.log(math.log(n + 1))
 
-    @lru_cache(maxsize=64)
     def _count_leq(self, x):
-        """Largest n with n*log(n+1)**a <= x; 0 if none.  Handles huge x.
-
-        A bisection in Python, memoized per (sequence, x): a certificate's
-        cutoff is counted once, not once per certified round."""
+        """Largest n with n*log(n+1)**a <= x; 0 if none.  Handles huge x."""
         if x < math.log(2.0) ** self.exponent:  # the n=1 element
             return 0
         # ulp-scale slack so an element exactly equal to x still counts;

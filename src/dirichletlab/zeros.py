@@ -96,6 +96,7 @@ def scan_certificate(
     to the critical line.  Below 1/2 only a finite sequence summed to its
     end can be certified, with an exact certificate based at sigma_lo.
     """
+    _check_finite("sigma_lo", sigma_lo)
     exact_possible = isinstance(seq, Explicit) and cutoff >= seq.values[-1]
     if sigma_lo <= 0.5 and not exact_possible:
         raise ValidationError(
@@ -122,6 +123,7 @@ def scan(
     sign-change intervals are bisected down to ``resolution`` for up to
     ``max_refinement`` rounds; each round is one ``decide`` call.
     """
+    _check_finite("sigma_hi", sigma_hi)
     if not sigma_lo < sigma_hi:
         raise ValidationError("need sigma_lo < sigma_hi")
     _check_finite("resolution", resolution)

@@ -81,6 +81,10 @@ def test_exit_codes(tmp_path, capsys):
     assert run_cli(tmp_path, "scan", "--seq", "naturals", "--sigma-lo", "0.4") == 1
     assert run_cli(tmp_path, "no-zeros", "--seq", "naturals", "--sigma-lo", "0.4",
                    "--trials", "2") == 1
+    # a worker count below 1 -> validation, not a silent single worker
+    for workers in ("0", "-3"):
+        assert run_cli(tmp_path, "no-zeros", "--workers", workers) == 1
+        assert "argument --workers" in capsys.readouterr().err
     # resource budget error -> 2 (scale rule far past any term budget)
     assert run_cli(tmp_path, "variance-profile", "--seq", "naturals",
                    "--sigmas", "0.505") == 2
@@ -90,6 +94,10 @@ def test_exit_codes(tmp_path, capsys):
     assert run_cli(tmp_path, "variance-profile", "--seq", "naturals",
                    "--sigmas", "0.5001") == 2
     assert "minimal feasible sigma is about 0.527918" in capsys.readouterr().err
+    # the weights one round holds count against the budget: 20000 exponents
+    # at 1e4 terms each are refused before any array is formed
+    assert run_cli(tmp_path, "scan", "--grid", "20000") == 2
+    assert "operation needs 200000000 terms" in capsys.readouterr().err
     # unknown flag -> validation, not resource
     assert main(["eval", "--bogus-flag"]) == 1
     capsys.readouterr()
@@ -132,6 +140,9 @@ def test_exit_codes(tmp_path, capsys):
         ["bu-event", "--threshold", "inf"],
         ["exceedance", "--level", "nan"],
         ["scan", "--resolution", "nan"],
+        ["scan", "--sigma-lo", "nan"],
+        ["scan", "--sigma-hi", "inf"],
+        ["sign-changes", "--sigma-hi", "nan"],
     ):
         assert run_cli(tmp_path, *args) == 1
         key = args[1][2:].replace("-", "_")
@@ -157,6 +168,7 @@ def test_exit_codes(tmp_path, capsys):
           "0.8,0.7"], "heuristic_max_cutoff must be finite, got nan"),
         (["sign-changes", "--max-cutoff", "inf", "--trials", "1", "--ladder",
           "0.8,0.7"], "heuristic_max_cutoff must be finite, got inf"),
+        (["bu-event", "--horizon", "nan"], "horizon_factor must be finite, got nan"),
         (["eval", "--seq", "weighted:inf"],
          "weighted-naturals exponent must be finite, got inf"),
         # weights that overflow a float are bad input, not an internal error

@@ -16,7 +16,7 @@ from dirichletlab import (
     ValidationError,
     WeightedNaturals,
 )
-from dirichletlab import evaluation
+from dirichletlab import evaluation, frequencies
 from dirichletlab.evaluation import (
     EXACT,
     PROBABILISTIC,
@@ -106,11 +106,12 @@ def test_weight_cache_separates_start_indices():
 
 
 def test_weight_cache_evicts_oldest(monkeypatch):
+    # the cache's limit is the term budget, read at call time
     monkeypatch.setattr(evaluation, "_WEIGHT_CACHE", {})
-    monkeypatch.setattr(evaluation, "_WEIGHT_CACHE_LIMIT", 2500)
+    monkeypatch.setattr(frequencies, "DEFAULT_TERM_BUDGET", 2500)
     for sigma in (0.6, 0.7, 0.8, 0.9):  # 1000 weights each
         evaluation._weight_entry(Naturals(), sigma, 1000)
-    assert [s for _, s in evaluation._WEIGHT_CACHE] == [0.8, 0.9]
+    assert [s for _, s, _ in evaluation._WEIGHT_CACHE] == [0.8, 0.9]
 
 
 def test_weight_cache_miss_reads_elements_without_counting(monkeypatch):
@@ -393,18 +394,23 @@ def test_upper_sum_bounds_the_exact_sum(small):
 
 
 def test_weight_entry_never_reads_a_shorter_arrays_total(monkeypatch):
-    # a bound is stored with the array it was summed over, so a swapped
-    # cache that holds a shorter array for the key cannot lend its smaller
-    # total to a longer prefix, and a shorter prefix reads the stored one
+    # a bound is stored with the array it was summed over, under a key that
+    # holds the count, so neither a longer nor a shorter array for the same
+    # sigma lends it its total: each request gets its own array's bound
     seq = Naturals()
-    long_w, _ = evaluation._weight_entry(seq, 0.7, 5000)
+    monkeypatch.setattr(evaluation, "_WEIGHT_CACHE", {})
+    long_w, long_bound = evaluation._weight_entry(seq, 0.7, 5000)
+    short_w, short_bound = evaluation._weight_entry(seq, 0.7, 100)
+    assert (long_w.size, short_w.size) == (5000, 100)
+    assert long_bound == evaluation._upper_sum(long_w)
+    assert short_bound == evaluation._upper_sum(short_w)
+    assert np.array_equal(short_w, long_w[:100])
+    assert evaluation._WEIGHT_CACHE[(seq, 0.7, 100)] == (short_w, short_bound)
     monkeypatch.setattr(evaluation, "_WEIGHT_CACHE", {})
     evaluation._weight_entry(seq, 0.7, 100)
     w, bound = evaluation._weight_entry(seq, 0.7, long_w.size)
     assert np.array_equal(w, long_w)
     assert Fraction(bound) >= sum(map(Fraction, long_w.tolist()))
-    assert evaluation._weight_entry(seq, 0.7, 50)[1] == evaluation._WEIGHT_CACHE[
-        (seq, 0.7)][1]
 
 
 class _CountingDict(dict):
@@ -503,15 +509,55 @@ def test_property_mellin_identity(seed, s):
     assert mellin_discrepancy(path, s, 500.0) < 1e-12
 
 
-def test_weight_cache_replacement_counts_only_other_entries(monkeypatch):
-    # a longer array for a cached (seq, sigma) replaces the shorter one, so
-    # only the other entries count toward the limit: 1000 + 1200 <= 2500
+def test_weight_cache_counts_every_count_of_one_sigma(monkeypatch):
+    # two counts of one sigma are two entries, and both count toward the
+    # limit: 1000 + 1000 + 1200 > 2500 evicts the oldest, sigma 0.7
     monkeypatch.setattr(evaluation, "_WEIGHT_CACHE", {})
-    monkeypatch.setattr(evaluation, "_WEIGHT_CACHE_LIMIT", 2500)
+    monkeypatch.setattr(frequencies, "DEFAULT_TERM_BUDGET", 2500)
     for sigma, count in ((0.7, 1000), (0.6, 1000), (0.6, 1200)):
         evaluation._weight_entry(Naturals(), sigma, count)
-    assert [(s, a.size) for (_, s), (a, _) in evaluation._WEIGHT_CACHE.items()] == [
-        (0.7, 1000), (0.6, 1200)]
+    assert [(s, a.size) for (_, s, _), (a, _) in evaluation._WEIGHT_CACHE.items()] == [
+        (0.6, 1000), (0.6, 1200)]
+
+
+@given(st.lists(st.tuples(st.sampled_from([0.55, 0.7, 1.3, 2.0]),
+                          st.integers(0, 1500)), min_size=1, max_size=12),
+       st.integers(1500, 4000))
+@settings(max_examples=60, deadline=None)
+def test_property_weight_cache_returns_the_requested_array(requests, budget):
+    # any interleaving of requests under a budget small enough to evict:
+    # each request gets exactly its own array with its own bound, and the
+    # cached arrays never hold more than the budget (patched by hand: a
+    # function-scoped monkeypatch would span every example)
+    seq = WeightedNaturals(2.0)
+    saved = evaluation._WEIGHT_CACHE, frequencies.DEFAULT_TERM_BUDGET
+    evaluation._WEIGHT_CACHE, frequencies.DEFAULT_TERM_BUDGET = {}, budget
+    try:
+        for sigma, count in requests:
+            w, bound = evaluation._weight_entry(seq, sigma, count)
+            expected = seq._powers(seq.start_index, count, -sigma)
+            assert w.tobytes() == expected.tobytes()
+            assert bound == evaluation._upper_sum(expected)
+            assert sum(a.size for a, _ in evaluation._WEIGHT_CACHE.values()) <= budget
+    finally:
+        evaluation._WEIGHT_CACHE, frequencies.DEFAULT_TERM_BUDGET = saved
+
+
+def test_held_weights_count_against_the_budget(monkeypatch):
+    # one call's weight arrays are checked in total before any is formed:
+    # each 1000-term array fits a budget of 2500, three of them do not
+    monkeypatch.setattr(evaluation, "_WEIGHT_CACHE", {})
+    seq = Naturals()
+    path = SamplePath(seq, 1, 0)
+    cert = tail_certificate(seq, 0.6, 1000.0, 0.05)
+    monkeypatch.setattr(frequencies, "DEFAULT_TERM_BUDGET", 2500)
+    for call in (lambda: partial_sum_table(path, [(s, 1000.0) for s in (0.7, 0.8, 0.9)]),
+                 lambda: decide(path, [0.7, 0.8, 0.9], cert),
+                 lambda: evaluate(path, [0.7, 0.8, 0.9], cert)):
+        with pytest.raises(ResourceBudgetError, match="needs 3000 terms"):
+            call()
+        assert evaluation._WEIGHT_CACHE == {}
+    assert len(decide(path, [0.7, 0.8], cert)) == 2
 
 
 def test_weight_cache_miss_holds_no_element_array(monkeypatch):

@@ -9,11 +9,12 @@ from dirichletlab import (
     BuEventConfig,
     ExceedanceConfig,
     NoZeroConfig,
+    ResourceBudgetError,
     SignChangeConfig,
     ValidationError,
     run_experiment,
 )
-from dirichletlab import experiments, zeros
+from dirichletlab import evaluation, experiments, frequencies, zeros
 from dirichletlab.evaluation import evaluate, tail_certificate
 from dirichletlab.experiments import (
     _config_dict,
@@ -22,7 +23,7 @@ from dirichletlab.experiments import (
     config_hash,
     rows_to_csv,
 )
-from dirichletlab.frequencies import WeightedNaturals, make_sequence
+from dirichletlab.frequencies import FrequencySequence, WeightedNaturals, make_sequence
 from dirichletlab.paths import SamplePath
 from dirichletlab.summation import compensated_sum
 
@@ -327,6 +328,21 @@ def test_sign_change_validation():
         )
     with pytest.raises(ValidationError, match="ladder must not be empty"):
         run_experiment(SignChangeConfig(ladder=(), trials=1))
+    with pytest.raises(ValidationError, match="sigma_hi must be finite"):
+        run_experiment(SignChangeConfig(sigma_hi=math.nan, trials=1))
+
+
+def test_sign_change_setup_checks_its_weights_against_the_budget(monkeypatch):
+    # the heuristic arrays are checked in total before any is formed: each
+    # of the 5 holds 1000 terms and fits a budget of 3000, all 5 do not
+    cfg = SignChangeConfig(ladder=(0.8, 0.7), grid_points=4, trials=1,
+                           cert_cutoff=1e3, heuristic_min_cutoff=1e3)
+    monkeypatch.setattr(evaluation, "_WEIGHT_CACHE", {})
+    monkeypatch.setattr(frequencies, "DEFAULT_TERM_BUDGET", 3000)
+    _setup.cache_clear()
+    with pytest.raises(ResourceBudgetError, match="needs 5000 terms"):
+        run_experiment(cfg)
+    assert evaluation._WEIGHT_CACHE == {}
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +413,9 @@ def test_bu_event_validation():
             run_experiment(BuEventConfig(threshold=threshold, trials=1))
     with pytest.raises(ValidationError, match="cutoff_ladder must not be empty"):
         run_experiment(BuEventConfig(cutoff_ladder=(), trials=1))
+    for horizon in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="horizon_factor must be finite"):
+            run_experiment(BuEventConfig(horizon_factor=horizon, trials=1))
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +441,24 @@ def test_exceedance_single_scale_matches_normal_tail():
 def test_exceedance_degenerate_level_flagged():
     rep = run_experiment(ExceedanceConfig(level=0.0, trials=10))
     assert rep.aggregates["degenerate_level"]
+
+
+def test_exceedance_trials_neither_count_nor_look_up(monkeypatch):
+    # the setup counts the scales and holds their weights, so a run's
+    # counting and weight lookups do not grow with its trials
+    calls = []
+    counting, lookup = FrequencySequence.counting_function, evaluation._weight_entry
+    monkeypatch.setattr(FrequencySequence, "counting_function",
+                        lambda self, x: calls.append(x) or counting(self, x))
+    monkeypatch.setattr(evaluation, "_weight_entry",
+                        lambda *args: calls.append(args) or lookup(*args))
+    per_run = []
+    for trials in (1, 5):
+        _setup.cache_clear()
+        calls.clear()
+        run_experiment(ExceedanceConfig(trials=trials))
+        per_run.append(len(calls))
+    assert per_run[0] == per_run[1] > 0
 
 
 def test_exceedance_validation():

@@ -51,13 +51,12 @@ def test_scan_streams_signs_once_per_evaluate(monkeypatch):
 
 
 def test_scan_counts_terms_once_per_round(monkeypatch):
-    # the initial grid and each refinement round count the certificate's
-    # terms once, however many exponents they hold; a first scan fills the
-    # weight cache (the cold scan is the next test)
+    # the certificate counts its terms once, however many exponents and
+    # rounds use it: a scan with a fresh certificate counts them once, and
+    # a second scan with the same certificate counts none
     seq = WeightedNaturals(2.0)
     cert = scan_certificate(seq, 0.6, 1e4, 0.05)
     path = SamplePath(seq, 3, 1)
-    scan(path, 0.6, 2.0, cert, max_refinement=4)
     counted = []
     original = FrequencySequence.counting_function
 
@@ -67,13 +66,16 @@ def test_scan_counts_terms_once_per_round(monkeypatch):
 
     monkeypatch.setattr(FrequencySequence, "counting_function", counting)
     rep = scan(path, 0.6, 2.0, cert, max_refinement=4)
+    assert rep.refinement_rounds >= 1
     assert len(rep.sigma_grid) > 2 * (1 + rep.refinement_rounds)
-    assert counted == [cert.cutoff] * (1 + rep.refinement_rounds)
+    assert counted == [cert.cutoff]
+    assert scan(path, 0.6, 2.0, cert, max_refinement=4) == rep
+    assert counted == [cert.cutoff]
 
 
 def test_scan_counts_terms_once_per_round_on_a_cold_cache(monkeypatch):
-    # weight-cache misses read the elements by the count the round holds,
-    # so a scan that fills the cache counts no more than a warm one
+    # weight-cache misses read the elements by the certificate's count, so
+    # a scan that fills the cache counts no more than a warm one
     monkeypatch.setattr(evaluation, "_WEIGHT_CACHE", {})
     seq = WeightedNaturals(2.0)
     cert = scan_certificate(seq, 0.6, 1e4, 0.05)
@@ -88,7 +90,7 @@ def test_scan_counts_terms_once_per_round_on_a_cold_cache(monkeypatch):
     rep = scan(SamplePath(seq, 3, 1), 0.6, 2.0, cert, max_refinement=4)
     assert len(rep.sigma_grid) > 2 * (1 + rep.refinement_rounds)
     assert len(evaluation._WEIGHT_CACHE) == len(rep.sigma_grid)
-    assert counted == [cert.cutoff] * (1 + rep.refinement_rounds)
+    assert counted == [cert.cutoff]
 
 
 def test_scan_rejects_initial_grid_outside_cap():
