@@ -50,7 +50,7 @@ from .frequencies import WeightedNaturals, _check_finite, make_sequence
 from .paths import SamplePath
 from .zeros import _certified_changes, _initial_grid, certify_no_zeros, scan_certificate
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def _canonical_json(obj) -> str:

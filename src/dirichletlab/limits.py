@@ -20,8 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, ResourceBudgetError, ValidationError
+from . import frequencies
 from .evaluation import _signed_sums, heuristic_cutoff
-from .frequencies import DEFAULT_TERM_BUDGET, FrequencySequence, _check_finite
+from .frequencies import FrequencySequence, _check_finite
 from .paths import SamplePath
 from .summation import _CHUNK, _BlockSum, _sum_of_squares
 
@@ -206,7 +207,7 @@ def variance_profile(seq: FrequencySequence, sigma: float) -> VarianceProfile:
         count = seq._count_up_to(scale)
     except ResourceBudgetError as exc:
         # invert the scale rule at the budget to name the smallest workable sigma
-        sigma_min = 0.5 + 0.5 / math.log(float(DEFAULT_TERM_BUDGET))
+        sigma_min = 0.5 + 0.5 / math.log(float(frequencies.DEFAULT_TERM_BUDGET))
         raise ResourceBudgetError(
             f"scale {scale:.3g}: {exc}; minimal feasible sigma is about "
             f"{sigma_min:.6f}"

@@ -364,9 +364,9 @@ def test_char_fn_payload_golden(tmp_path):
 
 @pytest.mark.parametrize("args, digest", [
     (["scan", "--seq", "weighted:2.0", "--seed", "3"],
-     "f322515bfbae68e974688b9779f87308b6c2cb541c5f3a7187aff2262f6894d6"),
+     "767e64aa2507ea7d77b973e5f480176ae934537f39772147159e2d15ca897be6"),
     (["eval", "--seq", "naturals"],
-     "a269b79b98441e2a69633ac48ff0a3e477e0025f52cdb71806de54f31f19e5b5"),
+     "be109532ba224684fc11716194dfda8fcdcaa2775af096086161fc307987138d"),
 ])
 def test_scan_and_eval_payload_golden(tmp_path, args, digest):
     # sha256 of the reports captured before scans took their certificate

@@ -477,7 +477,7 @@ def test_heuristic_cutoff_rule_and_budget_error():
 def test_partial_sum_golden():
     # captured before the chunk partials were summed by exact_sum
     got = partial_sum_table(SamplePath(Naturals(), 7, 0), [(0.75, 1e5)])[0]
-    assert got.hex() == "-0x1.01b5a965cf71cp+0"
+    assert got.hex() == "-0x1.7936c234ec894p+0"
 
 
 def test_non_finite_exponents_rejected():

@@ -57,14 +57,14 @@ def test_reports_identical_across_worker_counts():
 
 @pytest.mark.parametrize("cfg, digest", [
     (NoZeroConfig(trials=8, master_seed=1),
-     "063ca7d35d3fc64b41d02bf254f86e07c6f449c3cda11e16b11352acfade05df"),
+     "6b48ead2472eec4aff40ef23b6b0dff214a60c64c7516a7ed820e6417a7e1bc1"),
     (NoZeroConfig(trials=4, master_seed=2, cutoff=1e4, sigma0=0.58),
-     "9ed34f05b35535177621ab85c0a96fc6ede0fe25302f82f47bae33e69c5d021d"),
+     "b8e494f019ca546df1e3d720e6cefee0277b98aa3dbfd87a95da0c979f892c01"),
     (SignChangeConfig(trials=2, master_seed=1),
-     "e7061d220be9b4cf6cbc8f57f6cef245b6b663f701a91b4b6b28574f6533ea83"),
+     "75a53fbda01c3b5c6b50eedcc292d37ed56c3404de0a5a15d1d0dc0c191b4f56"),
 ])
 def test_experiment_payload_golden(cfg, digest):
-    # report hashes at experiments schema 2
+    # report hashes at experiments schema 3
     assert run_experiment(cfg).report_hash() == digest
 
 
@@ -234,7 +234,7 @@ def test_sign_change_convergent_sequence_counts_stay_flat():
 
 
 def test_sign_change_decided_fraction_matches_evaluate():
-    cfg = SignChangeConfig(ladder=(0.9, 0.8), trials=3, grid_points=8,
+    cfg = SignChangeConfig(ladder=(0.9, 0.8), trials=6, grid_points=8,
                            cert_cutoff=1e4, heuristic_max_cutoff=1e6)
     rep = run_experiment(cfg)
     seq = make_sequence(cfg.seq)

@@ -14,7 +14,7 @@ from dirichletlab import (
     ks_statistic,
     variance_profile,
 )
-from dirichletlab import limits
+from dirichletlab import frequencies, limits
 from dirichletlab.limits import char_function_gaussian_gap
 from dirichletlab.summation import compensated_sum
 
@@ -116,6 +116,16 @@ def test_variance_profile_scale_rule():
     assert prof.scale == pytest.approx(math.exp(2.0))
     assert prof.head_count == int(math.exp(2.0))
     assert prof.tail_variance_lo <= prof.tail_variance_hi
+
+
+def test_variance_profile_names_the_patched_budgets_sigma(monkeypatch):
+    # the scale exp(1/(2 sigma - 1)) fits a budget of 100 from
+    # sigma = 1/2 + 1/(2 ln 100) ~ 0.6086 on; at sigma = 0.6 it is 148
+    monkeypatch.setattr(frequencies, "DEFAULT_TERM_BUDGET", 100)
+    with pytest.raises(ResourceBudgetError, match="minimal feasible sigma") as info:
+        variance_profile(Naturals(), 0.6)
+    named = float(str(info.value).rsplit(" ", 1)[-1])
+    assert named == pytest.approx(0.5 + 0.5 / math.log(100), abs=1e-6)
 
 
 def test_variance_profile_dichotomy_direction():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirichletlab import Naturals, Primes, SamplePath, ValidationError
+from dirichletlab import Naturals, Primes, SamplePath, ValidationError, paths
 from dirichletlab.experiments import BuEventConfig, _trial
 from dirichletlab.frequencies import make_sequence
 
@@ -35,11 +35,11 @@ def _sha(signs):
 def test_generator_bits_are_pinned():
     # golden digests: any change to the generator's bits changes payloads
     assert _sha(SamplePath(Naturals(), 7, 0).signs_up_to(10**5)) == (
-        "9baee6a4f9a92beeb322a0172e5326daad070b5c137f4f952a6ed4bae066c00c")
+        "cfa18912a8a1308e39185cb7353bfcd33fd6c50cfcc474c351c290a2dda192ab")
     signs = SamplePath(make_sequence("weighted:2.0"), 1, 0).signs_up_to(1e5)
     assert signs.size == 1782
     assert _sha(signs) == (
-        "c4f3cdbcbfb11912db0c7db72f8daf1d89d0a2eb65d751ee35b1454021b0bea8")
+        "7b56a66850104682b61f7c53d108b985023b379261d1d336ac78164f3a8105f5")
 
 
 def test_streams_differ_across_trials_and_seeds():
@@ -130,3 +130,66 @@ def test_property_scalar_vector_agree(start, lead, count, seed):
                                          for d in (-1, 0)}
     for k in sorted(k for k in edges if 0 <= k < count):
         assert float(path.sign_at(start + k)) == vec[k]
+
+
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def _oracle_signs(path, first, count):
+    # bit i % 64 of the integer word i // 64, read with Python ints alone
+    out = []
+    for i in range(first, first + count):
+        word = paths._mix64(path._key + (i // 64) * _GAMMA)
+        out.append(1.0 if word >> (i % 64) & 1 else -1.0)
+    return out
+
+
+@given(
+    st.integers(0, 2 ** 64 - 1),
+    st.integers(0, 2 ** 20),
+    st.one_of(st.integers(1, 200),
+              st.sampled_from([_CH - 1, _CH, _CH + 1, 1 << 40, (1 << 40) + 37])),
+    st.one_of(st.integers(0, 200),
+              st.sampled_from([_CH - 1, _CH, _CH + 63, 2 * _CH + 65])),
+    st.data(),
+)
+@settings(max_examples=30, deadline=None)
+def test_property_signs_match_the_word_bit_oracle(seed, trial, start, count, data):
+    # the sign of index i is bit i % 64 of word i // 64, mixed from
+    # key + (i // 64) * gamma; every accessor serves that bit
+    path = SamplePath(Naturals(start_index=start), seed, trial)
+    oracle = _oracle_signs(path, start, count)
+    vec = path.signs_up_to(start - 1 + count)
+    assert vec.tolist() == oracle
+    streamed = [x for _, signs in path._sign_chunks(count) for x in signs.tolist()]
+    assert streamed == oracle
+    if count:
+        picks = data.draw(st.lists(st.integers(0, count - 1), max_size=8))
+        for k in {0, count - 1, *picks}:
+            assert path.sign_at(start + k) == oracle[k]
+
+
+def test_sign_bits_pass_binomial_bounds():
+    # For independent fair signs, each statistic below is the mean of m
+    # independent +-1 values (a product of two distinct signs is one), and
+    # Hoeffding's bound on the binomial gives
+    # P(|mean| >= t) <= 2 exp(-m t**2 / 2).
+    # Over 4 keys x (mean, lag 1, lag 64, 64 bit positions) = 268 checks,
+    # each at level 1e-4 / 268 (Bonferroni), the family fails a correct
+    # generator with probability below 1e-4.
+    n = 1 << 20
+    keys = [(1, 0), (2, 0), (2, 1), (2 ** 63 + 5, 7)]
+    level = 1e-4 / (len(keys) * (3 + 64))
+
+    def bound(m):
+        return math.sqrt(2.0 * math.log(2.0 / level) / m)
+
+    for seed, trial in keys:
+        # indices 64 .. 64 + n - 1, so column b of the rows holds bit b
+        signs = SamplePath(Naturals(), seed, trial).signs_up_to(n + 63)[63:]
+        assert signs.size == n
+        assert abs(float(np.mean(signs))) < bound(n)
+        for lag in (1, 64):
+            assert abs(float(np.mean(signs[lag:] * signs[:-lag]))) < bound(n - lag)
+        by_bit = np.abs(signs.reshape(-1, 64).mean(axis=0))
+        assert float(by_bit.max()) < bound(n // 64)
