@@ -104,27 +104,15 @@ def prefix_tail_probabilities(
             for m, sums in enumerate(_prefix_sums(instance.weights), start=1)]
 
 
-def levy_bound(
-    instance: WeightedRademacherInstance,
-    t: float,
-    mode: str = "exact",
-) -> Fraction | float:
-    """Maximal-inequality bound 3 * max over m of P(|S_m| >= t/3).
-
-    mode "exact" evaluates the prefix probabilities exhaustively and
-    returns an exact Fraction; mode "hoeffding" substitutes the
-    subgaussian bound for each prefix probability and returns a float.
+def levy_bound(instance: WeightedRademacherInstance, t: float) -> Fraction:
+    """Maximal-inequality bound 3 * max over m of P(|S_m| >= t/3), with
+    the prefix probabilities evaluated exhaustively: an exact Fraction.
     The exact max-prefix tail probability is always <= this bound.
     """
     if t <= 0:
         raise ValidationError("t must be positive")
-    if mode == "exact":
-        probs = prefix_tail_probabilities(instance, t / 3.0)
-        return min(Fraction(1), 3 * max(probs))
-    if mode == "hoeffding":
-        # prefix variances are increasing, so the largest bound is the full one
-        return min(1.0, 3.0 * hoeffding_bound(instance, t / 3.0))
-    raise ValidationError(f"unknown mode {mode!r}")
+    probs = prefix_tail_probabilities(instance, t / 3.0)
+    return min(Fraction(1), 3 * max(probs))
 
 
 def wilson_interval(

@@ -34,7 +34,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from ._version import VERSION
+from ._version import SCHEMA_VERSION, VERSION
 from .bounds import wilson_interval
 from .errors import ValidationError
 from .evaluation import (
@@ -50,7 +50,10 @@ from .frequencies import WeightedNaturals, _check_finite, make_sequence
 from .paths import SamplePath
 from .zeros import _certified_changes, _initial_grid, certify_no_zeros, scan_certificate
 
-SCHEMA_VERSION = 3
+# the head of every study's tail enclosures: certificates and excursion bounds
+HEAD_TERMS = 20_000
+# the smallest cutoff a heuristic sign is summed to
+HEURISTIC_MIN_CUTOFF = 10_000.0
 
 
 def _canonical_json(obj) -> str:
@@ -104,12 +107,6 @@ class NoZeroConfig:
     eta: float = 1e-3
     trials: int = 500
     master_seed: int = 1
-    sigma0: float | None = None
-    initial_grid: int = 16
-    max_refinement: int = 6
-    resolution: float = 2e-3
-    sigma_switch: float = 2.0
-    head_terms: int = 20_000
     kind: str = field(default="no_zero", init=False)
 
 
@@ -123,9 +120,7 @@ class SignChangeConfig:
     grid_points: int = 28
     cert_cutoff: float = 100_000.0
     eta: float = 0.01
-    heuristic_min_cutoff: float = 10_000.0
     heuristic_max_cutoff: float = 20_000_000.0
-    head_terms: int = 20_000
     kind: str = field(default="sign_change", init=False)
 
 
@@ -138,7 +133,6 @@ class BuEventConfig:
     trials: int = 2000
     master_seed: int = 1
     bound_count_ladder: tuple[int, ...] = ()
-    head_terms: int = 20_000
     kind: str = field(default="bu_event", init=False)
 
 
@@ -201,20 +195,17 @@ def _fraction_entry(successes: int, trials: int) -> dict:
 
 
 def _no_zero_setup(cfg: NoZeroConfig, seq):
-    """``certify_no_zeros`` with every path-independent argument of the
-    config bound, its tail certificate included."""
+    """``certify_no_zeros`` with sigma_lo and the config's tail
+    certificate bound."""
     # building the certificate checks eta and the sigma_lo <= 1/2 rule
-    cert = scan_certificate(seq, cfg.sigma_lo, cfg.cutoff, cfg.eta,
-                            cfg.sigma0, cfg.head_terms)
+    cert = scan_certificate(seq, cfg.sigma_lo, cfg.cutoff, cfg.eta, HEAD_TERMS)
     if not seq.reciprocal_sum_converges:
         warnings.warn(
             "reciprocal sum diverges: no-zero certification is expected to "
             "fail on most trials in this regime",
             stacklevel=2,
         )
-    return partial(certify_no_zeros, sigma_lo=cfg.sigma_lo, cert=cert,
-                   sigma_switch=cfg.sigma_switch, initial_grid=cfg.initial_grid,
-                   max_refinement=cfg.max_refinement, resolution=cfg.resolution)
+    return partial(certify_no_zeros, sigma_lo=cfg.sigma_lo, cert=cert)
 
 
 def _no_zero_trial(cfg: NoZeroConfig, certify, path: SamplePath) -> dict:
@@ -261,7 +252,6 @@ def _sign_change_setup(cfg: SignChangeConfig, seq) -> dict:
         )
     if cfg.grid_points < 2:
         raise ValidationError("grid_points must be >= 2")
-    _check_finite("heuristic_min_cutoff", cfg.heuristic_min_cutoff)
     _check_finite("heuristic_max_cutoff", cfg.heuristic_max_cutoff)
     ladder = sorted(cfg.ladder, reverse=True)
     rule = heuristic_cutoff(ladder[-1])
@@ -272,10 +262,9 @@ def _sign_change_setup(cfg: SignChangeConfig, seq) -> dict:
         )
     grid = sorted(set(_initial_grid(ladder[-1], cfg.sigma_hi, cfg.grid_points))
                   | set(float(s) for s in ladder))
-    cutoffs = [min(max(heuristic_cutoff(s), cfg.heuristic_min_cutoff),
+    cutoffs = [min(max(heuristic_cutoff(s), HEURISTIC_MIN_CUTOFF),
                    cfg.heuristic_max_cutoff) for s in grid]
-    cert = scan_certificate(seq, ladder[-1], cfg.cert_cutoff, cfg.eta,
-                            head_terms=cfg.head_terms)
+    cert = scan_certificate(seq, ladder[-1], cfg.cert_cutoff, cfg.eta, HEAD_TERMS)
     entries = _weight_entries(seq, [(s, seq._count_up_to(c))
                                     for s, c in zip(grid, cutoffs)])
     rung_start = [grid.index(float(rv)) for rv in ladder]  # every rung is in grid
@@ -359,7 +348,7 @@ def _bu_setup(cfg: BuEventConfig, seq) -> dict:
     for u in cfg.cutoff_ladder:
         horizon = u * cfg.horizon_factor
         windows.append((seq.counting_function(u), seq.counting_function(horizon)))
-        _, t_upper = seq.tail_power_sum(1.0, u, head_terms=cfg.head_terms)
+        _, t_upper = seq.tail_power_sum(1.0, u, head_terms=HEAD_TERMS)
         # the bound checks the threshold
         per_cutoff.append({"cutoff": u, "horizon": horizon,
                            "tail_reciprocal_upper": t_upper,

@@ -14,6 +14,7 @@ import math
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
+from ._version import SCHEMA_VERSION
 from .errors import ValidationError
 from .evaluation import TailCertificate, decide, tail_certificate
 from .frequencies import (
@@ -24,9 +25,11 @@ from .frequencies import (
 )
 from .paths import SamplePath
 
-SCHEMA_VERSION = 1
-
 _MAX_GRID_POINTS = 20_000
+# the no-zero scan policy: the domination search starts at SIGMA_SWITCH
+# (or just above sigma_lo), and the scan below it refines to NO_ZERO_RESOLUTION
+SIGMA_SWITCH = 2.0
+NO_ZERO_RESOLUTION = 2e-3
 
 
 @dataclass
@@ -87,14 +90,13 @@ def scan_certificate(
     sigma_lo: float,
     cutoff: float,
     eta: float,
-    sigma0: float | None = None,
     head_terms: int = DEFAULT_TAIL_HEAD_TERMS,
 ) -> TailCertificate:
     """The tail certificate for scans of ``seq`` from ``sigma_lo`` up.
 
-    Its base exponent ``sigma0`` defaults to (sigma_lo + 1/2)/2, halfway
-    to the critical line.  Below 1/2 only a finite sequence summed to its
-    end can be certified, with an exact certificate based at sigma_lo.
+    Its base exponent is (sigma_lo + 1/2)/2, halfway to the critical line,
+    and sigma_lo itself at or below 1/2, where only a finite sequence
+    summed to its end can be certified, with an exact certificate.
     """
     _check_finite("sigma_lo", sigma_lo)
     exact_possible = isinstance(seq, Explicit) and cutoff >= seq.values[-1]
@@ -102,8 +104,7 @@ def scan_certificate(
         raise ValidationError(
             "scanning at or below 1/2 needs a finite sequence summed exactly"
         )
-    if sigma0 is None:
-        sigma0 = (sigma_lo + 0.5) / 2.0 if sigma_lo > 0.5 else sigma_lo
+    sigma0 = (sigma_lo + 0.5) / 2.0 if sigma_lo > 0.5 else sigma_lo
     return tail_certificate(seq, sigma0, cutoff, eta, head_terms=head_terms)
 
 
@@ -205,11 +206,6 @@ def certify_no_zeros(
     path: SamplePath,
     sigma_lo: float,
     cert: TailCertificate,
-    *,
-    sigma_switch: float = 2.0,
-    initial_grid: int = 16,
-    max_refinement: int = 6,
-    resolution: float = 1e-3,
 ) -> SignScanReport:
     """Attempt to certify that the series has no zero on [sigma_lo, inf).
 
@@ -221,10 +217,9 @@ def certify_no_zeros(
     legitimate outcome and raises nothing.
     """
     seq = path.seq
-    dom_sigma = _single_term_domination_sigma(seq, max(sigma_switch, sigma_lo + 1e-9))
-    hi = dom_sigma if dom_sigma is not None else max(sigma_switch, sigma_lo + 1.0)
-    report = scan(path, sigma_lo, hi, cert, initial_grid=initial_grid,
-                  max_refinement=max_refinement, resolution=resolution)
+    dom_sigma = _single_term_domination_sigma(seq, max(SIGMA_SWITCH, sigma_lo + 1e-9))
+    hi = dom_sigma if dom_sigma is not None else max(SIGMA_SWITCH, sigma_lo + 1.0)
+    report = scan(path, sigma_lo, hi, cert, resolution=NO_ZERO_RESOLUTION)
     report.domination_sigma = dom_sigma
     # one decided sign everywhere, the leading element's: no certified
     # change, and a failed probabilistic certificate shows as a mismatch

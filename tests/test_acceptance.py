@@ -73,7 +73,7 @@ def test_criterion_1_exact_probabilities_never_exceed_bounds():
             if float(p_sum) > hoeffding_bound(inst, lam):
                 failures.append(f"instance {k}: sum tail beats bound at {lam:.4g}")
             p_max = exact_tail(inst, lam, mode="max_prefix_abs")
-            if p_max > levy_bound(inst, lam, mode="exact"):
+            if p_max > levy_bound(inst, lam):
                 failures.append(f"instance {k}: prefix tail beats bound at {lam:.4g}")
     _verdict("criterion 1 (exact tails vs. bounds)",
              time.monotonic() - start, 30.0, failures)

@@ -79,14 +79,6 @@ def test_levy_dominates_exact_max_prefix():
             assert exact <= levy_bound(inst, float(t))  # exact Fractions
 
 
-def test_levy_hoeffding_mode_dominates_exact_mode_form():
-    inst = WeightedRademacherInstance((1.0, 0.7, 0.4, 0.3))
-    for t in (0.5, 1.5, 3.0):
-        exact = levy_bound(inst, t, mode="exact")
-        loose = levy_bound(inst, t, mode="hoeffding")
-        assert float(exact) <= loose + 1e-12
-
-
 def test_prefix_tail_probabilities_monotone_pieces():
     inst = WeightedRademacherInstance((0.5, 0.5, 0.5))
     probs = prefix_tail_probabilities(inst, 1.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -354,6 +355,54 @@ def test_experiment_defaults_are_config_defaults(
     assert handed == [default]
 
 
+_EXPERIMENTS = {
+    "no-zeros": NoZeroConfig,
+    "sign-changes": SignChangeConfig,
+    "bu-event": BuEventConfig,
+    "exceedance": ExceedanceConfig,
+}
+
+
+def _other_text(value):
+    """Flag text for a value unlike ``value``, a config default."""
+    if isinstance(value, str):
+        return "weighted:3.0"
+    if isinstance(value, tuple):
+        return ",".join([*map(str, value), "7"])
+    return str(value + 1)
+
+
+@pytest.mark.parametrize("subcommand", list(_EXPERIMENTS))
+def test_experiment_flags_and_config_fields_match_one_to_one(
+    tmp_path, monkeypatch, subcommand
+):
+    # each flag, given alone, moves exactly one field off its default, and
+    # every init field of the config is moved by exactly one flag
+    cls = _EXPERIMENTS[subcommand]
+    default = cls()
+    handed = []
+
+    class Stop(Exception):
+        pass
+
+    def fake_run(cfg, workers=1):
+        handed.append(cfg)
+        raise Stop  # the run itself is not under test
+
+    monkeypatch.setattr(cli, "run_experiment", fake_run)
+    set_by = {f.name: [] for f in dataclasses.fields(cls) if f.init}
+    for flag, (_cast, value, _help) in cli._SUBCOMMANDS[subcommand][0].items():
+        handed.clear()
+        option = "--" + flag.replace("_", "-")
+        assert run_cli(tmp_path, subcommand, option, _other_text(value)) == 3
+        (cfg,) = handed
+        moved = [name for name in set_by
+                 if getattr(cfg, name) != getattr(default, name)]
+        assert len(moved) == 1, (flag, moved)
+        set_by[moved[0]].append(flag)
+    assert all(len(flags) == 1 for flags in set_by.values()), set_by
+
+
 def test_char_fn_payload_golden(tmp_path):
     # sha256 of the report captured before char_function took whole grids
     assert run_cli(tmp_path, "char-fn", "--seq", "primes") == 0
@@ -363,13 +412,16 @@ def test_char_fn_payload_golden(tmp_path):
 
 
 @pytest.mark.parametrize("args, digest", [
-    (["scan", "--seq", "weighted:2.0", "--seed", "3"],
-     "767e64aa2507ea7d77b973e5f480176ae934537f39772147159e2d15ca897be6"),
-    (["eval", "--seq", "naturals"],
-     "be109532ba224684fc11716194dfda8fcdcaa2775af096086161fc307987138d"),
+    pytest.param(["scan", "--seq", "weighted:2.0", "--seed", "3"],
+                 "e070b02e8327cc8abb2068b2657ec749eae385190f52ab1b9c7b93942ac4b355",
+                 id="scan"),
+    pytest.param(["eval", "--seq", "naturals"],
+                 "be109532ba224684fc11716194dfda8fcdcaa2775af096086161fc307987138d",
+                 id="eval"),
 ])
 def test_scan_and_eval_payload_golden(tmp_path, args, digest):
-    # sha256 of the reports captured before scans took their certificate
+    # sha256 of the reports: eval's captured before scans took their
+    # certificate, scan's at schema 4
     assert run_cli(tmp_path, *args) == 0
     (report,) = tmp_path.glob(f"{args[0]}_*.json")
     assert hashlib.sha256(report.read_bytes()).hexdigest() == digest

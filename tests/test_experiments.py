@@ -2,6 +2,7 @@ import json
 import math
 import os
 import tracemalloc
+from functools import partial
 
 import pytest
 
@@ -26,6 +27,7 @@ from dirichletlab.experiments import (
 from dirichletlab.frequencies import FrequencySequence, WeightedNaturals, make_sequence
 from dirichletlab.paths import SamplePath
 from dirichletlab.summation import compensated_sum
+from dirichletlab.zeros import certify_no_zeros, scan_certificate
 
 from conftest import normal_cdf
 
@@ -56,15 +58,19 @@ def test_reports_identical_across_worker_counts():
 
 
 @pytest.mark.parametrize("cfg, digest", [
-    (NoZeroConfig(trials=8, master_seed=1),
-     "6b48ead2472eec4aff40ef23b6b0dff214a60c64c7516a7ed820e6417a7e1bc1"),
-    (NoZeroConfig(trials=4, master_seed=2, cutoff=1e4, sigma0=0.58),
-     "b8e494f019ca546df1e3d720e6cefee0277b98aa3dbfd87a95da0c979f892c01"),
-    (SignChangeConfig(trials=2, master_seed=1),
-     "75a53fbda01c3b5c6b50eedcc292d37ed56c3404de0a5a15d1d0dc0c191b4f56"),
+    pytest.param(NoZeroConfig(trials=8, master_seed=1),
+                 "31eefbf4d9c015020eceee5875eb3cbc7471929d732379478cab310d90c53554",
+                 id="no_zero-default"),
+    # sigma_lo 0.66 derives the certificate base sigma0 = 0.58
+    pytest.param(NoZeroConfig(trials=4, master_seed=2, cutoff=1e4, sigma_lo=0.66),
+                 "0661cb879d3aa3412610d306a42412b19742f7fc97548e68538479c962ebbea6",
+                 id="no_zero-sigma_lo_0.66"),
+    pytest.param(SignChangeConfig(trials=2, master_seed=1),
+                 "f28dc5e8f1ee4971176f2fa917b13ad9836b2ffe4ae6cb79da25aecadea55829",
+                 id="sign_change-default"),
 ])
 def test_experiment_payload_golden(cfg, digest):
-    # report hashes at experiments schema 3
+    # report hashes at schema 4
     assert run_experiment(cfg).report_hash() == digest
 
 
@@ -190,16 +196,23 @@ def test_no_zero_lower_bound_is_wilson_lo_minus_eta(cfg, eta, finite):
         assert bound is None
 
 
+def test_no_zero_trial_is_a_direct_certify_no_zeros_call():
+    # the scan policy lives in zeros alone: a direct call with the study's
+    # sigma_lo and certificate gives each trial's report
+    cfg = NoZeroConfig(trials=20)
+    seq, certify, _ = _setup(cfg)
+    cert = scan_certificate(seq, cfg.sigma_lo, cfg.cutoff, cfg.eta,
+                            head_terms=experiments.HEAD_TERMS)
+    for i in range(cfg.trials):
+        path = SamplePath(seq, cfg.master_seed, i)
+        assert certify(path) == certify_no_zeros(path, cfg.sigma_lo, cert)
+
+
 def test_no_zero_validation_and_divergence_warning():
     with pytest.raises(ValidationError):
         run_experiment(NoZeroConfig(trials=0))
     with pytest.raises(ValidationError):
         run_experiment(NoZeroConfig(seq="naturals", sigma_lo=0.4, trials=1))
-    # the scan checks the refinement resolution of every trial
-    for resolution in (math.nan, 0.0, -1.0):
-        with pytest.raises(ValidationError, match="resolution must be"):
-            run_experiment(NoZeroConfig(resolution=resolution, trials=1,
-                                        cutoff=1e4))
     with pytest.warns(UserWarning, match="diverges"):
         run_experiment(
             NoZeroConfig(seq="naturals", trials=1, cutoff=1e3)
@@ -208,6 +221,16 @@ def test_no_zero_validation_and_divergence_warning():
 
 # ---------------------------------------------------------------------------
 # sign_change
+
+
+@pytest.fixture
+def min_cutoff(monkeypatch):
+    """Sets ``experiments.HEURISTIC_MIN_CUTOFF`` for one test, with the
+    setup cache cleared before and after, so no setup built under one
+    value serves a config under another."""
+    _setup.cache_clear()
+    yield partial(monkeypatch.setattr, experiments, "HEURISTIC_MIN_CUTOFF")
+    _setup.cache_clear()
 
 
 def test_sign_change_counts_nondecreasing_along_descending_ladder():
@@ -239,7 +262,7 @@ def test_sign_change_decided_fraction_matches_evaluate():
     rep = run_experiment(cfg)
     seq = make_sequence(cfg.seq)
     cert = tail_certificate(seq, 0.5 + 0.5 * (0.8 - 0.5), cfg.cert_cutoff,
-                            cfg.eta, head_terms=cfg.head_terms)
+                            cfg.eta, head_terms=experiments.HEAD_TERMS)
     grid = _setup(cfg)[1]["grid"]
     assert grid[0] == 0.8 and grid[-1] == cfg.sigma_hi
     fractions = []
@@ -251,14 +274,15 @@ def test_sign_change_decided_fraction_matches_evaluate():
     assert 0.0 < min(fractions) < 1.0
 
 
-def test_sign_change_rows_match_the_exact_sums():
+def test_sign_change_rows_match_the_exact_sums(min_cutoff):
     # every kept sign is the sign of the exact path's value: evaluate's
     # decided sign where the certified sum beats its radius, else the sign
     # of compensated_sum over the heuristic cutoff (a zero sum counts +1);
     # the 1e5-term certified sums and the 2e5-term heuristic sums, every
     # one clamped to 2e5 terms, span more than one chunk
+    min_cutoff(2e5)
     cfg = SignChangeConfig(ladder=(0.7, 0.56), trials=3, grid_points=10,
-                           heuristic_min_cutoff=2e5, heuristic_max_cutoff=2e5)
+                           heuristic_max_cutoff=2e5)
     seq, st, _ = _setup(cfg)
     weights = [w for w, _ in st["entries"]]
     assert max(w.size for w in weights) == 200_000
@@ -332,14 +356,15 @@ def test_sign_change_validation():
         run_experiment(SignChangeConfig(sigma_hi=math.nan, trials=1))
 
 
-def test_sign_change_setup_checks_its_weights_against_the_budget(monkeypatch):
+def test_sign_change_setup_checks_its_weights_against_the_budget(
+        monkeypatch, min_cutoff):
     # the heuristic arrays are checked in total before any is formed: each
     # of the 5 holds 1000 terms and fits a budget of 3000, all 5 do not
+    min_cutoff(1e3)
     cfg = SignChangeConfig(ladder=(0.8, 0.7), grid_points=4, trials=1,
-                           cert_cutoff=1e3, heuristic_min_cutoff=1e3)
+                           cert_cutoff=1e3)
     monkeypatch.setattr(evaluation, "_WEIGHT_CACHE", {})
     monkeypatch.setattr(frequencies, "DEFAULT_TERM_BUDGET", 3000)
-    _setup.cache_clear()
     with pytest.raises(ResourceBudgetError, match="needs 5000 terms"):
         run_experiment(cfg)
     assert evaluation._WEIGHT_CACHE == {}

@@ -16,6 +16,7 @@ from dirichletlab import (
 )
 from dirichletlab import evaluation
 from dirichletlab.frequencies import FrequencySequence
+from dirichletlab._version import SCHEMA_VERSION
 from dirichletlab.zeros import _MAX_GRID_POINTS
 
 from conftest import explicit, path_with_signs
@@ -242,7 +243,7 @@ def test_report_serialization_round_trip():
                scan_certificate(seq, 0.3, 1e4, 0.05))
     data = json.loads(json.dumps(rep.to_dict()))
     assert data["kind"] == "sign_scan"
-    assert data["schema_version"] == 1
+    assert data["schema_version"] == SCHEMA_VERSION
     assert data["seq"].startswith("explicit:")
     assert data["sign_changes"] == rep.sign_changes
     assert data["certificate"]["exhausted"] is True
