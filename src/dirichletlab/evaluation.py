@@ -18,6 +18,11 @@ the certified radii, and the heuristic pass of a sign-change trial at
 radius 0.  The signs equal those of the values that ``_signed_sums``
 returns, at any length.
 
+Each shared weight array ``p**-sigma`` has one owner: a certificate's
+``scan_weights`` holds those of ``evaluate`` and ``decide``, a study's setup
+its others.  ``_weight_pairs`` caches nothing, and no module-level container
+holds an array, so no sequence is handed another's weights.
+
 Below the certifiable range the near-critical rule ``heuristic_cutoff``
 picks a truncation scale for partial sums that carry no error bound.
 """
@@ -44,53 +49,16 @@ from .summation import _CHUNK, _chunk_partial, exact_sum
 EXACT = "exact"
 PROBABILISTIC = "probabilistic"
 
-# ---------------------------------------------------------------------------
-# Weight cache: p**-sigma arrays are path-independent and reused heavily
-# across Monte Carlo trials.  One entry per key ``(seq, sigma, count)``, all
-# that determines the array: the array and ``_upper_sum`` of it, stored and
-# read together.  Keyed on the frozen sequence itself, so sequences that
-# differ only in start_index never share an entry.  The arrays hold at most
-# ``DEFAULT_TERM_BUDGET`` floats in total, per process; the oldest entries
-# are evicted first.  A miss fills its array with ``_powers``, so it holds
-# about 8 bytes per term while it runs, not 16.
-# A plain module-level dict without a lock: each worker process fills its
-# own, and threads must not share it (a concurrent miss can compute an
-# entry twice, or raise while it evicts).  An entry is one tuple, stored
-# and read in one dict operation, so no race can pair an array with
-# another array's bound.
 
-_WEIGHT_CACHE: dict[tuple[FrequencySequence, float, int],
-                    tuple[np.ndarray, float]] = {}
-
-
-def _weight_entry(seq: FrequencySequence, sigma: float,
-                  count: int) -> tuple[np.ndarray, float]:
-    """``(w, bound)``: the first ``count`` weights ``p**-sigma`` of ``seq``
-    and ``_upper_sum(w)``, a float at least ``sum(w)``.
-
-    ``count`` is a term count that already passed the budget.  A hit is
-    one ``_WEIGHT_CACHE`` read; a miss checks ``sigma``, so every cached
-    key is finite, and computes the weights with ``seq._powers``.
-    """
-    key = (seq, float(sigma), count)
-    entry = _WEIGHT_CACHE.get(key)
-    if entry is not None:
-        return entry
-    _check_finite("sigma", sigma)
-    w = seq._powers(seq.start_index, count, -float(sigma))
-    entry = _WEIGHT_CACHE[key] = (w, _upper_sum(w))
-    total = sum(a.size for a, _ in _WEIGHT_CACHE.values())
-    while total > frequencies.DEFAULT_TERM_BUDGET:
-        total -= _WEIGHT_CACHE.pop(next(iter(_WEIGHT_CACHE)))[0].size
-    return entry
-
-
-def _weight_entries(seq: FrequencySequence, requests) -> list[tuple[np.ndarray, float]]:
-    """``[_weight_entry(seq, s, n) for s, n in requests]`` for a list of
-    ``(sigma, count)`` pairs, after one check of their total count against
-    the term budget, before any array is formed."""
+def _weight_pairs(seq: FrequencySequence, requests) -> list[tuple[np.ndarray, float]]:
+    """``(w, _upper_sum(w))`` for each ``(sigma, count)`` in ``requests``,
+    ``w`` the first ``count`` weights ``p**-sigma`` of ``seq``.  The total
+    count and every sigma are checked before any array is formed; uncached."""
     _check_budget(sum(n for _, n in requests))
-    return [_weight_entry(seq, s, n) for s, n in requests]
+    for s, _ in requests:
+        _check_finite("sigma", s)
+    ws = (seq._powers(seq.start_index, n, -float(s)) for s, n in requests)
+    return [(w, _upper_sum(w)) for w in ws]
 
 
 def _upper_sum(w: np.ndarray) -> float:
@@ -155,6 +123,12 @@ class TailCertificate:
     def count(self) -> int:
         """The served terms up to the cutoff, counted once."""
         return self.seq._count_up_to(self.cutoff)
+
+    @cached_property
+    def scan_weights(self) -> dict[float, tuple[np.ndarray, float]]:
+        """sigma -> ``_weight_pairs`` pair of ``count`` terms, at most the
+        budget in total, oldest dropped first.  Not safe to share across threads."""
+        return {}
 
 
 def excursion_probability_bound(tail_second_moment: float, threshold: float) -> float:
@@ -234,16 +208,18 @@ def partial_sum_table(
     if any(c < 1 for _, c in points):
         raise ValidationError("cutoff must be >= 1")
     seq = path.seq
-    entries = _weight_entries(seq, [(s, seq._count_up_to(c)) for s, c in points])
-    return _signed_sums(path, [w for w, _ in entries])
+    pairs = _weight_pairs(seq, [(s, seq._count_up_to(c)) for s, c in points])
+    return _signed_sums(path, [w for w, _ in pairs])
 
 
 def _certified_weights(
     path: SamplePath, sigmas: list[float], cert: TailCertificate
 ) -> tuple[list[tuple[np.ndarray, float]], list[float]]:
-    """The weight entries (see ``_weight_entries``) and radii of
-    ``evaluate`` and ``decide``, after their one validation.  Every
-    exponent shares the certificate's cutoff and so its ``count``.
+    """The weight pairs (see ``_weight_pairs``) and radii of ``evaluate``
+    and ``decide``, after their one validation.  Every exponent shares the
+    certificate's cutoff and ``count``, so its pair is kept in the
+    certificate's ``scan_weights`` by sigma alone, once the pairs the call
+    holds pass the term budget.
 
     The radius is threshold * cutoff**-(sigma - sigma0), +0.0 for an
     exhausted certificate, whose threshold is sqrt(18 * 0 * ln(6/eta)) =
@@ -259,7 +235,16 @@ def _certified_weights(
             )
     if cert.cutoff < 1:
         raise ValidationError("cutoff must be >= 1")
-    entries = _weight_entries(path.seq, [(s, cert.count) for s in sigmas])
+    n, memo = cert.count, cert.scan_weights
+    _check_budget(len(sigmas) * n)
+    entries = []
+    for s in map(float, sigmas):
+        entry = memo.get(s)
+        if entry is None:
+            entry = memo[s] = _weight_pairs(path.seq, [(s, n)])[0]
+            while len(memo) * n > frequencies.DEFAULT_TERM_BUDGET:
+                del memo[next(iter(memo))]
+        entries.append(entry)
     radii = [cert.threshold * cert.cutoff ** (-(s - cert.sigma0)) for s in sigmas]
     return entries, radii
 
@@ -296,7 +281,7 @@ def _band_slack(n: int) -> float:
 
 def _filtered_signs(path: SamplePath, entries, radii) -> list[int | None]:
     """``[_sign_beyond(v, r) for v, r in zip(_signed_sums(path, weights),
-    radii)]`` for the weight entries ``(w, bound)`` of ``_weight_entries``,
+    radii)]`` for the weight pairs ``(w, bound)`` of ``_weight_pairs``,
     from one pass over the path's signs plus a second, ``_signed_sums``
     itself, over only the sums that the filter leaves open.
 

@@ -29,7 +29,7 @@ import math
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import lru_cache, partial
 
 import numpy as np
@@ -40,8 +40,7 @@ from .errors import ValidationError
 from .evaluation import (
     _filtered_signs,
     _signed_sums,
-    _weight_entries,
-    _weight_entry,
+    _weight_pairs,
     decide,
     excursion_probability_bound,
     heuristic_cutoff,
@@ -265,8 +264,8 @@ def _sign_change_setup(cfg: SignChangeConfig, seq) -> dict:
     cutoffs = [min(max(heuristic_cutoff(s), HEURISTIC_MIN_CUTOFF),
                    cfg.heuristic_max_cutoff) for s in grid]
     cert = scan_certificate(seq, ladder[-1], cfg.cert_cutoff, cfg.eta, HEAD_TERMS)
-    entries = _weight_entries(seq, [(s, seq._count_up_to(c))
-                                    for s, c in zip(grid, cutoffs)])
+    entries = _weight_pairs(seq, [(s, seq._count_up_to(c))
+                                  for s, c in zip(grid, cutoffs)])
     rung_start = [grid.index(float(rv)) for rv in ladder]  # every rung is in grid
     return {
         "grid": grid,
@@ -359,8 +358,8 @@ def _bu_setup(cfg: BuEventConfig, seq) -> dict:
         ladder.append({"leading_count": int(c), "tail_reciprocal_upper": t_upper,
                        "bound": excursion_probability_bound(t_upper, cfg.threshold)})
     count = seq._count_up_to(max(cfg.cutoff_ladder) * cfg.horizon_factor)
-    return {"weights": _weight_entry(seq, 0.5, count)[0], "windows": windows,
-            "per_cutoff": per_cutoff, "bound_count_ladder": ladder}
+    return {"weights": seq._powers(seq.start_index, count, -0.5),
+            "windows": windows, "per_cutoff": per_cutoff, "bound_count_ladder": ladder}
 
 
 def _bu_trial(cfg: BuEventConfig, st: dict, path: SamplePath) -> dict:
@@ -403,8 +402,8 @@ def _exceedance_setup(cfg: ExceedanceConfig, seq) -> dict:
     if list(cfg.scales) != sorted(set(cfg.scales)):
         raise ValidationError("scales must be strictly increasing")
     norms = [math.sqrt(seq.power_sum(1.0, y)) for y in cfg.scales]
-    entries = _weight_entries(seq, [(0.5, seq._count_up_to(y)) for y in cfg.scales])
-    return {"weights": [w for w, _ in entries], "norms": norms}
+    pairs = _weight_pairs(seq, [(0.5, seq._count_up_to(y)) for y in cfg.scales])
+    return {"weights": [w for w, _ in pairs], "norms": norms}
 
 
 def _exceedance_trial(cfg: ExceedanceConfig, st: dict, path: SamplePath) -> dict:
@@ -453,7 +452,8 @@ _KINDS = {
 @lru_cache(maxsize=1)
 def _setup(cfg):
     """``(seq, shared, caught)``: the config's sequence, its kind's setup
-    and the warnings building them raised, once per config and process."""
+    and the warnings building them raised, once per config and process,
+    keyed by ``replace(cfg, trials=1, master_seed=0)``: no setup reads those."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         seq = make_sequence(cfg.seq)
@@ -463,7 +463,7 @@ def _setup(cfg):
 
 def _trial(cfg, i: int) -> dict:
     """Row ``i``: the trial index, then the kind's trial on path ``i``."""
-    seq, shared, _ = _setup(cfg)
+    seq, shared, _ = _setup(replace(cfg, trials=1, master_seed=0))
     row = _KINDS[cfg.kind][1](cfg, shared, SamplePath(seq, cfg.master_seed, i))
     return {"trial": i, **row}
 
@@ -475,7 +475,7 @@ def run_experiment(cfg, workers: int = 1) -> ExperimentReport:
         raise ValidationError("trials must be >= 1")
     # built here before any pool starts, so forked workers inherit it; its
     # warnings are raised on every call, cached or not
-    _, shared, caught = _setup(cfg)
+    _, shared, caught = _setup(replace(cfg, trials=1, master_seed=0))
     for w in caught:
         warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
     t0 = time.monotonic()

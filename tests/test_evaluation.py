@@ -93,31 +93,55 @@ def test_property_streamed_sums_match_compensated_sum(lengths, start, lead, seed
 
 
 def test_weight_cache_separates_start_indices():
-    # Naturals(start_index=5) and Naturals() share a spec string; the
-    # weight cache must still never hand one of them the other's weights
+    # Naturals(start_index=5) and Naturals() share a spec string; each
+    # certificate's weights are its own sequence's, and neither certificate
+    # serves the other's paths
     shifted = SamplePath(Naturals(start_index=5), 1, 0)
-    evaluation._WEIGHT_CACHE.clear()
-    cold = partial_sum_table(shifted, [(0.8, 100)])[0]
-    partial_sum_table(SamplePath(Naturals(), 1, 0), [(0.8, 1000)])
-    warm = partial_sum_table(shifted, [(0.8, 100)])[0]
-    assert warm == cold
+    plain = SamplePath(Naturals(), 1, 0)
+    certs = [tail_certificate(p.seq, 0.7, 100.0, 0.05) for p in (shifted, plain)]
+    cold = evaluate(shifted, [0.8], certs[0])[0].partial_sum
+    evaluate(plain, [0.8], certs[1])
+    assert evaluate(shifted, [0.8], certs[0])[0].partial_sum == cold
+    assert cold == partial_sum_table(shifted, [(0.8, 100)])[0]
     oracle = math.fsum(shifted.sign_at(i) * i ** -0.8 for i in range(5, 101))
     assert cold == pytest.approx(oracle, abs=1e-14)
+    assert [c.scan_weights[0.8][0].size for c in certs] == [96, 100]
+    for path, cert in ((shifted, certs[1]), (plain, certs[0])):
+        with pytest.raises(ValidationError, match="another sequence"):
+            decide(path, [0.8], cert)
 
 
 def test_weight_cache_evicts_oldest(monkeypatch):
-    # the cache's limit is the term budget, read at call time
-    monkeypatch.setattr(evaluation, "_WEIGHT_CACHE", {})
+    # a certificate's memo is limited by the term budget, read at call
+    # time, and cut back as each array joins it, so it holds at most the
+    # budget while the next array is formed; a call that needs more than
+    # the budget forms no array
+    seq = Naturals()
+    path = SamplePath(seq, 1, 0)
+    cert = tail_certificate(seq, 0.6, 1000.0, 0.05)
     monkeypatch.setattr(frequencies, "DEFAULT_TERM_BUDGET", 2500)
+    held = []  # the memo's size as each array is formed
+    upper_sum = evaluation._upper_sum
+    monkeypatch.setattr(evaluation, "_upper_sum",
+                        lambda w: held.append(len(cert.scan_weights)) or upper_sum(w))
     for sigma in (0.6, 0.7, 0.8, 0.9):  # 1000 weights each
-        evaluation._weight_entry(Naturals(), sigma, 1000)
-    assert [s for _, s, _ in evaluation._WEIGHT_CACHE] == [0.8, 0.9]
+        decide(path, [sigma], cert)
+    assert list(cert.scan_weights) == [0.8, 0.9]
+    decide(path, [1.0, 1.1], cert)
+    assert held == [0, 1, 2, 2, 2, 2]
+    memo = dict(cert.scan_weights)
+    assert list(memo) == [1.0, 1.1]
+    with pytest.raises(ResourceBudgetError, match="needs 3000 terms"):
+        decide(path, [0.6, 0.7, 0.8], cert)
+    assert len(held) == 6 and cert.scan_weights == memo
 
 
 def test_weight_cache_miss_reads_elements_without_counting(monkeypatch):
-    monkeypatch.setattr(evaluation, "_WEIGHT_CACHE", {})
+    # a certificate counts its terms once; a memo miss reads the elements
+    # by that count
     seq = WeightedNaturals(2.0)
-    count = seq.counting_function(1e4)
+    cert = tail_certificate(seq, 0.6, 1e4, 0.05)
+    assert cert.count == seq.counting_function(1e4)
     elems = seq.elements_up_to(1e4)
     counted = []
     original = FrequencySequence.counting_function
@@ -127,7 +151,8 @@ def test_weight_cache_miss_reads_elements_without_counting(monkeypatch):
         return original(self, x)
 
     monkeypatch.setattr(FrequencySequence, "counting_function", counting)
-    w, _ = evaluation._weight_entry(seq, 0.8, count)
+    decide(SamplePath(seq, 1, 0), [0.8], cert)
+    w, _ = cert.scan_weights[0.8]
     assert counted == []
     assert np.array_equal(w, elems ** -0.8)
 
@@ -315,8 +340,8 @@ def test_heuristic_signs_equal_compensated_sum_signs(monkeypatch, n):
     seq = Naturals()
     path = SamplePath(seq, 11, 2)
     weights = [_cancelling_ones(path, n, e) for e in (0.0, 2.0**-40, -(2.0**-40))]
-    weights += [evaluation._weight_entry(seq, s, n)[0]
-                for s, n in ((0.53, 3 * _LONG), (0.75, _LONG + 7), (1.2, 900))]
+    weights += [w for w, _ in evaluation._weight_pairs(
+        seq, [(0.53, 3 * _LONG), (0.75, _LONG + 7), (1.2, 900)])]
     fallbacks = []
     original = evaluation._signed_sums
 
@@ -393,26 +418,6 @@ def test_upper_sum_bounds_the_exact_sum(small):
     assert Fraction(evaluation._upper_sum(w)) >= sum(map(Fraction, w.tolist()))
 
 
-def test_weight_entry_never_reads_a_shorter_arrays_total(monkeypatch):
-    # a bound is stored with the array it was summed over, under a key that
-    # holds the count, so neither a longer nor a shorter array for the same
-    # sigma lends it its total: each request gets its own array's bound
-    seq = Naturals()
-    monkeypatch.setattr(evaluation, "_WEIGHT_CACHE", {})
-    long_w, long_bound = evaluation._weight_entry(seq, 0.7, 5000)
-    short_w, short_bound = evaluation._weight_entry(seq, 0.7, 100)
-    assert (long_w.size, short_w.size) == (5000, 100)
-    assert long_bound == evaluation._upper_sum(long_w)
-    assert short_bound == evaluation._upper_sum(short_w)
-    assert np.array_equal(short_w, long_w[:100])
-    assert evaluation._WEIGHT_CACHE[(seq, 0.7, 100)] == (short_w, short_bound)
-    monkeypatch.setattr(evaluation, "_WEIGHT_CACHE", {})
-    evaluation._weight_entry(seq, 0.7, 100)
-    w, bound = evaluation._weight_entry(seq, 0.7, long_w.size)
-    assert np.array_equal(w, long_w)
-    assert Fraction(bound) >= sum(map(Fraction, long_w.tolist()))
-
-
 class _CountingDict(dict):
     """A dict that counts its reads by key."""
 
@@ -435,21 +440,20 @@ class _CountingDict(dict):
         return super().pop(key, *default)
 
 
-def test_decide_reads_the_weight_cache_once_per_exponent(monkeypatch):
-    # each certified point reads one entry, array and bound together: every
-    # module-level weight-cache dict is swapped for a counting copy of
-    # itself, so a bound kept in a dict of its own would count too
+def test_decide_reads_the_weight_cache_once_per_exponent():
+    # each certified point reads one memo entry, array and bound together:
+    # the certificate's memo is swapped for a counting copy of itself, and
+    # no module-level dict holds weights beside it
     seq = WeightedNaturals(2.0)
     path = SamplePath(seq, 5, 0)
     sigmas = [0.7, 0.9, 1.1, 1.6, 2.4]
     cert = tail_certificate(seq, 0.65, 1e4, 0.01)
-    expected = decide(path, sigmas, cert)  # warms the cache
-    caches = {name: _CountingDict(value) for name, value in vars(evaluation).items()
-              if name.startswith("_WEIGHT") and isinstance(value, dict)}
-    for name, cache in caches.items():
-        monkeypatch.setattr(evaluation, name, cache)
+    expected = decide(path, sigmas, cert)  # warms the memo
+    memo = cert.__dict__["scan_weights"] = _CountingDict(cert.scan_weights)
     assert decide(path, sigmas, cert) == expected
-    assert sum(cache.reads for cache in caches.values()) == len(sigmas)
+    assert memo.reads == len(sigmas)
+    assert not [name for name, value in vars(evaluation).items()
+                if isinstance(value, dict) and not name.startswith("__")]
 
 
 def test_decided_sign_logic():
@@ -509,65 +513,69 @@ def test_property_mellin_identity(seed, s):
     assert mellin_discrepancy(path, s, 500.0) < 1e-12
 
 
-def test_weight_cache_counts_every_count_of_one_sigma(monkeypatch):
-    # two counts of one sigma are two entries, and both count toward the
-    # limit: 1000 + 1000 + 1200 > 2500 evicts the oldest, sigma 0.7
-    monkeypatch.setattr(evaluation, "_WEIGHT_CACHE", {})
-    monkeypatch.setattr(frequencies, "DEFAULT_TERM_BUDGET", 2500)
-    for sigma, count in ((0.7, 1000), (0.6, 1000), (0.6, 1200)):
-        evaluation._weight_entry(Naturals(), sigma, count)
-    assert [(s, a.size) for (_, s, _), (a, _) in evaluation._WEIGHT_CACHE.items()] == [
-        (0.6, 1000), (0.6, 1200)]
-
-
-@given(st.lists(st.tuples(st.sampled_from([0.55, 0.7, 1.3, 2.0]),
-                          st.integers(0, 1500)), min_size=1, max_size=12),
+@given(st.lists(st.lists(st.sampled_from([0.55, 0.7, 1.3, 2.0]),
+                         min_size=1, max_size=3), min_size=1, max_size=8),
+       st.sampled_from([1.0, 1e3, 3e4, 5e4, 1e5]),
        st.integers(1500, 4000))
 @settings(max_examples=60, deadline=None)
-def test_property_weight_cache_returns_the_requested_array(requests, budget):
-    # any interleaving of requests under a budget small enough to evict:
-    # each request gets exactly its own array with its own bound, and the
-    # cached arrays never hold more than the budget (patched by hand: a
-    # function-scoped monkeypatch would span every example)
+def test_property_weight_cache_returns_the_requested_array(calls, cutoff, budget):
+    # any interleaving of certified calls under a budget small enough to
+    # evict: each sigma gets exactly its own array with its own bound, every
+    # memo entry is one, and the memo never holds more than the budget
+    # (patched by hand: a function-scoped monkeypatch would span every
+    # example)
     seq = WeightedNaturals(2.0)
-    saved = evaluation._WEIGHT_CACHE, frequencies.DEFAULT_TERM_BUDGET
-    evaluation._WEIGHT_CACHE, frequencies.DEFAULT_TERM_BUDGET = {}, budget
+    path = SamplePath(seq, 1, 0)
+    cert = tail_certificate(seq, 0.55, cutoff, 0.05)
+    count = cert.count
+    saved = frequencies.DEFAULT_TERM_BUDGET
+    frequencies.DEFAULT_TERM_BUDGET = budget
     try:
-        for sigma, count in requests:
-            w, bound = evaluation._weight_entry(seq, sigma, count)
-            expected = seq._powers(seq.start_index, count, -sigma)
-            assert w.tobytes() == expected.tobytes()
-            assert bound == evaluation._upper_sum(expected)
-            assert sum(a.size for a, _ in evaluation._WEIGHT_CACHE.values()) <= budget
+        for sigmas in calls:
+            if len(sigmas) * count > budget:
+                memo = dict(cert.scan_weights)
+                with pytest.raises(ResourceBudgetError):
+                    decide(path, sigmas, cert)
+                assert cert.scan_weights == memo
+                continue
+            entries, _ = evaluation._certified_weights(path, sigmas, cert)
+            for sigma, (w, bound) in [*zip(sigmas, entries),
+                                      *cert.scan_weights.items()]:
+                expected = seq._powers(seq.start_index, count, -sigma)
+                assert w.tobytes() == expected.tobytes()
+                assert bound == evaluation._upper_sum(expected)
+            assert len(cert.scan_weights) * count <= budget
     finally:
-        evaluation._WEIGHT_CACHE, frequencies.DEFAULT_TERM_BUDGET = saved
+        frequencies.DEFAULT_TERM_BUDGET = saved
 
 
 def test_held_weights_count_against_the_budget(monkeypatch):
     # one call's weight arrays are checked in total before any is formed:
     # each 1000-term array fits a budget of 2500, three of them do not
-    monkeypatch.setattr(evaluation, "_WEIGHT_CACHE", {})
     seq = Naturals()
     path = SamplePath(seq, 1, 0)
     cert = tail_certificate(seq, 0.6, 1000.0, 0.05)
     monkeypatch.setattr(frequencies, "DEFAULT_TERM_BUDGET", 2500)
+    formed = []  # every weight array is passed to _upper_sum once formed
+    upper_sum = evaluation._upper_sum
+    monkeypatch.setattr(evaluation, "_upper_sum",
+                        lambda w: formed.append(w.size) or upper_sum(w))
     for call in (lambda: partial_sum_table(path, [(s, 1000.0) for s in (0.7, 0.8, 0.9)]),
                  lambda: decide(path, [0.7, 0.8, 0.9], cert),
                  lambda: evaluate(path, [0.7, 0.8, 0.9], cert)):
         with pytest.raises(ResourceBudgetError, match="needs 3000 terms"):
             call()
-        assert evaluation._WEIGHT_CACHE == {}
+        assert formed == [] and cert.scan_weights == {}
     assert len(decide(path, [0.7, 0.8], cert)) == 2
 
 
-def test_weight_cache_miss_holds_no_element_array(monkeypatch):
-    # a cold miss fills its weights a chunk at a time: it allocates the
+def test_weight_cache_miss_holds_no_element_array():
+    # a weight array is filled a chunk at a time: forming it allocates the
     # 8-byte-per-term result and a few chunks, not the elements beside it
-    monkeypatch.setattr(evaluation, "_WEIGHT_CACHE", {})
     count = 2_000_000
     tracemalloc.start()
     try:
-        w, _ = evaluation._weight_entry(Naturals(), 0.53, count)
+        [(w, _)] = evaluation._weight_pairs(Naturals(), [(0.53, count)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

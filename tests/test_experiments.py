@@ -1,7 +1,9 @@
+import gc
 import json
 import math
 import os
 import tracemalloc
+import weakref
 from functools import partial
 
 import pytest
@@ -145,6 +147,33 @@ def test_pooled_run_builds_its_setup_once_before_the_pool(monkeypatch):
                            cert_cutoff=1e4, heuristic_max_cutoff=1e6)
     assert len(run_experiment(cfg, workers=2).per_trial) == 3
     assert events == [("setup", os.getpid()), ("pool", 2)]
+
+
+def _recording_setup(monkeypatch, kind: str) -> list:
+    """Swaps ``kind``'s setup for one that records every setup it builds."""
+    built = []
+    setup, trial, aggregate = experiments._KINDS[kind]
+
+    def recording(cfg, seq):
+        built.append(setup(cfg, seq))
+        return built[-1]
+
+    monkeypatch.setitem(experiments._KINDS, kind, (recording, trial, aggregate))
+    _setup.cache_clear()
+    return built
+
+
+def test_runs_differing_in_trials_and_seed_share_one_setup(monkeypatch):
+    # no setup reads trials or master_seed, so runs that differ only there
+    # build one setup, and its rows are those of a freshly built one
+    built = _recording_setup(monkeypatch, "no_zero")
+    runs = [run_experiment(NoZeroConfig(trials=t, master_seed=m, cutoff=1e4))
+            for t, m in ((1, 1), (3, 1), (2, 7))]
+    assert len(built) == 1
+    _setup.cache_clear()
+    fresh = run_experiment(NoZeroConfig(trials=2, master_seed=7, cutoff=1e4))
+    assert len(built) == 2
+    assert runs[-1].payload_json() == fresh.payload_json()
 
 
 def test_setup_warnings_are_raised_on_every_run():
@@ -320,6 +349,23 @@ def test_sign_change_grid_is_the_scan_grid_plus_the_ladder():
     assert min(b - a for a, b in zip(grid, grid[1:])) > 1e-9
 
 
+def test_sign_change_weights_are_freed_with_their_setup(monkeypatch):
+    # a run's weight arrays are held by its setup alone: the heuristic ones
+    # by the setup, the certified ones by its certificate's memo, so no
+    # array outlives the setup
+    built = _recording_setup(monkeypatch, "sign_change")
+    run_experiment(SignChangeConfig(ladder=(0.9, 0.8), trials=2, grid_points=8,
+                                    cert_cutoff=1e4, heuristic_max_cutoff=1e6))
+    st = built.pop()
+    pairs = [*st["entries"], *st["cert"].scan_weights.values()]
+    assert len(pairs) == 2 * len(st["grid"])
+    refs = [weakref.ref(w) for w, _ in pairs]
+    del st, pairs
+    _setup.cache_clear()
+    gc.collect()
+    assert [r for r in refs if r() is not None] == []
+
+
 def test_sign_change_trial_streams_its_signs():
     # a warm trial streams the path's signs through the sums a chunk at a
     # time: its peak allocation stays far below one full-length float64
@@ -363,11 +409,14 @@ def test_sign_change_setup_checks_its_weights_against_the_budget(
     min_cutoff(1e3)
     cfg = SignChangeConfig(ladder=(0.8, 0.7), grid_points=4, trials=1,
                            cert_cutoff=1e3)
-    monkeypatch.setattr(evaluation, "_WEIGHT_CACHE", {})
+    formed = []  # every weight array is passed to _upper_sum once formed
+    upper_sum = evaluation._upper_sum
+    monkeypatch.setattr(evaluation, "_upper_sum",
+                        lambda w: formed.append(w.size) or upper_sum(w))
     monkeypatch.setattr(frequencies, "DEFAULT_TERM_BUDGET", 3000)
     with pytest.raises(ResourceBudgetError, match="needs 5000 terms"):
         run_experiment(cfg)
-    assert evaluation._WEIGHT_CACHE == {}
+    assert formed == []
 
 
 # ---------------------------------------------------------------------------
@@ -411,9 +460,9 @@ def test_bu_event_counts_its_windows_once_per_config(monkeypatch):
         return original(self, x)
 
     monkeypatch.setattr(WeightedNaturals, "counting_function", counting)
-    _setup.cache_clear()
     counts = []
     for trials in (1, 5):
+        _setup.cache_clear()
         calls.clear()
         run_experiment(BuEventConfig(trials=trials))
         counts.append(len(calls))
@@ -472,11 +521,11 @@ def test_exceedance_trials_neither_count_nor_look_up(monkeypatch):
     # the setup counts the scales and holds their weights, so a run's
     # counting and weight lookups do not grow with its trials
     calls = []
-    counting, lookup = FrequencySequence.counting_function, evaluation._weight_entry
+    counting, pairs = FrequencySequence.counting_function, experiments._weight_pairs
     monkeypatch.setattr(FrequencySequence, "counting_function",
                         lambda self, x: calls.append(x) or counting(self, x))
-    monkeypatch.setattr(evaluation, "_weight_entry",
-                        lambda *args: calls.append(args) or lookup(*args))
+    monkeypatch.setattr(experiments, "_weight_pairs",
+                        lambda *args: calls.append(args) or pairs(*args))
     per_run = []
     for trials in (1, 5):
         _setup.cache_clear()

@@ -14,7 +14,6 @@ from dirichletlab import (
     scan,
     scan_certificate,
 )
-from dirichletlab import evaluation
 from dirichletlab.frequencies import FrequencySequence
 from dirichletlab._version import SCHEMA_VERSION
 from dirichletlab.zeros import _MAX_GRID_POINTS
@@ -75,9 +74,8 @@ def test_scan_counts_terms_once_per_round(monkeypatch):
 
 
 def test_scan_counts_terms_once_per_round_on_a_cold_cache(monkeypatch):
-    # weight-cache misses read the elements by the certificate's count, so
-    # a scan that fills the cache counts no more than a warm one
-    monkeypatch.setattr(evaluation, "_WEIGHT_CACHE", {})
+    # memo misses read the elements by the certificate's count, so a scan
+    # that fills its certificate's memo counts no more than a warm one
     seq = WeightedNaturals(2.0)
     cert = scan_certificate(seq, 0.6, 1e4, 0.05)
     counted = []
@@ -90,7 +88,7 @@ def test_scan_counts_terms_once_per_round_on_a_cold_cache(monkeypatch):
     monkeypatch.setattr(FrequencySequence, "counting_function", counting)
     rep = scan(SamplePath(seq, 3, 1), 0.6, 2.0, cert, max_refinement=4)
     assert len(rep.sigma_grid) > 2 * (1 + rep.refinement_rounds)
-    assert len(evaluation._WEIGHT_CACHE) == len(rep.sigma_grid)
+    assert sorted(cert.scan_weights) == rep.sigma_grid
     assert counted == [cert.cutoff]
 
 
