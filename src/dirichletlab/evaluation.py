@@ -127,7 +127,8 @@ class TailCertificate:
     @cached_property
     def scan_weights(self) -> dict[float, tuple[np.ndarray, float]]:
         """sigma -> ``_weight_pairs`` pair of ``count`` terms, at most the
-        budget in total, oldest dropped first.  Not safe to share across threads."""
+        budget in total, the least recently used dropped first.  Not safe to
+        share across threads."""
         return {}
 
 
@@ -239,11 +240,10 @@ def _certified_weights(
     _check_budget(len(sigmas) * n)
     entries = []
     for s in map(float, sigmas):
-        entry = memo.get(s)
-        if entry is None:
-            entry = memo[s] = _weight_pairs(path.seq, [(s, n)])[0]
-            while len(memo) * n > frequencies.DEFAULT_TERM_BUDGET:
-                del memo[next(iter(memo))]
+        # a hit moves to the newest place, so the least recently used goes first
+        entry = memo[s] = memo.pop(s, None) or _weight_pairs(path.seq, [(s, n)])[0]
+        while len(memo) * n > frequencies.DEFAULT_TERM_BUDGET:
+            del memo[next(iter(memo))]
         entries.append(entry)
     radii = [cert.threshold * cert.cutoff ** (-(s - cert.sigma0)) for s in sigmas]
     return entries, radii

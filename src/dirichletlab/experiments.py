@@ -30,7 +30,7 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -449,16 +449,26 @@ _KINDS = {
 }
 
 
-@lru_cache(maxsize=1)
+_SETUPS: dict = {}  # at most one config -> (seq, shared, caught)
+
+
 def _setup(cfg):
     """``(seq, shared, caught)``: the config's sequence, its kind's setup
     and the warnings building them raised, once per config and process,
-    keyed by ``replace(cfg, trials=1, master_seed=0)``: no setup reads those."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        seq = make_sequence(cfg.seq)
-        shared = _KINDS[cfg.kind][0](cfg, seq)
-    return seq, shared, caught
+    keyed by ``replace(cfg, trials=1, master_seed=0)``: no setup reads those.
+    One setup is held, dropped before another is built, so that two are
+    never held at once; ``_setup.cache_clear()`` drops it."""
+    if cfg not in _SETUPS:
+        _SETUPS.clear()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            seq = make_sequence(cfg.seq)
+            shared = _KINDS[cfg.kind][0](cfg, seq)
+        _SETUPS[cfg] = seq, shared, caught
+    return _SETUPS[cfg]
+
+
+_setup.cache_clear = _SETUPS.clear
 
 
 def _trial(cfg, i: int) -> dict:

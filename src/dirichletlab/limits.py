@@ -6,9 +6,15 @@ weights flatten and the law approaches a standard normal.  This module
 provides the exact characteristic function of the (truncated) value, a
 Monte Carlo sampler of the normalized value, a Kolmogorov-Smirnov
 distance against the standard normal, and the variance profile at the
-near-critical truncation scale.  Each counts its terms through
-``_count_up_to``, so one term budget bounds every operation; the variance
-profile's second moment is truncated at ``SECOND_MOMENT_CUTOFF``.
+near-critical truncation scale.  The characteristic function is a
+product of cosines cos(x), evaluated at |t|: the factors with x > X0, a
+head of a few elements, take an exact log-space pass for each t, and the
+tail takes the series of log cos x in LOG_COS over power sums of the
+weights that are formed once per call and serve every t; the series is
+accurate to the rounding of its sum, where log of a rounded cos x near 1
+is not.  Each diagnostic counts its terms through ``_count_up_to``, so one
+term budget bounds every operation; the variance profile's second moment
+is truncated at ``SECOND_MOMENT_CUTOFF``.
 """
 
 from __future__ import annotations
@@ -27,6 +33,14 @@ from .paths import SamplePath
 from .summation import _CHUNK, _BlockSum, _sum_of_squares
 
 SECOND_MOMENT_CUTOFF = 1_000_000.0
+# a factor cos(x) with x <= X0 is in the tail of ``char_function``
+X0 = 0.125
+# log cos x = sum over k >= 1 of LOG_COS[k - 1] * x**(2k) for |x| < pi/2
+# through x**16, the k-th coefficient being
+# (-1)**k * 2**(2k-1) * (2**(2k) - 1) * B_2k / (k * (2k)!) with B_2k the
+# Bernoulli numbers (Abramowitz & Stegun, ch. 4)
+LOG_COS = (-1 / 2, -1 / 12, -1 / 45, -17 / 2520, -31 / 14175, -691 / 935550,
+           -10922 / 42567525, -929569 / 10216206000)
 
 
 def _weights_and_variance(seq: FrequencySequence, sigma: float,
@@ -53,27 +67,35 @@ def char_function(
 ) -> float | list[float]:
     """Characteristic function of the normalized truncated value at t.
 
-    Equals the product over served p <= cutoff of cos(t * p**-sigma / V),
-    with V the truncated standard deviation.  Evaluated in log space with
-    explicit sign tracking so products of thousands of factors neither
-    underflow nor lose the sign.  ``t`` is a float, giving a float, or a
-    1-d grid, giving a list with one value per t; the weights and V come
-    from ``_weights_and_variance`` once per call.
+    Equals the product over served p <= cutoff of cos(x) with
+    x = |t| * p**-sigma / V and V the truncated standard deviation.
+    ``t`` is a float, giving a float, or a 1-d grid, giving a list with one
+    value per t; the weights and V come from ``_weights_and_variance`` once
+    per call.  Evaluated at |t|, so phi is even by construction, and each
+    magnitude once per call.  The weights and V are finite, so at t = +-0
+    every factor is exactly cos(+-0) = 1, and 1.0 is returned without a
+    pass.
 
-    Each t runs one blocked pass: ``_CHUNK`` factors at a time are formed,
-    checked for a zero, counted for sign, turned into log-magnitudes and
-    added to one ``summation._BlockSum``, so no full-length array of
-    cosines is held and the sum equals ``exact_sum`` of all the
-    log-magnitudes.
-    phi is even, and exactly so in floating point: -t * w / V is the
-    negated argument, and ``np.cos`` is bitwise even.  So a t whose mirror
-    -t (or +-0) was already evaluated in the call reuses that value.  numpy
-    does not promise an even ``cos`` (it may pick another implementation on
-    another CPU); the reuse is right only where
-    ``test_numpy_cos_is_bitwise_even_on_prime_arguments`` passes, and a
-    failure there means that assumption broke, not a flaky test.  The
-    weights and V are finite, so at t = +-0 every factor is exactly
-    cos(+-0) = 1, and 1.0 is returned without a pass.
+    The factors split into a head and a tail, and the log-magnitude of the
+    product is the sum of theirs.  For sigma > 0 the weights do not
+    increase, so neither does the rounded x, and the factors with x > X0
+    form a prefix, the head; every other factor forms the tail.  For
+    sigma <= 0 the tail is empty.  The head runs the exact path, one
+    ``_CHUNK`` block at a time: the factors are formed, checked for a zero,
+    counted for sign, turned into log-magnitudes and added to one
+    ``summation._BlockSum``.  The tail's factors are positive, and its log
+    is the series sum over k of LOG_COS[k - 1] * |t|**(2k) * S_k with the
+    power sums S_k = sum (p**-sigma / V)**(2k), which do not depend on t.
+    Each ``_CHUNK``-aligned block past the one where the head ends has its
+    S_k summed once per call (numpy's pairwise sum, scaled by a power of two
+    so that no power of |t| overflows); the rest of the block where the
+    head ends is summed for each |t|.  ``math.fsum`` adds the head's log
+    and the tail's terms, so a value depends on its |t| alone, not on the
+    grid.  For x <= X0 the first omitted term of the series is below
+    2.4e-19 of the first, under the rounding of the sum, and the series
+    has no cancellation: log(cos x) of a rounded cos x near 1 carries a
+    relative error up to 2**-53 / (x**2 / 2), which the tail avoids.  No
+    full-length array beside the weights is formed.
     """
     ts = np.asarray(t, dtype=float)
     if ts.ndim > 1:
@@ -83,39 +105,96 @@ def char_function(
     w, var = _weights_and_variance(seq, sigma, cutoff)
     sd = math.sqrt(var)
     buf = np.empty(min(w.size, _CHUNK))
+    # the weights of sigma > 0 do not increase, so their small factors
+    # are a suffix; no factor is at or below -inf
+    x0 = X0 if sigma > 0 else -math.inf
+    blocks: dict = {}
     known: dict[float, float] = {}
     for tk in points:
         if abs(tk) not in known:
-            known[abs(tk)] = _char_value(tk, w, sd, buf)
+            known[abs(tk)] = _char_value(abs(tk), w, sd, buf, x0, blocks)
     values = [known[abs(tk)] for tk in points]
     return values[0] if ts.ndim == 0 else values
 
 
-def _char_value(tk: float, w: np.ndarray, sd: float, buf: np.ndarray) -> float:
-    """prod cos(tk * w / sd), one ``_CHUNK`` block at a time."""
-    if tk == 0.0:
+def _char_value(a: float, w: np.ndarray, sd: float, buf: np.ndarray,
+                x0: float, blocks: dict) -> float:
+    """prod cos(a * w / sd) for a >= 0: the head, the factors before the
+    first with x = a * w / sd <= x0, exactly, one ``_CHUNK`` block at a
+    time; the rest by the series, with ``blocks`` the call's power sums of
+    whole tail blocks by their first index."""
+    if a == 0.0:
         return 1.0
     acc = _BlockSum(buf.size)
     exact = True
     negatives = 0
+    head = w.size
     for lo in range(0, w.size, _CHUNK):
         c = buf[:min(w.size - lo, _CHUNK)]
-        np.multiply(tk, w[lo:lo + c.size], out=c)
+        np.multiply(a, w[lo:lo + c.size], out=c)
         c /= sd
+        small = c <= x0
+        if small.any():
+            head = lo + int(small.argmax())
+            c = c[:head - lo]
         np.cos(c, out=c)
         if np.any(c == 0.0):
             return 0.0
-        if exact:
+        if exact and c.size:
             negatives += int(np.count_nonzero(c < 0))
             np.abs(c, out=c)
             np.log(c, out=c)
             exact = acc.add(c)
+        if head < w.size:
+            break
     if not exact:
         # a log-magnitude is at most 0 and far above -2**35, and a zero
         # factor returned above, so only a NaN factor fails a block
         return math.nan
+    logs = [acc.value()]
+    if head < w.size:
+        end = min(head - head % _CHUNK + _CHUNK, w.size)
+        pieces = [_power_sums(w[head:end], sd)]
+        for lo in range(end, w.size, _CHUNK):
+            if lo not in blocks:
+                blocks[lo] = _power_sums(w[lo:lo + _CHUNK], sd)
+            pieces.append(blocks[lo])
+        for piece in filter(None, pieces):
+            logs += _series_terms(a, *piece)
     sign = 1.0 if negatives % 2 == 0 else -1.0
-    return sign * math.exp(acc.value())
+    return sign * math.exp(math.fsum(logs))
+
+
+def _power_sums(w: np.ndarray, sd: float) -> tuple[int, list[float]] | None:
+    """``(e, sums)`` with sums[k - 1] = sum r**(2k) for k = 1..len(LOG_COS),
+    each numpy's pairwise sum, where r = fl(w / sd) * 2**-e, scaled
+    exactly by the exponent e of the first, largest, ratio; None for a
+    block of zeros, whose terms are all 0."""
+    r = w / sd
+    if r[0] == 0.0:
+        return None
+    e = math.frexp(float(r[0]))[1]
+    y = np.ldexp(r, -e, out=r)
+    y *= y
+    power = y.copy()
+    sums = [float(power.sum())]
+    for _ in LOG_COS[1:]:
+        power *= y
+        sums.append(float(power.sum()))
+    return e, sums
+
+
+def _series_terms(a: float, e: int, sums: list[float]) -> list[float]:
+    """LOG_COS[k - 1] * (a * 2**e)**(2k) * sums[k - 1] for each k: the
+    terms of the tail's log from one block's ``_power_sums``.  a * 2**e
+    is exact, and at most about 2 * X0 on a tail block, so no power
+    overflows."""
+    y = math.ldexp(a, e) ** 2
+    terms, power = [], 1.0
+    for coef, s in zip(LOG_COS, sums):
+        power *= y
+        terms.append(coef * power * s)
+    return terms
 
 
 def char_function_gaussian_gap(

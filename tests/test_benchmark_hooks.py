@@ -25,7 +25,8 @@ def test_traced_workload_passes_fail_no_operation():
     tracer.install()
     try:
         for workload in (workloads.NoZero(trials=2, pooled=False),
-                         workloads.SignChange(trials=1)):
+                         workloads.SignChange(trials=1),
+                         workloads.CltPrimes(draws=2)):
             out = workload.run_pass(1, 1)
             assert out.attempted > 0
             assert (out.failed, out.failures) == (0, [])
@@ -33,4 +34,5 @@ def test_traced_workload_passes_fail_no_operation():
         tracer.uninstall()
         _setup.cache_clear()
     names = {span[0] for span in tracer.spans}
-    assert {"experiments.run_experiment", "zeros.scan"} <= names
+    assert {"experiments.run_experiment", "zeros.scan",
+            "limits.char_function"} <= names

@@ -404,11 +404,13 @@ def test_experiment_flags_and_config_fields_match_one_to_one(
 
 
 def test_char_fn_payload_golden(tmp_path):
-    # sha256 of the report captured before char_function took whole grids
+    # sha256 of the report captured when the tail factors took the log-cos
+    # series; its phi values lie within 1.5e-16 of a 40-digit product of
+    # the same factors (1.8e-14 before the series)
     assert run_cli(tmp_path, "char-fn", "--seq", "primes") == 0
     (report,) = tmp_path.glob("char-fn_*.json")
     assert hashlib.sha256(report.read_bytes()).hexdigest() == (
-        "7b6b9d5df991052089d124143e68f848b730ee18c7fa41b02e78c25880c5018a")
+        "7310f448c8fb4d152bb6b3e00653637e5a25d8670c53914b35ae02662b908b54")
 
 
 @pytest.mark.parametrize("args, digest", [

@@ -136,6 +136,25 @@ def test_weight_cache_evicts_oldest(monkeypatch):
     assert len(held) == 6 and cert.scan_weights == memo
 
 
+def test_weight_cache_hit_becomes_the_newest(monkeypatch):
+    # with room for three 1035-term arrays, a call that reads 0.7, forms
+    # 1.3 and reads 0.7 again forms only 1.3: the first read moved 0.7 past
+    # the entry that 1.3 pushes out
+    seq = WeightedNaturals(2.0)
+    path = SamplePath(seq, 1, 0)
+    cert = tail_certificate(seq, 0.55, 5e4, 0.05)
+    assert cert.count == 1035
+    monkeypatch.setattr(frequencies, "DEFAULT_TERM_BUDGET", 3 * 1035)
+    formed = []
+    weight_pairs = evaluation._weight_pairs
+    monkeypatch.setattr(evaluation, "_weight_pairs", lambda seq, points: (
+        formed.extend(s for s, _ in points) or weight_pairs(seq, points)))
+    decide(path, [0.7, 2.0, 0.55], cert)
+    decide(path, [0.7, 1.3, 0.7], cert)
+    assert formed == [0.7, 2.0, 0.55, 1.3]
+    assert list(cert.scan_weights) == [0.55, 1.3, 0.7]
+
+
 def test_weight_cache_miss_reads_elements_without_counting(monkeypatch):
     # a certificate counts its terms once; a memo miss reads the elements
     # by that count

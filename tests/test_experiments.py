@@ -4,6 +4,7 @@ import math
 import os
 import tracemalloc
 import weakref
+from dataclasses import replace
 from functools import partial
 
 import pytest
@@ -364,6 +365,33 @@ def test_sign_change_weights_are_freed_with_their_setup(monkeypatch):
     _setup.cache_clear()
     gc.collect()
     assert [r for r in refs if r() is not None] == []
+
+
+def test_setup_is_dropped_before_the_next_is_built(monkeypatch):
+    # one setup is held at a time: a new config's setup starts building
+    # only once the previous config's weight arrays are gone
+    setup, trial, aggregate = experiments._KINDS["sign_change"]
+    refs, alive = [], []
+
+    def recording(cfg, seq):
+        gc.collect()
+        alive.append(sum(r() is not None for r in refs))
+        return setup(cfg, seq)
+
+    monkeypatch.setitem(experiments._KINDS, "sign_change",
+                        (recording, trial, aggregate))
+    _setup.cache_clear()
+    first = SignChangeConfig(ladder=(0.9, 0.8), trials=1, grid_points=8,
+                             cert_cutoff=1e4, heuristic_max_cutoff=1e6)
+    run_experiment(first)
+    st = _setup(replace(first, master_seed=0))[1]
+    pairs = [*st["entries"], *st["cert"].scan_weights.values()]
+    assert len(pairs) == 2 * len(st["grid"])
+    refs += [weakref.ref(w) for w, _ in pairs]
+    del st, pairs
+    run_experiment(replace(first, ladder=(0.85, 0.75)))
+    _setup.cache_clear()
+    assert alive == [0, 0]
 
 
 def test_sign_change_trial_streams_its_signs():

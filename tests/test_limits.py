@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dirichletlab import (
     Naturals,
@@ -177,10 +178,12 @@ def test_variance_profile_validation():
 
 
 def test_char_function_golden():
-    # captured before the characteristic function took whole grids
-    assert char_function(Primes(), 0.6, 0.5, 1e6).hex() == "0x1.c38507337677ep-1"
+    # captured when the tail factors took the log-cos series; a 40-digit
+    # product of the same factors puts phi 1.9e-17 from the first value
+    # (1.3e-14 from the value before the series)
+    assert char_function(Primes(), 0.6, 0.5, 1e6).hex() == "0x1.c38507337670cp-1"
     gap = char_function_gaussian_gap(Primes(), 0.55, 1e7, np.linspace(-1, 1, 21))
-    assert gap.hex() == "0x1.3695b459ac280p-8"
+    assert gap.hex() == "0x1.3695b459ae980p-8"
 
 
 def reference_char_function(seq, sigma, t, cutoff):
@@ -191,6 +194,61 @@ def reference_char_function(seq, sigma, t, cutoff):
         return 0.0
     sign = 1.0 if int(np.count_nonzero(c < 0)) % 2 == 0 else -1.0
     return sign * math.exp(math.fsum(np.log(np.abs(c)).tolist()))
+
+
+def accurate_char_function(seq, sigma, t, cutoff):
+    """``reference_char_function`` with log cos x for |x| <= 1 taken as
+    log1p(-2 * sin(x / 2)**2), which has no cancellation for small x."""
+    w = seq.elements_up_to(cutoff) ** (-float(sigma))
+    x = float(t) * w / math.sqrt(compensated_sum(w * w))
+    c = np.cos(x)
+    if np.any(c == 0.0):
+        return 0.0
+    sign = 1.0 if int(np.count_nonzero(c < 0)) % 2 == 0 else -1.0
+    logs = np.log(np.abs(c))
+    small = np.abs(x) <= 1.0
+    logs[small] = np.log1p(-2.0 * np.sin(x[small] / 2.0) ** 2)
+    return sign * math.exp(math.fsum(logs.tolist()))
+
+
+def has_tail(seq, sigma, t, cutoff):
+    """Whether some factor of phi(t) is in the tail: sigma > 0 and some
+    |t| * w / V at most X0."""
+    w = seq.elements_up_to(cutoff) ** (-float(sigma))
+    x = abs(float(t)) * w / math.sqrt(compensated_sum(w * w))
+    return sigma > 0 and bool(np.any(x <= limits.X0))
+
+
+def mp_char_function(seq, sigma, t, cutoff):
+    """The product of the same float factors at 40 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    w = seq.elements_up_to(cutoff) ** (-float(sigma))
+    sd = math.sqrt(compensated_sum(w * w))
+    with mpmath.workdps(40):
+        scale = mpmath.mpf(float(t)) / mpmath.mpf(sd)
+        return mpmath.fprod(mpmath.cos(scale * mpmath.mpf(v)) for v in w.tolist())
+
+
+# phi = exp(L) is formed from a rounded log L, so its relative error is
+# counted in units of 2**-52 * max(1, |L|), about an ulp of L or of phi;
+# with a tail, phi lies within this many of accurate_char_function
+_TAIL_UNITS = 2
+
+
+def assert_matches_the_oracles(seq, sigma, t, cutoff, value):
+    """Bit-equal to ``reference_char_function`` without a tail; with one,
+    within _TAIL_UNITS units of ``accurate_char_function``, and no farther
+    from it than the reference is, but for one unit: each rounds its own L,
+    and where the tail's log is large, one ulp of L is more than the
+    reference's error in it."""
+    old = reference_char_function(seq, sigma, t, cutoff)
+    if not has_tail(seq, sigma, t, cutoff):
+        assert value.hex() == old.hex()
+        return
+    good = accurate_char_function(seq, sigma, t, cutoff)
+    unit = 2.0 ** -52 * max(1.0, abs(math.log(abs(good)))) * abs(good)
+    assert abs(value - good) <= _TAIL_UNITS * unit, (t, value, good)
+    assert abs(value - good) <= abs(old - good) + unit, (t, value, good, old)
 
 
 # The last column is the unit of the t grid (None: 1).  A unit of 0.25
@@ -211,9 +269,9 @@ def test_char_function_grid_matches_scalar_calls(seq, sigma, cutoff, unit):
     grid = char_function(seq, sigma, ts, cutoff)
     assert isinstance(grid, list) and len(grid) == ts.size
     scalar = [char_function(seq, sigma, float(t), cutoff) for t in ts]
-    oracle = [reference_char_function(seq, sigma, t, cutoff) for t in ts]
     assert [v.hex() for v in grid] == [v.hex() for v in scalar]
-    assert [v.hex() for v in grid] == [v.hex() for v in oracle]
+    for t, value in zip(ts, grid):
+        assert_matches_the_oracles(seq, sigma, t, cutoff, value)
 
 
 def test_non_finite_sigma_and_t_rejected():
@@ -232,8 +290,10 @@ def test_non_finite_sigma_and_t_rejected():
             call()
 
 
-# --- phi is even bit for bit: -t * w / V is the negated argument and
-# np.cos is bitwise even, so a mirrored t may reuse a computed value.
+# --- phi is even bit for bit: it is evaluated at |t|, so a mirrored t
+# may reuse a computed value.  reference_char_function takes cos of
+# -t * w / V, so it agrees at a negative t only while np.cos is bitwise
+# even.
 
 
 @pytest.mark.parametrize("seq, sigma, cutoff, unit", _CASES)
@@ -305,4 +365,67 @@ def test_char_function_at_zero_skips_the_pass(monkeypatch):
     seq = Naturals()
     values = char_function(seq, 0.7, [0.0, -0.0, 0.5], 3e4)
     assert values[:2] == [1.0, 1.0] and len(passes) == 1
-    assert values[2].hex() == reference_char_function(seq, 0.7, 0.5, 3e4).hex()
+    assert_matches_the_oracles(seq, 0.7, 0.5, 3e4, values[2])
+
+
+# --- the tail: factors cos(x) with x <= X0 take the series of log cos x
+
+
+def test_log_cos_coefficients_are_the_taylor_coefficients():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        c = mpmath.taylor(lambda x: mpmath.log(mpmath.cos(x)), 0, 16)
+    assert limits.LOG_COS == tuple(float(c[2 * k]) for k in range(1, 9))
+
+
+@given(st.floats(0.0, 0.125, exclude_min=True))
+@settings(max_examples=200, deadline=None)
+def test_log_cos_series_is_within_two_ulps(x):
+    # one factor with w = x and V = 1, through the functions char_function
+    # sums its tail with
+    mpmath = pytest.importorskip("mpmath")
+    piece = limits._power_sums(np.array([x]), 1.0)
+    got = math.fsum(limits._series_terms(1.0, *piece))
+    # cos x is 1 - x**2 / 2 - ..., so 40 digits of its log need about
+    # 2 * log10(1 / x) more of cos x
+    with mpmath.workdps(40 + 2 * int(-math.log10(x))):
+        want = float(mpmath.log(mpmath.cos(mpmath.mpf(x))))
+    assert abs(got - want) <= 2 * math.ulp(want)
+
+
+@pytest.mark.parametrize("seq, sigma, t, cutoff", [
+    (Primes(), 0.6, 0.3, 1e5),
+    (Naturals(), 0.6, 0.3, 2e4),
+    (Naturals(), 0.7, 0.5, 2e4),
+])
+def test_char_function_matches_a_40_digit_product(seq, sigma, t, cutoff):
+    # log of a rounded cos x near 1 is off by up to 2**-53 / (x**2 / 2)
+    # relative; summed over thousands of small factors that cost phi
+    # 3.8e-15 at primes up to 1e5, where the series is 4.1e-17 off
+    want = mp_char_function(seq, sigma, t, cutoff)
+    got = char_function(seq, sigma, t, cutoff)
+    assert abs(got - want) <= 2.0 ** -52 * abs(want)
+
+
+def test_accurate_oracle_matches_a_40_digit_product():
+    # the oracle of the tail cases is itself checked on a small case
+    for t in (0.5, 2.0):
+        want = mp_char_function(Naturals(), 0.7, t, 2000.0)
+        got = accurate_char_function(Naturals(), 0.7, t, 2000.0)
+        assert abs(got - want) <= 4 * math.ulp(got)
+
+
+@pytest.mark.parametrize("seq, sigma, cutoff, ts", [
+    # sigma <= 0: no tail, however small the factors
+    (Naturals(), -0.5, 2000.0, (0.3, -1.0, 2.5)),
+    (Naturals(), 0.0, 1000.0, (0.3, -1.0, 2.5)),
+    # every factor in the head
+    (explicit([2.0, 3.0, 7.0]), 0.8, 10.0, (0.5, 1.7, -3.0)),
+    (Naturals(), 1.0, 2000.0, (400.0, -1000.0)),
+])
+def test_char_function_without_a_tail_equals_the_reference(seq, sigma, cutoff, ts):
+    for t in ts:
+        if sigma > 0:
+            assert not has_tail(seq, sigma, t, cutoff)
+        got = char_function(seq, sigma, t, cutoff)
+        assert got.hex() == reference_char_function(seq, sigma, t, cutoff).hex()
