@@ -2,21 +2,22 @@
 
 Two certificate grades are produced:
 
-* exact        -- the sequence is finite and fully summed; radius 0.
+* exact        -- the sequence is finite and fully summed; the radius
+  bounds floating-point rounding only.
 * probabilistic -- a maximal-inequality tail certificate: with failure
   probability at most eta over the path's randomness, simultaneously for
   every exponent above the certificate's base exponent, the truncation
   error is below threshold * cutoff**-(sigma - sigma0).
 
-Only signs of partial sums reach the payloads of scans and sign-change
-counts, so every kept sign goes through one filter, ``_filtered_signs``: a
-floating-point dot product per streamed chunk, with an a-priori bound on
-its distance from the value ``_signed_sums`` would return, settles every
-sum whose bracket clears the radius, and only the few whose bracket
-straddles it are summed again by ``_signed_sums``.  ``decide`` runs it at
-the certified radii, and the heuristic pass of a sign-change trial at
-radius 0.  The signs equal those of the values that ``_signed_sums``
-returns, at any length.
+A kept sign is that of the real partial sum, sum X_p * p**-sigma over the
+float elements p, by one rule: a bracket [lo, hi] that contains the real
+value, +1 when lo > r, -1 when hi < -r and undecided otherwise, with r the
+truncation radius.  The bracket is a float sum widened by
+``_band_slack``, which bounds both the summation error and the rounding of
+the weights ``p**-sigma``.  ``evaluate`` adds that bound into its error
+radius; ``decide`` takes the bracket from ``_filtered_signs``, one
+floating-point dot product per streamed chunk, in one pass over the signs.
+The heuristic pass of a sign-change trial runs the same filter at radius 0.
 
 Each shared weight array ``p**-sigma`` has one owner: a certificate's
 ``scan_weights`` holds those of ``evaluate`` and ``decide``, a study's setup
@@ -51,14 +52,14 @@ PROBABILISTIC = "probabilistic"
 
 
 def _weight_pairs(seq: FrequencySequence, requests) -> list[tuple[np.ndarray, float]]:
-    """``(w, _upper_sum(w))`` for each ``(sigma, count)`` in ``requests``,
+    """``(w, _band_slack(w))`` for each ``(sigma, count)`` in ``requests``,
     ``w`` the first ``count`` weights ``p**-sigma`` of ``seq``.  The total
     count and every sigma are checked before any array is formed; uncached."""
     _check_budget(sum(n for _, n in requests))
     for s, _ in requests:
         _check_finite("sigma", s)
     ws = (seq._powers(seq.start_index, n, -float(s)) for s, n in requests)
-    return [(w, _upper_sum(w)) for w in ws]
+    return [(w, _band_slack(w)) for w in ws]
 
 
 def _upper_sum(w: np.ndarray) -> float:
@@ -222,10 +223,15 @@ def _certified_weights(
     certificate's ``scan_weights`` by sigma alone, once the pairs the call
     holds pass the term budget.
 
-    The radius is threshold * cutoff**-(sigma - sigma0), +0.0 for an
-    exhausted certificate, whose threshold is sqrt(18 * 0 * ln(6/eta)) =
-    0.0; the truncation identity behind it carries implied constant
-    exactly 1.
+    The radius is threshold * cutoff**-(sigma - sigma0) rounded up, +0.0
+    for an exhausted certificate, whose threshold is sqrt(18 * 0 *
+    ln(6/eta)) = 0.0; the truncation identity behind it carries implied
+    constant exactly 1.  The exponent is rounded down (cutoff >= 1).
+    ``grown``, the threshold times 1 + (2 * ``_POW_ULPS`` + 2)u, covers the
+    power's ``_POW_ULPS`` ulps and its own half ulp, at most 2u relative
+    per ulp (u = 2**-53) for normal floats; the floors 2**-1021 exceed any
+    subnormal result plus its error, and the float above the last product
+    covers its rounding.
     """
     if cert.seq != path.seq:
         raise ValidationError("certificate was built for another sequence")
@@ -245,7 +251,11 @@ def _certified_weights(
         while len(memo) * n > frequencies.DEFAULT_TERM_BUDGET:
             del memo[next(iter(memo))]
         entries.append(entry)
-    radii = [cert.threshold * cert.cutoff ** (-(s - cert.sigma0)) for s in sigmas]
+    tiny = 2.0 ** -1021
+    grown = cert.threshold * (1.0 + (2 * _POW_ULPS + 2) * 2.0 ** -53)
+    powers = (cert.cutoff ** -math.nextafter(s - cert.sigma0, -math.inf) for s in sigmas)
+    radii = [math.nextafter(max(grown * max(p, tiny), tiny), math.inf) if grown else 0.0
+             for p in powers]
     return entries, radii
 
 
@@ -254,41 +264,55 @@ def evaluate(
 ) -> list[CertifiedValue]:
     """Certified values at every exponent in ``sigmas``, each at least the
     certificate's base exponent, from one pass over the path's signs.
-    Each partial sum is exact (see ``_signed_sums``)."""
+    Each partial sum is ``_signed_sums``'; its error radius is the
+    certified one plus the weight pair's band, rounded up, so it also
+    bounds the distance to the real value (see ``decide``)."""
     entries, radii = _certified_weights(path, sigmas, cert)
     values = _signed_sums(path, [w for w, _ in entries])
     kind = EXACT if cert.exhausted else PROBABILISTIC
     sigma0 = None if cert.exhausted else cert.sigma0
-    return [CertifiedValue(s, v, cert.cutoff, r, kind, eta=cert.eta, sigma0=sigma0)
-            for s, v, r in zip(sigmas, values, radii)]
+    return [CertifiedValue(s, v, cert.cutoff, math.nextafter(r + band, math.inf),
+                           kind, eta=cert.eta, sigma0=sigma0)
+            for s, v, r, (_, band) in zip(sigmas, values, radii, entries)]
 
 
-# (n - 1) * _DOT_SLACK bounds gamma_{n-1} = (n-1)u / (1 - (n-1)u), with
+# n * _DOT_SLACK bounds gamma_{n-1} = (n-1)u / (1 - (n-1)u), with
 # u = 2**-53, for every n <= 2**17: there (n-1)u < 2**-36, so the
 # denominator stays above 1 - 2**-36 and the factor 1 + 2**-30 covers it,
-# and (n - 1) times it is exact in float64.
+# and n times it is exact in float64.
 _DOT_SLACK = 2.0 ** -53 * (1.0 + 2.0 ** -30)
 
+_POW_ULPS = 4
+"""Assumed: a float power ``p ** -sigma`` (``_powers``, and Python's ``**``)
+is within this many ulps of the result.  Against 120-bit mpmath, numpy
+2.4.6's ``_powers`` is within 0.655 ulp over Naturals, Primes, weighted:2.0
+and weighted:3.0 up to 10**6 and sigma in [0.5, 6], a spread the tests
+check against this bound."""
 
-def _band_slack(n: int) -> float:
-    """The float c such that c * sum(w) bounds the distance from the filter
-    value of an n-term sum to the value ``_signed_sums`` returns; see
+
+def _band_slack(w: np.ndarray) -> float:
+    """The band of the n weights ``w``: a float at least the distance from
+    the real value of a signed sum sum X_i * p_i**-sigma to either float
+    value of it, the filter's or ``_signed_sums``'.  It is (min(n,
+    ``_CHUNK``) + 2 * ``_POW_ULPS``) * ``_DOT_SLACK`` * ``_upper_sum(w)``
+    plus n * ``_POW_ULPS`` * 2**-1074, each step rounded up; see
     ``decide``."""
-    if n <= _CHUNK:
-        return max(n - 1, 0) * _DOT_SLACK
-    return (2 * _CHUNK - 1) * _DOT_SLACK
+    n = w.size
+    slack = (min(n, _CHUNK) + 2 * _POW_ULPS) * _DOT_SLACK
+    return math.nextafter(math.nextafter(slack * _upper_sum(w), math.inf)
+                          + n * _POW_ULPS * 2.0 ** -1074, math.inf)
 
 
 def _filtered_signs(path: SamplePath, entries, radii) -> list[int | None]:
-    """``[_sign_beyond(v, r) for v, r in zip(_signed_sums(path, weights),
-    radii)]`` for the weight pairs ``(w, bound)`` of ``_weight_pairs``,
-    from one pass over the path's signs plus a second, ``_signed_sums``
-    itself, over only the sums that the filter leaves open.
+    """The sign of each sum's real value beyond its radius, or None, for
+    the weight pairs ``(w, band)`` of ``_weight_pairs``, from one pass
+    over the path's signs.
 
     Every streamed chunk of signs is dotted with each weight array
     (``np.dot``, any summation order), and ``math.fsum`` of a sum's dots
-    is its filter value, bracketed by ``_band_slack`` times its bound; see
-    ``decide`` for why the bracket holds the exact path's value.
+    is its filter value D.  The real value lies within the band of D (see
+    ``decide``), so the sign is D's beyond the radius plus the band,
+    rounded up.  A NaN or infinite band leaves the sum undecided.
     """
     count = max((w.size for w, _ in entries), default=0)
     dots: list[list[float]] = [[] for _ in entries]
@@ -296,69 +320,41 @@ def _filtered_signs(path: SamplePath, entries, radii) -> list[int | None]:
         for (w, _), parts in zip(entries, dots):
             if lo < w.size:
                 parts.append(np.dot(signs[:w.size - lo], w[lo:lo + _CHUNK]))
-    out: list[int | None] = []
-    open_ = []
-    for j, ((w, bound), parts, r) in enumerate(zip(entries, dots, radii)):
-        value = math.fsum(parts)
-        err = math.nextafter(_band_slack(w.size) * bound, math.inf)
-        lo = math.nextafter(value - err, -math.inf)
-        hi = math.nextafter(value + err, math.inf)
-        # a NaN or infinite bound fails every test and goes to the exact sum
-        if lo > r:
-            out.append(1)
-        elif hi < -r:
-            out.append(-1)
-        else:
-            out.append(None)
-            if not (-r <= lo and hi <= r):
-                open_.append(j)
-    if open_:
-        exact = _signed_sums(path, [entries[j][0] for j in open_])
-        for j, v in zip(open_, exact):
-            out[j] = _sign_beyond(v, radii[j])
-    return out
+    return [_sign_beyond(math.fsum(parts), math.nextafter(r + band, math.inf))
+            for (_, band), parts, r in zip(entries, dots, radii)]
 
 
 def decide(
     path: SamplePath, sigmas: list[float], cert: TailCertificate
 ) -> list[int | None]:
-    """``[cv.decided_sign for cv in evaluate(path, sigmas, cert)]``, with
-    the same validation, from one pass over the path's signs, without
-    summing every point exactly: ``_filtered_signs`` at the certified
-    radii, over the weight entries, each array with its own bound.
+    """The signs of the real partial sums at ``sigmas`` beyond the certified
+    radii, or None, with ``evaluate``'s validation, from one pass over the
+    path's signs: ``_filtered_signs`` over the weight pairs.  Where both
+    decide, ``evaluate``'s ``decided_sign`` is the same sign.
 
-    Why the filter's decisions are the exact path's.  Write a sum of n
-    terms as chunks c of m_c <= ``_CHUNK`` terms, with S_c the exact sum
-    of the chunk's products x_i = s_i * w_i, W_c = sum of its w_i, W the
-    sum over all chunks and B >= W the weight bound.  The signs are +-1,
-    so every product is exact, and any float summation order leaves an
-    m-term sum within gamma_{m-1} * W_c of S_c (Higham, *Accuracy and
-    Stability of Numerical Algorithms*, sec. 4.2), with gamma_k =
-    ku / (1 - ku) and u = 2**-53.  So each chunk's dot d_c is within
-    gamma_{m_c-1} * W_c of S_c.
+    Why a kept sign is the real value's.  Split a sum of n terms into
+    chunks c of m_c <= K = ``_CHUNK`` terms; let w_i = fl(p_i**-sigma), S_c
+    the exact sum of a chunk's products s_i * w_i (exact, as s_i = +-1),
+    W_c the sum of its w_i, S and W the totals, B = ``_upper_sum(w)`` >= W
+    and R = sum s_i * p_i**-sigma the real value.  With u = 2**-53 and
+    gamma_k = ku / (1 - ku), any float summation order leaves an m-term
+    sum within gamma_{m-1} * W_c of S_c, a correctly rounded one within
+    u * W_c (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    sec. 4.2); a one-term sum is exact.
 
-    * n <= ``_CHUNK``: one chunk, the filter value D is d, and the exact
-      path returns fl(S), the correctly rounded S.  |D - S| <=
-      gamma_{n-1} * B, which ``_band_slack`` covers.
-    * n > ``_CHUNK``: the exact path is ``compensated_sum``'s, V =
-      fl(sum of p_c), with p_c the pairwise sum of a full chunk or the
-      correctly rounded sum of the last one, each within
-      gamma_{m_c-1} * W_c of S_c (a one-term chunk is exact).  So the
-      dots and the partials are within 2 * gamma_{K-1} * W of each other
-      in total, with K = ``_CHUNK`` (gamma grows with m).  D is the
-      correctly rounded sum of the dots, which is at most
-      (1 + gamma_{K-1}) * W in magnitude, so it adds at most
-      u * (1 + gamma_{K-1}) * W, and |D - P| <= (2 * gamma_{K-1} + u *
-      (1 + gamma_{K-1})) * B with P the exact sum of the partials.  That
-      is below (2K - 1) * ``_DOT_SLACK`` * B, ``_band_slack`` above
-      ``_CHUNK``.
+    * Summation.  The filter value D is the ``fsum`` of the chunk dots,
+      ``_signed_sums``' V that of pairwise or correctly rounded chunk
+      partials, each within gamma_{m_c-1} * W_c of S_c; so both are
+      within gamma_{K'-1} * W of S, K' = min(n, K), plus, past one chunk,
+      the final rounding's u * (1 + gamma_{K-1}) * W: below K' *
+      ``_DOT_SLACK`` * W in both cases.
+    * Weights.  w_i is within ``_POW_ULPS`` ulps of p_i**-sigma, and an
+      ulp is at most 2u * w_i, or 2**-1074 for a subnormal w_i, so
+      |S - R| <= 2 * ``_POW_ULPS`` * u * W + n * ``_POW_ULPS`` * 2**-1074.
 
-    In both cases the value that is rounded once (S, or P) lies within
-    err of D, where err is the float just above the rounded product of
-    the slack and B.  Rounding is monotone and the radius r is a float,
-    so the exact path's value lies in [lo, hi], the floats just outside
-    D -+ err.  When lo > r, hi < -r, or both lie in [-r, r], that bracket
-    settles the decision; otherwise ``_signed_sums`` sums the point.
+    So D and V are within ``_band_slack(w)`` of R.  With rho the float
+    above the radius r plus that band, D > rho gives R > r and D < -rho
+    gives R < -r; so does V with ``evaluate``'s error radius rho.
     """
     return _filtered_signs(path, *_certified_weights(path, sigmas, cert))
 

@@ -281,7 +281,7 @@ def _sign_change_trial(cfg: SignChangeConfig, st: dict, path: SamplePath) -> dic
     # certificate cutoff, the heuristic one at the longest undecided sum
     certified = decide(path, st["grid"], st["cert"])
     # the heuristic sum's sign stands in wherever the certified one is
-    # undecided: the filter at radius 0, where a zero sum counts as +1
+    # undecided: the filter at radius 0, where a bracket holding 0 counts +1
     undecided = [j for j, s in enumerate(certified) if s is None]
     heuristic = _filtered_signs(path, [st["entries"][j] for j in undecided],
                                 [0.0] * len(undecided))

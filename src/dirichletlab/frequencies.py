@@ -275,7 +275,9 @@ class WeightedNaturals(_SequenceOps):
 
     The reciprocal sum converges while the power-sum abscissa stays at 1.
     Served from start_index 2 by default so every element is >= 1
-    (the n=1 element log(2)**exponent would fall below 1).
+    (the n=1 element log(2)**exponent would fall below 1).  The sequence
+    is its float elements fl(n * log(n+1)**exponent): decisions and the
+    certificate's head sums are about those, not the real products.
     """
 
     exponent: float = 2.0

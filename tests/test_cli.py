@@ -197,7 +197,8 @@ def test_explicit_sequence_file(tmp_path, capsys):
     seq_file = tmp_path / "seq.txt"
     seq_file.write_text("# the first primes\n2\n\n3  # odd\n5\n")
     assert run_cli(tmp_path, "eval", "--seq", f"explicit@{seq_file}") == 0
-    assert "F(1) = 0.633333 +- 0 [exact, eta=0]" in capsys.readouterr().out
+    # an exact value's radius bounds its rounding only
+    assert "F(1) = 0.633333 +- 1.26e-15 [exact, eta=0]" in capsys.readouterr().out
     # a file that cannot be read as text is bad input, not an internal error
     utf16 = tmp_path / "utf16.txt"
     utf16.write_bytes(b"\xff\xfe2\x003\x00")
@@ -418,12 +419,12 @@ def test_char_fn_payload_golden(tmp_path):
                  "e070b02e8327cc8abb2068b2657ec749eae385190f52ab1b9c7b93942ac4b355",
                  id="scan"),
     pytest.param(["eval", "--seq", "naturals"],
-                 "be109532ba224684fc11716194dfda8fcdcaa2775af096086161fc307987138d",
+                 "a2799b90426698ef4b5a74a2ea8982cca7752eebbe951f950a4c3c24d60e9c1e",
                  id="eval"),
 ])
 def test_scan_and_eval_payload_golden(tmp_path, args, digest):
-    # sha256 of the reports: eval's captured before scans took their
-    # certificate, scan's at schema 4
+    # sha256 of the reports: eval's captured when its error radius took in
+    # the rounding bound (1.09e-11 here), scan's at schema 4
     assert run_cli(tmp_path, *args) == 0
     (report,) = tmp_path.glob(f"{args[0]}_*.json")
     assert hashlib.sha256(report.read_bytes()).hexdigest() == digest

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dirichletlab import (
@@ -223,7 +223,11 @@ def test_evaluate_exact_for_exhausted_finite_sequence():
     assert cert.exhausted and cert.eta == 0.0
     cv = evaluate(SamplePath(seq, 1, 0), [0.2], cert)[0]
     assert cv.kind == EXACT
-    assert cv.error_radius == 0.0
+    # the radius bounds rounding only: the float above the band alone
+    w, band = cert.scan_weights[0.2]
+    assert band == evaluation._band_slack(w)
+    assert cv.error_radius == math.nextafter(band, math.inf)
+    assert 0.0 < cv.error_radius < 1e-14
     assert cv.decided_sign in (-1, 1)
 
 
@@ -240,6 +244,21 @@ def _cert_at(path, sigmas, cutoff, ulps, exhausted):
     for _ in range(abs(ulps)):
         radius = math.nextafter(radius, math.inf if ulps > 0 else 0.0)
     return dataclasses.replace(cert, threshold=radius)
+
+
+def _assert_decide_agrees_with_evaluate(path, sigmas, cert):
+    """Every sign ``decide`` keeps is ``evaluate``'s where both decide, and
+    None arises only where the filter's bracket can hold the radius: the
+    filter value D and evaluate's value V are each within the band of the
+    real value, so |V| - r <= 3 * band there."""
+    values = evaluate(path, sigmas, cert)
+    radii = evaluation._certified_weights(path, sigmas, cert)[1]
+    for d, cv, r in zip(decide(path, sigmas, cert), values, radii):
+        if d is None:
+            _, band = cert.scan_weights[cv.sigma]
+            assert abs(cv.partial_sum) - r <= 3 * band
+        elif cv.decided_sign is not None:
+            assert d == cv.decided_sign
 
 
 # one 1.0 and fourteen weights just under half an ulp of 1: summed left to
@@ -269,38 +288,53 @@ _STAIR = explicit([1.0] + [1e16 + 4.0 * k for k in range(14)])
 def test_property_decide_equals_exact_decisions(
     seq, cutoff, sigmas, plus, seed, ulps, exhausted
 ):
-    # radii at the exact sum and a few floats either side put the fast
-    # value inside its error band, so the exact fallback runs as well; a
-    # path whose leading ``plus`` signs are +1 sums without cancellation
+    # radii at the exact sum and a few floats either side put the filter
+    # value inside its error band; a path whose leading ``plus`` signs are
+    # +1 sums without cancellation
     path = path_with_signs(seq, [1] * plus, seed)
     cert = _cert_at(path, sigmas, cutoff, ulps, exhausted)
-    expected = [cv.decided_sign for cv in evaluate(path, sigmas, cert)]
-    assert decide(path, sigmas, cert) == expected
+    _assert_decide_agrees_with_evaluate(path, sigmas, cert)
 
 
-def test_decide_falls_back_to_the_exact_sum_near_the_radius(monkeypatch):
+def _count_chunk_partials(monkeypatch):
     calls = []
     original = evaluation._chunk_partial
 
     def counting(chunk, total):
-        calls.append(total)
+        calls.append(chunk.size)
         return original(chunk, total)
 
     monkeypatch.setattr(evaluation, "_chunk_partial", counting)
-    path = SamplePath(WeightedNaturals(2.0), 1, 0)
-    sigmas = [0.8, 1.1, 1.7]
-    # radius exactly at the sum's magnitude: no error band can clear it
-    at_sum = _cert_at(path, [0.8], 1e4, 0, False)
+    return calls
+
+
+def _assert_decide_sums_nothing_exactly(calls, path, cutoff, sigmas):
+    at_sum = _cert_at(path, sigmas[:1], cutoff, 0, False)
     calls.clear()
-    assert decide(path, [0.8], at_sum) == [None]
-    assert calls == [path.seq.counting_function(1e4)]
-    # far radii leave every decision to the dot product
+    assert decide(path, sigmas[:1], at_sum) == [None]
+    assert calls == []
     for threshold in (0.0, 1e-6, 1e6):
         cert = dataclasses.replace(at_sum, threshold=threshold)
-        calls.clear()
         got = decide(path, sigmas, cert)
         assert calls == []
         assert got == [cv.decided_sign for cv in evaluate(path, sigmas, cert)]
+        calls.clear()
+
+
+def test_decide_sums_nothing_exactly(monkeypatch):
+    # decide streams the signs once through the dot products alone, even
+    # at a radius equal to the sum, where no bracket can clear it
+    calls = _count_chunk_partials(monkeypatch)
+    _assert_decide_sums_nothing_exactly(
+        calls, SamplePath(WeightedNaturals(2.0), 3, 0), 1e4, [0.8, 1.1, 1.7])
+
+
+def test_decide_runs_no_pairwise_pass_for_far_radii_on_a_long_sum(monkeypatch):
+    # a 10**5-term sum, one full chunk and a remainder: far radii and a
+    # radius at the sum are all settled by the chunked dot products alone
+    calls = _count_chunk_partials(monkeypatch)
+    _assert_decide_sums_nothing_exactly(
+        calls, SamplePath(Naturals(), 3, 0), 1e5, [0.6, 0.8, 1.3])
 
 
 _LONG = 1 << 16
@@ -324,14 +358,13 @@ _LONG = 1 << 16
 def test_property_decide_equals_exact_decisions_past_one_chunk(
     seq, n, sigmas, plus, seed, ulps, exhausted
 ):
-    # sums of more than one chunk, where the exact path is compensated_sum's
+    # sums of more than one chunk, where evaluate's value is compensated_sum's
     # chunked one: radii at that sum and up to three floats either side
     path = path_with_signs(seq, [1] * plus, seed)
     cutoff = seq.element(seq.start_index + n - 1)
     assert seq.counting_function(cutoff) == n
     cert = _cert_at(path, sigmas, cutoff, ulps, exhausted)
-    expected = [cv.decided_sign for cv in evaluate(path, sigmas, cert)]
-    assert decide(path, sigmas, cert) == expected
+    _assert_decide_agrees_with_evaluate(path, sigmas, cert)
 
 
 def _cancelling_ones(path, n, excess):
@@ -353,73 +386,176 @@ def _cancelling_ones(path, n, excess):
 @pytest.mark.parametrize("n", [1000, _LONG + 1000])
 def test_heuristic_signs_equal_compensated_sum_signs(monkeypatch, n):
     # the heuristic pass keeps sign(v) with v >= 0 counted as +1; the filter
-    # at radius 0 gives the same signs, long sums included, and sums that
-    # come out within the band of 0 (here exactly 0 and +-2**-40) are
-    # settled by the exact sums it falls back to
+    # at radius 0, in one pass, gives the same signs outside its band, long
+    # sums included, and None (counted +1) for sums within the band of 0,
+    # here exactly 0 and +-2**-40
     seq = Naturals()
     path = SamplePath(seq, 11, 2)
     weights = [_cancelling_ones(path, n, e) for e in (0.0, 2.0**-40, -(2.0**-40))]
     weights += [w for w, _ in evaluation._weight_pairs(
         seq, [(0.53, 3 * _LONG), (0.75, _LONG + 7), (1.2, 900)])]
-    fallbacks = []
-    original = evaluation._signed_sums
-
-    def counting(p, ws):
-        ws = list(ws)
-        fallbacks.append(len(ws))
-        return original(p, ws)
-
-    monkeypatch.setattr(evaluation, "_signed_sums", counting)
-    entries = [(w, evaluation._upper_sum(w)) for w in weights]
+    monkeypatch.setattr(evaluation, "_signed_sums", None)
+    entries = [(w, evaluation._band_slack(w)) for w in weights]
     got = evaluation._filtered_signs(path, entries, [0.0] * len(weights))
     signs = path.signs_up_to(max(w.size for w in weights))
     sums = [compensated_sum(signs[:w.size] * w) for w in weights]
     assert sums[:3] == [0.0, 2.0**-40, -(2.0**-40)]
-    assert [1 if g is None else g for g in got] == [1 if v >= 0 else -1 for v in sums]
-    assert fallbacks == [3]
-
-
-def test_decide_runs_no_pairwise_pass_for_far_radii_on_a_long_sum(monkeypatch):
-    # a 10**5-term sum: the far radii are settled by the chunked dot
-    # products alone, and a radius at the sum re-streams it through
-    # _signed_sums, one pairwise full chunk and one exact remainder
-    calls = []
-    original = evaluation._chunk_partial
-
-    def counting(chunk, total):
-        calls.append(chunk.size)
-        return original(chunk, total)
-
-    monkeypatch.setattr(evaluation, "_chunk_partial", counting)
-    path = SamplePath(Naturals(), 3, 0)
-    sigmas = [0.6, 0.8, 1.3]
-    at_sum = _cert_at(path, [0.6], 1e5, 0, False)
-    calls.clear()
-    assert decide(path, [0.6], at_sum) == [None]
-    assert calls == [_LONG, 100_000 - _LONG]
-    for threshold in (0.0, 1e-6, 1e6):
-        cert = dataclasses.replace(at_sum, threshold=threshold)
-        calls.clear()
-        got = decide(path, sigmas, cert)
-        assert calls == []
-        assert got == [cv.decided_sign for cv in evaluate(path, sigmas, cert)]
+    assert got[:3] == [None] * 3
+    for g, v, (_, band) in zip(got[3:], sums[3:], entries[3:]):
+        assert abs(v) > 4 * band
+        assert g == (1 if v >= 0 else -1)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 15, 1000, _LONG, _LONG + 1, 3 * _LONG, 10**8])
 def test_band_slack_covers_the_proven_error_bound(n):
-    # the bounds of decide's docstring, in exact rational arithmetic:
-    # gamma_{n-1} up to one chunk, and past it twice gamma_{K-1} (dots and
-    # pairwise partials) plus the rounding of the fsum of the dots
+    # the bounds of decide's docstring, in exact rational arithmetic, times
+    # the exact weight sum W: gamma_{n-1} up to one chunk, and past it
+    # gamma_{K-1} plus the final rounding, then 2 * _POW_ULPS ulps of the
+    # weights, and subnormal ulps; n equal weights (a broadcast view, so
+    # 10**8 of them take no memory) from subnormal to near overflow
     u = Fraction(1, 2**53)
+    ulps = evaluation._POW_ULPS
 
     def gamma(k):
         return k * u / (1 - k * u)
 
     if n <= _LONG:
-        proven = gamma(max(n - 1, 0))
+        summation = gamma(max(n - 1, 0))
     else:
-        proven = 2 * gamma(_LONG - 1) + u * (1 + gamma(_LONG - 1))
-    assert Fraction(evaluation._band_slack(n)) >= proven
+        summation = gamma(_LONG - 1) + u * (1 + gamma(_LONG - 1))
+    for x in (2.0**-1074, 3e-310, 2.0**-1022, 0.37, 1.0, 1e290):
+        w = np.broadcast_to(x, (n,))
+        proven = ((summation + 2 * ulps * u) * n * Fraction(x)
+                  + n * ulps * Fraction(2) ** -1074)
+        assert Fraction(evaluation._band_slack(w)) >= proven
+
+
+@given(
+    threshold=st.floats(1e-300, 1e10),
+    cutoff=st.floats(1.0, 1e20),
+    sigma0=st.floats(-2.0, 3.0),
+    gap=st.one_of(st.just(0.0), st.floats(0.0, 400.0)),
+)
+@example(threshold=1.0, cutoff=1e5, sigma0=0.55, gap=2.55)
+@settings(max_examples=150, deadline=None)
+def test_certified_radius_is_rounded_outward(threshold, cutoff, sigma0, gap):
+    # threshold * cutoff**-(sigma - sigma0) against 60-digit mpmath: never
+    # below it, and above it where it is a normal float by little more
+    # than the exponent's one ulp down; an exhausted certificate keeps +0.0
+    mpmath = pytest.importorskip("mpmath")
+    path = SamplePath(explicit([1.0, 2.0]), 1, 0)
+    sigma = sigma0 + gap
+    cert = TailCertificate(path.seq, sigma0, cutoff, threshold, eta=0.5,
+                           tail_second_moment=1.0)
+    (r,) = evaluation._certified_weights(path, [sigma], cert)[1]
+    with mpmath.workdps(60):
+        mp = mpmath.mpf
+        want = mp(threshold) * mp(cutoff) ** -(mp(sigma) - mp(sigma0))
+        assert mp(r) >= want
+        if want > 2.0 ** -1000:
+            step = 2 * math.ulp(sigma - sigma0) * math.log(cutoff)
+            assert mp(r) <= want * (1 + mp(2.0) ** -45 + step)
+    exhausted = dataclasses.replace(cert, threshold=0.0, eta=0.0, exhausted=True)
+    (r0,) = evaluation._certified_weights(path, [sigma], exhausted)[1]
+    assert r0 == 0.0 and math.copysign(1.0, r0) == 1.0
+
+
+def test_powers_within_pow_ulps_of_mpmath():
+    # the assumption behind _POW_ULPS, on the spread its docstring names:
+    # every sequence kind, elements up to 10**6 (the first ones, the last
+    # and random ones between) and sigma in [0.5, 6], against 120-bit mpmath
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(26)
+    worst = 0.0
+    for seq in (Naturals(), Primes(), WeightedNaturals(2.0), WeightedNaturals(3.0)):
+        n = seq.counting_function(1e6)
+        elems = seq.elements_up_to(1e6)
+        for sigma in [0.5, 6.0] + rng.uniform(0.5, 6.0, 3).tolist():
+            w = seq._powers(seq.start_index, n, -sigma)
+            picks = np.concatenate([np.arange(20), rng.integers(0, n, 200), [n - 1]])
+            with mpmath.workprec(120):
+                for p, x in zip(elems[picks].tolist(), w[picks].tolist()):
+                    exact = mpmath.mpf(p) ** -mpmath.mpf(sigma)
+                    worst = max(worst, float(abs(mpmath.mpf(x) - exact)) / math.ulp(x))
+    assert worst <= evaluation._POW_ULPS
+
+
+def test_exact_grade_sign_is_the_real_value_sign():
+    # a 200-bit sum of +3.66e-18 whose float sum is -6.94e-18: with an
+    # exhausted certificate neither decide nor evaluate may keep -1
+    mpmath = pytest.importorskip("mpmath")
+    seq = explicit((9.0, 24.0, 35.0, 38.0))
+    path = SamplePath(seq, 0, 0)
+    sigma = 0.8849149077106495
+    cert = tail_certificate(seq, 0.5, 38.0, 0.05)
+    assert cert.exhausted
+    with mpmath.workprec(200):
+        real = mpmath.fsum(int(x) * mpmath.mpf(p) ** -mpmath.mpf(sigma)
+                           for x, p in zip(path.signs_up_to(38.0), seq.values))
+    assert 3.6e-18 < real < 3.7e-18
+    (cv,) = evaluate(path, [sigma], cert)
+    assert cv.kind == EXACT and cv.partial_sum < 0.0
+    assert cv.decided_sign != -1
+    assert decide(path, [sigma], cert) != [-1]
+
+
+def _real_zero(mpmath, values, signs):
+    """A float next to a zero of sum s_i * p_i**-x, whose signs at +inf
+    (the first element's) and at -inf (the last's) differ: the bracket is
+    widened until it holds both, then bisected with 200-bit values until
+    its ends are adjacent floats."""
+    def sign(x):
+        with mpmath.workprec(200):
+            return mpmath.sign(mpmath.fsum(
+                s * mpmath.mpf(p) ** -mpmath.mpf(x) for s, p in zip(signs, values)))
+
+    lo, hi = -1.0, 1.0
+    while sign(hi) != signs[0]:
+        hi *= 2
+    while sign(lo) != signs[-1]:
+        lo *= 2
+    while math.nextafter(lo, math.inf) < hi:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # adjacent floats
+            break
+        at = sign(mid)
+        if at == 0:
+            return mid
+        lo, hi = (mid, hi) if at == signs[-1] else (lo, mid)
+    return lo
+
+
+@given(
+    values=st.lists(st.integers(1, 100), min_size=2, max_size=8, unique=True)
+    .map(sorted),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(values=[9, 24, 35, 38], seed=0)
+@settings(max_examples=40, deadline=None)
+def test_property_no_decided_sign_disagrees_near_a_zero(values, seed):
+    # the 61 floats within 30 ulps of a 200-bit zero of a small explicit
+    # sum with mixed signs, under an exhausted certificate: every sign
+    # decide or evaluate keeps is the 200-bit value's
+    mpmath = pytest.importorskip("mpmath")
+    seq = explicit([float(v) for v in values])
+    path = SamplePath(seq, seed, 0)
+    signs = [int(x) for x in path.signs_up_to(values[-1])]
+    assume(signs[0] != signs[-1])
+    zero = _real_zero(mpmath, values, signs)
+    assume(abs(zero) < 100.0)  # every weight stays a finite float
+    sigmas = [zero]
+    for _ in range(30):
+        sigmas = [math.nextafter(sigmas[0], -math.inf), *sigmas,
+                  math.nextafter(sigmas[-1], math.inf)]
+    cert = tail_certificate(seq, sigmas[0], float(values[-1]), 0.05)
+    assert cert.exhausted
+    with mpmath.workprec(200):
+        truth = [int(mpmath.sign(mpmath.fsum(
+            sg * mpmath.mpf(p) ** -mpmath.mpf(x) for sg, p in zip(signs, values))))
+            for x in sigmas]
+    for got in (decide(path, sigmas, cert),
+                [cv.decided_sign for cv in evaluate(path, sigmas, cert)]):
+        assert all(g is None or g == t for g, t in zip(got, truth))
 
 
 @pytest.mark.parametrize("small", [2.0**-53, 2.0**-54 * 1.5, 1e-17])
@@ -558,11 +694,11 @@ def test_property_weight_cache_returns_the_requested_array(calls, cutoff, budget
                 assert cert.scan_weights == memo
                 continue
             entries, _ = evaluation._certified_weights(path, sigmas, cert)
-            for sigma, (w, bound) in [*zip(sigmas, entries),
-                                      *cert.scan_weights.items()]:
+            for sigma, (w, band) in [*zip(sigmas, entries),
+                                     *cert.scan_weights.items()]:
                 expected = seq._powers(seq.start_index, count, -sigma)
                 assert w.tobytes() == expected.tobytes()
-                assert bound == evaluation._upper_sum(expected)
+                assert band == evaluation._band_slack(expected)
             assert len(cert.scan_weights) * count <= budget
     finally:
         frequencies.DEFAULT_TERM_BUDGET = saved
