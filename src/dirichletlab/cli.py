@@ -43,6 +43,7 @@ from .frequencies import _check_finite, _text_lines, make_sequence
 from .limits import (
     char_function,
     clt_sample,
+    gaussian_char,
     ks_statistic,
     variance_profile,
 )
@@ -174,7 +175,7 @@ def _cmd_char_fn(v, workers):
     _check_finite("t_max", v["t_max"])
     ts = np.linspace(-v["t_max"], v["t_max"], v["t_points"])
     phis = char_function(seq, v["sigma"], ts, v["cutoff"])
-    grid = [{"t": t, "phi": phi, "gaussian": math.exp(-0.5 * t ** 2)}
+    grid = [{"t": t, "phi": phi, "gaussian": gaussian_char(t)}
             for t, phi in zip(ts.tolist(), phis)]
     gap = max(abs(r["phi"] - r["gaussian"]) for r in grid)
     payload = {

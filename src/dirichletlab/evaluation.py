@@ -83,18 +83,22 @@ def _signed_sums(path: SamplePath, weights) -> list[float]:
     Each product is formed one chunk at a time and reduced by
     ``compensated_sum``'s own ``_chunk_partial``; ``fsum`` over the
     partials gives the sum.  One sum is not one ``compensated_sum`` call.
+    The last array that covers a chunk forms its products in place in the
+    chunk's signs, which no later array reads; the arrays before it form
+    theirs in one reused buffer.
     """
     weights = list(weights)
     count = max((w.size for w in weights), default=0)
     partials: list[list[float]] = [[] for _ in weights]
     prod = np.empty(min(count, _CHUNK))
     for lo, signs in path._sign_chunks(count):
-        for w, parts in zip(weights, partials):
+        covering = [(w, parts) for w, parts in zip(weights, partials) if w.size > lo]
+        last = len(covering) - 1
+        for i, (w, parts) in enumerate(covering):
             m = min(w.size - lo, _CHUNK)
-            if m <= 0:
-                continue
-            np.multiply(signs[:m], w[lo:lo + m], out=prod[:m])
-            parts.append(_chunk_partial(prod[:m], w.size))
+            out = signs[:m] if i == last else prod[:m]
+            parts.append(_chunk_partial(np.multiply(signs[:m], w[lo:lo + m], out=out),
+                                        w.size))
     return [math.fsum(parts) for parts in partials]
 
 

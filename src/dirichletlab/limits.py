@@ -10,9 +10,11 @@ near-critical truncation scale.  The characteristic function is a
 product of cosines cos(x), evaluated at |t|: the factors with x > X0, a
 head of a few elements, take an exact log-space pass for each t, and the
 tail takes the series of log cos x in LOG_COS over power sums of the
-weights that are formed once per call and serve every t; the series is
-accurate to the rounding of its sum, where log of a rounded cos x near 1
-is not.  Each diagnostic counts its terms through ``_count_up_to``, so one
+weights; those of every ``_SUB``-aligned sub-block past the head are formed
+once per call and serve every t, and only the fewer than ``_SUB`` terms
+from the head to the next sub-block are summed for each |t|.  The series
+is accurate to the rounding of its sum, where log of a rounded cos x near
+1 is not.  Each diagnostic counts its terms through ``_count_up_to``, so one
 term budget bounds every operation; the variance profile's second moment
 is truncated at ``SECOND_MOMENT_CUTOFF``.
 """
@@ -35,6 +37,8 @@ from .summation import _CHUNK, _BlockSum, _sum_of_squares
 SECOND_MOMENT_CUTOFF = 1_000_000.0
 # a factor cos(x) with x <= X0 is in the tail of ``char_function``
 X0 = 0.125
+# the tail's power sums are shared across |t| down to _SUB-term sub-blocks
+_SUB = 4096
 # log cos x = sum over k >= 1 of LOG_COS[k - 1] * x**(2k) for |x| < pi/2
 # through x**16, the k-th coefficient being
 # (-1)**k * 2**(2k-1) * (2**(2k) - 1) * B_2k / (k * (2k)!) with B_2k the
@@ -80,22 +84,26 @@ def char_function(
     product is the sum of theirs.  For sigma > 0 the weights do not
     increase, so neither does the rounded x, and the factors with x > X0
     form a prefix, the head; every other factor forms the tail.  For
-    sigma <= 0 the tail is empty.  The head runs the exact path, one
-    ``_CHUNK`` block at a time: the factors are formed, checked for a zero,
-    counted for sign, turned into log-magnitudes and added to one
-    ``summation._BlockSum``.  The tail's factors are positive, and its log
-    is the series sum over k of LOG_COS[k - 1] * |t|**(2k) * S_k with the
-    power sums S_k = sum (p**-sigma / V)**(2k), which do not depend on t.
-    Each ``_CHUNK``-aligned block past the one where the head ends has its
-    S_k summed once per call (numpy's pairwise sum, scaled by a power of two
-    so that no power of |t| overflows); the rest of the block where the
-    head ends is summed for each |t|.  ``math.fsum`` adds the head's log
-    and the tail's terms, so a value depends on its |t| alone, not on the
-    grid.  For x <= X0 the first omitted term of the series is below
-    2.4e-19 of the first, under the rounding of the sum, and the series
-    has no cancellation: log(cos x) of a rounded cos x near 1 carries a
-    relative error up to 2**-53 / (x**2 / 2), which the tail avoids.  No
-    full-length array beside the weights is formed.
+    sigma <= 0 the tail is empty.  The head runs the exact path in pieces
+    of ``_SUB``, ``_SUB``, 2 * ``_SUB``, ... terms, doubling up to ``_CHUNK``
+    and then ``_CHUNK`` at a time, so a short head reads ``_SUB`` terms:
+    the factors are formed, checked for a zero, counted for sign, turned
+    into log-magnitudes and added to one ``summation._BlockSum``, which is
+    exact whatever the pieces.  The tail's factors are positive, and its
+    log is the series sum over k of LOG_COS[k - 1] * |t|**(2k) * S_k with
+    the power sums S_k = sum (p**-sigma / V)**(2k), which do not depend on
+    t.  Each ``_CHUNK``-aligned block past the one where the head ends, and
+    each ``_SUB``-aligned sub-block of that block past the head's, has its
+    S_k summed once per call (numpy's pairwise sum, scaled by a power of
+    two so that no power of |t| overflows); only the terms from the head
+    to the next multiple of ``_SUB`` are summed for each |t|.
+    ``math.fsum`` adds the head's log and the tail's terms, so a value
+    depends on its |t| alone, not on the grid.  For x <= X0 the first
+    omitted term of the series is below 2.4e-19 of the first, under the
+    rounding of the sum, and the series has no cancellation: log(cos x) of
+    a rounded cos x near 1 carries a relative error up to
+    2**-53 / (x**2 / 2), which the tail avoids.  No full-length array
+    beside the weights is formed.
     """
     ts = np.asarray(t, dtype=float)
     if ts.ndim > 1:
@@ -120,18 +128,22 @@ def char_function(
 def _char_value(a: float, w: np.ndarray, sd: float, buf: np.ndarray,
                 x0: float, blocks: dict) -> float:
     """prod cos(a * w / sd) for a >= 0: the head, the factors before the
-    first with x = a * w / sd <= x0, exactly, one ``_CHUNK`` block at a
-    time; the rest by the series, with ``blocks`` the call's power sums of
-    whole tail blocks by their first index."""
+    first with x = a * w / sd <= x0, exactly, in pieces that double from
+    ``_SUB`` to ``_CHUNK`` terms; the rest by the series, over the terms up
+    to the next multiple of ``_SUB`` and then over ``blocks``, the call's
+    power sums of tail sub-blocks and whole blocks by ``(lo, hi)``."""
     if a == 0.0:
         return 1.0
     acc = _BlockSum(buf.size)
     exact = True
     negatives = 0
     head = w.size
-    for lo in range(0, w.size, _CHUNK):
-        c = buf[:min(w.size - lo, _CHUNK)]
-        np.multiply(a, w[lo:lo + c.size], out=c)
+    lo = 0
+    while lo < w.size:
+        # pieces of _SUB, _SUB, 2 * _SUB, ... up to _CHUNK, then _CHUNK
+        hi = min(max(2 * lo, _SUB), lo + _CHUNK, w.size)
+        c = buf[:hi - lo]
+        np.multiply(a, w[lo:hi], out=c)
         c /= sd
         small = c <= x0
         if small.any():
@@ -147,18 +159,21 @@ def _char_value(a: float, w: np.ndarray, sd: float, buf: np.ndarray,
             exact = acc.add(c)
         if head < w.size:
             break
+        lo = hi
     if not exact:
         # a log-magnitude is at most 0 and far above -2**35, and a zero
         # factor returned above, so only a NaN factor fails a block
         return math.nan
     logs = [acc.value()]
     if head < w.size:
+        sub = min(head - head % _SUB + _SUB, w.size)
         end = min(head - head % _CHUNK + _CHUNK, w.size)
-        pieces = [_power_sums(w[head:end], sd)]
-        for lo in range(end, w.size, _CHUNK):
-            if lo not in blocks:
-                blocks[lo] = _power_sums(w[lo:lo + _CHUNK], sd)
-            pieces.append(blocks[lo])
+        spans = [(lo, min(lo + _SUB, end)) for lo in range(sub, end, _SUB)]
+        spans += [(lo, min(lo + _CHUNK, w.size)) for lo in range(end, w.size, _CHUNK)]
+        for span in spans:
+            if span not in blocks:
+                blocks[span] = _power_sums(w[span[0]:span[1]], sd)
+        pieces = [_power_sums(w[head:sub], sd)] + [blocks[span] for span in spans]
         for piece in filter(None, pieces):
             logs += _series_terms(a, *piece)
     sign = 1.0 if negatives % 2 == 0 else -1.0
@@ -169,7 +184,9 @@ def _power_sums(w: np.ndarray, sd: float) -> tuple[int, list[float]] | None:
     """``(e, sums)`` with sums[k - 1] = sum r**(2k) for k = 1..len(LOG_COS),
     each numpy's pairwise sum, where r = fl(w / sd) * 2**-e, scaled
     exactly by the exponent e of the first, largest, ratio; None for a
-    block of zeros, whose terms are all 0."""
+    block of zeros, whose terms are all 0.  ``w`` is one tail piece: a
+    sub-block or whole block, once per call, or the fewer than ``_SUB``
+    terms from the head to the next sub-block, once per |t|."""
     r = w / sd
     if r[0] == 0.0:
         return None
@@ -197,6 +214,15 @@ def _series_terms(a: float, e: int, sums: list[float]) -> list[float]:
     return terms
 
 
+def gaussian_char(t: float) -> float:
+    """exp(-t**2 / 2), the standard normal's characteristic function at t,
+    and 0.0 where t**2 overflows a float."""
+    try:
+        return math.exp(-0.5 * t ** 2)
+    except OverflowError:
+        return 0.0
+
+
 def char_function_gaussian_gap(
     seq: FrequencySequence, sigma: float, cutoff: float, t_grid: np.ndarray
 ) -> float:
@@ -205,8 +231,7 @@ def char_function_gaussian_gap(
     if ts.ndim != 1 or ts.size == 0:
         raise ValidationError("t_grid must be a non-empty 1-d grid")
     phis = char_function(seq, sigma, ts, cutoff)
-    return max(abs(phi - math.exp(-0.5 * t ** 2))
-               for t, phi in zip(ts.tolist(), phis))
+    return max(abs(phi - gaussian_char(t)) for t, phi in zip(ts.tolist(), phis))
 
 
 def clt_sample(seq: FrequencySequence, sigma: float, cutoff: float,

@@ -190,6 +190,8 @@ def test_exit_codes(tmp_path, capsys):
             assert run_cli(tmp_path, *args) == 1
         assert f"validation error: {message}" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.json"))
+    # a grid endpoint whose square overflows a float: the Gaussian there is 0
+    assert run_cli(tmp_path, "char-fn", "--t-max", "1e160", "--cutoff", "1000") == 0
 
 
 def test_explicit_sequence_file(tmp_path, capsys):
@@ -405,13 +407,13 @@ def test_experiment_flags_and_config_fields_match_one_to_one(
 
 
 def test_char_fn_payload_golden(tmp_path):
-    # sha256 of the report captured when the tail factors took the log-cos
-    # series; its phi values lie within 1.5e-16 of a 40-digit product of
-    # the same factors (1.8e-14 before the series)
+    # sha256 of the report captured when the tail's power sums were shared
+    # down to 4096-term sub-blocks; its phi values lie within 1.5e-16 of a
+    # 40-digit product of the same factors (1.8e-14 before the series)
     assert run_cli(tmp_path, "char-fn", "--seq", "primes") == 0
     (report,) = tmp_path.glob("char-fn_*.json")
     assert hashlib.sha256(report.read_bytes()).hexdigest() == (
-        "7310f448c8fb4d152bb6b3e00653637e5a25d8670c53914b35ae02662b908b54")
+        "8255fdb767ff315d711b44a1936dfebd6f9584d3ace8c64004ae9c988eb717b7")
 
 
 @pytest.mark.parametrize("args, digest", [

@@ -76,6 +76,10 @@ _KERNEL_LENGTHS = [0, 1, _CH - 1, _CH, _CH + 1, 3 * _CH + 7]
     lead=st.lists(st.sampled_from([-1, 1]), max_size=4),
     seed=st.integers(0, 2**32 - 1),
 )
+# the last array to cover a chunk forms its products in the chunk's signs;
+# a longer array before or after it must still read the signs intact
+@example(lengths=[3 * _CH + 7, _CH + 1, _CH - 1], start=1, lead=[], seed=3)
+@example(lengths=[_CH - 1, 3 * _CH + 7, _CH], start=7, lead=[1, -1], seed=4)
 @settings(max_examples=25, deadline=None)
 def test_property_streamed_sums_match_compensated_sum(lengths, start, lead, seed):
     # the kernel never builds the full product, yet each sum must equal

@@ -56,6 +56,14 @@ def test_gaussian_gap_shrinks_toward_critical_line():
     assert all(x > y for x, y in zip(gaps, gaps[1:]))
 
 
+def test_gaussian_gap_where_t_squared_overflows():
+    # (1e160)**2 overflows a float; exp(-t**2 / 2) is 0.0 there
+    assert limits.gaussian_char(-1e160) == 0.0
+    assert limits.gaussian_char(0.5) == math.exp(-0.5 * 0.5 ** 2)
+    gap = char_function_gaussian_gap(Naturals(), 0.6, 1e3, np.array([1e160]))
+    assert gap == abs(char_function(Naturals(), 0.6, 1e160, 1e3))
+
+
 def test_clt_sample_deterministic_and_normalized():
     seq = Naturals()
     a = clt_sample(seq, 0.6, 1e5, master_seed=5, trials=400)
@@ -324,6 +332,26 @@ def test_symmetric_grid_evaluates_each_magnitude_once(monkeypatch):
     ts = np.concatenate([np.linspace(-1.0, 1.0, 21), [0.0, -0.0]])
     char_function(Naturals(), 0.7, ts, 3e4)
     assert sorted(abs(t) for t in calls) == sorted(set(abs(ts).tolist()))
+
+
+def test_tail_power_sums_are_shared_down_to_sub_blocks(monkeypatch):
+    # each tail sub-block and whole block is summed once per call; only the
+    # terms from the head to the next multiple of _SUB are summed per |t|
+    terms = []
+    original = limits._power_sums
+
+    def counting(w, sd):
+        terms.append(w.size)
+        return original(w, sd)
+
+    monkeypatch.setattr(limits, "_power_sums", counting)
+    seq, sigma, cutoff = Naturals(), 0.6, 3e5
+    ts = np.linspace(-5.0, 5.0, 21)
+    char_function(seq, sigma, ts, cutoff)
+    w, var = limits._weights_and_variance(seq, sigma, cutoff)
+    heads = [int(np.count_nonzero(a * w / math.sqrt(var) > limits.X0))
+             for a in set(abs(ts).tolist())]
+    assert sum(terms) <= w.size + sum(head + limits._SUB for head in heads)
 
 
 @pytest.mark.parametrize("t", [1e308, -1e308])
