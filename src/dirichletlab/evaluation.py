@@ -44,7 +44,7 @@ from .frequencies import (
     _check_budget,
     _check_finite,
 )
-from .paths import SamplePath
+from .paths import SamplePath, _sign_stream
 from .summation import _CHUNK, _chunk_partial, exact_sum
 
 EXACT = "exact"
@@ -74,32 +74,37 @@ def _upper_sum(w: np.ndarray) -> float:
     return math.nextafter(float(w.sum()) * (1.0 + w.size * 2.0 ** -51), math.inf)
 
 
-def _signed_sums(path: SamplePath, weights) -> list[float]:
+def _signed_sums(paths, weights) -> list[list[float]]:
     """``compensated_sum(signs[:w.size] * w)`` for each weight array ``w``,
-    bit for bit, where ``signs`` are the signs of ``path``.
+    bit for bit, for each path of the block ``paths``, paths of the
+    weights' sequence, where ``signs`` are that path's signs: one list of
+    sums per path.
 
-    The one kernel behind every partial sum.  The path's signs are
-    streamed ``_CHUNK`` at a time in one pass and never held in full.
-    Each product is formed one chunk at a time and reduced by
-    ``compensated_sum``'s own ``_chunk_partial``; ``fsum`` over the
-    partials gives the sum.  One sum is not one ``compensated_sum`` call.
-    The last array that covers a chunk forms its products in place in the
-    chunk's signs, which no later array reads; the arrays before it form
-    theirs in one reused buffer.
+    The one kernel behind every partial sum; a one-path caller passes a
+    block of one.  The block's signs are streamed chunk-major by
+    ``_sign_stream`` and never held in full: for each ``_CHUNK``, every
+    path's signs in turn are decoded into one buffer and multiplied by the
+    same weight chunks, which stay in cache across the block.  Each
+    product chunk is reduced by ``compensated_sum``'s own
+    ``_chunk_partial``, and ``fsum`` over a sum's partials gives the sum,
+    so one sum is not one ``compensated_sum`` call.  The last array that
+    covers a chunk forms its products in place in the path's signs, which
+    no later array reads; the arrays before it form theirs in one reused
+    buffer.
     """
     weights = list(weights)
     count = max((w.size for w in weights), default=0)
-    partials: list[list[float]] = [[] for _ in weights]
+    partials = [[[] for _ in weights] for _ in paths]
     prod = np.empty(min(count, _CHUNK))
-    for lo, signs in path._sign_chunks(count):
-        covering = [(w, parts) for w, parts in zip(weights, partials) if w.size > lo]
+    for lo, i, signs in _sign_stream(paths, count):
+        covering = [(w, parts) for w, parts in zip(weights, partials[i]) if w.size > lo]
         last = len(covering) - 1
-        for i, (w, parts) in enumerate(covering):
+        for j, (w, parts) in enumerate(covering):
             m = min(w.size - lo, _CHUNK)
-            out = signs[:m] if i == last else prod[:m]
+            out = signs[:m] if j == last else prod[:m]
             parts.append(_chunk_partial(np.multiply(signs[:m], w[lo:lo + m], out=out),
                                         w.size))
-    return [math.fsum(parts) for parts in partials]
+    return [[math.fsum(parts) for parts in sums] for sums in partials]
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +220,7 @@ def partial_sum_table(
         raise ValidationError("cutoff must be >= 1")
     seq = path.seq
     pairs = _weight_pairs(seq, [(s, seq._count_up_to(c)) for s, c in points])
-    return _signed_sums(path, [w for w, _ in pairs])
+    return _signed_sums([path], [w for w, _ in pairs])[0]
 
 
 def _certified_weights(
@@ -272,7 +277,7 @@ def evaluate(
     certified one plus the weight pair's band, rounded up, so it also
     bounds the distance to the real value (see ``decide``)."""
     entries, radii = _certified_weights(path, sigmas, cert)
-    values = _signed_sums(path, [w for w, _ in entries])
+    values = _signed_sums([path], [w for w, _ in entries])[0]
     kind = EXACT if cert.exhausted else PROBABILISTIC
     sigma0 = None if cert.exhausted else cert.sigma0
     return [CertifiedValue(s, v, cert.cutoff, math.nextafter(r + band, math.inf),

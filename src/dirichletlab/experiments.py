@@ -407,7 +407,7 @@ def _exceedance_setup(cfg: ExceedanceConfig, seq) -> dict:
 
 
 def _exceedance_trial(cfg: ExceedanceConfig, st: dict, path: SamplePath) -> dict:
-    sums = _signed_sums(path, st["weights"])
+    sums = _signed_sums([path], st["weights"])[0]
     return {"normalized": [s / norm for s, norm in zip(sums, st["norms"])]}
 
 

@@ -30,8 +30,8 @@ import numpy as np
 from .errors import DivergenceError, ResourceBudgetError, ValidationError
 from . import frequencies
 from .evaluation import _signed_sums, heuristic_cutoff
-from .frequencies import FrequencySequence, _check_finite
-from .paths import SamplePath
+from .frequencies import FrequencySequence, _check_budget, _check_finite
+from .paths import _BLOCK, SamplePath
 from .summation import _CHUNK, _BlockSum, _sum_of_squares
 
 SECOND_MOMENT_CUTOFF = 1_000_000.0
@@ -238,12 +238,18 @@ def clt_sample(seq: FrequencySequence, sigma: float, cutoff: float,
                master_seed: int, trials: int) -> np.ndarray:
     """Monte Carlo draws of the truncated value over its truncated sd.
 
-    Warns when the truncated variance captures less than 90% of the full
-    variance enclosure, i.e. when the cutoff is too small for the chosen
-    exponent to make the normalized truncation honest.
+    Draw i is the path of trial index i, summed by ``_signed_sums``; the
+    paths go through it in blocks of ``_BLOCK`` (64), so each chunk of the
+    weights serves a whole block while it is in cache, and one mixing call
+    makes the words of that chunk for every path of the block.  The trial
+    count is checked against the term budget before the draws' array is
+    allocated.  Warns when the truncated variance captures less than 90%
+    of the full variance enclosure, i.e. when the cutoff is too small for
+    the chosen exponent to make the normalized truncation honest.
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
+    _check_budget(trials)
     w, var = _weights_and_variance(seq, sigma, cutoff)
     if seq.tail_converges(2.0 * sigma):
         _, tail_hi = seq.tail_power_sum(2.0 * sigma, cutoff)
@@ -255,9 +261,9 @@ def clt_sample(seq: FrequencySequence, sigma: float, cutoff: float,
             )
     sd = math.sqrt(var)
     out = np.empty(trials, dtype=np.float64)
-    for i in range(trials):
-        path = SamplePath(seq, master_seed, i)
-        out[i] = _signed_sums(path, [w])[0] / sd
+    for lo in range(0, trials, _BLOCK):
+        block = [SamplePath(seq, master_seed, i) for i in range(lo, min(lo + _BLOCK, trials))]
+        out[lo:lo + len(block)] = [sums[0] / sd for sums in _signed_sums(block, [w])]
     return out
 
 

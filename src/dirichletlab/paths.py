@@ -8,6 +8,16 @@ is the SplitMix64 finalizer of ``key + k * gamma`` (mod 2**64), and the
 sign of element index i is bit ``i % 64`` of word ``i // 64`` (set -> +1,
 clear -> -1).  The bits are read from the word's little-endian bytes,
 least significant first, so the stream does not depend on the host.
+
+Every word is computed on its own, so the one mixer, ``_mix_words``,
+mixes rows of words of many paths, or many rows of one path, in one
+call.  ``_sign_stream`` yields the signs of a block of paths chunk-major,
+one chunk of every path before the next chunk, so a caller's weight
+chunk stays in cache across the block; each of its mixing calls covers
+about ``_CHUNK`` words: one chunk of each of ``_BLOCK`` paths, or
+``_BLOCK`` chunks of one path.  ``SamplePath._fill_signs`` mixes a run of
+one path's words in one call.  Every sign is decoded by the one byte
+table (``_decode``).
 """
 
 from __future__ import annotations
@@ -23,7 +33,6 @@ from .summation import _CHUNK
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _TRIAL_GAMMA = 0xBF58476D1CE4E5B9
-_GAMMA_U64 = np.uint64(_GAMMA)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 _S30, _S27, _S31 = np.uint64(30), np.uint64(27), np.uint64(31)
@@ -32,6 +41,12 @@ _S30, _S27, _S31 = np.uint64(30), np.uint64(27), np.uint64(31)
 _SLACK = 126
 # row b holds the signs of bits 0..7 of the byte b
 _BYTE_SIGNS = np.where((np.arange(256)[:, None] >> np.arange(8)) & 1, 1.0, -1.0)
+# the words that hold one _CHUNK of signs
+_CHUNK_WORDS = _CHUNK // 64
+# the paths of a block: one chunk of each fills a _CHUNK-word mixing call
+_BLOCK = _CHUNK // _CHUNK_WORDS
+# k * gamma, mod 2**64, for the word offsets k of one row of a mixing call
+_STEPS = np.arange(_CHUNK_WORDS + 1, dtype=np.uint64) * np.uint64(_GAMMA)
 
 
 def _mix64(z: int) -> int:
@@ -45,6 +60,77 @@ def _mix64(z: int) -> int:
 def _stream_key(master_seed: int, trial_index: int) -> int:
     base = _mix64(master_seed & _MASK)
     return _mix64(base ^ ((trial_index + 1) * _TRIAL_GAMMA & _MASK))
+
+
+def _mix_words(bases: list[int], z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """The one word mixer.  Row r of ``z``, a (len(bases), width) array of
+    little-endian uint64 with width at most ``_CHUNK_WORDS + 1``, gets
+    ``width`` consecutive words of one path: word k is the finalizer of
+    ``bases[r] + k * gamma`` (mod 2**64), ``bases[r]`` being ``key + first
+    * gamma`` for the row's first word index ``first``.  ``tmp``, 64-bit
+    entries of z's shape, takes the shifted words, so every step runs in
+    place.  Returns z's bytes, row by row."""
+    # a lone row takes its base as a scalar: no array of bases to build
+    if len(bases) == 1:
+        np.add(_STEPS[:z.shape[-1]], bases[0], out=z)
+    else:
+        np.add(_STEPS[:z.shape[-1]], np.array(bases, dtype=np.uint64)[:, None], out=z)
+    np.right_shift(z, _S30, out=tmp)
+    z ^= tmp
+    z *= _M1
+    np.right_shift(z, _S27, out=tmp)
+    z ^= tmp
+    z *= _M2
+    np.right_shift(z, _S31, out=tmp)
+    z ^= tmp
+    return z.view(np.uint8)
+
+
+def _decode(data: np.ndarray, buf: np.ndarray) -> None:
+    """The one decode: the signs of the bits of ``data``, the bytes of
+    little-endian words, 8 per byte in bit order, over the start of the
+    float64 buffer ``buf``."""
+    # byte j of a little-endian word holds its bits 8j .. 8j + 7; the
+    # indices are bytes, never out of range, and "clip" writes straight
+    # into the buffer, where the default "raise" would buffer it
+    _BYTE_SIGNS.take(data, axis=0, out=buf[:8 * data.size].reshape(-1, 8), mode="clip")
+
+
+def _sign_stream(paths, count: int):
+    """Yield ``(offset, i, signs)`` over the first ``count`` served signs of
+    the block ``paths``, a non-empty list of paths of one sequence: for
+    each ``_CHUNK`` of signs, at ``offset``, one entry for each path
+    ``paths[i]`` in order.  ``signs`` equals that path's ``signs_up_to``
+    vector sliced at the same offsets.
+
+    One ``_mix_words`` call covers max(1, ``_BLOCK`` // len(paths))
+    chunks of every path, one row of words per chunk and path: one chunk of
+    ``_BLOCK`` paths, or ``_BLOCK`` chunks of one.  Every ``signs`` is a
+    view into one buffer that the next entry overwrites, so the stream
+    holds the words of one call and one chunk of signs, however long it
+    is.
+    """
+    first_word, lead = divmod(paths[0].seq.start_index, 64)
+    per = max(1, _BLOCK // len(paths))
+    rows = min(per, -(-count // _CHUNK)) * len(paths)
+    width = (lead + min(count, _CHUNK) + 63) // 64
+    z = np.empty(rows * width, "<u8")
+    # the signs of one chunk, 64 per word; between two entries no one
+    # reads them, so the mixer takes its shifted words (rows * width) here
+    buf = np.empty(max(64, rows) * width)
+    for lo in range(0, count, per * _CHUNK):
+        offsets = range(lo, min(lo + per * _CHUNK, count), _CHUNK)
+        bases = [(p._key + (first_word + off // 64) * _GAMMA) & _MASK
+                 for off in offsets for p in paths]
+        shape = (len(bases), (lead + min(_CHUNK, count - lo) + 63) // 64)
+        size = shape[0] * shape[1]
+        data = iter(_mix_words(bases, z[:size].reshape(shape),
+                               buf[:size].view("<u8").reshape(shape)))
+        for offset in offsets:
+            m = min(_CHUNK, count - offset)
+            for i in range(len(paths)):
+                _decode(next(data)[:8 * ((lead + m + 63) // 64)], buf)
+                yield offset, i, buf[lead:lead + m]
 
 
 @dataclass(frozen=True)
@@ -66,30 +152,19 @@ class SamplePath:
     def _fill_signs(self, offset: int, count: int, buf: np.ndarray) -> np.ndarray:
         """Signs of the served positions ``[offset, offset + count)``.
 
-        The one sign generator: it mixes the words that hold those signs
-        (``_mix64``, one word per 64 signs) and decodes each of their
-        bytes into ``buf``, a float64 buffer of at least ``count + _SLACK``
-        entries that it overwrites.  The returned view into ``buf`` starts
-        at the first sign's bit of its word.
+        The words that hold those signs are mixed in one ``_mix_words``
+        call, in rows of at most ``_CHUNK_WORDS + 1`` consecutive words, and
+        decoded into ``buf``, a float64 buffer of at least ``count +
+        _SLACK`` entries that it overwrites.  The returned view into
+        ``buf`` starts at the first sign's bit of its word.
         """
         first_word, lead = divmod(self.seq.start_index + offset, 64)
         words = (lead + count + 63) // 64
-        z = np.arange(first_word, first_word + words, dtype=np.uint64)
-        # key + k * gamma, mod 2**64, for each word index k
-        z *= _GAMMA_U64
-        z += np.uint64(self._key)
-        z ^= z >> _S30
-        z *= _M1
-        z ^= z >> _S27
-        z *= _M2
-        z ^= z >> _S31
-        out = buf[:64 * words]
-        # byte j of a little-endian word holds its bits 8j .. 8j + 7; the
-        # indices are bytes, never out of range, and "clip" writes straight
-        # into ``out``, where the default "raise" would buffer it
-        _BYTE_SIGNS.take(z.astype("<u8", copy=False).view(np.uint8), axis=0,
-                         out=out.reshape(-1, 8), mode="clip")
-        return out[lead:lead + count]
+        firsts = range(first_word, first_word + words, _CHUNK_WORDS + 1)
+        z, tmp = np.empty((2, len(firsts), min(words, _CHUNK_WORDS + 1)), "<u8")
+        data = _mix_words([(self._key + k * _GAMMA) & _MASK for k in firsts], z, tmp)
+        _decode(data.reshape(-1)[:8 * words], buf)
+        return buf[lead:lead + count]
 
     def sign_at(self, index: int) -> int:
         if index < self.seq.start_index:
@@ -100,14 +175,25 @@ class SamplePath:
     def _sign_chunks(self, count: int):
         """Yield ``(offset, signs)`` over the first ``count`` served signs,
         ``_CHUNK`` at a time, equal to ``signs_up_to``'s vector sliced at
-        the same offsets.
+        the same offsets: the ``_sign_stream`` of the block of this path
+        alone, whose mixing calls serve ``_BLOCK`` chunks each.  A stream of
+        at most one chunk, as each of a scan's at a small cutoff, is one
+        mixing call of one row and one decode, without the block's
+        bookkeeping, which would cost a short stream a fifth more.
 
         Every ``signs`` is a view into one buffer that the next chunk
         overwrites, so a stream of any length holds O(_CHUNK) memory.
         """
-        buf = np.empty(min(count, _CHUNK) + _SLACK)
-        for offset in range(0, count, _CHUNK):
-            yield offset, self._fill_signs(offset, min(_CHUNK, count - offset), buf)
+        if count > _CHUNK:
+            for offset, _, signs in _sign_stream([self], count):
+                yield offset, signs
+        elif count:
+            first_word, lead = divmod(self.seq.start_index, 64)
+            words = (lead + count + 63) // 64
+            z, tmp = np.empty((2, words), "<u8")
+            buf = np.empty(64 * words)
+            _decode(_mix_words([(self._key + first_word * _GAMMA) & _MASK], z, tmp), buf)
+            yield 0, buf[lead:lead + count]
 
     def signs_up_to(self, cutoff: float) -> np.ndarray:
         """Signs (float64 in {-1.0, +1.0}) of all served elements <= cutoff,

@@ -124,9 +124,10 @@ def compensated_sum(values) -> float:
     roundoff.
 
     ``evaluation._signed_sums`` takes the same ``_chunk_partial`` of each
-    chunk of products it never materializes in full, and
-    ``_sum_of_squares`` of each chunk of squares, so their sums are
-    bit-identical to this function's on the same terms.
+    chunk of products, for every path of a block, one chunk of one path
+    at a time, without the full product array, and ``_sum_of_squares`` of
+    each chunk of squares, so their sums are bit-identical to this
+    function's on the same terms.
     """
     arr = np.ascontiguousarray(values, dtype=np.float64)
     return math.fsum(_chunk_partial(arr[lo:lo + _CHUNK], arr.size)

@@ -99,6 +99,10 @@ def test_exit_codes(tmp_path, capsys):
     # at 1e4 terms each are refused before any array is formed
     assert run_cli(tmp_path, "scan", "--grid", "20000") == 2
     assert "operation needs 200000000 terms" in capsys.readouterr().err
+    # so does a trial count: the draws' array is never allocated
+    assert run_cli(tmp_path, "clt", "--seq", "naturals", "--sigma", "0.6",
+                   "--cutoff", "100", "--trials", "100000000000") == 2
+    assert "needs 100000000000 terms, exceeding the budget" in capsys.readouterr().err
     # unknown flag -> validation, not resource
     assert main(["eval", "--bogus-flag"]) == 1
     capsys.readouterr()

@@ -16,7 +16,7 @@ from dirichletlab import (
     ValidationError,
     WeightedNaturals,
 )
-from dirichletlab import evaluation, frequencies
+from dirichletlab import evaluation, frequencies, paths
 from dirichletlab.evaluation import (
     EXACT,
     PROBABILISTIC,
@@ -92,8 +92,58 @@ def test_property_streamed_sums_match_compensated_sum(lengths, start, lead, seed
     path = path_with_signs(Naturals(start_index=start), lead, seed)
     signs = path.signs_up_to(start - 1 + max(lengths))
     expected = [compensated_sum(signs[:w.size] * w) for w in weights]
-    got = evaluation._signed_sums(path, weights)
+    got = evaluation._signed_sums([path], weights)[0]
     assert [x.hex() for x in got] == [x.hex() for x in expected]
+
+
+# the signs of each path that one mixing call covers in a block of n paths
+def _batch(n):
+    return max(1, paths._BLOCK // n) * _CH
+
+
+@st.composite
+def _blocks(draw):
+    """A block size and one to two sum lengths on both sides of the chunk
+    and mixing-call edges of that block, at most about 2**22 signs in all."""
+    n = draw(st.integers(1, 70))
+    b = _batch(n)
+    lengths = [k for k in (1, 63, _CH - 1, _CH, _CH + 1, b - 1, b + 1, b + _CH + 5)
+               if n * k <= (1 << 22) + 2 * _CH]
+    return n, draw(st.lists(st.sampled_from(lengths), min_size=1, max_size=2))
+
+
+@given(block=_blocks(), start=st.sampled_from([1, 2, 63, 64, 65, 1 << 40]),
+       seed=st.integers(0, 2**32 - 1))
+# one path across its first mixing call's edge, 64 chunks in
+@example(block=(1, [64 * _CH - 1]), start=1, seed=5)
+@example(block=(1, [64 * _CH + 1]), start=1, seed=6)
+# two chunks in one call for a block of two; a block past 64 paths
+@example(block=(2, [_CH + 1, 63]), start=65, seed=7)
+@example(block=(70, [_CH + 1]), start=1 << 40, seed=8)
+@settings(max_examples=15, deadline=None)
+def test_property_block_kernel_matches_each_path(block, start, seed):
+    # a block streams its paths chunk-major through shared mixing calls;
+    # every entry must be that path's own signs, and every sum the path's
+    # compensated_sum bit for bit
+    n, lengths = block
+    seq = Naturals(start_index=start)
+    block_paths = [SamplePath(seq, seed, t) for t in range(n)]
+    count = max(lengths)
+    buf = np.empty(_CH + paths._SLACK)
+    entries = []
+    for offset, i, signs in paths._sign_stream(block_paths, count):
+        entries.append((offset, i))
+        own = block_paths[i]._fill_signs(offset, min(_CH, count - offset), buf)
+        assert signs.tobytes() == own.tobytes()
+    assert entries == [(o, i) for o in range(0, count, _CH) for i in range(n)]
+    rng = np.random.default_rng(seed)
+    weights = [rng.standard_normal(k) * 10.0 ** rng.uniform(-6, 6, k) for k in lengths]
+    got = evaluation._signed_sums(block_paths, weights)
+    assert len(got) == n
+    for path, sums in zip(block_paths, got):
+        signs = path.signs_up_to(start - 1 + count)
+        expected = [compensated_sum(signs[:w.size] * w) for w in weights]
+        assert [x.hex() for x in sums] == [x.hex() for x in expected]
 
 
 def test_weight_cache_separates_start_indices():

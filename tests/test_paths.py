@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirichletlab import Naturals, Primes, SamplePath, ValidationError, paths
+from dirichletlab import Naturals, Primes, SamplePath, ValidationError, limits, paths
 from dirichletlab.experiments import BuEventConfig, _trial
 from dirichletlab.frequencies import make_sequence
 
@@ -130,6 +130,37 @@ def test_property_scalar_vector_agree(start, lead, count, seed):
                                          for d in (-1, 0)}
     for k in sorted(k for k in edges if 0 <= k < count):
         assert float(path.sign_at(start + k)) == vec[k]
+
+
+def test_mixing_calls_cover_a_block(monkeypatch):
+    # one mixer call mixes about _CH words: one chunk of each of 64 paths,
+    # or 64 chunks of one path; a stream of at most one chunk is one call
+    words = []
+    original = paths._mix_words
+
+    def counting(bases, z, tmp):
+        words.append(z.size)
+        return original(bases, z, tmp)
+
+    monkeypatch.setattr(paths, "_mix_words", counting)
+    primes = Primes()
+    assert -(-primes.counting_function(1e7) // _CH) == 11
+    limits.clt_sample(primes, 0.6, 1e7, 1, 64)
+    assert len(words) == 11
+    assert words[:10] == [64 * (_CH // 64 + 1)] * 10
+    path = SamplePath(Naturals(), 1, 0)
+    words.clear()
+    for _ in path._sign_chunks(3 * 64 * _CH + 5):
+        pass
+    assert len(words) == 4
+    block = [SamplePath(Naturals(), 1, t) for t in range(64)]
+    for count in (1, 1782, _CH):
+        for stream in (path._sign_chunks(count), paths._sign_stream([path], count),
+                       paths._sign_stream(block, count)):
+            words.clear()
+            for _ in stream:
+                pass
+            assert len(words) == 1
 
 
 _GAMMA = 0x9E3779B97F4A7C15
