@@ -17,7 +17,11 @@ truncation radius.  The bracket is a float sum widened by
 the weights ``p**-sigma``.  ``evaluate`` adds that bound into its error
 radius; ``decide`` takes the bracket from ``_filtered_signs``, one
 floating-point dot product per streamed chunk, in one pass over the signs.
-The heuristic pass of a sign-change trial runs the same filter at radius 0.
+``_filtered_signs`` filters a block of paths, each with its own weight
+pairs and radii, in one chunk-major stream, so each weight chunk is read
+from memory once per block; ``decide`` passes a block of one.  A
+sign-change trial filters its whole block at once: the certified grid at
+the certified radii, then each path's own undecided sums at radius 0.
 
 Each shared weight array ``p**-sigma`` has one owner: a certificate's
 ``scan_weights`` holds those of ``evaluate`` and ``decide``, a study's setup
@@ -312,25 +316,30 @@ def _band_slack(w: np.ndarray) -> float:
                           + n * _POW_ULPS * 2.0 ** -1074, math.inf)
 
 
-def _filtered_signs(path: SamplePath, entries, radii) -> list[int | None]:
-    """The sign of each sum's real value beyond its radius, or None, for
-    the weight pairs ``(w, band)`` of ``_weight_pairs``, from one pass
-    over the path's signs.
+def _filtered_signs(paths, entries_per_path, radii_per_path) -> list[list[int | None]]:
+    """For each path of the block ``paths``, the sign of each sum's real
+    value beyond its radius, or None, for that path's own weight pairs
+    ``(w, band)`` of ``_weight_pairs`` and radii, from one pass over the
+    block's signs: one list of signs per path.
 
-    Every streamed chunk of signs is dotted with each weight array
-    (``np.dot``, any summation order), and ``math.fsum`` of a sum's dots
-    is its filter value D.  The real value lies within the band of D (see
-    ``decide``), so the sign is D's beyond the radius plus the band,
-    rounded up.  A NaN or infinite band leaves the sum undecided.
+    The block is streamed chunk-major by ``_sign_stream`` to the longest
+    array any path needs, so each weight chunk stays in cache while every
+    path of the block reads it.  Every streamed chunk of a path's signs is
+    dotted with each of that path's weight arrays (``np.dot``, any
+    summation order), and ``math.fsum`` of a sum's dots is its filter
+    value D.  The real value lies within the band of D (see ``decide``),
+    so the sign is D's beyond the radius plus the band, rounded up.  A NaN
+    or infinite band leaves the sum undecided.
     """
-    count = max((w.size for w, _ in entries), default=0)
-    dots: list[list[float]] = [[] for _ in entries]
-    for lo, signs in path._sign_chunks(count):
-        for (w, _), parts in zip(entries, dots):
+    count = max((w.size for entries in entries_per_path for w, _ in entries), default=0)
+    dots = [[[] for _ in entries] for entries in entries_per_path]
+    for lo, i, signs in _sign_stream(paths, count):
+        for (w, _), parts in zip(entries_per_path[i], dots[i]):
             if lo < w.size:
                 parts.append(np.dot(signs[:w.size - lo], w[lo:lo + _CHUNK]))
-    return [_sign_beyond(math.fsum(parts), math.nextafter(r + band, math.inf))
-            for (_, band), parts, r in zip(entries, dots, radii)]
+    return [[_sign_beyond(math.fsum(parts), math.nextafter(r + band, math.inf))
+             for (_, band), parts, r in zip(entries, sums, radii)]
+            for entries, sums, radii in zip(entries_per_path, dots, radii_per_path)]
 
 
 def decide(
@@ -338,8 +347,9 @@ def decide(
 ) -> list[int | None]:
     """The signs of the real partial sums at ``sigmas`` beyond the certified
     radii, or None, with ``evaluate``'s validation, from one pass over the
-    path's signs: ``_filtered_signs`` over the weight pairs.  Where both
-    decide, ``evaluate``'s ``decided_sign`` is the same sign.
+    path's signs: ``_filtered_signs`` over the weight pairs, for the block
+    of this path alone.  Where both decide, ``evaluate``'s
+    ``decided_sign`` is the same sign.
 
     Why a kept sign is the real value's.  Split a sum of n terms into
     chunks c of m_c <= K = ``_CHUNK`` terms; let w_i = fl(p_i**-sigma), S_c
@@ -365,7 +375,8 @@ def decide(
     above the radius r plus that band, D > rho gives R > r and D < -rho
     gives R < -r; so does V with ``evaluate``'s error radius rho.
     """
-    return _filtered_signs(path, *_certified_weights(path, sigmas, cert))
+    entries, radii = _certified_weights(path, sigmas, cert)
+    return _filtered_signs([path], [entries], [radii])[0]
 
 
 def heuristic_cutoff(sigma: float) -> float:

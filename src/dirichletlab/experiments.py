@@ -38,15 +38,15 @@ from ._version import SCHEMA_VERSION, VERSION
 from .bounds import wilson_interval
 from .errors import ValidationError
 from .evaluation import (
+    _certified_weights,
     _filtered_signs,
     _signed_sums,
     _weight_pairs,
-    decide,
     excursion_probability_bound,
     heuristic_cutoff,
 )
 from .frequencies import WeightedNaturals, _check_finite, make_sequence
-from .paths import SamplePath
+from .paths import _BLOCK, SamplePath, _sign_stream
 from .zeros import _certified_changes, _initial_grid, certify_no_zeros, scan_certificate
 
 # the head of every study's tail enclosures: certificates and excursion bounds
@@ -207,14 +207,18 @@ def _no_zero_setup(cfg: NoZeroConfig, seq):
     return partial(certify_no_zeros, sigma_lo=cfg.sigma_lo, cert=cert)
 
 
-def _no_zero_trial(cfg: NoZeroConfig, certify, path: SamplePath) -> dict:
-    rep = certify(path)
-    return {
-        "certified": bool(rep.no_zero_certified),
-        "sign_changes": rep.sign_changes,
-        "undecided_measure": rep.undecided_measure,
-        "eta_total": rep.eta_total,
-    }
+def _no_zero_trial(cfg: NoZeroConfig, certify, paths: list[SamplePath]) -> list[dict]:
+    # each path's scan refines its own grid, so the block is certified path
+    # by path
+    return [
+        {
+            "certified": bool(rep.no_zero_certified),
+            "sign_changes": rep.sign_changes,
+            "undecided_measure": rep.undecided_measure,
+            "eta_total": rep.eta_total,
+        }
+        for rep in map(certify, paths)
+    ]
 
 
 def _aggregate_no_zero(cfg: NoZeroConfig, certify, rows: list[dict]) -> dict:
@@ -276,26 +280,34 @@ def _sign_change_setup(cfg: SignChangeConfig, seq) -> dict:
     }
 
 
-def _sign_change_trial(cfg: SignChangeConfig, st: dict, path: SamplePath) -> dict:
-    # both passes stream the path's signs: the certified one stops at the
-    # certificate cutoff, the heuristic one at the longest undecided sum
-    certified = decide(path, st["grid"], st["cert"])
+def _sign_change_trial(cfg: SignChangeConfig, st: dict,
+                       paths: list[SamplePath]) -> list[dict]:
+    # both passes stream the block's signs chunk-major, so each weight chunk
+    # is read once per block: the certified one stops at the certificate
+    # cutoff, the heuristic one at the longest sum any path leaves undecided
+    entries, radii = _certified_weights(paths[0], st["grid"], st["cert"])
+    n = len(paths)
+    decided = _filtered_signs(paths, [entries] * n, [radii] * n)
     # the heuristic sum's sign stands in wherever the certified one is
     # undecided: the filter at radius 0, where a bracket holding 0 counts +1
-    undecided = [j for j, s in enumerate(certified) if s is None]
-    heuristic = _filtered_signs(path, [st["entries"][j] for j in undecided],
-                                [0.0] * len(undecided))
-    combined = list(certified)
-    for j, sign in zip(undecided, heuristic):
-        combined[j] = 1 if sign is None else sign
-    m = len(combined)
-    return {
-        "combined_counts": [_certified_changes(combined[j0:])
-                            for j0 in st["rung_start"]],
-        "certified_counts": [_certified_changes(certified[j0:])
-                             for j0 in st["rung_start"]],
-        "decided_fraction": (m - len(undecided)) / m,
-    }
+    undecided = [[j for j, s in enumerate(certified) if s is None]
+                 for certified in decided]
+    heuristic = _filtered_signs(paths, [[st["entries"][j] for j in js] for js in undecided],
+                                [[0.0] * len(js) for js in undecided])
+    rows = []
+    for certified, js, signs in zip(decided, undecided, heuristic):
+        combined = list(certified)
+        for j, sign in zip(js, signs):
+            combined[j] = 1 if sign is None else sign
+        m = len(combined)
+        rows.append({
+            "combined_counts": [_certified_changes(combined[j0:])
+                                for j0 in st["rung_start"]],
+            "certified_counts": [_certified_changes(certified[j0:])
+                                 for j0 in st["rung_start"]],
+            "decided_fraction": (m - len(js)) / m,
+        })
+    return rows
 
 
 def _aggregate_sign_change(cfg: SignChangeConfig, st: dict,
@@ -362,10 +374,17 @@ def _bu_setup(cfg: BuEventConfig, seq) -> dict:
             "windows": windows, "per_cutoff": per_cutoff, "bound_count_ladder": ladder}
 
 
-def _bu_trial(cfg: BuEventConfig, st: dict, path: SamplePath) -> dict:
+def _bu_trial(cfg: BuEventConfig, st: dict, paths: list[SamplePath]) -> list[dict]:
+    # each path's running sums take a full-length array, so the block goes
+    # path by path
+    return [{"sups": _bu_sups(st, path)} for path in paths]
+
+
+def _bu_sups(st: dict, path: SamplePath) -> list[float]:
+    """The path's sup of |running sum| over each cutoff's index window."""
     w = st["weights"]
     prefix = np.empty(w.size)  # the signed weights, then their running sums
-    for lo, signs in path._sign_chunks(w.size):
+    for lo, _, signs in _sign_stream([path], w.size):
         np.multiply(signs, w[lo:lo + signs.size], out=prefix[lo:lo + signs.size])
     np.cumsum(prefix, out=prefix)
     sups = []
@@ -376,7 +395,7 @@ def _bu_trial(cfg: BuEventConfig, st: dict, path: SamplePath) -> dict:
         base = prefix[a - 1] if a > 0 else 0.0
         window = prefix[a:b] - base
         sups.append(float(np.max(np.abs(window))))
-    return {"sups": sups}
+    return sups
 
 
 def _aggregate_bu(cfg: BuEventConfig, st: dict, rows: list[dict]) -> dict:
@@ -406,9 +425,10 @@ def _exceedance_setup(cfg: ExceedanceConfig, seq) -> dict:
     return {"weights": [w for w, _ in pairs], "norms": norms}
 
 
-def _exceedance_trial(cfg: ExceedanceConfig, st: dict, path: SamplePath) -> dict:
-    sums = _signed_sums([path], st["weights"])[0]
-    return {"normalized": [s / norm for s, norm in zip(sums, st["norms"])]}
+def _exceedance_trial(cfg: ExceedanceConfig, st: dict,
+                      paths: list[SamplePath]) -> list[dict]:
+    return [{"normalized": [s / norm for s, norm in zip(sums, st["norms"])]}
+            for sums in _signed_sums(paths, st["weights"])]
 
 
 def _aggregate_exceedance(cfg: ExceedanceConfig, st: dict,
@@ -436,8 +456,9 @@ def _aggregate_exceedance(cfg: ExceedanceConfig, st: dict,
 
 # ---------------------------------------------------------------------------
 # Runner: kind -> (setup, trial, aggregate).  setup(cfg, seq) validates the
-# config and builds what its trials share; trial(cfg, shared, path) returns
-# one row without the trial index; aggregate(cfg, shared, rows).
+# config and builds what its trials share; trial(cfg, shared, paths) takes
+# the paths of a block of consecutive trials and returns one row per path,
+# in order, without the trial index; aggregate(cfg, shared, rows).
 
 _KINDS = {
     "no_zero": (_no_zero_setup, _no_zero_trial, _aggregate_no_zero),
@@ -471,11 +492,13 @@ def _setup(cfg):
 _setup.cache_clear = _SETUPS.clear
 
 
-def _trial(cfg, i: int) -> dict:
-    """Row ``i``: the trial index, then the kind's trial on path ``i``."""
+def _trials(cfg, indices: range) -> list[dict]:
+    """The rows of the consecutive trials ``indices``: each its trial index,
+    then its row of the kind's trial on the block of their paths."""
     seq, shared, _ = _setup(replace(cfg, trials=1, master_seed=0))
-    row = _KINDS[cfg.kind][1](cfg, shared, SamplePath(seq, cfg.master_seed, i))
-    return {"trial": i, **row}
+    paths = [SamplePath(seq, cfg.master_seed, i) for i in indices]
+    rows = _KINDS[cfg.kind][1](cfg, shared, paths)
+    return [{"trial": i, **row} for i, row in zip(indices, rows)]
 
 
 def run_experiment(cfg, workers: int = 1) -> ExperimentReport:
@@ -489,14 +512,17 @@ def run_experiment(cfg, workers: int = 1) -> ExperimentReport:
     for w in caught:
         warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
     t0 = time.monotonic()
+    # blocks of consecutive trials, in trial order: at most _BLOCK paths,
+    # and in the pool at most a quarter of a worker's share, one block a task
+    size = _BLOCK if workers <= 1 else min(_BLOCK, max(1, cfg.trials // (4 * workers)))
+    blocks = [range(lo, min(lo + size, cfg.trials)) for lo in range(0, cfg.trials, size)]
     if workers <= 1:
-        rows = [_trial(cfg, i) for i in range(cfg.trials)]
+        rows = [row for block in blocks for row in _trials(cfg, block)]
     else:
-        chunk = max(1, cfg.trials // (4 * workers))
         # the pool starts all its workers up front, so none beyond the trials
         with ProcessPoolExecutor(max_workers=min(workers, cfg.trials)) as ex:
-            rows = list(ex.map(partial(_trial, cfg), range(cfg.trials),
-                               chunksize=chunk))
+            rows = [row for block_rows in ex.map(partial(_trials, cfg), blocks)
+                    for row in block_rows]
     agg = _KINDS[cfg.kind][2](cfg, shared, rows)
     cd = _config_dict(cfg)
     return ExperimentReport(

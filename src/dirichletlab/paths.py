@@ -11,13 +11,13 @@ least significant first, so the stream does not depend on the host.
 
 Every word is computed on its own, so the one mixer, ``_mix_words``,
 mixes rows of words of many paths, or many rows of one path, in one
-call.  ``_sign_stream`` yields the signs of a block of paths chunk-major,
-one chunk of every path before the next chunk, so a caller's weight
-chunk stays in cache across the block; each of its mixing calls covers
-about ``_CHUNK`` words: one chunk of each of ``_BLOCK`` paths, or
-``_BLOCK`` chunks of one path.  ``SamplePath._fill_signs`` mixes a run of
-one path's words in one call.  Every sign is decoded by the one byte
-table (``_decode``).
+call.  ``_sign_stream``, the one sign stream, yields the signs of a block
+of paths chunk-major, one chunk of every path before the next chunk, so a
+caller's weight chunk stays in cache across the block; each of its mixing
+calls covers about ``_CHUNK`` words: one chunk of each of ``_BLOCK``
+paths, or ``_BLOCK`` chunks of one path.  ``SamplePath._fill_signs`` mixes
+a run of one path's words in one call.  Every sign is decoded by the one
+byte table (``_decode``).
 """
 
 from __future__ import annotations
@@ -105,12 +105,23 @@ def _sign_stream(paths, count: int):
 
     One ``_mix_words`` call covers max(1, ``_BLOCK`` // len(paths))
     chunks of every path, one row of words per chunk and path: one chunk of
-    ``_BLOCK`` paths, or ``_BLOCK`` chunks of one.  Every ``signs`` is a
-    view into one buffer that the next entry overwrites, so the stream
-    holds the words of one call and one chunk of signs, however long it
-    is.
+    ``_BLOCK`` paths, or ``_BLOCK`` chunks of one.  A block of one path
+    and at most one chunk, as each of a scan's streams at a small cutoff,
+    is one mixing call of one row and one decode, without the block's
+    bookkeeping, which would cost a short stream a fifth more.  Every
+    ``signs`` is a view into one buffer that the next entry overwrites, so
+    the stream holds the words of one call and one chunk of signs, however
+    long it is.
     """
     first_word, lead = divmod(paths[0].seq.start_index, 64)
+    if len(paths) == 1 and count <= _CHUNK:
+        if count:
+            words = (lead + count + 63) // 64
+            z, tmp = np.empty((2, words), "<u8")
+            buf = np.empty(64 * words)
+            _decode(_mix_words([(paths[0]._key + first_word * _GAMMA) & _MASK], z, tmp), buf)
+            yield 0, 0, buf[lead:lead + count]
+        return
     per = max(1, _BLOCK // len(paths))
     rows = min(per, -(-count // _CHUNK)) * len(paths)
     width = (lead + min(count, _CHUNK) + 63) // 64
@@ -171,29 +182,6 @@ class SamplePath:
             raise ValidationError(f"index {index} precedes start_index")
         signs = self._fill_signs(index - self.seq.start_index, 1, np.empty(1 + _SLACK))
         return int(signs[0])
-
-    def _sign_chunks(self, count: int):
-        """Yield ``(offset, signs)`` over the first ``count`` served signs,
-        ``_CHUNK`` at a time, equal to ``signs_up_to``'s vector sliced at
-        the same offsets: the ``_sign_stream`` of the block of this path
-        alone, whose mixing calls serve ``_BLOCK`` chunks each.  A stream of
-        at most one chunk, as each of a scan's at a small cutoff, is one
-        mixing call of one row and one decode, without the block's
-        bookkeeping, which would cost a short stream a fifth more.
-
-        Every ``signs`` is a view into one buffer that the next chunk
-        overwrites, so a stream of any length holds O(_CHUNK) memory.
-        """
-        if count > _CHUNK:
-            for offset, _, signs in _sign_stream([self], count):
-                yield offset, signs
-        elif count:
-            first_word, lead = divmod(self.seq.start_index, 64)
-            words = (lead + count + 63) // 64
-            z, tmp = np.empty((2, words), "<u8")
-            buf = np.empty(64 * words)
-            _decode(_mix_words([(self._key + first_word * _GAMMA) & _MASK], z, tmp), buf)
-            yield 0, buf[lead:lead + count]
 
     def signs_up_to(self, cutoff: float) -> np.ndarray:
         """Signs (float64 in {-1.0, +1.0}) of all served elements <= cutoff,

@@ -236,7 +236,7 @@ def test_bu_event_bound_ladder_is_checked_before_any_trial(
 ):
     # a ladder the sequence has no analytic bound for, and a count below
     # the bound's range, are refused before the first trial runs
-    def no_trial(cfg, shared, path):
+    def no_trial(cfg, shared, paths):
         raise AssertionError("a trial ran")
 
     setup, _trial, aggregate = experiments._KINDS["bu_event"]

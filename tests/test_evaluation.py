@@ -450,7 +450,7 @@ def test_heuristic_signs_equal_compensated_sum_signs(monkeypatch, n):
         seq, [(0.53, 3 * _LONG), (0.75, _LONG + 7), (1.2, 900)])]
     monkeypatch.setattr(evaluation, "_signed_sums", None)
     entries = [(w, evaluation._band_slack(w)) for w in weights]
-    got = evaluation._filtered_signs(path, entries, [0.0] * len(weights))
+    got = evaluation._filtered_signs([path], [entries], [[0.0] * len(weights)])[0]
     signs = path.signs_up_to(max(w.size for w in weights))
     sums = [compensated_sum(signs[:w.size] * w) for w in weights]
     assert sums[:3] == [0.0, 2.0**-40, -(2.0**-40)]

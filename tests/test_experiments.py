@@ -23,13 +23,13 @@ from dirichletlab.evaluation import evaluate, tail_certificate
 from dirichletlab.experiments import (
     _config_dict,
     _setup,
-    _trial,
+    _trials,
     config_hash,
     rows_to_csv,
 )
 from dirichletlab.frequencies import FrequencySequence, WeightedNaturals, make_sequence
 from dirichletlab.paths import SamplePath
-from dirichletlab.summation import compensated_sum
+from dirichletlab.summation import _CHUNK as _CH, compensated_sum
 from dirichletlab.zeros import certify_no_zeros, scan_certificate
 
 from conftest import normal_cdf
@@ -325,7 +325,7 @@ def test_sign_change_rows_match_the_exact_sums(min_cutoff):
             else 1 if compensated_sum(signs[:w.size] * w) >= 0 else -1
             for s, w in zip(certified, weights)
         ]
-        row = _trial(cfg, i)
+        row = _trials(cfg, range(i, i + 1))[0]
         assert row["decided_fraction"] == sum(
             s is not None for s in certified) / len(certified)
         assert row["combined_counts"] == [
@@ -395,21 +395,96 @@ def test_setup_is_dropped_before_the_next_is_built(monkeypatch):
 
 
 def test_sign_change_trial_streams_its_signs():
-    # a warm trial streams the path's signs through the sums a chunk at a
+    # a warm trial streams its block's signs through the sums a chunk at a
     # time: its peak allocation stays far below one full-length float64
-    # sign vector (8 bytes per term of the longest heuristic sum)
+    # sign vector (8 bytes per term of the longest heuristic sum), for a
+    # block of one path and of two
     cfg = SignChangeConfig(ladder=(0.70, 0.62, 0.535), trials=2,
                            grid_points=8, heuristic_max_cutoff=2e6)
     max_count = max(w.size for w, _ in _setup(cfg)[1]["entries"])
     assert max_count > 1_000_000
-    _trial(cfg, 0)
-    tracemalloc.start()
-    try:
-        _trial(cfg, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * max_count / 2
+    _trials(cfg, range(1))
+    for block in (range(1, 2), range(2)):
+        tracemalloc.start()
+        try:
+            _trials(cfg, block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * max_count / 2
+
+
+def test_sign_change_streams_a_block_of_two_paths(monkeypatch):
+    # the default two-trial run is one block: its certified filter and its
+    # heuristic filter each stream both paths in one _sign_stream call, so
+    # each weight chunk is read once for the two trials
+    cfg = SignChangeConfig(trials=2)
+    seq, st, _ = _setup(cfg)
+    undecided = set()
+    for i in range(cfg.trials):
+        signs = evaluation.decide(SamplePath(seq, cfg.master_seed, i), st["grid"], st["cert"])
+        undecided |= {j for j, s in enumerate(signs) if s is None}
+    calls = []
+    original = evaluation._sign_stream
+
+    def recording(paths, count):
+        calls.append((len(paths), count))
+        return original(paths, count)
+
+    monkeypatch.setattr(evaluation, "_sign_stream", recording)
+    run_experiment(cfg)
+    assert calls == [(2, st["cert"].count),
+                     (2, max(st["entries"][j][0].size for j in undecided))]
+
+
+def test_block_of_differing_undecided_sets_gives_each_paths_rows():
+    # hand-built heuristic arrays, the longest at grid point 3, over paths
+    # whose certified filters leave different points undecided: none, the
+    # first only (so the longest array is decided), the first two and the
+    # first four.  A block streams to the longest array any path needs; each
+    # path's row is the one it gives alone.
+    cfg = SignChangeConfig(ladder=(0.9, 0.7), trials=1, grid_points=6,
+                           cert_cutoff=1e5, heuristic_max_cutoff=2e5)
+    seq, st, _ = _setup(cfg)
+    lengths = [2 * _CH + 1, 3, _CH - 1, 3 * _CH + 7, 1, _CH, 10]
+    assert len(lengths) == len(st["grid"])
+    st = {**st, "entries": evaluation._weight_pairs(seq, list(zip(st["grid"], lengths)))}
+    block = [SamplePath(seq, cfg.master_seed, i) for i in (1, 0, 5, 3, 29)]
+    undecided = [tuple(j for j, s in enumerate(evaluation.decide(p, st["grid"], st["cert"]))
+                       if s is None) for p in block]
+    assert undecided == [(), (0,), (0, 1), (0, 1, 2, 3), (0, 1, 2)]
+    trial = experiments._KINDS["sign_change"][1]
+    rows = trial(cfg, st, block)
+    alone = [trial(cfg, st, [p])[0] for p in block]
+    assert experiments._canonical_json(rows) == experiments._canonical_json(alone)
+
+
+_SMALL = {
+    "no_zero": NoZeroConfig(cutoff=1e4),
+    # heuristic sums of 1e4 to 6.7e4 terms, across the chunk edge
+    "sign_change": SignChangeConfig(ladder=(0.8, 0.545), grid_points=6,
+                                    cert_cutoff=1e4, heuristic_max_cutoff=2e5),
+    "bu_event": BuEventConfig(cutoff_ladder=(10.0, 100.0), horizon_factor=100.0),
+    "exceedance": ExceedanceConfig(scales=(100.0, 1e4, 1e5)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SMALL))
+def test_blocked_runs_equal_trials_one_by_one(kind):
+    # a run passes its trials in blocks of up to 64 paths; every row is the
+    # one its trial gives in a block of its own, across the block edge too
+    cfg = _SMALL[kind]
+    alone = [_trials(cfg, range(i, i + 1))[0] for i in range(65)]
+    for trials in (1, 2, 64, 65):
+        rows = run_experiment(replace(cfg, trials=trials)).per_trial
+        assert experiments._canonical_json(rows) == experiments._canonical_json(alone[:trials])
+
+
+@pytest.mark.parametrize("kind", ["sign_change", "exceedance"])
+def test_pooled_blocks_equal_one_process(kind):
+    cfg = replace(_SMALL[kind], trials=5)
+    pooled = run_experiment(cfg, workers=3)
+    assert pooled.payload_json() == run_experiment(cfg, workers=1).payload_json()
 
 
 def test_sign_change_validation():

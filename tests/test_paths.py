@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dirichletlab import Naturals, Primes, SamplePath, ValidationError, limits, paths
-from dirichletlab.experiments import BuEventConfig, _trial
+from dirichletlab.experiments import BuEventConfig, _trials
 from dirichletlab.frequencies import make_sequence
 
 from conftest import path_with_signs
@@ -91,7 +91,7 @@ def test_running_sup_matches_brute_force():
     # the running sup of the bu_event trial's prefix windows
     cfg = BuEventConfig(cutoff_ladder=(10.0, 100.0), horizon_factor=2.0)
     seq = make_sequence(cfg.seq)
-    row = _trial(cfg, 2)
+    row = _trials(cfg, range(2, 3))[0]
     path = SamplePath(seq, cfg.master_seed, 2)
     for u, sup in zip(cfg.cutoff_ladder, row["sups"]):
         best = _brute_force_sup(path, seq, u, u * cfg.horizon_factor, 0.5, 200)
@@ -103,7 +103,7 @@ def test_running_sup_empty_range():
     cfg = BuEventConfig(cutoff_ladder=(1.0,), horizon_factor=2.0)
     seq = make_sequence(cfg.seq)
     assert seq.elements_up_to(2.0)[seq.counting_function(1.0):].size == 0
-    assert _trial(cfg, 0)["sups"] == [0.0]
+    assert _trials(cfg, range(1))[0]["sups"] == [0.0]
 
 
 _CH = 1 << 16
@@ -120,7 +120,7 @@ def test_property_scalar_vector_agree(start, lead, count, seed):
     # the three accessors of the one generator serve the same signs
     path = path_with_signs(Naturals(start_index=start), lead, seed)
     vec = path.signs_up_to(start - 1 + count)
-    chunks = [(off, signs.copy()) for off, signs in path._sign_chunks(count)]
+    chunks = [(off, signs.copy()) for off, _, signs in paths._sign_stream([path], count)]
     assert [off for off, _ in chunks] == list(range(0, count, _CH))
     streamed = np.concatenate([np.empty(0)] + [signs for _, signs in chunks])
     assert vec.size == count
@@ -150,13 +150,12 @@ def test_mixing_calls_cover_a_block(monkeypatch):
     assert words[:10] == [64 * (_CH // 64 + 1)] * 10
     path = SamplePath(Naturals(), 1, 0)
     words.clear()
-    for _ in path._sign_chunks(3 * 64 * _CH + 5):
+    for _ in paths._sign_stream([path], 3 * 64 * _CH + 5):
         pass
     assert len(words) == 4
     block = [SamplePath(Naturals(), 1, t) for t in range(64)]
     for count in (1, 1782, _CH):
-        for stream in (path._sign_chunks(count), paths._sign_stream([path], count),
-                       paths._sign_stream(block, count)):
+        for stream in (paths._sign_stream([path], count), paths._sign_stream(block, count)):
             words.clear()
             for _ in stream:
                 pass
@@ -192,7 +191,7 @@ def test_property_signs_match_the_word_bit_oracle(seed, trial, start, count, dat
     oracle = _oracle_signs(path, start, count)
     vec = path.signs_up_to(start - 1 + count)
     assert vec.tolist() == oracle
-    streamed = [x for _, signs in path._sign_chunks(count) for x in signs.tolist()]
+    streamed = [x for _, _, signs in paths._sign_stream([path], count) for x in signs.tolist()]
     assert streamed == oracle
     if count:
         picks = data.draw(st.lists(st.integers(0, count - 1), max_size=8))

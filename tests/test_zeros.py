@@ -14,6 +14,7 @@ from dirichletlab import (
     scan,
     scan_certificate,
 )
+from dirichletlab import evaluation
 from dirichletlab.frequencies import FrequencySequence
 from dirichletlab._version import SCHEMA_VERSION
 from dirichletlab.zeros import _MAX_GRID_POINTS
@@ -36,13 +37,13 @@ def test_scan_streams_signs_once_per_evaluate(monkeypatch):
     # the initial grid and each refinement round are one evaluate call,
     # and each evaluate call is one streamed pass over the path's signs
     calls = []
-    original = SamplePath._sign_chunks
+    original = evaluation._sign_stream
 
-    def counting(self, count):
+    def counting(paths, count):
         calls.append(count)
-        return original(self, count)
+        return original(paths, count)
 
-    monkeypatch.setattr(SamplePath, "_sign_chunks", counting)
+    monkeypatch.setattr(evaluation, "_sign_stream", counting)
     seq = WeightedNaturals(2.0)
     cert = scan_certificate(seq, 0.6, 1e4, 0.05)
     rep = scan(SamplePath(seq, 3, 1), 0.6, 2.0, cert, max_refinement=4)
