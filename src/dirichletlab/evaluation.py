@@ -244,7 +244,10 @@ def _certified_weights(
     power's ``_POW_ULPS`` ulps and its own half ulp, at most 2u relative
     per ulp (u = 2**-53) for normal floats; the floors 2**-1021 exceed any
     subnormal result plus its error, and the float above the last product
-    covers its rounding.
+    covers its rounding.  A power below 2**-1021 is taken instead as the
+    square of the power at half the exponent (halving is exact), floored
+    the same way, and ``twice``, the threshold times 1 + (4 * ``_POW_ULPS``
+    + 4)u, covers both half powers' ulps and the extra product.
     """
     if cert.seq != path.seq:
         raise ValidationError("certificate was built for another sequence")
@@ -266,9 +269,17 @@ def _certified_weights(
         entries.append(entry)
     tiny = 2.0 ** -1021
     grown = cert.threshold * (1.0 + (2 * _POW_ULPS + 2) * 2.0 ** -53)
-    powers = (cert.cutoff ** -math.nextafter(s - cert.sigma0, -math.inf) for s in sigmas)
-    radii = [math.nextafter(max(grown * max(p, tiny), tiny), math.inf) if grown else 0.0
-             for p in powers]
+    twice = cert.threshold * (1.0 + (4 * _POW_ULPS + 4) * 2.0 ** -53)
+    radii = []
+    for s in sigmas:
+        e = math.nextafter(s - cert.sigma0, -math.inf)
+        p = cert.cutoff ** -e
+        if p < tiny:
+            half = max(cert.cutoff ** (-e / 2), tiny)
+            r = twice * half * half
+        else:
+            r = grown * p
+        radii.append(math.nextafter(max(r, tiny), math.inf) if grown else 0.0)
     return entries, radii
 
 

@@ -15,13 +15,15 @@ call.  ``_sign_stream``, the one sign stream, yields the signs of a block
 of paths chunk-major, one chunk of every path before the next chunk, so a
 caller's weight chunk stays in cache across the block; each of its mixing
 calls covers about ``_CHUNK`` words: one chunk of each of ``_BLOCK``
-paths, or ``_BLOCK`` chunks of one path.  ``SamplePath._fill_signs`` mixes
-a run of one path's words in one call.  Every sign is decoded by the one
-byte table (``_decode``).
+paths, or ``_BLOCK`` chunks of one path.  Every sign is decoded by the one
+byte table (``_decode``).  A path's vector of signs is filled from its own
+stream; a single sign is its bit of the word from the definition, in
+Python ints (``_mix64``), with no numpy call.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,9 +38,6 @@ _TRIAL_GAMMA = 0xBF58476D1CE4E5B9
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 _S30, _S27, _S31 = np.uint64(30), np.uint64(27), np.uint64(31)
-# a run of n signs from any bit of a word lies in whole words of at most
-# n + _SLACK bits
-_SLACK = 126
 # row b holds the signs of bits 0..7 of the byte b
 _BYTE_SIGNS = np.where((np.arange(256)[:, None] >> np.arange(8)) & 1, 1.0, -1.0)
 # the words that hold one _CHUNK of signs
@@ -100,8 +99,9 @@ def _sign_stream(paths, count: int):
     """Yield ``(offset, i, signs)`` over the first ``count`` served signs of
     the block ``paths``, a non-empty list of paths of one sequence: for
     each ``_CHUNK`` of signs, at ``offset``, one entry for each path
-    ``paths[i]`` in order.  ``signs`` equals that path's ``signs_up_to``
-    vector sliced at the same offsets.
+    ``paths[i]`` in order.  ``signs`` are that path's signs of the served
+    positions ``offset`` onward, bit for bit the bits that ``sign_at``
+    reads from the words.
 
     One ``_mix_words`` call covers max(1, ``_BLOCK`` // len(paths))
     chunks of every path, one row of words per chunk and path: one chunk of
@@ -160,31 +160,18 @@ class SamplePath:
             self, "_key", _stream_key(self.master_seed, self.trial_index)
         )
 
-    def _fill_signs(self, offset: int, count: int, buf: np.ndarray) -> np.ndarray:
-        """Signs of the served positions ``[offset, offset + count)``.
-
-        The words that hold those signs are mixed in one ``_mix_words``
-        call, in rows of at most ``_CHUNK_WORDS + 1`` consecutive words, and
-        decoded into ``buf``, a float64 buffer of at least ``count +
-        _SLACK`` entries that it overwrites.  The returned view into
-        ``buf`` starts at the first sign's bit of its word.
-        """
-        first_word, lead = divmod(self.seq.start_index + offset, 64)
-        words = (lead + count + 63) // 64
-        firsts = range(first_word, first_word + words, _CHUNK_WORDS + 1)
-        z, tmp = np.empty((2, len(firsts), min(words, _CHUNK_WORDS + 1)), "<u8")
-        data = _mix_words([(self._key + k * _GAMMA) & _MASK for k in firsts], z, tmp)
-        _decode(data.reshape(-1)[:8 * words], buf)
-        return buf[lead:lead + count]
-
     def sign_at(self, index: int) -> int:
         if index < self.seq.start_index:
             raise ValidationError(f"index {index} precedes start_index")
-        signs = self._fill_signs(index - self.seq.start_index, 1, np.empty(1 + _SLACK))
-        return int(signs[0])
+        # bit index % 64 of word index // 64, in Python ints (numpy's too)
+        k, bit = divmod(operator.index(index), 64)
+        return 1 if _mix64(self._key + k * _GAMMA) >> bit & 1 else -1
 
     def signs_up_to(self, cutoff: float) -> np.ndarray:
         """Signs (float64 in {-1.0, +1.0}) of all served elements <= cutoff,
         in element order."""
         count = self.seq._count_up_to(cutoff)
-        return self._fill_signs(0, count, np.empty(count + _SLACK))
+        signs = np.empty(count)
+        for offset, _, chunk in _sign_stream([self], count):
+            signs[offset:offset + chunk.size] = chunk
+        return signs

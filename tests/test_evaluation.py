@@ -96,6 +96,20 @@ def test_property_streamed_sums_match_compensated_sum(lengths, start, lead, seed
     assert [x.hex() for x in got] == [x.hex() for x in expected]
 
 
+def _word_signs(path, offset, count):
+    # SplitMix64 words key + k * gamma in uint64 arithmetic (wrapping), their
+    # bits least significant first: the signs of served positions
+    # [offset, offset + count)
+    first, lead = divmod(path.seq.start_index + offset, 64)
+    k = np.uint64(first) + np.arange((lead + count + 63) // 64, dtype=np.uint64)
+    z = np.uint64(path._key) + k * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    bits = np.unpackbits(z.astype("<u8").view(np.uint8), bitorder="little")
+    return np.where(bits[lead:lead + count] == 1, 1.0, -1.0)
+
+
 # the signs of each path that one mixing call covers in a block of n paths
 def _batch(n):
     return max(1, paths._BLOCK // n) * _CH
@@ -129,11 +143,10 @@ def test_property_block_kernel_matches_each_path(block, start, seed):
     seq = Naturals(start_index=start)
     block_paths = [SamplePath(seq, seed, t) for t in range(n)]
     count = max(lengths)
-    buf = np.empty(_CH + paths._SLACK)
     entries = []
     for offset, i, signs in paths._sign_stream(block_paths, count):
         entries.append((offset, i))
-        own = block_paths[i]._fill_signs(offset, min(_CH, count - offset), buf)
+        own = _word_signs(block_paths[i], offset, min(_CH, count - offset))
         assert signs.tobytes() == own.tobytes()
     assert entries == [(o, i) for o in range(0, count, _CH) for i in range(n)]
     rng = np.random.default_rng(seed)
@@ -491,6 +504,8 @@ def test_band_slack_covers_the_proven_error_bound(n):
     gap=st.one_of(st.just(0.0), st.floats(0.0, 400.0)),
 )
 @example(threshold=1.0, cutoff=1e5, sigma0=0.55, gap=2.55)
+# a power just below 2**-1021 times a threshold above 2**21: a normal radius
+@example(threshold=2097428.0, cutoff=28469.0, sigma0=0.0, gap=69.0)
 @settings(max_examples=150, deadline=None)
 def test_certified_radius_is_rounded_outward(threshold, cutoff, sigma0, gap):
     # threshold * cutoff**-(sigma - sigma0) against 60-digit mpmath: never

@@ -117,7 +117,8 @@ _CH = 1 << 16
 )
 @settings(max_examples=40, deadline=None)
 def test_property_scalar_vector_agree(start, lead, count, seed):
-    # the three accessors of the one generator serve the same signs
+    # the stream, the vector filled from it and the single sign read from
+    # the word serve the same signs
     path = path_with_signs(Naturals(start_index=start), lead, seed)
     vec = path.signs_up_to(start - 1 + count)
     chunks = [(off, signs.copy()) for off, _, signs in paths._sign_stream([path], count)]
@@ -134,7 +135,8 @@ def test_property_scalar_vector_agree(start, lead, count, seed):
 
 def test_mixing_calls_cover_a_block(monkeypatch):
     # one mixer call mixes about _CH words: one chunk of each of 64 paths,
-    # or 64 chunks of one path; a stream of at most one chunk is one call
+    # or 64 chunks of one path; a stream of at most one chunk is one call,
+    # and a single sign is none
     words = []
     original = paths._mix_words
 
@@ -160,6 +162,10 @@ def test_mixing_calls_cover_a_block(monkeypatch):
             for _ in stream:
                 pass
             assert len(words) == 1
+    words.clear()
+    for i in (1, 63, 64, _CH + 1, (1 << 40) + 37):
+        path.sign_at(i)
+    assert words == []
 
 
 _GAMMA = 0x9E3779B97F4A7C15
