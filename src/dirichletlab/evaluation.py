@@ -9,19 +9,19 @@ Two certificate grades are produced:
   every exponent above the certificate's base exponent, the truncation
   error is below threshold * cutoff**-(sigma - sigma0).
 
-A kept sign is that of the real partial sum, sum X_p * p**-sigma over the
-float elements p, by one rule: a bracket [lo, hi] that contains the real
-value, +1 when lo > r, -1 when hi < -r and undecided otherwise, with r the
-truncation radius.  The bracket is a float sum widened by
-``_band_slack``, which bounds both the summation error and the rounding of
-the weights ``p**-sigma``.  ``evaluate`` adds that bound into its error
-radius; ``decide`` takes the bracket from ``_filtered_signs``, one
-floating-point dot product per streamed chunk, in one pass over the signs.
-``_filtered_signs`` filters a block of paths, each with its own weight
-pairs and radii, in one chunk-major stream, so each weight chunk is read
-from memory once per block; ``decide`` passes a block of one.  A
-sign-change trial filters its whole block at once: the certified grid at
-the certified radii, then each path's own undecided sums at radius 0.
+Every partial sum and every kept sign comes from one kernel,
+``_signed_sums``: dots of a block of paths' streamed signs with each path's
+weights ``p**-sigma``, in rows too short for BLAS to split across threads,
+so no value depends on the thread count.  A kept sign is that of the real
+partial sum, sum X_p * p**-sigma over the float elements p, by one rule: a
+bracket [lo, hi] that contains the real value, +1 when lo > r, -1 when
+hi < -r and undecided otherwise, with r the truncation radius.  The
+bracket is the kernel's value widened by ``_band_slack``, which bounds
+both the summation error and the rounding of the weights.  ``evaluate``
+adds that bound into its error radius; ``decide`` and ``_filtered_signs``
+take the sign beyond it.  A sign-change trial filters its whole block at
+once: the certified grid at the certified radii, then each path's own
+undecided sums at radius 0.
 
 Each shared weight array ``p**-sigma`` has one owner: a certificate's
 ``scan_weights`` holds those of ``evaluate`` and ``decide``, a study's setup
@@ -49,7 +49,7 @@ from .frequencies import (
     _check_finite,
 )
 from .paths import SamplePath, _sign_stream
-from .summation import _CHUNK, _chunk_partial, exact_sum
+from .summation import _CHUNK, exact_sum
 
 EXACT = "exact"
 PROBABILISTIC = "probabilistic"
@@ -78,37 +78,42 @@ def _upper_sum(w: np.ndarray) -> float:
     return math.nextafter(float(w.sum()) * (1.0 + w.size * 2.0 ** -51), math.inf)
 
 
-def _signed_sums(paths, weights) -> list[list[float]]:
-    """``compensated_sum(signs[:w.size] * w)`` for each weight array ``w``,
-    bit for bit, for each path of the block ``paths``, paths of the
-    weights' sequence, where ``signs`` are that path's signs: one list of
-    sums per path.
+# The longest row one BLAS dot sums: OpenBLAS splits a dot of more than
+# 10,000 terms across its threads, each summing its own part, so a longer
+# row's value would depend on the thread count.
+_ROW = _CHUNK // 8
 
-    The one kernel behind every partial sum; a one-path caller passes a
-    block of one.  The block's signs are streamed chunk-major by
-    ``_sign_stream`` and never held in full: for each ``_CHUNK``, every
-    path's signs in turn are decoded into one buffer and multiplied by the
-    same weight chunks, which stay in cache across the block.  Each
-    product chunk is reduced by ``compensated_sum``'s own
-    ``_chunk_partial``, and ``fsum`` over a sum's partials gives the sum,
-    so one sum is not one ``compensated_sum`` call.  The last array that
-    covers a chunk forms its products in place in the path's signs, which
-    no later array reads; the arrays before it form theirs in one reused
-    buffer.
+
+def _signed_sums(paths, weights_per_path) -> list[list[float]]:
+    """A float value of sum(signs[:w.size] * w) for each weight array
+    ``w`` of ``weights_per_path[i]``, with ``signs`` the signs of
+    ``paths[i]``, for each path of the block ``paths`` (paths of the
+    weights' sequence): one list of sums per path, each within
+    ``_band_slack(w)`` of the real sum (see ``decide``).
+
+    The block's signs are streamed chunk-major by ``_sign_stream`` to the
+    longest array any path needs, so each weight chunk stays in cache while
+    every path of the block reads it.  Each ``_CHUNK`` of a path's signs is
+    dotted with each of that path's arrays in rows of at most ``_ROW``
+    terms: one stacked ``np.matmul`` over the full rows and one ``np.dot``
+    for the rest, or one ``np.dot`` alone for at most ``_ROW`` terms.
+    ``math.fsum`` of a sum's dots is its value.
     """
-    weights = list(weights)
-    count = max((w.size for w in weights), default=0)
-    partials = [[[] for _ in weights] for _ in paths]
-    prod = np.empty(min(count, _CHUNK))
+    count = max((w.size for ws in weights_per_path for w in ws), default=0)
+    dots = [[[] for _ in ws] for ws in weights_per_path]
     for lo, i, signs in _sign_stream(paths, count):
-        covering = [(w, parts) for w, parts in zip(weights, partials[i]) if w.size > lo]
-        last = len(covering) - 1
-        for j, (w, parts) in enumerate(covering):
-            m = min(w.size - lo, _CHUNK)
-            out = signs[:m] if j == last else prod[:m]
-            parts.append(_chunk_partial(np.multiply(signs[:m], w[lo:lo + m], out=out),
-                                        w.size))
-    return [[math.fsum(parts) for parts in sums] for sums in partials]
+        for w, parts in zip(weights_per_path[i], dots[i]):
+            m = w.size - lo
+            if m > _ROW:
+                m = min(m, _CHUNK)
+                k = m - m % _ROW
+                parts += np.matmul(signs[:k].reshape(-1, 1, _ROW),
+                                   w[lo:lo + k].reshape(-1, _ROW, 1)).ravel().tolist()
+                if k < m:
+                    parts.append(np.dot(signs[k:m], w[lo + k:lo + m]))
+            elif m > 0:
+                parts.append(np.dot(signs[:m], w[lo:]))
+    return [[math.fsum(parts) for parts in sums] for sums in dots]
 
 
 # ---------------------------------------------------------------------------
@@ -218,13 +223,13 @@ def partial_sum_table(
     path: SamplePath, points: list[tuple[float, float]]
 ) -> list[float]:
     """sum(X_p * p**-sigma for served p <= cutoff) for each (sigma,
-    cutoff) pair, compensated, deterministic for fixed inputs regardless
-    of worker count, and sharing one sign pass."""
+    cutoff) pair, ``_signed_sums``' values from one sign pass, deterministic
+    for fixed inputs regardless of worker and BLAS thread count."""
     if any(c < 1 for _, c in points):
         raise ValidationError("cutoff must be >= 1")
     seq = path.seq
     pairs = _weight_pairs(seq, [(s, seq._count_up_to(c)) for s, c in points])
-    return _signed_sums([path], [w for w, _ in pairs])[0]
+    return _signed_sums([path], [[w for w, _ in pairs]])[0]
 
 
 def _certified_weights(
@@ -292,7 +297,7 @@ def evaluate(
     certified one plus the weight pair's band, rounded up, so it also
     bounds the distance to the real value (see ``decide``)."""
     entries, radii = _certified_weights(path, sigmas, cert)
-    values = _signed_sums([path], [w for w, _ in entries])[0]
+    values = _signed_sums([path], [[w for w, _ in entries]])[0]
     kind = EXACT if cert.exhausted else PROBABILISTIC
     sigma0 = None if cert.exhausted else cert.sigma0
     return [CertifiedValue(s, v, cert.cutoff, math.nextafter(r + band, math.inf),
@@ -316,11 +321,10 @@ check against this bound."""
 
 def _band_slack(w: np.ndarray) -> float:
     """The band of the n weights ``w``: a float at least the distance from
-    the real value of a signed sum sum X_i * p_i**-sigma to either float
-    value of it, the filter's or ``_signed_sums``'.  It is (min(n,
-    ``_CHUNK``) + 2 * ``_POW_ULPS``) * ``_DOT_SLACK`` * ``_upper_sum(w)``
-    plus n * ``_POW_ULPS`` * 2**-1074, each step rounded up; see
-    ``decide``."""
+    the real value of a signed sum sum X_i * p_i**-sigma to its
+    ``_signed_sums`` value.  It is (min(n, ``_CHUNK``) + 2 * ``_POW_ULPS``)
+    * ``_DOT_SLACK`` * ``_upper_sum(w)`` plus n * ``_POW_ULPS`` * 2**-1074,
+    each step rounded up; see ``decide``."""
     n = w.size
     slack = (min(n, _CHUNK) + 2 * _POW_ULPS) * _DOT_SLACK
     return math.nextafter(math.nextafter(slack * _upper_sum(w), math.inf)
@@ -330,27 +334,16 @@ def _band_slack(w: np.ndarray) -> float:
 def _filtered_signs(paths, entries_per_path, radii_per_path) -> list[list[int | None]]:
     """For each path of the block ``paths``, the sign of each sum's real
     value beyond its radius, or None, for that path's own weight pairs
-    ``(w, band)`` of ``_weight_pairs`` and radii, from one pass over the
-    block's signs: one list of signs per path.
-
-    The block is streamed chunk-major by ``_sign_stream`` to the longest
-    array any path needs, so each weight chunk stays in cache while every
-    path of the block reads it.  Every streamed chunk of a path's signs is
-    dotted with each of that path's weight arrays (``np.dot``, any
-    summation order), and ``math.fsum`` of a sum's dots is its filter
-    value D.  The real value lies within the band of D (see ``decide``),
-    so the sign is D's beyond the radius plus the band, rounded up.  A NaN
-    or infinite band leaves the sum undecided.
+    ``(w, band)`` of ``_weight_pairs`` and radii: one list of signs per
+    path.  The real value lies within the band of the ``_signed_sums``
+    value (see ``decide``), so the sign is that value's beyond the radius
+    plus the band, rounded up.  A NaN or infinite band leaves the sum
+    undecided.
     """
-    count = max((w.size for entries in entries_per_path for w, _ in entries), default=0)
-    dots = [[[] for _ in entries] for entries in entries_per_path]
-    for lo, i, signs in _sign_stream(paths, count):
-        for (w, _), parts in zip(entries_per_path[i], dots[i]):
-            if lo < w.size:
-                parts.append(np.dot(signs[:w.size - lo], w[lo:lo + _CHUNK]))
-    return [[_sign_beyond(math.fsum(parts), math.nextafter(r + band, math.inf))
-             for (_, band), parts, r in zip(entries, sums, radii)]
-            for entries, sums, radii in zip(entries_per_path, dots, radii_per_path)]
+    sums = _signed_sums(paths, [[w for w, _ in entries] for entries in entries_per_path])
+    return [[_sign_beyond(v, math.nextafter(r + band, math.inf))
+             for v, (_, band), r in zip(values, entries, radii)]
+            for values, entries, radii in zip(sums, entries_per_path, radii_per_path)]
 
 
 def decide(
@@ -359,8 +352,8 @@ def decide(
     """The signs of the real partial sums at ``sigmas`` beyond the certified
     radii, or None, with ``evaluate``'s validation, from one pass over the
     path's signs: ``_filtered_signs`` over the weight pairs, for the block
-    of this path alone.  Where both decide, ``evaluate``'s
-    ``decided_sign`` is the same sign.
+    of this path alone.  It is ``evaluate``'s ``decided_sign``, from the
+    same sum and the same error radius.
 
     Why a kept sign is the real value's.  Split a sum of n terms into
     chunks c of m_c <= K = ``_CHUNK`` terms; let w_i = fl(p_i**-sigma), S_c
@@ -372,19 +365,19 @@ def decide(
     u * W_c (Higham, *Accuracy and Stability of Numerical Algorithms*,
     sec. 4.2); a one-term sum is exact.
 
-    * Summation.  The filter value D is the ``fsum`` of the chunk dots,
-      ``_signed_sums``' V that of pairwise or correctly rounded chunk
-      partials, each within gamma_{m_c-1} * W_c of S_c; so both are
-      within gamma_{K'-1} * W of S, K' = min(n, K), plus, past one chunk,
-      the final rounding's u * (1 + gamma_{K-1}) * W: below K' *
-      ``_DOT_SLACK`` * W in both cases.
+    * Summation.  The ``_signed_sums`` value V is the ``fsum`` of its
+      dots, each of m_d <= min(n, L) terms, L = ``_ROW`` <= K, and within
+      gamma_{m_d-1} times its weights' sum of its exact value.  So V is
+      within gamma_{K'-1} * W of S, K' = min(n, K), plus, past one dot,
+      the final rounding's u * (1 + gamma_{K'-1}) * W: below K' *
+      ``_DOT_SLACK`` * W.
     * Weights.  w_i is within ``_POW_ULPS`` ulps of p_i**-sigma, and an
       ulp is at most 2u * w_i, or 2**-1074 for a subnormal w_i, so
       |S - R| <= 2 * ``_POW_ULPS`` * u * W + n * ``_POW_ULPS`` * 2**-1074.
 
-    So D and V are within ``_band_slack(w)`` of R.  With rho the float
-    above the radius r plus that band, D > rho gives R > r and D < -rho
-    gives R < -r; so does V with ``evaluate``'s error radius rho.
+    So V is within ``_band_slack(w)`` of R.  With rho the float above the
+    radius r plus that band, which is also ``evaluate``'s error radius, V >
+    rho gives R > r and V < -rho gives R < -r.
     """
     entries, radii = _certified_weights(path, sigmas, cert)
     return _filtered_signs([path], [entries], [radii])[0]

@@ -428,7 +428,7 @@ def _exceedance_setup(cfg: ExceedanceConfig, seq) -> dict:
 def _exceedance_trial(cfg: ExceedanceConfig, st: dict,
                       paths: list[SamplePath]) -> list[dict]:
     return [{"normalized": [s / norm for s, norm in zip(sums, st["norms"])]}
-            for sums in _signed_sums(paths, st["weights"])]
+            for sums in _signed_sums(paths, [st["weights"]] * len(paths))]
 
 
 def _aggregate_exceedance(cfg: ExceedanceConfig, st: dict,

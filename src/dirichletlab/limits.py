@@ -263,7 +263,8 @@ def clt_sample(seq: FrequencySequence, sigma: float, cutoff: float,
     out = np.empty(trials, dtype=np.float64)
     for lo in range(0, trials, _BLOCK):
         block = [SamplePath(seq, master_seed, i) for i in range(lo, min(lo + _BLOCK, trials))]
-        out[lo:lo + len(block)] = [sums[0] / sd for sums in _signed_sums(block, [w])]
+        sums = _signed_sums(block, [[w]] * len(block))
+        out[lo:lo + len(block)] = [s[0] / sd for s in sums]
     return out
 
 

@@ -14,7 +14,9 @@ computes.
 pairwise summation, sums short inputs and the remainder chunk exactly,
 and combines the chunk totals with ``math.fsum``; ``_sum_of_squares`` does
 the same for the squares of an array, one chunk of squares at a time.
-Everything below is independent of thread count and of BLAS builds.
+They serve the power sums; a path's signed sums are
+``evaluation._signed_sums``' dots.  Everything below is independent of
+thread count and of BLAS builds.
 """
 
 from __future__ import annotations
@@ -121,12 +123,8 @@ def compensated_sum(values) -> float:
     total: numpy sums runs of up to 128 terms in 8 interleaved accumulators
     and halves pairwise above that, so each chunk contributes about
     (16 + 9) * u * sum(|x|) over the chunk at most, with u the unit
-    roundoff.
-
-    ``evaluation._signed_sums`` takes the same ``_chunk_partial`` of each
-    chunk of products, for every path of a block, one chunk of one path
-    at a time, without the full product array, and ``_sum_of_squares`` of
-    each chunk of squares, so their sums are bit-identical to this
+    roundoff.  ``_sum_of_squares`` takes the same ``_chunk_partial`` of
+    each chunk of squares, so its sums are bit-identical to this
     function's on the same terms.
     """
     arr = np.ascontiguousarray(values, dtype=np.float64)

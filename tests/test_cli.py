@@ -425,12 +425,13 @@ def test_char_fn_payload_golden(tmp_path):
                  "e070b02e8327cc8abb2068b2657ec749eae385190f52ab1b9c7b93942ac4b355",
                  id="scan"),
     pytest.param(["eval", "--seq", "naturals"],
-                 "a2799b90426698ef4b5a74a2ea8982cca7752eebbe951f950a4c3c24d60e9c1e",
+                 "2270a4d99b47f2a022c18aefcdb6a2e244f21c252854c3e0fa81b016932f9b92",
                  id="eval"),
 ])
 def test_scan_and_eval_payload_golden(tmp_path, args, digest):
-    # sha256 of the reports: eval's captured when its error radius took in
-    # the rounding bound (1.09e-11 here), scan's at schema 4
+    # sha256 of the reports: eval's captured when every sum became the fsum
+    # of row dots (its partial sum 1.02 ulps below a 200-bit sum of the real
+    # terms, within its rounding bound of 1.09e-11), scan's at schema 4
     assert run_cli(tmp_path, *args) == 0
     (report,) = tmp_path.glob(f"{args[0]}_*.json")
     assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
@@ -484,16 +485,25 @@ def test_svg_emission(tmp_path):
     assert svg and svg[0].read_text().startswith("<svg")
 
 
-def test_console_script_version():
+def _run_module(*args):
     # the child imports the package this test imported, installed or not
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-m", "dirichletlab.cli", "--version"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
-    )
+    return subprocess.run([sys.executable, "-m", *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+
+
+def test_console_script_version():
+    out = _run_module("dirichletlab.cli", "--version")
     assert out.returncode == 0
     assert out.stdout.strip() == "0.1.0"
+
+
+def test_python_m_dirichletlab_runs():
+    # the package runs as a module, so a checkout needs no install
+    out = _run_module("dirichletlab", "eval", "--dry-run")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("dry-run eval: ")
 
 
 def _readme_commands():

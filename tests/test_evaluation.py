@@ -1,7 +1,11 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +20,7 @@ from dirichletlab import (
     ValidationError,
     WeightedNaturals,
 )
-from dirichletlab import evaluation, frequencies, paths
+from dirichletlab import evaluation, frequencies, paths, summation
 from dirichletlab.evaluation import (
     EXACT,
     PROBABILISTIC,
@@ -66,8 +70,26 @@ def test_partial_sum_table_consistent():
 
 
 _CH = 1 << 16
-# term counts on both sides of the chunk edges of the summation kernel
-_KERNEL_LENGTHS = [0, 1, _CH - 1, _CH, _CH + 1, 3 * _CH + 7]
+_ROW = evaluation._ROW
+# term counts on both sides of the row and chunk edges of the summation kernel
+_KERNEL_LENGTHS = [0, 1, _ROW - 1, _ROW, _ROW + 1, _CH - 1, _CH, _CH + 1,
+                   2 * _CH + _ROW + 5, 3 * _CH + 7]
+# one 1.0 and fourteen weights just under half an ulp of 1: summed left to
+# right (numpy's dot does so below 16 terms) every small term is lost, so
+# the dot product errs by about 12.6 ulps of 1 of the 14 its bound allows
+_STAIR = explicit([1.0] + [1e16 + 4.0 * k for k in range(14)])
+
+
+def _assert_within_band(sums, signs, weights):
+    # the products s_i * w_i are exact, as s_i = +-1, so their math.fsum is
+    # the exact signed sum rounded once; exact_sum gives it bit for bit
+    # (test_summation checks this) at a tenth of fsum's time over a list.
+    # The band bounds any summation order's error on |w| (it also covers
+    # the weights' own rounding, not made here)
+    assert len(sums) == len(weights)
+    for value, w in zip(sums, weights):
+        exact = summation.exact_sum(signs[:w.size] * w)
+        assert abs(value - exact) <= evaluation._band_slack(np.abs(w)), (w.size, value, exact)
 
 
 @given(
@@ -75,25 +97,27 @@ _KERNEL_LENGTHS = [0, 1, _CH - 1, _CH, _CH + 1, 3 * _CH + 7]
     start=st.sampled_from([1, 2, 7, 1 << 40]),
     lead=st.lists(st.sampled_from([-1, 1]), max_size=4),
     seed=st.integers(0, 2**32 - 1),
+    stair=st.booleans(),
 )
-# the last array to cover a chunk forms its products in the chunk's signs;
-# a longer array before or after it must still read the signs intact
-@example(lengths=[3 * _CH + 7, _CH + 1, _CH - 1], start=1, lead=[], seed=3)
-@example(lengths=[_CH - 1, 3 * _CH + 7, _CH], start=7, lead=[1, -1], seed=4)
+# arrays of several lengths read the same streamed chunk of signs
+@example(lengths=[3 * _CH + 7, _CH + 1, _CH - 1], start=1, lead=[], seed=3, stair=False)
+@example(lengths=[_CH - 1, 3 * _CH + 7, _CH], start=7, lead=[1, -1], seed=4, stair=False)
+# the stair under + signs, summed left to right, errs by more than half
+# its band, so a band half as wide fails here
+@example(lengths=[_ROW + 1], start=1, lead=[1] * 15, seed=9, stair=True)
 @settings(max_examples=25, deadline=None)
-def test_property_streamed_sums_match_compensated_sum(lengths, start, lead, seed):
-    # the kernel never builds the full product, yet each sum must equal
-    # compensated_sum over the materialized signs bit for bit
+def test_property_streamed_sums_lie_within_the_band(lengths, start, lead, seed, stair):
+    # the kernel never builds the full product, yet each sum must lie
+    # within the band of the exact signed sum over the materialized signs
     rng = np.random.default_rng(seed)
-    # signed terms over many magnitudes, so any other chunking or order of
-    # reduction would round differently
+    # signed terms over many magnitudes
     weights = [rng.standard_normal(n) * 10.0 ** rng.uniform(-6, 6, n)
                for n in lengths]
+    if stair:
+        weights.append(_STAIR.elements_up_to(2e16) ** -1.0)
     path = path_with_signs(Naturals(start_index=start), lead, seed)
-    signs = path.signs_up_to(start - 1 + max(lengths))
-    expected = [compensated_sum(signs[:w.size] * w) for w in weights]
-    got = evaluation._signed_sums([path], weights)[0]
-    assert [x.hex() for x in got] == [x.hex() for x in expected]
+    signs = path.signs_up_to(start - 1 + max(w.size for w in weights))
+    _assert_within_band(evaluation._signed_sums([path], [weights])[0], signs, weights)
 
 
 def _word_signs(path, offset, count):
@@ -117,11 +141,13 @@ def _batch(n):
 
 @st.composite
 def _blocks(draw):
-    """A block size and one to two sum lengths on both sides of the chunk
-    and mixing-call edges of that block, at most about 2**22 signs in all."""
+    """A block size and one to two sum lengths on both sides of the row,
+    chunk and mixing-call edges of that block, at most about 2**22 signs in
+    all."""
     n = draw(st.integers(1, 70))
     b = _batch(n)
-    lengths = [k for k in (1, 63, _CH - 1, _CH, _CH + 1, b - 1, b + 1, b + _CH + 5)
+    lengths = [k for k in (1, 63, _ROW - 1, _ROW + 1, _CH - 1, _CH, _CH + 1,
+                           b - 1, b + 1, b + _CH + 5)
                if n * k <= (1 << 22) + 2 * _CH]
     return n, draw(st.lists(st.sampled_from(lengths), min_size=1, max_size=2))
 
@@ -137,8 +163,8 @@ def _blocks(draw):
 @settings(max_examples=15, deadline=None)
 def test_property_block_kernel_matches_each_path(block, start, seed):
     # a block streams its paths chunk-major through shared mixing calls;
-    # every entry must be that path's own signs, and every sum the path's
-    # compensated_sum bit for bit
+    # every entry must be that path's own signs, and every sum must lie
+    # within the band of the path's exact signed sum
     n, lengths = block
     seq = Naturals(start_index=start)
     block_paths = [SamplePath(seq, seed, t) for t in range(n)]
@@ -151,12 +177,10 @@ def test_property_block_kernel_matches_each_path(block, start, seed):
     assert entries == [(o, i) for o in range(0, count, _CH) for i in range(n)]
     rng = np.random.default_rng(seed)
     weights = [rng.standard_normal(k) * 10.0 ** rng.uniform(-6, 6, k) for k in lengths]
-    got = evaluation._signed_sums(block_paths, weights)
+    got = evaluation._signed_sums(block_paths, [weights] * n)
     assert len(got) == n
     for path, sums in zip(block_paths, got):
-        signs = path.signs_up_to(start - 1 + count)
-        expected = [compensated_sum(signs[:w.size] * w) for w in weights]
-        assert [x.hex() for x in sums] == [x.hex() for x in expected]
+        _assert_within_band(sums, path.signs_up_to(start - 1 + count), weights)
 
 
 def test_weight_cache_separates_start_indices():
@@ -328,12 +352,6 @@ def _assert_decide_agrees_with_evaluate(path, sigmas, cert):
             assert d == cv.decided_sign
 
 
-# one 1.0 and fourteen weights just under half an ulp of 1: summed left to
-# right (numpy's dot does so below 16 terms) every small term is lost, so
-# the dot product errs by about 12.6 ulps of 1 of the 14 its bound allows
-_STAIR = explicit([1.0] + [1e16 + 4.0 * k for k in range(14)])
-
-
 @given(
     seq=st.one_of(
         st.sampled_from([Naturals(), Primes(), WeightedNaturals(2.0)]),
@@ -363,15 +381,16 @@ def test_property_decide_equals_exact_decisions(
     _assert_decide_agrees_with_evaluate(path, sigmas, cert)
 
 
-def _count_chunk_partials(monkeypatch):
+def _count_exact_blocks(monkeypatch):
+    # every exact sum adds its blocks through _BlockSum.add
     calls = []
-    original = evaluation._chunk_partial
+    original = summation._BlockSum.add
 
-    def counting(chunk, total):
-        calls.append(chunk.size)
-        return original(chunk, total)
+    def counting(self, block):
+        calls.append(block.size)
+        return original(self, block)
 
-    monkeypatch.setattr(evaluation, "_chunk_partial", counting)
+    monkeypatch.setattr(summation._BlockSum, "add", counting)
     return calls
 
 
@@ -383,23 +402,24 @@ def _assert_decide_sums_nothing_exactly(calls, path, cutoff, sigmas):
     for threshold in (0.0, 1e-6, 1e6):
         cert = dataclasses.replace(at_sum, threshold=threshold)
         got = decide(path, sigmas, cert)
+        values = evaluate(path, sigmas, cert)
         assert calls == []
-        assert got == [cv.decided_sign for cv in evaluate(path, sigmas, cert)]
-        calls.clear()
+        assert got == [cv.decided_sign for cv in values]
 
 
 def test_decide_sums_nothing_exactly(monkeypatch):
-    # decide streams the signs once through the dot products alone, even
-    # at a radius equal to the sum, where no bracket can clear it
-    calls = _count_chunk_partials(monkeypatch)
+    # decide and evaluate stream the signs once through the dot products
+    # alone, even at a radius equal to the sum, where no bracket can clear it
+    calls = _count_exact_blocks(monkeypatch)
     _assert_decide_sums_nothing_exactly(
         calls, SamplePath(WeightedNaturals(2.0), 3, 0), 1e4, [0.8, 1.1, 1.7])
 
 
 def test_decide_runs_no_pairwise_pass_for_far_radii_on_a_long_sum(monkeypatch):
     # a 10**5-term sum, one full chunk and a remainder: far radii and a
-    # radius at the sum are all settled by the chunked dot products alone
-    calls = _count_chunk_partials(monkeypatch)
+    # radius at the sum are all settled by the chunked dot products alone,
+    # and evaluate's values are the same dots
+    calls = _count_exact_blocks(monkeypatch)
     _assert_decide_sums_nothing_exactly(
         calls, SamplePath(Naturals(), 3, 0), 1e5, [0.6, 0.8, 1.3])
 
@@ -425,8 +445,8 @@ _LONG = 1 << 16
 def test_property_decide_equals_exact_decisions_past_one_chunk(
     seq, n, sigmas, plus, seed, ulps, exhausted
 ):
-    # sums of more than one chunk, where evaluate's value is compensated_sum's
-    # chunked one: radii at that sum and up to three floats either side
+    # sums of more than one chunk, where evaluate's value is the fsum of many
+    # row dots: radii at that sum and up to three floats either side
     path = path_with_signs(seq, [1] * plus, seed)
     cutoff = seq.element(seq.start_index + n - 1)
     assert seq.counting_function(cutoff) == n
@@ -451,7 +471,7 @@ def _cancelling_ones(path, n, excess):
 
 
 @pytest.mark.parametrize("n", [1000, _LONG + 1000])
-def test_heuristic_signs_equal_compensated_sum_signs(monkeypatch, n):
+def test_heuristic_signs_equal_compensated_sum_signs(n):
     # the heuristic pass keeps sign(v) with v >= 0 counted as +1; the filter
     # at radius 0, in one pass, gives the same signs outside its band, long
     # sums included, and None (counted +1) for sums within the band of 0,
@@ -461,7 +481,6 @@ def test_heuristic_signs_equal_compensated_sum_signs(monkeypatch, n):
     weights = [_cancelling_ones(path, n, e) for e in (0.0, 2.0**-40, -(2.0**-40))]
     weights += [w for w, _ in evaluation._weight_pairs(
         seq, [(0.53, 3 * _LONG), (0.75, _LONG + 7), (1.2, 900)])]
-    monkeypatch.setattr(evaluation, "_signed_sums", None)
     entries = [(w, evaluation._band_slack(w)) for w in weights]
     got = evaluation._filtered_signs([path], [entries], [[0.0] * len(weights)])[0]
     signs = path.signs_up_to(max(w.size for w in weights))
@@ -703,9 +722,38 @@ def test_heuristic_cutoff_rule_and_budget_error():
 
 
 def test_partial_sum_golden():
-    # captured before the chunk partials were summed by exact_sum
+    # captured when every sum became the fsum of row dots; 2.07 ulps above
+    # a 200-bit sum of the real terms, against a band of 2.2e6 ulps
     got = partial_sum_table(SamplePath(Naturals(), 7, 0), [(0.75, 1e5)])[0]
-    assert got.hex() == "-0x1.7936c234ec894p+0"
+    assert got.hex() == "-0x1.7936c234ec88fp+0"
+
+
+_THREAD_PROBE = """
+from dirichletlab import Naturals, SamplePath
+from dirichletlab.evaluation import partial_sum_table
+from dirichletlab.limits import clt_sample
+print(partial_sum_table(SamplePath(Naturals(), 7, 0), [(0.75, 1e5)])[0].hex())
+print(*(x.hex() for x in clt_sample(Naturals(), 0.6, 1e6, 1, 64).tolist()))
+"""
+
+
+def test_sums_do_not_depend_on_the_blas_thread_count():
+    # OpenBLAS sums a dot of more than 10,000 terms on several threads, each
+    # its own part; the kernel's rows are shorter, so the golden point and
+    # 64 draws of 10**6 terms read the same at one BLAS thread and at two
+    src = str(Path(evaluation.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path,
+               "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        out = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
+                             capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        outs.append(out.stdout.split())
+    assert outs[0] == outs[1]
+    assert len(outs[0]) == 65
+    assert outs[0][0] == "-0x1.7936c234ec88fp+0"
 
 
 def test_non_finite_exponents_rejected():
