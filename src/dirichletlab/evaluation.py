@@ -49,7 +49,7 @@ from .frequencies import (
     _check_finite,
 )
 from .paths import SamplePath, _sign_stream
-from .summation import _CHUNK, exact_sum
+from .summation import _CHUNK, _ROW, _row_dots, exact_sum
 
 EXACT = "exact"
 PROBABILISTIC = "probabilistic"
@@ -78,12 +78,6 @@ def _upper_sum(w: np.ndarray) -> float:
     return math.nextafter(float(w.sum()) * (1.0 + w.size * 2.0 ** -51), math.inf)
 
 
-# The longest row one BLAS dot sums: OpenBLAS splits a dot of more than
-# 10,000 terms across its threads, each summing its own part, so a longer
-# row's value would depend on the thread count.
-_ROW = _CHUNK // 8
-
-
 def _signed_sums(paths, weights_per_path) -> list[list[float]]:
     """A float value of sum(signs[:w.size] * w) for each weight array
     ``w`` of ``weights_per_path[i]``, with ``signs`` the signs of
@@ -94,10 +88,9 @@ def _signed_sums(paths, weights_per_path) -> list[list[float]]:
     The block's signs are streamed chunk-major by ``_sign_stream`` to the
     longest array any path needs, so each weight chunk stays in cache while
     every path of the block reads it.  Each ``_CHUNK`` of a path's signs is
-    dotted with each of that path's arrays in rows of at most ``_ROW``
-    terms: one stacked ``np.matmul`` over the full rows and one ``np.dot``
-    for the rest, or one ``np.dot`` alone for at most ``_ROW`` terms.
-    ``math.fsum`` of a sum's dots is its value.
+    dotted with each of that path's arrays by ``summation._row_dots``, in
+    rows of at most ``_ROW`` terms, or by one ``np.dot`` inline for at most
+    ``_ROW`` terms.  ``math.fsum`` of a sum's dots is its value.
     """
     count = max((w.size for ws in weights_per_path for w in ws), default=0)
     dots = [[[] for _ in ws] for ws in weights_per_path]
@@ -106,12 +99,9 @@ def _signed_sums(paths, weights_per_path) -> list[list[float]]:
             m = w.size - lo
             if m > _ROW:
                 m = min(m, _CHUNK)
-                k = m - m % _ROW
-                parts += np.matmul(signs[:k].reshape(-1, 1, _ROW),
-                                   w[lo:lo + k].reshape(-1, _ROW, 1)).ravel().tolist()
-                if k < m:
-                    parts.append(np.dot(signs[k:m], w[lo + k:lo + m]))
+                parts += _row_dots(signs[:m], w[lo:lo + m])
             elif m > 0:
+                # one dot inline: a call per short piece costs no_zero ~5%
                 parts.append(np.dot(signs[:m], w[lo:]))
     return [[math.fsum(parts) for parts in sums] for sums in dots]
 
@@ -124,10 +114,11 @@ class TailCertificate:
     """Simultaneous bound on tail excursions above a base exponent.
 
     Claims: P( sup over x > cutoff of |sum over cutoff < p <= x of
-    X_p * p**-sigma0| >= threshold ) <= eta.  The threshold is
-    sqrt(18 * T * ln(6/eta)) with T the upper end of the tail enclosure at
-    the doubled exponent; the constants 3 (maximal inequality) and 2
-    (two-sided subgaussian bound) combine into the leading 6.
+    X_p * p**-sigma0| >= threshold ) <= eta.  The threshold is a float at
+    least sqrt(18 * T * ln(6/eta)) with T the upper end of the tail
+    enclosure at the doubled exponent (see ``tail_certificate``); the
+    constants 3 (maximal inequality) and 2 (two-sided subgaussian bound)
+    combine into the leading 6.
     """
 
     seq: FrequencySequence
@@ -173,6 +164,17 @@ def tail_certificate(
     Requires the doubled exponent 2*sigma0 to lie above the sequence's
     tail-convergence threshold; at sigma0 = 1/2 this is exactly what fails
     for sequences with divergent reciprocal sum.
+
+    The threshold is rounded up from q = 18 * T * L, L = ln(6/eta) > ln 6,
+    u = 2**-53.  The float 6/eta is within u relative, which moves its log
+    by at most u(1 + u) < 0.6u * L; ``math.log`` is taken within one ulp
+    (2u relative), and the two products round by u each.  So the float q
+    is at least q * (1 - 4.6u) when no step underflows, and q times 1 +
+    2**-50 = 1 + 8u, rounded, is at least q * (1 + 2.4u - 45u**2) > q.  A
+    step that underflows leaves q below 2**-1012 (18T below 2**-1022 and
+    L below 746), under the floor 2**-1000.  The float above the rounded
+    square root then lies above sqrt(q).  An exhausted certificate keeps
+    threshold 0.0.
     """
     if not 0.0 < eta < 1.0:
         raise ValidationError("eta must lie in (0,1)")
@@ -180,7 +182,9 @@ def tail_certificate(
     _, t_upper = seq.tail_power_sum(2.0 * sigma0, cutoff, head_terms=head_terms)
     t_upper = float(t_upper)
     exhausted = t_upper == 0.0
-    threshold = math.sqrt(18.0 * t_upper * math.log(6.0 / eta))
+    q = 18.0 * t_upper * math.log(6.0 / eta) * (1.0 + 2.0 ** -50)
+    threshold = 0.0 if exhausted else math.nextafter(
+        math.sqrt(max(q, 2.0 ** -1000)), math.inf)
     return TailCertificate(
         seq=seq,
         sigma0=float(sigma0),
@@ -366,10 +370,10 @@ def decide(
     sec. 4.2); a one-term sum is exact.
 
     * Summation.  The ``_signed_sums`` value V is the ``fsum`` of its
-      dots, each of m_d <= min(n, L) terms, L = ``_ROW`` <= K, and within
-      gamma_{m_d-1} times its weights' sum of its exact value.  So V is
-      within gamma_{K'-1} * W of S, K' = min(n, K), plus, past one dot,
-      the final rounding's u * (1 + gamma_{K'-1}) * W: below K' *
+      dots, each of m_d <= min(n, L) terms, L = ``summation._ROW`` <= K,
+      and within gamma_{m_d-1} times its weights' sum of its exact value.
+      So V is within gamma_{K'-1} * W of S, K' = min(n, K), plus, past
+      one dot, the final rounding's u * (1 + gamma_{K'-1}) * W: below K' *
       ``_DOT_SLACK`` * W.
     * Weights.  w_i is within ``_POW_ULPS`` ulps of p_i**-sigma, and an
       ulp is at most 2u * w_i, or 2**-1074 for a subnormal w_i, so

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import sieve
 from .errors import DivergenceError, ResourceBudgetError, ValidationError
-from .summation import _CHUNK, compensated_sum
+from .summation import _CHUNK, exact_sum
 
 DEFAULT_TERM_BUDGET = 60_000_000
 DEFAULT_TAIL_HEAD_TERMS = 10_000
@@ -169,13 +169,13 @@ class _SequenceOps:
         return self.tail_converges(1.0)
 
     def power_sum(self, sigma: float, cutoff: float) -> float:
-        """sum(p**-sigma for served p <= cutoff), compensated."""
+        """sum(p**-sigma for served p <= cutoff), correctly rounded."""
         if cutoff < 1:
             raise ValidationError("cutoff must be >= 1")
         n = self._count_up_to(cutoff)
         if n == 0:
             return 0.0
-        return compensated_sum(self._powers(self.start_index, n, -float(sigma)))
+        return exact_sum(self._powers(self.start_index, n, -float(sigma)))
 
     def tail_power_sum(
         self,
@@ -185,9 +185,10 @@ class _SequenceOps:
     ) -> tuple[float, float]:
         """Two-sided enclosure of sum(p**-sigma for served p > cutoff).
 
-        The leading ``head_terms`` tail elements are summed exactly; the
-        rest is bracketed by monotone integral comparison.  Raises
-        DivergenceError below the convergence threshold.
+        The leading ``head_terms`` tail elements are summed exactly and
+        rounded once (``exact_sum``); the rest is bracketed by monotone
+        integral comparison.  Raises DivergenceError below the convergence
+        threshold.
         """
         sigma = float(sigma)
         head_terms = max(int(head_terms), 16)
@@ -197,13 +198,13 @@ class _SequenceOps:
             # Finite sequence exhausted: the tail is an exact finite sum.
             if head.size == 0:
                 return (0.0, 0.0)
-            exact = compensated_sum(self._powers(first, head.size, -sigma))
+            exact = exact_sum(self._powers(first, head.size, -sigma))
             return (exact, exact)
         if not self.tail_converges(sigma):
             raise DivergenceError(
                 f"tail diverges at exponent {sigma} for {type(self).__name__}"
             )
-        head_sum = compensated_sum(self._powers(first, head.size, -sigma))
+        head_sum = exact_sum(self._powers(first, head.size, -sigma))
         rem_lo, rem_hi = self._remainder_enclosure(sigma, head)
         return (head_sum + rem_lo, head_sum + rem_hi)
 

@@ -50,7 +50,9 @@ LOG_COS = (-1 / 2, -1 / 12, -1 / 45, -17 / 2520, -31 / 14175, -691 / 935550,
 def _weights_and_variance(seq: FrequencySequence, sigma: float,
                           cutoff: float) -> tuple[np.ndarray, float]:
     """The weights ``p**-sigma`` over the served ``p <= cutoff`` and their
-    sum of squares, the truncated variance, checked finite and positive."""
+    sum of squares, the truncated variance, checked finite and positive.
+    The variance is ``summation._sum_of_squares``, the ``fsum`` of
+    BLAS-safe row dots, so it reads the same at every thread count."""
     _check_finite("sigma", sigma)
     n = seq._count_up_to(cutoff)
     if n == 0:

@@ -1,22 +1,23 @@
-"""Deterministic exact and compensated summation.
+"""Deterministic summation: exact sums and BLAS-safe row dots.
 
 Large runs accumulate up to 10**8 terms; naive left-to-right float64
-accumulation loses several digits there.  ``exact_sum`` is the exact
-summation: the correctly rounded sum of an array, equal bit for bit to
-``math.fsum`` of its elements as a Python list, but computed with numpy
-passes instead of a list.  It works in ``_CHUNK``-term blocks that stay in
-cache: ``_BlockSum`` turns each block into an exact (int, shift) pair with
-35-bit digit planes (more for a shorter block), adds the pairs as Python
-ints and rounds the total once.  ``exact_sum`` adds slices of its input
-to one ``_BlockSum`` and ``limits.char_function`` the log-cosine blocks it
-computes.
-``compensated_sum`` reduces long arrays chunk-by-chunk with numpy's
-pairwise summation, sums short inputs and the remainder chunk exactly,
-and combines the chunk totals with ``math.fsum``; ``_sum_of_squares`` does
-the same for the squares of an array, one chunk of squares at a time.
-They serve the power sums; a path's signed sums are
-``evaluation._signed_sums``' dots.  Everything below is independent of
-thread count and of BLAS builds.
+accumulation loses several digits there.  There are two rules, and
+neither depends on the thread count or the BLAS build.
+
+Every plain sum, the power sums and tail heads among them, is
+``exact_sum``: the correctly rounded sum of an array, equal bit for bit
+to ``math.fsum`` of its elements as a Python list, but computed with
+numpy passes instead of a list.  It works in ``_CHUNK``-term blocks that
+stay in cache: ``_BlockSum`` turns each block into an exact (int, shift)
+pair with 35-bit digit planes (more for a shorter block), adds the pairs
+as Python ints and rounds the total once.  ``exact_sum`` adds slices of
+its input to one ``_BlockSum`` and ``limits.char_function`` the
+log-cosine blocks it computes.
+
+Every sum of products is the ``math.fsum`` of ``_row_dots``: dots over
+rows of at most ``_ROW`` terms, too short for BLAS to split across
+threads.  ``_sum_of_squares`` (the normal-limit variance) and
+``evaluation._signed_sums`` (a path's signed sums) take it.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ import math
 
 import numpy as np
 
-# Chunk size for pairwise partial sums; small enough that fsum over the
-# chunk totals stays cheap even for 10**8-element inputs.
+# The block of ``exact_sum``, and the chunk that the streamed passes over
+# signs, powers and signed sums work in: 2**16 floats stay in cache.
 _CHUNK = 1 << 16
 
 
@@ -110,43 +111,30 @@ class _BlockSum:
         return self.total / (1 << self.shift)
 
 
-def compensated_sum(values) -> float:
-    """Sum a 1-d array of floats with compensated accumulation.
+# The longest row one BLAS dot sums: OpenBLAS splits a dot of more than
+# 10,000 terms across its threads, each summing its own part, so a longer
+# row's value would depend on the thread count.
+_ROW = _CHUNK // 8
 
-    Deterministic for a fixed input array regardless of worker/thread
-    count.  Up to ``_CHUNK`` (2**16) terms this is ``exact_sum``, the
-    correctly rounded exact sum (equal to ``math.fsum``).  Above that,
-    each 2**16-term chunk is reduced by numpy's pairwise summation and only
-    the chunk totals (plus the remainder, summed by ``exact_sum``) are
-    combined by ``math.fsum``.  The error is then bounded by the rounding
-    errors of the pairwise chunk sums, not by a few ulps of the exact
-    total: numpy sums runs of up to 128 terms in 8 interleaved accumulators
-    and halves pairwise above that, so each chunk contributes about
-    (16 + 9) * u * sum(|x|) over the chunk at most, with u the unit
-    roundoff.  ``_sum_of_squares`` takes the same ``_chunk_partial`` of
-    each chunk of squares, so its sums are bit-identical to this
-    function's on the same terms.
-    """
-    arr = np.ascontiguousarray(values, dtype=np.float64)
-    return math.fsum(_chunk_partial(arr[lo:lo + _CHUNK], arr.size)
-                     for lo in range(0, arr.size, _CHUNK))
+
+def _row_dots(x: np.ndarray, y: np.ndarray) -> list[float]:
+    """The dots of the equal-length arrays ``x`` and ``y`` over ``_ROW``-term
+    rows: one stacked ``np.matmul`` over the full rows and one ``np.dot`` for
+    the rest, each row too short for BLAS to split, so no dot depends on the
+    thread count."""
+    k = x.size - x.size % _ROW
+    dots = np.matmul(x[:k].reshape(-1, 1, _ROW), y[:k].reshape(-1, _ROW, 1)).ravel().tolist()
+    if k < x.size:
+        dots.append(np.dot(x[k:], y[k:]))
+    return dots
 
 
 def _sum_of_squares(values) -> float:
-    """``compensated_sum(values * values)``, bit for bit, without the
-    array of squares: each ``_CHUNK`` is squared into one reused buffer
-    and reduced by ``_chunk_partial``."""
+    """sum(values**2) as ``math.fsum`` of ``_row_dots(values, values)``,
+    without an array of squares.  A row's dot of m <= L = ``_ROW`` terms
+    is within gamma_m of its exact sum of squares, in any order (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, sec. 3.1), and the
+    ``fsum`` rounds once more, so the value is within gamma_{L+1} of the
+    exact sum, with gamma_k = ku / (1 - ku) and u = 2**-53."""
     arr = np.ascontiguousarray(values, dtype=np.float64)
-    buf = np.empty(min(arr.size, _CHUNK))
-    chunks = (arr[lo:lo + _CHUNK] for lo in range(0, arr.size, _CHUNK))
-    return math.fsum(_chunk_partial(np.multiply(c, c, out=buf[:c.size]), arr.size)
-                     for c in chunks)
-
-
-def _chunk_partial(chunk: np.ndarray, total: int) -> float:
-    """The partial that ``compensated_sum`` takes of one ``_CHUNK``-aligned
-    chunk of a ``total``-term sum: numpy's pairwise sum of a full chunk of
-    a sum longer than ``_CHUNK``, else ``exact_sum`` of the chunk."""
-    if chunk.size == _CHUNK and total > _CHUNK:
-        return float(chunk.sum())
-    return exact_sum(chunk)
+    return math.fsum(_row_dots(arr, arr))

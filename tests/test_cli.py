@@ -422,16 +422,17 @@ def test_char_fn_payload_golden(tmp_path):
 
 @pytest.mark.parametrize("args, digest", [
     pytest.param(["scan", "--seq", "weighted:2.0", "--seed", "3"],
-                 "e070b02e8327cc8abb2068b2657ec749eae385190f52ab1b9c7b93942ac4b355",
+                 "66304ca58fa32288967173bd467edee48db7509b0f458ebc0f1e52d911f4de0f",
                  id="scan"),
     pytest.param(["eval", "--seq", "naturals"],
-                 "2270a4d99b47f2a022c18aefcdb6a2e244f21c252854c3e0fa81b016932f9b92",
+                 "615c1fc0230b6a263c4d97100b4f4cb900833edbdb3bf22023e9ce3719bf9f55",
                  id="eval"),
 ])
 def test_scan_and_eval_payload_golden(tmp_path, args, digest):
-    # sha256 of the reports: eval's captured when every sum became the fsum
-    # of row dots (its partial sum 1.02 ulps below a 200-bit sum of the real
-    # terms, within its rounding bound of 1.09e-11), scan's at schema 4
+    # sha256 of the reports, captured when the tail threshold was rounded
+    # up: both thresholds moved from 1 ulp below their 50-digit value to
+    # 3 (eval) and 4 (scan) ulps above it.  eval's partial sum is 1.02 ulps
+    # below a 200-bit sum of the real terms, within its rounding bound
     assert run_cli(tmp_path, *args) == 0
     (report,) = tmp_path.glob(f"{args[0]}_*.json")
     assert hashlib.sha256(report.read_bytes()).hexdigest() == digest

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from unittest import mock
 from fractions import Fraction
 from pathlib import Path
 
@@ -35,7 +36,6 @@ from dirichletlab.evaluation import (
 )
 from dirichletlab.frequencies import FrequencySequence
 from dirichletlab.limits import variance_profile
-from dirichletlab.summation import compensated_sum
 
 from conftest import explicit, path_with_signs, zeta_em
 
@@ -284,6 +284,38 @@ def test_threshold_and_bound_round_trip():
     assert back == pytest.approx(0.05, rel=1e-12)
 
 
+def _mp_threshold(t_upper, eta):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        return mpmath.sqrt(18 * mpmath.mpf(t_upper) * mpmath.log(6 / mpmath.mpf(eta)))
+
+
+@given(t_upper=st.floats(0.0, 1e300), eta=st.floats(1e-300, 1.0, exclude_max=True))
+@example(t_upper=0.0, eta=0.05)
+@example(t_upper=5e-324, eta=1e-300)
+@settings(max_examples=300, deadline=None)
+def test_tail_threshold_is_rounded_up(t_upper, eta):
+    # the threshold is at least sqrt(18 * T * ln(6/eta)) at 50 digits, for
+    # the float T the enclosure returns, and 0.0 only when T is 0
+    seq = Naturals()
+    with mock.patch.object(Naturals, "tail_power_sum", lambda *a, **k: (0.0, t_upper)):
+        cert = tail_certificate(seq, 0.75, 1e3, eta)
+    if t_upper == 0.0:
+        assert (cert.threshold, cert.exhausted) == (0.0, True)
+    else:
+        assert cert.threshold >= _mp_threshold(t_upper, eta)
+
+
+def test_tail_thresholds_of_the_studies_are_rounded_up():
+    for seq in (Naturals(), WeightedNaturals(exponent=2.0)):
+        for sigma0 in (0.55, 0.6, 0.7, 0.75, 0.9, 1.2):
+            for cutoff in (1e3, 1e4, 1e5):
+                for eta in (0.05, 0.01, 1e-6):
+                    cert = tail_certificate(seq, sigma0, cutoff, eta)
+                    want = _mp_threshold(cert.tail_second_moment, eta)
+                    assert cert.threshold >= want
+
+
 def test_fixed_threshold_instance_round_trip():
     # at threshold 1/10 the failure bound is exactly 6*exp(-1/(1800*T)),
     # and feeding that bound back as the budget reproduces threshold 1/10
@@ -484,7 +516,7 @@ def test_heuristic_signs_equal_compensated_sum_signs(n):
     entries = [(w, evaluation._band_slack(w)) for w in weights]
     got = evaluation._filtered_signs([path], [entries], [[0.0] * len(weights)])[0]
     signs = path.signs_up_to(max(w.size for w in weights))
-    sums = [compensated_sum(signs[:w.size] * w) for w in weights]
+    sums = [summation.exact_sum(signs[:w.size] * w) for w in weights]
     assert sums[:3] == [0.0, 2.0**-40, -(2.0**-40)]
     assert got[:3] == [None] * 3
     for g, v, (_, band) in zip(got[3:], sums[3:], entries[3:]):
@@ -731,16 +763,18 @@ def test_partial_sum_golden():
 _THREAD_PROBE = """
 from dirichletlab import Naturals, SamplePath
 from dirichletlab.evaluation import partial_sum_table
-from dirichletlab.limits import clt_sample
+from dirichletlab.limits import _weights_and_variance, clt_sample
 print(partial_sum_table(SamplePath(Naturals(), 7, 0), [(0.75, 1e5)])[0].hex())
 print(*(x.hex() for x in clt_sample(Naturals(), 0.6, 1e6, 1, 64).tolist()))
+print(_weights_and_variance(Naturals(), 0.6, 1e6)[1].hex())
 """
 
 
 def test_sums_do_not_depend_on_the_blas_thread_count():
     # OpenBLAS sums a dot of more than 10,000 terms on several threads, each
-    # its own part; the kernel's rows are shorter, so the golden point and
-    # 64 draws of 10**6 terms read the same at one BLAS thread and at two
+    # its own part; the kernel's rows are shorter, so the golden point, 64
+    # draws of 10**6 terms and their variance read the same at one BLAS
+    # thread and at two
     src = str(Path(evaluation.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     outs = []
@@ -752,7 +786,7 @@ def test_sums_do_not_depend_on_the_blas_thread_count():
         assert out.returncode == 0, out.stderr
         outs.append(out.stdout.split())
     assert outs[0] == outs[1]
-    assert len(outs[0]) == 65
+    assert len(outs[0]) == 66
     assert outs[0][0] == "-0x1.7936c234ec88fp+0"
 
 

@@ -29,7 +29,7 @@ from dirichletlab.experiments import (
 )
 from dirichletlab.frequencies import FrequencySequence, WeightedNaturals, make_sequence
 from dirichletlab.paths import SamplePath
-from dirichletlab.summation import _CHUNK as _CH, compensated_sum
+from dirichletlab.summation import _CHUNK as _CH, exact_sum
 from dirichletlab.zeros import certify_no_zeros, scan_certificate
 
 from conftest import normal_cdf
@@ -307,7 +307,7 @@ def test_sign_change_decided_fraction_matches_evaluate():
 def test_sign_change_rows_match_the_exact_sums(min_cutoff):
     # every kept sign is the sign of the exact path's value: evaluate's
     # decided sign where the certified sum beats its radius, else the sign
-    # of compensated_sum over the heuristic cutoff (a zero sum counts +1);
+    # of exact_sum over the heuristic cutoff (a zero sum counts +1);
     # the 1e5-term certified sums and the 2e5-term heuristic sums, every
     # one clamped to 2e5 terms, span more than one chunk
     min_cutoff(2e5)
@@ -322,7 +322,7 @@ def test_sign_change_rows_match_the_exact_sums(min_cutoff):
         certified = [cv.decided_sign for cv in evaluate(path, st["grid"], st["cert"])]
         combined = [
             s if s is not None
-            else 1 if compensated_sum(signs[:w.size] * w) >= 0 else -1
+            else 1 if exact_sum(signs[:w.size] * w) >= 0 else -1
             for s, w in zip(certified, weights)
         ]
         row = _trials(cfg, range(i, i + 1))[0]

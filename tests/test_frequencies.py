@@ -73,6 +73,24 @@ def test_naturals_power_sum_matches_zeta_oracle():
         assert hi - lo < 1e-6
 
 
+_HEAD_CASES = [(seq, sigma, cutoff)
+               for seq in (Naturals(), Primes(), WeightedNaturals(exponent=2.0))
+               for sigma in (1.1, 1.5, 2.0, 3.0) for cutoff in (1e3, 1e4)]
+
+
+def test_power_sums_are_correctly_rounded():
+    # heads longer than one 2**16-term block are rounded once, like fsum
+    terms = Naturals()._powers(1, 10**6, -0.6)
+    assert Naturals().power_sum(0.6, 1e6).hex() == math.fsum(terms.tolist()).hex()
+    n = 10**5
+    for seq, sigma, cutoff in _HEAD_CASES:
+        first = seq._first_above(cutoff)
+        head = math.fsum(seq._powers(first, n, -sigma).tolist())
+        lo, hi = seq._remainder_enclosure(sigma, seq._values(first, n))
+        got = seq.tail_power_sum(sigma, cutoff, head_terms=n)
+        assert [v.hex() for v in got] == [(head + lo).hex(), (head + hi).hex()]
+
+
 def test_naturals_tail_diverges():
     with pytest.raises(DivergenceError):
         Naturals().tail_power_sum(1.0, 100)

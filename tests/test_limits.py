@@ -17,7 +17,7 @@ from dirichletlab import (
 )
 from dirichletlab import frequencies, limits
 from dirichletlab.limits import char_function_gaussian_gap
-from dirichletlab.summation import compensated_sum
+from dirichletlab.summation import _sum_of_squares
 
 from conftest import explicit, normal_cdf as oracle_cdf
 
@@ -186,18 +186,21 @@ def test_variance_profile_validation():
 
 
 def test_char_function_golden():
-    # captured when the tail factors took the log-cos series; a 40-digit
-    # product of the same factors puts phi 1.9e-17 from the first value
-    # (1.3e-14 from the value before the series)
+    # captured when V became the fsum of row dots.  A 40-digit product of
+    # the same factors, over a 40-digit V, puts phi 2.9e-17 from the first
+    # value, and the gap 1.1e-16 (one ulp of phi) from the second; V of
+    # the primes to 1e7 at 0.55 moved from 0.78 ulp below its 40-digit
+    # value to 1.22 ulps above
     assert char_function(Primes(), 0.6, 0.5, 1e6).hex() == "0x1.c38507337670cp-1"
     gap = char_function_gaussian_gap(Primes(), 0.55, 1e7, np.linspace(-1, 1, 21))
-    assert gap.hex() == "0x1.3695b459ae980p-8"
+    assert gap.hex() == "0x1.3695b459ae900p-8"
 
 
 def reference_char_function(seq, sigma, t, cutoff):
-    """One t at a time, summed by fsum over a list."""
+    """One t at a time, summed by fsum over a list; V is the library's
+    normalizer, ``_sum_of_squares(w)``, here and in the helpers below."""
     w = seq.elements_up_to(cutoff) ** (-float(sigma))
-    c = np.cos(float(t) * w / math.sqrt(compensated_sum(w * w)))
+    c = np.cos(float(t) * w / math.sqrt(_sum_of_squares(w)))
     if np.any(c == 0.0):
         return 0.0
     sign = 1.0 if int(np.count_nonzero(c < 0)) % 2 == 0 else -1.0
@@ -208,7 +211,7 @@ def accurate_char_function(seq, sigma, t, cutoff):
     """``reference_char_function`` with log cos x for |x| <= 1 taken as
     log1p(-2 * sin(x / 2)**2), which has no cancellation for small x."""
     w = seq.elements_up_to(cutoff) ** (-float(sigma))
-    x = float(t) * w / math.sqrt(compensated_sum(w * w))
+    x = float(t) * w / math.sqrt(_sum_of_squares(w))
     c = np.cos(x)
     if np.any(c == 0.0):
         return 0.0
@@ -223,7 +226,7 @@ def has_tail(seq, sigma, t, cutoff):
     """Whether some factor of phi(t) is in the tail: sigma > 0 and some
     |t| * w / V at most X0."""
     w = seq.elements_up_to(cutoff) ** (-float(sigma))
-    x = abs(float(t)) * w / math.sqrt(compensated_sum(w * w))
+    x = abs(float(t)) * w / math.sqrt(_sum_of_squares(w))
     return sigma > 0 and bool(np.any(x <= limits.X0))
 
 
@@ -231,7 +234,7 @@ def mp_char_function(seq, sigma, t, cutoff):
     """The product of the same float factors at 40 digits."""
     mpmath = pytest.importorskip("mpmath")
     w = seq.elements_up_to(cutoff) ** (-float(sigma))
-    sd = math.sqrt(compensated_sum(w * w))
+    sd = math.sqrt(_sum_of_squares(w))
     with mpmath.workdps(40):
         scale = mpmath.mpf(float(t)) / mpmath.mpf(sd)
         return mpmath.fprod(mpmath.cos(scale * mpmath.mpf(v)) for v in w.tolist())
@@ -315,7 +318,7 @@ def test_char_function_even_bit_for_bit(seq, sigma, cutoff, unit):
 
 def test_numpy_cos_is_bitwise_even_on_prime_arguments():
     w = Primes().elements_up_to(1e7) ** -0.55
-    x = 1.0 * w / math.sqrt(compensated_sum(w * w))
+    x = 1.0 * w / math.sqrt(_sum_of_squares(w))
     assert x.size == 664_579
     assert np.array_equal(np.cos(-x).view(np.int64), np.cos(x).view(np.int64))
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,56 +7,35 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dirichletlab import Primes
-from dirichletlab.summation import _CHUNK, _sum_of_squares, compensated_sum, exact_sum
+from dirichletlab.summation import _CHUNK, _ROW, _sum_of_squares, exact_sum
 
 
 def test_matches_fsum_small():
     vals = [0.1, 0.2, -0.3, 1e16, -1e16, 1.0]
-    assert compensated_sum(np.array(vals)) == math.fsum(vals)
+    assert exact_sum(np.array(vals)) == math.fsum(vals)
 
 
 def test_large_array_deterministic_and_accurate():
     rng = np.random.default_rng(0)
     x = rng.standard_normal(300_000)
-    s1 = compensated_sum(x)
-    s2 = compensated_sum(x)
+    s1 = exact_sum(x)
+    s2 = exact_sum(x)
     assert s1 == s2
-    assert abs(s1 - math.fsum(x.tolist())) < 1e-9
+    assert s1.hex() == math.fsum(x.tolist()).hex()
 
 
 def test_cancellation_heavy():
     # pairs that cancel exactly plus a tiny residue: naive cumulative
-    # summation loses the residue, the compensated sum must not
+    # summation loses the residue, the exact sum must not
     big = np.full(10_000, 1e12)
     arr = np.concatenate([big, -big, np.full(10, 1e-6)])
-    assert abs(compensated_sum(arr) - 1e-5) < 1e-18
+    assert abs(exact_sum(arr) - 1e-5) < 1e-18
 
 
 @given(st.lists(st.floats(-1e6, 1e6), min_size=0, max_size=200))
 @settings(max_examples=100, deadline=None)
 def test_property_matches_fsum(vals):
-    assert compensated_sum(np.array(vals, dtype=float)) == math.fsum(vals)
-
-
-def test_chunk_rule_matches_reshaped_partials():
-    # up to 2**16 terms: fsum; above: pairwise sums of the full chunks,
-    # reduced as one 2-d array, plus fsum of the remainder, combined by fsum
-    ch = 1 << 16
-    rng = np.random.default_rng(3)
-    x = rng.standard_normal(ch) * 10.0 ** rng.uniform(-8, 8, ch)
-    assert compensated_sum(x) == math.fsum(x.tolist())
-    for n in (ch + 1, 3 * ch, 3 * ch + 7, 10 ** 6):
-        x = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)
-        full = n - n % ch
-        partials = x[:full].reshape(-1, ch).sum(axis=1).tolist()
-        partials.append(math.fsum(x[full:].tolist()))
-        assert compensated_sum(x).hex() == math.fsum(partials).hex()
-
-
-def test_compensated_sum_golden():
-    # captured before the exact kernel replaced fsum over lists
-    x = np.random.default_rng(0).standard_normal(100_003)
-    assert compensated_sum(x).hex() == "-0x1.6814848b71746p+6"
+    assert exact_sum(np.array(vals, dtype=float)) == math.fsum(vals)
 
 
 # --- exact_sum: equal to math.fsum(x.tolist()) by float.hex, or raising
@@ -152,7 +132,7 @@ def test_exact_sum_full_planes():
 def test_exact_sum_log_cosines():
     # the characteristic function's sum: 664,579 log-cosines, primes to 1e7
     w = Primes().elements_up_to(1e7) ** -0.55
-    x = np.log(np.abs(np.cos(0.9 * w / math.sqrt(compensated_sum(w * w)))))
+    x = np.log(np.abs(np.cos(0.9 * w / math.sqrt(_sum_of_squares(w)))))
     assert x.size == 664_579
     assert_matches_fsum(x)
 
@@ -265,8 +245,29 @@ def test_exact_sum_scales_full_blocks_at_35_bits(monkeypatch):
     assert calls == [1]
 
 
-@pytest.mark.parametrize("n", [0, 1, 7, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
-def test_sum_of_squares_is_compensated_sum_of_the_squares(n):
+def _exact_squares(w):
+    """Arrays whose terms sum exactly to sum(w**2): each w = hi + lo with
+    26-bit halves (Veltkamp), whose products hi*hi, 2*hi*lo and lo*lo are
+    exact floats for these magnitudes."""
+    c = w * (2.0 ** 27 + 1)
+    hi = c - (c - w)
+    lo = w - hi
+    return np.concatenate([hi * hi, 2.0 * hi * lo, lo * lo])
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, _ROW - 1, _ROW, _ROW + 1, _CHUNK, _CHUNK + 1,
+                               3 * _CHUNK + 5])
+def test_sum_of_squares_is_fsum_of_row_dots(n):
+    # the fsum of one np.dot per _ROW-term row, and within gamma_{_ROW+1}
+    # of the exact sum of squares (see _sum_of_squares); r, the exact sum
+    # rounded once, is within u of it
     rng = np.random.default_rng(n)
     w = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)
-    assert _sum_of_squares(w).hex() == compensated_sum(w * w).hex()
+    want = math.fsum(float(np.dot(w[lo:lo + _ROW], w[lo:lo + _ROW]))
+                     for lo in range(0, n, _ROW))
+    got = _sum_of_squares(w)
+    assert got.hex() == want.hex()
+    r = Fraction(math.fsum(_exact_squares(w).tolist()))
+    u = Fraction(1, 2 ** 53)
+    gamma = (_ROW + 1) * u / (1 - (_ROW + 1) * u)
+    assert abs(Fraction(got) - r) <= (gamma + u) * r / (1 - u)
