@@ -251,8 +251,11 @@ def _cmd_report(v, workers):
         raise ValidationError(f"cannot read report {v['input']}: {exc}") from None
     if not isinstance(data, dict):
         raise ValidationError(f"{v['input']} does not hold a report object")
+    aggregates = data.get("aggregates", {})
+    if not isinstance(aggregates, dict):
+        raise ValidationError(f"{v['input']}: aggregates is not an object")
     kind = data.get("kind", "?")
-    keys = sorted(data.get("aggregates", {}).keys()) or sorted(data.keys())
+    keys = sorted(aggregates) or sorted(data)
     summary = f"report {v['input']}: kind={kind}, fields: {', '.join(keys)}"
     return summary, None, {}, True
 

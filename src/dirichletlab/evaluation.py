@@ -10,18 +10,18 @@ Two certificate grades are produced:
   error is below threshold * cutoff**-(sigma - sigma0).
 
 Every partial sum and every kept sign comes from one kernel,
-``_signed_sums``: dots of a block of paths' streamed signs with each path's
-weights ``p**-sigma``, in rows too short for BLAS to split across threads,
-so no value depends on the thread count.  A kept sign is that of the real
-partial sum, sum X_p * p**-sigma over the float elements p, by one rule: a
-bracket [lo, hi] that contains the real value, +1 when lo > r, -1 when
-hi < -r and undecided otherwise, with r the truncation radius.  The
-bracket is the kernel's value widened by ``_band_slack``, which bounds
-both the summation error and the rounding of the weights.  ``evaluate``
-adds that bound into its error radius; ``decide`` and ``_filtered_signs``
-take the sign beyond it.  A sign-change trial filters its whole block at
-once: the certified grid at the certified radii, then each path's own
-undecided sums at radius 0.
+``_signed_sums``: dots of a block of paths' streamed signs with one list of
+weight arrays ``p**-sigma`` that every path of the block reads, in rows too
+short for BLAS to split across threads, so no value depends on the thread
+count.  A kept sign is that of the real partial sum, sum X_p * p**-sigma
+over the float elements p, by one rule: a bracket [lo, hi] that contains
+the real value, +1 when lo > r, -1 when hi < -r and undecided otherwise,
+with r the truncation radius.  The bracket is the kernel's value widened
+by ``_band_slack``, which bounds both the summation error and the rounding
+of the weights.  ``evaluate`` adds that bound into its error radius;
+``decide`` and ``_filtered_signs`` take the sign beyond it.  A sign-change
+trial filters its whole block in one stream: the certified grid at the
+certified radii and the heuristic sums at radius 0.
 
 Each shared weight array ``p**-sigma`` has one owner: a certificate's
 ``scan_weights`` holds those of ``evaluate`` and ``decide``, a study's setup
@@ -78,32 +78,39 @@ def _upper_sum(w: np.ndarray) -> float:
     return math.nextafter(float(w.sum()) * (1.0 + w.size * 2.0 ** -51), math.inf)
 
 
-def _signed_sums(paths, weights_per_path) -> list[list[float]]:
-    """A float value of sum(signs[:w.size] * w) for each weight array
-    ``w`` of ``weights_per_path[i]``, with ``signs`` the signs of
-    ``paths[i]``, for each path of the block ``paths`` (paths of the
-    weights' sequence): one list of sums per path, each within
-    ``_band_slack(w)`` of the real sum (see ``decide``).
+def _signed_sums(paths, weights) -> list[list[float]]:
+    """A float value of sum(signs[:w.size] * w) for each weight array ``w``
+    of ``weights``, with ``signs`` the signs of ``paths[i]``, for each path
+    of the block ``paths`` (paths of the weights' sequence), which all read
+    the same arrays: one list of sums per path, in the order of
+    ``weights``, each within ``_band_slack(w)`` of the real sum (see
+    ``decide``).
 
     The block's signs are streamed chunk-major by ``_sign_stream`` to the
-    longest array any path needs, so each weight chunk stays in cache while
-    every path of the block reads it.  Each ``_CHUNK`` of a path's signs is
-    dotted with each of that path's arrays by ``summation._row_dots``, in
-    rows of at most ``_ROW`` terms, or by one ``np.dot`` inline for at most
-    ``_ROW`` terms.  ``math.fsum`` of a sum's dots is its value.
+    longest array, so each weight chunk stays in cache while every path of
+    the block reads it.  Each ``_CHUNK`` of a path's signs is dotted with
+    each array by ``summation._row_dots``, in rows of at most ``_ROW``
+    terms, or by one ``np.dot`` inline for at most ``_ROW`` terms.  The
+    arrays are visited longest first, so those a chunk still reaches come
+    first and the visit stops at the first that ends before the chunk; an
+    empty array costs nothing.  ``math.fsum`` of a sum's dots is its value.
     """
-    count = max((w.size for ws in weights_per_path for w in ws), default=0)
-    dots = [[[] for _ in ws] for ws in weights_per_path]
+    ranked = sorted(enumerate(weights), key=lambda kw: kw[1].size, reverse=True)
+    count = ranked[0][1].size if ranked else 0
+    dots = [[[] for _ in weights] for _ in paths]
     for lo, i, signs in _sign_stream(paths, count):
-        for w, parts in zip(weights_per_path[i], dots[i]):
+        parts = dots[i]
+        for k, w in ranked:
             m = w.size - lo
             if m > _ROW:
                 m = min(m, _CHUNK)
-                parts += _row_dots(signs[:m], w[lo:lo + m])
+                parts[k] += _row_dots(signs[:m], w[lo:lo + m])
             elif m > 0:
                 # one dot inline: a call per short piece costs no_zero ~5%
-                parts.append(np.dot(signs[:m], w[lo:]))
-    return [[math.fsum(parts) for parts in sums] for sums in dots]
+                parts[k].append(np.dot(signs[:m], w[lo:]))
+            else:
+                break
+    return [[math.fsum(p) for p in parts] for parts in dots]
 
 
 # ---------------------------------------------------------------------------
@@ -173,15 +180,16 @@ def tail_certificate(
     2**-50 = 1 + 8u, rounded, is at least q * (1 + 2.4u - 45u**2) > q.  A
     step that underflows leaves q below 2**-1012 (18T below 2**-1022 and
     L below 746), under the floor 2**-1000.  The float above the rounded
-    square root then lies above sqrt(q).  An exhausted certificate keeps
-    threshold 0.0.
+    square root then lies above sqrt(q), so a T that underflows to 0.0
+    takes the floor too.  Only a sequence that serves no element above the
+    cutoff is exhausted: its certificate keeps threshold 0.0 and eta 0.
     """
     if not 0.0 < eta < 1.0:
         raise ValidationError("eta must lie in (0,1)")
     _check_finite("sigma0", sigma0)
     _, t_upper = seq.tail_power_sum(2.0 * sigma0, cutoff, head_terms=head_terms)
     t_upper = float(t_upper)
-    exhausted = t_upper == 0.0
+    exhausted = seq.next_elements(cutoff, 1).size == 0
     q = 18.0 * t_upper * math.log(6.0 / eta) * (1.0 + 2.0 ** -50)
     threshold = 0.0 if exhausted else math.nextafter(
         math.sqrt(max(q, 2.0 ** -1000)), math.inf)
@@ -233,7 +241,7 @@ def partial_sum_table(
         raise ValidationError("cutoff must be >= 1")
     seq = path.seq
     pairs = _weight_pairs(seq, [(s, seq._count_up_to(c)) for s, c in points])
-    return _signed_sums([path], [[w for w, _ in pairs]])[0]
+    return _signed_sums([path], [w for w, _ in pairs])[0]
 
 
 def _certified_weights(
@@ -301,7 +309,7 @@ def evaluate(
     certified one plus the weight pair's band, rounded up, so it also
     bounds the distance to the real value (see ``decide``)."""
     entries, radii = _certified_weights(path, sigmas, cert)
-    values = _signed_sums([path], [[w for w, _ in entries]])[0]
+    values = _signed_sums([path], [w for w, _ in entries])[0]
     kind = EXACT if cert.exhausted else PROBABILISTIC
     sigma0 = None if cert.exhausted else cert.sigma0
     return [CertifiedValue(s, v, cert.cutoff, math.nextafter(r + band, math.inf),
@@ -335,19 +343,18 @@ def _band_slack(w: np.ndarray) -> float:
                           + n * _POW_ULPS * 2.0 ** -1074, math.inf)
 
 
-def _filtered_signs(paths, entries_per_path, radii_per_path) -> list[list[int | None]]:
+def _filtered_signs(paths, entries, radii) -> list[list[int | None]]:
     """For each path of the block ``paths``, the sign of each sum's real
-    value beyond its radius, or None, for that path's own weight pairs
-    ``(w, band)`` of ``_weight_pairs`` and radii: one list of signs per
-    path.  The real value lies within the band of the ``_signed_sums``
-    value (see ``decide``), so the sign is that value's beyond the radius
-    plus the band, rounded up.  A NaN or infinite band leaves the sum
-    undecided.
+    value beyond its radius, or None, for the weight pairs ``(w, band)`` of
+    ``_weight_pairs`` and the radii that every path shares: one list of
+    signs per path.  The real value lies within the band of the
+    ``_signed_sums`` value (see ``decide``), so the sign is that value's
+    beyond the radius plus the band, rounded up.  A NaN or infinite band
+    leaves the sum undecided.
     """
-    sums = _signed_sums(paths, [[w for w, _ in entries] for entries in entries_per_path])
-    return [[_sign_beyond(v, math.nextafter(r + band, math.inf))
-             for v, (_, band), r in zip(values, entries, radii)]
-            for values, entries, radii in zip(sums, entries_per_path, radii_per_path)]
+    sums = _signed_sums(paths, [w for w, _ in entries])
+    rhos = [math.nextafter(r + band, math.inf) for (_, band), r in zip(entries, radii)]
+    return [[_sign_beyond(v, rho) for v, rho in zip(values, rhos)] for values in sums]
 
 
 def decide(
@@ -355,9 +362,9 @@ def decide(
 ) -> list[int | None]:
     """The signs of the real partial sums at ``sigmas`` beyond the certified
     radii, or None, with ``evaluate``'s validation, from one pass over the
-    path's signs: ``_filtered_signs`` over the weight pairs, for the block
-    of this path alone.  It is ``evaluate``'s ``decided_sign``, from the
-    same sum and the same error radius.
+    path's signs: ``_filtered_signs`` over the weight pairs and radii, for
+    a block of this path alone.  It is ``evaluate``'s ``decided_sign``,
+    from the same sum and the same error radius.
 
     Why a kept sign is the real value's.  Split a sum of n terms into
     chunks c of m_c <= K = ``_CHUNK`` terms; let w_i = fl(p_i**-sigma), S_c
@@ -384,7 +391,7 @@ def decide(
     rho gives R > r and V < -rho gives R < -r.
     """
     entries, radii = _certified_weights(path, sigmas, cert)
-    return _filtered_signs([path], [entries], [radii])[0]
+    return _filtered_signs([path], entries, radii)[0]
 
 
 def heuristic_cutoff(sigma: float) -> float:

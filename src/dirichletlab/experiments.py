@@ -282,30 +282,24 @@ def _sign_change_setup(cfg: SignChangeConfig, seq) -> dict:
 
 def _sign_change_trial(cfg: SignChangeConfig, st: dict,
                        paths: list[SamplePath]) -> list[dict]:
-    # both passes stream the block's signs chunk-major, so each weight chunk
-    # is read once per block: the certified one stops at the certificate
-    # cutoff, the heuristic one at the longest sum any path leaves undecided
+    # one filter streams the block's signs chunk-major to the longest array,
+    # so each weight chunk is read once per block: the certified grid at
+    # the certified radii, then the heuristic sums at radius 0, where a
+    # bracket holding 0 counts +1
     entries, radii = _certified_weights(paths[0], st["grid"], st["cert"])
-    n = len(paths)
-    decided = _filtered_signs(paths, [entries] * n, [radii] * n)
-    # the heuristic sum's sign stands in wherever the certified one is
-    # undecided: the filter at radius 0, where a bracket holding 0 counts +1
-    undecided = [[j for j, s in enumerate(certified) if s is None]
-                 for certified in decided]
-    heuristic = _filtered_signs(paths, [[st["entries"][j] for j in js] for js in undecided],
-                                [[0.0] * len(js) for js in undecided])
+    m = len(entries)
     rows = []
-    for certified, js, signs in zip(decided, undecided, heuristic):
-        combined = list(certified)
-        for j, sign in zip(js, signs):
-            combined[j] = 1 if sign is None else sign
-        m = len(combined)
+    for signs in _filtered_signs(paths, entries + st["entries"], radii + [0.0] * m):
+        certified = signs[:m]
+        # each sign is +-1 or None: the certified one, else the heuristic
+        # one, else +1
+        combined = [c or h or 1 for c, h in zip(certified, signs[m:])]
         rows.append({
             "combined_counts": [_certified_changes(combined[j0:])
                                 for j0 in st["rung_start"]],
             "certified_counts": [_certified_changes(certified[j0:])
                                  for j0 in st["rung_start"]],
-            "decided_fraction": (m - len(js)) / m,
+            "decided_fraction": (m - certified.count(None)) / m,
         })
     return rows
 
@@ -428,7 +422,7 @@ def _exceedance_setup(cfg: ExceedanceConfig, seq) -> dict:
 def _exceedance_trial(cfg: ExceedanceConfig, st: dict,
                       paths: list[SamplePath]) -> list[dict]:
     return [{"normalized": [s / norm for s, norm in zip(sums, st["norms"])]}
-            for sums in _signed_sums(paths, [st["weights"]] * len(paths))]
+            for sums in _signed_sums(paths, st["weights"])]
 
 
 def _aggregate_exceedance(cfg: ExceedanceConfig, st: dict,

@@ -241,13 +241,14 @@ def clt_sample(seq: FrequencySequence, sigma: float, cutoff: float,
     """Monte Carlo draws of the truncated value over its truncated sd.
 
     Draw i is the path of trial index i, summed by ``_signed_sums``; the
-    paths go through it in blocks of ``_BLOCK`` (64), so each chunk of the
-    weights serves a whole block while it is in cache, and one mixing call
-    makes the words of that chunk for every path of the block.  The trial
-    count is checked against the term budget before the draws' array is
-    allocated.  Warns when the truncated variance captures less than 90%
-    of the full variance enclosure, i.e. when the cutoff is too small for
-    the chosen exponent to make the normalized truncation honest.
+    paths go through it in blocks of ``_BLOCK`` (64) that all read the one
+    weight array, so each chunk of it serves a whole block while it is in
+    cache, and one mixing call makes the words of that chunk for every path
+    of the block.  The trial count is checked against the term budget
+    before the draws' array is allocated.  Warns when the truncated
+    variance captures less than 90% of the full variance enclosure, i.e.
+    when the cutoff is too small for the chosen exponent to make the
+    normalized truncation honest.
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
@@ -265,8 +266,7 @@ def clt_sample(seq: FrequencySequence, sigma: float, cutoff: float,
     out = np.empty(trials, dtype=np.float64)
     for lo in range(0, trials, _BLOCK):
         block = [SamplePath(seq, master_seed, i) for i in range(lo, min(lo + _BLOCK, trials))]
-        sums = _signed_sums(block, [[w]] * len(block))
-        out[lo:lo + len(block)] = [s[0] / sd for s in sums]
+        out[lo:lo + len(block)] = [sums[0] / sd for sums in _signed_sums(block, [w])]
     return out
 
 

@@ -19,7 +19,6 @@ from .errors import ValidationError
 from .evaluation import TailCertificate, decide, tail_certificate
 from .frequencies import (
     DEFAULT_TAIL_HEAD_TERMS,
-    Explicit,
     _check_finite,
     sequence_spec,
 )
@@ -99,7 +98,7 @@ def scan_certificate(
     summed to its end can be certified, with an exact certificate.
     """
     _check_finite("sigma_lo", sigma_lo)
-    exact_possible = isinstance(seq, Explicit) and cutoff >= seq.values[-1]
+    exact_possible = seq.next_elements(cutoff, 1).size == 0
     if sigma_lo <= 0.5 and not exact_possible:
         raise ValidationError(
             "scanning at or below 1/2 needs a finite sequence summed exactly"

@@ -471,7 +471,13 @@ def test_report_bad_input_is_validation_error(tmp_path, capsys):
     garbled.write_text("{not json")
     listed = tmp_path / "list.json"
     listed.write_text("[1, 2]")
-    for path in (tmp_path / "missing.json", garbled, listed):
+    # aggregates that are not an object
+    listed_aggregates = tmp_path / "listed_aggregates.json"
+    listed_aggregates.write_text('{"kind": "no_zero", "aggregates": [1, 2]}')
+    null_aggregates = tmp_path / "null_aggregates.json"
+    null_aggregates.write_text('{"kind": "no_zero", "aggregates": null}')
+    for path in (tmp_path / "missing.json", garbled, listed, listed_aggregates,
+                 null_aggregates):
         assert main(["report", "--input", str(path)]) == 1
         assert "validation error" in capsys.readouterr().err
 

@@ -36,6 +36,7 @@ from dirichletlab.evaluation import (
 )
 from dirichletlab.frequencies import FrequencySequence
 from dirichletlab.limits import variance_profile
+from dirichletlab.zeros import scan_certificate
 
 from conftest import explicit, path_with_signs, zeta_em
 
@@ -117,7 +118,7 @@ def test_property_streamed_sums_lie_within_the_band(lengths, start, lead, seed, 
         weights.append(_STAIR.elements_up_to(2e16) ** -1.0)
     path = path_with_signs(Naturals(start_index=start), lead, seed)
     signs = path.signs_up_to(start - 1 + max(w.size for w in weights))
-    _assert_within_band(evaluation._signed_sums([path], [weights])[0], signs, weights)
+    _assert_within_band(evaluation._signed_sums([path], weights)[0], signs, weights)
 
 
 def _word_signs(path, offset, count):
@@ -177,10 +178,29 @@ def test_property_block_kernel_matches_each_path(block, start, seed):
     assert entries == [(o, i) for o in range(0, count, _CH) for i in range(n)]
     rng = np.random.default_rng(seed)
     weights = [rng.standard_normal(k) * 10.0 ** rng.uniform(-6, 6, k) for k in lengths]
-    got = evaluation._signed_sums(block_paths, [weights] * n)
+    got = evaluation._signed_sums(block_paths, weights)
     assert len(got) == n
     for path, sums in zip(block_paths, got):
         _assert_within_band(sums, path.signs_up_to(start - 1 + count), weights)
+
+
+@given(lengths=st.permutations([0, 1, _ROW - 1, _ROW + 1, _CH - 1, _CH + 1]),
+       n=st.sampled_from([1, 3]), seed=st.integers(0, 2**32 - 1))
+# an empty array ahead of longer ones, in an order that no sort gives
+@example(lengths=[1, 0, _CH + 1, _ROW - 1, _CH - 1, _ROW + 1], n=1, seed=1)
+@example(lengths=[_ROW - 1, 0, 1, _CH + 1, _ROW + 1, _CH - 1], n=3, seed=2)
+@settings(max_examples=20, deadline=None)
+def test_property_block_sums_keep_the_callers_order(lengths, n, seed):
+    # the kernel visits the arrays longest first and stops at the first
+    # that ends before a chunk; each sum must still be the one its array
+    # gives alone, bit for bit, in the order the caller passed the arrays
+    rng = np.random.default_rng(seed)
+    weights = [rng.standard_normal(k) for k in lengths]
+    block = [SamplePath(Naturals(), seed, t) for t in range(n)]
+    got = evaluation._signed_sums(block, weights)
+    alone = [[evaluation._signed_sums([p], [w])[0][0] for w in weights] for p in block]
+    assert [[v.hex() for v in sums] for sums in got] == \
+        [[v.hex() for v in sums] for sums in alone]
 
 
 def test_weight_cache_separates_start_indices():
@@ -296,14 +316,41 @@ def _mp_threshold(t_upper, eta):
 @settings(max_examples=300, deadline=None)
 def test_tail_threshold_is_rounded_up(t_upper, eta):
     # the threshold is at least sqrt(18 * T * ln(6/eta)) at 50 digits, for
-    # the float T the enclosure returns, and 0.0 only when T is 0
+    # the float T the enclosure returns.  The naturals never run out, so
+    # even a T of 0 (one that underflowed) leaves the certificate
+    # unexhausted, with a positive threshold and its eta
     seq = Naturals()
     with mock.patch.object(Naturals, "tail_power_sum", lambda *a, **k: (0.0, t_upper)):
         cert = tail_certificate(seq, 0.75, 1e3, eta)
-    if t_upper == 0.0:
-        assert (cert.threshold, cert.exhausted) == (0.0, True)
-    else:
-        assert cert.threshold >= _mp_threshold(t_upper, eta)
+    assert cert.exhausted is False and cert.eta == eta
+    assert cert.threshold > 0.0
+    assert cert.threshold >= _mp_threshold(t_upper, eta)
+
+
+def test_exhaustion_comes_from_the_sequence():
+    # at sigma0 = 200 the naturals' tail second moment underflows to 0.0,
+    # but elements remain above the cutoff: the threshold takes the floor
+    # 2**-1000 under its root, eta is kept and the grade is probabilistic
+    path = SamplePath(Naturals(), 1, 0)
+    cert = tail_certificate(path.seq, 200, 1e4, 0.05)
+    assert cert.tail_second_moment == 0.0
+    assert cert.exhausted is False and cert.eta == 0.05
+    assert cert.threshold == math.nextafter(2.0 ** -500, math.inf)
+    (cv,) = evaluate(path, [200.0], cert)
+    assert (cv.kind, cv.sigma0, cv.eta) == (PROBABILISTIC, 200.0, 0.05)
+    # a finite sequence cut at or past its last element is exhausted and
+    # exact, one cut below it is not, and a scan at 1/2 is allowed alike
+    seq = explicit([2.0, 3.0, 4.0])
+    for cutoff, exhausted in ((4.0, True), (10.0, True), (3.5, False)):
+        cert = tail_certificate(seq, 0.6, cutoff, 0.05)
+        assert cert.exhausted is exhausted
+        (cv,) = evaluate(SamplePath(seq, 1, 0), [0.6], cert)
+        assert cv.kind == (EXACT if exhausted else PROBABILISTIC)
+        if exhausted:
+            assert scan_certificate(seq, 0.5, cutoff, 0.05).exhausted
+        else:
+            with pytest.raises(ValidationError, match="finite sequence summed exactly"):
+                scan_certificate(seq, 0.5, cutoff, 0.05)
 
 
 def test_tail_thresholds_of_the_studies_are_rounded_up():
@@ -514,7 +561,7 @@ def test_heuristic_signs_equal_compensated_sum_signs(n):
     weights += [w for w, _ in evaluation._weight_pairs(
         seq, [(0.53, 3 * _LONG), (0.75, _LONG + 7), (1.2, 900)])]
     entries = [(w, evaluation._band_slack(w)) for w in weights]
-    got = evaluation._filtered_signs([path], [entries], [[0.0] * len(weights)])[0]
+    got = evaluation._filtered_signs([path], entries, [0.0] * len(weights))[0]
     signs = path.signs_up_to(max(w.size for w in weights))
     sums = [summation.exact_sum(signs[:w.size] * w) for w in weights]
     assert sums[:3] == [0.0, 2.0**-40, -(2.0**-40)]

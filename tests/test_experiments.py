@@ -415,15 +415,12 @@ def test_sign_change_trial_streams_its_signs():
 
 
 def test_sign_change_streams_a_block_of_two_paths(monkeypatch):
-    # the default two-trial run is one block: its certified filter and its
-    # heuristic filter each stream both paths in one _sign_stream call, so
-    # each weight chunk is read once for the two trials
+    # the default two-trial run is one block: one filter, certified and
+    # heuristic sums together, streams both paths in one _sign_stream call
+    # to the longest array, so each weight chunk is read once for the two
+    # trials
     cfg = SignChangeConfig(trials=2)
-    seq, st, _ = _setup(cfg)
-    undecided = set()
-    for i in range(cfg.trials):
-        signs = evaluation.decide(SamplePath(seq, cfg.master_seed, i), st["grid"], st["cert"])
-        undecided |= {j for j, s in enumerate(signs) if s is None}
+    _, st, _ = _setup(cfg)
     calls = []
     original = evaluation._sign_stream
 
@@ -433,16 +430,15 @@ def test_sign_change_streams_a_block_of_two_paths(monkeypatch):
 
     monkeypatch.setattr(evaluation, "_sign_stream", recording)
     run_experiment(cfg)
-    assert calls == [(2, st["cert"].count),
-                     (2, max(st["entries"][j][0].size for j in undecided))]
+    assert calls == [(2, max(st["cert"].count, max(w.size for w, _ in st["entries"])))]
 
 
 def test_block_of_differing_undecided_sets_gives_each_paths_rows():
     # hand-built heuristic arrays, the longest at grid point 3, over paths
     # whose certified filters leave different points undecided: none, the
     # first only (so the longest array is decided), the first two and the
-    # first four.  A block streams to the longest array any path needs; each
-    # path's row is the one it gives alone.
+    # first four.  A block streams every path to the longest array, decided
+    # or not; each path's row is the one it gives alone.
     cfg = SignChangeConfig(ladder=(0.9, 0.7), trials=1, grid_points=6,
                            cert_cutoff=1e5, heuristic_max_cutoff=2e5)
     seq, st, _ = _setup(cfg)
