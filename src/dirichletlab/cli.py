@@ -331,7 +331,6 @@ _SUBCOMMANDS: dict[str, tuple[dict, object]] = {
         "grid_points": ("grid_points", int, "shared grid size"),
         "cert_cutoff": ("cert_cutoff", float, "certificate cutoff"),
         "eta": ("eta", float, "certificate failure budget"),
-        "max_cutoff": ("heuristic_max_cutoff", float, "heuristic cutoff budget"),
     }, lambda agg: "sign-changes mean counts: " + ", ".join(
         "sigma={sigma:g}: {mean_count:.3f}".format(**r) for r in agg["per_rung"]
     ), lambda agg: _svg_polyline([r["sigma"] for r in agg["per_rung"]],

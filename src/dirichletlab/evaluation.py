@@ -29,7 +29,9 @@ its others.  ``_weight_pairs`` caches nothing, and no module-level container
 holds an array, so no sequence is handed another's weights.
 
 Below the certifiable range the near-critical rule ``heuristic_cutoff``
-picks a truncation scale for partial sums that carry no error bound.
+picks a truncation scale for partial sums that carry no error bound, and
+``_heuristic_count`` is the one gate that refuses a scale past the term
+budget.
 """
 
 from __future__ import annotations
@@ -41,13 +43,8 @@ from functools import cached_property
 import numpy as np
 
 from . import frequencies
-from .errors import ValidationError
-from .frequencies import (
-    DEFAULT_TAIL_HEAD_TERMS,
-    FrequencySequence,
-    _check_budget,
-    _check_finite,
-)
+from .errors import ResourceBudgetError, ValidationError
+from .frequencies import FrequencySequence, _check_budget, _check_finite
 from .paths import SamplePath, _sign_stream
 from .summation import _CHUNK, _ROW, _row_dots, exact_sum
 
@@ -159,13 +156,8 @@ def excursion_probability_bound(tail_second_moment: float, threshold: float) -> 
     return 6.0 * math.exp(-(threshold ** 2) / (18.0 * tail_second_moment))
 
 
-def tail_certificate(
-    seq: FrequencySequence,
-    sigma0: float,
-    cutoff: float,
-    eta: float,
-    head_terms: int = DEFAULT_TAIL_HEAD_TERMS,
-) -> TailCertificate:
+def tail_certificate(seq: FrequencySequence, sigma0: float, cutoff: float,
+                     eta: float) -> TailCertificate:
     """Certificate at base exponent sigma0 with failure probability eta.
 
     Requires the doubled exponent 2*sigma0 to lie above the sequence's
@@ -187,7 +179,7 @@ def tail_certificate(
     if not 0.0 < eta < 1.0:
         raise ValidationError("eta must lie in (0,1)")
     _check_finite("sigma0", sigma0)
-    _, t_upper = seq.tail_power_sum(2.0 * sigma0, cutoff, head_terms=head_terms)
+    _, t_upper = seq.tail_power_sum(2.0 * sigma0, cutoff)
     t_upper = float(t_upper)
     exhausted = seq.next_elements(cutoff, 1).size == 0
     q = 18.0 * t_upper * math.log(6.0 / eta) * (1.0 + 2.0 ** -50)
@@ -403,6 +395,26 @@ def heuristic_cutoff(sigma: float) -> float:
         return math.exp(1.0 / (2.0 * sigma - 1.0))
     except OverflowError:
         return math.inf
+
+
+def _heuristic_count(seq: FrequencySequence, sigma: float) -> int:
+    """The number of served elements up to ``heuristic_cutoff(sigma)``.
+
+    Raises ResourceBudgetError, naming the minimal feasible exponent, when
+    that scale overflows a float or needs more terms than the budget.
+    """
+    scale = heuristic_cutoff(sigma)
+    try:
+        if math.isinf(scale):
+            raise ResourceBudgetError("the scale overflows a float")
+        return seq._count_up_to(scale)
+    except ResourceBudgetError as exc:
+        # invert the scale rule at the budget to name the smallest workable sigma
+        sigma_min = 0.5 + 0.5 / math.log(float(frequencies.DEFAULT_TERM_BUDGET))
+        raise ResourceBudgetError(
+            f"scale {scale:.3g}: {exc}; minimal feasible sigma is about "
+            f"{sigma_min:.6f}"
+        ) from None
 
 
 def mellin_discrepancy(path: SamplePath, sigma: float, upper_limit: float) -> float:

@@ -40,17 +40,15 @@ from .errors import ValidationError
 from .evaluation import (
     _certified_weights,
     _filtered_signs,
+    _heuristic_count,
     _signed_sums,
     _weight_pairs,
     excursion_probability_bound,
-    heuristic_cutoff,
 )
 from .frequencies import WeightedNaturals, _check_finite, make_sequence
 from .paths import _BLOCK, SamplePath, _sign_stream
 from .zeros import _certified_changes, _initial_grid, certify_no_zeros, scan_certificate
 
-# the head of every study's tail enclosures: certificates and excursion bounds
-HEAD_TERMS = 20_000
 # the smallest cutoff a heuristic sign is summed to
 HEURISTIC_MIN_CUTOFF = 10_000.0
 
@@ -119,7 +117,6 @@ class SignChangeConfig:
     grid_points: int = 28
     cert_cutoff: float = 100_000.0
     eta: float = 0.01
-    heuristic_max_cutoff: float = 20_000_000.0
     kind: str = field(default="sign_change", init=False)
 
 
@@ -197,7 +194,7 @@ def _no_zero_setup(cfg: NoZeroConfig, seq):
     """``certify_no_zeros`` with sigma_lo and the config's tail
     certificate bound."""
     # building the certificate checks eta and the sigma_lo <= 1/2 rule
-    cert = scan_certificate(seq, cfg.sigma_lo, cfg.cutoff, cfg.eta, HEAD_TERMS)
+    cert = scan_certificate(seq, cfg.sigma_lo, cfg.cutoff, cfg.eta)
     if not seq.reciprocal_sum_converges:
         warnings.warn(
             "reciprocal sum diverges: no-zero certification is expected to "
@@ -255,21 +252,14 @@ def _sign_change_setup(cfg: SignChangeConfig, seq) -> dict:
         )
     if cfg.grid_points < 2:
         raise ValidationError("grid_points must be >= 2")
-    _check_finite("heuristic_max_cutoff", cfg.heuristic_max_cutoff)
     ladder = sorted(cfg.ladder, reverse=True)
-    rule = heuristic_cutoff(ladder[-1])
-    if rule > cfg.heuristic_max_cutoff:
-        raise ValidationError(
-            f"smallest ladder value needs cutoff {rule:.3g} > "
-            f"heuristic_max_cutoff {cfg.heuristic_max_cutoff:.3g}"
-        )
     grid = sorted(set(_initial_grid(ladder[-1], cfg.sigma_hi, cfg.grid_points))
                   | set(float(s) for s in ladder))
-    cutoffs = [min(max(heuristic_cutoff(s), HEURISTIC_MIN_CUTOFF),
-                   cfg.heuristic_max_cutoff) for s in grid]
-    cert = scan_certificate(seq, ladder[-1], cfg.cert_cutoff, cfg.eta, HEAD_TERMS)
-    entries = _weight_pairs(seq, [(s, seq._count_up_to(c))
-                                  for s, c in zip(grid, cutoffs)])
+    # the bottom rung, grid[0], has the largest scale, so it is refused first
+    floor = seq._count_up_to(HEURISTIC_MIN_CUTOFF)
+    counts = [max(_heuristic_count(seq, s), floor) for s in grid]
+    cert = scan_certificate(seq, ladder[-1], cfg.cert_cutoff, cfg.eta)
+    entries = _weight_pairs(seq, list(zip(grid, counts)))
     rung_start = [grid.index(float(rv)) for rv in ladder]  # every rung is in grid
     return {
         "grid": grid,
@@ -353,7 +343,7 @@ def _bu_setup(cfg: BuEventConfig, seq) -> dict:
     for u in cfg.cutoff_ladder:
         horizon = u * cfg.horizon_factor
         windows.append((seq.counting_function(u), seq.counting_function(horizon)))
-        _, t_upper = seq.tail_power_sum(1.0, u, head_terms=HEAD_TERMS)
+        _, t_upper = seq.tail_power_sum(1.0, u)
         # the bound checks the threshold
         per_cutoff.append({"cutoff": u, "horizon": horizon,
                            "tail_reciprocal_upper": t_upper,
@@ -414,6 +404,12 @@ def _exceedance_setup(cfg: ExceedanceConfig, seq) -> dict:
         raise ValidationError("scales must not be empty")
     if list(cfg.scales) != sorted(set(cfg.scales)):
         raise ValidationError("scales must be strictly increasing")
+    # a scale below the first element would have a normalizer of 0
+    if seq.counting_function(cfg.scales[0]) == 0:
+        raise ValidationError(
+            f"scale {cfg.scales[0]:g} lies below the first served element "
+            f"{seq.element(seq.start_index):g}"
+        )
     norms = [math.sqrt(seq.power_sum(1.0, y)) for y in cfg.scales]
     pairs = _weight_pairs(seq, [(0.5, seq._count_up_to(y)) for y in cfg.scales])
     return {"weights": [w for w, _ in pairs], "norms": norms}

@@ -41,7 +41,8 @@ from .errors import DivergenceError, ResourceBudgetError, ValidationError
 from .summation import _CHUNK, exact_sum
 
 DEFAULT_TERM_BUDGET = 60_000_000
-DEFAULT_TAIL_HEAD_TERMS = 10_000
+# the exactly summed head of every tail enclosure
+DEFAULT_TAIL_HEAD_TERMS = 20_000
 
 
 def _check_finite(name: str, *values: float) -> None:

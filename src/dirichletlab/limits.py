@@ -27,9 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, ResourceBudgetError, ValidationError
-from . import frequencies
-from .evaluation import _signed_sums, heuristic_cutoff
+from .errors import DivergenceError, ValidationError
+from .evaluation import _heuristic_count, _signed_sums, heuristic_cutoff
 from .frequencies import FrequencySequence, _check_budget, _check_finite
 from .paths import _BLOCK, SamplePath
 from .summation import _CHUNK, _BlockSum, _sum_of_squares
@@ -308,23 +307,13 @@ def variance_profile(seq: FrequencySequence, sigma: float) -> VarianceProfile:
     """Head/tail variance decomposition at scale exp(1/(2*sigma - 1)).
 
     Valid for 1/2 < sigma <= 1.  Raises ResourceBudgetError, naming the
-    minimal feasible exponent, when the scale requires more served
-    elements than the budget allows.
+    minimal feasible exponent, when the scale overflows a float or requires
+    more served elements than the budget allows (``_heuristic_count``).
     """
     if not 0.5 < sigma <= 1.0:
         raise ValidationError("variance profile needs 1/2 < sigma <= 1")
     scale = heuristic_cutoff(sigma)
-    try:
-        if math.isinf(scale):
-            raise ResourceBudgetError("the scale overflows a float")
-        count = seq._count_up_to(scale)
-    except ResourceBudgetError as exc:
-        # invert the scale rule at the budget to name the smallest workable sigma
-        sigma_min = 0.5 + 0.5 / math.log(float(frequencies.DEFAULT_TERM_BUDGET))
-        raise ResourceBudgetError(
-            f"scale {scale:.3g}: {exc}; minimal feasible sigma is about "
-            f"{sigma_min:.6f}"
-        ) from None
+    count = _heuristic_count(seq, sigma)
     # the critical powers are subtracted one chunk at a time, so only the
     # gaps are held in full, and they are freed before the second moment
     gaps = seq._powers(seq.start_index, count, -float(sigma))

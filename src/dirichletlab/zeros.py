@@ -17,11 +17,7 @@ from functools import lru_cache
 from ._version import SCHEMA_VERSION
 from .errors import ValidationError
 from .evaluation import TailCertificate, decide, tail_certificate
-from .frequencies import (
-    DEFAULT_TAIL_HEAD_TERMS,
-    _check_finite,
-    sequence_spec,
-)
+from .frequencies import _check_finite, sequence_spec
 from .paths import SamplePath
 
 _MAX_GRID_POINTS = 20_000
@@ -84,13 +80,7 @@ def _certified_changes(signs: list[int | None]) -> int:
                if x is not None and y is not None and x != y)
 
 
-def scan_certificate(
-    seq,
-    sigma_lo: float,
-    cutoff: float,
-    eta: float,
-    head_terms: int = DEFAULT_TAIL_HEAD_TERMS,
-) -> TailCertificate:
+def scan_certificate(seq, sigma_lo: float, cutoff: float, eta: float) -> TailCertificate:
     """The tail certificate for scans of ``seq`` from ``sigma_lo`` up.
 
     Its base exponent is (sigma_lo + 1/2)/2, halfway to the critical line,
@@ -104,7 +94,7 @@ def scan_certificate(
             "scanning at or below 1/2 needs a finite sequence summed exactly"
         )
     sigma0 = (sigma_lo + 0.5) / 2.0 if sigma_lo > 0.5 else sigma_lo
-    return tail_certificate(seq, sigma0, cutoff, eta, head_terms=head_terms)
+    return tail_certificate(seq, sigma0, cutoff, eta)
 
 
 def scan(

@@ -249,8 +249,7 @@ def test_criterion_9_worker_count_reproducibility():
     failures = []
     configs = [
         NoZeroConfig(trials=3, cutoff=1e4),
-        SignChangeConfig(ladder=(0.70, 0.65), trials=3,
-                         heuristic_max_cutoff=1e6),
+        SignChangeConfig(ladder=(0.70, 0.65), trials=3),
         BuEventConfig(trials=5, cutoff_ladder=(100.0, 1000.0),
                       horizon_factor=100.0),
         ExceedanceConfig(trials=8),

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import inspect
 import json
 import os
 import shlex
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from dirichletlab import cli, experiments
+from dirichletlab import cli, experiments, frequencies
 from dirichletlab.cli import main, read_config_file
 from dirichletlab.errors import ValidationError
 from dirichletlab.experiments import (
@@ -161,19 +162,18 @@ def test_exit_codes(tmp_path, capsys):
          "tail diverges at exponent 1.0"),
         (["eval", "--seq", "primes", "--sigma0", "0.5"],
          "tail diverges at exponent 1.0"),
-        (["sign-changes", "--ladder", "0.5001", "--trials", "1"],
-         "smallest ladder value needs cutoff inf > heuristic_max_cutoff"),
         (["scan", "--resolution", "-1"], "resolution must be positive"),
         (["sign-changes", "--ladder", "2.5"], "ladder values must lie in"),
         (["sign-changes", "--sigma-hi", "0.6", "--ladder", "0.7"],
          "ladder values must lie in"),
         # non-finite values that would reach the report as NaN or Infinity,
         # which JSON has no spelling for, or a NaN index
-        (["sign-changes", "--max-cutoff", "nan", "--trials", "1", "--ladder",
-          "0.8,0.7"], "heuristic_max_cutoff must be finite, got nan"),
-        (["sign-changes", "--max-cutoff", "inf", "--trials", "1", "--ladder",
-          "0.8,0.7"], "heuristic_max_cutoff must be finite, got inf"),
         (["bu-event", "--horizon", "nan"], "horizon_factor must be finite, got nan"),
+        # a scale below the first element has no normalizer
+        (["exceedance", "--seq", "weighted:2.0", "--scales", "2,100"],
+         "scale 2 lies below the first served element 2.4139"),
+        (["exceedance", "--seq", "naturals;start=5", "--scales", "3,100"],
+         "scale 3 lies below the first served element 5"),
         (["eval", "--seq", "weighted:inf"],
          "weighted-naturals exponent must be finite, got inf"),
         # weights that overflow a float are bad input, not an internal error
@@ -194,8 +194,69 @@ def test_exit_codes(tmp_path, capsys):
             assert run_cli(tmp_path, *args) == 1
         assert f"validation error: {message}" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.json"))
+    # the heuristic scale has no flag of its own: the term budget bounds it
+    assert run_cli(tmp_path, "sign-changes", "--max-cutoff", "1e6") == 1
+    assert "unrecognized arguments: --max-cutoff" in capsys.readouterr().err
     # a grid endpoint whose square overflows a float: the Gaussian there is 0
     assert run_cli(tmp_path, "char-fn", "--t-max", "1e160", "--cutoff", "1000") == 0
+
+
+@pytest.mark.parametrize("sigma, scale", [
+    ("0.52", "7.2e+10"),
+    # within 7e-4 of 1/2 the scale overflows a float
+    ("0.5005", "inf"),
+])
+def test_near_critical_scale_has_one_gate(tmp_path, capsys, sigma, scale):
+    # one budget refuses the scale exp(1/(2 sigma - 1)) of a variance profile
+    # and of a sign-change ladder's bottom rung, with one message
+    tails = []
+    for args in (["variance-profile", "--sigmas", sigma],
+                 ["sign-changes", "--ladder", f"0.7,{sigma}"]):
+        assert run_cli(tmp_path, *args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"resource budget error: scale {scale}: ")
+        tails.append(err.rsplit(";", 1)[-1])
+    assert tails == [" minimal feasible sigma is about 0.527918\n"] * 2
+    # on one sequence the two messages are equal
+    errors = []
+    for args in (["variance-profile", "--seq", "naturals", "--sigmas", sigma],
+                 ["sign-changes", "--ladder", f"0.7,{sigma}"]):
+        assert run_cli(tmp_path, *args) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert not list(tmp_path.glob("*.json"))
+
+
+def test_every_tail_enclosure_takes_the_one_head(tmp_path, monkeypatch):
+    # every tail enclosure a command builds, the study setups' included,
+    # sums the same head: certificates, excursion bounds, the clt variance
+    # check and the variance profile's tail
+    original = frequencies._SequenceOps.tail_power_sum
+    signature = inspect.signature(original)
+    heads = []
+
+    def recording(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        heads.append(bound.arguments["head_terms"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(frequencies._SequenceOps, "tail_power_sum", recording)
+    experiments._setup.cache_clear()
+    for args in (
+        ["eval"],
+        ["scan", "--seq", "weighted:2.0"],
+        ["no-zeros", "--trials", "1", "--cutoff", "1e4"],
+        ["sign-changes", "--trials", "1", "--ladder", "0.8,0.7",
+         "--cert-cutoff", "1e4"],
+        ["bu-event", "--trials", "1", "--ladder", "100,1000", "--horizon", "100"],
+        ["clt", "--sigma", "0.6", "--cutoff", "1e4", "--trials", "5"],
+        ["variance-profile", "--seq", "naturals", "--sigmas", "0.75"],
+    ):
+        heads.clear()
+        assert run_cli(tmp_path, *args) == 0
+        assert heads and set(heads) == {frequencies.DEFAULT_TAIL_HEAD_TERMS}, args
+    experiments._setup.cache_clear()
 
 
 def test_explicit_sequence_file(tmp_path, capsys):
@@ -217,8 +278,7 @@ def test_explicit_sequence_file(tmp_path, capsys):
 @pytest.mark.parametrize("args, summary, written", [
     (["no-zeros", "--trials", "2", "--cutoff", "1e4"],
      "no-zeros: certified ", ("json",)),
-    (["sign-changes", "--trials", "1", "--ladder", "0.8,0.7", "--max-cutoff",
-      "1e6", "--svg", "--csv"],
+    (["sign-changes", "--trials", "1", "--ladder", "0.8,0.7", "--svg", "--csv"],
      "sign-changes mean counts: sigma=0.8: ", ("csv", "json", "svg")),
     (["bu-event", "--trials", "3"], "bu-event: U=100: freq ", ("json",)),
 ])
@@ -278,7 +338,7 @@ def test_config_file_and_flag_override(tmp_path, capsys):
 _OPTION_TEXT = {
     "seq": "explicit:1,2,3", "seed": "7", "trial": "3", "trials": "9",
     "sigma": "0.9", "sigma0": "0.8", "sigma_lo": "0.7", "sigma_hi": "1.5",
-    "cutoff": "5000", "cert_cutoff": "4000", "max_cutoff": "1e6",
+    "cutoff": "5000", "cert_cutoff": "4000",
     "eta": "0.02", "grid": "8", "grid_points": "12", "resolution": "0.01",
     "ladder": "0.8,0.7", "scales": "10,100",
     "sigmas": "0.9,0.8", "t_max": "2", "t_points": "5", "n": "4",
@@ -422,17 +482,21 @@ def test_char_fn_payload_golden(tmp_path):
 
 @pytest.mark.parametrize("args, digest", [
     pytest.param(["scan", "--seq", "weighted:2.0", "--seed", "3"],
-                 "66304ca58fa32288967173bd467edee48db7509b0f458ebc0f1e52d911f4de0f",
+                 "acb8078c8906dde4d4b6a240d21d0f47a6bb6847aa3984ce77ba239a36f3fa2f",
                  id="scan"),
     pytest.param(["eval", "--seq", "naturals"],
-                 "615c1fc0230b6a263c4d97100b4f4cb900833edbdb3bf22023e9ce3719bf9f55",
+                 "c5729635e1f907d8256a5bbf123bf5ad1f9b6e3413eb0a83c736c0b1ca667c23",
                  id="eval"),
 ])
 def test_scan_and_eval_payload_golden(tmp_path, args, digest):
-    # sha256 of the reports, captured when the tail threshold was rounded
-    # up: both thresholds moved from 1 ulp below their 50-digit value to
-    # 3 (eval) and 4 (scan) ulps above it.  eval's partial sum is 1.02 ulps
-    # below a 200-bit sum of the real terms, within its rounding bound
+    # sha256 of the reports, captured when every tail enclosure took a
+    # 20,000-term head: the tail second moment T fell toward its true value,
+    # 0.019999677 -> 0.019999596 against Hurwitz zeta(1.5, 10**4 + 1) =
+    # 0.019999500 (eval), and 0.0612 -> 0.0545 against 0.0328 from a
+    # 2e6-term head plus integral remainder (scan, which moved to schema 5).
+    # Both thresholds lie 3.9 (eval) and 3.4 (scan) ulps above the 40-digit
+    # value at their T.  eval's partial sum is 1.02 ulps below a 200-bit sum
+    # of the real terms, within its rounding bound
     assert run_cli(tmp_path, *args) == 0
     (report,) = tmp_path.glob(f"{args[0]}_*.json")
     assert hashlib.sha256(report.read_bytes()).hexdigest() == digest

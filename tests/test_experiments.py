@@ -62,18 +62,19 @@ def test_reports_identical_across_worker_counts():
 
 @pytest.mark.parametrize("cfg, digest", [
     pytest.param(NoZeroConfig(trials=8, master_seed=1),
-                 "31eefbf4d9c015020eceee5875eb3cbc7471929d732379478cab310d90c53554",
+                 "91b97a878ff050ae35a7196cfe5d7fe659a4f526eedf664b03e40bf33e9b800d",
                  id="no_zero-default"),
     # sigma_lo 0.66 derives the certificate base sigma0 = 0.58
     pytest.param(NoZeroConfig(trials=4, master_seed=2, cutoff=1e4, sigma_lo=0.66),
-                 "0661cb879d3aa3412610d306a42412b19742f7fc97548e68538479c962ebbea6",
+                 "f616c5512ae729c04459283194795e49465ed66a299fd26975795530da262f7a",
                  id="no_zero-sigma_lo_0.66"),
     pytest.param(SignChangeConfig(trials=2, master_seed=1),
-                 "f28dc5e8f1ee4971176f2fa917b13ad9836b2ffe4ae6cb79da25aecadea55829",
+                 "d26f1c857cdd80f5fb73b59e5e1c68f64f76cc62c999d303ddf61337a8e7bfab",
                  id="sign_change-default"),
 ])
 def test_experiment_payload_golden(cfg, digest):
-    # report hashes at schema 4
+    # report hashes at schema 5; per_trial and aggregates are those of
+    # schema 4, and sign_change lost its heuristic_max_cutoff config key
     assert run_experiment(cfg).report_hash() == digest
 
 
@@ -145,7 +146,7 @@ def test_pooled_run_builds_its_setup_once_before_the_pool(monkeypatch):
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
     _setup.cache_clear()
     cfg = SignChangeConfig(ladder=(0.9, 0.8), trials=3, grid_points=8,
-                           cert_cutoff=1e4, heuristic_max_cutoff=1e6)
+                           cert_cutoff=1e4)
     assert len(run_experiment(cfg, workers=2).per_trial) == 3
     assert events == [("setup", os.getpid()), ("pool", 2)]
 
@@ -231,8 +232,7 @@ def test_no_zero_trial_is_a_direct_certify_no_zeros_call():
     # sigma_lo and certificate gives each trial's report
     cfg = NoZeroConfig(trials=20)
     seq, certify, _ = _setup(cfg)
-    cert = scan_certificate(seq, cfg.sigma_lo, cfg.cutoff, cfg.eta,
-                            head_terms=experiments.HEAD_TERMS)
+    cert = scan_certificate(seq, cfg.sigma_lo, cfg.cutoff, cfg.eta)
     for i in range(cfg.trials):
         path = SamplePath(seq, cfg.master_seed, i)
         assert certify(path) == certify_no_zeros(path, cfg.sigma_lo, cert)
@@ -264,9 +264,7 @@ def min_cutoff(monkeypatch):
 
 
 def test_sign_change_counts_nondecreasing_along_descending_ladder():
-    cfg = SignChangeConfig(
-        ladder=(0.70, 0.65, 0.62), trials=25, heuristic_max_cutoff=1e6
-    )
+    cfg = SignChangeConfig(ladder=(0.70, 0.65, 0.62), trials=25)
     rep = run_experiment(cfg)
     for row in rep.per_trial:
         cc = row["combined_counts"]  # ordered by descending sigma rung
@@ -279,7 +277,6 @@ def test_sign_change_counts_nondecreasing_along_descending_ladder():
 def test_sign_change_convergent_sequence_counts_stay_flat():
     cfg = SignChangeConfig(
         seq="weighted:2.0", ladder=(0.70, 0.65, 0.62), trials=25,
-        heuristic_max_cutoff=1e6,
     )
     rep = run_experiment(cfg)
     means = [r["mean_count"] for r in rep.aggregates["per_rung"]]
@@ -288,11 +285,11 @@ def test_sign_change_convergent_sequence_counts_stay_flat():
 
 def test_sign_change_decided_fraction_matches_evaluate():
     cfg = SignChangeConfig(ladder=(0.9, 0.8), trials=6, grid_points=8,
-                           cert_cutoff=1e4, heuristic_max_cutoff=1e6)
+                           cert_cutoff=1e4)
     rep = run_experiment(cfg)
     seq = make_sequence(cfg.seq)
     cert = tail_certificate(seq, 0.5 + 0.5 * (0.8 - 0.5), cfg.cert_cutoff,
-                            cfg.eta, head_terms=experiments.HEAD_TERMS)
+                            cfg.eta)
     grid = _setup(cfg)[1]["grid"]
     assert grid[0] == 0.8 and grid[-1] == cfg.sigma_hi
     fractions = []
@@ -309,10 +306,9 @@ def test_sign_change_rows_match_the_exact_sums(min_cutoff):
     # decided sign where the certified sum beats its radius, else the sign
     # of exact_sum over the heuristic cutoff (a zero sum counts +1);
     # the 1e5-term certified sums and the 2e5-term heuristic sums, every
-    # one clamped to 2e5 terms, span more than one chunk
+    # one raised to 2e5 terms, span more than one chunk
     min_cutoff(2e5)
-    cfg = SignChangeConfig(ladder=(0.7, 0.56), trials=3, grid_points=10,
-                           heuristic_max_cutoff=2e5)
+    cfg = SignChangeConfig(ladder=(0.7, 0.56), trials=3, grid_points=10)
     seq, st, _ = _setup(cfg)
     weights = [w for w, _ in st["entries"]]
     assert max(w.size for w in weights) == 200_000
@@ -343,7 +339,7 @@ def test_sign_change_rows_match_the_exact_sums(min_cutoff):
 def test_sign_change_grid_is_the_scan_grid_plus_the_ladder():
     # one geometric grid formula, so sigma_hi is its top point, once
     cfg = SignChangeConfig(ladder=(0.8, 0.7), trials=1, grid_points=28,
-                           cert_cutoff=1e4, heuristic_max_cutoff=1e6)
+                           cert_cutoff=1e4)
     grid = _setup(cfg)[1]["grid"]
     assert grid == sorted(set(zeros._initial_grid(0.7, 2.0, 28)) | {0.8})
     assert len(grid) == 29 and grid[-1] == cfg.sigma_hi
@@ -356,7 +352,7 @@ def test_sign_change_weights_are_freed_with_their_setup(monkeypatch):
     # array outlives the setup
     built = _recording_setup(monkeypatch, "sign_change")
     run_experiment(SignChangeConfig(ladder=(0.9, 0.8), trials=2, grid_points=8,
-                                    cert_cutoff=1e4, heuristic_max_cutoff=1e6))
+                                    cert_cutoff=1e4))
     st = built.pop()
     pairs = [*st["entries"], *st["cert"].scan_weights.values()]
     assert len(pairs) == 2 * len(st["grid"])
@@ -382,7 +378,7 @@ def test_setup_is_dropped_before_the_next_is_built(monkeypatch):
                         (recording, trial, aggregate))
     _setup.cache_clear()
     first = SignChangeConfig(ladder=(0.9, 0.8), trials=1, grid_points=8,
-                             cert_cutoff=1e4, heuristic_max_cutoff=1e6)
+                             cert_cutoff=1e4)
     run_experiment(first)
     st = _setup(replace(first, master_seed=0))[1]
     pairs = [*st["entries"], *st["cert"].scan_weights.values()]
@@ -400,7 +396,7 @@ def test_sign_change_trial_streams_its_signs():
     # sign vector (8 bytes per term of the longest heuristic sum), for a
     # block of one path and of two
     cfg = SignChangeConfig(ladder=(0.70, 0.62, 0.535), trials=2,
-                           grid_points=8, heuristic_max_cutoff=2e6)
+                           grid_points=8)
     max_count = max(w.size for w, _ in _setup(cfg)[1]["entries"])
     assert max_count > 1_000_000
     _trials(cfg, range(1))
@@ -440,7 +436,7 @@ def test_block_of_differing_undecided_sets_gives_each_paths_rows():
     # first four.  A block streams every path to the longest array, decided
     # or not; each path's row is the one it gives alone.
     cfg = SignChangeConfig(ladder=(0.9, 0.7), trials=1, grid_points=6,
-                           cert_cutoff=1e5, heuristic_max_cutoff=2e5)
+                           cert_cutoff=1e5)
     seq, st, _ = _setup(cfg)
     lengths = [2 * _CH + 1, 3, _CH - 1, 3 * _CH + 7, 1, _CH, 10]
     assert len(lengths) == len(st["grid"])
@@ -459,7 +455,7 @@ _SMALL = {
     "no_zero": NoZeroConfig(cutoff=1e4),
     # heuristic sums of 1e4 to 6.7e4 terms, across the chunk edge
     "sign_change": SignChangeConfig(ladder=(0.8, 0.545), grid_points=6,
-                                    cert_cutoff=1e4, heuristic_max_cutoff=2e5),
+                                    cert_cutoff=1e4),
     "bu_event": BuEventConfig(cutoff_ladder=(10.0, 100.0), horizon_factor=100.0),
     "exceedance": ExceedanceConfig(scales=(100.0, 1e4, 1e5)),
 }
@@ -491,10 +487,10 @@ def test_sign_change_validation():
         with pytest.raises(ValidationError, match="ladder values must lie in"):
             run_experiment(SignChangeConfig(ladder=ladder, sigma_hi=sigma_hi,
                                             trials=1))
-    with pytest.raises(ValidationError):
-        run_experiment(
-            SignChangeConfig(ladder=(0.53,), heuristic_max_cutoff=1e5, trials=1)
-        )
+    # a bottom rung whose scale exceeds the term budget, as in
+    # variance_profile
+    with pytest.raises(ResourceBudgetError, match="minimal feasible sigma"):
+        run_experiment(SignChangeConfig(ladder=(0.7, 0.52), trials=1))
     with pytest.raises(ValidationError, match="ladder must not be empty"):
         run_experiment(SignChangeConfig(ladder=(), trials=1))
     with pytest.raises(ValidationError, match="sigma_hi must be finite"):
