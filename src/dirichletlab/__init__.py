@@ -11,6 +11,7 @@ from ._version import VERSION as __version__
 from .bounds import (
     WeightedRademacherInstance,
     exact_tail,
+    excursion_probability_bound,
     hoeffding_bound,
     levy_bound,
     wilson_interval,
@@ -25,7 +26,6 @@ from .evaluation import (
     CertifiedValue,
     TailCertificate,
     evaluate,
-    excursion_probability_bound,
     heuristic_cutoff,
     mellin_discrepancy,
     partial_sum_table,

@@ -43,6 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from . import frequencies
+from .bounds import excursion_threshold
 from .errors import ResourceBudgetError, ValidationError
 from .frequencies import FrequencySequence, _check_budget, _check_finite
 from .paths import SamplePath, _sign_stream
@@ -118,11 +119,11 @@ class TailCertificate:
     """Simultaneous bound on tail excursions above a base exponent.
 
     Claims: P( sup over x > cutoff of |sum over cutoff < p <= x of
-    X_p * p**-sigma0| >= threshold ) <= eta.  The threshold is a float at
-    least sqrt(18 * T * ln(6/eta)) with T the upper end of the tail
-    enclosure at the doubled exponent (see ``tail_certificate``); the
-    constants 3 (maximal inequality) and 2 (two-sided subgaussian bound)
-    combine into the leading 6.
+    X_p * p**-sigma0| >= threshold ) <= eta.  The threshold is
+    ``bounds.excursion_threshold(T, eta)``, T the upper end of the tail
+    enclosure at the doubled exponent: the tail law of ``bounds``,
+    Etemadi's maximal inequality over the two-sided subgaussian bound, at
+    failure probability eta.
     """
 
     seq: FrequencySequence
@@ -146,16 +147,6 @@ class TailCertificate:
         return {}
 
 
-def excursion_probability_bound(tail_second_moment: float, threshold: float) -> float:
-    """6 * exp(-threshold**2 / (18 * T)): failure bound at a fixed threshold."""
-    _check_finite("threshold", threshold)
-    if threshold <= 0:
-        raise ValidationError("threshold must be positive")
-    if tail_second_moment == 0.0:
-        return 0.0
-    return 6.0 * math.exp(-(threshold ** 2) / (18.0 * tail_second_moment))
-
-
 def tail_certificate(seq: FrequencySequence, sigma0: float, cutoff: float,
                      eta: float) -> TailCertificate:
     """Certificate at base exponent sigma0 with failure probability eta.
@@ -164,17 +155,10 @@ def tail_certificate(seq: FrequencySequence, sigma0: float, cutoff: float,
     tail-convergence threshold; at sigma0 = 1/2 this is exactly what fails
     for sequences with divergent reciprocal sum.
 
-    The threshold is rounded up from q = 18 * T * L, L = ln(6/eta) > ln 6,
-    u = 2**-53.  The float 6/eta is within u relative, which moves its log
-    by at most u(1 + u) < 0.6u * L; ``math.log`` is taken within one ulp
-    (2u relative), and the two products round by u each.  So the float q
-    is at least q * (1 - 4.6u) when no step underflows, and q times 1 +
-    2**-50 = 1 + 8u, rounded, is at least q * (1 + 2.4u - 45u**2) > q.  A
-    step that underflows leaves q below 2**-1012 (18T below 2**-1022 and
-    L below 746), under the floor 2**-1000.  The float above the rounded
-    square root then lies above sqrt(q), so a T that underflows to 0.0
-    takes the floor too.  Only a sequence that serves no element above the
-    cutoff is exhausted: its certificate keeps threshold 0.0 and eta 0.
+    The threshold is ``bounds.excursion_threshold`` of the enclosure's
+    upper end T, rounded up, and takes its floor when T underflows to 0.0.
+    Only a sequence that serves no element above the cutoff is exhausted:
+    its certificate keeps threshold 0.0 and eta 0.
     """
     if not 0.0 < eta < 1.0:
         raise ValidationError("eta must lie in (0,1)")
@@ -182,9 +166,7 @@ def tail_certificate(seq: FrequencySequence, sigma0: float, cutoff: float,
     _, t_upper = seq.tail_power_sum(2.0 * sigma0, cutoff)
     t_upper = float(t_upper)
     exhausted = seq.next_elements(cutoff, 1).size == 0
-    q = 18.0 * t_upper * math.log(6.0 / eta) * (1.0 + 2.0 ** -50)
-    threshold = 0.0 if exhausted else math.nextafter(
-        math.sqrt(max(q, 2.0 ** -1000)), math.inf)
+    threshold = 0.0 if exhausted else excursion_threshold(t_upper, eta)
     return TailCertificate(
         seq=seq,
         sigma0=float(sigma0),
@@ -246,8 +228,8 @@ def _certified_weights(
     holds pass the term budget.
 
     The radius is threshold * cutoff**-(sigma - sigma0) rounded up, +0.0
-    for an exhausted certificate, whose threshold is sqrt(18 * 0 *
-    ln(6/eta)) = 0.0; the truncation identity behind it carries implied
+    for an exhausted certificate, whose threshold is 0.0 (nothing lies past
+    its cutoff); the truncation identity behind it carries implied
     constant exactly 1.  The exponent is rounded down (cutoff >= 1).
     ``grown``, the threshold times 1 + (2 * ``_POW_ULPS`` + 2)u, covers the
     power's ``_POW_ULPS`` ulps and its own half ulp, at most 2u relative

@@ -10,8 +10,9 @@ Four studies are provided:
   [sigma_k, sigma_hi] for a descending ladder of left endpoints,
   supplemented by heuristic signs below the certifiable range.
 * bu_event     -- empirical frequency of critical-exponent tail
-  excursions beyond a cutoff versus the closed-form bound
-  6*exp(-threshold**2/(18*T_U)), plus the bound on a ladder of cutoffs.
+  excursions beyond a cutoff versus the tail law's closed-form bound
+  ``bounds.excursion_probability_bound``, plus the bound on a ladder of
+  cutoffs.
 * exceedance   -- frequency with which the normalized critical partial
   sum exceeds a level at at least one of several scales.  Finite-scale
   frequencies only: no almost-sure statement is claimed or checkable.
@@ -35,7 +36,7 @@ from functools import partial
 import numpy as np
 
 from ._version import SCHEMA_VERSION, VERSION
-from .bounds import wilson_interval
+from .bounds import excursion_probability_bound, wilson_interval
 from .errors import ValidationError
 from .evaluation import (
     _certified_weights,
@@ -43,7 +44,6 @@ from .evaluation import (
     _heuristic_count,
     _signed_sums,
     _weight_pairs,
-    excursion_probability_bound,
 )
 from .frequencies import WeightedNaturals, _check_finite, make_sequence
 from .paths import _BLOCK, SamplePath, _sign_stream

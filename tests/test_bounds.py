@@ -4,7 +4,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dirichletlab import (
@@ -12,6 +12,7 @@ from dirichletlab import (
     ValidationError,
     WeightedRademacherInstance,
     exact_tail,
+    excursion_probability_bound,
     hoeffding_bound,
     levy_bound,
     wilson_interval,
@@ -76,7 +77,11 @@ def test_levy_dominates_exact_max_prefix():
         sd = math.sqrt(inst.sum_of_squares)
         for t in np.linspace(0.3 * sd, 4.0 * sd, 8):
             exact = exact_tail(inst, float(t), mode="max_prefix_abs")
-            assert exact <= levy_bound(inst, float(t))  # exact Fractions
+            levy = levy_bound(inst, float(t))
+            assert exact <= levy  # exact Fractions
+            # the certificates' closed form bounds both
+            law = excursion_probability_bound(inst.sum_of_squares, float(t))
+            assert exact <= law and levy <= law
 
 
 def test_prefix_tail_probabilities_monotone_pieces():
@@ -134,6 +139,26 @@ def test_property_bounds_dominate(weights, lam):
     inst = WeightedRademacherInstance(tuple(weights))
     assert exact_tail(inst, lam) <= hoeffding_bound(inst, lam)
     assert exact_tail(inst, lam, mode="max_prefix_abs") <= levy_bound(inst, lam)
+
+
+@given(t_moment=st.floats(0.0, 1e300), t=st.floats(5e-324, 1e300))
+@example(t_moment=1.49543785492e-312, t=7.8588183023808e-159)  # subnormal T
+@example(t_moment=784686660.4882672, t=3201635.741155741)
+@example(t_moment=1.0, t=1e300)  # t**2 overflows a float
+@example(t_moment=1e-300, t=1.0)  # the bound underflows
+@example(t_moment=0.0, t=1.0)
+@settings(max_examples=300, deadline=None)
+def test_excursion_bound_is_rounded_up(t_moment, t):
+    # at least 6 * exp(-t**2 / (18 * T)) at 50 digits, and positive unless T == 0
+    mpmath = pytest.importorskip("mpmath")
+    bound = excursion_probability_bound(t_moment, t)
+    if t_moment == 0.0:
+        assert bound == 0.0
+        return
+    assert bound > 0.0
+    with mpmath.workdps(50):
+        t, t_moment = mpmath.mpf(t), mpmath.mpf(t_moment)
+        assert bound >= 6 * mpmath.exp(-t * t / (18 * t_moment))
 
 
 @given(st.integers(0, 50), st.integers(1, 50))

@@ -87,6 +87,10 @@ def test_exit_codes(tmp_path, capsys):
     for workers in ("0", "-3"):
         assert run_cli(tmp_path, "no-zeros", "--workers", workers) == 1
         assert "argument --workers" in capsys.readouterr().err
+    # a threshold whose square overflows a float has a bound all the same
+    # (its report goes apart: no failing command may leave one here)
+    assert run_cli(tmp_path / "ok", "bu-event", "--threshold", "1e300",
+                   "--trials", "5") == 0
     # resource budget error -> 2 (scale rule far past any term budget)
     assert run_cli(tmp_path, "variance-profile", "--seq", "naturals",
                    "--sigmas", "0.505") == 2

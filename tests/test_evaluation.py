@@ -22,13 +22,13 @@ from dirichletlab import (
     WeightedNaturals,
 )
 from dirichletlab import evaluation, frequencies, paths, summation
+from dirichletlab.bounds import excursion_probability_bound
 from dirichletlab.evaluation import (
     EXACT,
     PROBABILISTIC,
     TailCertificate,
     decide,
     evaluate,
-    excursion_probability_bound,
     heuristic_cutoff,
     mellin_discrepancy,
     partial_sum_table,
