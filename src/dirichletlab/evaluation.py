@@ -10,23 +10,30 @@ Two certificate grades are produced:
   error is below threshold * cutoff**-(sigma - sigma0).
 
 Every partial sum and every kept sign comes from one kernel,
-``_signed_sums``: dots of a block of paths' streamed signs with one list of
-weight arrays ``p**-sigma`` that every path of the block reads, in rows too
-short for BLAS to split across threads, so no value depends on the thread
-count.  A kept sign is that of the real partial sum, sum X_p * p**-sigma
-over the float elements p, by one rule: a bracket [lo, hi] that contains
-the real value, +1 when lo > r, -1 when hi < -r and undecided otherwise,
-with r the truncation radius.  The bracket is the kernel's value widened
-by ``_band_slack``, which bounds both the summation error and the rounding
-of the weights.  ``evaluate`` adds that bound into its error radius;
-``decide`` and ``_filtered_signs`` take the sign beyond it.  A sign-change
-trial filters its whole block in one stream: the certified grid at the
-certified radii and the heuristic sums at radius 0.
+``_signed_sums``: dots of a block of paths' streamed signs with stacks of
+weight arrays ``p**-sigma`` that every path of the block reads, one BLAS
+ddot per piece of a row too short for BLAS to split across threads, so no
+value depends on the thread count.  The stacked rule: a stack is a list of
+equal-length rows, such as the weights of every exponent of one scan
+round, and rows that end within a chunk are dotted by ``np.dot`` mapped
+over the stack in one call; the same rows, one ddot each, so a row's sum
+has the bits it has alone.  A gemv over the rows would not: it sums in its
+own order.  A kept sign is that of the real partial sum, sum X_p *
+p**-sigma over the float elements p, by one rule: a bracket [lo, hi] that
+contains the real value, +1 when lo > r, -1 when hi < -r and undecided
+otherwise, with r the truncation radius.  The bracket is the kernel's
+value widened by ``_band_slack``, which bounds both the summation error
+and the rounding of the weights.  ``evaluate`` adds that bound into its
+error radius; ``decide`` and ``_filtered_signs`` take the sign beyond it.
+A sign-change trial filters its whole block in one stream: the certified
+grid at the certified radii and the heuristic sums at radius 0.
 
 Each shared weight array ``p**-sigma`` has one owner: a certificate's
 ``scan_weights`` holds those of ``evaluate`` and ``decide``, a study's setup
-its others.  ``_weight_pairs`` caches nothing, and no module-level container
-holds an array, so no sequence is handed another's weights.
+its others.  The certificate keeps each exponent's decision radius in
+``scan_rhos`` beside its weights, formed once.  ``_weight_pairs`` caches
+nothing, and no module-level container holds an array or a radius, so no
+sequence or certificate is handed another's.
 
 Below the certifiable range the near-critical rule ``heuristic_cutoff``
 picks a truncation scale for partial sums that carry no error bound, and
@@ -39,6 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -77,38 +85,66 @@ def _upper_sum(w: np.ndarray) -> float:
 
 
 def _signed_sums(paths, weights) -> list[list[float]]:
-    """A float value of sum(signs[:w.size] * w) for each weight array ``w``
-    of ``weights``, with ``signs`` the signs of ``paths[i]``, for each path
-    of the block ``paths`` (paths of the weights' sequence), which all read
-    the same arrays: one list of sums per path, in the order of
-    ``weights``, each within ``_band_slack(w)`` of the real sum (see
-    ``decide``).
+    """A float value of sum(signs[:n] * row) for each row of n weights of
+    each stack of ``weights``, with ``signs`` the signs of ``paths[i]``,
+    for each path of the block ``paths`` (paths of the weights' sequence),
+    which all read the same stacks: one list of sums per path, the rows of
+    each stack in order, the stacks in the order of ``weights``, each within
+    its row's ``_band_slack`` of the real sum (see ``decide``).  A stack is
+    a list of equal-length weight arrays, its rows, read in place; a lone
+    array is a stack of one.
 
     The block's signs are streamed chunk-major by ``_sign_stream`` to the
-    longest array, so each weight chunk stays in cache while every path of
+    longest row, so each weight chunk stays in cache while every path of
     the block reads it.  Each ``_CHUNK`` of a path's signs is dotted with
-    each array by ``summation._row_dots``, in rows of at most ``_ROW``
-    terms, or by one ``np.dot`` inline for at most ``_ROW`` terms.  The
-    arrays are visited longest first, so those a chunk still reaches come
-    first and the visit stops at the first that ends before the chunk; an
-    empty array costs nothing.  ``math.fsum`` of a sum's dots is its value.
+    each row's piece by ``summation._row_dots``, in pieces of at most
+    ``_ROW`` terms, or, where the rows end in at most ``_ROW`` more terms,
+    by one ``np.dot`` per row, mapped over the stack's rows in one call:
+    either way one BLAS ddot per piece and row, so a row's sum has the same
+    bits alone or in any stack.  The stacks are visited longest first, so
+    those a chunk still reaches come first and the visit stops at the first
+    that ends before the chunk; an empty one costs nothing.  ``math.fsum``
+    of a row's dots is its value.
     """
-    ranked = sorted(enumerate(weights), key=lambda kw: kw[1].size, reverse=True)
-    count = ranked[0][1].size if ranked else 0
-    dots = [[[] for _ in weights] for _ in paths]
+    stacks = [w if isinstance(w, list) else [w] for w in weights]
+    # the stacks that have rows, longest first
+    ranked = sorted(filter(stacks.__getitem__, range(len(stacks))),
+                    key=lambda k: stacks[k][0].size, reverse=True)
+    count = stacks[ranked[0]][0].size if ranked else 0
+    # per path and stack: each row's dots of its pieces longer than _ROW,
+    # made at the first such piece, and the dots of the pieces that end
+    # the rows, one per row
+    heads = [[None] * len(stacks) for _ in paths]
+    tails = [[()] * len(stacks) for _ in paths]
     for lo, i, signs in _sign_stream(paths, count):
-        parts = dots[i]
-        for k, w in ranked:
-            m = w.size - lo
-            if m > _ROW:
-                m = min(m, _CHUNK)
-                parts[k] += _row_dots(signs[:m], w[lo:lo + m])
-            elif m > 0:
-                # one dot inline: a call per short piece costs no_zero ~5%
-                parts[k].append(np.dot(signs[:m], w[lo:]))
-            else:
+        path_heads, path_tails = heads[i], tails[i]
+        for k in ranked:
+            rows = stacks[k]
+            m = min(rows[0].size - lo, _CHUNK)
+            if m <= 0:
                 break
-    return [[math.fsum(p) for p in parts] for parts in dots]
+            x = signs[:m]
+            if m > _ROW:
+                if path_heads[k] is None:
+                    path_heads[k] = [[] for _ in rows]
+                for dots, row in zip(path_heads[k], rows):
+                    dots += _row_dots(x, row[lo:lo + m])
+            else:
+                # the rows end in this chunk: one np.dot each, mapped over
+                # the stack in one call, with no Python step per row
+                pieces = rows if lo == 0 else [row[lo:] for row in rows]
+                path_tails[k] = list(zip(map(x.dot, pieces)))
+    sums = []
+    for path_heads, path_tails in zip(heads, tails):
+        values = []
+        for rows, dots, ends in zip(stacks, path_heads, path_tails):
+            if dots is None:
+                dots = ends or [()] * len(rows)  # rows of no terms sum to 0.0
+            elif ends:
+                dots = map(chain, dots, ends)
+            values += map(math.fsum, dots)
+        sums.append(values)
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +180,13 @@ class TailCertificate:
         """sigma -> ``_weight_pairs`` pair of ``count`` terms, at most the
         budget in total, the least recently used dropped first.  Not safe to
         share across threads."""
+        return {}
+
+    @cached_property
+    def scan_rhos(self) -> dict[float, float]:
+        """sigma -> the decision radius of a ``scan_weights`` entry (see
+        ``_certified_weights``), formed with the entry and dropped with it.
+        Not safe to share across threads."""
         return {}
 
 
@@ -218,27 +261,51 @@ def partial_sum_table(
     return _signed_sums([path], [w for w, _ in pairs])[0]
 
 
+def _certified_radius(cert: TailCertificate, sigma: float) -> float:
+    """The certified truncation radius at ``sigma``: threshold *
+    cutoff**-(sigma - sigma0) rounded up, +0.0 for an exhausted
+    certificate, whose threshold is 0.0 (nothing lies past its cutoff); the
+    truncation identity behind it carries implied constant exactly 1.
+
+    The exponent is rounded down (cutoff >= 1).  ``grown``, the threshold
+    times 1 + (2 * ``_POW_ULPS`` + 2)u, covers the power's ``_POW_ULPS``
+    ulps and its own half ulp, at most 2u relative per ulp (u = 2**-53) for
+    normal floats; the floors 2**-1021 exceed any subnormal result plus its
+    error, and the float above the last product covers its rounding.  A
+    power below 2**-1021 is taken instead as the square of the power at half
+    the exponent (halving is exact), floored the same way, and ``twice``,
+    the threshold times 1 + (4 * ``_POW_ULPS`` + 4)u, covers both half
+    powers' ulps and the extra product.
+    """
+    tiny = 2.0 ** -1021
+    grown = cert.threshold * (1.0 + (2 * _POW_ULPS + 2) * 2.0 ** -53)
+    if not grown:
+        return 0.0
+    e = math.nextafter(sigma - cert.sigma0, -math.inf)
+    p = cert.cutoff ** -e
+    if p < tiny:
+        half = max(cert.cutoff ** (-e / 2), tiny)
+        twice = cert.threshold * (1.0 + (4 * _POW_ULPS + 4) * 2.0 ** -53)
+        r = twice * half * half
+    else:
+        r = grown * p
+    return math.nextafter(max(r, tiny), math.inf)
+
+
 def _certified_weights(
     path: SamplePath, sigmas: list[float], cert: TailCertificate
 ) -> tuple[list[tuple[np.ndarray, float]], list[float]]:
-    """The weight pairs (see ``_weight_pairs``) and radii of ``evaluate``
-    and ``decide``, after their one validation.  Every exponent shares the
-    certificate's cutoff and ``count``, so its pair is kept in the
-    certificate's ``scan_weights`` by sigma alone, once the pairs the call
-    holds pass the term budget.
+    """The weight pairs (see ``_weight_pairs``) and decision radii of
+    ``evaluate`` and ``decide``, after their one validation.  Every
+    exponent shares the certificate's cutoff and ``count``, so its pair is
+    kept in the certificate's ``scan_weights`` by sigma alone, once the
+    pairs the call holds pass the term budget.
 
-    The radius is threshold * cutoff**-(sigma - sigma0) rounded up, +0.0
-    for an exhausted certificate, whose threshold is 0.0 (nothing lies past
-    its cutoff); the truncation identity behind it carries implied
-    constant exactly 1.  The exponent is rounded down (cutoff >= 1).
-    ``grown``, the threshold times 1 + (2 * ``_POW_ULPS`` + 2)u, covers the
-    power's ``_POW_ULPS`` ulps and its own half ulp, at most 2u relative
-    per ulp (u = 2**-53) for normal floats; the floors 2**-1021 exceed any
-    subnormal result plus its error, and the float above the last product
-    covers its rounding.  A power below 2**-1021 is taken instead as the
-    square of the power at half the exponent (halving is exact), floored
-    the same way, and ``twice``, the threshold times 1 + (4 * ``_POW_ULPS``
-    + 4)u, covers both half powers' ulps and the extra product.
+    An exponent's decision radius rho is the float above its
+    ``_certified_radius`` plus its pair's band: both the error radius of
+    ``evaluate`` and the radius a kept sign must clear (see ``decide``).  It
+    depends on the certificate and sigma alone, so it is formed once, kept
+    in the certificate's ``scan_rhos`` beside the pair and dropped with it.
     """
     if cert.seq != path.seq:
         raise ValidationError("certificate was built for another sequence")
@@ -249,29 +316,25 @@ def _certified_weights(
             )
     if cert.cutoff < 1:
         raise ValidationError("cutoff must be >= 1")
-    n, memo = cert.count, cert.scan_weights
+    n, memo, kept = cert.count, cert.scan_weights, cert.scan_rhos
     _check_budget(len(sigmas) * n)
-    entries = []
+    entries, rhos = [], []
     for s in map(float, sigmas):
         # a hit moves to the newest place, so the least recently used goes first
-        entry = memo[s] = memo.pop(s, None) or _weight_pairs(path.seq, [(s, n)])[0]
-        while len(memo) * n > frequencies.DEFAULT_TERM_BUDGET:
-            del memo[next(iter(memo))]
+        entry = memo.pop(s, None)
+        if entry is None:
+            entry = _weight_pairs(path.seq, [(s, n)])[0]
+            while (len(memo) + 1) * n > frequencies.DEFAULT_TERM_BUDGET:
+                old = next(iter(memo))
+                del memo[old]
+                kept.pop(old, None)
+        memo[s] = entry
+        rho = kept.get(s)
+        if rho is None:
+            rho = kept[s] = math.nextafter(_certified_radius(cert, s) + entry[1], math.inf)
         entries.append(entry)
-    tiny = 2.0 ** -1021
-    grown = cert.threshold * (1.0 + (2 * _POW_ULPS + 2) * 2.0 ** -53)
-    twice = cert.threshold * (1.0 + (4 * _POW_ULPS + 4) * 2.0 ** -53)
-    radii = []
-    for s in sigmas:
-        e = math.nextafter(s - cert.sigma0, -math.inf)
-        p = cert.cutoff ** -e
-        if p < tiny:
-            half = max(cert.cutoff ** (-e / 2), tiny)
-            r = twice * half * half
-        else:
-            r = grown * p
-        radii.append(math.nextafter(max(r, tiny), math.inf) if grown else 0.0)
-    return entries, radii
+        rhos.append(rho)
+    return entries, rhos
 
 
 def evaluate(
@@ -279,16 +342,17 @@ def evaluate(
 ) -> list[CertifiedValue]:
     """Certified values at every exponent in ``sigmas``, each at least the
     certificate's base exponent, from one pass over the path's signs.
-    Each partial sum is ``_signed_sums``'; its error radius is the
-    certified one plus the weight pair's band, rounded up, so it also
-    bounds the distance to the real value (see ``decide``)."""
-    entries, radii = _certified_weights(path, sigmas, cert)
-    values = _signed_sums([path], [w for w, _ in entries])[0]
+    Each partial sum is ``_signed_sums``' over the stack of the exponents'
+    weight arrays; its error radius is the decision radius of
+    ``_certified_weights``, the certified one plus the weight pair's band,
+    rounded up, so it also bounds the distance to the real value (see
+    ``decide``)."""
+    entries, rhos = _certified_weights(path, sigmas, cert)
+    values = _signed_sums([path], [[w for w, _ in entries]])[0]
     kind = EXACT if cert.exhausted else PROBABILISTIC
     sigma0 = None if cert.exhausted else cert.sigma0
-    return [CertifiedValue(s, v, cert.cutoff, math.nextafter(r + band, math.inf),
-                           kind, eta=cert.eta, sigma0=sigma0)
-            for s, v, r, (_, band) in zip(sigmas, values, radii, entries)]
+    return [CertifiedValue(s, v, cert.cutoff, rho, kind, eta=cert.eta, sigma0=sigma0)
+            for s, v, rho in zip(sigmas, values, rhos)]
 
 
 # n * _DOT_SLACK bounds gamma_{n-1} = (n-1)u / (1 - (n-1)u), with
@@ -317,18 +381,16 @@ def _band_slack(w: np.ndarray) -> float:
                           + n * _POW_ULPS * 2.0 ** -1074, math.inf)
 
 
-def _filtered_signs(paths, entries, radii) -> list[list[int | None]]:
+def _filtered_signs(paths, weights, rhos) -> list[list[int | None]]:
     """For each path of the block ``paths``, the sign of each sum's real
-    value beyond its radius, or None, for the weight pairs ``(w, band)`` of
-    ``_weight_pairs`` and the radii that every path shares: one list of
-    signs per path.  The real value lies within the band of the
-    ``_signed_sums`` value (see ``decide``), so the sign is that value's
-    beyond the radius plus the band, rounded up.  A NaN or infinite band
-    leaves the sum undecided.
+    value beyond its radius, or None, for the stacks ``weights`` of
+    ``_signed_sums`` and one decision radius rho per row, which every path
+    shares: one list of signs per path.  The real value lies within the
+    band of the ``_signed_sums`` value (see ``decide``), so with rho the
+    float above the radius plus the band the sign is that value's beyond
+    rho.  A NaN or infinite rho leaves the sum undecided.
     """
-    sums = _signed_sums(paths, [w for w, _ in entries])
-    rhos = [math.nextafter(r + band, math.inf) for (_, band), r in zip(entries, radii)]
-    return [[_sign_beyond(v, rho) for v, rho in zip(values, rhos)] for values in sums]
+    return [list(map(_sign_beyond, values, rhos)) for values in _signed_sums(paths, weights)]
 
 
 def decide(
@@ -336,9 +398,10 @@ def decide(
 ) -> list[int | None]:
     """The signs of the real partial sums at ``sigmas`` beyond the certified
     radii, or None, with ``evaluate``'s validation, from one pass over the
-    path's signs: ``_filtered_signs`` over the weight pairs and radii, for
-    a block of this path alone.  It is ``evaluate``'s ``decided_sign``,
-    from the same sum and the same error radius.
+    path's signs: ``_filtered_signs`` over the stack of the exponents'
+    weight arrays and their decision radii, for a block of this path alone.
+    It is ``evaluate``'s ``decided_sign``, from the same sum and the same
+    error radius.
 
     Why a kept sign is the real value's.  Split a sum of n terms into
     chunks c of m_c <= K = ``_CHUNK`` terms; let w_i = fl(p_i**-sigma), S_c
@@ -364,8 +427,8 @@ def decide(
     radius r plus that band, which is also ``evaluate``'s error radius, V >
     rho gives R > r and V < -rho gives R < -r.
     """
-    entries, radii = _certified_weights(path, sigmas, cert)
-    return _filtered_signs([path], entries, radii)[0]
+    entries, rhos = _certified_weights(path, sigmas, cert)
+    return _filtered_signs([path], [[w for w, _ in entries]], rhos)[0]
 
 
 def heuristic_cutoff(sigma: float) -> float:

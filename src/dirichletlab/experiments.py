@@ -30,7 +30,7 @@ import math
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 
 import numpy as np
@@ -159,10 +159,14 @@ class ExperimentReport:
     schema_version: int = SCHEMA_VERSION
 
     def payload_dict(self) -> dict:
-        """Everything except wall time: the reproducible part."""
-        payload = asdict(self)
-        del payload["wall_time_s"]
-        return payload
+        """Everything except wall time: the reproducible part.  The dict
+        shares the report's containers, without a deep copy: callers only
+        read or serialize it."""
+        return {"kind": self.kind, "config": self.config,
+                "config_hash": self.config_hash, "master_seed": self.master_seed,
+                "per_trial": self.per_trial, "aggregates": self.aggregates,
+                "code_version": self.code_version,
+                "schema_version": self.schema_version}
 
     def payload_json(self) -> str:
         return _canonical_json(self.payload_dict())
@@ -264,6 +268,8 @@ def _sign_change_setup(cfg: SignChangeConfig, seq) -> dict:
     return {
         "grid": grid,
         "entries": entries,
+        # a heuristic sum's decision radius: radius 0 plus its band, rounded up
+        "rhos": [math.nextafter(band, math.inf) for _, band in entries],
         "cert": cert,
         "ladder": ladder,
         "rung_start": rung_start,
@@ -273,13 +279,14 @@ def _sign_change_setup(cfg: SignChangeConfig, seq) -> dict:
 def _sign_change_trial(cfg: SignChangeConfig, st: dict,
                        paths: list[SamplePath]) -> list[dict]:
     # one filter streams the block's signs chunk-major to the longest array,
-    # so each weight chunk is read once per block: the certified grid at
-    # the certified radii, then the heuristic sums at radius 0, where a
-    # bracket holding 0 counts +1
-    entries, radii = _certified_weights(paths[0], st["grid"], st["cert"])
+    # so each weight chunk is read once per block: the certified grid, one
+    # stack of rows read in place, at the certified radii, then each
+    # heuristic sum at radius 0, where a bracket holding 0 counts +1
+    entries, rhos = _certified_weights(paths[0], st["grid"], st["cert"])
     m = len(entries)
     rows = []
-    for signs in _filtered_signs(paths, entries + st["entries"], radii + [0.0] * m):
+    weights = [[w for w, _ in entries], *(w for w, _ in st["entries"])]
+    for signs in _filtered_signs(paths, weights, rhos + st["rhos"]):
         certified = signs[:m]
         # each sign is +-1 or None: the certified one, else the heuristic
         # one, else +1

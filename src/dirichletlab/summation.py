@@ -14,10 +14,11 @@ as Python ints and rounds the total once.  ``exact_sum`` adds slices of
 its input to one ``_BlockSum`` and ``limits.char_function`` the
 log-cosine blocks it computes.
 
-Every sum of products is the ``math.fsum`` of ``_row_dots``: dots over
-rows of at most ``_ROW`` terms, too short for BLAS to split across
-threads.  ``_sum_of_squares`` (the normal-limit variance) and
-``evaluation._signed_sums`` (a path's signed sums) take it.
+Every sum of products is the ``math.fsum`` of BLAS ddots over rows of at
+most ``_ROW`` terms, too short for BLAS to split across threads: those of
+``_row_dots``, which ``_sum_of_squares`` (the normal-limit variance) and
+``evaluation._signed_sums`` (a path's signed sums) take, and, for the
+rows of a stack that end within a chunk, ``np.dot`` mapped over the stack.
 """
 
 from __future__ import annotations
@@ -121,7 +122,12 @@ def _row_dots(x: np.ndarray, y: np.ndarray) -> list[float]:
     """The dots of the equal-length arrays ``x`` and ``y`` over ``_ROW``-term
     rows: one stacked ``np.matmul`` over the full rows and one ``np.dot`` for
     the rest, each row too short for BLAS to split, so no dot depends on the
-    thread count."""
+    thread count.
+
+    The stacked rule of ``evaluation._signed_sums`` keeps these bits: the
+    rows of a stack that end within a chunk are dotted by ``np.dot`` mapped
+    over the stack, the same ddot each row gets here, where a gemv over the
+    stacked rows would sum in its own order."""
     k = x.size - x.size % _ROW
     dots = np.matmul(x[:k].reshape(-1, 1, _ROW), y[:k].reshape(-1, _ROW, 1)).ravel().tolist()
     if k < x.size:

@@ -203,6 +203,96 @@ def test_property_block_sums_keep_the_callers_order(lengths, n, seed):
         [[v.hex() for v in sums] for sums in alone]
 
 
+@given(rows=st.lists(st.sampled_from([1, 5, _ROW - 1, _ROW + 1, _CH + 1, _CH + _ROW]),
+                    min_size=1, max_size=5),
+       lone=st.lists(st.sampled_from([0, 3, _ROW, _CH + 7]), max_size=3),
+       height=st.integers(0, 4), n=st.sampled_from([1, 3]),
+       seed=st.integers(0, 2**32 - 1))
+# a stack whose rows end in a second chunk's first _ROW terms, beside a
+# longer lone array
+@example(rows=[_CH + 1], lone=[_CH + 7], height=3, n=3, seed=1)
+@settings(max_examples=20, deadline=None)
+def test_property_stacked_rows_sum_as_each_row_alone(rows, lone, height, n, seed):
+    # a stack's rows go through the kernel together, mapped in one call
+    # where they end within a chunk; each row's sum must be the bits it
+    # gets as a lone array, for every path of a block, in the caller's order
+    rng = np.random.default_rng(seed)
+    stacks = [[rng.standard_normal(k) for _ in range(height)] for k in rows]
+    weights = [*stacks, *(rng.standard_normal(k) for k in lone)]
+    block = [SamplePath(Naturals(), seed, t) for t in range(n)]
+    got = evaluation._signed_sums(block, weights)
+    flat = [w for item in weights for w in (item if isinstance(item, list) else [item])]
+    alone = [[evaluation._signed_sums([p], [w])[0][0] for w in flat] for p in block]
+    assert [[v.hex() for v in sums] for sums in got] == \
+        [[v.hex() for v in sums] for sums in alone]
+
+
+# (sequence, cutoff): no terms; counts within one _ROW, within one _CHUNK,
+# and past one chunk by one term and by more than one _ROW
+_STACK_CASES = [(WeightedNaturals(2.0), 1.0), (WeightedNaturals(2.0), 1e5),
+                (Naturals(), float(_ROW)), (Naturals(), 10_000.0),
+                (Naturals(), float(_CH)), (Naturals(), _CH + 1.0),
+                (Naturals(), 2.0 * _CH + _ROW + 3)]
+
+
+@given(case=st.sampled_from(_STACK_CASES),
+       calls=st.lists(st.lists(st.floats(0.55, 4.0), max_size=12), min_size=1,
+                      max_size=3),
+       seed=st.integers(0, 2**32 - 1), evict=st.booleans())
+@example(case=_STACK_CASES[1], calls=[[0.6, 0.7, 0.9], [], [0.7, 1.5, 0.6]],
+         seed=3, evict=True)
+@settings(max_examples=30, deadline=None)
+def test_property_stacked_rounds_equal_each_exponent_alone(case, calls, seed, evict):
+    # decide and evaluate dot a round's exponents as one stack, each with
+    # the decision radius its certificate formed once; every sum, radius
+    # and sign must be, float.hex for float.hex, that of the exponent on
+    # its own from freshly formed weights, with or without a budget that
+    # evicts entries between calls (patched by hand: a function-scoped
+    # monkeypatch would span every example)
+    seq, cutoff = case
+    path = SamplePath(seq, seed, 0)
+    cert = tail_certificate(seq, 0.55, cutoff, 0.05)
+    saved = frequencies.DEFAULT_TERM_BUDGET
+    if evict:
+        frequencies.DEFAULT_TERM_BUDGET = max(map(len, calls)) * cert.count or 1
+    try:
+        for sigmas in calls:
+            values = evaluate(path, sigmas, cert)
+            signs = decide(path, sigmas, cert)
+            assert len(values) == len(signs) == len(sigmas)
+            for s, cv, sign in zip(sigmas, values, signs):
+                (w, band), = evaluation._weight_pairs(seq, [(s, cert.count)])
+                v = evaluation._signed_sums([path], [w])[0][0]
+                rho = math.nextafter(evaluation._certified_radius(cert, s) + band, math.inf)
+                assert (cv.partial_sum.hex(), cv.error_radius.hex()) == (v.hex(), rho.hex())
+                assert sign == evaluation._sign_beyond(v, rho) == cv.decided_sign
+                if cert.count == 0:
+                    assert cv.partial_sum == 0.0
+            assert len(cert.scan_weights) * cert.count <= frequencies.DEFAULT_TERM_BUDGET
+            assert set(cert.scan_rhos) <= set(cert.scan_weights)
+    finally:
+        frequencies.DEFAULT_TERM_BUDGET = saved
+
+
+def test_decision_radii_are_each_certificates_own():
+    # two certificates of one sequence whose thresholds differ, asked in
+    # turn at the same sigma, each keep and use their own decision radius
+    seq = WeightedNaturals(2.0)
+    path = SamplePath(seq, 3, 0)
+    low = tail_certificate(seq, 0.6, 1e4, 0.05)
+    high = dataclasses.replace(low, threshold=4.0 * low.threshold)
+    (_, band), = evaluation._weight_pairs(seq, [(0.8, low.count)])
+    want = {id(c): math.nextafter(evaluation._certified_radius(c, 0.8) + band, math.inf)
+            for c in (low, high)}
+    assert want[id(low)] < want[id(high)]
+    for cert in (low, high, low, high):
+        (cv,) = evaluate(path, [0.8], cert)
+        assert cv.error_radius == want[id(cert)]
+        assert decide(path, [0.8], cert) == [evaluation._sign_beyond(cv.partial_sum,
+                                                                   want[id(cert)])]
+        assert cert.scan_rhos == {0.8: want[id(cert)]}
+
+
 def test_weight_cache_separates_start_indices():
     # Naturals(start_index=5) and Naturals() share a spec string; each
     # certificate's weights are its own sequence's, and neither certificate
@@ -422,7 +512,7 @@ def _assert_decide_agrees_with_evaluate(path, sigmas, cert):
     filter value D and evaluate's value V are each within the band of the
     real value, so |V| - r <= 3 * band there."""
     values = evaluate(path, sigmas, cert)
-    radii = evaluation._certified_weights(path, sigmas, cert)[1]
+    radii = [evaluation._certified_radius(cert, s) for s in sigmas]
     for d, cv, r in zip(decide(path, sigmas, cert), values, radii):
         if d is None:
             _, band = cert.scan_weights[cv.sigma]
@@ -561,7 +651,8 @@ def test_heuristic_signs_equal_compensated_sum_signs(n):
     weights += [w for w, _ in evaluation._weight_pairs(
         seq, [(0.53, 3 * _LONG), (0.75, _LONG + 7), (1.2, 900)])]
     entries = [(w, evaluation._band_slack(w)) for w in weights]
-    got = evaluation._filtered_signs([path], entries, [0.0] * len(weights))[0]
+    rhos = [math.nextafter(band, math.inf) for _, band in entries]  # radius 0
+    got = evaluation._filtered_signs([path], weights, rhos)[0]
     signs = path.signs_up_to(max(w.size for w in weights))
     sums = [summation.exact_sum(signs[:w.size] * w) for w in weights]
     assert sums[:3] == [0.0, 2.0**-40, -(2.0**-40)]
@@ -614,7 +705,7 @@ def test_certified_radius_is_rounded_outward(threshold, cutoff, sigma0, gap):
     sigma = sigma0 + gap
     cert = TailCertificate(path.seq, sigma0, cutoff, threshold, eta=0.5,
                            tail_second_moment=1.0)
-    (r,) = evaluation._certified_weights(path, [sigma], cert)[1]
+    r = evaluation._certified_radius(cert, sigma)
     with mpmath.workdps(60):
         mp = mpmath.mpf
         want = mp(threshold) * mp(cutoff) ** -(mp(sigma) - mp(sigma0))
@@ -623,7 +714,7 @@ def test_certified_radius_is_rounded_outward(threshold, cutoff, sigma0, gap):
             step = 2 * math.ulp(sigma - sigma0) * math.log(cutoff)
             assert mp(r) <= want * (1 + mp(2.0) ** -45 + step)
     exhausted = dataclasses.replace(cert, threshold=0.0, eta=0.0, exhausted=True)
-    (r0,) = evaluation._certified_weights(path, [sigma], exhausted)[1]
+    r0 = evaluation._certified_radius(exhausted, sigma)
     assert r0 == 0.0 and math.copysign(1.0, r0) == 1.0
 
 
@@ -809,19 +900,23 @@ def test_partial_sum_golden():
 
 _THREAD_PROBE = """
 from dirichletlab import Naturals, SamplePath
-from dirichletlab.evaluation import partial_sum_table
+from dirichletlab.evaluation import evaluate, partial_sum_table, tail_certificate
 from dirichletlab.limits import _weights_and_variance, clt_sample
 print(partial_sum_table(SamplePath(Naturals(), 7, 0), [(0.75, 1e5)])[0].hex())
 print(*(x.hex() for x in clt_sample(Naturals(), 0.6, 1e6, 1, 64).tolist()))
 print(_weights_and_variance(Naturals(), 0.6, 1e6)[1].hex())
+cert = tail_certificate(Naturals(), 0.55, 1e5, 0.05)
+assert cert.count > 10_000
+round_ = evaluate(SamplePath(Naturals(), 7, 0), [0.6, 0.75, 0.9, 1.3, 2.2], cert)
+print(*(cv.partial_sum.hex() for cv in round_))
 """
 
 
 def test_sums_do_not_depend_on_the_blas_thread_count():
     # OpenBLAS sums a dot of more than 10,000 terms on several threads, each
     # its own part; the kernel's rows are shorter, so the golden point, 64
-    # draws of 10**6 terms and their variance read the same at one BLAS
-    # thread and at two
+    # draws of 10**6 terms, their variance and a stacked round of five
+    # 10**5-term certified sums read the same at one BLAS thread and at two
     src = str(Path(evaluation.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     outs = []
@@ -833,7 +928,11 @@ def test_sums_do_not_depend_on_the_blas_thread_count():
         assert out.returncode == 0, out.stderr
         outs.append(out.stdout.split())
     assert outs[0] == outs[1]
-    assert len(outs[0]) == 66
+    assert len(outs[0]) == 71
+    # the round's stack gives each exponent the sum it gets alone
+    alone = partial_sum_table(SamplePath(Naturals(), 7, 0),
+                              [(s, 1e5) for s in (0.6, 0.75, 0.9, 1.3, 2.2)])
+    assert outs[0][-5:] == [v.hex() for v in alone]
     assert outs[0][0] == "-0x1.7936c234ec88fp+0"
 
 

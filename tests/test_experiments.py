@@ -4,7 +4,7 @@ import math
 import os
 import tracemalloc
 import weakref
-from dataclasses import replace
+from dataclasses import asdict, replace
 from functools import partial
 
 import pytest
@@ -50,6 +50,20 @@ def test_payload_excludes_wall_time():
     assert rep.wall_time_s >= 0.0
     assert payload["config_hash"] == rep.config_hash
     assert payload["code_version"]
+
+
+def test_payload_is_the_report_without_wall_time():
+    # the payload is built from the report's fields, sharing its containers
+    # instead of deep-copying them: it equals the report as a dict less its
+    # wall time, key for key and in order, for every kind of study
+    for cfg in (NoZeroConfig(trials=2), ExceedanceConfig(trials=3),
+                SignChangeConfig(ladder=(0.9, 0.8), trials=1, grid_points=8,
+                                 cert_cutoff=1e4),
+                BuEventConfig(trials=2)):
+        rep = run_experiment(cfg)
+        want = asdict(rep)
+        del want["wall_time_s"]
+        assert list(rep.payload_dict().items()) == list(want.items())
 
 
 def test_reports_identical_across_worker_counts():
