@@ -95,9 +95,13 @@ class _SequenceOps:
     def tail_converges(self, sigma: float) -> bool:
         raise NotImplementedError
 
-    def _remainder_enclosure(
-        self, sigma: float, head: np.ndarray
-    ) -> tuple[float, float]:
+    def _remainder_enclosure(self, sigma: float, index: int) -> tuple[float, float]:
+        """Enclosure of sum(p**-sigma) over the elements past ``index``.
+
+        ``index`` is the global 1-based index of the last exactly summed
+        element (``start_index`` only decides which elements are served);
+        a kind that needs that element reads it as ``self.element(index)``.
+        """
         raise NotImplementedError
 
     # ---- derived operations ------------------------------------------
@@ -187,26 +191,25 @@ class _SequenceOps:
         """Two-sided enclosure of sum(p**-sigma for served p > cutoff).
 
         The leading ``head_terms`` tail elements are summed exactly and
-        rounded once (``exact_sum``); the rest is bracketed by monotone
-        integral comparison.  Raises DivergenceError below the convergence
-        threshold.
+        rounded once (``exact_sum``); the rest is bracketed by the kind's
+        ``_remainder_enclosure`` past the global index of the last head
+        element, read from the head's size.  A finite sequence that runs
+        out within the head has no rest.  Raises DivergenceError below the
+        convergence threshold.
         """
         sigma = float(sigma)
-        head_terms = max(int(head_terms), 16)
-        first = self._first_above(cutoff)
-        head = self._values(first, head_terms)
-        if head.size < head_terms:
-            # Finite sequence exhausted: the tail is an exact finite sum.
-            if head.size == 0:
-                return (0.0, 0.0)
-            exact = exact_sum(self._powers(first, head.size, -sigma))
-            return (exact, exact)
         if not self.tail_converges(sigma):
             raise DivergenceError(
                 f"tail diverges at exponent {sigma} for {type(self).__name__}"
             )
-        head_sum = exact_sum(self._powers(first, head.size, -sigma))
-        rem_lo, rem_hi = self._remainder_enclosure(sigma, head)
+        head_terms = max(int(head_terms), 16)
+        first = self._first_above(cutoff)
+        head = self._powers(first, head_terms, -sigma)
+        head_sum = exact_sum(head)
+        rem_lo, rem_hi = (
+            self._remainder_enclosure(sigma, first + head.size - 1)
+            if head.size == head_terms else (0.0, 0.0)
+        )
         return (head_sum + rem_lo, head_sum + rem_hi)
 
 
@@ -225,8 +228,8 @@ class Naturals(_SequenceOps):
     def tail_converges(self, sigma: float) -> bool:
         return sigma > 1.0
 
-    def _remainder_enclosure(self, sigma, head):
-        n2 = head[-1]  # last exactly-summed integer
+    def _remainder_enclosure(self, sigma, index):
+        n2 = float(index)  # the last summed integer is its own index
         lo = (n2 + 1.0) ** (1.0 - sigma) / (sigma - 1.0)
         hi = n2 ** (1.0 - sigma) / (sigma - 1.0)
         return lo, hi
@@ -253,15 +256,16 @@ class Primes(_SequenceOps):
     def tail_converges(self, sigma: float) -> bool:
         return sigma > 1.0
 
-    def _remainder_enclosure(self, sigma, head):
+    def _remainder_enclosure(self, sigma, index):
         # Chebyshev-type bounds: x/log x < pi(x) < 1.26 x/log x, the lower
         # valid for x >= 17.  The remainder past the last head prime K is
-        # s*Integral_K^inf (pi(x)-pi(K)) x^(-s-1) dx, bounded both ways.
-        k = float(head[-1])
+        # s*Integral_K^inf (pi(x)-pi(K)) x^(-s-1) dx, bounded both ways;
+        # K is the index-th prime, so pi(K) is the index.
+        k = self.element(index)
         if k < 17:
             raise ValidationError("prime tail remainder requires head past 17")
         logk = math.log(k)
-        pi_k = float(sieve.prime_count(k))
+        pi_k = float(index)
         s = sigma
         hi = s * 1.26 / ((s - 1.0) * logk) * k ** (1.0 - s) - pi_k * k ** (-s)
         lo = (
@@ -290,6 +294,15 @@ class WeightedNaturals(_SequenceOps):
         if not self.exponent > 1.0:
             raise ValidationError("weighted-naturals exponent must be > 1")
         super().__post_init__()
+        # the last element a budgeted cutoff's tail head reads, and every
+        # one before it, must be a finite float
+        last = self.start_index + DEFAULT_TERM_BUDGET + DEFAULT_TAIL_HEAD_TERMS
+        with np.errstate(over="ignore"):
+            finite = math.isfinite(self._values(last, 1)[0])
+        if not finite:
+            raise ValidationError(
+                f"weighted-naturals exponent {self.exponent!r} overflows a "
+                f"float within the term budget")
         if self.element(self.start_index) < 1.0:
             raise ValidationError(
                 "first served element falls below 1; raise start_index"
@@ -327,9 +340,9 @@ class WeightedNaturals(_SequenceOps):
     def tail_converges(self, sigma: float) -> bool:
         return sigma >= 1.0
 
-    def _remainder_enclosure(self, sigma, head):
+    def _remainder_enclosure(self, sigma, index):
         a = self.exponent
-        m = int(round(head[-1] / math.log(head[-1] + 1.0) ** a))
+        m = index  # the remainder sums over n > m
         # Upper: terms <= 1/(n log(n)**(a*s)) for s >= 1, then integral
         # comparison; for s > 1 a second bound keeps the algebraic decay.
         asig = a * sigma
@@ -430,7 +443,7 @@ class Explicit(_SequenceOps):
     def tail_converges(self, sigma: float) -> bool:
         return True  # finite
 
-    def _remainder_enclosure(self, sigma, head):
+    def _remainder_enclosure(self, sigma, index):
         return 0.0, 0.0
 
 

@@ -177,18 +177,20 @@ def scan(
 
 @lru_cache(maxsize=32)
 def _single_term_domination_sigma(seq, sigma_start: float):
-    """Smallest ladder exponent up to 64 where the first element alone
-    beats the rigorous upper tail bound.  Termwise monotonicity then makes the
-    domination persist for every larger exponent.  Path-independent, so
-    memoized on the frozen sequence."""
+    """Smallest exponent of the ladder sigma_start * 1.5**k where the first
+    element alone beats the rigorous upper tail bound: the start is always
+    tested, the rest of the ladder up to 64.  Termwise monotonicity then
+    makes the domination persist for every larger exponent.
+    Path-independent, so memoized on the frozen sequence."""
     p1 = seq.element(seq.start_index)
     sigma = sigma_start
-    while sigma <= 64.0:
+    while True:
         _, tail_hi = seq.tail_power_sum(sigma, p1)
         if tail_hi < p1 ** (-sigma):
             return sigma
         sigma *= 1.5
-    return None
+        if sigma > 64.0:
+            return None
 
 
 def certify_no_zeros(

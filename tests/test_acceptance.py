@@ -36,8 +36,10 @@ from dirichletlab.limits import char_function_gaussian_gap
 
 # --- pilot fixtures (designated pilot seed 1 unless noted) -----------------
 
-# no-zero experiment, weighted:2.0 defaults, N=500: 46 certified trials
-PILOT_NO_ZERO_COUNT = 46
+# no-zero experiment, weighted:2.0 defaults, N=500: 66 certified trials
+# (46 while the weighted tail remainder started at an index recovered from
+# the last head element's value, which overstated T)
+PILOT_NO_ZERO_COUNT = 66
 PILOT_NO_ZERO_FRACTION = PILOT_NO_ZERO_COUNT / 500
 FRESH_SEEDS = (11, 12, 13)
 

@@ -91,6 +91,10 @@ def test_exit_codes(tmp_path, capsys):
     # (its report goes apart: no failing command may leave one here)
     assert run_cli(tmp_path / "ok", "bu-event", "--threshold", "1e300",
                    "--trials", "5") == 0
+    # a large weighted exponent whose elements stay finite runs
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli(tmp_path / "ok", "eval", "--seq", "weighted:50") == 0
     # resource budget error -> 2 (scale rule far past any term budget)
     assert run_cli(tmp_path, "variance-profile", "--seq", "naturals",
                    "--sigmas", "0.505") == 2
@@ -180,6 +184,13 @@ def test_exit_codes(tmp_path, capsys):
          "scale 3 lies below the first served element 5"),
         (["eval", "--seq", "weighted:inf"],
          "weighted-naturals exponent must be finite, got inf"),
+        # elements that overflow a float within the term budget
+        (["eval", "--seq", "weighted:400"],
+         "weighted-naturals exponent 400.0 overflows a float within the term "
+         "budget"),
+        (["no-zeros", "--seq", "weighted:1e300", "--trials", "2"],
+         "weighted-naturals exponent 1e+300 overflows a float within the term "
+         "budget"),
         # weights that overflow a float are bad input, not an internal error
         (["clt", "--sigma", "-200", "--cutoff", "100", "--trials", "3"],
          "the powers p**200 are not finite"),
@@ -486,7 +497,7 @@ def test_char_fn_payload_golden(tmp_path):
 
 @pytest.mark.parametrize("args, digest", [
     pytest.param(["scan", "--seq", "weighted:2.0", "--seed", "3"],
-                 "acb8078c8906dde4d4b6a240d21d0f47a6bb6847aa3984ce77ba239a36f3fa2f",
+                 "e458c9e3750d75cbebd8fa8ee0d8f59bef0323060cba87ec64a874e0139bc9ea",
                  id="scan"),
     pytest.param(["eval", "--seq", "naturals"],
                  "c5729635e1f907d8256a5bbf123bf5ad1f9b6e3413eb0a83c736c0b1ca667c23",
@@ -497,10 +508,12 @@ def test_scan_and_eval_payload_golden(tmp_path, args, digest):
     # 20,000-term head: the tail second moment T fell toward its true value,
     # 0.019999677 -> 0.019999596 against Hurwitz zeta(1.5, 10**4 + 1) =
     # 0.019999500 (eval), and 0.0612 -> 0.0545 against 0.0328 from a
-    # 2e6-term head plus integral remainder (scan, which moved to schema 5).
-    # Both thresholds lie 3.9 (eval) and 3.4 (scan) ulps above the 40-digit
-    # value at their T.  eval's partial sum is 1.02 ulps below a 200-bit sum
-    # of the real terms, within its rounding bound
+    # 2e6-term head plus integral remainder (scan, which moved to schema 5);
+    # scan's T fell again, 0.0545 -> 0.0477, when the weighted remainder
+    # started past the last head element's own index.  Both thresholds lie
+    # 3.9 (eval) and 3.6 (scan) ulps above the 40-digit value at their T.
+    # eval's partial sum is 1.02 ulps below a 200-bit sum of the real
+    # terms, within its rounding bound
     assert run_cli(tmp_path, *args) == 0
     (report,) = tmp_path.glob(f"{args[0]}_*.json")
     assert hashlib.sha256(report.read_bytes()).hexdigest() == digest

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dirichletlab
@@ -86,7 +86,7 @@ def test_power_sums_are_correctly_rounded():
     for seq, sigma, cutoff in _HEAD_CASES:
         first = seq._first_above(cutoff)
         head = math.fsum(seq._powers(first, n, -sigma).tolist())
-        lo, hi = seq._remainder_enclosure(sigma, seq._values(first, n))
+        lo, hi = seq._remainder_enclosure(sigma, first + n - 1)
         got = seq.tail_power_sum(sigma, cutoff, head_terms=n)
         assert [v.hex() for v in got] == [(head + lo).hex(), (head + hi).hex()]
 
@@ -224,6 +224,66 @@ def test_weighted_tail_enclosure_brackets_brute_force():
     assert brute <= hi
     assert lo <= brute + 1.0 / math.log(5_000_000.0)  # crude remainder room
     assert lo < hi
+
+
+def _partial_tail(seq, sigma, cutoff, n):
+    """fsum of the next ``n`` served powers past ``cutoff``, and an upper
+    bound of the terms after them by integral comparison: for primes
+    p > P by the integers n > P, for weighted naturals by
+    sum_{n>M} n**-s log(n+1)**(-a s) <= min(log(M)**(1-a s)/(a s-1),
+    log(M+1)**(-a s) M**(1-s)/(s-1)), the second for s > 1 only."""
+    first = seq._first_above(cutoff)
+    partial = math.fsum(seq._powers(first, n, -sigma).tolist())
+    last = first + n - 1
+    if isinstance(seq, Primes):
+        return partial, seq.element(last) ** (1.0 - sigma) / (sigma - 1.0)
+    s = seq.exponent * sigma
+    rest = math.log(last) ** (1.0 - s) / (s - 1.0)
+    if sigma > 1.0:
+        rest = min(rest, math.log(last + 1.0) ** -s
+                   * last ** (1.0 - sigma) / (sigma - 1.0))
+    return partial, rest
+
+
+def _assert_brackets(seq, sigma, cutoff, head_terms, partial, rest):
+    # the partial sum lies below the tail and partial + rest above it;
+    # the enclosure is rounded to nearest, not outward, so each end has
+    # 2**-50 relative room
+    lo, hi = seq.tail_power_sum(sigma, cutoff, head_terms=head_terms)
+    assert lo <= (partial + rest) * (1.0 + 2.0 ** -50)
+    assert hi * (1.0 + 2.0 ** -50) >= partial
+
+
+@pytest.mark.parametrize("exponent", [1.5, 2.0, 3.0, 5.0])
+def test_weighted_tail_enclosure_brackets_partial_sums(exponent):
+    # the remainder must start past the last head element's own index for
+    # every head length: one that starts earlier overstates the lower end
+    seq = WeightedNaturals(exponent)
+    for sigma in (1.0, 1.1, 1.5, 2.0, 3.0):
+        for cutoff in (10.0, 1e3, 1e5):
+            partial, rest = _partial_tail(seq, sigma, cutoff, 10**5)
+            for head_terms in (16, 100, 2000):
+                _assert_brackets(seq, sigma, cutoff, head_terms, partial, rest)
+
+
+def test_prime_tail_enclosure_brackets_partial_sums_for_short_heads():
+    seq = Primes()
+    for sigma in (1.1, 1.5, 2.0, 3.0):
+        for cutoff in (2.0, 100.0, 1e4):
+            partial, rest = _partial_tail(seq, sigma, cutoff, 10**5)
+            for head_terms in (16, 40, 100):
+                _assert_brackets(seq, sigma, cutoff, head_terms, partial, rest)
+
+
+@given(st.floats(1.5, 8.0), st.floats(1.0, 4.0), st.floats(3.0, 1e5),
+       st.integers(16, 3000))
+@example(exponent=3.0, sigma=2.0, cutoff=1e3, head_terms=16)
+@settings(max_examples=25, deadline=None)
+def test_property_weighted_enclosure_brackets_partial_sums(
+        exponent, sigma, cutoff, head_terms):
+    seq = WeightedNaturals(exponent)
+    partial, rest = _partial_tail(seq, sigma, cutoff, 20_000)
+    _assert_brackets(seq, sigma, cutoff, head_terms, partial, rest)
 
 
 def test_weighted_count_bound_dominates_brute_force():

@@ -213,6 +213,19 @@ def test_no_zero_certification_detects_change():
     assert rep.sign_changes >= 1
 
 
+@pytest.mark.parametrize("spec, sigma_lo", [("weighted:2.0", 100.0),
+                                            ("naturals", 100.0), ("primes", 70.0)])
+def test_no_zero_certification_above_the_domination_ladder(spec, sigma_lo):
+    # far right the first term dominates the whole tail, so the domination
+    # search must test its start even above the ladder's top, 64
+    seq = make_sequence(spec)
+    cert = scan_certificate(seq, sigma_lo, 1e4, 1e-3)
+    for trial in range(3):
+        rep = certify_no_zeros(SamplePath(seq, 1, trial), sigma_lo, cert)
+        assert rep.domination_sigma == sigma_lo + 1e-9
+        assert rep.no_zero_certified
+
+
 def test_no_zero_certified_is_antitone_in_left_endpoint():
     seq = WeightedNaturals(exponent=2.0)
     cert_lo = scan_certificate(seq, 0.6, 1e4, 1e-3)
