@@ -28,7 +28,6 @@ from .evaluation import (
     evaluate,
     heuristic_cutoff,
     mellin_discrepancy,
-    partial_sum_table,
     tail_certificate,
 )
 from .experiments import (
@@ -92,7 +91,6 @@ __all__ = [
     "levy_bound",
     "make_sequence",
     "mellin_discrepancy",
-    "partial_sum_table",
     "run_experiment",
     "scan",
     "scan_certificate",

@@ -248,19 +248,6 @@ def _sign_beyond(value: float, radius: float) -> int | None:
     return None
 
 
-def partial_sum_table(
-    path: SamplePath, points: list[tuple[float, float]]
-) -> list[float]:
-    """sum(X_p * p**-sigma for served p <= cutoff) for each (sigma,
-    cutoff) pair, ``_signed_sums``' values from one sign pass, deterministic
-    for fixed inputs regardless of worker and BLAS thread count."""
-    if any(c < 1 for _, c in points):
-        raise ValidationError("cutoff must be >= 1")
-    seq = path.seq
-    pairs = _weight_pairs(seq, [(s, seq._count_up_to(c)) for s, c in points])
-    return _signed_sums([path], [w for w, _ in pairs])[0]
-
-
 def _certified_radius(cert: TailCertificate, sigma: float) -> float:
     """The certified truncation radius at ``sigma``: threshold *
     cutoff**-(sigma - sigma0) rounded up, +0.0 for an exhausted

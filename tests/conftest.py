@@ -2,9 +2,11 @@
 
 These are deliberately implemented from scratch (trial division, an
 Euler-Maclaurin zeta evaluation) so they share no code with the package
-under test.  ``path_with_signs`` is the exception: it finds, through the
-public path API, a path that carries prescribed signs.  ``explicit``
-builds an ``Explicit`` sequence without its construction warning.
+under test.  Two helpers are the exception.  ``partial_sum_table`` reads
+partial sums from the package's one summation kernel.  ``path_with_signs``
+finds, through the public path API, a path that carries prescribed signs.
+``explicit`` builds an ``Explicit`` sequence without its construction
+warning.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ import warnings
 import numpy as np
 import pytest
 
-from dirichletlab import Explicit, SamplePath
+from dirichletlab import Explicit, SamplePath, ValidationError
+from dirichletlab.evaluation import _signed_sums, _weight_pairs
 
 
 def trial_division_primes(limit: int) -> list[int]:
@@ -36,6 +39,17 @@ def zeta_em(s: float, n_terms: int = 64) -> float:
     tail += s * n ** (-s - 1.0) / 12.0
     tail -= s * (s + 1.0) * (s + 2.0) * n ** (-s - 3.0) / 720.0
     return head + tail
+
+
+def partial_sum_table(path: SamplePath, points) -> list[float]:
+    """sum(X_p * p**-sigma for served p <= cutoff) for each (sigma, cutoff)
+    pair: ``_signed_sums``' values over ``_weight_pairs``' weights, from
+    one sign pass."""
+    if any(c < 1 for _, c in points):
+        raise ValidationError("cutoff must be >= 1")
+    seq = path.seq
+    pairs = _weight_pairs(seq, [(s, seq._count_up_to(c)) for s, c in points])
+    return _signed_sums([path], [w for w, _ in pairs])[0]
 
 
 def path_with_signs(seq, signs, master_seed: int = 0) -> SamplePath:

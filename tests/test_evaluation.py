@@ -31,14 +31,13 @@ from dirichletlab.evaluation import (
     evaluate,
     heuristic_cutoff,
     mellin_discrepancy,
-    partial_sum_table,
     tail_certificate,
 )
 from dirichletlab.frequencies import FrequencySequence
 from dirichletlab.limits import variance_profile
 from dirichletlab.zeros import scan_certificate
 
-from conftest import explicit, path_with_signs, zeta_em
+from conftest import explicit, partial_sum_table, path_with_signs, zeta_em
 
 
 def test_partial_sum_trivial_cases():
@@ -900,9 +899,12 @@ def test_partial_sum_golden():
 
 _THREAD_PROBE = """
 from dirichletlab import Naturals, SamplePath
-from dirichletlab.evaluation import evaluate, partial_sum_table, tail_certificate
+from dirichletlab.evaluation import (_signed_sums, _weight_pairs, evaluate,
+                                    tail_certificate)
 from dirichletlab.limits import _weights_and_variance, clt_sample
-print(partial_sum_table(SamplePath(Naturals(), 7, 0), [(0.75, 1e5)])[0].hex())
+path = SamplePath(Naturals(), 7, 0)
+[(w, _)] = _weight_pairs(path.seq, [(0.75, path.seq._count_up_to(1e5))])
+print(_signed_sums([path], [w])[0][0].hex())
 print(*(x.hex() for x in clt_sample(Naturals(), 0.6, 1e6, 1, 64).tolist()))
 print(_weights_and_variance(Naturals(), 0.6, 1e6)[1].hex())
 cert = tail_certificate(Naturals(), 0.55, 1e5, 0.05)

@@ -20,11 +20,11 @@ from dirichletlab import (
     sequence_spec,
 )
 from dirichletlab import frequencies, sieve
-from dirichletlab.evaluation import decide, partial_sum_table
+from dirichletlab.evaluation import decide
 from dirichletlab.limits import char_function, clt_sample
 from dirichletlab.zeros import scan, scan_certificate
 
-from conftest import explicit, zeta_em
+from conftest import explicit, partial_sum_table, zeta_em
 
 
 @pytest.mark.parametrize("cutoff", [math.inf, -math.inf, math.nan])
