@@ -29,11 +29,10 @@ A sign-change trial filters its whole block in one stream: the certified
 grid at the certified radii and the heuristic sums at radius 0.
 
 Each shared weight array ``p**-sigma`` has one owner: a certificate's
-``scan_weights`` holds those of ``evaluate`` and ``decide``, a study's setup
-its others.  The certificate keeps each exponent's decision radius in
-``scan_rhos`` beside its weights, formed once.  ``_weight_pairs`` caches
-nothing, and no module-level container holds an array or a radius, so no
-sequence or certificate is handed another's.
+``scan_weights`` holds those of ``evaluate`` and ``decide``, each with its
+exponent's decision radius in one entry, a study's setup its others.
+``_weight_pairs`` caches nothing, and no module-level container holds an
+array or a radius, so no sequence or certificate is handed another's.
 
 Below the certifiable range the near-critical rule ``heuristic_cutoff``
 picks a truncation scale for partial sums that carry no error bound, and
@@ -177,16 +176,11 @@ class TailCertificate:
 
     @cached_property
     def scan_weights(self) -> dict[float, tuple[np.ndarray, float]]:
-        """sigma -> ``_weight_pairs`` pair of ``count`` terms, at most the
-        budget in total, the least recently used dropped first.  Not safe to
-        share across threads."""
-        return {}
-
-    @cached_property
-    def scan_rhos(self) -> dict[float, float]:
-        """sigma -> the decision radius of a ``scan_weights`` entry (see
-        ``_certified_weights``), formed with the entry and dropped with it.
-        Not safe to share across threads."""
+        """sigma -> ``(w, rho)``: the ``count`` weights ``p**-sigma`` and
+        their decision radius (see ``_certified_weights``), formed together
+        and dropped together, at most the budget of weights in total, the
+        least recently used dropped first.  Not safe to share across
+        threads."""
         return {}
 
 
@@ -281,18 +275,18 @@ def _certified_radius(cert: TailCertificate, sigma: float) -> float:
 
 def _certified_weights(
     path: SamplePath, sigmas: list[float], cert: TailCertificate
-) -> tuple[list[tuple[np.ndarray, float]], list[float]]:
-    """The weight pairs (see ``_weight_pairs``) and decision radii of
-    ``evaluate`` and ``decide``, after their one validation.  Every
-    exponent shares the certificate's cutoff and ``count``, so its pair is
-    kept in the certificate's ``scan_weights`` by sigma alone, once the
-    pairs the call holds pass the term budget.
+) -> tuple[list[np.ndarray], list[float]]:
+    """The weight arrays and decision radii of ``evaluate`` and ``decide``,
+    one each per exponent, after their one validation.  Every exponent
+    shares the certificate's cutoff and ``count``, so its entry is kept in
+    the certificate's ``scan_weights`` by sigma alone, once the entries the
+    call holds pass the term budget: one memo read per exponent.
 
     An exponent's decision radius rho is the float above its
-    ``_certified_radius`` plus its pair's band: both the error radius of
-    ``evaluate`` and the radius a kept sign must clear (see ``decide``).  It
-    depends on the certificate and sigma alone, so it is formed once, kept
-    in the certificate's ``scan_rhos`` beside the pair and dropped with it.
+    ``_certified_radius`` plus its weights' band (``_weight_pairs``): both
+    the error radius of ``evaluate`` and the radius a kept sign must clear
+    (see ``decide``).  It depends on the certificate and sigma alone, so it
+    is formed once, with the weights, and dropped with them.
     """
     if cert.seq != path.seq:
         raise ValidationError("certificate was built for another sequence")
@@ -303,25 +297,21 @@ def _certified_weights(
             )
     if cert.cutoff < 1:
         raise ValidationError("cutoff must be >= 1")
-    n, memo, kept = cert.count, cert.scan_weights, cert.scan_rhos
+    n, memo = cert.count, cert.scan_weights
     _check_budget(len(sigmas) * n)
-    entries, rhos = [], []
+    ws, rhos = [], []
     for s in map(float, sigmas):
         # a hit moves to the newest place, so the least recently used goes first
         entry = memo.pop(s, None)
         if entry is None:
-            entry = _weight_pairs(path.seq, [(s, n)])[0]
+            (w, band), = _weight_pairs(path.seq, [(s, n)])
+            entry = w, math.nextafter(_certified_radius(cert, s) + band, math.inf)
             while (len(memo) + 1) * n > frequencies.DEFAULT_TERM_BUDGET:
-                old = next(iter(memo))
-                del memo[old]
-                kept.pop(old, None)
+                del memo[next(iter(memo))]
         memo[s] = entry
-        rho = kept.get(s)
-        if rho is None:
-            rho = kept[s] = math.nextafter(_certified_radius(cert, s) + entry[1], math.inf)
-        entries.append(entry)
-        rhos.append(rho)
-    return entries, rhos
+        ws.append(entry[0])
+        rhos.append(entry[1])
+    return ws, rhos
 
 
 def evaluate(
@@ -331,11 +321,11 @@ def evaluate(
     certificate's base exponent, from one pass over the path's signs.
     Each partial sum is ``_signed_sums``' over the stack of the exponents'
     weight arrays; its error radius is the decision radius of
-    ``_certified_weights``, the certified one plus the weight pair's band,
+    ``_certified_weights``, the certified one plus the weights' band,
     rounded up, so it also bounds the distance to the real value (see
     ``decide``)."""
-    entries, rhos = _certified_weights(path, sigmas, cert)
-    values = _signed_sums([path], [[w for w, _ in entries]])[0]
+    ws, rhos = _certified_weights(path, sigmas, cert)
+    values = _signed_sums([path], [ws])[0]
     kind = EXACT if cert.exhausted else PROBABILISTIC
     sigma0 = None if cert.exhausted else cert.sigma0
     return [CertifiedValue(s, v, cert.cutoff, rho, kind, eta=cert.eta, sigma0=sigma0)
@@ -414,8 +404,8 @@ def decide(
     radius r plus that band, which is also ``evaluate``'s error radius, V >
     rho gives R > r and V < -rho gives R < -r.
     """
-    entries, rhos = _certified_weights(path, sigmas, cert)
-    return _filtered_signs([path], [[w for w, _ in entries]], rhos)[0]
+    ws, rhos = _certified_weights(path, sigmas, cert)
+    return _filtered_signs([path], [ws], rhos)[0]
 
 
 def heuristic_cutoff(sigma: float) -> float:

@@ -199,7 +199,7 @@ def _no_zero_setup(cfg: NoZeroConfig, seq):
     certificate bound."""
     # building the certificate checks eta and the sigma_lo <= 1/2 rule
     cert = scan_certificate(seq, cfg.sigma_lo, cfg.cutoff, cfg.eta)
-    if not seq.reciprocal_sum_converges:
+    if not seq.tail_converges(1.0):
         warnings.warn(
             "reciprocal sum diverges: no-zero certification is expected to "
             "fail on most trials in this regime",
@@ -282,10 +282,10 @@ def _sign_change_trial(cfg: SignChangeConfig, st: dict,
     # so each weight chunk is read once per block: the certified grid, one
     # stack of rows read in place, at the certified radii, then each
     # heuristic sum at radius 0, where a bracket holding 0 counts +1
-    entries, rhos = _certified_weights(paths[0], st["grid"], st["cert"])
-    m = len(entries)
+    ws, rhos = _certified_weights(paths[0], st["grid"], st["cert"])
+    m = len(ws)
     rows = []
-    weights = [[w for w, _ in entries], *(w for w, _ in st["entries"])]
+    weights = [ws, *(w for w, _ in st["entries"])]
     for signs in _filtered_signs(paths, weights, rhos + st["rhos"]):
         certified = signs[:m]
         # each sign is +-1 or None: the certified one, else the heuristic
@@ -333,7 +333,7 @@ def _aggregate_sign_change(cfg: SignChangeConfig, st: dict,
 def _bu_setup(cfg: BuEventConfig, seq) -> dict:
     """The critical weights up to the largest horizon, each cutoff's index
     window (a, b] and its bound, and the bound-only ladder."""
-    if not seq.reciprocal_sum_converges:
+    if not seq.tail_converges(1.0):
         raise ValidationError(
             "excursion study needs a convergent reciprocal sum"
         )

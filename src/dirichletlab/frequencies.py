@@ -169,10 +169,6 @@ class _SequenceOps:
             raise ValidationError(f"the powers p**{exponent:g} are not finite")
         return out
 
-    @property
-    def reciprocal_sum_converges(self) -> bool:
-        return self.tail_converges(1.0)
-
     def power_sum(self, sigma: float, cutoff: float) -> float:
         """sum(p**-sigma for served p <= cutoff), correctly rounded."""
         if cutoff < 1:
@@ -444,7 +440,9 @@ class Explicit(_SequenceOps):
         return True  # finite
 
     def _remainder_enclosure(self, sigma, index):
-        return 0.0, 0.0
+        # the elements past the head, summed exactly like the head
+        rest = exact_sum(self._powers(index + 1, len(self.values) - index, -sigma))
+        return rest, rest
 
 
 # ---------------------------------------------------------------------------

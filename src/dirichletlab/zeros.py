@@ -109,9 +109,11 @@ def scan(
     """Certified signs on an adaptive grid plus a conservative change count.
 
     The one certificate ``cert`` (see ``scan_certificate``) covers every
-    grid point, so the whole scan spends its eta once.  Undecided or
-    sign-change intervals are bisected down to ``resolution`` for up to
-    ``max_refinement`` rounds; each round is one ``decide`` call.
+    grid point, so the whole scan spends its eta once.  The open intervals,
+    wider than ``resolution`` with an undecided sign or different signs at
+    their ends, are kept in a list, ascending; each of up to
+    ``max_refinement`` rounds is one ``decide`` call over their midpoints
+    alone, and their open halves replace them.  The grid is sorted once.
     """
     _check_finite("sigma_hi", sigma_hi)
     if not sigma_lo < sigma_hi:
@@ -123,53 +125,44 @@ def scan(
         raise ValidationError(
             f"initial_grid must lie in [2, {_MAX_GRID_POINTS}], got {initial_grid}"
         )
-    signs: dict[float, int | None] = {}
 
-    def certify(sigmas: list[float]) -> None:
-        signs.update(zip(sigmas, decide(path, sigmas, cert)))
+    def still_open(pairs) -> list[tuple[float, float]]:
+        return [(a, b) for a, b in pairs
+                if b - a > resolution and (signs[a] is None or signs[a] != signs[b])]
 
-    certify(_initial_grid(sigma_lo, sigma_hi, initial_grid))
+    grid = _initial_grid(sigma_lo, sigma_hi, initial_grid)  # ascending
+    signs: dict[float, int | None] = dict(zip(grid, decide(path, grid, cert)))
+    work = still_open(zip(grid, grid[1:]))
     rounds = 0
-    while rounds < max_refinement:
-        pts = sorted(signs)
-        new_points = []
-        for a, b in zip(pts, pts[1:]):
-            if b - a <= resolution:
-                continue
-            sa, sb = signs[a], signs[b]
-            if sa is None or sb is None or sa != sb:
-                new_points.append(0.5 * (a + b))
-        if not new_points or len(signs) + len(new_points) > _MAX_GRID_POINTS:
-            break
-        certify(new_points)
+    while work and rounds < max_refinement and len(signs) + len(work) <= _MAX_GRID_POINTS:
+        mids = [0.5 * (a + b) for a, b in work]
+        signs.update(zip(mids, decide(path, mids, cert)))
+        work = still_open(h for (a, b), m in zip(work, mids) for h in ((a, m), (m, b)))
         rounds += 1
-
     pts = sorted(signs)
-    decided = [signs[s] for s in pts]
-    undecided_measure = math.fsum(
-        b - a
-        for (a, b, x, y) in zip(pts, pts[1:], decided, decided[1:])
-        if x is None or y is None
-    )
+    return _report(path, cert, pts, [signs[s] for s in pts], rounds, resolution)
+
+
+def _report(path: SamplePath, cert: TailCertificate, pts: list[float],
+            decided: list[int | None], rounds: int, resolution: float
+            ) -> SignScanReport:
+    """The report of the ascending grid ``pts`` and its signs ``decided``."""
+    undecided_measure = math.fsum(b - a for (a, b, x, y) in zip(
+        pts, pts[1:], decided, decided[1:]) if x is None or y is None)
     return SignScanReport(
         seq=sequence_spec(path.seq),
         master_seed=path.master_seed,
         trial_index=path.trial_index,
-        sigma_lo=float(sigma_lo),
-        sigma_hi=float(sigma_hi),
+        sigma_lo=float(pts[0]),
+        sigma_hi=float(pts[-1]),
         sigma_grid=[float(s) for s in pts],
         decided_signs=[_sign_str(s) for s in decided],
         sign_changes=_certified_changes(decided),
         undecided_measure=float(undecided_measure),
         no_zero_certified=False,
         eta_total=cert.eta,
-        certificate={
-            "sigma0": cert.sigma0,
-            "cutoff": cert.cutoff,
-            "threshold": cert.threshold,
-            "eta": cert.eta,
-            "exhausted": cert.exhausted,
-        },
+        certificate={k: getattr(cert, k)
+                     for k in ("sigma0", "cutoff", "threshold", "eta", "exhausted")},
         refinement_rounds=rounds,
         resolution=float(resolution),
     )
@@ -177,20 +170,31 @@ def scan(
 
 @lru_cache(maxsize=32)
 def _single_term_domination_sigma(seq, sigma_start: float):
-    """Smallest exponent of the ladder sigma_start * 1.5**k where the first
-    element alone beats the rigorous upper tail bound: the start is always
-    tested, the rest of the ladder up to 64.  Termwise monotonicity then
-    makes the domination persist for every larger exponent.
-    Path-independent, so memoized on the frozen sequence."""
+    """An exponent from which on the first element alone beats the rigorous
+    upper tail bound, or None: the first such rung of the ladder
+    sigma_start * 1.5**k, the start always tested, the rest up to 64.
+    Termwise monotonicity makes the domination persist for every larger
+    exponent.  The two sides are compared as logarithms, which do not
+    underflow, and a tail upper end that underflowed to 0.0 bounds nothing:
+    a start whose does is replaced by the first rung below it whose does
+    not, where domination persists up to the start.  Path-independent, so
+    memoized on the frozen sequence."""
     p1 = seq.element(seq.start_index)
+    if seq.next_elements(p1, 1).size == 0:
+        return sigma_start  # the first element is the whole sequence
     sigma = sigma_start
-    while True:
+    _, tail_hi = seq.tail_power_sum(sigma, p1)
+    while tail_hi == 0.0:
+        sigma /= 1.5
         _, tail_hi = seq.tail_power_sum(sigma, p1)
-        if tail_hi < p1 ** (-sigma):
-            return sigma
+    while not math.log(tail_hi) < -sigma * math.log(p1):
         sigma *= 1.5
         if sigma > 64.0:
             return None
+        _, tail_hi = seq.tail_power_sum(sigma, p1)
+        if tail_hi == 0.0:
+            return None
+    return sigma
 
 
 def certify_no_zeros(
@@ -204,16 +208,23 @@ def certify_no_zeros(
     whole tail (this closes the unbounded region, because the domination
     ratio is termwise decreasing in the exponent), certify one common sign
     on [sigma_lo, that exponent] by scanning, and require the common sign
-    to match the leading element's sign.  Failure to certify is a
+    to match the leading element's sign.  Where that exponent is at most
+    sigma_lo the leading element decides the whole half-line, with no
+    scan: the report's grid is sigma_lo alone.  Failure to certify is a
     legitimate outcome and raises nothing.
     """
     seq = path.seq
+    lead = path.sign_at(seq.start_index)
     dom_sigma = _single_term_domination_sigma(seq, max(SIGMA_SWITCH, sigma_lo + 1e-9))
-    hi = dom_sigma if dom_sigma is not None else max(SIGMA_SWITCH, sigma_lo + 1.0)
-    report = scan(path, sigma_lo, hi, cert, resolution=NO_ZERO_RESOLUTION)
+    if dom_sigma is not None and dom_sigma <= sigma_lo:
+        # the leading term alone fixes the sign on the whole half-line
+        report = _report(path, cert, [sigma_lo], [lead], 0, NO_ZERO_RESOLUTION)
+    else:
+        hi = dom_sigma if dom_sigma is not None else max(SIGMA_SWITCH, sigma_lo + 1.0)
+        report = scan(path, sigma_lo, hi, cert, resolution=NO_ZERO_RESOLUTION)
     report.domination_sigma = dom_sigma
     # one decided sign everywhere, the leading element's: no certified
     # change, and a failed probabilistic certificate shows as a mismatch
     report.no_zero_certified = dom_sigma is not None and set(
-        report.decided_signs) == {_sign_str(path.sign_at(seq.start_index))}
+        report.decided_signs) == {_sign_str(lead)}
     return report

@@ -264,11 +264,12 @@ def test_property_stacked_rounds_equal_each_exponent_alone(case, calls, seed, ev
                 v = evaluation._signed_sums([path], [w])[0][0]
                 rho = math.nextafter(evaluation._certified_radius(cert, s) + band, math.inf)
                 assert (cv.partial_sum.hex(), cv.error_radius.hex()) == (v.hex(), rho.hex())
+                # the memo keeps the radius in the weights' own entry
+                assert cert.scan_weights[s][1].hex() == rho.hex()
                 assert sign == evaluation._sign_beyond(v, rho) == cv.decided_sign
                 if cert.count == 0:
                     assert cv.partial_sum == 0.0
             assert len(cert.scan_weights) * cert.count <= frequencies.DEFAULT_TERM_BUDGET
-            assert set(cert.scan_rhos) <= set(cert.scan_weights)
     finally:
         frequencies.DEFAULT_TERM_BUDGET = saved
 
@@ -289,7 +290,8 @@ def test_decision_radii_are_each_certificates_own():
         assert cv.error_radius == want[id(cert)]
         assert decide(path, [0.8], cert) == [evaluation._sign_beyond(cv.partial_sum,
                                                                    want[id(cert)])]
-        assert cert.scan_rhos == {0.8: want[id(cert)]}
+        assert [(s, rho) for s, (_, rho) in cert.scan_weights.items()] == [
+            (0.8, want[id(cert)])]
 
 
 def test_weight_cache_separates_start_indices():
@@ -483,9 +485,8 @@ def test_evaluate_exact_for_exhausted_finite_sequence():
     cv = evaluate(SamplePath(seq, 1, 0), [0.2], cert)[0]
     assert cv.kind == EXACT
     # the radius bounds rounding only: the float above the band alone
-    w, band = cert.scan_weights[0.2]
-    assert band == evaluation._band_slack(w)
-    assert cv.error_radius == math.nextafter(band, math.inf)
+    w, rho = cert.scan_weights[0.2]
+    assert cv.error_radius == rho == math.nextafter(evaluation._band_slack(w), math.inf)
     assert 0.0 < cv.error_radius < 1e-14
     assert cv.decided_sign in (-1, 1)
 
@@ -514,7 +515,7 @@ def _assert_decide_agrees_with_evaluate(path, sigmas, cert):
     radii = [evaluation._certified_radius(cert, s) for s in sigmas]
     for d, cv, r in zip(decide(path, sigmas, cert), values, radii):
         if d is None:
-            _, band = cert.scan_weights[cv.sigma]
+            band = evaluation._band_slack(cert.scan_weights[cv.sigma][0])
             assert abs(cv.partial_sum) - r <= 3 * band
         elif cv.decided_sign is not None:
             assert d == cv.decided_sign
@@ -992,12 +993,13 @@ def test_property_weight_cache_returns_the_requested_array(calls, cutoff, budget
                     decide(path, sigmas, cert)
                 assert cert.scan_weights == memo
                 continue
-            entries, _ = evaluation._certified_weights(path, sigmas, cert)
-            for sigma, (w, band) in [*zip(sigmas, entries),
-                                     *cert.scan_weights.items()]:
+            ws, rhos = evaluation._certified_weights(path, sigmas, cert)
+            for sigma, (w, rho) in [*zip(sigmas, zip(ws, rhos)),
+                                    *cert.scan_weights.items()]:
                 expected = seq._powers(seq.start_index, count, -sigma)
                 assert w.tobytes() == expected.tobytes()
-                assert band == evaluation._band_slack(expected)
+                assert rho == math.nextafter(evaluation._certified_radius(cert, sigma)
+                                             + evaluation._band_slack(expected), math.inf)
             assert len(cert.scan_weights) * count <= budget
     finally:
         frequencies.DEFAULT_TERM_BUDGET = saved

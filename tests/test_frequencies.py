@@ -59,7 +59,6 @@ def test_naturals_basics():
     assert seq.counting_function(10.5) == 10
     assert seq.elements_up_to(5).tolist() == [1, 2, 3, 4, 5]
     assert seq.elements_up_to(6)[seq.counting_function(3):].tolist() == [4, 5, 6]
-    assert not seq.reciprocal_sum_converges
     assert seq.tail_converges(1.5) and not seq.tail_converges(1.0)
 
 
@@ -211,7 +210,6 @@ def test_weighted_values_and_counting():
 
 def test_weighted_reciprocal_sum_converges_but_abscissa_is_one():
     seq = WeightedNaturals(exponent=2.0)
-    assert seq.reciprocal_sum_converges
     assert seq.tail_converges(1.0)
     assert not seq.tail_converges(0.99)
 
@@ -284,6 +282,17 @@ def test_property_weighted_enclosure_brackets_partial_sums(
     seq = WeightedNaturals(exponent)
     partial, rest = _partial_tail(seq, sigma, cutoff, 20_000)
     _assert_brackets(seq, sigma, cutoff, head_terms, partial, rest)
+
+
+def test_explicit_tail_enclosure_brackets_brute_force():
+    # an explicit sequence with more elements past the cutoff than the
+    # head holds: the elements past the head are summed, not dropped,
+    # whatever the head's length
+    seq = explicit(range(1, 30_001))
+    for sigma, cutoff in ((2.0, 1.0), (1.5, 1.0), (0.5, 5000.0)):
+        brute = math.fsum(n ** -sigma for n in range(int(cutoff) + 1, 30_001))
+        for head_terms in (16, 100, frequencies.DEFAULT_TAIL_HEAD_TERMS):
+            _assert_brackets(seq, sigma, cutoff, head_terms, brute, 0.0)
 
 
 def test_weighted_count_bound_dominates_brute_force():

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dirichletlab import (
     Naturals,
@@ -14,10 +16,11 @@ from dirichletlab import (
     scan,
     scan_certificate,
 )
-from dirichletlab import evaluation
+from dirichletlab import evaluation, zeros
 from dirichletlab.frequencies import FrequencySequence
 from dirichletlab._version import SCHEMA_VERSION
-from dirichletlab.zeros import _MAX_GRID_POINTS
+from dirichletlab.experiments import NoZeroConfig, run_experiment
+from dirichletlab.zeros import _MAX_GRID_POINTS, _single_term_domination_sigma
 
 from conftest import explicit, path_with_signs
 
@@ -224,6 +227,104 @@ def test_no_zero_certification_above_the_domination_ladder(spec, sigma_lo):
         rep = certify_no_zeros(SamplePath(seq, 1, trial), sigma_lo, cert)
         assert rep.domination_sigma == sigma_lo + 1e-9
         assert rep.no_zero_certified
+
+
+def test_no_zero_certification_where_the_weights_underflow():
+    # at sigma_lo = 1000 the first weight 2.41**-1000 and the tail's upper
+    # end both underflow to 0.0, so neither a scan nor a float comparison
+    # can decide there; a tail upper end of 0.0 bounds nothing, so the
+    # domination search steps down to a rung whose does not, and the
+    # leading term alone decides the half-line above it
+    seq = WeightedNaturals(2.0)
+    p1 = seq.element(seq.start_index)
+    assert p1 ** -1000.0 == seq.tail_power_sum(1000.0, p1)[1] == 0.0
+    for sigma_lo in (700.0, 1000.0):
+        dom = _single_term_domination_sigma(seq, sigma_lo + 1e-9)
+        assert dom <= sigma_lo and seq.tail_power_sum(dom, p1)[1] > 0.0
+    rep = run_experiment(NoZeroConfig(seq="weighted:2.0", sigma_lo=1000.0, trials=3))
+    assert rep.aggregates["certified"]["count"] == 3
+    cert = scan_certificate(seq, 1000.0, 1e4, 1e-3)
+    for trial in range(3):
+        path = SamplePath(seq, 1, trial)
+        rep = certify_no_zeros(path, 1000.0, cert)
+        assert rep.no_zero_certified and rep.sigma_grid == [1000.0]
+        assert rep.decided_signs == ["+" if path.sign_at(seq.start_index) > 0 else "-"]
+
+
+def _reference_scan(path, sigma_lo, sigma_hi, cert, initial_grid,
+                    max_refinement, resolution, calls):
+    """The sort-and-recheck loop the worklist replaced: each round sorts
+    every point and re-checks every adjacent pair.  Each decide call's
+    exponents are appended to ``calls``."""
+    signs = {}
+
+    def certify(sigmas):
+        calls.append(list(sigmas))
+        signs.update(zip(sigmas, evaluation.decide(path, sigmas, cert)))
+
+    certify(zeros._initial_grid(sigma_lo, sigma_hi, initial_grid))
+    rounds = 0
+    while rounds < max_refinement:
+        pts = sorted(signs)
+        new_points = []
+        for a, b in zip(pts, pts[1:]):
+            if b - a <= resolution:
+                continue
+            sa, sb = signs[a], signs[b]
+            if sa is None or sb is None or sa != sb:
+                new_points.append(0.5 * (a + b))
+        if not new_points or len(signs) + len(new_points) > zeros._MAX_GRID_POINTS:
+            break
+        certify(new_points)
+        rounds += 1
+    pts = sorted(signs)
+    return pts, [zeros._sign_str(signs[s]) for s in pts], rounds
+
+
+@given(seq=st.one_of(st.lists(st.floats(1.0, 100.0), min_size=3, max_size=8,
+                              unique=True).map(sorted).map(explicit),
+                     st.just(WeightedNaturals(2.0))),
+       lo=st.floats(0.0, 1.0), width=st.floats(0.01, 4.0),
+       seed=st.integers(0, 2**32 - 1), initial_grid=st.integers(2, 40),
+       max_refinement=st.integers(0, 8),
+       resolution=st.sampled_from([1e-3, 2e-3, 1e-2, 0.1]),
+       cap=st.one_of(st.none(), st.integers(0, 60)))
+# (+, -, -) on {2, 3, 4} changes sign once in (-1, 3): refined to the last
+# round, and stopped after two by a cap two points above the grid
+@example(seq=explicit([2.0, 3.0, 4.0]), lo=0.5, width=4.0, seed=0, initial_grid=5,
+         max_refinement=8, resolution=1e-3, cap=None)
+@example(seq=explicit([2.0, 3.0, 4.0]), lo=0.5, width=4.0, seed=0, initial_grid=5,
+         max_refinement=8, resolution=1e-3, cap=2)
+@settings(max_examples=100, deadline=None)
+def test_property_worklist_scan_matches_the_sort_and_recheck_loop(
+        seq, lo, width, seed, initial_grid, max_refinement, resolution, cap):
+    # the worklist's open intervals are the leaves of the reference's
+    # bisection, ascending, so every decide call gets the same exponents in
+    # the same order, and the grid, signs and rounds agree; a small grid
+    # cap stops both at the same round (patched by hand: a function-scoped
+    # monkeypatch would span every example).  A finite path is scanned
+    # exactly on [-3, 4.5], weighted:2.0 at cutoff 1e3 from [0.55, 1.5]
+    if isinstance(seq, WeightedNaturals):
+        sigma_lo, cutoff = 0.55 + 0.95 * lo, 1e3
+    else:
+        sigma_lo, cutoff = -3.0 + 3.5 * lo, 100.0
+    cert = scan_certificate(seq, sigma_lo, cutoff, 1e-3)
+    sigma_hi = sigma_lo + width
+    path = SamplePath(seq, seed, 0)
+    saved, decide = zeros._MAX_GRID_POINTS, zeros.decide
+    got_calls, want_calls = [], []
+    zeros.decide = lambda p, sigmas, c: got_calls.append(list(sigmas)) or decide(p, sigmas, c)
+    if cap is not None:
+        zeros._MAX_GRID_POINTS = initial_grid + cap
+    try:
+        rep = scan(path, sigma_lo, sigma_hi, cert, initial_grid=initial_grid,
+                   max_refinement=max_refinement, resolution=resolution)
+        want = _reference_scan(path, sigma_lo, sigma_hi, cert, initial_grid,
+                               max_refinement, resolution, want_calls)
+    finally:
+        zeros._MAX_GRID_POINTS, zeros.decide = saved, decide
+    assert (rep.sigma_grid, rep.decided_signs, rep.refinement_rounds) == want
+    assert got_calls == want_calls
 
 
 def test_no_zero_certified_is_antitone_in_left_endpoint():
