@@ -30,9 +30,13 @@ grid at the certified radii and the heuristic sums at radius 0.
 
 Each shared weight array ``p**-sigma`` has one owner: a certificate's
 ``scan_weights`` holds those of ``evaluate`` and ``decide``, each with its
-exponent's decision radius in one entry, a study's setup its others.
-``_weight_pairs`` caches nothing, and no module-level container holds an
-array or a radius, so no sequence or certificate is handed another's.
+exponent's decision radius in one entry, a study's setup its others.  A
+sign-change setup forms one array per grid exponent, of the longer of its
+heuristic count and the certificate's ``count`` terms, and its heuristic
+sum and the certificate's ``scan_weights`` entry are views of its first
+terms, so each exponent's weights are formed once.  ``_weight_arrays``
+caches nothing, and no module-level container holds an array or a
+radius, so no sequence or certificate is handed another's.
 
 Below the certifiable range the near-critical rule ``heuristic_cutoff``
 picks a truncation scale for partial sums that carry no error bound, and
@@ -43,6 +47,7 @@ budget.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -60,15 +65,21 @@ EXACT = "exact"
 PROBABILISTIC = "probabilistic"
 
 
-def _weight_pairs(seq: FrequencySequence, requests) -> list[tuple[np.ndarray, float]]:
-    """``(w, _band_slack(w))`` for each ``(sigma, count)`` in ``requests``,
-    ``w`` the first ``count`` weights ``p**-sigma`` of ``seq``.  The total
-    count and every sigma are checked before any array is formed; uncached."""
+def _weight_arrays(seq: FrequencySequence, requests) -> list[np.ndarray]:
+    """The first ``count`` weights ``p**-sigma`` of ``seq`` for each
+    ``(sigma, count)`` in ``requests``.  The total count and every sigma are
+    checked before any array is formed; uncached.  The first m weights of
+    an array are, bit for bit, the array of m weights: ``_powers`` fills
+    both from the same first index in the same ``_CHUNK`` steps."""
     _check_budget(sum(n for _, n in requests))
     for s, _ in requests:
         _check_finite("sigma", s)
-    ws = (seq._powers(seq.start_index, n, -float(s)) for s, n in requests)
-    return [(w, _band_slack(w)) for w in ws]
+    return [seq._powers(seq.start_index, n, -float(s)) for s, n in requests]
+
+
+def _weight_pairs(seq: FrequencySequence, requests) -> list[tuple[np.ndarray, float]]:
+    """``(w, _band_slack(w))`` for each array ``w`` of ``_weight_arrays``."""
+    return [(w, _band_slack(w)) for w in _weight_arrays(seq, requests)]
 
 
 def _upper_sum(w: np.ndarray) -> float:
@@ -177,10 +188,12 @@ class TailCertificate:
     @cached_property
     def scan_weights(self) -> dict[float, tuple[np.ndarray, float]]:
         """sigma -> ``(w, rho)``: the ``count`` weights ``p**-sigma`` and
-        their decision radius (see ``_certified_weights``), formed together
-        and dropped together, at most the budget of weights in total, the
-        least recently used dropped first.  Not safe to share across
-        threads."""
+        their decision radius (``_decision_radius``), formed together and
+        dropped together, at most the budget of weights in total, the least
+        recently used dropped first.  ``w`` may be the first ``count``
+        weights of a longer array that its owner holds, as a sign-change
+        setup enters them, so no weights are formed twice.  Not safe to
+        share across threads."""
         return {}
 
 
@@ -273,6 +286,16 @@ def _certified_radius(cert: TailCertificate, sigma: float) -> float:
     return math.nextafter(max(r, tiny), math.inf)
 
 
+def _decision_radius(cert: TailCertificate, sigma: float, band: float) -> float:
+    """The decision radius rho at ``sigma`` of weights whose band is
+    ``band`` (``_band_slack``): the float above the ``_certified_radius``
+    plus the band, both the error radius of ``evaluate`` and the radius a
+    kept sign must clear (see ``decide``).  It depends on the certificate
+    and sigma alone, so a ``scan_weights`` entry forms it once, with the
+    weights, and drops it with them."""
+    return math.nextafter(_certified_radius(cert, sigma) + band, math.inf)
+
+
 def _certified_weights(
     path: SamplePath, sigmas: list[float], cert: TailCertificate
 ) -> tuple[list[np.ndarray], list[float]]:
@@ -281,12 +304,6 @@ def _certified_weights(
     shares the certificate's cutoff and ``count``, so its entry is kept in
     the certificate's ``scan_weights`` by sigma alone, once the entries the
     call holds pass the term budget: one memo read per exponent.
-
-    An exponent's decision radius rho is the float above its
-    ``_certified_radius`` plus its weights' band (``_weight_pairs``): both
-    the error radius of ``evaluate`` and the radius a kept sign must clear
-    (see ``decide``).  It depends on the certificate and sigma alone, so it
-    is formed once, with the weights, and dropped with them.
     """
     if cert.seq != path.seq:
         raise ValidationError("certificate was built for another sequence")
@@ -305,7 +322,7 @@ def _certified_weights(
         entry = memo.pop(s, None)
         if entry is None:
             (w, band), = _weight_pairs(path.seq, [(s, n)])
-            entry = w, math.nextafter(_certified_radius(cert, s) + band, math.inf)
+            entry = w, _decision_radius(cert, s, band)
             while (len(memo) + 1) * n > frequencies.DEFAULT_TERM_BUDGET:
                 del memo[next(iter(memo))]
         memo[s] = entry
@@ -423,7 +440,9 @@ def _heuristic_count(seq: FrequencySequence, sigma: float) -> int:
     """The number of served elements up to ``heuristic_cutoff(sigma)``.
 
     Raises ResourceBudgetError, naming the minimal feasible exponent, when
-    that scale overflows a float or needs more terms than the budget.
+    that scale overflows a float or needs more terms than the budget: the
+    scale rule inverted at the sequence's ``_budget_cutoff``, or at the
+    largest float where no budget binds.
     """
     scale = heuristic_cutoff(sigma)
     try:
@@ -431,8 +450,8 @@ def _heuristic_count(seq: FrequencySequence, sigma: float) -> int:
             raise ResourceBudgetError("the scale overflows a float")
         return seq._count_up_to(scale)
     except ResourceBudgetError as exc:
-        # invert the scale rule at the budget to name the smallest workable sigma
-        sigma_min = 0.5 + 0.5 / math.log(float(frequencies.DEFAULT_TERM_BUDGET))
+        top = min(seq._budget_cutoff(), sys.float_info.max)
+        sigma_min = 0.5 + 0.5 / math.log(top)
         raise ResourceBudgetError(
             f"scale {scale:.3g}: {exc}; minimal feasible sigma is about "
             f"{sigma_min:.6f}"

@@ -29,7 +29,6 @@ import json
 import math
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 
@@ -39,10 +38,13 @@ from ._version import SCHEMA_VERSION, VERSION
 from .bounds import excursion_probability_bound, wilson_interval
 from .errors import ValidationError
 from .evaluation import (
+    _band_slack,
     _certified_weights,
+    _decision_radius,
     _filtered_signs,
     _heuristic_count,
     _signed_sums,
+    _weight_arrays,
     _weight_pairs,
 )
 from .frequencies import WeightedNaturals, _check_finite, make_sequence
@@ -228,8 +230,10 @@ def _aggregate_no_zero(cfg: NoZeroConfig, certify, rows: list[dict]) -> dict:
     zero".
 
     A certified trial has no zero there unless its certificate failed, an
-    event of probability at most eta (0 for an exhausted certificate), so
-    that probability is at least wilson_lo - eta at the Wilson confidence.
+    event of probability at most its eta_total (0 for an exhausted
+    certificate, and where the leading term dominates at or below sigma_lo,
+    which reads none), so that probability is at least wilson_lo - the
+    largest eta_total at the Wilson confidence.
     The bound is None when that difference is not positive.
     """
     certified = _fraction_entry(sum(1 for r in rows if r["certified"]), len(rows))
@@ -247,6 +251,15 @@ def _aggregate_no_zero(cfg: NoZeroConfig, certify, rows: list[dict]) -> dict:
 
 
 def _sign_change_setup(cfg: SignChangeConfig, seq) -> dict:
+    """The grid (the initial grid of [bottom rung, sigma_hi] and every
+    rung), the certificate and each grid exponent's weights, formed once.
+
+    Each exponent has one array ``p**-sigma`` of max(h, n) terms, h its
+    heuristic count and n the certificate's ``count``, checked in total
+    against the term budget.  Its first h terms are the heuristic entry,
+    with their band, and its first n the certificate's ``scan_weights``
+    entry, with the decision radius ``_certified_weights`` would form: the
+    trials read both and form no weights."""
     if not cfg.ladder:
         raise ValidationError("ladder must not be empty")
     _check_finite("sigma_hi", cfg.sigma_hi)
@@ -263,7 +276,12 @@ def _sign_change_setup(cfg: SignChangeConfig, seq) -> dict:
     floor = seq._count_up_to(HEURISTIC_MIN_CUTOFF)
     counts = [max(_heuristic_count(seq, s), floor) for s in grid]
     cert = scan_certificate(seq, ladder[-1], cfg.cert_cutoff, cfg.eta)
-    entries = _weight_pairs(seq, list(zip(grid, counts)))
+    # a prefix of an array is, bit for bit, the shorter array (_weight_arrays)
+    n = cert.count
+    arrays = _weight_arrays(seq, [(s, max(h, n)) for s, h in zip(grid, counts)])
+    for s, w in zip(grid, arrays):
+        cert.scan_weights[s] = w[:n], _decision_radius(cert, s, _band_slack(w[:n]))
+    entries = [(w[:h], _band_slack(w[:h])) for w, h in zip(arrays, counts)]
     rung_start = [grid.index(float(rv)) for rv in ladder]  # every rung is in grid
     return {
         "grid": grid,
@@ -516,6 +534,9 @@ def run_experiment(cfg, workers: int = 1) -> ExperimentReport:
     if workers <= 1:
         rows = [row for block in blocks for row in _trials(cfg, block)]
     else:
+        # imported here, so a one-worker run loads no process machinery
+        from concurrent.futures import ProcessPoolExecutor
+
         # the pool starts all its workers up front, so none beyond the trials
         with ProcessPoolExecutor(max_workers=min(workers, cfg.trials)) as ex:
             rows = [row for block_rows in ex.map(partial(_trials, cfg), blocks)

@@ -127,6 +127,13 @@ class _SequenceOps:
         """``counting_function(cutoff)``, checked against the term budget."""
         return _check_budget(self.counting_function(cutoff))
 
+    def _budget_cutoff(self) -> float:
+        """About the largest cutoff ``_count_up_to`` accepts, found without
+        counting: the served element that brings the count to the budget,
+        or inf where a finite sequence never gets there."""
+        values = self._values(self.start_index + DEFAULT_TERM_BUDGET - 1, 1)
+        return float(values[0]) if values.size else math.inf
+
     def elements_up_to(self, cutoff: float) -> np.ndarray:
         return self._values(self.start_index, self._count_up_to(cutoff))
 
@@ -248,6 +255,15 @@ class Primes(_SequenceOps):
                 f"more than {x / math.log(x):.3g} primes up to {x:g}, exceeding "
                 f"the budget of {DEFAULT_TERM_BUDGET}")
         return sieve.prime_count(x)
+
+    def _budget_cutoff(self) -> float:
+        """Where x/log x reaches the budget, past which ``_count_leq``
+        refuses before sieving: the fixed point of x -> budget * log x from
+        17 on, a contraction there (its slope 1/log x is below 0.36)."""
+        x = 17.0
+        for _ in range(64):
+            x = max(17.0, DEFAULT_TERM_BUDGET * math.log(x))
+        return x
 
     def tail_converges(self, sigma: float) -> bool:
         return sigma > 1.0

@@ -210,15 +210,18 @@ def certify_no_zeros(
     on [sigma_lo, that exponent] by scanning, and require the common sign
     to match the leading element's sign.  Where that exponent is at most
     sigma_lo the leading element decides the whole half-line, with no
-    scan: the report's grid is sigma_lo alone.  Failure to certify is a
-    legitimate outcome and raises nothing.
+    scan and no certificate read: the report's grid is sigma_lo alone, and
+    its eta_total is 0.0.  Failure to certify is a legitimate outcome and
+    raises nothing.
     """
     seq = path.seq
     lead = path.sign_at(seq.start_index)
     dom_sigma = _single_term_domination_sigma(seq, max(SIGMA_SWITCH, sigma_lo + 1e-9))
     if dom_sigma is not None and dom_sigma <= sigma_lo:
-        # the leading term alone fixes the sign on the whole half-line
+        # the leading term alone fixes the sign on the whole half-line, for
+        # every path: no certificate can fail there
         report = _report(path, cert, [sigma_lo], [lead], 0, NO_ZERO_RESOLUTION)
+        report.eta_total = 0.0
     else:
         hi = dom_sigma if dom_sigma is not None else max(SIGMA_SWITCH, sigma_lo + 1.0)
         report = scan(path, sigma_lo, hi, cert, resolution=NO_ZERO_RESOLUTION)

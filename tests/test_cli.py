@@ -223,7 +223,10 @@ def test_exit_codes(tmp_path, capsys):
 ])
 def test_near_critical_scale_has_one_gate(tmp_path, capsys, sigma, scale):
     # one budget refuses the scale exp(1/(2 sigma - 1)) of a variance profile
-    # and of a sign-change ladder's bottom rung, with one message
+    # and of a sign-change ladder's bottom rung, with one message, which
+    # names the sequence's own smallest workable sigma: primes (the
+    # profile's default) are refused once x/log x passes the budget,
+    # naturals (the ladder's) once x does
     tails = []
     for args in (["variance-profile", "--sigmas", sigma],
                  ["sign-changes", "--ladder", f"0.7,{sigma}"]):
@@ -231,7 +234,8 @@ def test_near_critical_scale_has_one_gate(tmp_path, capsys, sigma, scale):
         err = capsys.readouterr().err
         assert err.startswith(f"resource budget error: scale {scale}: ")
         tails.append(err.rsplit(";", 1)[-1])
-    assert tails == [" minimal feasible sigma is about 0.527918\n"] * 2
+    assert tails == [f" minimal feasible sigma is about {s}\n"
+                     for s in ("0.523864", "0.527918")]
     # on one sequence the two messages are equal
     errors = []
     for args in (["variance-profile", "--seq", "naturals", "--sigmas", sigma],

@@ -1,12 +1,17 @@
+import concurrent.futures
 import gc
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from dataclasses import asdict, replace
 from functools import partial
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dirichletlab import (
@@ -127,11 +132,30 @@ def test_pool_starts_no_more_workers_than_trials(monkeypatch):
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     run_experiment(NoZeroConfig(trials=1), workers=64)
     run_experiment(ExceedanceConfig(trials=3), workers=2)
     run_experiment(ExceedanceConfig(trials=3), workers=8)
     assert asked == [1, 2, 3]
+
+
+def test_one_worker_run_imports_no_process_pool():
+    # the pool's modules are imported only by a run with workers, so a
+    # fresh interpreter's one-worker run leaves them unloaded
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = (
+        "import sys\n"
+        "from dirichletlab import ExceedanceConfig, NoZeroConfig, run_experiment\n"
+        "run_experiment(NoZeroConfig(trials=2, cutoff=1e4), workers=1)\n"
+        "run_experiment(ExceedanceConfig(trials=2))\n"
+        "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing')\n"
+        "             if m in sys.modules))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": path})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_pooled_run_builds_its_setup_once_before_the_pool(monkeypatch):
@@ -159,7 +183,7 @@ def test_pooled_run_builds_its_setup_once_before_the_pool(monkeypatch):
 
     monkeypatch.setitem(experiments._KINDS, "sign_change",
                         (recording_setup, trial, aggregate))
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     _setup.cache_clear()
     cfg = SignChangeConfig(ladder=(0.9, 0.8), trials=3, grid_points=8,
                            cert_cutoff=1e4)
@@ -212,6 +236,18 @@ def test_rerun_is_bit_identical():
 
 # ---------------------------------------------------------------------------
 # no_zero
+
+
+def test_no_zero_trial_decided_by_its_leading_term_spends_no_eta():
+    # at sigma_lo = 1000 the leading term of weighted:2.0 dominates the
+    # whole tail for every path, so no certificate is read and none can
+    # fail: each row's eta_total is 0.0 and the bound is log2(wilson_lo)
+    rep = run_experiment(NoZeroConfig(seq="weighted:2.0", sigma_lo=1000.0, trials=3))
+    assert [r["eta_total"] for r in rep.per_trial] == [0.0] * 3
+    certified = rep.aggregates["certified"]
+    assert certified["count"] == 3
+    assert rep.aggregates["no_zero_probability_log2_lower_bound"] == math.log2(
+        certified["wilson_lo"])
 
 
 def test_no_zero_finite_sequence_certifies_every_assignment():
@@ -404,6 +440,47 @@ def test_setup_is_dropped_before_the_next_is_built(monkeypatch):
     run_experiment(replace(first, ladder=(0.85, 0.75)))
     _setup.cache_clear()
     assert alive == [0, 0]
+
+
+def test_sign_change_setup_forms_each_exponents_weights_once():
+    # each grid exponent has one array: the heuristic entry and the
+    # certificate's memo row are both its first terms, and each equals,
+    # bit for bit, a fresh array of its own length
+    _setup.cache_clear()
+    seq, st, _ = _setup(SignChangeConfig())
+    cert = st["cert"]
+    assert list(cert.scan_weights) == st["grid"]
+    for s, (w, band) in zip(st["grid"], st["entries"]):
+        row, rho = cert.scan_weights[s]
+        assert np.shares_memory(w, row)
+        fresh = {m: seq._powers(seq.start_index, m, -s) for m in (w.size, row.size)}
+        for array in (w, row):
+            assert np.array_equal(array.view(np.uint64), fresh[array.size].view(np.uint64))
+        assert band == evaluation._band_slack(fresh[w.size])
+        assert rho == evaluation._decision_radius(
+            cert, s, evaluation._band_slack(fresh[row.size]))
+    _setup.cache_clear()
+
+
+def test_sign_change_setup_holds_one_array_per_exponent():
+    # the default setup and one trial hold each grid exponent's weights
+    # once, max(heuristic count, certificate count) terms: about 169.4 MiB,
+    # where a heuristic array and a certified one each would be 174.1 MiB
+    cfg = SignChangeConfig(trials=1)
+    _setup.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run_experiment(cfg)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    st = _setup(replace(cfg, master_seed=0))[1]
+    n = st["cert"].count
+    terms = sum(max(w.size, n) for w, _ in st["entries"])
+    _setup.cache_clear()
+    assert terms == 22_196_986
+    assert held <= 8 * terms + 2**20
 
 
 def test_sign_change_trial_streams_its_signs():

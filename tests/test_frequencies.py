@@ -22,6 +22,7 @@ from dirichletlab import (
 from dirichletlab import frequencies, sieve
 from dirichletlab.evaluation import decide
 from dirichletlab.limits import char_function, clt_sample
+from dirichletlab.summation import _CHUNK, _ROW
 from dirichletlab.zeros import scan, scan_certificate
 
 from conftest import explicit, partial_sum_table, zeta_em
@@ -132,6 +133,21 @@ def test_every_operation_counts_through_the_budget(monkeypatch, name):
     monkeypatch.setattr(frequencies, "DEFAULT_TERM_BUDGET", 1000)
     with pytest.raises(ResourceBudgetError):
         call()
+
+
+@pytest.mark.parametrize("seq", [Naturals(), Primes(), WeightedNaturals(2.0)],
+                         ids=["naturals", "primes", "weighted"])
+def test_powers_prefix_is_the_shorter_array_bit_for_bit(seq):
+    # _powers fills in _CHUNK steps from its first index, so the first m
+    # powers of a longer call are the m powers of a shorter one: a
+    # sign-change setup's heuristic and certified weights share one array
+    counts = [1, 2, _ROW - 1, _ROW, _ROW + 1, _CHUNK - 1, _CHUNK, _CHUNK + 1,
+              2 * _CHUNK - 1, 2 * _CHUNK + _ROW + 1]
+    for sigma in (0.53, 0.75, 1.0, 2.0):
+        longest = seq._powers(seq.start_index, 2 * _CHUNK + 3 * _ROW, -sigma)
+        for m in counts:
+            alone = seq._powers(seq.start_index, m, -sigma)
+            assert np.array_equal(longest[:m].view(np.uint64), alone.view(np.uint64))
 
 
 def test_primes_refuse_before_sieving(monkeypatch):

@@ -15,7 +15,7 @@ from dirichletlab import (
     ks_statistic,
     variance_profile,
 )
-from dirichletlab import frequencies, limits
+from dirichletlab import frequencies, limits, sieve
 from dirichletlab.limits import char_function_gaussian_gap
 from dirichletlab.summation import _sum_of_squares
 
@@ -135,6 +135,22 @@ def test_variance_profile_names_the_patched_budgets_sigma(monkeypatch):
         variance_profile(Naturals(), 0.6)
     named = float(str(info.value).rsplit(" ", 1)[-1])
     assert named == pytest.approx(0.5 + 0.5 / math.log(100), abs=1e-6)
+
+
+def test_variance_profile_names_the_primes_own_feasible_sigma(monkeypatch):
+    # primes refuse a scale x before sieving once x/log x passes the
+    # budget, which at 6e7 is about sigma = 0.52386, not the naturals'
+    # 0.527918; the sigma named is found without sieving
+    def no_sieving(limit):
+        raise AssertionError(f"sieved to {limit}")
+
+    monkeypatch.setattr(sieve, "_extend", no_sieving)
+    with pytest.raises(ResourceBudgetError, match="minimal feasible sigma") as info:
+        variance_profile(Primes(), 0.523)
+    named = float(str(info.value).rsplit(" ", 1)[-1])
+    assert 0.523 < named <= 0.524
+    x = math.exp(1.0 / (2.0 * named - 1.0))
+    assert x / math.log(x) == pytest.approx(frequencies.DEFAULT_TERM_BUDGET, rel=1e-3)
 
 
 def test_variance_profile_dichotomy_direction():
