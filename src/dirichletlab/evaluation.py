@@ -28,15 +28,15 @@ error radius; ``decide`` and ``_filtered_signs`` take the sign beyond it.
 A sign-change trial filters its whole block in one stream: the certified
 grid at the certified radii and the heuristic sums at radius 0.
 
-Each shared weight array ``p**-sigma`` has one owner: a certificate's
-``scan_weights`` holds those of ``evaluate`` and ``decide``, each with its
-exponent's decision radius in one entry, a study's setup its others.  A
-sign-change setup forms one array per grid exponent, of the longer of its
-heuristic count and the certificate's ``count`` terms, and its heuristic
-sum and the certificate's ``scan_weights`` entry are views of its first
-terms, so each exponent's weights are formed once.  ``_weight_arrays``
-caches nothing, and no module-level container holds an array or a
-radius, so no sequence or certificate is handed another's.
+Every weight array ``p**-sigma`` outside ``frequencies`` is formed by
+``_weight_arrays``, after its one budget and exponent check, and has one
+owner: a certificate's ``scan_weights`` holds those of ``evaluate`` and
+``decide``, each with its exponent's decision radius in one entry, and
+``_certified_weights`` is its only writer; a study's setup holds the
+stacks its trials sum, with their radii.  The first m weights of an array
+are the array of m weights, so nested arrays are prefix views of one.
+``_weight_arrays`` caches nothing, and no module-level container holds an
+array or a radius, so no sequence or certificate is handed another's.
 
 Below the certifiable range the near-critical rule ``heuristic_cutoff``
 picks a truncation scale for partial sums that carry no error bound, and
@@ -75,11 +75,6 @@ def _weight_arrays(seq: FrequencySequence, requests) -> list[np.ndarray]:
     for s, _ in requests:
         _check_finite("sigma", s)
     return [seq._powers(seq.start_index, n, -float(s)) for s, n in requests]
-
-
-def _weight_pairs(seq: FrequencySequence, requests) -> list[tuple[np.ndarray, float]]:
-    """``(w, _band_slack(w))`` for each array ``w`` of ``_weight_arrays``."""
-    return [(w, _band_slack(w)) for w in _weight_arrays(seq, requests)]
 
 
 def _upper_sum(w: np.ndarray) -> float:
@@ -190,10 +185,8 @@ class TailCertificate:
         """sigma -> ``(w, rho)``: the ``count`` weights ``p**-sigma`` and
         their decision radius (``_decision_radius``), formed together and
         dropped together, at most the budget of weights in total, the least
-        recently used dropped first.  ``w`` may be the first ``count``
-        weights of a longer array that its owner holds, as a sign-change
-        setup enters them, so no weights are formed twice.  Not safe to
-        share across threads."""
+        recently used dropped first.  ``_certified_weights`` alone writes
+        it.  Not safe to share across threads."""
         return {}
 
 
@@ -286,14 +279,15 @@ def _certified_radius(cert: TailCertificate, sigma: float) -> float:
     return math.nextafter(max(r, tiny), math.inf)
 
 
-def _decision_radius(cert: TailCertificate, sigma: float, band: float) -> float:
-    """The decision radius rho at ``sigma`` of weights whose band is
-    ``band`` (``_band_slack``): the float above the ``_certified_radius``
-    plus the band, both the error radius of ``evaluate`` and the radius a
-    kept sign must clear (see ``decide``).  It depends on the certificate
-    and sigma alone, so a ``scan_weights`` entry forms it once, with the
-    weights, and drops it with them."""
-    return math.nextafter(_certified_radius(cert, sigma) + band, math.inf)
+def _decision_radius(radius: float, band: float) -> float:
+    """The decision radius rho of a sum with truncation radius ``radius``
+    over weights whose band is ``band`` (``_band_slack``): the float above
+    their sum, both the error radius of ``evaluate`` and the radius a kept
+    sign must clear (see ``decide``).  A certified sum's radius is the
+    ``_certified_radius``, which depends on the certificate and sigma
+    alone, so a ``scan_weights`` entry forms rho once, with the weights,
+    and drops it with them; a heuristic sum's is 0.0."""
+    return math.nextafter(radius + band, math.inf)
 
 
 def _certified_weights(
@@ -321,8 +315,8 @@ def _certified_weights(
         # a hit moves to the newest place, so the least recently used goes first
         entry = memo.pop(s, None)
         if entry is None:
-            (w, band), = _weight_pairs(path.seq, [(s, n)])
-            entry = w, _decision_radius(cert, s, band)
+            w, = _weight_arrays(path.seq, [(s, n)])
+            entry = w, _decision_radius(_certified_radius(cert, s), _band_slack(w))
             while (len(memo) + 1) * n > frequencies.DEFAULT_TERM_BUDGET:
                 del memo[next(iter(memo))]
         memo[s] = entry
@@ -473,7 +467,7 @@ def mellin_discrepancy(path: SamplePath, sigma: float, upper_limit: float) -> fl
         return 0.0
     signs = path.signs_up_to(upper_limit)
     prefix = np.cumsum(signs)
-    pows = path.seq._powers(path.seq.start_index, n, -s)
+    pows, = _weight_arrays(path.seq, [(s, n)])
     nxt = np.empty_like(pows)
     nxt[:-1] = pows[1:]
     nxt[-1] = upper_limit ** (-s)

@@ -39,15 +39,14 @@ from .bounds import excursion_probability_bound, wilson_interval
 from .errors import ValidationError
 from .evaluation import (
     _band_slack,
-    _certified_weights,
+    _certified_radius,
     _decision_radius,
     _filtered_signs,
     _heuristic_count,
     _signed_sums,
     _weight_arrays,
-    _weight_pairs,
 )
-from .frequencies import WeightedNaturals, _check_finite, make_sequence
+from .frequencies import WeightedNaturals, _check_budget, _check_finite, make_sequence
 from .paths import _BLOCK, SamplePath, _sign_stream
 from .zeros import _certified_changes, _initial_grid, certify_no_zeros, scan_certificate
 
@@ -252,14 +251,13 @@ def _aggregate_no_zero(cfg: NoZeroConfig, certify, rows: list[dict]) -> dict:
 
 def _sign_change_setup(cfg: SignChangeConfig, seq) -> dict:
     """The grid (the initial grid of [bottom rung, sigma_hi] and every
-    rung), the certificate and each grid exponent's weights, formed once.
+    rung), the certificate, and the stacks the trials' filter sums.
 
     Each exponent has one array ``p**-sigma`` of max(h, n) terms, h its
     heuristic count and n the certificate's ``count``, checked in total
-    against the term budget.  Its first h terms are the heuristic entry,
-    with their band, and its first n the certificate's ``scan_weights``
-    entry, with the decision radius ``_certified_weights`` would form: the
-    trials read both and form no weights."""
+    against the term budget, after the grid's n terms a point.  ``weights``
+    is one stack of the arrays' first n terms, then each one's first h;
+    ``rhos`` their decision radii, at the certified radius and at 0.0."""
     if not cfg.ladder:
         raise ValidationError("ladder must not be empty")
     _check_finite("sigma_hi", cfg.sigma_hi)
@@ -269,28 +267,29 @@ def _sign_change_setup(cfg: SignChangeConfig, seq) -> dict:
         )
     if cfg.grid_points < 2:
         raise ValidationError("grid_points must be >= 2")
+    if cfg.cert_cutoff < 1:
+        raise ValidationError("cutoff must be >= 1")
     ladder = sorted(cfg.ladder, reverse=True)
+    cert = scan_certificate(seq, ladder[-1], cfg.cert_cutoff, cfg.eta)
+    n = cert.count
+    _check_budget(cfg.grid_points * n)
     grid = sorted(set(_initial_grid(ladder[-1], cfg.sigma_hi, cfg.grid_points))
                   | set(float(s) for s in ladder))
     # the bottom rung, grid[0], has the largest scale, so it is refused first
     floor = seq._count_up_to(HEURISTIC_MIN_CUTOFF)
     counts = [max(_heuristic_count(seq, s), floor) for s in grid]
-    cert = scan_certificate(seq, ladder[-1], cfg.cert_cutoff, cfg.eta)
     # a prefix of an array is, bit for bit, the shorter array (_weight_arrays)
-    n = cert.count
     arrays = _weight_arrays(seq, [(s, max(h, n)) for s, h in zip(grid, counts)])
-    for s, w in zip(grid, arrays):
-        cert.scan_weights[s] = w[:n], _decision_radius(cert, s, _band_slack(w[:n]))
-    entries = [(w[:h], _band_slack(w[:h])) for w, h in zip(arrays, counts)]
-    rung_start = [grid.index(float(rv)) for rv in ladder]  # every rung is in grid
+    heuristic = [w[:h] for w, h in zip(arrays, counts)]
     return {
         "grid": grid,
-        "entries": entries,
-        # a heuristic sum's decision radius: radius 0 plus its band, rounded up
-        "rhos": [math.nextafter(band, math.inf) for _, band in entries],
+        "weights": [[w[:n] for w in arrays], *heuristic],
+        "rhos": [*(_decision_radius(_certified_radius(cert, s), _band_slack(w[:n]))
+                   for s, w in zip(grid, arrays)),
+                 *(_decision_radius(0.0, _band_slack(w)) for w in heuristic)],
         "cert": cert,
         "ladder": ladder,
-        "rung_start": rung_start,
+        "rung_start": [grid.index(float(rv)) for rv in ladder],  # every rung is in grid
     }
 
 
@@ -300,11 +299,9 @@ def _sign_change_trial(cfg: SignChangeConfig, st: dict,
     # so each weight chunk is read once per block: the certified grid, one
     # stack of rows read in place, at the certified radii, then each
     # heuristic sum at radius 0, where a bracket holding 0 counts +1
-    ws, rhos = _certified_weights(paths[0], st["grid"], st["cert"])
-    m = len(ws)
+    m = len(st["grid"])
     rows = []
-    weights = [ws, *(w for w, _ in st["entries"])]
-    for signs in _filtered_signs(paths, weights, rhos + st["rhos"]):
+    for signs in _filtered_signs(paths, st["weights"], st["rhos"]):
         certified = signs[:m]
         # each sign is +-1 or None: the certified one, else the heuristic
         # one, else +1
@@ -374,12 +371,16 @@ def _bu_setup(cfg: BuEventConfig, seq) -> dict:
                            "tail_reciprocal_upper": t_upper,
                            "bound": excursion_probability_bound(t_upper, cfg.threshold)})
     ladder = []
-    for c in cfg.bound_count_ladder:
-        t_upper = seq.tail_reciprocal_upper_for_count(int(c))
-        ladder.append({"leading_count": int(c), "tail_reciprocal_upper": t_upper,
+    for c in map(int, cfg.bound_count_ladder):
+        # the index of the last of the leading c elements
+        m = seq.start_index + c - 1
+        if m < 3:
+            raise ValidationError("count too small for the analytic bound")
+        t_upper = seq._remainder_enclosure(1.0, m)[1]
+        ladder.append({"leading_count": c, "tail_reciprocal_upper": t_upper,
                        "bound": excursion_probability_bound(t_upper, cfg.threshold)})
     count = seq._count_up_to(max(cfg.cutoff_ladder) * cfg.horizon_factor)
-    return {"weights": seq._powers(seq.start_index, count, -0.5),
+    return {"weights": _weight_arrays(seq, [(0.5, count)])[0],
             "windows": windows, "per_cutoff": per_cutoff, "bound_count_ladder": ladder}
 
 
@@ -436,8 +437,10 @@ def _exceedance_setup(cfg: ExceedanceConfig, seq) -> dict:
             f"{seq.element(seq.start_index):g}"
         )
     norms = [math.sqrt(seq.power_sum(1.0, y)) for y in cfg.scales]
-    pairs = _weight_pairs(seq, [(0.5, seq._count_up_to(y)) for y in cfg.scales])
-    return {"weights": [w for w, _ in pairs], "norms": norms}
+    counts = [seq._count_up_to(y) for y in cfg.scales]
+    # the scales increase, so each scale's weights are a prefix of the last's
+    w, = _weight_arrays(seq, [(0.5, counts[-1])])
+    return {"weights": [w[:n] for n in counts], "norms": norms}
 
 
 def _exceedance_trial(cfg: ExceedanceConfig, st: dict,

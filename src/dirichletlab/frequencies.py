@@ -238,6 +238,16 @@ class Naturals(_SequenceOps):
         return lo, hi
 
 
+def _prime_count_lower(x: float) -> float:
+    """A lower bound on pi(x): x/log x * (1 + 1/log x) for x >= 599
+    (Dusart, "Estimates of some functions over primes without R.H.",
+    2010), x/log x for x >= 17 (Rosser-Schoenfeld 1962), 0 below 17."""
+    if x < 17:
+        return 0.0
+    log_x = math.log(x)
+    return x / log_x * (1.0 + 1.0 / log_x if x >= 599 else 1.0)
+
+
 @dataclass(frozen=True)
 class Primes(_SequenceOps):
     """The rational primes 2, 3, 5, ... served by a cached segmented sieve."""
@@ -248,22 +258,21 @@ class Primes(_SequenceOps):
         return sieve.primes_slice(first, count).astype(np.float64)
 
     def _count_leq(self, x):
-        # pi(x) > x/log x for x >= 17 (Rosser-Schoenfeld 1962): refuse a
-        # cutoff past the budget before sieving to it
-        if x >= 17 and x / math.log(x) > DEFAULT_TERM_BUDGET:
+        # refuse a cutoff past the budget before sieving to it
+        if (bound := _prime_count_lower(x)) > DEFAULT_TERM_BUDGET:
             raise ResourceBudgetError(
-                f"more than {x / math.log(x):.3g} primes up to {x:g}, exceeding "
+                f"more than {bound:.3g} primes up to {x:g}, exceeding "
                 f"the budget of {DEFAULT_TERM_BUDGET}")
         return sieve.prime_count(x)
 
     def _budget_cutoff(self) -> float:
-        """Where x/log x reaches the budget, past which ``_count_leq``
-        refuses before sieving: the fixed point of x -> budget * log x from
-        17 on, a contraction there (its slope 1/log x is below 0.36)."""
-        x = 17.0
-        for _ in range(64):
-            x = max(17.0, DEFAULT_TERM_BUDGET * math.log(x))
-        return x
+        """Where ``_prime_count_lower``, which does not decrease, passes the
+        budget, past which ``_count_leq`` refuses before sieving: bisected
+        in log x between 17 and the largest float, to a float's resolution."""
+        lo, hi = 17.0, sys.float_info.max
+        while lo < (mid := math.sqrt(lo) * math.sqrt(hi)) < hi:
+            lo, hi = (lo, mid) if _prime_count_lower(mid) > DEFAULT_TERM_BUDGET else (mid, hi)
+        return hi
 
     def tail_converges(self, sigma: float) -> bool:
         return sigma > 1.0
@@ -364,30 +373,17 @@ class WeightedNaturals(_SequenceOps):
             alt = math.log(m + 1) ** (-asig) * m ** (1.0 - sigma) / (sigma - 1.0)
             hi = min(hi, alt)
         # Lower: truncate the comparison integral at (m+2)**2 where the
-        # log factor is controlled.
-        u = m + 2.0
-        log_u2 = 2.0 * math.log(u)
+        # log factor is controlled; the int's log is finite for any index.
+        log_u = math.log(m + 2)
+        log_u2 = 2.0 * log_u
         if sigma > 1.0:
+            u = m + 2.0
             lo = log_u2 ** (-asig) * (
                 u ** (1.0 - sigma) - u ** (2.0 * (1.0 - sigma))
             ) / (sigma - 1.0)
         else:
-            lo = log_u2 ** (-asig) * math.log(u)
+            lo = log_u2 ** (-asig) * log_u
         return max(lo, 0.0), hi
-
-    def tail_reciprocal_upper_for_count(self, served_count: int) -> float:
-        """Upper bound on sum(1/p) past the first ``served_count`` elements.
-
-        Accepts arbitrarily large integer counts (the bound is analytic),
-        which lets failure-probability ladders be evaluated far beyond any
-        enumerable cutoff.
-        """
-        if served_count < 1:
-            raise ValidationError("served_count must be >= 1")
-        m = self.start_index + served_count - 1
-        if m < 3:
-            raise ValidationError("count too small for the analytic bound")
-        return math.log(m) ** (1.0 - self.exponent) / (self.exponent - 1.0)
 
 
 @dataclass(frozen=True)

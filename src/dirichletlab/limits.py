@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, ValidationError
-from .evaluation import _heuristic_count, _signed_sums, heuristic_cutoff
+from .evaluation import _heuristic_count, _signed_sums, _weight_arrays, heuristic_cutoff
 from .frequencies import FrequencySequence, _check_budget, _check_finite
 from .paths import _BLOCK, SamplePath
 from .summation import _CHUNK, _BlockSum, _sum_of_squares
@@ -52,11 +52,10 @@ def _weights_and_variance(seq: FrequencySequence, sigma: float,
     sum of squares, the truncated variance, checked finite and positive.
     The variance is ``summation._sum_of_squares``, the ``fsum`` of
     BLAS-safe row dots, so it reads the same at every thread count."""
-    _check_finite("sigma", sigma)
     n = seq._count_up_to(cutoff)
     if n == 0:
         raise ValidationError("no elements at or below cutoff")
-    w = seq._powers(seq.start_index, n, -float(sigma))
+    w, = _weight_arrays(seq, [(sigma, n)])
     var = _sum_of_squares(w)
     if not 0.0 < var < math.inf:
         raise ValidationError(
@@ -314,24 +313,25 @@ def variance_profile(seq: FrequencySequence, sigma: float) -> VarianceProfile:
         raise ValidationError("variance profile needs 1/2 < sigma <= 1")
     scale = heuristic_cutoff(sigma)
     count = _heuristic_count(seq, sigma)
-    # the critical powers are subtracted one chunk at a time, so only the
-    # gaps are held in full, and they are freed before the second moment
-    gaps = seq._powers(seq.start_index, count, -float(sigma))
-    for lo in range(0, gaps.size, _CHUNK):
+    m = seq._count_up_to(SECOND_MOMENT_CUTOFF)
+    # one array serves both sums: the second moment reads its first m
+    # weights, then the critical powers are subtracted from its first
+    # count weights in place, one chunk at a time, so only one array of
+    # max(count, m) terms is held in full
+    w, = _weight_arrays(seq, [(sigma, max(count, m))])
+    second = _sum_of_squares(w[:m])
+    gaps = w[:count]
+    for lo in range(0, count, _CHUNK):
         gaps[lo:lo + _CHUNK] -= seq._powers(seq.start_index + lo,
-                                            min(gaps.size - lo, _CHUNK), -0.5)
-    head_count, head = gaps.size, _sum_of_squares(gaps)
-    del gaps
+                                            min(count - lo, _CHUNK), -0.5)
+    head = _sum_of_squares(gaps)
     if not seq.tail_converges(2.0 * sigma):
         raise DivergenceError("tail variance diverges at the doubled exponent")
     t_lo, t_hi = seq.tail_power_sum(2.0 * sigma, scale)
-    w = seq._powers(seq.start_index, seq._count_up_to(SECOND_MOMENT_CUTOFF),
-                    -float(sigma))
-    second = _sum_of_squares(w)
     return VarianceProfile(
         sigma=float(sigma),
         scale=scale,
-        head_count=head_count,
+        head_count=count,
         head_variance=head,
         tail_variance_lo=t_lo,
         tail_variance_hi=t_hi,

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from dirichletlab import Explicit, SamplePath, ValidationError
-from dirichletlab.evaluation import _signed_sums, _weight_pairs
+from dirichletlab.evaluation import _signed_sums, _weight_arrays
 
 
 def trial_division_primes(limit: int) -> list[int]:
@@ -43,13 +43,13 @@ def zeta_em(s: float, n_terms: int = 64) -> float:
 
 def partial_sum_table(path: SamplePath, points) -> list[float]:
     """sum(X_p * p**-sigma for served p <= cutoff) for each (sigma, cutoff)
-    pair: ``_signed_sums``' values over ``_weight_pairs``' weights, from
+    pair: ``_signed_sums``' values over ``_weight_arrays``' weights, from
     one sign pass."""
     if any(c < 1 for _, c in points):
         raise ValidationError("cutoff must be >= 1")
     seq = path.seq
-    pairs = _weight_pairs(seq, [(s, seq._count_up_to(c)) for s, c in points])
-    return _signed_sums([path], [w for w, _ in pairs])[0]
+    weights = _weight_arrays(seq, [(s, seq._count_up_to(c)) for s, c in points])
+    return _signed_sums([path], weights)[0]
 
 
 def path_with_signs(seq, signs, master_seed: int = 0) -> SamplePath:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from dirichletlab import cli, experiments, frequencies
+from dirichletlab import cli, experiments, frequencies, sieve
 from dirichletlab.cli import main, read_config_file
 from dirichletlab.errors import ValidationError
 from dirichletlab.experiments import (
@@ -225,8 +225,8 @@ def test_near_critical_scale_has_one_gate(tmp_path, capsys, sigma, scale):
     # one budget refuses the scale exp(1/(2 sigma - 1)) of a variance profile
     # and of a sign-change ladder's bottom rung, with one message, which
     # names the sequence's own smallest workable sigma: primes (the
-    # profile's default) are refused once x/log x passes the budget,
-    # naturals (the ladder's) once x does
+    # profile's default) are refused once x/log x * (1 + 1/log x) passes
+    # the budget, naturals (the ladder's) once x does
     tails = []
     for args in (["variance-profile", "--sigmas", sigma],
                  ["sign-changes", "--ladder", f"0.7,{sigma}"]):
@@ -235,7 +235,7 @@ def test_near_critical_scale_has_one_gate(tmp_path, capsys, sigma, scale):
         assert err.startswith(f"resource budget error: scale {scale}: ")
         tails.append(err.rsplit(";", 1)[-1])
     assert tails == [f" minimal feasible sigma is about {s}\n"
-                     for s in ("0.523864", "0.527918")]
+                     for s in ("0.523920", "0.527918")]
     # on one sequence the two messages are equal
     errors = []
     for args in (["variance-profile", "--seq", "naturals", "--sigmas", sigma],
@@ -244,6 +244,30 @@ def test_near_critical_scale_has_one_gate(tmp_path, capsys, sigma, scale):
         errors.append(capsys.readouterr().err)
     assert errors[0] == errors[1]
     assert not list(tmp_path.glob("*.json"))
+
+
+def test_primes_scale_past_the_budget_is_refused_before_sieving(tmp_path, capsys):
+    # pi(x) passes the budget before x/log x does: a scale between the two
+    # is refused by the sharper bound before the sieve runs, and the sigma
+    # the message names lies above the one refused
+    before = sieve._sieved_to
+    assert run_cli(tmp_path, "variance-profile", "--seq", "primes",
+                   "--sigmas", "0.5239") == 2
+    assert sieve._sieved_to == before
+    assert float(capsys.readouterr().err.rsplit(" ", 1)[-1]) > 0.5239
+
+
+def test_sign_change_grid_is_refused_before_it_is_built(tmp_path, capsys,
+                                                        monkeypatch):
+    # every grid point holds at least the certificate's 1e5 weights, so a
+    # grid of 3e5 points is refused before its heuristic counts are taken
+    counted = []
+    heuristic_count = experiments._heuristic_count
+    monkeypatch.setattr(experiments, "_heuristic_count", lambda seq, sigma: (
+        counted.append(sigma) or heuristic_count(seq, sigma)))
+    assert run_cli(tmp_path, "sign-changes", "--grid-points", "300000") == 2
+    assert "operation needs 30000000000 terms" in capsys.readouterr().err
+    assert counted == []
 
 
 def test_every_tail_enclosure_takes_the_one_head(tmp_path, monkeypatch):

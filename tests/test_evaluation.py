@@ -260,9 +260,10 @@ def test_property_stacked_rounds_equal_each_exponent_alone(case, calls, seed, ev
             signs = decide(path, sigmas, cert)
             assert len(values) == len(signs) == len(sigmas)
             for s, cv, sign in zip(sigmas, values, signs):
-                (w, band), = evaluation._weight_pairs(seq, [(s, cert.count)])
+                w, = evaluation._weight_arrays(seq, [(s, cert.count)])
                 v = evaluation._signed_sums([path], [w])[0][0]
-                rho = math.nextafter(evaluation._certified_radius(cert, s) + band, math.inf)
+                rho = math.nextafter(evaluation._certified_radius(cert, s)
+                                     + evaluation._band_slack(w), math.inf)
                 assert (cv.partial_sum.hex(), cv.error_radius.hex()) == (v.hex(), rho.hex())
                 # the memo keeps the radius in the weights' own entry
                 assert cert.scan_weights[s][1].hex() == rho.hex()
@@ -281,7 +282,7 @@ def test_decision_radii_are_each_certificates_own():
     path = SamplePath(seq, 3, 0)
     low = tail_certificate(seq, 0.6, 1e4, 0.05)
     high = dataclasses.replace(low, threshold=4.0 * low.threshold)
-    (_, band), = evaluation._weight_pairs(seq, [(0.8, low.count)])
+    band = evaluation._band_slack(*evaluation._weight_arrays(seq, [(0.8, low.count)]))
     want = {id(c): math.nextafter(evaluation._certified_radius(c, 0.8) + band, math.inf)
             for c in (low, high)}
     assert want[id(low)] < want[id(high)]
@@ -348,9 +349,9 @@ def test_weight_cache_hit_becomes_the_newest(monkeypatch):
     assert cert.count == 1035
     monkeypatch.setattr(frequencies, "DEFAULT_TERM_BUDGET", 3 * 1035)
     formed = []
-    weight_pairs = evaluation._weight_pairs
-    monkeypatch.setattr(evaluation, "_weight_pairs", lambda seq, points: (
-        formed.extend(s for s, _ in points) or weight_pairs(seq, points)))
+    weight_arrays = evaluation._weight_arrays
+    monkeypatch.setattr(evaluation, "_weight_arrays", lambda seq, points: (
+        formed.extend(s for s, _ in points) or weight_arrays(seq, points)))
     decide(path, [0.7, 2.0, 0.55], cert)
     decide(path, [0.7, 1.3, 0.7], cert)
     assert formed == [0.7, 2.0, 0.55, 1.3]
@@ -648,8 +649,8 @@ def test_heuristic_signs_equal_compensated_sum_signs(n):
     seq = Naturals()
     path = SamplePath(seq, 11, 2)
     weights = [_cancelling_ones(path, n, e) for e in (0.0, 2.0**-40, -(2.0**-40))]
-    weights += [w for w, _ in evaluation._weight_pairs(
-        seq, [(0.53, 3 * _LONG), (0.75, _LONG + 7), (1.2, 900)])]
+    weights += evaluation._weight_arrays(
+        seq, [(0.53, 3 * _LONG), (0.75, _LONG + 7), (1.2, 900)])
     entries = [(w, evaluation._band_slack(w)) for w in weights]
     rhos = [math.nextafter(band, math.inf) for _, band in entries]  # radius 0
     got = evaluation._filtered_signs([path], weights, rhos)[0]
@@ -900,11 +901,11 @@ def test_partial_sum_golden():
 
 _THREAD_PROBE = """
 from dirichletlab import Naturals, SamplePath
-from dirichletlab.evaluation import (_signed_sums, _weight_pairs, evaluate,
+from dirichletlab.evaluation import (_signed_sums, _weight_arrays, evaluate,
                                     tail_certificate)
 from dirichletlab.limits import _weights_and_variance, clt_sample
 path = SamplePath(Naturals(), 7, 0)
-[(w, _)] = _weight_pairs(path.seq, [(0.75, path.seq._count_up_to(1e5))])
+[w] = _weight_arrays(path.seq, [(0.75, path.seq._count_up_to(1e5))])
 print(_signed_sums([path], [w])[0][0].hex())
 print(*(x.hex() for x in clt_sample(Naturals(), 0.6, 1e6, 1, 64).tolist()))
 print(_weights_and_variance(Naturals(), 0.6, 1e6)[1].hex())
@@ -1012,10 +1013,10 @@ def test_held_weights_count_against_the_budget(monkeypatch):
     path = SamplePath(seq, 1, 0)
     cert = tail_certificate(seq, 0.6, 1000.0, 0.05)
     monkeypatch.setattr(frequencies, "DEFAULT_TERM_BUDGET", 2500)
-    formed = []  # every weight array is passed to _upper_sum once formed
-    upper_sum = evaluation._upper_sum
-    monkeypatch.setattr(evaluation, "_upper_sum",
-                        lambda w: formed.append(w.size) or upper_sum(w))
+    formed = []  # every weight array is formed by _powers
+    powers = FrequencySequence._powers
+    monkeypatch.setattr(FrequencySequence, "_powers",
+                        lambda self, *args: formed.append(args) or powers(self, *args))
     for call in (lambda: partial_sum_table(path, [(s, 1000.0) for s in (0.7, 0.8, 0.9)]),
                  lambda: decide(path, [0.7, 0.8, 0.9], cert),
                  lambda: evaluate(path, [0.7, 0.8, 0.9], cert)):
@@ -1031,7 +1032,7 @@ def test_weight_cache_miss_holds_no_element_array():
     count = 2_000_000
     tracemalloc.start()
     try:
-        [(w, _)] = evaluation._weight_pairs(Naturals(), [(0.53, count)])
+        [w] = evaluation._weight_arrays(Naturals(), [(0.53, count)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

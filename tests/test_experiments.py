@@ -362,7 +362,7 @@ def test_sign_change_rows_match_the_exact_sums(min_cutoff):
     min_cutoff(2e5)
     cfg = SignChangeConfig(ladder=(0.7, 0.56), trials=3, grid_points=10)
     seq, st, _ = _setup(cfg)
-    weights = [w for w, _ in st["entries"]]
+    weights = st["weights"][1:]  # the heuristic sums', after the certified grid
     assert max(w.size for w in weights) == 200_000
     for i in range(cfg.trials):
         path = SamplePath(seq, cfg.master_seed, i)
@@ -399,17 +399,18 @@ def test_sign_change_grid_is_the_scan_grid_plus_the_ladder():
 
 
 def test_sign_change_weights_are_freed_with_their_setup(monkeypatch):
-    # a run's weight arrays are held by its setup alone: the heuristic ones
-    # by the setup, the certified ones by its certificate's memo, so no
-    # array outlives the setup
+    # a run's weight arrays are held by its setup alone, in the stacks its
+    # trials sum: the certificate's memo is never written, so no array
+    # outlives the setup
     built = _recording_setup(monkeypatch, "sign_change")
     run_experiment(SignChangeConfig(ladder=(0.9, 0.8), trials=2, grid_points=8,
                                     cert_cutoff=1e4))
     st = built.pop()
-    pairs = [*st["entries"], *st["cert"].scan_weights.values()]
-    assert len(pairs) == 2 * len(st["grid"])
-    refs = [weakref.ref(w) for w, _ in pairs]
-    del st, pairs
+    assert st["cert"].scan_weights == {}
+    views = [*st["weights"][0], *st["weights"][1:]]
+    assert len(views) == 2 * len(st["grid"])
+    refs = [weakref.ref(a) for w in views for a in (w, w.base)]
+    del st, views
     _setup.cache_clear()
     gc.collect()
     assert [r for r in refs if r() is not None] == []
@@ -433,32 +434,37 @@ def test_setup_is_dropped_before_the_next_is_built(monkeypatch):
                              cert_cutoff=1e4)
     run_experiment(first)
     st = _setup(replace(first, master_seed=0))[1]
-    pairs = [*st["entries"], *st["cert"].scan_weights.values()]
-    assert len(pairs) == 2 * len(st["grid"])
-    refs += [weakref.ref(w) for w, _ in pairs]
-    del st, pairs
+    views = [*st["weights"][0], *st["weights"][1:]]
+    assert len(views) == 2 * len(st["grid"])
+    refs += [weakref.ref(a) for w in views for a in (w, w.base)]
+    del st, views
     run_experiment(replace(first, ladder=(0.85, 0.75)))
     _setup.cache_clear()
     assert alive == [0, 0]
 
 
 def test_sign_change_setup_forms_each_exponents_weights_once():
-    # each grid exponent has one array: the heuristic entry and the
-    # certificate's memo row are both its first terms, and each equals,
-    # bit for bit, a fresh array of its own length
+    # each grid exponent has one array: its certified row and its
+    # heuristic weights are both its first terms, and each equals, bit for
+    # bit, a fresh array of its own length, with the decision radius of
+    # that fresh array
     _setup.cache_clear()
     seq, st, _ = _setup(SignChangeConfig())
     cert = st["cert"]
-    assert list(cert.scan_weights) == st["grid"]
-    for s, (w, band) in zip(st["grid"], st["entries"]):
-        row, rho = cert.scan_weights[s]
+    rows, *heuristic = st["weights"]
+    m = len(st["grid"])
+    assert len(rows) == len(heuristic) == m and len(st["rhos"]) == 2 * m
+    for s, row, w, rho, h_rho in zip(st["grid"], rows, heuristic, st["rhos"],
+                                     st["rhos"][m:]):
         assert np.shares_memory(w, row)
-        fresh = {m: seq._powers(seq.start_index, m, -s) for m in (w.size, row.size)}
+        fresh = {k: seq._powers(seq.start_index, k, -s) for k in (w.size, row.size)}
         for array in (w, row):
             assert np.array_equal(array.view(np.uint64), fresh[array.size].view(np.uint64))
-        assert band == evaluation._band_slack(fresh[w.size])
+        assert h_rho == evaluation._decision_radius(
+            0.0, evaluation._band_slack(fresh[w.size]))
         assert rho == evaluation._decision_radius(
-            cert, s, evaluation._band_slack(fresh[row.size]))
+            evaluation._certified_radius(cert, s), evaluation._band_slack(fresh[row.size]))
+    assert cert.scan_weights == {}
     _setup.cache_clear()
 
 
@@ -477,7 +483,7 @@ def test_sign_change_setup_holds_one_array_per_exponent():
         tracemalloc.stop()
     st = _setup(replace(cfg, master_seed=0))[1]
     n = st["cert"].count
-    terms = sum(max(w.size, n) for w, _ in st["entries"])
+    terms = sum(max(w.size, n) for w in st["weights"][1:])
     _setup.cache_clear()
     assert terms == 22_196_986
     assert held <= 8 * terms + 2**20
@@ -490,7 +496,7 @@ def test_sign_change_trial_streams_its_signs():
     # block of one path and of two
     cfg = SignChangeConfig(ladder=(0.70, 0.62, 0.535), trials=2,
                            grid_points=8)
-    max_count = max(w.size for w, _ in _setup(cfg)[1]["entries"])
+    max_count = max(w.size for w in _setup(cfg)[1]["weights"][1:])
     assert max_count > 1_000_000
     _trials(cfg, range(1))
     for block in (range(1, 2), range(2)):
@@ -519,7 +525,7 @@ def test_sign_change_streams_a_block_of_two_paths(monkeypatch):
 
     monkeypatch.setattr(evaluation, "_sign_stream", recording)
     run_experiment(cfg)
-    assert calls == [(2, max(st["cert"].count, max(w.size for w, _ in st["entries"])))]
+    assert calls == [(2, max(st["cert"].count, max(w.size for w in st["weights"][1:])))]
 
 
 def test_block_of_differing_undecided_sets_gives_each_paths_rows():
@@ -533,7 +539,11 @@ def test_block_of_differing_undecided_sets_gives_each_paths_rows():
     seq, st, _ = _setup(cfg)
     lengths = [2 * _CH + 1, 3, _CH - 1, 3 * _CH + 7, 1, _CH, 10]
     assert len(lengths) == len(st["grid"])
-    st = {**st, "entries": evaluation._weight_pairs(seq, list(zip(st["grid"], lengths)))}
+    heuristic = evaluation._weight_arrays(seq, list(zip(st["grid"], lengths)))
+    st = {**st, "weights": [st["weights"][0], *heuristic],
+          "rhos": [*st["rhos"][:len(lengths)],
+                   *(evaluation._decision_radius(0.0, evaluation._band_slack(w))
+                     for w in heuristic)]}
     block = [SamplePath(seq, cfg.master_seed, i) for i in (1, 0, 5, 3, 29)]
     undecided = [tuple(j for j, s in enumerate(evaluation.decide(p, st["grid"], st["cert"]))
                        if s is None) for p in block]
@@ -588,12 +598,17 @@ def test_sign_change_validation():
         run_experiment(SignChangeConfig(ladder=(), trials=1))
     with pytest.raises(ValidationError, match="sigma_hi must be finite"):
         run_experiment(SignChangeConfig(sigma_hi=math.nan, trials=1))
+    # the setup, not the certified filter, refuses a cutoff below the first
+    # element
+    with pytest.raises(ValidationError, match="cutoff must be >= 1"):
+        run_experiment(SignChangeConfig(cert_cutoff=0.5, trials=1))
 
 
 def test_sign_change_setup_checks_its_weights_against_the_budget(
         monkeypatch, min_cutoff):
     # the heuristic arrays are checked in total before any is formed: each
-    # of the 5 holds 1000 terms and fits a budget of 3000, all 5 do not
+    # of the 5 holds 1000 terms, and the 4 grid points fit a budget of
+    # 4500, all 5 arrays do not
     min_cutoff(1e3)
     cfg = SignChangeConfig(ladder=(0.8, 0.7), grid_points=4, trials=1,
                            cert_cutoff=1e3)
@@ -601,7 +616,7 @@ def test_sign_change_setup_checks_its_weights_against_the_budget(
     upper_sum = evaluation._upper_sum
     monkeypatch.setattr(evaluation, "_upper_sum",
                         lambda w: formed.append(w.size) or upper_sum(w))
-    monkeypatch.setattr(frequencies, "DEFAULT_TERM_BUDGET", 3000)
+    monkeypatch.setattr(frequencies, "DEFAULT_TERM_BUDGET", 4500)
     with pytest.raises(ResourceBudgetError, match="needs 5000 terms"):
         run_experiment(cfg)
     assert formed == []
@@ -709,11 +724,11 @@ def test_exceedance_trials_neither_count_nor_look_up(monkeypatch):
     # the setup counts the scales and holds their weights, so a run's
     # counting and weight lookups do not grow with its trials
     calls = []
-    counting, pairs = FrequencySequence.counting_function, experiments._weight_pairs
+    counting, arrays = FrequencySequence.counting_function, experiments._weight_arrays
     monkeypatch.setattr(FrequencySequence, "counting_function",
                         lambda self, x: calls.append(x) or counting(self, x))
-    monkeypatch.setattr(experiments, "_weight_pairs",
-                        lambda *args: calls.append(args) or pairs(*args))
+    monkeypatch.setattr(experiments, "_weight_arrays",
+                        lambda *args: calls.append(args) or arrays(*args))
     per_run = []
     for trials in (1, 5):
         _setup.cache_clear()

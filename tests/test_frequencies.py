@@ -151,8 +151,8 @@ def test_powers_prefix_is_the_shorter_array_bit_for_bit(seq):
 
 
 def test_primes_refuse_before_sieving(monkeypatch):
-    # pi(x) > x/log x past 17, so a cutoff whose bound exceeds the budget is
-    # refused before the sieve is asked for a single prime
+    # a cutoff whose lower bound on pi(x) exceeds the budget is refused
+    # before the sieve is asked for a single prime
     def no_sieving(limit):
         raise AssertionError(f"sieved to {limit}")
 
@@ -313,15 +313,20 @@ def test_explicit_tail_enclosure_brackets_brute_force():
 
 def test_weighted_count_bound_dominates_brute_force():
     seq = WeightedNaturals(exponent=2.0)
+
+    def upper(count):
+        # the enclosure's upper end of sum(1/p) past the first count elements
+        return seq._remainder_enclosure(1.0, seq.start_index + count - 1)[1]
+
     count = 500
-    bound = seq.tail_reciprocal_upper_for_count(count)
+    bound = upper(count)
     # every element past the first count
     elems = seq.elements_up_to(10_000_000.0)[count:]
     brute = float(np.sum(1.0 / elems))
     assert brute < bound
     # the analytic bound accepts astronomically large counts and decays
-    b1 = seq.tail_reciprocal_upper_for_count(10 ** 9)
-    b2 = seq.tail_reciprocal_upper_for_count(10 ** 1950)
+    b1 = upper(10 ** 9)
+    b2 = upper(10 ** 1950)
     assert b2 < b1 < bound
 
 

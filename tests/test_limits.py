@@ -138,9 +138,10 @@ def test_variance_profile_names_the_patched_budgets_sigma(monkeypatch):
 
 
 def test_variance_profile_names_the_primes_own_feasible_sigma(monkeypatch):
-    # primes refuse a scale x before sieving once x/log x passes the
-    # budget, which at 6e7 is about sigma = 0.52386, not the naturals'
-    # 0.527918; the sigma named is found without sieving
+    # primes refuse a scale x before sieving once the lower bound
+    # x/log x * (1 + 1/log x) on pi(x) passes the budget, which at 6e7 is
+    # about sigma = 0.52392, not the naturals' 0.527918; the sigma named is
+    # found without sieving
     def no_sieving(limit):
         raise AssertionError(f"sieved to {limit}")
 
@@ -150,7 +151,8 @@ def test_variance_profile_names_the_primes_own_feasible_sigma(monkeypatch):
     named = float(str(info.value).rsplit(" ", 1)[-1])
     assert 0.523 < named <= 0.524
     x = math.exp(1.0 / (2.0 * named - 1.0))
-    assert x / math.log(x) == pytest.approx(frequencies.DEFAULT_TERM_BUDGET, rel=1e-3)
+    assert frequencies._prime_count_lower(x) == pytest.approx(
+        frequencies.DEFAULT_TERM_BUDGET, rel=1e-3)
 
 
 def test_variance_profile_dichotomy_direction():
