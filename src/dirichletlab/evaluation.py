@@ -10,8 +10,9 @@ Two certificate grades are produced:
   error is below threshold * cutoff**-(sigma - sigma0).
 
 Every partial sum and every kept sign comes from one kernel,
-``_signed_sums``: dots of a block of paths' streamed signs with stacks of
-weight arrays ``p**-sigma`` that every path of the block reads, one BLAS
+``_signed_sums``: dots of a block of paths' streamed signs, or of the
+stream entries a scan holds for its one path, with stacks of weight
+arrays ``p**-sigma`` that every path of the block reads, one BLAS
 ddot per piece of a row too short for BLAS to split across threads, so no
 value depends on the thread count.  The stacked rule: a stack is a list of
 equal-length rows, such as the weights of every exponent of one scan
@@ -25,6 +26,8 @@ otherwise, with r the truncation radius.  The bracket is the kernel's
 value widened by ``_band_slack``, which bounds both the summation error
 and the rounding of the weights.  ``evaluate`` adds that bound into its
 error radius; ``decide`` and ``_filtered_signs`` take the sign beyond it.
+A scan streams its path's signs once, holds the stream's entries, and
+decides each round from them (``_decide``), bit for bit as ``decide`` does.
 A sign-change trial filters its whole block in one stream: the certified
 grid at the certified radii and the heuristic sums at radius 0.
 
@@ -89,7 +92,7 @@ def _upper_sum(w: np.ndarray) -> float:
     return math.nextafter(float(w.sum()) * (1.0 + w.size * 2.0 ** -51), math.inf)
 
 
-def _signed_sums(paths, weights) -> list[list[float]]:
+def _signed_sums(paths, weights, held=None) -> list[list[float]]:
     """A float value of sum(signs[:n] * row) for each row of n weights of
     each stack of ``weights``, with ``signs`` the signs of ``paths[i]``,
     for each path of the block ``paths`` (paths of the weights' sequence),
@@ -101,15 +104,18 @@ def _signed_sums(paths, weights) -> list[list[float]]:
 
     The block's signs are streamed chunk-major by ``_sign_stream`` to the
     longest row, so each weight chunk stays in cache while every path of
-    the block reads it.  Each ``_CHUNK`` of a path's signs is dotted with
-    each row's piece by ``summation._row_dots``, in pieces of at most
-    ``_ROW`` terms, or, where the rows end in at most ``_ROW`` more terms,
-    by one ``np.dot`` per row, mapped over the stack's rows in one call:
-    either way one BLAS ddot per piece and row, so a row's sum has the same
-    bits alone or in any stack.  The stacks are visited longest first, so
-    those a chunk still reaches come first and the visit stops at the first
-    that ends before the chunk; an empty one costs nothing.  ``math.fsum``
-    of a row's dots is its value.
+    the block reads it.  A block of one path may pass instead ``held``,
+    the entries of one earlier stream of its signs, at least the longest
+    row long (``SamplePath._held_stream``, a scan's), which are read as
+    the stream's, with the same bits.  Each ``_CHUNK`` of a path's signs
+    is dotted with each row's piece by ``summation._row_dots``, in pieces
+    of at most ``_ROW`` terms, or, where the rows end in at most ``_ROW``
+    more terms, by one ``np.dot`` per row, mapped over the stack's rows in
+    one call: either way one BLAS ddot per piece and row, so a row's sum
+    has the same bits alone or in any stack.  The stacks are visited
+    longest first, so those a chunk still reaches come first and the visit
+    stops at the first that ends before the chunk; an empty one costs
+    nothing.  ``math.fsum`` of a row's dots is its value.
     """
     stacks = [w if isinstance(w, list) else [w] for w in weights]
     # the stacks that have rows, longest first
@@ -121,7 +127,7 @@ def _signed_sums(paths, weights) -> list[list[float]]:
     # the rows, one per row
     heads = [[None] * len(stacks) for _ in paths]
     tails = [[()] * len(stacks) for _ in paths]
-    for lo, i, signs in _sign_stream(paths, count):
+    for lo, i, signs in _sign_stream(paths, count) if held is None else held:
         path_heads, path_tails = heads[i], tails[i]
         for k in ranked:
             rows = stacks[k]
@@ -164,7 +170,8 @@ class TailCertificate:
     ``bounds.excursion_threshold(T, eta)``, T the upper end of the tail
     enclosure at the doubled exponent: the tail law of ``bounds``,
     Etemadi's maximal inequality over the two-sided subgaussian bound, at
-    failure probability eta.
+    failure probability eta.  The cutoff is at least 1, however the
+    certificate is made (see ``_certified_radius``).
     """
 
     seq: FrequencySequence
@@ -174,6 +181,12 @@ class TailCertificate:
     eta: float
     tail_second_moment: float
     exhausted: bool = False
+
+    def __post_init__(self):
+        # _certified_radius rounds its exponent down, which rounds the
+        # radius up only for a cutoff of at least 1
+        if not self.cutoff >= 1:
+            raise ValidationError("cutoff must be >= 1")
 
     @cached_property
     def count(self) -> int:
@@ -254,7 +267,8 @@ def _certified_radius(cert: TailCertificate, sigma: float) -> float:
     certificate, whose threshold is 0.0 (nothing lies past its cutoff); the
     truncation identity behind it carries implied constant exactly 1.
 
-    The exponent is rounded down (cutoff >= 1).  ``grown``, the threshold
+    The exponent is rounded down, which rounds the power up because every
+    certificate's cutoff is at least 1.  ``grown``, the threshold
     times 1 + (2 * ``_POW_ULPS`` + 2)u, covers the power's ``_POW_ULPS``
     ulps and its own half ulp, at most 2u relative per ulp (u = 2**-53) for
     normal floats; the floors 2**-1021 exceed any subnormal result plus its
@@ -306,8 +320,6 @@ def _certified_weights(
             raise ValidationError(
                 f"sigma={sigma} below certificate base exponent {cert.sigma0}"
             )
-    if cert.cutoff < 1:
-        raise ValidationError("cutoff must be >= 1")
     n, memo = cert.count, cert.scan_weights
     _check_budget(len(sigmas) * n)
     ws, rhos = [], []
@@ -369,16 +381,18 @@ def _band_slack(w: np.ndarray) -> float:
                           + n * _POW_ULPS * 2.0 ** -1074, math.inf)
 
 
-def _filtered_signs(paths, weights, rhos) -> list[list[int | None]]:
+def _filtered_signs(paths, weights, rhos, held=None) -> list[list[int | None]]:
     """For each path of the block ``paths``, the sign of each sum's real
     value beyond its radius, or None, for the stacks ``weights`` of
-    ``_signed_sums`` and one decision radius rho per row, which every path
-    shares: one list of signs per path.  The real value lies within the
-    band of the ``_signed_sums`` value (see ``decide``), so with rho the
-    float above the radius plus the band the sign is that value's beyond
-    rho.  A NaN or infinite rho leaves the sum undecided.
+    ``_signed_sums`` (with its ``held`` signs) and one decision radius rho
+    per row, which every path shares: one list of signs per path.  The
+    real value lies within the band of the ``_signed_sums`` value (see
+    ``decide``), so with rho the float above the radius plus the band the
+    sign is that value's beyond rho.  A NaN or infinite rho leaves the sum
+    undecided.
     """
-    return [list(map(_sign_beyond, values, rhos)) for values in _signed_sums(paths, weights)]
+    return [list(map(_sign_beyond, values, rhos))
+            for values in _signed_sums(paths, weights, held)]
 
 
 def decide(
@@ -415,8 +429,17 @@ def decide(
     radius r plus that band, which is also ``evaluate``'s error radius, V >
     rho gives R > r and V < -rho gives R < -r.
     """
+    return _decide(path, sigmas, cert, None)
+
+
+def _decide(path: SamplePath, sigmas: list[float], cert: TailCertificate,
+            held) -> list[int | None]:
+    """``decide``, reading the path's signs from ``held``, the entries of
+    its stream of ``cert.count`` signs (``SamplePath._held_stream``), when
+    they are not None, and streaming them otherwise: the same signs, bit
+    for bit."""
     ws, rhos = _certified_weights(path, sigmas, cert)
-    return _filtered_signs([path], [ws], rhos)[0]
+    return _filtered_signs([path], [ws], rhos, held)[0]
 
 
 def heuristic_cutoff(sigma: float) -> float:

@@ -267,8 +267,6 @@ def _sign_change_setup(cfg: SignChangeConfig, seq) -> dict:
         )
     if cfg.grid_points < 2:
         raise ValidationError("grid_points must be >= 2")
-    if cfg.cert_cutoff < 1:
-        raise ValidationError("cutoff must be >= 1")
     ladder = sorted(cfg.ladder, reverse=True)
     cert = scan_certificate(seq, ladder[-1], cfg.cert_cutoff, cfg.eta)
     n = cert.count

@@ -175,3 +175,9 @@ class SamplePath:
         for offset, _, chunk in _sign_stream([self], count):
             signs[offset:offset + chunk.size] = chunk
         return signs
+
+    def _held_stream(self, count: int) -> list:
+        """The entries of one ``_sign_stream([self], count)`` pass, each
+        chunk of signs copied out of the stream's buffer so that it can be
+        read again: a scan's held signs (see ``zeros.scan``)."""
+        return [(offset, i, chunk.copy()) for offset, i, chunk in _sign_stream([self], count)]

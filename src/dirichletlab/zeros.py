@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from ._version import SCHEMA_VERSION
 from .errors import ValidationError
-from .evaluation import TailCertificate, decide, tail_certificate
+from .evaluation import TailCertificate, _decide, tail_certificate
 from .frequencies import _check_finite, sequence_spec
 from .paths import SamplePath
 
@@ -68,10 +68,8 @@ def _initial_grid(sigma_lo: float, sigma_hi: float, points: int) -> list[float]:
     return grid
 
 
-def _sign_str(sign: int | None) -> str:
-    if sign is None:
-        return "undecided"
-    return "+" if sign > 0 else "-"
+# a decided sign's report string
+_sign_str = {1: "+", -1: "-", None: "undecided"}.__getitem__
 
 
 def _certified_changes(signs: list[int | None]) -> int:
@@ -109,11 +107,15 @@ def scan(
     """Certified signs on an adaptive grid plus a conservative change count.
 
     The one certificate ``cert`` (see ``scan_certificate``) covers every
-    grid point, so the whole scan spends its eta once.  The open intervals,
+    grid point, so the whole scan spends its eta once.  The path's first
+    ``cert.count`` signs are streamed once, by one ``_sign_stream`` pass,
+    whose entries are held for the scan's life, so every round sums the
+    same held signs with the same bits as ``decide``.  The open intervals,
     wider than ``resolution`` with an undecided sign or different signs at
-    their ends, are kept in a list, ascending; each of up to
-    ``max_refinement`` rounds is one ``decide`` call over their midpoints
-    alone, and their open halves replace them.  The grid is sorted once.
+    their ends, are kept in a list, ascending, each with the signs at its
+    ends; each of up to ``max_refinement`` rounds decides their midpoints
+    alone, and the two halves of each interval are tested as they are
+    made, the open ones replacing it.  The grid is sorted once.
     """
     _check_finite("sigma_hi", sigma_hi)
     if not sigma_lo < sigma_hi:
@@ -126,21 +128,28 @@ def scan(
             f"initial_grid must lie in [2, {_MAX_GRID_POINTS}], got {initial_grid}"
         )
 
-    def still_open(pairs) -> list[tuple[float, float]]:
-        return [(a, b) for a, b in pairs
-                if b - a > resolution and (signs[a] is None or signs[a] != signs[b])]
-
+    held = path._held_stream(cert.count)
     grid = _initial_grid(sigma_lo, sigma_hi, initial_grid)  # ascending
-    signs: dict[float, int | None] = dict(zip(grid, decide(path, grid, cert)))
-    work = still_open(zip(grid, grid[1:]))
+    decided = _decide(path, grid, cert, held)
+    signs: dict[float, int | None] = dict(zip(grid, decided))
+    # the open intervals (a, b, sign at a, sign at b)
+    work = [(a, b, x, y) for a, b, x, y in zip(grid, grid[1:], decided, decided[1:])
+            if b - a > resolution and (x is None or x != y)]
     rounds = 0
     while work and rounds < max_refinement and len(signs) + len(work) <= _MAX_GRID_POINTS:
-        mids = [0.5 * (a + b) for a, b in work]
-        signs.update(zip(mids, decide(path, mids, cert)))
-        work = still_open(h for (a, b), m in zip(work, mids) for h in ((a, m), (m, b)))
+        mids = [0.5 * (a + b) for a, b, _, _ in work]
+        decided = _decide(path, mids, cert, held)
+        signs.update(zip(mids, decided))
+        halves = []
+        for (a, b, x, y), m, z in zip(work, mids, decided):
+            if m - a > resolution and (x is None or x != z):
+                halves.append((a, m, x, z))
+            if b - m > resolution and (z is None or z != y):
+                halves.append((m, b, z, y))
+        work = halves
         rounds += 1
     pts = sorted(signs)
-    return _report(path, cert, pts, [signs[s] for s in pts], rounds, resolution)
+    return _report(path, cert, pts, list(map(signs.__getitem__, pts)), rounds, resolution)
 
 
 def _report(path: SamplePath, cert: TailCertificate, pts: list[float],
@@ -155,8 +164,8 @@ def _report(path: SamplePath, cert: TailCertificate, pts: list[float],
         trial_index=path.trial_index,
         sigma_lo=float(pts[0]),
         sigma_hi=float(pts[-1]),
-        sigma_grid=[float(s) for s in pts],
-        decided_signs=[_sign_str(s) for s in decided],
+        sigma_grid=list(map(float, pts)),
+        decided_signs=list(map(_sign_str, decided)),
         sign_changes=_certified_changes(decided),
         undecided_measure=float(undecided_measure),
         no_zero_certified=False,

@@ -388,6 +388,20 @@ def test_tail_certificate_second_moment_matches_zeta_oracle():
     assert cert.tail_second_moment >= oracle  # upper end of the enclosure
 
 
+def test_every_tail_certificate_has_a_cutoff_of_at_least_one():
+    # the certified radius rounds its exponent down, which rounds the radius
+    # up only for a cutoff of at least 1: a certificate below it, built or
+    # constructed, is refused before it holds a count or a threshold
+    for cutoff in (0.5, 0.0, -1.0):
+        with pytest.raises(ValidationError, match="cutoff must be >= 1"):
+            tail_certificate(Naturals(), 0.6, cutoff, 0.01)
+    for cutoff in (0.5, -1.0, math.nan):
+        with pytest.raises(ValidationError, match="cutoff must be >= 1"):
+            TailCertificate(Naturals(), 0.6, cutoff, threshold=1.0, eta=0.5,
+                            tail_second_moment=1.0)
+    assert tail_certificate(Naturals(), 0.6, 1.0, 0.01).count == 1
+
+
 def test_threshold_and_bound_round_trip():
     cert = tail_certificate(Naturals(), 0.75, 1e3, 0.05)
     t = cert.threshold

@@ -1,8 +1,15 @@
-"""A dead-import check over the package's modules, by the stdlib ``ast``.
+"""Checks over the package's modules, by the stdlib ``ast``.
 
 A deletion can leave an import behind that nothing reads; no linter runs
-on the package, so this test finds such names.  ``__init__.py`` is left
-out: its imports are the package's public names.
+on the package, so a dead-import check finds such names.  ``__init__.py``
+is left out of it: its imports are the package's public names.
+
+Every sum of products has one kernel and every sign one route: a second
+dot somewhere, say a held-sign shortcut in ``zeros``, would sum in its own
+order, and a second caller of the word mixer would be a second sign route.
+So a second check finds every ``dot``, ``matmul`` or ``@`` outside
+``summation._row_dots`` and ``evaluation._signed_sums``, and every use of
+``paths._mix_words`` outside ``paths._sign_stream``.
 """
 
 import ast
@@ -12,6 +19,13 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dirichletlab"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(p.name for p in PACKAGE.glob("*.py"))
+# the names each allowed function alone may use, by module and function
+KERNEL = {"dot", "matmul"}
+MIXER = {"_mix_words"}
+ALLOWED = {("summation.py", "_row_dots"): KERNEL,
+           ("evaluation.py", "_signed_sums"): KERNEL,
+           ("paths.py", "_sign_stream"): MIXER}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -41,3 +55,43 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_reads_every_name_it_imports(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def guarded_uses(source: str, module: str) -> list[str]:
+    """The uses in ``source`` of a ``KERNEL`` or ``MIXER`` name, bare or as
+    an attribute, and of the ``@`` operator (a matmul), outside the
+    top-level function that ``ALLOWED`` grants them to in ``module``."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owner = owner or node.name
+        name = (node.id if isinstance(node, ast.Name) else
+                node.attr if isinstance(node, ast.Attribute) else
+                "matmul" if isinstance(node, (ast.BinOp, ast.AugAssign))
+                and isinstance(node.op, ast.MatMult) else None)
+        if name in KERNEL | MIXER and name not in ALLOWED.get((module, owner), ()):
+            found.append(f"{name} in {owner or 'the module'} (line {node.lineno})")
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_the_guard_finds_a_second_kernel_and_a_second_sign_route():
+    source = ("import numpy as np\nfrom .paths import _mix_words\n"
+              "def _held(x, w):\n    return x.dot(w) + np.matmul(x, w) + x @ w\n"
+              "def _row_dots(x, y):\n    return np.dot(x, y)\n"
+              "def _signs(z, t):\n    return _mix_words([0], z, t)\n")
+    assert guarded_uses(source, "zeros.py") == [
+        "dot in _held (line 4)", "matmul in _held (line 4)", "matmul in _held (line 4)",
+        "dot in _row_dots (line 6)", "_mix_words in _signs (line 8)"]
+    assert guarded_uses(source, "summation.py") == [
+        "dot in _held (line 4)", "matmul in _held (line 4)", "matmul in _held (line 4)",
+        "_mix_words in _signs (line 8)"]
+
+
+@pytest.mark.parametrize("module", ALL_MODULES)
+def test_one_summation_kernel_and_one_sign_route(module):
+    assert guarded_uses((PACKAGE / module).read_text(encoding="utf-8"), module) == []

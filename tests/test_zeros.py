@@ -16,7 +16,7 @@ from dirichletlab import (
     scan,
     scan_certificate,
 )
-from dirichletlab import evaluation, zeros
+from dirichletlab import evaluation, paths, zeros
 from dirichletlab.frequencies import FrequencySequence
 from dirichletlab._version import SCHEMA_VERSION
 from dirichletlab.experiments import NoZeroConfig, run_experiment
@@ -36,22 +36,59 @@ def bisect_root(f, lo, hi, iters=80):
     return 0.5 * (lo + hi)
 
 
-def test_scan_streams_signs_once_per_evaluate(monkeypatch):
-    # the initial grid and each refinement round are one evaluate call,
-    # and each evaluate call is one streamed pass over the path's signs
+def test_scan_streams_signs_once_per_scan(monkeypatch):
+    # the scan holds its path's signs: one streamed pass of the
+    # certificate's count, however many rounds read them
     calls = []
-    original = evaluation._sign_stream
+    original = paths._sign_stream
 
-    def counting(paths, count):
-        calls.append(count)
-        return original(paths, count)
+    def counting(block, count):
+        calls.append((len(block), count))
+        return original(block, count)
 
+    monkeypatch.setattr(paths, "_sign_stream", counting)
     monkeypatch.setattr(evaluation, "_sign_stream", counting)
     seq = WeightedNaturals(2.0)
     cert = scan_certificate(seq, 0.6, 1e4, 0.05)
     rep = scan(SamplePath(seq, 3, 1), 0.6, 2.0, cert, max_refinement=4)
     assert rep.refinement_rounds >= 1 and len(rep.sigma_grid) > 16
-    assert calls == [seq.counting_function(1e4)] * (1 + rep.refinement_rounds)
+    assert calls == [(1, cert.count)] and cert.count == seq.counting_function(1e4)
+
+
+def _assert_scan_signs_are_decides(seq, sigma_lo, sigma_hi, cutoff, seed, **kw):
+    # a scan's signs, from its held signs, are decide's at its grid points,
+    # from streamed ones; a fresh certificate per scan bounds the memo
+    cert = scan_certificate(seq, sigma_lo, cutoff, 1e-3)
+    path = SamplePath(seq, seed, 0)
+    rep = scan(path, sigma_lo, sigma_hi, cert, **kw)
+    assert rep.decided_signs == list(map(zeros._sign_str,
+                                         evaluation.decide(path, rep.sigma_grid, cert)))
+    return rep, cert
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=20, deadline=None)
+def test_property_scan_signs_are_decides_below_one_chunk(seed):
+    rep, cert = _assert_scan_signs_are_decides(WeightedNaturals(2.0), 0.55, 2.0, 1e4, seed)
+    assert cert.count < evaluation._CHUNK and rep.refinement_rounds >= 1
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=4, deadline=None)
+def test_property_scan_signs_are_decides_past_one_chunk(seed):
+    # 100,000 signs: held, they are read in the stream's _CHUNK pieces
+    rep, cert = _assert_scan_signs_are_decides(Naturals(), 0.65, 3.0, 1e5, seed,
+                                               initial_grid=8, max_refinement=2)
+    assert cert.count > evaluation._CHUNK and rep.refinement_rounds >= 1
+
+
+@given(values=st.lists(st.floats(1.0, 100.0), min_size=2, max_size=8, unique=True),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_property_scan_signs_are_decides_on_an_exhausted_certificate(values, seed):
+    rep, cert = _assert_scan_signs_are_decides(explicit(sorted(values)), -1.0, 4.0,
+                                               100.0, seed, resolution=1e-4)
+    assert cert.exhausted
 
 
 def test_scan_counts_terms_once_per_round(monkeypatch):
@@ -311,9 +348,10 @@ def test_property_worklist_scan_matches_the_sort_and_recheck_loop(
     cert = scan_certificate(seq, sigma_lo, cutoff, 1e-3)
     sigma_hi = sigma_lo + width
     path = SamplePath(seq, seed, 0)
-    saved, decide = zeros._MAX_GRID_POINTS, zeros.decide
+    saved, decide = zeros._MAX_GRID_POINTS, zeros._decide
     got_calls, want_calls = [], []
-    zeros.decide = lambda p, sigmas, c: got_calls.append(list(sigmas)) or decide(p, sigmas, c)
+    zeros._decide = lambda p, sigmas, c, held: (got_calls.append(list(sigmas))
+                                                or decide(p, sigmas, c, held))
     if cap is not None:
         zeros._MAX_GRID_POINTS = initial_grid + cap
     try:
@@ -322,9 +360,38 @@ def test_property_worklist_scan_matches_the_sort_and_recheck_loop(
         want = _reference_scan(path, sigma_lo, sigma_hi, cert, initial_grid,
                                max_refinement, resolution, want_calls)
     finally:
-        zeros._MAX_GRID_POINTS, zeros.decide = saved, decide
+        zeros._MAX_GRID_POINTS, zeros._decide = saved, decide
     assert (rep.sigma_grid, rep.decided_signs, rep.refinement_rounds) == want
     assert got_calls == want_calls
+
+
+def _two_zeros_between_grid_points():
+    """ROADMAP item 1's path: signs + - - + + - on six elements, exactly
+    summed from sigma_lo 0.05, with zeros at 0.2061 and 0.2479 (40-digit
+    mpmath) between the uniform grid's points 0.18 and 0.31."""
+    seq = explicit([1.4485154722766005, 3.3746079840040646, 6.2728726130938774,
+                    84.45286596055729, 111.22884925177692, 961.9872781891745])
+    path = path_with_signs(seq, [1, -1, -1, 1, 1, -1])
+    return path, scan_certificate(seq, 0.05, 1e4, 0.05)
+
+
+def test_two_zeros_lie_between_two_positive_grid_points():
+    # F(0.225) < 0, yet F is decided positive at both grid points around it
+    path, cert = _two_zeros_between_grid_points()
+    w = np.array([1.0, -1.0, -1.0, 1.0, 1.0, -1.0])
+    assert cert.exhausted and float(w @ np.array(path.seq.values) ** -0.225) < 0.0
+    rep = certify_no_zeros(path, 0.05, cert)
+    grid = [round(s, 12) for s in rep.sigma_grid]
+    k = grid.index(0.18)
+    assert grid[k + 1] == 0.31 and rep.decided_signs[k:k + 2] == ["+", "+"]
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1: a scan certifies its grid points, not the intervals "
+    "between them, so two zeros between two positive points go unseen"))
+def test_no_zero_certificate_sees_zeros_between_same_sign_grid_points():
+    path, cert = _two_zeros_between_grid_points()
+    assert not certify_no_zeros(path, 0.05, cert).no_zero_certified
 
 
 def test_no_zero_certified_is_antitone_in_left_endpoint():
