@@ -27,9 +27,18 @@ value widened by ``_band_slack``, which bounds both the summation error
 and the rounding of the weights.  ``evaluate`` adds that bound into its
 error radius; ``decide`` and ``_filtered_signs`` take the sign beyond it.
 A scan streams its path's signs once, holds the stream's entries, and
-decides each round from them (``_decide``), bit for bit as ``decide`` does.
-A sign-change trial filters its whole block in one stream: the certified
-grid at the certified radii and the heuristic sums at radius 0.
+decides each round from them (``_decide``), bit for bit as ``decide`` does;
+where they are one chunk, the kernel sums each row alone, one ddot (or
+``_row_dots`` past ``_ROW`` terms) and its ``fsum``, with none of the chunk
+loop's bookkeeping.  A sign-change trial filters its whole block in one
+stream: the certified grid at the certified radii and the heuristic sums at
+radius 0.
+
+Certificates are checked where their exponents enter: ``evaluate`` and
+``decide`` run ``_check_certificate`` (the certificate's sequence is the
+path's, every exponent at least its base exponent) once per call, and
+``zeros.scan`` once per scan, on its initial grid, before it streams its
+signs; its rounds read their memo rows unchecked.
 
 Every weight array ``p**-sigma`` outside ``frequencies`` is formed by
 ``_weight_arrays``, after its one budget and exponent check, and has one
@@ -115,8 +124,30 @@ def _signed_sums(paths, weights, held=None) -> list[list[float]]:
     has the same bits alone or in any stack.  The stacks are visited
     longest first, so those a chunk still reaches come first and the visit
     stops at the first that ends before the chunk; an empty one costs
-    nothing.  ``math.fsum`` of a row's dots is its value.
+    nothing.  ``math.fsum`` of a row's dots is its value.  A held stream of
+    one chunk, a no-zero scan's, holds every row's end, so each row there
+    is summed alone by the same rule (one ``np.dot``, or ``_row_dots`` past
+    ``_ROW`` terms), without the chunk loop's sort and its dots kept per
+    stack: the same bits, at the cost of the dots.
     """
+    if held is not None and len(held) == 1:
+        # a held stream of one chunk: every row ends in it, so each row is
+        # summed alone, as the loop below sums it, with no chunk bookkeeping
+        signs, values = held[0][2], []
+        for rows in weights:
+            if not isinstance(rows, list):
+                rows = [rows]
+            if not rows:
+                continue
+            n = rows[0].size
+            x = signs if signs.size == n else signs[:n]
+            if n > _ROW:
+                values += [math.fsum(_row_dots(x, row)) for row in rows]
+            else:
+                for d in map(x.dot, rows):
+                    # the fsum of one dot: the dot, with -0.0 as 0.0
+                    values.append(float(d) + 0.0)
+        return [values]
     stacks = [w if isinstance(w, list) else [w] for w in weights]
     # the stacks that have rows, longest first
     ranked = sorted(filter(stacks.__getitem__, range(len(stacks))),
@@ -304,15 +335,13 @@ def _decision_radius(radius: float, band: float) -> float:
     return math.nextafter(radius + band, math.inf)
 
 
-def _certified_weights(
-    path: SamplePath, sigmas: list[float], cert: TailCertificate
-) -> tuple[list[np.ndarray], list[float]]:
-    """The weight arrays and decision radii of ``evaluate`` and ``decide``,
-    one each per exponent, after their one validation.  Every exponent
-    shares the certificate's cutoff and ``count``, so its entry is kept in
-    the certificate's ``scan_weights`` by sigma alone, once the entries the
-    call holds pass the term budget: one memo read per exponent.
-    """
+def _check_certificate(path: SamplePath, sigmas: list[float], cert: TailCertificate) -> None:
+    """The certificate check: ``cert`` was built for the path's sequence,
+    and every exponent of ``sigmas`` is at least its base exponent.
+    ``evaluate`` and ``decide`` run it once per call, on their exponents;
+    ``zeros.scan`` runs it once per scan, on its initial grid, which every
+    later point lies between, so its rounds read their memo rows
+    unchecked."""
     if cert.seq != path.seq:
         raise ValidationError("certificate was built for another sequence")
     for sigma in sigmas:
@@ -320,6 +349,20 @@ def _certified_weights(
             raise ValidationError(
                 f"sigma={sigma} below certificate base exponent {cert.sigma0}"
             )
+
+
+def _certified_weights(
+    path: SamplePath, sigmas: list[float], cert: TailCertificate
+) -> tuple[list[np.ndarray], list[float]]:
+    """The weight arrays and decision radii of ``evaluate`` and ``decide``,
+    one each per exponent of ``sigmas``, which ``_check_certificate`` has
+    passed.  Every exponent shares the certificate's cutoff and ``count``,
+    so its entry is kept in the certificate's ``scan_weights`` by sigma
+    alone: one memo read per exponent, once the rows the call holds,
+    len(sigmas) * ``count`` terms, pass the term budget.  That check runs on
+    every call, a scan's rounds included: a round's size is known only when
+    the round is made.
+    """
     n, memo = cert.count, cert.scan_weights
     _check_budget(len(sigmas) * n)
     ws, rhos = [], []
@@ -347,6 +390,7 @@ def evaluate(
     ``_certified_weights``, the certified one plus the weights' band,
     rounded up, so it also bounds the distance to the real value (see
     ``decide``)."""
+    _check_certificate(path, sigmas, cert)
     ws, rhos = _certified_weights(path, sigmas, cert)
     values = _signed_sums([path], [ws])[0]
     kind = EXACT if cert.exhausted else PROBABILISTIC
@@ -400,10 +444,11 @@ def decide(
 ) -> list[int | None]:
     """The signs of the real partial sums at ``sigmas`` beyond the certified
     radii, or None, with ``evaluate``'s validation, from one pass over the
-    path's signs: ``_filtered_signs`` over the stack of the exponents'
-    weight arrays and their decision radii, for a block of this path alone.
-    It is ``evaluate``'s ``decided_sign``, from the same sum and the same
-    error radius.
+    path's signs: the sign of each of ``_signed_sums``' values over the
+    stack of the exponents' weight arrays beyond its decision radius, by
+    ``_sign_beyond``, the rule ``_filtered_signs`` applies to a block.  It
+    is ``evaluate``'s ``decided_sign``, from the same sum and the same error
+    radius.
 
     Why a kept sign is the real value's.  Split a sum of n terms into
     chunks c of m_c <= K = ``_CHUNK`` terms; let w_i = fl(p_i**-sigma), S_c
@@ -429,17 +474,20 @@ def decide(
     radius r plus that band, which is also ``evaluate``'s error radius, V >
     rho gives R > r and V < -rho gives R < -r.
     """
+    _check_certificate(path, sigmas, cert)
     return _decide(path, sigmas, cert, None)
 
 
 def _decide(path: SamplePath, sigmas: list[float], cert: TailCertificate,
             held) -> list[int | None]:
-    """``decide``, reading the path's signs from ``held``, the entries of
-    its stream of ``cert.count`` signs (``SamplePath._held_stream``), when
-    they are not None, and streaming them otherwise: the same signs, bit
-    for bit."""
+    """``decide`` without its certificate check, which the caller has run
+    (``zeros.scan`` once per scan), reading the path's signs from ``held``,
+    the entries of its stream of ``cert.count`` signs
+    (``SamplePath._held_stream``), when they are not None, and streaming
+    them otherwise: the same signs, bit for bit."""
     ws, rhos = _certified_weights(path, sigmas, cert)
-    return _filtered_signs([path], [ws], rhos, held)[0]
+    values, = _signed_sums([path], [ws], held)
+    return list(map(_sign_beyond, values, rhos))
 
 
 def heuristic_cutoff(sigma: float) -> float:

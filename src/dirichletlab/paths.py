@@ -179,5 +179,10 @@ class SamplePath:
     def _held_stream(self, count: int) -> list:
         """The entries of one ``_sign_stream([self], count)`` pass, each
         chunk of signs copied out of the stream's buffer so that it can be
-        read again: a scan's held signs (see ``zeros.scan``)."""
-        return [(offset, i, chunk.copy()) for offset, i, chunk in _sign_stream([self], count)]
+        read again: a scan's held signs (see ``zeros.scan``).  A stream of
+        at most one chunk has one entry, over a buffer of its own that no
+        later entry overwrites, so it is held as it is."""
+        stream = _sign_stream([self], count)
+        if count <= _CHUNK:
+            return list(stream)
+        return [(offset, i, chunk.copy()) for offset, i, chunk in stream]

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from ._version import SCHEMA_VERSION
 from .errors import ValidationError
-from .evaluation import TailCertificate, _decide, tail_certificate
+from .evaluation import TailCertificate, _check_certificate, _decide, tail_certificate
 from .frequencies import _check_finite, sequence_spec
 from .paths import SamplePath
 
@@ -53,10 +53,12 @@ class SignScanReport:
         return asdict(self)
 
 
-def _initial_grid(sigma_lo: float, sigma_hi: float, points: int) -> list[float]:
+@lru_cache(maxsize=32, typed=True)
+def _initial_grid(sigma_lo: float, sigma_hi: float, points: int) -> tuple[float, ...]:
     """Geometric in (sigma - 1/2) when possible: the action accumulates
     toward the critical exponent.  Falls back to uniform spacing when the
-    interval starts at or below 1/2 (exact-certificate scans allow that)."""
+    interval starts at or below 1/2 (exact-certificate scans allow that).
+    Memoized, as a tuple: every trial of a study scans the same grid."""
     if sigma_lo > 0.5:
         d_lo, d_hi = sigma_lo - 0.5, sigma_hi - 0.5
         ratio = (d_hi / d_lo) ** (1.0 / (points - 1))
@@ -65,7 +67,7 @@ def _initial_grid(sigma_lo: float, sigma_hi: float, points: int) -> list[float]:
         step = (sigma_hi - sigma_lo) / (points - 1)
         grid = [sigma_lo + step * i for i in range(points)]
     grid[0], grid[-1] = sigma_lo, sigma_hi
-    return grid
+    return tuple(grid)
 
 
 # a decided sign's report string
@@ -107,15 +109,19 @@ def scan(
     """Certified signs on an adaptive grid plus a conservative change count.
 
     The one certificate ``cert`` (see ``scan_certificate``) covers every
-    grid point, so the whole scan spends its eta once.  The path's first
-    ``cert.count`` signs are streamed once, by one ``_sign_stream`` pass,
-    whose entries are held for the scan's life, so every round sums the
-    same held signs with the same bits as ``decide``.  The open intervals,
-    wider than ``resolution`` with an undecided sign or different signs at
-    their ends, are kept in a list, ascending, each with the signs at its
-    ends; each of up to ``max_refinement`` rounds decides their midpoints
-    alone, and the two halves of each interval are tested as they are
-    made, the open ones replacing it.  The grid is sorted once.
+    grid point, so the whole scan spends its eta once, and it is checked
+    once, on the initial grid, before any sign is streamed: every later
+    point lies between two grid points, so the rounds read their memo rows
+    unchecked.  The path's first ``cert.count`` signs are streamed once, by
+    one ``_sign_stream`` pass, whose entries are held for the scan's life,
+    so every round sums the same held signs with the same bits as
+    ``decide``.
+    The open intervals, wider than ``resolution`` with an undecided sign or
+    different signs at their ends, are kept in a list, ascending, each with
+    the signs at its ends and its midpoint beside it; each of up to
+    ``max_refinement`` rounds decides their midpoints alone, and the two
+    halves of each interval are tested as they are made, the open ones
+    replacing it with their midpoints.  The grid is sorted once.
     """
     _check_finite("sigma_hi", sigma_hi)
     if not sigma_lo < sigma_hi:
@@ -128,25 +134,31 @@ def scan(
             f"initial_grid must lie in [2, {_MAX_GRID_POINTS}], got {initial_grid}"
         )
 
+    # ascending floats, and so are the midpoints
+    grid = _initial_grid(float(sigma_lo), float(sigma_hi), initial_grid)
+    # the one certificate check: each midpoint, the rounded half of a sum
+    # of two grid points, is at least the smaller
+    _check_certificate(path, grid, cert)
     held = path._held_stream(cert.count)
-    grid = _initial_grid(sigma_lo, sigma_hi, initial_grid)  # ascending
     decided = _decide(path, grid, cert, held)
     signs: dict[float, int | None] = dict(zip(grid, decided))
-    # the open intervals (a, b, sign at a, sign at b)
+    # the open intervals (a, b, sign at a, sign at b), and their midpoints
     work = [(a, b, x, y) for a, b, x, y in zip(grid, grid[1:], decided, decided[1:])
             if b - a > resolution and (x is None or x != y)]
+    mids = [0.5 * (a + b) for a, b, _, _ in work]
     rounds = 0
     while work and rounds < max_refinement and len(signs) + len(work) <= _MAX_GRID_POINTS:
-        mids = [0.5 * (a + b) for a, b, _, _ in work]
         decided = _decide(path, mids, cert, held)
         signs.update(zip(mids, decided))
-        halves = []
+        halves, next_mids = [], []
         for (a, b, x, y), m, z in zip(work, mids, decided):
             if m - a > resolution and (x is None or x != z):
                 halves.append((a, m, x, z))
+                next_mids.append(0.5 * (a + m))
             if b - m > resolution and (z is None or z != y):
                 halves.append((m, b, z, y))
-        work = halves
+                next_mids.append(0.5 * (m + b))
+        work, mids = halves, next_mids
         rounds += 1
     pts = sorted(signs)
     return _report(path, cert, pts, list(map(signs.__getitem__, pts)), rounds, resolution)
@@ -155,19 +167,25 @@ def scan(
 def _report(path: SamplePath, cert: TailCertificate, pts: list[float],
             decided: list[int | None], rounds: int, resolution: float
             ) -> SignScanReport:
-    """The report of the ascending grid ``pts`` and its signs ``decided``."""
-    undecided_measure = math.fsum(b - a for (a, b, x, y) in zip(
-        pts, pts[1:], decided, decided[1:]) if x is None or y is None)
+    """The report of the ascending float grid ``pts``, which it keeps, and
+    its signs ``decided``: the undecided measure and the certified changes
+    in one pass."""
+    gaps, changes = [], 0
+    for a, b, x, y in zip(pts, pts[1:], decided, decided[1:]):
+        if x is None or y is None:
+            gaps.append(b - a)
+        elif x != y:
+            changes += 1
     return SignScanReport(
         seq=sequence_spec(path.seq),
         master_seed=path.master_seed,
         trial_index=path.trial_index,
-        sigma_lo=float(pts[0]),
-        sigma_hi=float(pts[-1]),
-        sigma_grid=list(map(float, pts)),
+        sigma_lo=pts[0],
+        sigma_hi=pts[-1],
+        sigma_grid=pts,
         decided_signs=list(map(_sign_str, decided)),
-        sign_changes=_certified_changes(decided),
-        undecided_measure=float(undecided_measure),
+        sign_changes=changes,
+        undecided_measure=math.fsum(gaps),
         no_zero_certified=False,
         eta_total=cert.eta,
         certificate={k: getattr(cert, k)
@@ -229,7 +247,7 @@ def certify_no_zeros(
     if dom_sigma is not None and dom_sigma <= sigma_lo:
         # the leading term alone fixes the sign on the whole half-line, for
         # every path: no certificate can fail there
-        report = _report(path, cert, [sigma_lo], [lead], 0, NO_ZERO_RESOLUTION)
+        report = _report(path, cert, [float(sigma_lo)], [lead], 0, NO_ZERO_RESOLUTION)
         report.eta_total = 0.0
     else:
         hi = dom_sigma if dom_sigma is not None else max(SIGMA_SWITCH, sigma_lo + 1.0)

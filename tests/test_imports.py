@@ -10,6 +10,12 @@ order, and a second caller of the word mixer would be a second sign route.
 So a second check finds every ``dot``, ``matmul`` or ``@`` outside
 ``summation._row_dots`` and ``evaluation._signed_sums``, and every use of
 ``paths._mix_words`` outside ``paths._sign_stream``.
+
+A certificate's weight memo, ``scan_weights``, has one writer,
+``evaluation._certified_weights``, which keeps it within the term budget
+and in least-recently-used order; a scan reads it unchecked once its
+certificate is checked.  A third check finds every write to it, or to a
+name bound from it, elsewhere.
 """
 
 import ast
@@ -95,3 +101,75 @@ def test_the_guard_finds_a_second_kernel_and_a_second_sign_route():
 @pytest.mark.parametrize("module", ALL_MODULES)
 def test_one_summation_kernel_and_one_sign_route(module):
     assert guarded_uses((PACKAGE / module).read_text(encoding="utf-8"), module) == []
+
+
+# the one writer of a certificate's memo, and the dict methods that write
+MEMO_WRITER = ("evaluation.py", "_certified_weights")
+MEMO_WRITES = {"pop", "popitem", "clear", "update", "setdefault", "__setitem__",
+               "__delitem__"}
+
+
+def memo_writes(source: str, module: str) -> list[str]:
+    """The writes in ``source`` to a ``scan_weights`` memo, read as an
+    attribute or through a name bound from one (``memo = cert.scan_weights``,
+    also in a tuple assignment), outside ``MEMO_WRITER``: an item assigned
+    (``memo[s] = ...``, also augmented), an item deleted, or a call of one of
+    ``MEMO_WRITES``, by line.  Names are followed within each top-level
+    function."""
+    found = []
+
+    def is_memo(node, names):
+        return (isinstance(node, ast.Attribute) and node.attr == "scan_weights"
+                or isinstance(node, ast.Name) and node.id in names)
+
+    def aliases(func):
+        names = set()
+        for node in ast.walk(func):
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    pairs = ([(target, node.value)] if not isinstance(target, ast.Tuple)
+                             else zip(target.elts, node.value.elts)
+                             if isinstance(node.value, ast.Tuple) else [])
+                    names |= {t.id for t, v in pairs
+                              if isinstance(t, ast.Name) and is_memo(v, ())}
+        return names
+
+    for func in ast.parse(source).body:
+        if (module, getattr(func, "name", None)) == MEMO_WRITER:
+            continue
+        names = aliases(func)
+        for node in ast.walk(func):
+            targets = (node.targets if isinstance(node, (ast.Assign, ast.Delete)) else
+                       [node.target] if isinstance(node, ast.AugAssign) else [])
+            written = [t.value for t in targets if isinstance(t, ast.Subscript)]
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in MEMO_WRITES):
+                written.append(node.func.value)
+            found += [(node.lineno, getattr(func, "name", "the module"))
+                      for value in written if is_memo(value, names)]
+    return [f"{owner} (line {line})" for line, owner in sorted(found)]
+
+
+def test_the_guard_finds_a_second_memo_writer():
+    source = ("def _certified_weights(path, sigmas, cert):\n"
+              "    n, memo = cert.count, cert.scan_weights\n"
+              "    memo[1.0] = memo.pop(2.0)\n"
+              "def _shortcut(cert, s, entry):\n"
+              "    memo = cert.scan_weights\n"
+              "    memo[s] = entry\n"
+              "    cert.scan_weights.pop(s)\n"
+              "    del memo[s]\n"
+              "    return memo.get(s), {}.pop(s, None)\n"
+              "cert.scan_weights[0.5] = None\n")
+    assert memo_writes(source, "evaluation.py") == [
+        "_shortcut (line 6)", "_shortcut (line 7)", "_shortcut (line 8)",
+        "the module (line 10)"]
+    assert memo_writes(source, "zeros.py") == [
+        "_certified_weights (line 3)", "_certified_weights (line 3)",
+        "_shortcut (line 6)", "_shortcut (line 7)", "_shortcut (line 8)",
+        "the module (line 10)"]
+
+
+@pytest.mark.parametrize("module", ALL_MODULES)
+def test_one_writer_of_the_weight_memo(module):
+    assert memo_writes((PACKAGE / module).read_text(encoding="utf-8"), module) == []

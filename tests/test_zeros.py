@@ -55,6 +55,64 @@ def test_scan_streams_signs_once_per_scan(monkeypatch):
     assert calls == [(1, cert.count)] and cert.count == seq.counting_function(1e4)
 
 
+def test_certificate_is_checked_once_per_scan_and_once_per_call(monkeypatch):
+    # a scan checks its certificate once, on its initial grid, however many
+    # rounds read the memo; decide and evaluate check theirs once per call
+    calls = []
+    original = evaluation._check_certificate
+
+    def counting(path, sigmas, cert):
+        calls.append(list(sigmas))
+        return original(path, sigmas, cert)
+
+    monkeypatch.setattr(evaluation, "_check_certificate", counting)
+    monkeypatch.setattr(zeros, "_check_certificate", counting)
+    seq = WeightedNaturals(2.0)
+    cert = scan_certificate(seq, 0.6, 1e4, 0.05)
+    path = SamplePath(seq, 3, 1)
+    rep = scan(path, 0.6, 2.0, cert, max_refinement=4)
+    grid = list(zeros._initial_grid(0.6, 2.0, 16))
+    assert rep.refinement_rounds >= 1 and calls == [grid]
+    rep = certify_no_zeros(path, 0.6, cert)
+    assert rep.refinement_rounds >= 1 and calls == [grid, grid]
+    calls.clear()
+    evaluation.decide(path, [0.7, 1.1], cert)
+    evaluation.evaluate(path, [0.9], cert)
+    assert calls == [[0.7, 1.1], [0.9]]
+
+
+@pytest.mark.parametrize("sigma_lo, other, message", [
+    (0.6, None, "below certificate base exponent"),
+    (0.8, Naturals(), "another sequence"),
+])
+def test_scan_refuses_its_certificate_before_streaming(monkeypatch, sigma_lo, other, message):
+    # the one check runs before the scan streams its signs: a certificate
+    # for sigma_lo 0.8 has base exponent 0.65 > 0.6, and one built for
+    # another sequence serves none of this path's exponents
+    streamed = []
+    monkeypatch.setattr(paths, "_sign_stream", lambda block, count: streamed.append(count))
+    monkeypatch.setattr(evaluation, "_sign_stream", paths._sign_stream)
+    seq = WeightedNaturals(2.0)
+    cert = scan_certificate(other or seq, 0.8, 1e4, 0.05)
+    assert cert.sigma0 == 0.65
+    with pytest.raises(ValidationError, match=message):
+        scan(SamplePath(seq, 3, 1), sigma_lo, 2.0, cert)
+    assert streamed == []
+
+
+def test_scan_checks_every_initial_grid_point():
+    # far from 1/2 the geometric grid can round below sigma_lo: from
+    # 2**52 + 1 its inner points are 2**52, which a certificate based at
+    # sigma_lo does not cover, so the scan checks the whole grid, not
+    # sigma_lo alone
+    seq = WeightedNaturals(2.0)
+    lo = 2.0 ** 52 + 1
+    assert min(zeros._initial_grid(lo, lo + 2, 16)) < lo
+    cert = evaluation.tail_certificate(seq, lo, 1e4, 0.05)
+    with pytest.raises(ValidationError, match="below certificate base exponent"):
+        scan(SamplePath(seq, 1, 0), lo, lo + 2, cert)
+
+
 def _assert_scan_signs_are_decides(seq, sigma_lo, sigma_hi, cutoff, seed, **kw):
     # a scan's signs, from its held signs, are decide's at its grid points,
     # from streamed ones; a fresh certificate per scan bounds the memo
