@@ -11,7 +11,7 @@ Two certificate grades are produced:
 
 Every partial sum and every kept sign comes from one kernel,
 ``_signed_sums``: dots of a block of paths' streamed signs, or of the
-stream entries a scan holds for its one path, with stacks of weight
+vector of signs a scan holds for its one path, with stacks of weight
 arrays ``p**-sigma`` that every path of the block reads, one BLAS
 ddot per piece of a row too short for BLAS to split across threads, so no
 value depends on the thread count.  The stacked rule: a stack is a list of
@@ -26,11 +26,11 @@ otherwise, with r the truncation radius.  The bracket is the kernel's
 value widened by ``_band_slack``, which bounds both the summation error
 and the rounding of the weights.  ``evaluate`` adds that bound into its
 error radius; ``decide`` and ``_filtered_signs`` take the sign beyond it.
-A scan streams its path's signs once, holds the stream's entries, and
-decides each round from them (``_decide``), bit for bit as ``decide`` does;
-where they are one chunk, the kernel sums each row alone, one ddot (or
-``_row_dots`` past ``_ROW`` terms) and its ``fsum``, with none of the chunk
-loop's bookkeeping.  A sign-change trial filters its whole block in one
+A scan holds one vector of its path's signs (``SamplePath._signs``) and
+decides each round from it (``_decide``), bit for bit as ``decide`` does:
+the kernel sums each row alone, one ddot (or ``_row_dots`` past ``_ROW``
+terms) and its ``fsum``, the chunk loop's pieces without its bookkeeping.
+A sign-change trial filters its whole block in one
 stream: the certified grid at the certified radii and the heuristic sums at
 radius 0.
 
@@ -113,34 +113,33 @@ def _signed_sums(paths, weights, held=None) -> list[list[float]]:
 
     The block's signs are streamed chunk-major by ``_sign_stream`` to the
     longest row, so each weight chunk stays in cache while every path of
-    the block reads it.  A block of one path may pass instead ``held``,
-    the entries of one earlier stream of its signs, at least the longest
-    row long (``SamplePath._held_stream``, a scan's), which are read as
-    the stream's, with the same bits.  Each ``_CHUNK`` of a path's signs
-    is dotted with each row's piece by ``summation._row_dots``, in pieces
-    of at most ``_ROW`` terms, or, where the rows end in at most ``_ROW``
-    more terms, by one ``np.dot`` per row, mapped over the stack's rows in
-    one call: either way one BLAS ddot per piece and row, so a row's sum
-    has the same bits alone or in any stack.  The stacks are visited
-    longest first, so those a chunk still reaches come first and the visit
-    stops at the first that ends before the chunk; an empty one costs
-    nothing.  ``math.fsum`` of a row's dots is its value.  A held stream of
-    one chunk, a no-zero scan's, holds every row's end, so each row there
-    is summed alone by the same rule (one ``np.dot``, or ``_row_dots`` past
-    ``_ROW`` terms), without the chunk loop's sort and its dots kept per
-    stack: the same bits, at the cost of the dots.
+    the block reads it.  Each ``_CHUNK`` of a path's signs is dotted with
+    each row's piece by ``summation._row_dots``, in pieces of at most
+    ``_ROW`` terms, or, where the rows end in at most ``_ROW`` more terms,
+    by one ``np.dot`` per row, mapped over the stack's rows in one call:
+    either way one BLAS ddot per piece and row, so a row's sum has the same
+    bits alone or in any stack.  The stacks are visited longest first, so
+    those a chunk still reaches come first and the visit stops at the first
+    that ends before the chunk; an empty one costs nothing.  ``math.fsum``
+    of a row's dots is its value.
+
+    A block of one path may pass instead ``held``, the vector of its signs
+    (``SamplePath._signs``, a scan's), at least the longest row long.  It
+    holds every row's end, so each row is summed alone: one ``np.dot`` up
+    to ``_ROW`` terms, ``math.fsum`` of ``_row_dots`` past that.  ``_CHUNK``
+    is a multiple of ``_ROW``, so those are the chunk loop's pieces, dots
+    and ``fsum``: the same bits, at the cost of the dots, without the
+    loop's sort and its dots kept per stack.
     """
-    if held is not None and len(held) == 1:
-        # a held stream of one chunk: every row ends in it, so each row is
-        # summed alone, as the loop below sums it, with no chunk bookkeeping
-        signs, values = held[0][2], []
+    if held is not None:
+        values = []
         for rows in weights:
             if not isinstance(rows, list):
                 rows = [rows]
             if not rows:
                 continue
             n = rows[0].size
-            x = signs if signs.size == n else signs[:n]
+            x = held if held.size == n else held[:n]
             if n > _ROW:
                 values += [math.fsum(_row_dots(x, row)) for row in rows]
             else:
@@ -158,7 +157,7 @@ def _signed_sums(paths, weights, held=None) -> list[list[float]]:
     # the rows, one per row
     heads = [[None] * len(stacks) for _ in paths]
     tails = [[()] * len(stacks) for _ in paths]
-    for lo, i, signs in _sign_stream(paths, count) if held is None else held:
+    for lo, i, signs in _sign_stream(paths, count):
         path_heads, path_tails = heads[i], tails[i]
         for k in ranked:
             rows = stacks[k]
@@ -425,10 +424,10 @@ def _band_slack(w: np.ndarray) -> float:
                           + n * _POW_ULPS * 2.0 ** -1074, math.inf)
 
 
-def _filtered_signs(paths, weights, rhos, held=None) -> list[list[int | None]]:
+def _filtered_signs(paths, weights, rhos) -> list[list[int | None]]:
     """For each path of the block ``paths``, the sign of each sum's real
     value beyond its radius, or None, for the stacks ``weights`` of
-    ``_signed_sums`` (with its ``held`` signs) and one decision radius rho
+    ``_signed_sums`` and one decision radius rho
     per row, which every path shares: one list of signs per path.  The
     real value lies within the band of the ``_signed_sums`` value (see
     ``decide``), so with rho the float above the radius plus the band the
@@ -436,7 +435,7 @@ def _filtered_signs(paths, weights, rhos, held=None) -> list[list[int | None]]:
     undecided.
     """
     return [list(map(_sign_beyond, values, rhos))
-            for values in _signed_sums(paths, weights, held)]
+            for values in _signed_sums(paths, weights)]
 
 
 def decide(
@@ -482,9 +481,9 @@ def _decide(path: SamplePath, sigmas: list[float], cert: TailCertificate,
             held) -> list[int | None]:
     """``decide`` without its certificate check, which the caller has run
     (``zeros.scan`` once per scan), reading the path's signs from ``held``,
-    the entries of its stream of ``cert.count`` signs
-    (``SamplePath._held_stream``), when they are not None, and streaming
-    them otherwise: the same signs, bit for bit."""
+    the vector of its first ``cert.count`` signs (``SamplePath._signs``),
+    when it is not None, and streaming them otherwise: the same sums, bit
+    for bit."""
     ws, rhos = _certified_weights(path, sigmas, cert)
     values, = _signed_sums([path], [ws], held)
     return list(map(_sign_beyond, values, rhos))
@@ -536,7 +535,7 @@ def mellin_discrepancy(path: SamplePath, sigma: float, upper_limit: float) -> fl
     n = path.seq._count_up_to(upper_limit)
     if n == 0:
         return 0.0
-    signs = path.signs_up_to(upper_limit)
+    signs = path._signs(n)
     prefix = np.cumsum(signs)
     pows, = _weight_arrays(path.seq, [(s, n)])
     nxt = np.empty_like(pows)

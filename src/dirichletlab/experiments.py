@@ -47,7 +47,7 @@ from .evaluation import (
     _weight_arrays,
 )
 from .frequencies import WeightedNaturals, _check_budget, _check_finite, make_sequence
-from .paths import _BLOCK, SamplePath, _sign_stream
+from .paths import _BLOCK, SamplePath
 from .zeros import _certified_changes, _initial_grid, certify_no_zeros, scan_certificate
 
 # the smallest cutoff a heuristic sign is summed to
@@ -391,9 +391,8 @@ def _bu_trial(cfg: BuEventConfig, st: dict, paths: list[SamplePath]) -> list[dic
 def _bu_sups(st: dict, path: SamplePath) -> list[float]:
     """The path's sup of |running sum| over each cutoff's index window."""
     w = st["weights"]
-    prefix = np.empty(w.size)  # the signed weights, then their running sums
-    for lo, _, signs in _sign_stream([path], w.size):
-        np.multiply(signs, w[lo:lo + signs.size], out=prefix[lo:lo + signs.size])
+    prefix = path._signs(w.size)  # the signed weights, then their running sums
+    prefix *= w
     np.cumsum(prefix, out=prefix)
     sups = []
     for a, b in st["windows"]:

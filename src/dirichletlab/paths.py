@@ -16,9 +16,12 @@ of paths chunk-major, one chunk of every path before the next chunk, so a
 caller's weight chunk stays in cache across the block; each of its mixing
 calls covers about ``_CHUNK`` words: one chunk of each of ``_BLOCK``
 paths, or ``_BLOCK`` chunks of one path.  Every sign is decoded by the one
-byte table (``_decode``).  A path's vector of signs is filled from its own
-stream; a single sign is its bit of the word from the definition, in
-Python ints (``_mix64``), with no numpy call.
+byte table (``_decode``).  A path's signs take two forms: the stream,
+which only ``evaluation._signed_sums`` reads, and one vector of its first
+``count`` signs (``SamplePath._signs``), filled from its own stream, which
+a scan holds for its life and a study reads whole.  A single sign is its
+bit of the word from the definition, in Python ints (``_mix64``), with no
+numpy call.
 """
 
 from __future__ import annotations
@@ -170,19 +173,14 @@ class SamplePath:
     def signs_up_to(self, cutoff: float) -> np.ndarray:
         """Signs (float64 in {-1.0, +1.0}) of all served elements <= cutoff,
         in element order."""
-        count = self.seq._count_up_to(cutoff)
+        return self._signs(self.seq._count_up_to(cutoff))
+
+    def _signs(self, count: int) -> np.ndarray:
+        """The vector of the path's first ``count`` served signs, filled
+        from one ``_sign_stream([self], count)`` pass: a caller that knows
+        its count (a scan's certificate, a study's weights) reads its signs
+        as one array, with the bits the stream gives."""
         signs = np.empty(count)
         for offset, _, chunk in _sign_stream([self], count):
             signs[offset:offset + chunk.size] = chunk
         return signs
-
-    def _held_stream(self, count: int) -> list:
-        """The entries of one ``_sign_stream([self], count)`` pass, each
-        chunk of signs copied out of the stream's buffer so that it can be
-        read again: a scan's held signs (see ``zeros.scan``).  A stream of
-        at most one chunk has one entry, over a buffer of its own that no
-        later entry overwrites, so it is held as it is."""
-        stream = _sign_stream([self], count)
-        if count <= _CHUNK:
-            return list(stream)
-        return [(offset, i, chunk.copy()) for offset, i, chunk in stream]

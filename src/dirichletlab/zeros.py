@@ -112,10 +112,10 @@ def scan(
     grid point, so the whole scan spends its eta once, and it is checked
     once, on the initial grid, before any sign is streamed: every later
     point lies between two grid points, so the rounds read their memo rows
-    unchecked.  The path's first ``cert.count`` signs are streamed once, by
-    one ``_sign_stream`` pass, whose entries are held for the scan's life,
-    so every round sums the same held signs with the same bits as
-    ``decide``.
+    unchecked.  The path's first ``cert.count`` signs are made once, as one
+    vector (``SamplePath._signs``) held for the scan's life, and every
+    round sums its rows against it, one at a time, with the bits
+    ``decide`` gives them.
     The open intervals, wider than ``resolution`` with an undecided sign or
     different signs at their ends, are kept in a list, ascending, each with
     the signs at its ends and its midpoint beside it; each of up to
@@ -139,7 +139,7 @@ def scan(
     # the one certificate check: each midpoint, the rounded half of a sum
     # of two grid points, is at least the smaller
     _check_certificate(path, grid, cert)
-    held = path._held_stream(cert.count)
+    held = path._signs(cert.count)
     decided = _decide(path, grid, cert, held)
     signs: dict[float, int | None] = dict(zip(grid, decided))
     # the open intervals (a, b, sign at a, sign at b), and their midpoints

@@ -226,28 +226,34 @@ def test_property_stacked_rows_sum_as_each_row_alone(rows, lone, height, n, seed
         [[v.hex() for v in sums] for sums in alone]
 
 
-# (sequence, cutoff) of a held stream: 304 terms (weighted:2.0 at 10**4),
-# exactly _ROW, between _ROW and _CHUNK, and 10**5, past one chunk
+# (sequence, cutoff) of a held vector: 304 terms (weighted:2.0 at 10**4),
+# exactly _ROW, between _ROW and _CHUNK, exactly _CHUNK, one term past it,
+# and 10**5
 _HELD_CASES = [(WeightedNaturals(2.0), 1e4), (Naturals(), float(_ROW)),
-               (Naturals(), 20_000.0), (Naturals(), 1e5)]
+               (Naturals(), 20_000.0), (Naturals(), float(_CH)),
+               (Naturals(), _CH + 1.0), (Naturals(), 1e5)]
 
 
 @given(case=st.sampled_from(_HELD_CASES),
        sigmas=st.lists(st.floats(0.55, 3.0), min_size=1, max_size=6),
-       cuts=st.lists(st.sampled_from([0, 1, _ROW - 1, _ROW, _ROW + 1]), max_size=3),
+       cuts=st.lists(st.sampled_from([0, 1, _ROW - 1, _ROW, _ROW + 1, _CH + _ROW]),
+                     max_size=3),
        seed=st.integers(0, 2**32 - 1))
+# rows that end one term past a chunk, and a _ROW into the second chunk
+@example(case=_HELD_CASES[4], sigmas=[0.6, 2.5], cuts=[_CH + _ROW], seed=1)
+@example(case=_HELD_CASES[5], sigmas=[0.6], cuts=[_CH + _ROW, _ROW], seed=2)
 @settings(max_examples=30, deadline=None)
 def test_property_held_sums_are_the_streamed_sums(case, sigmas, cuts, seed):
-    # a scan's rounds sum its held signs, row by row where one chunk holds
-    # them; every value must be, float.hex for float.hex, that of a
-    # streamed pass over the same path: a round's stack of full rows,
-    # shorter rows within the held stream, a row of zeros (0.0, not -0.0,
-    # as fsum gives it) and an empty stack
+    # a scan's rounds sum each row alone against its held vector of signs;
+    # every value must be, float.hex for float.hex, that of a streamed pass
+    # over the same path: a round's stack of full rows, shorter rows within
+    # the vector, a row of zeros (0.0, not -0.0, as fsum gives it) and an
+    # empty stack
     seq, cutoff = case
     path = SamplePath(seq, seed, 0)
     count = seq._count_up_to(cutoff)
-    held = path._held_stream(count)
-    assert len(held) == -(-count // _CH)
+    held = path._signs(count)
+    assert held.shape == (count,)
     stack = evaluation._weight_arrays(seq, [(s, count) for s in sigmas])
     shorter = [w[:min(k, count)] for w, k in zip(stack, cuts)]
     weights = [stack, *shorter, np.zeros(min(count, 7)), []]

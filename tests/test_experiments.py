@@ -90,6 +90,14 @@ def test_reports_identical_across_worker_counts():
     pytest.param(SignChangeConfig(trials=2, master_seed=1),
                  "d26f1c857cdd80f5fb73b59e5e1c68f64f76cc62c999d303ddf61337a8e7bfab",
                  id="sign_change-default"),
+    # the default configs but for bu_event's trial count (2000 trials take
+    # seconds; 32 read the same 201,165 weights)
+    pytest.param(BuEventConfig(trials=32),
+                 "59c5f5687c040242dce6c68273099ead7d8ca8a1ee7797d331baa92e23582b9d",
+                 id="bu_event-default"),
+    pytest.param(ExceedanceConfig(),
+                 "b82b8c6f7cc1deaaf8ed89e54591b845f9d4b943cbe0b48b9e246d9ef4058933",
+                 id="exceedance-default"),
 ])
 def test_experiment_payload_golden(cfg, digest):
     # report hashes at schema 5; sign_change's per_trial and aggregates are

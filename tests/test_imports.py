@@ -7,9 +7,13 @@ is left out of it: its imports are the package's public names.
 Every sum of products has one kernel and every sign one route: a second
 dot somewhere, say a held-sign shortcut in ``zeros``, would sum in its own
 order, and a second caller of the word mixer would be a second sign route.
-So a second check finds every ``dot``, ``matmul`` or ``@`` outside
-``summation._row_dots`` and ``evaluation._signed_sums``, and every use of
-``paths._mix_words`` outside ``paths._sign_stream``.
+A path's signs take two forms, the block stream and one vector: a study
+that reads the stream itself keeps its own fill loop beside
+``SamplePath._signs``.  So a second check finds every ``dot``, ``matmul``
+or ``@`` outside ``summation._row_dots`` and ``evaluation._signed_sums``,
+every use of ``paths._mix_words`` outside ``paths._sign_stream``, and
+every use of ``paths._sign_stream`` outside ``evaluation._signed_sums``
+and ``paths.SamplePath``.
 
 A certificate's weight memo, ``scan_weights``, has one writer,
 ``evaluation._certified_weights``, which keeps it within the term budget
@@ -29,9 +33,11 @@ ALL_MODULES = sorted(p.name for p in PACKAGE.glob("*.py"))
 # the names each allowed function alone may use, by module and function
 KERNEL = {"dot", "matmul"}
 MIXER = {"_mix_words"}
+STREAM = {"_sign_stream"}
 ALLOWED = {("summation.py", "_row_dots"): KERNEL,
-           ("evaluation.py", "_signed_sums"): KERNEL,
-           ("paths.py", "_sign_stream"): MIXER}
+           ("evaluation.py", "_signed_sums"): KERNEL | STREAM,
+           ("paths.py", "_sign_stream"): MIXER,
+           ("paths.py", "SamplePath"): STREAM}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -64,9 +70,10 @@ def test_module_reads_every_name_it_imports(module):
 
 
 def guarded_uses(source: str, module: str) -> list[str]:
-    """The uses in ``source`` of a ``KERNEL`` or ``MIXER`` name, bare or as
-    an attribute, and of the ``@`` operator (a matmul), outside the
-    top-level function that ``ALLOWED`` grants them to in ``module``."""
+    """The uses in ``source`` of a ``KERNEL``, ``MIXER`` or ``STREAM``
+    name, bare or as an attribute, and of the ``@`` operator (a matmul),
+    outside the top-level function or class that ``ALLOWED`` grants them to
+    in ``module``."""
     found = []
 
     def visit(node, owner):
@@ -76,7 +83,7 @@ def guarded_uses(source: str, module: str) -> list[str]:
                 node.attr if isinstance(node, ast.Attribute) else
                 "matmul" if isinstance(node, (ast.BinOp, ast.AugAssign))
                 and isinstance(node.op, ast.MatMult) else None)
-        if name in KERNEL | MIXER and name not in ALLOWED.get((module, owner), ()):
+        if name in KERNEL | MIXER | STREAM and name not in ALLOWED.get((module, owner), ()):
             found.append(f"{name} in {owner or 'the module'} (line {node.lineno})")
         for child in ast.iter_child_nodes(node):
             visit(child, owner)
@@ -96,6 +103,25 @@ def test_the_guard_finds_a_second_kernel_and_a_second_sign_route():
     assert guarded_uses(source, "summation.py") == [
         "dot in _held (line 4)", "matmul in _held (line 4)", "matmul in _held (line 4)",
         "_mix_words in _signs (line 8)"]
+
+
+def test_the_guard_finds_a_second_reader_of_the_sign_stream():
+    source = ("from . import paths\nfrom .paths import _sign_stream\n"
+              "def _bu_sups(st, path):\n"
+              "    for lo, _, signs in _sign_stream([path], 9):\n        pass\n"
+              "    return paths._sign_stream\n"
+              "def _signed_sums(paths, weights):\n    return _sign_stream(paths, 1)\n"
+              "class SamplePath:\n"
+              "    def _signs(self, count):\n        return _sign_stream([self], count)\n")
+    assert guarded_uses(source, "experiments.py") == [
+        "_sign_stream in _bu_sups (line 4)", "_sign_stream in _bu_sups (line 6)",
+        "_sign_stream in _signed_sums (line 8)", "_sign_stream in SamplePath (line 11)"]
+    assert guarded_uses(source, "evaluation.py") == [
+        "_sign_stream in _bu_sups (line 4)", "_sign_stream in _bu_sups (line 6)",
+        "_sign_stream in SamplePath (line 11)"]
+    assert guarded_uses(source, "paths.py") == [
+        "_sign_stream in _bu_sups (line 4)", "_sign_stream in _bu_sups (line 6)",
+        "_sign_stream in _signed_sums (line 8)"]
 
 
 @pytest.mark.parametrize("module", ALL_MODULES)

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dirichletlab import (
@@ -131,13 +131,25 @@ def test_property_scan_signs_are_decides_below_one_chunk(seed):
     assert cert.count < evaluation._CHUNK and rep.refinement_rounds >= 1
 
 
+# seeds whose scan below refines: it runs both its rounds
+_REFINING_PAST_ONE_CHUNK = (1, 2)
+
+
 @given(seed=st.integers(0, 2**32 - 1))
+@example(seed=1)
+@example(seed=2)
 @settings(max_examples=4, deadline=None)
 def test_property_scan_signs_are_decides_past_one_chunk(seed):
-    # 100,000 signs: held, they are read in the stream's _CHUNK pieces
+    # 100,000 signs, held as one vector, against which every round sums its
+    # rows past one _CHUNK.  The property holds for every seed; refining
+    # does not: seeds 484, 1189 and 520357 decide all 8 initial points "-"
+    # and run no round, so only the example seeds must cover a round
     rep, cert = _assert_scan_signs_are_decides(Naturals(), 0.65, 3.0, 1e5, seed,
                                                initial_grid=8, max_refinement=2)
-    assert cert.count > evaluation._CHUNK and rep.refinement_rounds >= 1
+    assert cert.count > evaluation._CHUNK
+    if seed in _REFINING_PAST_ONE_CHUNK:
+        assert rep.refinement_rounds == 2
+    assume(rep.refinement_rounds >= 1)
 
 
 @given(values=st.lists(st.floats(1.0, 100.0), min_size=2, max_size=8, unique=True),
